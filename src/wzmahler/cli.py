@@ -98,7 +98,8 @@ def main(argv=None) -> int:
                 and rec.kind != "conjectural-numeric":
             code = 1
     else:
-        reports, code = run_all(filter=args.filter, jobs=args.jobs, ctx=ctx)
+        reports, code = run_all(filter=args.filter, jobs=args.jobs, ctx=ctx,
+                                tol_override=tol)
 
     if args.format == "json":
         print(reports_to_json(reports))

@@ -8,9 +8,17 @@ sides of alpha = 4:
 
 and a quadrature oracle via Jensen's formula in x: with u(t) = alpha +
 2 cos(2 pi t) the inner integral is arccosh(|u|/2) where |u| >= 2 and zero
-otherwise.  n(alpha) = m(x^3 + y^3 + 1 - alpha x y) only has the quadrature
-route here: the cubic in x is monic, so Jensen gives the sum of log+ of the
-root magnitudes.
+otherwise.
+
+n(alpha) = m(x^3 + y^3 + 1 - alpha x y) has Rodriguez-Villegas's series for
+alpha > 3,
+
+    n(alpha) = log(alpha) - (1/3) sum_{n>=1} (3n)!/(n n!^3) alpha^(-3n),
+
+and a quadrature oracle for every alpha >= 0: the cubic in x is monic, so
+Jensen gives the sum of log+ of its root magnitudes, which Cardano's formula
+gives in closed form at each node.  mpmath's polyroots cross-checks the
+closed form at the ends of every quadrature piece.
 
 The square-root kinks where a root magnitude crosses 1 are located first
 (bisection on the product of |root|-1) and made interval endpoints, which is
@@ -21,8 +29,8 @@ from __future__ import annotations
 
 import warnings
 
-from mpmath import (acos, acosh, cos, exp, fabs, log, mp, mpc, mpf, pi,
-                    polyroots, quad, workprec)
+from mpmath import (acos, acosh, cbrt, cos, expjpi, fabs, log, mp, mpc, mpf,
+                    pi, polyroots, quad, sqrt, workprec)
 
 from .context import (DivergentSeriesError, DomainError, PrecisionCtx,
                       QuadratureBudgetError, SlowConvergenceWarning,
@@ -132,6 +140,21 @@ def rv_series(x, ctx: PrecisionCtx | None = None, tol=None,
                               counter=counter)
 
 
+def n_series(alpha, ctx: PrecisionCtx | None = None, tol=None,
+             counter: TermCounter | None = None) -> mpf:
+    """n(alpha) = log(alpha) - rv_series(alpha^-3)/3 for alpha > 3.
+
+    The ratio is 27/alpha^3; the error is at most tol/3.
+    """
+    ctx = ensure_ctx(ctx)
+    with ctx.workprec(32):
+        alpha = to_mpf(alpha)
+        if alpha <= 3:
+            raise DomainError("n_series requires alpha > 3")
+        s = rv_series(1 / alpha ** 3, ctx, tol=tol, counter=counter)
+        return +(log(alpha) - s / 3)
+
+
 # ---------------------------------------------------------------------------
 # quadrature oracles
 # ---------------------------------------------------------------------------
@@ -180,11 +203,51 @@ def m_quadrature(alpha, ctx: PrecisionCtx | None = None, tol=mpf("1e-8")) -> mpf
         return +(2 * _quad_pieces(f, points, tol / 2))
 
 
+def _torus_point(t):
+    """y = e^(2 pi i t) and y^3, each from its own exponential so that
+    1 + y^3 vanishes exactly at t = 1/6 and t = 1/2."""
+    return expjpi(2 * t), expjpi(6 * t)
+
+
 def _cubic_root_mags(alpha, t):
-    y = exp(2 * pi * mpc(0, 1) * t)
-    roots = polyroots([mpf(1), mpf(0), -alpha * y, 1 + y ** 3],
-                      maxsteps=160, extraprec=80)
-    return [abs(r) for r in roots]
+    """|roots| of x^3 - alpha y x + 1 + y^3 by Cardano's formula.
+
+    With p = -alpha y and h = (1 + y^3)/2 the roots are c w^k - p/(3 c w^k),
+    w = e^(2 pi i/3), where c^3 is the larger of -h +- sqrt(h^2 + (p/3)^3)
+    (no cancellation); it vanishes only for the triple root 0.
+    """
+    y, y3 = _torus_point(t)
+    p = -alpha * y
+    h = (1 + y3) / 2
+    d = sqrt(h * h + (p / 3) ** 3)
+    u = -h - d if abs(h + d) > abs(h - d) else -h + d
+    if u == 0:
+        return [mpf(0)] * 3
+    c = cbrt(u)
+    w = mpc(-1, sqrt(mpf(3))) / 2
+    mags = []
+    for _ in range(3):
+        mags.append(abs(c - p / (3 * c)))
+        c *= w
+    return mags
+
+
+def _check_root_mags(alpha, points):
+    """Cross-check the closed-form root magnitudes against polyroots."""
+    gate = mpf(2) ** (-(mp.prec // 2))
+    for t in points:
+        y, y3 = _torus_point(t)
+        if alpha == 0 and 1 + y3 == 0:
+            continue  # x^3 itself: exact, and polyroots cannot converge on it
+        roots = polyroots([mpf(1), mpf(0), -alpha * y, 1 + y3],
+                          maxsteps=160, extraprec=80)
+        ref = sorted(abs(r) for r in roots)
+        got = sorted(_cubic_root_mags(alpha, t))
+        gap = max(abs(a - b) for a, b in zip(got, ref))
+        if gap > gate:
+            raise ArithmeticError(
+                f"cubic root magnitudes at t = {mp.nstr(t, 8)} differ from "
+                f"polyroots by {mp.nstr(gap, 3)}")
 
 
 def _n_breakpoints(alpha, grid: int = 192) -> list:
@@ -221,7 +284,9 @@ def n_quadrature(alpha, ctx: PrecisionCtx | None = None, tol=mpf("1e-8")) -> mpf
     """Jensen-reduced integral for n(alpha) = m(x^3 + y^3 + 1 - alpha x y).
 
     The cubic in x is monic, so the inner integral is sum_i log+ |r_i(t)|;
-    root magnitudes come from polished cubic roots at each node.
+    root magnitudes come from Cardano's formula at each node, checked
+    against polyroots at the ends of every piece (ArithmeticError if they
+    differ by more than 2^(-prec/2)).
     """
     ctx = ensure_ctx(ctx)
     tol = mpf(tol)
@@ -240,4 +305,5 @@ def n_quadrature(alpha, ctx: PrecisionCtx | None = None, tol=mpf("1e-8")) -> mpf
 
         inner = sorted(_n_breakpoints(alpha))
         points = [mpf(0)] + inner + [mpf(1) / 2]
+        _check_root_mags(alpha, points)
         return +(2 * _quad_pieces(f, points, tol / 2))

@@ -19,9 +19,6 @@ from mpmath import zeta as _mp_zeta
 from .context import (ConvergenceError, DomainError, PoleError, PrecisionCtx,
                       ensure_ctx, to_mpf)
 
-RealHP = mpf
-ComplexHP = mpc
-
 GUARD_LI2 = 24  # extra bits sought from the Li2 kernels beyond ctx.bits
 
 

@@ -24,7 +24,8 @@ from .context import PrecisionCtx, UnknownIdentityError, ensure_ctx
 from .elliptic import (CurvePoint, EllipticCurve, curve_from_family,
                        elliptic_dilog, is_on_curve, lattice_dilog_sum,
                        periods, point_order)
-from .mahler import m_quadrature, m_series, n_quadrature, rv_series, s_ratio
+from .mahler import (m_quadrature, m_series, n_quadrature, n_series, rv_series,
+                     s_ratio)
 from .modular import phi_theta, xq_product
 from .numkernel import gamma_real, zeta_int
 from .series import TermCounter, richardson_sum, sum_geometric
@@ -400,8 +401,10 @@ def _x_alpha(q, ctx, power=1):
 
 
 def _qseries_n_rhs(ctx, q):
+    counter = TermCounter()
     with ctx.workprec(32):
-        return +n_quadrature(_x_alpha(q, ctx), ctx, tol=mpf(10) ** -8), 0
+        val = n_series(_x_alpha(q, ctx), ctx, tol=mpf(10) ** -42, counter=counter)
+        return +val, counter.count
 
 
 def _qseries_n2_lhs(ctx, q):
@@ -414,10 +417,12 @@ def _qseries_n2_lhs(ctx, q):
 
 
 def _qseries_n2_rhs(ctx, q):
+    counter = TermCounter()
+    tol = mpf(10) ** -42
     with ctx.workprec(32):
-        v1 = n_quadrature(_x_alpha(q, ctx), ctx, tol=mpf(10) ** -8)
-        v2 = n_quadrature(_x_alpha(q, ctx, power=2), ctx, tol=mpf(10) ** -8)
-        return +(2 * v1 + v2), 0
+        v1 = n_series(_x_alpha(q, ctx), ctx, tol=tol, counter=counter)
+        v2 = n_series(_x_alpha(q, ctx, power=2), ctx, tol=tol, counter=counter)
+        return +(2 * v1 + v2), counter.count
 
 
 def _dilog_side(name: str, coeff: int):
@@ -727,8 +732,9 @@ def run_check(ident: str, ctx: PrecisionCtx | None = None,
     rec = lookup(ident)
     if rec is None:
         raise UnknownIdentityError(ident)
-    if tol_override is not None and rec.tol is not None:
-        object.__setattr__(rec, "tol", mpf(tol_override))
+    tol = rec.tol
+    if tol_override is not None and tol is not None:
+        tol = mpf(tol_override)
     t0 = time.monotonic()
     notes = [rec.note] if rec.note else []
     terms_total = 0
@@ -770,7 +776,7 @@ def run_check(ident: str, ctx: PrecisionCtx | None = None,
                     if diff > worst:
                         worst = diff
                         lhs_s, rhs_s, diff_s = _nstr(lval), _nstr(rval), _nstr(diff)
-            ok = worst <= rec.tol
+            ok = worst <= tol
             if rec.kind == KIND_CONJECTURAL:
                 status = "CONJECTURAL-PASS" if ok else "CONJECTURAL-FAIL"
             else:
@@ -786,26 +792,30 @@ def run_check(ident: str, ctx: PrecisionCtx | None = None,
 
 
 def _worker(args) -> dict:
-    ident, bits, max_terms, tol_raw = args
+    ident, bits, max_terms, tol_raw, override_raw = args
     ctx = PrecisionCtx(bits=bits, max_terms=max_terms,
                        target_tol=mp.make_mpf(tol_raw))
-    return run_check(ident, ctx).to_dict()
+    override = None if override_raw is None else mp.make_mpf(override_raw)
+    return run_check(ident, ctx, tol_override=override).to_dict()
 
 
 def run_all(filter: str | None = None, jobs: int = 1,
-            ctx: PrecisionCtx | None = None) -> tuple[list[CheckReport], int]:
+            ctx: PrecisionCtx | None = None,
+            tol_override=None) -> tuple[list[CheckReport], int]:
     """Run matching entries; exit code 0 iff no non-exempt entry failed."""
     ctx = ensure_ctx(ctx)
     recs = [r for r in registry_entries() if not filter or filter in r.id]
     ids = [r.id for r in recs]
     if jobs > 1 and len(ids) > 1:
-        # the raw mantissa/exponent tuple round-trips the tolerance exactly
-        args = [(i, ctx.bits, ctx.max_terms, ctx.target_tol._mpf_) for i in ids]
+        # the raw mantissa/exponent tuples round-trip the tolerances exactly
+        override_raw = None if tol_override is None else mpf(tol_override)._mpf_
+        args = [(i, ctx.bits, ctx.max_terms, ctx.target_tol._mpf_, override_raw)
+                for i in ids]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             dicts = list(pool.map(_worker, args))
         reports = [CheckReport(**d) for d in dicts]
     else:
-        reports = [run_check(i, ctx) for i in ids]
+        reports = [run_check(i, ctx, tol_override) for i in ids]
     reports.sort(key=lambda r: r.id)
     by_id = {r.id: r for r in recs}
     code = 0

@@ -9,7 +9,7 @@ the extrapolation depth because the binomial weights grow like 2**(1.5*N).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from mpmath import mp, mpf, richardson, workprec
 
@@ -91,13 +91,3 @@ def richardson_sum(term: Callable[[int], mpf], tol, *, start: int = 0,
         prev = est
     raise ConvergenceError("Richardson extrapolation did not stabilize "
                            f"at tol={mp.nstr(tol, 5)}")
-
-
-def iter_terms(first: mpf, ratio_fn: Callable[[int], mpf], start: int = 0) -> Iterator[mpf]:
-    """Yield t_start, t_start+1, ... with t_{n+1} = t_n * ratio_fn(n)."""
-    t = first
-    n = start
-    while True:
-        yield t
-        t = t * ratio_fn(n)
-        n += 1

@@ -111,20 +111,6 @@ class HyperTerm:
         return HyperTerm.build(gammas, self.base, self.g_cn, self.g_ck, pre)
 
 
-def pochhammer_term(entries, base=1, g_cn=0, g_ck=0, pre=None) -> HyperTerm:
-    """Build a term from Pochhammer data: entries are (a: LinForm-args, var, exp)
-    meaning (a)_var**exp with var in {"n", "k"}; each becomes
-    Gamma(a + var)**exp / Gamma(a)**exp."""
-    gammas = []
-    for (c0, cn, ck), var, e in entries:
-        a = LinForm(Fraction(c0), Fraction(cn), Fraction(ck))
-        # (a)_n = Gamma(a + n)/Gamma(a)
-        up = LinForm(a.c0, a.cn + (1 if var == "n" else 0), a.ck + (1 if var == "k" else 0))
-        gammas.append((up, e))
-        gammas.append((a, -e))
-    return HyperTerm.build(gammas, base, g_cn, g_ck, pre)
-
-
 def _rising_product(lf: LinForm, gap: int) -> MultiPoly:
     """(lf)(lf+1)...(lf+gap-1) as a polynomial."""
     out = MultiPoly.const(1)

@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from wzmahler.cli import main
+from wzmahler.registry import lookup
 
 
 def test_list(capsys):
@@ -32,6 +35,16 @@ def test_verify_json(capsys):
 def test_verify_tol_override_fails(capsys):
     assert main(["--tol", "1e-60", "verify", "log2-f3"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_all_tol_override_fails(capsys, jobs):
+    before = lookup("log2-f3").tol
+    argv = ["--tol", "1e-200", "all", "--filter", "log2-f3", "--jobs", jobs]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "PASS" not in out
+    assert lookup("log2-f3").tol == before
 
 
 def test_all_filtered(capsys):

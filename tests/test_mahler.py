@@ -2,14 +2,22 @@
 relations between special values."""
 
 import pytest
-from mpmath import cbrt, cos, log, mp, mpf, pi, sqrt, workprec
+from mpmath import (cbrt, cos, expjpi, log, mp, mpf, pi, polyroots, psi, sqrt,
+                    workprec)
 
 from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
                       PrecisionCtx, SlowConvergenceWarning)
-from wzmahler.mahler import (m_quadrature, m_series, n_quadrature, rv_series,
-                             s_ratio, _n_breakpoints)
+from wzmahler import mahler
+from wzmahler.mahler import (m_quadrature, m_series, n_quadrature, n_series,
+                             rv_series, s_ratio, _cubic_root_mags,
+                             _n_breakpoints)
 
 CTX = PrecisionCtx(bits=256)
+
+
+def _bertin_alphas():
+    s5 = sqrt(mpf(5))
+    return (7 + s5) / cbrt(mpf(4)), (7 - s5) / cbrt(mpf(4)), cbrt(mpf(32))
 
 
 def test_branch_agreement_at_four():
@@ -131,3 +139,58 @@ def test_n_quadrature_against_lattice_route():
         lhs = mpf(9) / (2 * pi) * lattice_dilog_sum(mpc(-1, sqrt(mpf(3))) / 2, q, CTX)
         rhs = n_quadrature(alpha, CTX, tol=mpf(10) ** -8)
         assert abs(lhs - rhs) < mpf(10) ** -6
+
+
+def test_cubic_root_mags_match_polyroots():
+    # odd multiples of 1/72 avoid t = 1/6, 1/2, where alpha = 0 gives x^3,
+    # on which polyroots cannot converge
+    with workprec(140):
+        gate = mpf(2) ** -70
+        for alpha in (mpf(0), mpf(2), mpf(3)) + _bertin_alphas():
+            for i in range(18):
+                t = mpf(2 * i + 1) / 72
+                y, y3 = expjpi(2 * t), expjpi(6 * t)
+                roots = polyroots([1, 0, -alpha * y, 1 + y3],
+                                  maxsteps=160, extraprec=80)
+                ref = sorted(abs(r) for r in roots)
+                got = sorted(_cubic_root_mags(alpha, t))
+                assert max(abs(a - b) for a, b in zip(got, ref)) < gate
+
+
+def test_cubic_root_mags_triple_root():
+    # alpha = 0, y^3 = -1: the cubic is x^3 and Cardano's c vanishes
+    with workprec(140):
+        assert _cubic_root_mags(mpf(0), mpf(1) / 6) == [0, 0, 0]
+        # n(0) = m(1 + x + y), Smyth's 3 sqrt3/(4 pi) L(chi_-3, 2)
+        smyth = 3 * sqrt(3) / (4 * pi) * (psi(1, mpf(1) / 3) - psi(1, mpf(2) / 3)) / 9
+        assert abs(n_quadrature(0, CTX) - smyth) < mpf(10) ** -8
+
+
+def test_n_series_against_quadrature():
+    with workprec(300):
+        a1, a2, a3 = _bertin_alphas()
+        for alpha in (a1, a3):
+            ser = n_series(alpha, CTX, tol=mpf(10) ** -42)
+            assert abs(ser - n_quadrature(alpha, CTX, tol=mpf(10) ** -8)) < mpf(10) ** -40
+        # 27/a2^3 = 0.99891: the series needs ~25k terms for 1e-12
+        ser = n_series(a2, CTX, tol=mpf(10) ** -12)
+        assert abs(ser - n_quadrature(a2, CTX, tol=mpf(10) ** -8)) < mpf(10) ** -10
+
+
+def test_n_series_domain():
+    for alpha in (3, 2, 0, -4):
+        with pytest.raises(DomainError):
+            n_series(alpha, CTX)
+
+
+def test_n_quadrature_cross_check_catches_bad_roots(monkeypatch):
+    good = mahler._cubic_root_mags
+
+    def perturbed(alpha, t):
+        mags = good(alpha, t)
+        mags[0] *= 1 + mpf(10) ** -15
+        return mags
+
+    monkeypatch.setattr(mahler, "_cubic_root_mags", perturbed)
+    with pytest.raises(ArithmeticError, match="polyroots"):
+        n_quadrature(cbrt(mpf(32)), CTX)
