@@ -16,8 +16,8 @@ import sys
 from mpmath import mpf
 
 from .context import PrecisionCtx
-from .registry import (CheckReport, lookup, registry_entries, reports_to_json,
-                       run_all, run_check)
+from .registry import (KIND_CONJECTURAL, CheckReport, exit_code, lookup,
+                       registry_entries, reports_to_json, run_all, run_check)
 
 
 def _add_common(parser, suppress: bool):
@@ -77,7 +77,7 @@ def main(argv=None) -> int:
 
     if args.command == "list":
         for rec in registry_entries():
-            flag = " (conjectural)" if rec.kind == "conjectural-numeric" else ""
+            flag = " (conjectural)" if rec.kind == KIND_CONJECTURAL else ""
             flag += " (exit-exempt)" if rec.exit_exempt else ""
             print(f"{rec.id:<22} {rec.kind:<20} {rec.description}{flag}")
         return 0
@@ -87,16 +87,11 @@ def main(argv=None) -> int:
                        target_tol=tol)
 
     if args.command == "verify":
-        rec = lookup(args.id)
-        if rec is None:
+        if lookup(args.id) is None:
             print(f"unknown identity id: {args.id}", file=sys.stderr)
             return 2
         reports = [run_check(args.id, ctx, tol_override=tol)]
-        code = 0
-        rep = reports[0]
-        if rep.status in ("FAIL", "ERROR") and not rec.exit_exempt \
-                and rec.kind != "conjectural-numeric":
-            code = 1
+        code = exit_code(reports)
     else:
         reports, code = run_all(filter=args.filter, jobs=args.jobs, ctx=ctx,
                                 tol_override=tol)

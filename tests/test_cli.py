@@ -47,6 +47,18 @@ def test_all_tol_override_fails(capsys, jobs):
     assert lookup("log2-f3").tol == before
 
 
+@pytest.mark.parametrize("argv", [["verify", "bertin-series"],
+                                  ["all", "--filter", "bertin-series"],
+                                  ["verify", "zeta3-f2"],
+                                  ["all", "--filter", "zeta3-f2"]])
+def test_exempt_and_conjectural_failures_exit_zero(capsys, argv):
+    # bertin-series is exit-exempt and zeta3-f2 conjectural: at 1e-60 both
+    # fail, and neither changes the exit code
+    assert main(["--tol", "1e-60", "--format", "json"] + argv) == 0
+    [report] = json.loads(capsys.readouterr().out)["reports"]
+    assert report["status"].endswith("FAIL")
+
+
 def test_all_filtered(capsys):
     assert main(["--quiet", "all", "--filter", "torsion"]) == 0
     out = capsys.readouterr().out

@@ -1,15 +1,17 @@
 """Registry contents, runner semantics, report determinism and round trips."""
 
 import json
+import os
 
 import pytest
 from mpmath import log, mp, mpf, workprec
 
-from wzmahler import PrecisionCtx, UnknownIdentityError
+from wzmahler import PrecisionCtx, UnknownIdentityError, registry
 from wzmahler.registry import (lookup, registry_entries, reports_from_json,
                                reports_to_json, run_all, run_check)
 
 CTX = PrecisionCtx(bits=256)
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "report-256.json")
 
 MINIMUM_IDS = {
     "wz-pair-1", "wz-pair-3", "wz-pair-divergent",
@@ -28,6 +30,23 @@ def test_registry_is_complete_and_unique():
     ids = [r.id for r in registry_entries()]
     assert len(ids) == len(set(ids))
     assert MINIMUM_IDS <= set(ids)
+
+
+def test_registry_is_built_once(monkeypatch):
+    # from an unbuilt table: the first lookup builds it and parses the WZ
+    # fixture, and every later call shares that one table
+    calls = []
+    original = registry.builtin_pairs
+    monkeypatch.setattr(registry, "builtin_pairs", lambda: calls.append(1) or original())
+    monkeypatch.setattr(registry, "_TABLE", ())
+    monkeypatch.setattr(registry, "_BY_ID", {})
+    recs = [lookup(ident) for ident in sorted(MINIMUM_IDS)]
+    table = registry_entries()
+    assert isinstance(table, tuple) and len(table) == len(MINIMUM_IDS)
+    for rec in recs:
+        assert rec in table and registry_entries() is table
+    assert lookup("nonexistent") is None
+    assert len(calls) == 1
 
 
 def test_lookup_contracts():
@@ -89,8 +108,12 @@ def test_report_invariant_and_determinism():
 
 
 def test_run_all_jobs_parity():
-    # the whole registry: every report field but elapsed_ms is independent
-    # of --jobs
+    """The whole registry: every report field but elapsed_ms is independent
+    of --jobs and equal to the checked-in report.  After a change that moves
+    a value on purpose, regenerate that report from the repository root with
+
+    PYTHONPATH=src python -m wzmahler.cli --format json all | python -c "import json, sys; d = json.load(sys.stdin); [r.pop('elapsed_ms') for r in d['reports']]; print(json.dumps(d, indent=2))" > tests/data/report-256.json
+    """
     def stripped(jobs):
         reports, code = run_all(jobs=jobs, ctx=CTX)
         data = json.loads(reports_to_json(reports))
@@ -101,6 +124,8 @@ def test_run_all_jobs_parity():
     (seq, code1), (par, code2) = stripped(1), stripped(2)
     assert code1 == code2 == 0
     assert seq == par
+    with open(GOLDEN) as fh:
+        assert seq == json.load(fh)
 
 
 def test_monotone_precision():
