@@ -18,7 +18,12 @@ alpha > 3,
 and a quadrature oracle for every alpha >= 0: the cubic in x is monic, so
 Jensen gives the sum of log+ of its root magnitudes, which Cardano's formula
 gives in closed form at each node.  mpmath's polyroots cross-checks the
-closed form at the ends of every quadrature piece.
+closed form at the ends of every quadrature piece.  The polynomial is
+invariant under (x, y) -> (w^2 x, w y), w = e^(2 pi i/3), and under complex
+conjugation, so that integrand has period 1/3 in t (y = e^(2 pi i t)) and
+is even: n(alpha) is 6 times its integral over [0, 1/6].  Near alpha = 3
+the curve is close to three lines meeting the torus at t = 0, 1/3, 2/3,
+which the reduction puts at the endpoint t = 0.
 
 The square-root kinks where a root magnitude crosses 1 are located first
 (bisection on the product of |root|-1) and made interval endpoints, which is
@@ -232,6 +237,15 @@ def _cubic_root_mags(alpha, t):
     return mags
 
 
+def _n_integrand(alpha, t):
+    """sum_i log+ |x_i(t)| over the roots of x^3 - alpha y x + 1 + y^3."""
+    total = mpf(0)
+    for m in _cubic_root_mags(alpha, t):
+        if m > 1:
+            total += log(m)
+    return total
+
+
 def _check_root_mags(alpha, points):
     """Cross-check the closed-form root magnitudes against polyroots."""
     gate = mpf(2) ** (-(mp.prec // 2))
@@ -250,20 +264,21 @@ def _check_root_mags(alpha, points):
                 f"polyroots by {mp.nstr(gap, 3)}")
 
 
-def _n_breakpoints(alpha, grid: int = 192) -> list:
-    """Zeros in (0, 1/2) of prod(|root|-1), located by bisection."""
+def _n_breakpoints(alpha, grid: int = 64) -> list:
+    """Zeros in (0, 1/6) of prod(|root|-1), located by bisection."""
     def s(t):
         prod = mpf(1)
         for m in _cubic_root_mags(alpha, t):
             prod *= m - 1
         return prod
 
-    pts = [mpf(i) / (2 * grid) for i in range(grid + 1)]
+    pts = [mpf(i) / (6 * grid) for i in range(grid + 1)]
     vals = [s(t) for t in pts]
     found = []
     for (a, va), (b, vb) in zip(zip(pts, vals), zip(pts[1:], vals[1:])):
         if va == 0:
-            found.append(a)
+            if a > 0:
+                found.append(a)
             continue
         if va * vb < 0:
             lo, hi, vlo = a, b, va
@@ -286,7 +301,9 @@ def n_quadrature(alpha, ctx: PrecisionCtx | None = None, tol=mpf("1e-8")) -> mpf
     The cubic in x is monic, so the inner integral is sum_i log+ |r_i(t)|;
     root magnitudes come from Cardano's formula at each node, checked
     against polyroots at the ends of every piece (ArithmeticError if they
-    differ by more than 2^(-prec/2)).
+    differ by more than 2^(-prec/2)).  That integrand has period 1/3 and is
+    even (the order-3 symmetry and the conjugation symmetry of the
+    polynomial), so only [0, 1/6] is integrated, with weight 6.
     """
     ctx = ensure_ctx(ctx)
     tol = mpf(tol)
@@ -296,14 +313,7 @@ def n_quadrature(alpha, ctx: PrecisionCtx | None = None, tol=mpf("1e-8")) -> mpf
         if alpha < 0:
             raise DomainError("n_quadrature requires alpha >= 0")
 
-        def f(t):
-            total = mpf(0)
-            for m in _cubic_root_mags(alpha, t):
-                if m > 1:
-                    total += log(m)
-            return total
-
-        inner = sorted(_n_breakpoints(alpha))
-        points = [mpf(0)] + inner + [mpf(1) / 2]
+        points = [mpf(0)] + _n_breakpoints(alpha) + [mpf(1) / 6]
         _check_root_mags(alpha, points)
-        return +(2 * _quad_pieces(f, points, tol / 2))
+        return +(6 * _quad_pieces(lambda t: _n_integrand(alpha, t), points,
+                                  tol / 6))

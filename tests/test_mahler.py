@@ -2,15 +2,15 @@
 relations between special values."""
 
 import pytest
-from mpmath import (cbrt, cos, expjpi, log, mp, mpf, pi, polyroots, psi, sqrt,
-                    workprec)
+from mpmath import (cbrt, cos, expjpi, log, mp, mpf, pi, polyroots, psi, quad,
+                    sqrt, workprec)
 
 from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
                       PrecisionCtx, SlowConvergenceWarning)
 from wzmahler import mahler
 from wzmahler.mahler import (m_quadrature, m_series, n_quadrature, n_series,
                              rv_series, s_ratio, _cubic_root_mags,
-                             _n_breakpoints)
+                             _n_breakpoints, _n_integrand)
 
 CTX = PrecisionCtx(bits=256)
 
@@ -18,6 +18,11 @@ CTX = PrecisionCtx(bits=256)
 def _bertin_alphas():
     s5 = sqrt(mpf(5))
     return (7 + s5) / cbrt(mpf(4)), (7 - s5) / cbrt(mpf(4)), cbrt(mpf(32))
+
+
+def _smyth():
+    """n(0) = m(1 + x + y) = 3 sqrt3/(4 pi) L(chi_-3, 2)."""
+    return 3 * sqrt(3) / (4 * pi) * (psi(1, mpf(1) / 3) - psi(1, mpf(2) / 3)) / 9
 
 
 def test_branch_agreement_at_four():
@@ -118,14 +123,71 @@ def test_m_integrand_symmetry():
 
 def test_n_quadrature_breakpoints():
     # below alpha = 3 the cubic has torus zeros and the integrand has kinks;
-    # above 3 (all the catalogued arguments) it is smooth: no breakpoints
+    # above 3 (all the catalogued arguments) it is smooth: no breakpoints.
+    # Only (0, 1/6) is scanned: the kinks at 2/9 and 4/9 for alpha = 2 are
+    # the images of 1/9 under t -> 1/3 - t and t -> t + 1/3
     with workprec(140):
         pts = _n_breakpoints(mpf(2))
-        assert len(pts) == 3
-        assert all(abs(p - e) < mpf(10) ** -12
-                   for p, e in zip(pts, (mpf(1) / 9, mpf(2) / 9, mpf(4) / 9)))
+        assert len(pts) == 1
+        assert abs(pts[0] - mpf(1) / 9) < mpf(10) ** -12
         alpha = (7 - sqrt(mpf(5))) / cbrt(mpf(4))  # just above 3
         assert _n_breakpoints(alpha) == []
+
+
+def test_n_integrand_symmetry():
+    # x^3 + y^3 + 1 - alpha x y is invariant under (x, y) -> (w^2 x, w y)
+    # and under conjugation: the Jensen integrand has period 1/3 and is even
+    with workprec(140):
+        a2 = _bertin_alphas()[1]
+        third = mpf(1) / 3
+        for alpha in (mpf(0), mpf(2), mpf(3), a2):
+            for t in (mpf("0.013"), mpf("0.07"), mpf(1) / 9, mpf("0.151")):
+                f = _n_integrand(alpha, t)
+                assert abs(f - _n_integrand(alpha, t + third)) < mpf(2) ** -100
+                assert abs(f - _n_integrand(alpha, third - t)) < mpf(2) ** -100
+
+
+def _half_period_kinks(alpha, cells=192):
+    """Points of (0, 1/2) where a sorted root magnitude crosses 1, one per
+    grid cell.  Unlike the sign of prod(|root| - 1), the sorted magnitudes
+    also see two roots of equal magnitude crossing 1 together."""
+    def above(t):
+        return [m > 1 for m in sorted(_cubic_root_mags(alpha, t))]
+
+    ts = [mpf(i) / (2 * cells) for i in range(cells + 1)]
+    sides = [above(t) for t in ts]
+    kinks = []
+    for lo, hi, side, nxt in zip(ts, ts[1:], sides, sides[1:]):
+        if side != nxt:
+            for _ in range(mp.prec // 2):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if above(mid) == side else (lo, mid)
+            kinks.append((lo + hi) / 2)
+    return kinks
+
+
+def test_n_quadrature_against_full_period():
+    # 6 x the integral over [0, 1/6] against 2 x the integral over [0, 1/2],
+    # split at every kink found on the whole half period and at 1/6, 1/3
+    # (a kink at alpha = 1, the triple root at alpha = 0)
+    with workprec(180):
+        for alpha in (mpf(0), mpf(1), mpf(2), mpf(5) / 2):
+            pts = [mpf(0), mpf(1) / 6, mpf(1) / 3, mpf(1) / 2]
+            pts = sorted(set(pts + _half_period_kinks(alpha)))
+            ref, err = quad(lambda t: _n_integrand(alpha, t), pts, error=True)
+            assert err < mpf(10) ** -45
+            got = n_quadrature(alpha, CTX, tol=mpf(10) ** -40)
+            assert abs(got - 2 * ref) < mpf(10) ** -40
+
+
+def test_n_quadrature_at_three():
+    # alpha = 3: three lines x + w^k y + w^(2k) meeting the torus at
+    # t = 0, 1/3, 2/3, all at the endpoint t = 0 of the reduced domain,
+    # so n(3) = 3 m(1 + x + y); no zero-length piece at t = 0
+    with workprec(140):
+        assert _n_breakpoints(mpf(3)) == []
+        got = n_quadrature(3, CTX, tol=mpf(10) ** -20)
+        assert abs(got - 3 * _smyth()) < mpf(10) ** -30
 
 
 def test_n_quadrature_against_lattice_route():
@@ -161,9 +223,8 @@ def test_cubic_root_mags_triple_root():
     # alpha = 0, y^3 = -1: the cubic is x^3 and Cardano's c vanishes
     with workprec(140):
         assert _cubic_root_mags(mpf(0), mpf(1) / 6) == [0, 0, 0]
-        # n(0) = m(1 + x + y), Smyth's 3 sqrt3/(4 pi) L(chi_-3, 2)
-        smyth = 3 * sqrt(3) / (4 * pi) * (psi(1, mpf(1) / 3) - psi(1, mpf(2) / 3)) / 9
-        assert abs(n_quadrature(0, CTX) - smyth) < mpf(10) ** -8
+        # n(0) = m(1 + x + y), Smyth's constant
+        assert abs(n_quadrature(0, CTX) - _smyth()) < mpf(10) ** -8
 
 
 def test_n_series_against_quadrature():
@@ -172,9 +233,9 @@ def test_n_series_against_quadrature():
         for alpha in (a1, a3):
             ser = n_series(alpha, CTX, tol=mpf(10) ** -42)
             assert abs(ser - n_quadrature(alpha, CTX, tol=mpf(10) ** -8)) < mpf(10) ** -40
-        # 27/a2^3 = 0.99891: the series needs ~25k terms for 1e-12
-        ser = n_series(a2, CTX, tol=mpf(10) ** -12)
-        assert abs(ser - n_quadrature(a2, CTX, tol=mpf(10) ** -8)) < mpf(10) ** -10
+        # 27/a2^3 = 0.99891: the series needs ~63k terms for 1e-30
+        ser = n_series(a2, CTX, tol=mpf(10) ** -30)
+        assert abs(ser - n_quadrature(a2, CTX, tol=mpf(10) ** -8)) < mpf(10) ** -28
 
 
 def test_n_series_domain():

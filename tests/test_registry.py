@@ -121,11 +121,20 @@ def test_run_all_jobs_parity():
             del row["elapsed_ms"]
         return data, code
 
+    def by_id(data):
+        return {row["id"]: row for row in data["reports"]}
+
     (seq, code1), (par, code2) = stripped(1), stripped(2)
     assert code1 == code2 == 0
-    assert seq == par
     with open(GOLDEN) as fh:
-        assert seq == json.load(fh)
+        golden = json.load(fh)
+    rows = by_id(seq)
+    for name, other in (("jobs=2", par), ("golden", golden)):
+        assert seq["schema"] == other["schema"]
+        theirs = by_id(other)
+        assert list(rows) == list(theirs), name
+        for ident, row in rows.items():
+            assert row == theirs[ident], f"{ident} differs from the {name} report"
 
 
 def test_monotone_precision():
