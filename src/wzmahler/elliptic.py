@@ -11,6 +11,12 @@ for which the full periods are
 with tau = omega'/omega in the upper half plane and q = exp(2 pi i tau) in
 (0, 1).  P(u) uses the Fourier expansion in z = exp(2 pi i u/omega), valid
 after reducing u into the fundamental cell.
+
+The elliptic dilogarithm D^E(u) = sum_{n in Z} D(z0 q^n), z0 = e^(2 pi i
+u/omega), is summed by Bloch's q-expansion: the Taylor series of D in
+z0 q^n, summed geometrically over n, leaves one series in k whose terms
+decay like (|z0||q|)^k, so each lattice sum costs one Bloch-Wigner call
+(for the n = 0 term) and a few hundred multiplications.
 """
 
 from __future__ import annotations
@@ -19,12 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath import exp, floor, im, mp, mpc, mpf, pi, polyroots, re, sqrt
+from mpmath import (exp, floor, im, log, mpc, mpf, nint, pi, polyroots, re,
+                    sqrt)
 
 from .context import (ComplexRootsUnsupportedError, ConvergenceError,
                       DomainError, LatticePoleError, PrecisionCtx,
                       SingularCurveError, ensure_ctx, to_mpf)
-from .numkernel import agm, bloch_wigner
+from .numkernel import GUARD_LI2, agm, bloch_wigner
 from .series import TermCounter
 
 
@@ -232,12 +239,49 @@ def wp_prime(curve: EllipticCurve, u, ctx: PrecisionCtx | None = None,
         return +_wp_series(u, per, ctx, derivative=True)
 
 
+def _half_lattice_sum(z: mpc, q: mpf, eps: mpf, max_terms: int):
+    """H(z) = sum_{n>=1} D(z q^n) for |z q| < 1 by Bloch's expansion (see
+    ``lattice_dilog_sum``), and the number of terms taken."""
+    lz, lq, aq = log(abs(z)), log(abs(q)), abs(q)
+    r = abs(z) * aq
+    tail = (1 + abs(lz) + abs(lq) / (1 - aq)) / ((1 - aq) * (1 - r)) * r
+    total = mpf(0)
+    zk, qk = mpc(1), mpf(1)
+    k = 0
+    while True:
+        k += 1
+        if k > max_terms:
+            raise ConvergenceError("lattice dilogarithm sum budget exhausted")
+        zk *= z
+        qk *= q
+        d = 1 - qk
+        total += zk.imag * qk / (d * k) * (1 / mpf(k) - lz - lq / d)
+        tail *= r
+        if tail < eps:
+            return total, k
+
+
 def lattice_dilog_sum(z0, q, ctx: PrecisionCtx | None = None,
                       counter: TermCounter | None = None) -> mpf:
     """Two-sided sum_{n in Z} D(z0 q^n) for real q in (-1, 1), z0 != 0.
 
-    Terms decay like |q|^|n| * (1 + |n| log(1/|q|)); summation stops once two
-    consecutive symmetric shells fall below tolerance.
+    Bloch's q-expansion sums the series in closed form.  For |w| < 1,
+    D(w) = sum_k Im(w^k) (1/k^2 - log|w|/k); summing the geometric series
+    in n over w = z q^n gives, for |z q| < 1,
+
+        H(z) = sum_{n>=1} D(z q^n)
+             = sum_{k>=1} Im(z^k) Q_k (1/k^2 - log|z|/k - log|q|/((1-q^k) k))
+
+    with Q_k = q^k/(1-q^k), and D(1/w) = -D(w) turns the lattice sum into
+    D(z0) + H(z0) - H(1/z0).  The index is first shifted, z0 -> z0 q^m with
+    m the integer nearest log|z0|/log(1/|q|); the sum is unchanged and
+    |q|^(1/2) <= |z0| <= |q|^(-1/2), so both half-sums converge at least
+    like |q|^(k/2).
+
+    The k-th term of H(z) is at most C r^k with r = |z||q| and
+    C = (1 + |log|z|| + |log|q||/(1-|q|))/(1-|q|), so each half-sum stops
+    once the tail bound C r^(k+1)/(1-r) is below 2^-(bits + GUARD_LI2).
+    ``counter`` receives the number of expansion terms, D(z0) included.
     """
     ctx = ensure_ctx(ctx)
     with ctx.workprec(32):
@@ -247,25 +291,18 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx | None = None,
         z0 = mpc(z0)
         if z0 == 0:
             raise DomainError("z0 must be nonzero")
-        eps = mpf(2) ** (-(ctx.bits + 8))
-        total = bloch_wigner(z0, ctx)
-        small = 0
-        n = 1
-        while True:
-            shell = bloch_wigner(z0 * q ** n, ctx) + bloch_wigner(z0 * q ** (-n), ctx)
-            total += shell
-            if abs(shell) < eps:
-                small += 1
-                if small >= 2:
-                    break
-            else:
-                small = 0
-            n += 1
-            if 2 * n > ctx.max_terms:
-                raise ConvergenceError("lattice dilogarithm sum budget exhausted")
+        if z0.imag == 0:
+            # every z0 q^n is real, where D vanishes
+            if counter is not None:
+                counter.add(1)
+            return mpf(0)
+        z = z0 * q ** int(nint(log(abs(z0)) / -log(abs(q))))
+        eps = mpf(2) ** (-(ctx.bits + GUARD_LI2))
+        up, k_up = _half_lattice_sum(z, q, eps, ctx.max_terms)
+        down, k_down = _half_lattice_sum(1 / z, q, eps, ctx.max_terms)
         if counter is not None:
-            counter.add(2 * n + 1)
-        return +total
+            counter.add(k_up + k_down + 1)
+        return +(bloch_wigner(z, ctx) + up - down)
 
 
 def elliptic_dilog(curve: EllipticCurve, loc: TorsionLocation | tuple,

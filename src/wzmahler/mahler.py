@@ -25,8 +25,9 @@ is even: n(alpha) is 6 times its integral over [0, 1/6].  Near alpha = 3
 the curve is close to three lines meeting the torus at t = 0, 1/3, 2/3,
 which the reduction puts at the endpoint t = 0.
 
-The square-root kinks where a root magnitude crosses 1 are located first
-(bisection on the product of |root|-1) and made interval endpoints, which is
+The kinks where a root magnitude crosses 1 are located first (bisection on
+the number of roots outside the unit circle, which also sees two roots of
+equal magnitude crossing together) and made interval endpoints, which is
 what keeps tanh-sinh quadrature at full speed.
 """
 
@@ -265,33 +266,41 @@ def _check_root_mags(alpha, points):
 
 
 def _n_breakpoints(alpha, grid: int = 64) -> list:
-    """Zeros in (0, 1/6) of prod(|root|-1), located by bisection."""
-    def s(t):
-        prod = mpf(1)
-        for m in _cubic_root_mags(alpha, t):
-            prod *= m - 1
-        return prod
+    """Points of (0, 1/6) where the number of roots outside the unit circle
+    changes, located by bisection.
 
+    Counting sees two roots of equal magnitude crossing |x| = 1 together, as
+    at alpha = 2, t = 1/18, where prod(|root| - 1) keeps its sign.  A change
+    within 2^(-prec/4) of a grid point is put on it: kinks at rational t
+    such as alpha = 1, t = 1/12 fall there, and rounding blurs the count
+    next to a root on |x| = 1.  On the ends 0 and 1/6 (alpha = 3 at t = 0,
+    alpha = 1 at t = 1/6) it is dropped.
+    """
+    def outside(t):
+        return sum(m > 1 for m in _cubic_root_mags(alpha, t))
+
+    end = mpf(1) / 6
+    near = mpf(2) ** (-(mp.prec // 4))
     pts = [mpf(i) / (6 * grid) for i in range(grid + 1)]
-    vals = [s(t) for t in pts]
+    counts = [outside(t) for t in pts]
     found = []
-    for (a, va), (b, vb) in zip(zip(pts, vals), zip(pts[1:], vals[1:])):
-        if va == 0:
-            if a > 0:
-                found.append(a)
+    for a, b, ca, cb in zip(pts, pts[1:], counts, counts[1:]):
+        if ca == cb:
             continue
-        if va * vb < 0:
-            lo, hi, vlo = a, b, va
-            for _ in range(mp.prec // 2):
-                mid = (lo + hi) / 2
-                vm = s(mid)
-                if vm == 0:
-                    break
-                if vm * vlo < 0:
-                    hi = mid
-                else:
-                    lo, vlo = mid, vm
-            found.append((lo + hi) / 2)
+        lo, hi = a, b
+        for _ in range(mp.prec // 2):
+            mid = (lo + hi) / 2
+            if outside(mid) == ca:
+                lo = mid
+            else:
+                hi = mid
+        t = (lo + hi) / 2
+        if t - a < near:
+            t = a
+        elif b - t < near:
+            t = b
+        if 0 < t < end:
+            found.append(t)
     return found
 
 

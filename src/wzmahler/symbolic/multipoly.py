@@ -272,23 +272,6 @@ def _from_n_poly(rows: list[list[Fraction]]) -> MultiPoly:
     return MultiPoly(coeffs)
 
 
-def _kmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    return _uni_trim(out)
-
-
-def _ksub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _uni_trim(out)
-
-
 def _kdiv_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """exact division in Q[k]; raises if the remainder is nonzero"""
     a = list(a)

@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import arg, exp, im, log, mp, mpc, mpf, pi, polylog, workprec
+from mpmath import (arg, exp, expjpi, im, log, mpc, mpf, pi, polylog,
+                    workprec)
 
 from wzmahler import (ComplexRootsUnsupportedError, DomainError, PrecisionCtx,
                       SingularCurveError)
+from wzmahler.context import to_mpf
 from wzmahler.elliptic import (INFINITY, CurvePoint, EllipticCurve,
                                TorsionLocation, curve_from_family,
                                elliptic_dilog, is_on_curve, lattice_dilog_sum,
@@ -170,8 +172,11 @@ def test_wp_torsion_consistency():
 
 def test_lattice_sum_basics():
     with workprec(300):
-        # real z0 gives identically zero terms
-        assert lattice_dilog_sum(mpf("0.37"), mpf(1) / 10, CTX) == 0
+        # real z0 gives identically zero terms: an exact mpf zero
+        for z0, q in ((mpf("0.37"), mpf(1) / 10), (mpf(-5) / 2, mpf(-1) / 4),
+                      (mpc(3, 0), mpf("0.00736"))):
+            val = lattice_dilog_sum(z0, q, CTX)
+            assert val == 0 and isinstance(val, mpf)
         # at tiny q the n = 0 term dominates: D(i) = Catalan, up to the
         # n = +-1 shells of size ~ 2 q log(1/q)
         from mpmath import catalan
@@ -179,19 +184,91 @@ def test_lattice_sum_basics():
         assert abs(val - catalan) < mpf(10) ** -30
 
 
+def _polylog_d(z):
+    """D(z) from mpmath's polylog, independent of numkernel's Li2."""
+    if im(z) == 0:
+        return mpf(0)
+    return im(polylog(2, z)) + arg(1 - z) * log(abs(z))
+
+
 def test_lattice_sum_oracle_doubled_precision():
     # independent route: mpmath polylog-based D, explicit two-sided window,
     # at doubled precision
     q = mpf(1) / 10
     with workprec(600):
-        def dd(z):
-            if im(z) == 0:
-                return mpf(0)
-            return im(polylog(2, z)) + arg(1 - z) * log(abs(z))
-        oracle = sum(dd(mpc(0, 1) * mpf(q) ** n) for n in range(-220, 221))
+        oracle = sum(_polylog_d(mpc(0, 1) * q ** n) for n in range(-220, 221))
     with workprec(300):
         val = lattice_dilog_sum(mpc(0, 1), q, CTX)
         assert abs(val - oracle) < mpf(10) ** -70
+
+
+def _window_oracle(z0, q):
+    """sum_{|n| <= N} D(z0 q^n) at the current (600-bit) precision, with N
+    chosen so that |q|^N < 2^-560: the omitted terms are far below 2^-512."""
+    n_max = int(560 / -log(abs(q), 2)) + 2
+    return sum(_polylog_d(z0 * q ** n) for n in range(-n_max, n_max + 1))
+
+
+# the nomes and the points z0 = e^(2 pi i a) of the registry's lattice sums
+_NOMES = ["1/10", "1/4", "-1/4", "0.00736"]
+_UNIT_POINTS = {"i": "1/4", "e^(2 pi i/3)": "1/3", "e^(pi i/3)": "1/6"}
+
+
+def _registry_point(name, q):
+    a = _UNIT_POINTS.get(name)
+    if a is not None:
+        return expjpi(2 * to_mpf(Fraction(a)))
+    return expjpi(mpf(1) / 3) * q ** mpf("-0.5")  # Bertin's off-circle point
+
+
+@pytest.mark.parametrize("name, q",
+                         [(name, q) for name in _UNIT_POINTS for q in _NOMES]
+                         + [("e^(pi i/3) q^(-1/2)", "0.00736")])
+def test_lattice_sum_against_polylog_window(name, q):
+    # Bloch's q-expansion against an explicit two-sided window of
+    # polylog-based D terms at 600 bits, at 256 and 512 bits.  The kernel
+    # seeks 2^-(bits + 24); 16 of those guard bits are asked for here
+    with workprec(600):
+        q = to_mpf(Fraction(q))
+        z0 = _registry_point(name, q)
+        oracle = _window_oracle(z0, q)
+        for bits in (256, 512):
+            val = lattice_dilog_sum(z0, q, PrecisionCtx(bits=bits))
+            assert abs(val - oracle) < mpf(2) ** -(bits + 16), bits
+
+
+@pytest.mark.parametrize("name, q", [("i", "1/10"), ("e^(2 pi i/3)", "-1/4"),
+                                     ("e^(pi i/3) q^(-1/2)", "0.00736")])
+def test_lattice_sum_index_shift_invariance(name, q):
+    # sum_n D(z0 q^(n+m)) is the same series: the kernel's own index shift
+    # must land on the same value from z0 q^m
+    with workprec(600):
+        q = to_mpf(Fraction(q))
+        z0 = _registry_point(name, q)
+        for bits in (256, 512):
+            ctx = PrecisionCtx(bits=bits)
+            base = lattice_dilog_sum(z0, q, ctx)
+            for m in (-3, 2):
+                shifted = lattice_dilog_sum(z0 * q ** m, q, ctx)
+                assert abs(shifted - base) < mpf(2) ** -(bits + 16), (bits, m)
+
+
+def test_lattice_sum_domain_and_budget():
+    from wzmahler import ConvergenceError
+    from wzmahler.series import TermCounter
+    for q in (mpf(1), mpf(-1), mpf(0), mpf(2)):
+        with pytest.raises(DomainError):
+            lattice_dilog_sum(mpc(0, 1), q, CTX)
+    with pytest.raises(DomainError):
+        lattice_dilog_sum(0, mpf(1) / 10, CTX)
+    # q = 1/4 at 256 bits needs about 140 expansion terms on each side
+    with pytest.raises(ConvergenceError):
+        lattice_dilog_sum(mpc(0, 1), mpf(1) / 4, PrecisionCtx(bits=256, max_terms=60))
+    # the counter receives the expansion terms of both half-sums plus D(z0);
+    # on the unit circle with q > 0 both half-sums stop at the same k
+    counter = TermCounter()
+    lattice_dilog_sum(mpc(0, 1), mpf(1) / 4, CTX, counter=counter)
+    assert counter.count % 2 == 1 and 200 < counter.count < 400
 
 
 def test_elliptic_dilog_locations():

@@ -125,11 +125,27 @@ def test_n_quadrature_breakpoints():
     # below alpha = 3 the cubic has torus zeros and the integrand has kinks;
     # above 3 (all the catalogued arguments) it is smooth: no breakpoints.
     # Only (0, 1/6) is scanned: the kinks at 2/9 and 4/9 for alpha = 2 are
-    # the images of 1/9 under t -> 1/3 - t and t -> t + 1/3
+    # the images of 1/9 under t -> 1/3 - t and t -> t + 1/3.  At 1/18 two
+    # roots of equal magnitude cross |x| = 1 together (magnitudes 1, 1,
+    # sqrt 3), which leaves the sign of prod(|x| - 1) unchanged
     with workprec(140):
         pts = _n_breakpoints(mpf(2))
-        assert len(pts) == 1
-        assert abs(pts[0] - mpf(1) / 9) < mpf(10) ** -12
+        assert len(pts) == 2
+        for got, want in zip(pts, (mpf(1) / 18, mpf(1) / 9)):
+            assert abs(got - want) < mpf(10) ** -12
+        mags = sorted(_cubic_root_mags(mpf(2), mpf(1) / 18))
+        assert abs(mags[0] - 1) < mpf(10) ** -30
+        assert abs(mags[1] - 1) < mpf(10) ** -30
+        assert abs(mags[2] - sqrt(mpf(3))) < mpf(10) ** -30
+        # alpha = 5/2: a pair of roots of equal magnitude enters the unit
+        # disc together at t = 0.03834...; both kinks agree with the
+        # sorted-magnitude scan of the whole half period
+        pts = _n_breakpoints(mpf(5) / 2)
+        ref = [t for t in _half_period_kinks(mpf(5) / 2) if t < mpf(1) / 6]
+        assert len(pts) == len(ref) == 2
+        assert abs(pts[0] - mpf("0.0383422426937693")) < mpf(10) ** -14
+        for got, want in zip(pts, ref):
+            assert abs(got - want) < mpf(10) ** -12
         alpha = (7 - sqrt(mpf(5))) / cbrt(mpf(4))  # just above 3
         assert _n_breakpoints(alpha) == []
 
