@@ -5,8 +5,8 @@ The point P = (-6, 54) has order 6 and sits at u = (omega - 3 omega')/6, so
 D^E(P) is a lattice sum over e^(i pi/3) q^(n - 1/2).  The nome q is also
 reachable through Ramanujan's signature-3 theory at beta = 5/32, which leads
 to the cubic-field evaluation x(sqrt q) = (7 + sqrt 5)^3/108 via the degree-2
-modular relation, the n(alpha) quadrature identity, and finally an explicit
-(3n)!/(n n!^3) series.
+modular relation, the n(alpha) identity (lattice sums at the signature-3 nome
+against quadrature), and finally an explicit (3n)!/(n n!^3) series.
 """
 
 from fractions import Fraction
@@ -18,6 +18,7 @@ from wzmahler.elliptic import (EllipticCurve, CurvePoint, elliptic_dilog,
                                periods, point_mul, point_order)
 from wzmahler.mahler import n_quadrature, rv_series
 from wzmahler.modular import j3_from_beta, modular_poly_solve, q3_from_beta, xq_product
+from wzmahler.registry import n_lattice
 
 ctx = PrecisionCtx(bits=256)
 
@@ -45,21 +46,31 @@ with workprec(300):
     print("  x(sqrt q) =", mp.nstr(1 / (1 - alpha_root), 25),
           " = (7+sqrt5)^3/108 =", mp.nstr((7 + s5) ** 3 / 108, 25))
 
-    # the n(alpha) form, with each side an adaptive Jensen quadrature
+    # the n(alpha) form: the left side by the nome and a lattice sum, the
+    # right side by adaptive Jensen quadrature
     a1 = (7 + s5) / cbrt(mpf(4))
     a2 = (7 - s5) / cbrt(mpf(4))
     a3 = cbrt(mpf(32))
-    lhs = 16 * n_quadrature(a1, ctx) - 8 * n_quadrature(a2, ctx)
+    print("\nn-form, left side: n(a) = (9/2pi) sum D(e^(2pi i/3) q^n), "
+          "q = q3(1 - 27/a^3)")
+    for name, a in (("a1", a1), ("a2", a2)):
+        q = q3_from_beta(1 - 27 / a ** 3, ctx)
+        back = 3 * cbrt(xq_product(q, ctx))
+        print(f"  {name} = {mp.nstr(a, 20)}: q = {mp.nstr(q, 8)}, "
+              f"3 x(q)^(1/3) - {name} = {mp.nstr(back - a, 3)}")
+    lhs = 16 * n_lattice(a1, ctx) - 8 * n_lattice(a2, ctx)
     rhs = 19 * n_quadrature(a3, ctx)
-    print("\nquadrature form: |16 n(a1) - 8 n(a2) - 19 n(a3)| =",
-          mp.nstr(abs(lhs - rhs), 5))
+    print("  |16 n(a1) - 8 n(a2) - 19 n(a3)| =", mp.nstr(abs(lhs - rhs), 5),
+          "(19 n(a3) by quadrature)")
 
-    # explicit series form; the third base is 1/(27 x(q)) = 1/32
+    # explicit series form; the third base is 1/(27 x(q)) = 1/32.  Each
+    # rv(u) = Lambda_{1/3}(27 u); 27 u2 = 0.99891 goes through the kernel's
+    # connection formula
     u1, u2, u3 = 4 / (7 + s5) ** 3, 4 / (7 - s5) ** 3, mpf(1) / 32
-    series = 16 * rv_series(u1, ctx, tol=mpf(10) ** -9) \
-        - 8 * rv_series(u2, ctx, tol=mpf(10) ** -9) \
-        - 19 * rv_series(u3, ctx, tol=mpf(10) ** -9)
+    tol = mpf(10) ** -42
+    series = 16 * rv_series(u1, ctx, tol=tol) - 8 * rv_series(u2, ctx, tol=tol) \
+        - 19 * rv_series(u3, ctx, tol=tol)
     closed = 3 * log((7 + s5) ** 24 / (mpf(2) ** 53 * mpf(11) ** 8))
-    print("series form:     |sum - 3 log((7+sqrt5)^24/(2^53 11^8))| =",
+    print("\nseries form:     |sum - 3 log((7+sqrt5)^24/(2^53 11^8))| =",
           mp.nstr(abs(series - closed), 5))
-    print("(27 u2 =", mp.nstr(27 * u2, 8), "- the slow term of the series)")
+    print("(27 u2 =", mp.nstr(27 * u2, 8), "- the slow term of the direct series)")

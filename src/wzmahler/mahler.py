@@ -4,21 +4,28 @@ m(alpha) = m(alpha + x + 1/x + y + 1/y) has central-binomial series on both
 sides of alpha = 4:
 
     m(4/r) = log(4/r) - sum_{n>=1} C(2n,n)^2 (r/4)^(2n) / (2n)
+           = log(4/r) - Lambda_{1/2}(r^2)/2,
     m(4r)  = 4 sum_{n>=0} C(2n,n)^2 (r/4)^(2n+1) / (2n+1),      r in (0, 1]
 
-and a quadrature oracle via Jensen's formula in x: with u(t) = alpha +
-2 cos(2 pi t) the inner integral is arccosh(|u|/2) where |u| >= 2 and zero
-otherwise.
+where Lambda_s(z) = sum_{n>=1} (s)_n (1-s)_n/n!^2 z^n/n is the kernel of
+``numkernel.lambda_series``, continued to z -> 1 by the logarithmic
+connection formula, so the alpha >= 4 branch costs a few dozen terms even
+at alpha = 4.  Below 4 the binomial series is summed directly, and by
+Richardson extrapolation once r^2 > 0.9.  There is a quadrature oracle via
+Jensen's formula in x: with u(t) = alpha + 2 cos(2 pi t) the inner integral is
+arccosh(|u|/2) where |u| >= 2 and zero otherwise.
 
 n(alpha) = m(x^3 + y^3 + 1 - alpha x y) has Rodriguez-Villegas's series for
 alpha > 3,
 
-    n(alpha) = log(alpha) - (1/3) sum_{n>=1} (3n)!/(n n!^3) alpha^(-3n),
+    n(alpha) = log(alpha) - (1/3) sum_{n>=1} (3n)!/(n n!^3) alpha^(-3n)
+             = log(alpha) - Lambda_{1/3}(27/alpha^3)/3,
 
-and a quadrature oracle for every alpha >= 0: the cubic in x is monic, so
-Jensen gives the sum of log+ of its root magnitudes, which Cardano's formula
-gives in closed form at each node.  mpmath's polyroots cross-checks the
-closed form at the ends of every quadrature piece.  The polynomial is
+through the same kernel, and a quadrature oracle for every alpha >= 0: the
+cubic in x is monic, so Jensen gives the sum of log+ of its root
+magnitudes, which Cardano's formula gives in closed form at each node.
+mpmath's polyroots cross-checks the closed form at the ends of every
+quadrature piece.  The polynomial is
 invariant under (x, y) -> (w^2 x, w y), w = e^(2 pi i/3), and under complex
 conjugation, so that integrand has period 1/3 in t (y = e^(2 pi i t)) and
 is even: n(alpha) is 6 times its integral over [0, 1/6].  Near alpha = 3
@@ -34,16 +41,19 @@ what keeps tanh-sinh quadrature at full speed.
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 
 from mpmath import (acos, acosh, cbrt, cos, expjpi, fabs, log, mp, mpc, mpf,
                     pi, polyroots, quad, sqrt, workprec)
 
-from .context import (DivergentSeriesError, DomainError, PrecisionCtx,
+from .context import (DomainError, PrecisionCtx,
                       QuadratureBudgetError, SlowConvergenceWarning,
                       ensure_ctx, to_mpf)
+from .numkernel import lambda_series
 from .series import TermCounter, richardson_sum, sum_geometric
 
 _ACCEL_THRESHOLD = mpf("0.9")  # switch to Richardson when r^2 exceeds this
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 
 
 def _csq_terms(r: mpf):
@@ -58,54 +68,43 @@ def _csq_terms(r: mpf):
 
 def m_series(alpha, ctx: PrecisionCtx | None = None, tol=None,
              counter: TermCounter | None = None) -> mpf:
-    """m(alpha) by the branch-appropriate binomial series."""
+    """m(alpha) by the branch-appropriate series: log(alpha) minus half of
+    Lambda_{1/2}(16/alpha^2) for alpha >= 4, the binomial series of m(4r)
+    below 4."""
     ctx = ensure_ctx(ctx)
     with ctx.workprec(32):
         alpha = to_mpf(alpha)
         if alpha <= 0:
             raise DomainError("m_series requires alpha > 0")
         tol = mpf(tol) if tol is not None else min(ctx.target_tol, mpf(10) ** -40)
-        rodriguez = alpha >= 4
-        r = 4 / alpha if rodriguez else alpha / 4
+        if alpha >= 4:
+            with ctx.workprec(64):
+                z = 16 / alpha ** 2
+            lam = lambda_series(_HALF, z, ctx, tol=tol, counter=counter)
+            return +(log(alpha) - lam / 2)
+        r = alpha / 4
         rsq = r * r
-        if abs(alpha - 4) < mpf("1e-3") and alpha != 4:
-            warnings.warn("alpha within 1e-3 of the branch point 4; series "
+        if 4 - alpha < mpf("1e-3"):
+            warnings.warn("alpha within 1e-3 below the branch point 4; series "
                           "converges like 1/n^2", SlowConvergenceWarning)
         if rsq > _ACCEL_THRESHOLD:
-            return +_m_series_accel(alpha, rodriguez, r, tol, ctx, counter)
-
-        gen = _csq_terms(r)
-        if rodriguez:
-            first = next(gen)  # n = 0 term is excluded from the sum
-            if counter is not None:
-                counter.add(1)
-            terms = (c / (2 * n) for n, c in enumerate(gen, start=1))
-            s = sum_geometric(terms, tol, ratio=rsq, max_terms=ctx.max_terms,
-                              counter=counter)
-            return +(log(alpha) - s)
-        terms = (r * c / (2 * n + 1) for n, c in enumerate(gen))
+            return +_m_series_accel(r, tol, ctx, counter)
+        terms = (r * c / (2 * n + 1) for n, c in enumerate(_csq_terms(r)))
         s = sum_geometric(terms, tol, ratio=rsq, max_terms=ctx.max_terms,
                           counter=counter)
         return +s
 
 
-def _m_series_accel(alpha, rodriguez, r, tol, ctx, counter):
+def _m_series_accel(r, tol, ctx, counter):
     state = {}
 
     def term(n):
         if n == 0:
             state["c"] = mpf(1)
-            state["r"] = mpf(r)
-        c, rr = state["c"], state["r"]
-        state["c"] = c * ((2 * n + 1) ** 2 * rr * rr) / (4 * (n + 1) ** 2)
-        if rodriguez:
-            return c / (2 * (n + 1)) * ((2 * n + 1) ** 2 * rr * rr) / (4 * (n + 1) ** 2)
-        return rr * c / (2 * n + 1)
+        c = state["c"]
+        state["c"] = c * ((2 * n + 1) ** 2 * r * r) / (4 * (n + 1) ** 2)
+        return r * c / (2 * n + 1)
 
-    if rodriguez:
-        # term(n) above yields c_{n+1}/(2(n+1)) so the sum starts at n = 1
-        s = richardson_sum(term, tol, max_terms=ctx.max_terms, counter=counter)
-        return log(alpha) - s
     return richardson_sum(term, tol, max_terms=ctx.max_terms, counter=counter)
 
 
@@ -121,36 +120,19 @@ def s_ratio(r, ctx: PrecisionCtx | None = None) -> mpf:
 
 def rv_series(x, ctx: PrecisionCtx | None = None, tol=None,
               counter: TermCounter | None = None) -> mpf:
-    """sum_{n>=1} (3n)!/(n n!^3) x^n; requires 27|x| < 1.
-
-    The term ratio is 27x * n(n+1/3)(n+2/3)/(n+1)^3, strictly below 27|x|,
-    so the geometric tail bound is rigorous even at ratios near 1.
-    """
+    """sum_{n>=1} (3n)!/(n n!^3) x^n = Lambda_{1/3}(27x); requires
+    -1 < 27x <= 1.  (3n)!/n!^3 = 27^n (1/3)_n (2/3)_n / n!^2."""
     ctx = ensure_ctx(ctx)
     with ctx.workprec(32):
-        x = to_mpf(x)
-        rho = 27 * abs(x)
-        if rho >= 1:
-            raise DivergentSeriesError("rv_series needs |27x| < 1")
-        tol = mpf(tol) if tol is not None else ctx.target_tol
-
-        def terms():
-            t = 6 * x
-            n = 1
-            while True:
-                yield t
-                t = t * (3 * n + 1) * (3 * n + 2) * (3 * n + 3) * n * x / mpf(n + 1) ** 4
-                n += 1
-
-        return +sum_geometric(terms(), tol, ratio=rho, max_terms=ctx.max_terms,
-                              counter=counter)
+        return lambda_series(_THIRD, 27 * to_mpf(x), ctx, tol=tol,
+                             counter=counter)
 
 
 def n_series(alpha, ctx: PrecisionCtx | None = None, tol=None,
              counter: TermCounter | None = None) -> mpf:
     """n(alpha) = log(alpha) - rv_series(alpha^-3)/3 for alpha > 3.
 
-    The ratio is 27/alpha^3; the error is at most tol/3.
+    The error is at most tol/3.
     """
     ctx = ensure_ctx(ctx)
     with ctx.workprec(32):

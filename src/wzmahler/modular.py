@@ -4,19 +4,23 @@ modular relation connecting x(sqrt(q)), x(q) and x(q^2).
 
 Signature 2 is the classical theory built on 2F1(1/2,1/2;1;.), where
 sqrt(1-beta) = phi^2(-q)/phi^2(q); signature 3 is Ramanujan's alternative
-theory built on 2F1(1/3,2/3;1;.).
+theory built on 2F1(1/3,2/3;1;.) (Berndt, Bhargava and Garvan, "Ramanujan's
+theories of elliptic functions to alternative bases", 1995).  Both nomes come
+in closed form from the logarithmic connection formula of
+``numkernel.connection_pair``, which only ever sums at an argument <= 1/2:
+q = beta/16 + ... and q = beta/27 + ... are the leading terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from mpmath import exp, mp, mpf, pi, polyroots, sqrt
+from mpmath import exp, log, mp, mpf, pi, polyroots, sin, sqrt
 
 from .context import (DomainError, PrecisionCtx, RootIdentificationError,
                       ensure_ctx, to_mpf)
+from .numkernel import connection_pair
 from .series import TermCounter
-from .symbolic.pfq import pfq_eval
 
 
 def phi_theta(q, ctx: PrecisionCtx | None = None) -> mpf:
@@ -56,12 +60,24 @@ def xq_product(q, ctx: PrecisionCtx | None = None) -> mpf:
             n += 1
 
 
-def _f_quotient(a, b, beta, ctx, counter=None) -> mpf:
+def _nome(s: Fraction, beta, ctx, counter) -> mpf:
+    """exp(-(pi/sin(pi s)) F_s(1-beta)/F_s(beta)), F_s = 2F1(s,1-s;1;.), from
+    the kernel's pair (F_s, G_s) at whichever of beta, 1-beta is <= 1/2:
+
+        q = beta exp(-G_s(beta)/F_s(beta))                       beta <= 1/2,
+        q = exp(-(pi/sin(pi s))^2 F_s(w)/(G_s(w) - log w F_s(w)))  w = 1-beta.
+    """
+    beta = to_mpf(beta)
+    if not 0 < beta < 1:
+        raise DomainError("beta must lie in (0, 1)")
     # full working precision: downstream values (q, x(q)) inherit this accuracy
     tol = mpf(2) ** (-(ctx.bits + 24))
-    top = pfq_eval([a, b], [mpf(1)], 1 - beta, ctx, tol=tol, counter=counter)
-    bot = pfq_eval([a, b], [mpf(1)], beta, ctx, tol=tol, counter=counter)
-    return top / bot
+    if beta <= mpf(1) / 2:
+        f, g = connection_pair(s, beta, ctx, tol=tol, counter=counter)
+        return +(beta * exp(-g / f))
+    w = 1 - beta
+    f, g = connection_pair(s, w, ctx, tol=tol, counter=counter)
+    return +exp(-(pi / sin(pi * to_mpf(s))) ** 2 * f / (g - log(w) * f))
 
 
 def q_from_beta2(beta, ctx: PrecisionCtx | None = None,
@@ -69,11 +85,7 @@ def q_from_beta2(beta, ctx: PrecisionCtx | None = None,
     """Signature-2 nome: q = exp(-pi 2F1(1/2,1/2;1;1-b)/2F1(1/2,1/2;1;b))."""
     ctx = ensure_ctx(ctx)
     with ctx.workprec(16):
-        beta = to_mpf(beta)
-        if not 0 < beta < 1:
-            raise DomainError("beta must lie in (0, 1)")
-        h = mpf(1) / 2
-        return +exp(-pi * _f_quotient(h, h, beta, ctx, counter))
+        return _nome(Fraction(1, 2), beta, ctx, counter)
 
 
 def q3_from_beta(beta, ctx: PrecisionCtx | None = None,
@@ -81,12 +93,7 @@ def q3_from_beta(beta, ctx: PrecisionCtx | None = None,
     """Signature-3 nome with the 2F1(1/3,2/3;1;.) quotient and 2*pi/sqrt(3)."""
     ctx = ensure_ctx(ctx)
     with ctx.workprec(16):
-        beta = to_mpf(beta)
-        if not 0 < beta < 1:
-            raise DomainError("beta must lie in (0, 1)")
-        third = mpf(1) / 3
-        quot = _f_quotient(third, 2 * third, beta, ctx, counter)
-        return +exp(-(2 * pi / sqrt(mpf(3))) * quot)
+        return _nome(Fraction(1, 3), beta, ctx, counter)
 
 
 def beta2_from_q(q, ctx: PrecisionCtx | None = None) -> mpf:

@@ -1,23 +1,28 @@
 """Special functions at configurable precision: real Gamma, principal-branch
-dilogarithm, the Bloch-Wigner function D, the arithmetic-geometric mean and
-integer zeta values.
+dilogarithm, the Bloch-Wigner function D, the arithmetic-geometric mean,
+integer zeta values, and the hypergeometric kernel F_s = 2F1(s, 1-s; 1; .)
+for s in {1/3, 1/2}.
 
 Real/complex scalars are mpmath ``mpf``/``mpc`` values; exact rationals are
 ``fractions.Fraction``.  Gamma and zeta are delegated to mpmath's
-correctly-rounded implementations; Li2, D and the AGM are written out here
-because their branch and termination behaviour is what the identity checks
-lean on.
+correctly-rounded implementations; Li2, D, the AGM and F_s are written out
+here because their branch and termination behaviour is what the identity
+checks lean on.
 """
 
 from __future__ import annotations
 
-from mpmath import (arg, bernoulli, im, isint, log, mp, mpc, mpf, pi,
-                    workprec)
+from fractions import Fraction
+from functools import cache
+
+from mpmath import (arg, bernoulli, expjpi, im, isint, log, mp, mpc, mpf, pi,
+                    sin, workprec)
 from mpmath import gamma as _mp_gamma
 from mpmath import zeta as _mp_zeta
 
-from .context import (ConvergenceError, DomainError, PoleError, PrecisionCtx,
-                      ensure_ctx, to_mpf)
+from .context import (ConvergenceError, DivergentSeriesError, DomainError,
+                      PoleError, PrecisionCtx, ensure_ctx, to_mpf)
+from .series import TermCounter, sum_geometric
 
 GUARD_LI2 = 24  # extra bits sought from the Li2 kernels beyond ctx.bits
 
@@ -142,3 +147,166 @@ def bloch_wigner(z, ctx: PrecisionCtx | None = None) -> mpf:
         eps = mpf(2) ** (-(ctx.bits + GUARD_LI2))
         val = im(_li2(z, eps, ctx.max_terms)) + arg(1 - z) * log(abs(z))
         return +val
+
+
+# ---------------------------------------------------------------------------
+# F_s = 2F1(s, 1-s; 1; .) and Lambda_s(z) = sum_{n>=1} c_n z^n / n
+# ---------------------------------------------------------------------------
+#
+# With c_n = (s)_n (1-s)_n / n!^2 and p = s(1-s), both c_n and
+#     h_n = 2 psi(n+1) - psi(s+n) - psi(1-s+n)
+# step by p alone:
+#     c_{n+1} = c_n (n(n+1) + p)/(n+1)^2,
+#     h_{n+1} = h_n - (n+1-2p)/((n+1)(n(n+1) + p)),
+# so 0 < c_n <= 1 and 0 < h_n <= h_0 both decrease.  The logarithmic
+# connection formula (Abramowitz-Stegun 15.3.10, DLMF 15.8.10) reads
+#     F_s(1-v) = kappa sum_n c_n (h_n - log v) v^n,   kappa = sin(pi s)/pi.
+
+# s -> (p, e^(h_0), theta, w) with Lambda_s(1) = h_0 - w D(e^(i pi theta))/pi
+_KERNEL = {
+    Fraction(1, 3): (Fraction(2, 9), 27, Fraction(1, 3), 9),
+    Fraction(1, 2): (Fraction(1, 4), 16, Fraction(1, 2), 8),
+}
+
+# Lambda_s(z) is summed directly below this point and by the connection
+# formula above it: at 256 bits and tol 1e-42 or 2^-280 the two routes take
+# the same time near z = 0.65
+LAMBDA_SWITCH = mpf("0.65")
+
+
+def _kernel_s(s) -> Fraction:
+    """s as a Fraction, DomainError unless it is 1/3 or 1/2."""
+    try:
+        s = Fraction(s)
+    except (TypeError, ValueError):
+        s = None
+    if s not in _KERNEL:
+        raise DomainError("the 2F1(s, 1-s; 1; .) kernel takes s = 1/3 or 1/2")
+    return s
+
+
+def _c_h_terms(s: Fraction):
+    """Yield (c_n, h_n) for n = 0, 1, 2, ... at the working precision."""
+    p, exp_h0, _, _ = _KERNEL[s]
+    p = to_mpf(p)
+    c, h = mpf(1), log(exp_h0)
+    n = 0
+    while True:
+        yield c, h
+        d = n * (n + 1) + p
+        c = c * d / (n + 1) ** 2
+        h = h - (n + 1 - 2 * p) / ((n + 1) * d)
+        n += 1
+
+
+@cache
+def _lambda_at_one(s: Fraction, prec: int) -> mpf:
+    """Lambda_s(1) = h_0 - w D(z0)/pi: 3 log 3 - 9 D(e^(i pi/3))/pi and
+    2 log 4 - 8 D(i)/pi, from n(3) = 3 D(e^(i pi/3))/pi and m(4) = 4G/pi."""
+    _, exp_h0, theta, w = _KERNEL[s]
+    with workprec(prec):
+        z0 = expjpi(to_mpf(theta))
+        d = bloch_wigner(z0, PrecisionCtx(bits=prec))
+        return +(log(exp_h0) - w * d / pi)
+
+
+def lambda_series(s, z, ctx: PrecisionCtx | None = None, tol=None,
+                  counter: TermCounter | None = None) -> mpf:
+    """Lambda_s(z) = sum_{n>=1} c_n z^n/n = int_0^z (F_s(t) - 1)/t dt for
+    -1 < z <= 1, to within tol (default ctx.target_tol).
+
+    The sum runs 32 bits above the callers' ``ctx.workprec(32)``, so that
+    its rounding stays well below an ulp of their results.  Below
+    ``LAMBDA_SWITCH`` the series is summed directly; its term ratio is below
+    |z|.  From there on, Lambda_s(z) = Lambda_s(1) - I(1 - z) with
+    I(w) = int_0^w (F_s(1-v) - 1)/(1-v) dv.  Multiplying the connection
+    formula by 1/(1-v) = sum v^m gives
+        (F_s(1-v) - 1)/(1-v) = sum_m (A_m - B_m log v) v^m,
+        A_m = kappa sum_{n<=m} c_n h_n - 1,   B_m = kappa sum_{n<=m} c_n,
+    which integrates term by term to
+        I(w) = sum_m w^(m+1)/(m+1) (A_m - B_m (log w - 1/(m+1))).
+    For m > M, |A_m| <= |A_M| + kappa c_M h_M (m-M) and
+    B_m <= B_M + kappa c_M (m-M), so with L = 1 - log w the tail after M is
+    at most ((|A_M| + B_M L)/(M+2) + kappa c_M (h_M + L)) w^(M+2)/(1-w).
+    Lambda_s(1) is cached per (s, precision).
+    """
+    ctx = ensure_ctx(ctx)
+    with ctx.workprec(64):
+        s = _kernel_s(s)
+        z = to_mpf(z)
+        if not -1 < z <= 1:
+            raise DivergentSeriesError("Lambda_s(z) needs -1 < z <= 1")
+        tol = mpf(tol) if tol is not None else ctx.target_tol
+        if z < LAMBDA_SWITCH:
+            return +sum_geometric(_lambda_terms(s, z), tol, ratio=abs(z),
+                                  max_terms=ctx.max_terms, counter=counter)
+        top = _lambda_at_one(s, mp.prec)
+        if z == 1:
+            return top
+        return +(top - _connection_integral(s, 1 - z, tol, ctx.max_terms,
+                                            counter))
+
+
+def _lambda_terms(s, z):
+    """c_n z^n/n for n = 1, 2, ...; the term ratio is below |z|."""
+    zpow = mpf(1)
+    for n, (c, _) in enumerate(_c_h_terms(s)):
+        if n:
+            yield c * zpow / n
+        zpow *= z
+
+
+def _connection_integral(s, w, tol, max_terms, counter):
+    kappa = sin(pi * to_mpf(s)) / pi
+    logw = log(w)
+    big_l = 1 - logw
+    a = -mpf(1)
+    b = mpf(0)
+    total = mpf(0)
+    wpow = mpf(1)
+    tail = 1 / (1 - w)
+    for m, (c, h) in enumerate(_c_h_terms(s)):
+        kc = kappa * c
+        a += kc * h
+        b += kc
+        wpow *= w
+        total += wpow / (m + 1) * (a - b * (logw - mpf(1) / (m + 1)))
+        bound = ((abs(a) + b * big_l) / (m + 2) + kc * (h + big_l)) \
+            * wpow * w * tail
+        if bound < tol:
+            if counter is not None:
+                counter.add(m + 1)
+            return total
+        if m + 1 >= max_terms:
+            raise ConvergenceError("connection expansion budget exhausted")
+
+
+def connection_pair(s, x, ctx: PrecisionCtx | None = None, tol=None,
+                    counter: TermCounter | None = None) -> tuple[mpf, mpf]:
+    """(F_s(x), G_s(x)) with G_s(x) = sum c_n h_n x^n, for 0 <= x <= 1/2,
+    each to within tol (default ctx.target_tol).
+
+    By the connection formula, F_s(1-x) = kappa (G_s(x) - log x F_s(x)).
+    The tails after n = N are below c_N x^(N+1)/(1-x) and
+    c_N h_N x^(N+1)/(1-x).
+    """
+    ctx = ensure_ctx(ctx)
+    with ctx.workprec(32):
+        s = _kernel_s(s)
+        x = to_mpf(x)
+        if not 0 <= x <= mpf(1) / 2:
+            raise DomainError("connection_pair needs 0 <= x <= 1/2")
+        tol = mpf(tol) if tol is not None else ctx.target_tol
+        f = g = mpf(0)
+        xpow = mpf(1)
+        tail = 1 / (1 - x)
+        for n, (c, h) in enumerate(_c_h_terms(s)):
+            f += c * xpow
+            g += c * h * xpow
+            xpow *= x
+            if c * (1 + h) * xpow * tail < tol:
+                if counter is not None:
+                    counter.add(n + 1)
+                return +f, +g
+            if n + 1 >= ctx.max_terms:
+                raise ConvergenceError("connection pair budget exhausted")

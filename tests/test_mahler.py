@@ -66,12 +66,25 @@ def test_domain_and_warnings():
         m_series(0, CTX)
     with pytest.raises(DomainError):
         m_series(-3, CTX)
+    # below 4 the binomial series of m(4r) converges like 1/n^2
     with pytest.warns(SlowConvergenceWarning):
         with workprec(300):
             try:
-                m_series(mpf(4) + mpf(10) ** -5, CTX, tol=mpf(10) ** -8)
+                m_series(mpf(4) - mpf(10) ** -5, CTX, tol=mpf(10) ** -8)
             except ConvergenceError:
                 pass  # the warning is the contract; convergence may still fail
+
+
+def test_m_series_just_above_four():
+    # alpha >= 4 goes through the connection formula: no slow convergence,
+    # no warning, full accuracy against the Jensen quadrature
+    import warnings
+    alpha = mpf(4) + mpf(10) ** -5
+    with workprec(300), warnings.catch_warnings():
+        warnings.simplefilter("error", SlowConvergenceWarning)
+        ser = m_series(alpha, CTX, tol=mpf(10) ** -42)
+        quad_val = m_quadrature(alpha, CTX, tol=mpf(10) ** -40)
+        assert abs(ser - quad_val) < mpf(10) ** -40
 
 
 def test_s_ratio_values():
@@ -249,9 +262,9 @@ def test_n_series_against_quadrature():
         for alpha in (a1, a3):
             ser = n_series(alpha, CTX, tol=mpf(10) ** -42)
             assert abs(ser - n_quadrature(alpha, CTX, tol=mpf(10) ** -8)) < mpf(10) ** -40
-        # 27/a2^3 = 0.99891: the series needs ~63k terms for 1e-30
-        ser = n_series(a2, CTX, tol=mpf(10) ** -30)
-        assert abs(ser - n_quadrature(a2, CTX, tol=mpf(10) ** -8)) < mpf(10) ** -28
+        # 27/a2^3 = 0.99891: the connection route of the kernel
+        ser = n_series(a2, CTX, tol=mpf(10) ** -42)
+        assert abs(ser - n_quadrature(a2, CTX, tol=mpf(10) ** -8)) < mpf(10) ** -40
 
 
 def test_n_series_domain():

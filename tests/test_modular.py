@@ -12,6 +12,7 @@ from wzmahler.elliptic import curve_from_family
 from wzmahler.modular import (beta2_from_q, j3_from_beta, j_from_beta2,
                               modular_poly_solve, modular_relation, phi_theta,
                               q3_from_beta, q_from_beta2, xq_product)
+from wzmahler.symbolic.pfq import pfq_eval
 
 CTX = PrecisionCtx(bits=256)
 TOL = mpf(2) ** -200
@@ -65,10 +66,39 @@ def test_q_inversion_signature3():
         assert abs(q3_from_beta(Fraction(1, 2), CTX) - exp(-2 * pi / sqrt(mpf(3)))) < TOL
 
 
+def test_nomes_continuous_at_half():
+    # beta = 1/2 is where the kernel's pair moves from beta to 1 - beta; on
+    # either side the nome stays within the slope times 2^-250 of its value
+    # at 1/2, exp(-pi) and exp(-2 pi/sqrt 3)
+    with workprec(300):
+        half, delta = mpf(1) / 2, mpf(2) ** -250
+        for beta in (half - delta, half, half + delta):
+            assert abs(q_from_beta2(beta, CTX) - exp(-pi)) < mpf(10) ** -70
+            assert abs(q3_from_beta(beta, CTX) - exp(-2 * pi / sqrt(mpf(3)))) \
+                < mpf(10) ** -70
+
+
+def test_nomes_match_hypergeometric_quotient():
+    # exp(-(pi/sin pi s) F(1-beta)/F(beta)) with both 2F1 values summed
+    # directly by pfq_eval, against the connection-formula closed forms
+    with workprec(300):
+        tol = mpf(2) ** -290
+        third, half = mpf(1) / 3, mpf(1) / 2
+        for beta in (mpf("0.1"), mpf("0.3"), mpf("0.7")):
+            for a, scale, nome in ((third, 2 * pi / sqrt(mpf(3)), q3_from_beta),
+                                   (half, pi, q_from_beta2)):
+                top = pfq_eval([a, 1 - a], [1], 1 - beta, CTX, tol=tol)
+                bot = pfq_eval([a, 1 - a], [1], beta, CTX, tol=tol)
+                ref = exp(-scale * top / bot)
+                assert abs(nome(beta, CTX) / ref - 1) < mpf(10) ** -75
+
+
 def test_q_inversion_domain():
     for beta in (0, 1, -2, 2):
         with pytest.raises(DomainError):
             q_from_beta2(beta, CTX)
+        with pytest.raises(DomainError):
+            q3_from_beta(beta, CTX)
 
 
 def test_theta_involution():

@@ -2,13 +2,16 @@
 equations on random points, domain errors."""
 
 import random
+from fractions import Fraction
 
 import pytest
-from mpmath import (asin, catalan, exp, log, mp, mpc, mpf, pi, polylog,
-                    sin, sqrt, workprec)
+from mpmath import (asin, catalan, exp, hyper, log, mp, mpc, mpf, pi,
+                    polylog, sin, sqrt, workprec)
 
-from wzmahler import (DomainError, PoleError, PrecisionCtx, agm, bloch_wigner,
-                      gamma_real, li2_complex, zeta_int)
+from wzmahler import (DivergentSeriesError, DomainError, PoleError,
+                      PrecisionCtx, agm, bloch_wigner, gamma_real, li2_complex,
+                      zeta_int)
+from wzmahler.numkernel import LAMBDA_SWITCH, connection_pair, lambda_series
 
 CTX = PrecisionCtx(bits=256)
 TOL = mpf(2) ** -200
@@ -139,3 +142,87 @@ def test_round_trips():
             assert abs(log(exp(x)) - x) < TOL * (1 + abs(x))
             y = mpf(rng.uniform(-0.999, 0.999))
             assert abs(sin(asin(y)) - y) < TOL
+
+
+KERNEL_S = (Fraction(1, 3), Fraction(1, 2))
+
+
+def _lambda_direct(s, z, eps):
+    """sum_{n>=1} (s)_n (1-s)_n/n!^2 z^n/n term by term from the Pochhammer
+    ratio (n+s)(n+1-s)/(n+1)^2, until the geometric tail is below eps."""
+    s = mpf(s.numerator) / s.denominator
+    c, total, n = mpf(1), mpf(0), 0
+    while True:
+        c = c * (n + s) * (n + 1 - s) / (n + 1) ** 2 * z
+        n += 1
+        total += c / n
+        if abs(c * z) / (1 - abs(z)) < eps:
+            return total
+
+
+def test_lambda_series_against_direct_sum():
+    # both routes: z = 0.3, 0.5 (and -0.7) below the switch point, 0.7, 0.9
+    # above it
+    with workprec(300):
+        for s in KERNEL_S:
+            for z in ("0.3", "0.5", "0.7", "0.9", "-0.7"):
+                z = mpf(z)
+                with workprec(400):
+                    ref = _lambda_direct(s, z, mpf(10) ** -60)
+                got = lambda_series(s, z, CTX, tol=mpf(10) ** -48)
+                assert abs(got - ref) < mpf(10) ** -45
+
+
+def test_lambda_series_continuous_at_switch():
+    # just below the switch point the series is summed directly, at it the
+    # connection expansion takes over; both agree with the direct oracle
+    with workprec(300):
+        delta = mpf(2) ** -200
+        for s in KERNEL_S:
+            below = lambda_series(s, LAMBDA_SWITCH - delta, CTX, tol=mpf(10) ** -50)
+            at = lambda_series(s, LAMBDA_SWITCH, CTX, tol=mpf(10) ** -50)
+            assert abs(at - below) < mpf(10) ** -48
+            with workprec(400):
+                ref = _lambda_direct(s, LAMBDA_SWITCH, mpf(10) ** -60)
+            assert abs(at - ref) < mpf(10) ** -48
+
+
+def test_lambda_series_at_one_against_hyper():
+    # Lambda_s(1) = s(1-s) 4F3(1,1,1+s,2-s; 2,2,2; 1), mpmath's own route;
+    # the kernel takes it from h_0 - w D(z0)/pi
+    ctx = PrecisionCtx(bits=300)
+    with workprec(340):
+        for s in KERNEL_S:
+            sm = mpf(s.numerator) / s.denominator
+            ref = sm * (1 - sm) * hyper([1, 1, 1 + sm, 2 - sm], [2, 2, 2], 1)
+            assert abs(lambda_series(s, 1, ctx) - ref) < mpf(2) ** -290
+
+
+def test_lambda_series_small_z_and_domain():
+    with workprec(300):
+        assert lambda_series(Fraction(1, 2), 0, CTX) == 0
+        z = mpf(10) ** -6
+        # leading term s(1-s) z
+        assert abs(lambda_series(Fraction(1, 3), z, CTX) - 2 * z / 9) < z * z
+    for s in (Fraction(1, 4), 0, "x"):
+        with pytest.raises(DomainError):
+            lambda_series(s, mpf("0.5"), CTX)
+    for z in (mpf("1.01"), mpf(-1), mpf(2)):
+        with pytest.raises(DivergentSeriesError):
+            lambda_series(Fraction(1, 3), z, CTX)
+
+
+def test_connection_pair_reflection():
+    # F_s(1-x) = (sin pi s/pi) (G_s(x) - log x F_s(x)): the left side summed
+    # directly at 1-x in [1/2, 0.9], the right from the kernel's pair at x
+    with workprec(300):
+        for s in KERNEL_S:
+            sm = mpf(s.numerator) / s.denominator
+            for x in ("0.1", "0.3", "0.5"):
+                x = mpf(x)
+                f, g = connection_pair(s, x, CTX, tol=mpf(10) ** -60)
+                with workprec(400):
+                    ref = hyper([sm, 1 - sm], [1], 1 - x)
+                assert abs(sin(pi * sm) / pi * (g - log(x) * f) - ref) < mpf(10) ** -55
+    with pytest.raises(DomainError):
+        connection_pair(Fraction(1, 3), mpf("0.6"), CTX)

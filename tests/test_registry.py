@@ -4,11 +4,13 @@ import json
 import os
 
 import pytest
-from mpmath import log, mp, mpf, workprec
+from mpmath import cbrt, log, mp, mpf, sqrt, workprec
 
-from wzmahler import PrecisionCtx, UnknownIdentityError, registry
-from wzmahler.registry import (lookup, registry_entries, reports_from_json,
-                               reports_to_json, run_all, run_check)
+from wzmahler import DomainError, PrecisionCtx, UnknownIdentityError, registry
+from wzmahler.mahler import n_quadrature
+from wzmahler.registry import (lookup, n_lattice, registry_entries,
+                               reports_from_json, reports_to_json, run_all,
+                               run_check)
 
 CTX = PrecisionCtx(bits=256)
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "report-256.json")
@@ -157,3 +159,32 @@ def test_exit_exempt_entries_never_flip_exit_code():
     rec = lookup("bertin-series")
     assert rec.exit_exempt
     assert lookup("zeta3-f2").kind == "conjectural-numeric"
+
+
+def _bertin_alphas():
+    s5 = sqrt(mpf(5))
+    return (7 + s5) / cbrt(mpf(4)), (7 - s5) / cbrt(mpf(4)), cbrt(mpf(32))
+
+
+def test_n_lattice_against_quadrature():
+    # the nome-and-lattice-sum route against the Jensen quadrature at the
+    # three arguments of bertin-n-form (q = 0.080, 4.0e-5, 0.0064)
+    with workprec(300):
+        for alpha in _bertin_alphas():
+            lat = n_lattice(alpha, CTX)
+            assert abs(lat - n_quadrature(alpha, CTX, tol=mpf(10) ** -8)) < mpf(10) ** -40
+
+
+def test_n_lattice_domain():
+    for alpha in (3, 2, 0, -4):
+        with pytest.raises(DomainError):
+            n_lattice(alpha, CTX)
+
+
+def test_n_lattice_checks_its_nome(monkeypatch):
+    # a nome off by 1e-30 relative no longer gives alpha back
+    good = registry.q3_from_beta
+    monkeypatch.setattr(registry, "q3_from_beta",
+                        lambda *a, **k: good(*a, **k) * (1 + mpf(10) ** -30))
+    with pytest.raises(ArithmeticError, match="misses alpha"):
+        n_lattice(_bertin_alphas()[1], CTX)
