@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from mpmath import mpf
+from mpmath import isfinite, mpf
 
-from .context import PrecisionCtx
+from .context import DomainError, PrecisionCtx
 from .registry import (KIND_CONJECTURAL, CheckReport, exit_code, lookup,
                        registry_entries, reports_to_json, run_all, run_check)
 
@@ -30,8 +30,8 @@ def _add_common(parser, suppress: bool):
                         help="override the per-entry tolerance")
     parser.add_argument("--max-terms", type=int, default=d(500_000),
                         help="series term budget")
-    parser.add_argument("--jobs", type=int, default=d(1),
-                        help="parallel worker processes for 'all'")
+    parser.add_argument("--jobs", type=int, default=d(None),
+                        help="parallel worker processes for 'all' (default 1)")
     parser.add_argument("--format", choices=("text", "json"), default=d("text"))
     parser.add_argument("--quiet", action="store_true",
                         default=d(False),
@@ -68,12 +68,22 @@ def _print_text(reports: list[CheckReport], quiet: bool):
             print(f"{'':<18}{rep.notes}")
 
 
+def _usage_error(message: str) -> int:
+    print(f"wzmahler: error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+
+    if args.jobs is not None and args.command != "all":
+        return _usage_error("--jobs applies only to 'all'")
+    if args.jobs is not None and args.jobs < 1:
+        return _usage_error("--jobs must be at least 1")
 
     if args.command == "list":
         for rec in registry_entries():
@@ -82,9 +92,19 @@ def main(argv=None) -> int:
             print(f"{rec.id:<22} {rec.kind:<20} {rec.description}{flag}")
         return 0
 
-    tol = mpf(args.tol) if args.tol else None
-    ctx = PrecisionCtx(bits=args.bits, max_terms=args.max_terms,
-                       target_tol=tol)
+    tol = None
+    if args.tol is not None:
+        try:
+            tol = mpf(args.tol)
+        except ValueError:
+            return _usage_error(f"--tol: not a number: {args.tol!r}")
+        if not (tol > 0 and isfinite(tol)):
+            return _usage_error("--tol must be positive and finite")
+    try:
+        ctx = PrecisionCtx(bits=args.bits, max_terms=args.max_terms,
+                           target_tol=tol)
+    except DomainError as exc:
+        return _usage_error(str(exc))
 
     if args.command == "verify":
         if lookup(args.id) is None:
@@ -93,8 +113,8 @@ def main(argv=None) -> int:
         reports = [run_check(args.id, ctx, tol_override=tol)]
         code = exit_code(reports)
     else:
-        reports, code = run_all(filter=args.filter, jobs=args.jobs, ctx=ctx,
-                                tol_override=tol)
+        reports, code = run_all(filter=args.filter, jobs=args.jobs or 1,
+                                ctx=ctx, tol_override=tol)
 
     if args.format == "json":
         print(reports_to_json(reports))

@@ -72,3 +72,20 @@ def test_flags_after_subcommand(capsys):
 
 def test_usage_error():
     assert main(["bogus-command"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--tol", "abc", "all"],
+                                  ["--tol", "-1", "all"],
+                                  ["--tol", "inf", "all"],
+                                  ["--bits", "32", "all"],
+                                  ["--max-terms", "0", "all"],
+                                  ["all", "--jobs", "0"],
+                                  ["all", "--jobs", "-3"],
+                                  ["verify", "log2-f3", "--jobs", "7"]])
+def test_bad_flag_values_are_usage_errors(capsys, argv):
+    # a value the run cannot honour is refused with one line on stderr
+    # and exit code 2, before any check runs
+    assert main(argv + (["--filter", "torsion"] if "all" in argv else [])) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("wzmahler: error:")

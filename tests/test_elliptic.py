@@ -5,17 +5,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import (arg, exp, expjpi, im, log, mpc, mpf, pi, polylog,
-                    workprec)
+from mpmath import (arg, exp, expjpi, im, log, mp, mpc, mpf, nint, pi,
+                    polylog, workprec)
 
-from wzmahler import (ComplexRootsUnsupportedError, DomainError, PrecisionCtx,
-                      SingularCurveError)
+from wzmahler import (ComplexRootsUnsupportedError, ConvergenceError,
+                      DomainError, PrecisionCtx, SingularCurveError)
 from wzmahler.context import to_mpf
 from wzmahler.elliptic import (INFINITY, CurvePoint, EllipticCurve,
-                               TorsionLocation, curve_from_family,
-                               elliptic_dilog, is_on_curve, lattice_dilog_sum,
-                               periods, point_add, point_mul, point_neg,
-                               point_order, wp, wp_prime)
+                               TorsionLocation, _bloch_wigner_at,
+                               curve_from_family, elliptic_dilog, is_on_curve,
+                               lattice_dilog_sum, periods, point_add,
+                               point_mul, point_neg, point_order, wp, wp_prime)
+from wzmahler.numkernel import GUARD_LI2, bloch_wigner
+from wzmahler.series import TermCounter
 
 CTX = PrecisionCtx(bits=256)
 TOL = mpf(2) ** -200
@@ -202,16 +204,17 @@ def test_lattice_sum_oracle_doubled_precision():
         assert abs(val - oracle) < mpf(10) ** -70
 
 
-def _window_oracle(z0, q):
-    """sum_{|n| <= N} D(z0 q^n) at the current (600-bit) precision, with N
-    chosen so that |q|^N < 2^-560: the omitted terms are far below 2^-512."""
-    n_max = int(560 / -log(abs(q), 2)) + 2
+def _window_oracle(z0, q, cut):
+    """sum_{|n| <= N} D(z0 q^n) at the current precision, with N chosen so
+    that |q|^N < 2^-cut."""
+    n_max = int(cut / -log(abs(q), 2)) + 2
     return sum(_polylog_d(z0 * q ** n) for n in range(-n_max, n_max + 1))
 
 
 # the nomes and the points z0 = e^(2 pi i a) of the registry's lattice sums
 _NOMES = ["1/10", "1/4", "-1/4", "0.00736"]
 _UNIT_POINTS = {"i": "1/4", "e^(2 pi i/3)": "1/3", "e^(pi i/3)": "1/6"}
+_BERTIN_POINT = "e^(pi i/3) q^(-1/2)"
 
 
 def _registry_point(name, q):
@@ -223,18 +226,91 @@ def _registry_point(name, q):
 
 @pytest.mark.parametrize("name, q",
                          [(name, q) for name in _UNIT_POINTS for q in _NOMES]
-                         + [("e^(pi i/3) q^(-1/2)", "0.00736")])
+                         + [(_BERTIN_POINT, "0.00736")])
 def test_lattice_sum_against_polylog_window(name, q):
     # Bloch's q-expansion against an explicit two-sided window of
-    # polylog-based D terms at 600 bits, at 256 and 512 bits.  The kernel
-    # seeks 2^-(bits + 24); 16 of those guard bits are asked for here
-    with workprec(600):
+    # polylog-based D terms at 88 bits above the highest precision tested
+    # (600 bits for 512), whose omitted terms are below 2^-(that - 40).
+    # The kernel seeks 2^-(bits + 24); 16 of those guard bits are asked for
+    # here.  Bertin's point is also taken at 1024 bits: there |z0| =
+    # |q|^(-1/2) sits at the kernel's index shift boundary and the two
+    # half-sums stop at different k.
+    bits_list = (256, 512, 1024) if name == _BERTIN_POINT else (256, 512)
+    prec = max(bits_list) + 88
+    with workprec(prec):
         q = to_mpf(Fraction(q))
         z0 = _registry_point(name, q)
-        oracle = _window_oracle(z0, q)
-        for bits in (256, 512):
+        oracle = _window_oracle(z0, q, prec - 40)
+        for bits in bits_list:
             val = lattice_dilog_sum(z0, q, PrecisionCtx(bits=bits))
             assert abs(val - oracle) < mpf(2) ** -(bits + 16), bits
+
+
+def _half_sum_reference(z, q, eps):
+    """H(z) = sum_k Im(z^k) Q_k (1/k^2 - log|z|/k - log|q|/((1-q^k) k)),
+    term by term in mpf/mpc arithmetic with the kernel's stopping rule
+    (tail bound C r^(k+1)/(1-r) < eps), and the number of terms taken."""
+    lz, lq, aq = log(abs(z)), log(abs(q)), abs(q)
+    r = abs(z) * aq
+    tail = (1 + abs(lz) + abs(lq) / (1 - aq)) / ((1 - aq) * (1 - r)) * r
+    total, zk, qk, k = mpf(0), mpc(1), mpf(1), 0
+    while True:
+        k += 1
+        zk *= z
+        qk *= q
+        d = 1 - qk
+        total += zk.imag * qk / (d * k) * (1 / mpf(k) - lz - lq / d)
+        tail *= r
+        if tail < eps:
+            return total, k
+
+
+@pytest.mark.parametrize("name, q, bits",
+                         [("i", "1/4", bits) for bits in (256, 512, 1024)]
+                         + [(_BERTIN_POINT, "0.0063508", bits)
+                            for bits in (256, 512, 1024)]
+                         + [("e^(2 pi i/3)", "-0.7", 256),
+                            ("e^(2 pi i/3)", "0.9", 256),
+                            (_BERTIN_POINT, "0.5", 512)])
+def test_lattice_sum_rounding_against_mpf_loop(name, q, bits):
+    # The integer loop against the same truncated half-sums summed in mpf
+    # arithmetic 300 bits higher, with the same D(z0): what is left is
+    # rounding.  The kernel keeps its loop's rounding below 2^-w at its
+    # working precision w = bits + 64, and rounds the half-sums and the
+    # result there, so the gap is below 2^-w (2 + 2|value|).  Nomes near
+    # +-1 give the loop thousands of terms and large coefficients.
+    ctx = PrecisionCtx(bits=bits)
+    with ctx.workprec(32):
+        w = mp.prec
+        q = to_mpf(Fraction(q))
+        z0 = _registry_point(name, q)
+        z = z0 * q ** int(nint(log(abs(z0)) / -log(abs(q))))  # kernel's shift
+        d = bloch_wigner(z, ctx)
+        counter = TermCounter()
+        val = lattice_dilog_sum(z0, q, ctx, counter=counter)
+    eps = mpf(2) ** -(bits + GUARD_LI2)
+    with workprec(w + 300):
+        up, k_up = _half_sum_reference(z, q, eps)
+        down, k_down = _half_sum_reference(1 / z, q, eps)
+        assert counter.count == k_up + k_down + 1
+        assert abs(val - (d + up - down)) < mpf(2) ** -w * (2 + 2 * abs(val))
+
+
+@pytest.mark.parametrize("bits, at_i, at_bertin", [(256, 283, 103),
+                                                   (512, 539, 197),
+                                                   (1024, 1051, 385)])
+def test_lattice_sum_term_counts(bits, at_i, at_bertin):
+    # the counter receives k_up + k_down + 1; each half stops by its own
+    # tail bound, so at Bertin's point (|z| = |q|^(-1/2)) they differ
+    ctx = PrecisionCtx(bits=bits)
+    with ctx.workprec(32):
+        q_b = mpf("0.0063508")
+        cases = [(mpc(0, 1), mpf(1) / 4, at_i), (mpc(0, 1), -mpf(1) / 4, at_i),
+                 (_registry_point(_BERTIN_POINT, q_b), q_b, at_bertin)]
+    for z0, q, expected in cases:
+        counter = TermCounter()
+        lattice_dilog_sum(z0, q, ctx, counter=counter)
+        assert counter.count == expected, (bits, q)
 
 
 @pytest.mark.parametrize("name, q", [("i", "1/10"), ("e^(2 pi i/3)", "-1/4"),
@@ -253,17 +329,42 @@ def test_lattice_sum_index_shift_invariance(name, q):
                 assert abs(shifted - base) < mpf(2) ** -(bits + 16), (bits, m)
 
 
+def test_lattice_sum_memoises_d_of_z0():
+    # D(z0) is memoised on (the exact z0 at the working precision, ctx):
+    # a repeated sum is the identical mpf, the memo holds an uncached D(z0)
+    # bit for bit, and another precision or another ctx gets its own entry.
+    # i is exact at every precision, so only ctx tells its keys apart
+    z, q = mpc(0, 1), mpf(1) / 10
+    ctx256, ctx512 = PrecisionCtx(bits=256), PrecisionCtx(bits=512)
+    first = lattice_dilog_sum(z, q, ctx256)
+    assert lattice_dilog_sum(z, q, ctx256)._mpf_ == first._mpf_
+    memo = {ctx: _bloch_wigner_at(z._mpc_, ctx) for ctx in (ctx256, ctx512)}
+    for ctx, val in memo.items():
+        assert val._mpf_ == bloch_wigner(z, ctx)._mpf_
+    assert memo[ctx256] != memo[ctx512]
+    other = PrecisionCtx(bits=256, max_terms=400_001)
+    misses = _bloch_wigner_at.cache_info().misses
+    for _ in range(2):
+        assert lattice_dilog_sum(z, q, other) == first
+        assert _bloch_wigner_at.cache_info().misses == misses + 1
+
+
 def test_lattice_sum_domain_and_budget():
-    from wzmahler import ConvergenceError
-    from wzmahler.series import TermCounter
     for q in (mpf(1), mpf(-1), mpf(0), mpf(2)):
         with pytest.raises(DomainError):
             lattice_dilog_sum(mpc(0, 1), q, CTX)
     with pytest.raises(DomainError):
         lattice_dilog_sum(0, mpf(1) / 10, CTX)
-    # q = 1/4 at 256 bits needs about 140 expansion terms on each side
+    # q = 1/4 at 256 bits needs about 140 expansion terms on each side;
+    # at Bertin's point only the up half-sum needs more than 60
+    short = PrecisionCtx(bits=256, max_terms=60)
     with pytest.raises(ConvergenceError):
-        lattice_dilog_sum(mpc(0, 1), mpf(1) / 4, PrecisionCtx(bits=256, max_terms=60))
+        lattice_dilog_sum(mpc(0, 1), mpf(1) / 4, short)
+    with short.workprec(32):
+        q_b = mpf("0.0063508")
+        z_b = _registry_point(_BERTIN_POINT, q_b)
+    with pytest.raises(ConvergenceError):
+        lattice_dilog_sum(z_b, q_b, short)
     # the counter receives the expansion terms of both half-sums plus D(z0);
     # on the unit circle with q > 0 both half-sums stop at the same k
     counter = TermCounter()
