@@ -20,21 +20,25 @@ from .registry import (KIND_CONJECTURAL, CheckReport, exit_code, lookup,
                        registry_entries, reports_to_json, run_all, run_check)
 
 
-def _add_common(parser, suppress: bool):
-    # flags are accepted both before and after the subcommand; the subparser
-    # copies use SUPPRESS defaults so they only override when actually given
-    d = (lambda _v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--bits", type=int, default=d(256),
+_DEFAULTS = {"bits": 256, "tol": None, "max_terms": 500_000, "jobs": None,
+             "format": "text", "quiet": False}
+
+
+def _add_common(parser):
+    # flags are accepted both before and after the subcommand; every copy
+    # defaults to SUPPRESS, so the parsed namespace holds the flags given
+    parser.add_argument("--bits", type=int, default=argparse.SUPPRESS,
                         help="working mantissa precision (default 256)")
-    parser.add_argument("--tol", type=str, default=d(None),
+    parser.add_argument("--tol", type=str, default=argparse.SUPPRESS,
                         help="override the per-entry tolerance")
-    parser.add_argument("--max-terms", type=int, default=d(500_000),
+    parser.add_argument("--max-terms", type=int, default=argparse.SUPPRESS,
                         help="series term budget")
-    parser.add_argument("--jobs", type=int, default=d(None),
+    parser.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                         help="parallel worker processes for 'all' (default 1)")
-    parser.add_argument("--format", choices=("text", "json"), default=d("text"))
+    parser.add_argument("--format", choices=("text", "json"),
+                        default=argparse.SUPPRESS)
     parser.add_argument("--quiet", action="store_true",
-                        default=d(False),
+                        default=argparse.SUPPRESS,
                         help="suppress per-entry notes in text output")
 
 
@@ -42,17 +46,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wzmahler",
         description="verify WZ certificates and Mahler-measure/dilogarithm identities")
-    _add_common(parser, suppress=False)
+    _add_common(parser)
     sub = parser.add_subparsers(dest="command", required=True)
     p_verify = sub.add_parser("verify", help="run a single identity check")
     p_verify.add_argument("id")
-    _add_common(p_verify, suppress=True)
+    _add_common(p_verify)
     p_all = sub.add_parser("all", help="run every matching identity check")
     p_all.add_argument("--filter", default=None,
                        help="substring filter on identity ids")
-    _add_common(p_all, suppress=True)
+    _add_common(p_all)
     p_list = sub.add_parser("list", help="list registry entries")
-    _add_common(p_list, suppress=True)
+    _add_common(p_list)
     return parser
 
 
@@ -79,6 +83,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    given = [name for name in _DEFAULTS if name in vars(args)]
+    if args.command == "list" and given:
+        flag = "--" + given[0].replace("_", "-")
+        return _usage_error(f"'list' takes no flags, got {flag}")
+    args = argparse.Namespace(**{**_DEFAULTS, **vars(args)})
 
     if args.jobs is not None and args.command != "all":
         return _usage_error("--jobs applies only to 'all'")

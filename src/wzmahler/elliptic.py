@@ -37,7 +37,7 @@ from .context import (ComplexRootsUnsupportedError, ConvergenceError,
                       DomainError, LatticePoleError, PrecisionCtx,
                       SingularCurveError, ensure_ctx, to_mpf)
 from .numkernel import GUARD_LI2, agm, bloch_wigner
-from .series import TermCounter
+from .series import count_terms
 
 
 @dataclass(frozen=True)
@@ -296,8 +296,7 @@ def _bloch_wigner_at(z: tuple, ctx: PrecisionCtx) -> mpf:
     return bloch_wigner(mp.make_mpc(z), ctx)
 
 
-def lattice_dilog_sum(z0, q, ctx: PrecisionCtx | None = None,
-                      counter: TermCounter | None = None) -> mpf:
+def lattice_dilog_sum(z0, q, ctx: PrecisionCtx | None = None) -> mpf:
     """Two-sided sum_{n in Z} D(z0 q^n) for real q in (-1, 1), z0 != 0.
 
     Bloch's q-expansion sums the series in closed form.  For |w| < 1,
@@ -328,7 +327,8 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx | None = None,
     Bloch-Wigner call, memoised on (the exact z0 at the working precision,
     ctx), because the registry's lattice sums meet the same few points
     again and again.
-    ``counter`` receives the number of expansion terms, D(z0) included.
+    It counts k_up + k_down + 1 terms, D(z0) included (1 for a real z0),
+    toward the open ``series.TermCounter``.
     """
     ctx = ensure_ctx(ctx)
     with ctx.workprec(32):
@@ -340,8 +340,7 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx | None = None,
             raise DomainError("z0 must be nonzero")
         if z0.imag == 0:
             # every z0 q^n is real, where D vanishes
-            if counter is not None:
-                counter.add(1)
+            count_terms(1)
             return mpf(0)
         z = z0 * q ** int(nint(log(abs(z0)) / -log(abs(q))))
         eps = mpf(2) ** (-(ctx.bits + GUARD_LI2))
@@ -354,15 +353,13 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx | None = None,
             / ((1 - max(r_up, r_down)) * (1 - aq) ** 3)
         prec = mp.prec + int(ceil(bound)).bit_length()
         half = _half_sum_difference(z, q, k_up, k_down, prec)
-        if counter is not None:
-            counter.add(k_up + k_down + 1)
+        count_terms(k_up + k_down + 1)
         return +(_bloch_wigner_at(z._mpc_, ctx) + half)
 
 
 def elliptic_dilog(curve: EllipticCurve, loc: TorsionLocation | tuple,
                    ctx: PrecisionCtx | None = None,
-                   per: Periods | None = None,
-                   counter: TermCounter | None = None) -> mpf:
+                   per: Periods | None = None) -> mpf:
     """D^E at u = a*omega + b*omega': the lattice sum with z0 = e^(2 pi i a) q^b."""
     ctx = ensure_ctx(ctx)
     a, b = Fraction(loc[0]), Fraction(loc[1])
@@ -375,4 +372,4 @@ def elliptic_dilog(curve: EllipticCurve, loc: TorsionLocation | tuple,
     with ctx.workprec(32):
         z0 = exp(2 * pi * mpc(0, 1) * mpf(a.numerator) / a.denominator) \
             * per.q ** (mpf(b.numerator) / b.denominator)
-        return lattice_dilog_sum(z0, per.q, ctx, counter=counter)
+        return lattice_dilog_sum(z0, per.q, ctx)

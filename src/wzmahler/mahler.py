@@ -50,7 +50,7 @@ from .context import (DomainError, PrecisionCtx,
                       QuadratureBudgetError, SlowConvergenceWarning,
                       ensure_ctx, to_mpf)
 from .numkernel import lambda_series
-from .series import TermCounter, richardson_sum, sum_geometric
+from .series import richardson_sum, sum_geometric
 
 _ACCEL_THRESHOLD = mpf("0.9")  # switch to Richardson when r^2 exceeds this
 _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
@@ -66,8 +66,7 @@ def _csq_terms(r: mpf):
         n += 1
 
 
-def m_series(alpha, ctx: PrecisionCtx | None = None, tol=None,
-             counter: TermCounter | None = None) -> mpf:
+def m_series(alpha, ctx: PrecisionCtx | None = None, tol=None) -> mpf:
     """m(alpha) by the branch-appropriate series: log(alpha) minus half of
     Lambda_{1/2}(16/alpha^2) for alpha >= 4, the binomial series of m(4r)
     below 4."""
@@ -80,32 +79,20 @@ def m_series(alpha, ctx: PrecisionCtx | None = None, tol=None,
         if alpha >= 4:
             with ctx.workprec(64):
                 z = 16 / alpha ** 2
-            lam = lambda_series(_HALF, z, ctx, tol=tol, counter=counter)
+            lam = lambda_series(_HALF, z, ctx, tol=tol)
             return +(log(alpha) - lam / 2)
         r = alpha / 4
         rsq = r * r
         if 4 - alpha < mpf("1e-3"):
             warnings.warn("alpha within 1e-3 below the branch point 4; series "
                           "converges like 1/n^2", SlowConvergenceWarning)
+
+        def terms():
+            return (r * c / (2 * n + 1) for n, c in enumerate(_csq_terms(r)))
+
         if rsq > _ACCEL_THRESHOLD:
-            return +_m_series_accel(r, tol, ctx, counter)
-        terms = (r * c / (2 * n + 1) for n, c in enumerate(_csq_terms(r)))
-        s = sum_geometric(terms, tol, ratio=rsq, max_terms=ctx.max_terms,
-                          counter=counter)
-        return +s
-
-
-def _m_series_accel(r, tol, ctx, counter):
-    state = {}
-
-    def term(n):
-        if n == 0:
-            state["c"] = mpf(1)
-        c = state["c"]
-        state["c"] = c * ((2 * n + 1) ** 2 * r * r) / (4 * (n + 1) ** 2)
-        return r * c / (2 * n + 1)
-
-    return richardson_sum(term, tol, max_terms=ctx.max_terms, counter=counter)
+            return +richardson_sum(terms, tol, max_terms=ctx.max_terms)
+        return +sum_geometric(terms(), tol, ratio=rsq, max_terms=ctx.max_terms)
 
 
 def s_ratio(r, ctx: PrecisionCtx | None = None) -> mpf:
@@ -118,18 +105,15 @@ def s_ratio(r, ctx: PrecisionCtx | None = None) -> mpf:
         return +(m_series(4 / r, ctx) / m_series(4 * r, ctx))
 
 
-def rv_series(x, ctx: PrecisionCtx | None = None, tol=None,
-              counter: TermCounter | None = None) -> mpf:
+def rv_series(x, ctx: PrecisionCtx | None = None, tol=None) -> mpf:
     """sum_{n>=1} (3n)!/(n n!^3) x^n = Lambda_{1/3}(27x); requires
     -1 < 27x <= 1.  (3n)!/n!^3 = 27^n (1/3)_n (2/3)_n / n!^2."""
     ctx = ensure_ctx(ctx)
     with ctx.workprec(32):
-        return lambda_series(_THIRD, 27 * to_mpf(x), ctx, tol=tol,
-                             counter=counter)
+        return lambda_series(_THIRD, 27 * to_mpf(x), ctx, tol=tol)
 
 
-def n_series(alpha, ctx: PrecisionCtx | None = None, tol=None,
-             counter: TermCounter | None = None) -> mpf:
+def n_series(alpha, ctx: PrecisionCtx | None = None, tol=None) -> mpf:
     """n(alpha) = log(alpha) - rv_series(alpha^-3)/3 for alpha > 3.
 
     The error is at most tol/3.
@@ -139,7 +123,7 @@ def n_series(alpha, ctx: PrecisionCtx | None = None, tol=None,
         alpha = to_mpf(alpha)
         if alpha <= 3:
             raise DomainError("n_series requires alpha > 3")
-        s = rv_series(1 / alpha ** 3, ctx, tol=tol, counter=counter)
+        s = rv_series(1 / alpha ** 3, ctx, tol=tol)
         return +(log(alpha) - s / 3)
 
 

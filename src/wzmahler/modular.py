@@ -20,7 +20,6 @@ from mpmath import exp, log, mp, mpf, pi, polyroots, sin, sqrt
 from .context import (DomainError, PrecisionCtx, RootIdentificationError,
                       ensure_ctx, to_mpf)
 from .numkernel import connection_pair
-from .series import TermCounter
 
 
 def phi_theta(q, ctx: PrecisionCtx | None = None) -> mpf:
@@ -60,7 +59,7 @@ def xq_product(q, ctx: PrecisionCtx | None = None) -> mpf:
             n += 1
 
 
-def _nome(s: Fraction, beta, ctx, counter) -> mpf:
+def _nome(s: Fraction, beta, ctx) -> mpf:
     """exp(-(pi/sin(pi s)) F_s(1-beta)/F_s(beta)), F_s = 2F1(s,1-s;1;.), from
     the kernel's pair (F_s, G_s) at whichever of beta, 1-beta is <= 1/2:
 
@@ -73,27 +72,25 @@ def _nome(s: Fraction, beta, ctx, counter) -> mpf:
     # full working precision: downstream values (q, x(q)) inherit this accuracy
     tol = mpf(2) ** (-(ctx.bits + 24))
     if beta <= mpf(1) / 2:
-        f, g = connection_pair(s, beta, ctx, tol=tol, counter=counter)
+        f, g = connection_pair(s, beta, ctx, tol=tol)
         return +(beta * exp(-g / f))
     w = 1 - beta
-    f, g = connection_pair(s, w, ctx, tol=tol, counter=counter)
+    f, g = connection_pair(s, w, ctx, tol=tol)
     return +exp(-(pi / sin(pi * to_mpf(s))) ** 2 * f / (g - log(w) * f))
 
 
-def q_from_beta2(beta, ctx: PrecisionCtx | None = None,
-                 counter: TermCounter | None = None) -> mpf:
+def q_from_beta2(beta, ctx: PrecisionCtx | None = None) -> mpf:
     """Signature-2 nome: q = exp(-pi 2F1(1/2,1/2;1;1-b)/2F1(1/2,1/2;1;b))."""
     ctx = ensure_ctx(ctx)
     with ctx.workprec(16):
-        return _nome(Fraction(1, 2), beta, ctx, counter)
+        return _nome(Fraction(1, 2), beta, ctx)
 
 
-def q3_from_beta(beta, ctx: PrecisionCtx | None = None,
-                 counter: TermCounter | None = None) -> mpf:
+def q3_from_beta(beta, ctx: PrecisionCtx | None = None) -> mpf:
     """Signature-3 nome with the 2F1(1/3,2/3;1;.) quotient and 2*pi/sqrt(3)."""
     ctx = ensure_ctx(ctx)
     with ctx.workprec(16):
-        return _nome(Fraction(1, 3), beta, ctx, counter)
+        return _nome(Fraction(1, 3), beta, ctx)
 
 
 def beta2_from_q(q, ctx: PrecisionCtx | None = None) -> mpf:

@@ -22,7 +22,7 @@ from mpmath import zeta as _mp_zeta
 
 from .context import (ConvergenceError, DivergentSeriesError, DomainError,
                       PoleError, PrecisionCtx, ensure_ctx, to_mpf)
-from .series import TermCounter, sum_geometric
+from .series import count_terms, sum_geometric
 
 GUARD_LI2 = 24  # extra bits sought from the Li2 kernels beyond ctx.bits
 
@@ -210,8 +210,7 @@ def _lambda_at_one(s: Fraction, prec: int) -> mpf:
         return +(log(exp_h0) - w * d / pi)
 
 
-def lambda_series(s, z, ctx: PrecisionCtx | None = None, tol=None,
-                  counter: TermCounter | None = None) -> mpf:
+def lambda_series(s, z, ctx: PrecisionCtx | None = None, tol=None) -> mpf:
     """Lambda_s(z) = sum_{n>=1} c_n z^n/n = int_0^z (F_s(t) - 1)/t dt for
     -1 < z <= 1, to within tol (default ctx.target_tol).
 
@@ -239,12 +238,11 @@ def lambda_series(s, z, ctx: PrecisionCtx | None = None, tol=None,
         tol = mpf(tol) if tol is not None else ctx.target_tol
         if z < LAMBDA_SWITCH:
             return +sum_geometric(_lambda_terms(s, z), tol, ratio=abs(z),
-                                  max_terms=ctx.max_terms, counter=counter)
+                                  max_terms=ctx.max_terms)
         top = _lambda_at_one(s, mp.prec)
         if z == 1:
             return top
-        return +(top - _connection_integral(s, 1 - z, tol, ctx.max_terms,
-                                            counter))
+        return +(top - _connection_integral(s, 1 - z, tol, ctx.max_terms))
 
 
 def _lambda_terms(s, z):
@@ -256,7 +254,7 @@ def _lambda_terms(s, z):
         zpow *= z
 
 
-def _connection_integral(s, w, tol, max_terms, counter):
+def _connection_integral(s, w, tol, max_terms):
     kappa = sin(pi * to_mpf(s)) / pi
     logw = log(w)
     big_l = 1 - logw
@@ -274,15 +272,14 @@ def _connection_integral(s, w, tol, max_terms, counter):
         bound = ((abs(a) + b * big_l) / (m + 2) + kc * (h + big_l)) \
             * wpow * w * tail
         if bound < tol:
-            if counter is not None:
-                counter.add(m + 1)
+            count_terms(m + 1)
             return total
         if m + 1 >= max_terms:
             raise ConvergenceError("connection expansion budget exhausted")
 
 
-def connection_pair(s, x, ctx: PrecisionCtx | None = None, tol=None,
-                    counter: TermCounter | None = None) -> tuple[mpf, mpf]:
+def connection_pair(s, x, ctx: PrecisionCtx | None = None,
+                    tol=None) -> tuple[mpf, mpf]:
     """(F_s(x), G_s(x)) with G_s(x) = sum c_n h_n x^n, for 0 <= x <= 1/2,
     each to within tol (default ctx.target_tol).
 
@@ -305,8 +302,7 @@ def connection_pair(s, x, ctx: PrecisionCtx | None = None, tol=None,
             g += c * h * xpow
             xpow *= x
             if c * (1 + h) * xpow * tail < tol:
-                if counter is not None:
-                    counter.add(n + 1)
+                count_terms(n + 1)
                 return +f, +g
             if n + 1 >= ctx.max_terms:
                 raise ConvergenceError("connection pair budget exhausted")

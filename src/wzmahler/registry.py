@@ -35,7 +35,7 @@ from .mahler import (m_quadrature, m_series, n_quadrature, n_series, rv_series,
                      s_ratio)
 from .modular import phi_theta, q3_from_beta, xq_product
 from .numkernel import gamma_real, zeta_int
-from .series import TermCounter, richardson_sum, sum_geometric
+from .series import TermCounter, count_terms, richardson_sum, sum_geometric
 from .symbolic.pairs import builtin_pairs
 from .symbolic.pfq import pfq_eval
 from .symbolic.wz import WZPair, wz_verify
@@ -110,48 +110,32 @@ def _periods_for(name: str, ctx: PrecisionCtx):
 # ---------------------------------------------------------------------------
 
 class _Side:
-    """Runs ``self.value(ctx, param, counter)`` at the context's working
-    precision and returns the value with the number of terms it used."""
+    """Runs ``self.value(ctx, param)`` at the context's working precision and
+    returns the value with the number of series terms it summed."""
 
     def __call__(self, ctx, param):
-        counter = TermCounter()
-        with ctx.workprec(32):
-            return +self.value(ctx, param, counter), counter.count
+        with TermCounter() as counter, ctx.workprec(32):
+            value = +self.value(ctx, param)
+        return value, counter.count
 
 
 @dataclass(frozen=True)
 class Formula(_Side):
-    """A side written out as ``f(ctx, param, counter) -> value``."""
+    """A side written out as ``f(ctx, param) -> value``."""
     f: Callable
 
-    def value(self, ctx, param, counter):
-        return self.f(ctx, param, counter)
-
-
-def _sum_series(terms: Callable, bound, tol, ctx, counter):
-    """Sum of the series ``terms()`` yields: directly with a geometric tail
-    when ``bound`` < 1 bounds its term ratio, else Richardson accelerated
-    (the terms then restart at every extrapolation depth)."""
-    if bound < 1:
-        return sum_geometric(terms(), tol, ratio=bound,
-                             max_terms=ctx.max_terms, counter=counter)
-    gen = None
-
-    def term(j):
-        nonlocal gen
-        if j == 0:
-            gen = terms()
-        return next(gen)
-
-    return richardson_sum(term, tol, max_terms=ctx.max_terms, counter=counter)
+    def value(self, ctx, param):
+        return self.f(ctx, param)
 
 
 @dataclass(frozen=True)
 class HyperSum(_Side):
     """head + scale * sum_{n>=start} weight(n) c_n, with c_0 = 1 and
     c_n = step(n, c_{n-1}), at inner tolerance 10**-tol.  ``ratio``, the limit
-    of the term ratio, times the decimal ``slack`` bounds the term ratio; head,
-    scale, ratio and slack are converted at the working precision."""
+    of the term ratio, times the decimal ``slack`` bounds the term ratio; a
+    bound below 1 sums directly with a geometric tail, any other by Richardson
+    extrapolation.  Head, scale, ratio and slack are converted at the working
+    precision."""
     step: Callable
     weight: Callable
     ratio: Fraction | mpf
@@ -169,14 +153,18 @@ class HyperSum(_Side):
             if n >= self.start:
                 yield self.weight(n) * c
 
-    def value(self, ctx, param, counter):
+    def value(self, ctx, param):
         bound = to_mpf(self.ratio) * mpf(self.slack)
-        s = _sum_series(self.terms, bound, mpf(10) ** -self.tol, ctx, counter)
+        tol = mpf(10) ** -self.tol
+        if bound < 1:
+            s = sum_geometric(self.terms(), tol, ratio=bound,
+                              max_terms=ctx.max_terms)
+        else:
+            s = richardson_sum(self.terms, tol, max_terms=ctx.max_terms)
         return to_mpf(self.head) + to_mpf(self.scale) * s
 
 
-def n_lattice(alpha, ctx: PrecisionCtx | None = None,
-              counter: TermCounter | None = None) -> mpf:
+def n_lattice(alpha, ctx: PrecisionCtx | None = None) -> mpf:
     """n(alpha) for alpha > 3 by the elliptic-dilogarithm form of Lalin's
     theorem: (9/2pi) sum_n D(e^(2pi i/3) q^n) at the signature-3 nome
     q = q3_from_beta(1 - 27/alpha^3).  ArithmeticError unless 3 x(q)^(1/3)
@@ -186,34 +174,33 @@ def n_lattice(alpha, ctx: PrecisionCtx | None = None,
         alpha = to_mpf(alpha)
         if alpha <= 3:
             raise DomainError("n_lattice requires alpha > 3")
-        q = q3_from_beta(1 - 27 / alpha ** 3, ctx, counter=counter)
+        q = q3_from_beta(1 - 27 / alpha ** 3, ctx)
         gap = abs(3 * cbrt(xq_product(q, ctx)) - alpha)
         if gap > mpf(2) ** (-(ctx.bits // 2)):
             raise ArithmeticError(
                 f"3 x(q)^(1/3) misses alpha = {mp.nstr(alpha, 12)} by "
                 f"{mp.nstr(gap, 3)}")
-        lat = lattice_dilog_sum(mpc(-1, sqrt(mpf(3))) / 2, q, ctx,
-                                counter=counter)
+        lat = lattice_dilog_sum(mpc(-1, sqrt(mpf(3))) / 2, q, ctx)
         return +(9 * lat / (2 * pi))
 
 
-# The quantities a Combo term can name, as (arg, ctx, tol, counter) -> value.
+# The quantities a Combo term can name, as (arg, ctx, tol) -> value.
 # The lambdas look each function up by its module-global name at call time,
 # so rebinding that name (as perfbench's tracer does) reaches these calls.
 _QUANTITIES = {
-    "m": lambda a, ctx, tol, counter: m_series(a, ctx, tol=tol, counter=counter),
-    "m_quad": lambda a, ctx, tol, _: m_quadrature(a, ctx, tol=tol),
-    "n": lambda a, ctx, tol, counter: n_series(a, ctx, tol=tol, counter=counter),
-    "n_quad": lambda a, ctx, tol, _: n_quadrature(a, ctx, tol=tol),
-    "n_lattice": lambda a, ctx, _, counter: n_lattice(a, ctx, counter=counter),
-    "rv": lambda x, ctx, tol, counter: rv_series(x, ctx, tol=tol, counter=counter),
-    "L(i)": lambda q, ctx, _, counter: lattice_dilog_sum(mpc(0, 1), q, ctx, counter=counter),
-    "L(e^(2pi i/3))": lambda q, ctx, _, counter: lattice_dilog_sum(
-        mpc(-1, sqrt(mpf(3))) / 2, q, ctx, counter=counter),
-    "L(e^(pi i/3))": lambda q, ctx, _, counter: lattice_dilog_sum(
-        mpc(1, sqrt(mpf(3))) / 2, q, ctx, counter=counter),
-    "D^E(bertin)": lambda loc, ctx, _, counter: elliptic_dilog(
-        BERTIN_CURVE, loc, ctx, per=_periods_for("bertin", ctx), counter=counter),
+    "m": lambda a, ctx, tol: m_series(a, ctx, tol=tol),
+    "m_quad": lambda a, ctx, tol: m_quadrature(a, ctx, tol=tol),
+    "n": lambda a, ctx, tol: n_series(a, ctx, tol=tol),
+    "n_quad": lambda a, ctx, tol: n_quadrature(a, ctx, tol=tol),
+    "n_lattice": lambda a, ctx, _: n_lattice(a, ctx),
+    "rv": lambda x, ctx, tol: rv_series(x, ctx, tol=tol),
+    "L(i)": lambda q, ctx, _: lattice_dilog_sum(mpc(0, 1), q, ctx),
+    "L(e^(2pi i/3))": lambda q, ctx, _: lattice_dilog_sum(
+        mpc(-1, sqrt(mpf(3))) / 2, q, ctx),
+    "L(e^(pi i/3))": lambda q, ctx, _: lattice_dilog_sum(
+        mpc(1, sqrt(mpf(3))) / 2, q, ctx),
+    "D^E(bertin)": lambda loc, ctx, _: elliptic_dilog(
+        BERTIN_CURVE, loc, ctx, per=_periods_for("bertin", ctx)),
 }
 
 # Computed arguments a Combo term can name, as (ctx, param) -> value; any
@@ -245,13 +232,13 @@ class Combo(_Side):
     tol: int | None = None
     over_pi: bool = False
 
-    def value(self, ctx, param, counter):
+    def value(self, ctx, param):
         tol = None if self.tol is None else mpf(10) ** -self.tol
         total = mpf(0)
         for coeff, name, arg in self.terms:
             c = to_mpf(coeff) / pi if self.over_pi else to_mpf(coeff)
             a = _ARGS[arg](ctx, param) if isinstance(arg, str) else arg
-            total += c * _QUANTITIES[name](a, ctx, tol, counter)
+            total += c * _QUANTITIES[name](a, ctx, tol)
         return total
 
 
@@ -277,7 +264,7 @@ def _gamma_quotient(x, ctx):
 
 
 @Formula
-def _gen1_rhs(ctx, x, counter):
+def _gen1_rhs(ctx, x):
     def terms():
         xv, p, c = to_mpf(x), mpf(1), mpf(1)
         for n in count():
@@ -285,11 +272,11 @@ def _gen1_rhs(ctx, x, counter):
             p = p * (mpf("0.5") + xv + n) / (1 + xv + n)  # (1/2+x)_n/(1+x)_n
             c = c * (2 * n + 1) / (2 * mpf(n + 1))         # C(2n,n)/4^n
 
-    return _sum_series(terms, 1, mpf(10) ** -31, ctx, counter)
+    return richardson_sum(terms, mpf(10) ** -31, max_terms=ctx.max_terms)
 
 
 @Formula
-def _gen3_rhs(ctx, x, counter):
+def _gen3_rhs(ctx, x):
     with ctx.workprec(64):
         xv = to_mpf(x)
 
@@ -306,9 +293,9 @@ def _gen3_rhs(ctx, x, counter):
 
         gen = terms()
         head = sum(islice(gen, 8), mpf(0))
-        counter.add(8)
+        count_terms(8)
         return head + sum_geometric(gen, mpf(10) ** -31, ratio=mpf("0.25"),
-                                    max_terms=ctx.max_terms, counter=counter)
+                                    max_terms=ctx.max_terms)
 
 
 _ZETA2_LHS = Formula(lambda ctx, *_: -zeta_int(2, ctx) + 4 * log(mpf(2)) ** 2)
@@ -323,19 +310,21 @@ def _zeta2_laurent_rhs(ctx, _):
             yield mpf(4 * n + 1) / ((2 * n) * (2 * n + 1)) * c * \
                 (-mpf(2 * n + 1) / ((2 * n) * (4 * n + 1)) + a)
 
-    counter = TermCounter()
-    # interpretation check first, at low precision: the 2n-th partial sum of
-    # the alternating harmonic series must reproduce the constant to ~1e-3
-    with workprec(80):
-        probe = 2 * sum(islice(terms(), 600))
-        lhs, _ = _ZETA2_LHS(ctx, None)
-        gap = abs(probe - lhs)
-        if gap > mpf("1e-3"):
-            raise ArithmeticError(
-                f"partial-sum interpretation of A_2n fails: gap {mp.nstr(gap, 3)}")
-        note = f"interpretation check gap {mp.nstr(gap, 3)} at 600 direct terms"
-    counter.add(600)
-    return 2 * _sum_series(terms, 1, mpf(10) ** -11, ctx, counter), counter.count, note
+    with TermCounter() as counter:
+        # interpretation check first, at low precision: the 2n-th partial sum
+        # of the alternating harmonic series must reproduce the constant to
+        # ~1e-3
+        with workprec(80):
+            probe = 2 * sum(islice(terms(), 600))
+            lhs, _ = _ZETA2_LHS(ctx, None)
+            gap = abs(probe - lhs)
+            if gap > mpf("1e-3"):
+                raise ArithmeticError(
+                    f"partial-sum interpretation of A_2n fails: gap {mp.nstr(gap, 3)}")
+            note = f"interpretation check gap {mp.nstr(gap, 3)} at 600 direct terms"
+        count_terms(600)
+        value = 2 * richardson_sum(terms, mpf(10) ** -11, max_terms=ctx.max_terms)
+    return value, counter.count, note
 
 
 def _finite_lhs(ctx, m):
@@ -346,24 +335,24 @@ def _finite_lhs(ctx, m):
 
 
 @Formula
-def _finite_rhs(ctx, m, counter):
+def _finite_rhs(ctx, m):
     head = Fraction(-4) + sum(Fraction(6 * comb(2 * n, n), n) for n in range(1, m))
     pref = Fraction(comb(2 * m, m) ** 2, 2 * m)
     sub_tol = mpf(10) ** -9 / (8 * to_mpf(pref))
     f43 = pfq_eval([1, 1, 2 * m, 2 * m], [m + 1, m + 1, 2 * m + 1],
-                   mpf(1), ctx, tol=sub_tol, counter=counter)
+                   mpf(1), ctx, tol=sub_tol)
     return to_mpf(head) + to_mpf(pref) * f43
 
 
 @Formula
-def _log4r_rhs(ctx, r, counter):
+def _log4r_rhs(ctx, r):
     """rs + sum_{n>=1} (2(1+rs)n+1)/((2n)(2n+1)) C(2n,n)^2 (r/4)^(2n)"""
     rv = to_mpf(r)
     rs = rv * s_ratio(rv, ctx)
     return HyperSum(lambda n, c: c * (2 * n - 1) ** 2 * rv * rv / (4 * n * n),
                     lambda n: (2 * (1 + rs) * n + 1) / ((2 * n) * (2 * n + 1)),
                     ratio=rv * rv, tol=11 if rv == 1 else 32, head=rs,
-                    start=1).value(ctx, r, counter)
+                    start=1).value(ctx, r)
 
 
 def _torsion_lhs(ctx, _):
@@ -420,10 +409,10 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
                        KIND_NUMERIC, Formula(lambda *_: 8 * log(mpf(2))),
                        _log2_sum(15, 2, 8, Fraction(11, 2), 42), t[40]),
         IdentityRecord("log2-f1-gen", "pi G(x)G(x+1)/G(x+1/2)^2 as a 2^(-2n) binomial sum",
-                       KIND_NUMERIC, Formula(lambda ctx, x, _: _gamma_quotient(x, ctx)),
+                       KIND_NUMERIC, Formula(lambda ctx, x: _gamma_quotient(x, ctx)),
                        _gen1_rhs, t[30], params=gen_x),
         IdentityRecord("log2-f3-gen", "4 pi G(x)G(x+1)/G(x+1/2)^2 as the 2^(-6n) kernel sum",
-                       KIND_NUMERIC, Formula(lambda ctx, x, _: 4 * _gamma_quotient(x, ctx)),
+                       KIND_NUMERIC, Formula(lambda ctx, x: 4 * _gamma_quotient(x, ctx)),
                        _gen3_rhs, t[30], params=gen_x),
         IdentityRecord("zeta2-laurent", "-zeta(2) + 4 log^2 2 from the Laurent coefficient sum",
                        KIND_NUMERIC, _ZETA2_LHS, _zeta2_laurent_rhs, t[10],
@@ -451,7 +440,7 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
                        Combo(((2, "m", "3sqrt2"),), 42), t[40]),
         IdentityRecord("log4r-identity",
                        "log(4/r) = rs + sum (2(1+rs)n+1)/((2n)(2n+1)) C(2n,n)^2 (r/4)^(2n)",
-                       KIND_NUMERIC, Formula(lambda ctx, r, _: log(4 / to_mpf(r))),
+                       KIND_NUMERIC, Formula(lambda ctx, r: log(4 / to_mpf(r))),
                        _log4r_rhs, t[10],
                        params=(Fraction(1, 5), Fraction(1, 3), Fraction(1, 2),
                                Fraction(2, 3), Fraction(1)),
@@ -527,11 +516,10 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
                        note="1/n^2 tail despite the 2^(-6n) appearance; accelerated"),
         IdentityRecord("rs-param", "m(4/r)/m(4r) = L(i,q)/L(i,-q) with r = phi^2(-q)/phi^2(q)",
                        KIND_NUMERIC,
-                       Formula(lambda ctx, q, _: s_ratio(phi_theta(-to_mpf(q), ctx) ** 2
-                                                         / phi_theta(to_mpf(q), ctx) ** 2, ctx)),
-                       Formula(lambda ctx, q, counter: (
-                           lattice_dilog_sum(mpc(0, 1), to_mpf(q), ctx, counter=counter)
-                           / lattice_dilog_sum(mpc(0, 1), -to_mpf(q), ctx, counter=counter))),
+                       Formula(lambda ctx, q: s_ratio(phi_theta(-to_mpf(q), ctx) ** 2
+                                                      / phi_theta(to_mpf(q), ctx) ** 2, ctx)),
+                       Formula(lambda ctx, q: (lattice_dilog_sum(mpc(0, 1), to_mpf(q), ctx)
+                                               / lattice_dilog_sum(mpc(0, 1), -to_mpf(q), ctx))),
                        t[15], params=(Fraction(1, 10), Fraction(1, 4))),
         IdentityRecord("torsion-orders", "orders of P1..P4 and Bertin's P by the exact group law",
                        KIND_EXACT, _torsion_lhs, lambda ctx, _: ((4, 4, 4, 4, 6), 0), None),

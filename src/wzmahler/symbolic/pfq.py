@@ -12,11 +12,11 @@ from mpmath import isint, mp, mpf
 
 from ..context import (DivergentSeriesError, DomainError, PrecisionCtx,
                        ensure_ctx, to_mpf)
-from ..series import TermCounter, richardson_sum, sum_geometric
+from ..series import count_terms, richardson_sum, sum_geometric
 
 
 def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx | None = None,
-             tol=None, counter: TermCounter | None = None) -> mpf:
+             tol=None) -> mpf:
     """Sum pFq(tops; bottoms; z) to tolerance (default: ctx.target_tol)."""
     ctx = ensure_ctx(ctx)
     with ctx.workprec(64):
@@ -34,8 +34,6 @@ def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx | None = None,
             if excess <= 0:
                 raise DivergentSeriesError(
                     f"parameter excess {mp.nstr(excess, 8)} <= 0 at |z| = 1")
-            if z == 1:
-                return +_pfq_at_one(tops, bottoms, ctx, tol, counter)
             # z = -1 with positive excess: alternating, summed directly below
 
         def ratio(n):
@@ -55,6 +53,8 @@ def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx | None = None,
                 t = t * ratio(n)
                 n += 1
 
+        if z == 1:
+            return +richardson_sum(terms, tol, max_terms=ctx.max_terms)
         # term ratio tends to |z|; past n0 it is within (1+|z|)/2
         n0 = int(max((abs(a) for a in tops + bottoms), default=1)) + 2
         bound = (1 + abs(z)) / 2 if abs(z) < 1 else mpf("0.999")
@@ -62,31 +62,6 @@ def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx | None = None,
         head = mpf(0)
         for _ in range(n0):
             head += next(gen)
-        if counter is not None:
-            counter.add(n0)
-        tail = sum_geometric(gen, tol, ratio=bound, max_terms=ctx.max_terms,
-                             counter=counter)
+        count_terms(n0)
+        tail = sum_geometric(gen, tol, ratio=bound, max_terms=ctx.max_terms)
         return +(head + tail)
-
-
-def _pfq_at_one(tops, bottoms, ctx, tol, counter):
-    state = {"t": mpf(1), "n": 0}
-
-    def term(n):
-        # terms must be requested consecutively from n = 0
-        if n == 0:
-            state["t"] = mpf(1)
-            state["n"] = 0
-        assert n == state["n"]
-        t = state["t"]
-        num = mpf(1)
-        for a in tops:
-            num *= a + n
-        den = mpf(n + 1)
-        for b in bottoms:
-            den *= b + n
-        state["t"] = t * num / den
-        state["n"] = n + 1
-        return t
-
-    return richardson_sum(term, tol, max_terms=ctx.max_terms, counter=counter)

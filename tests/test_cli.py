@@ -81,7 +81,14 @@ def test_usage_error():
                                   ["--max-terms", "0", "all"],
                                   ["all", "--jobs", "0"],
                                   ["all", "--jobs", "-3"],
-                                  ["verify", "log2-f3", "--jobs", "7"]])
+                                  ["verify", "log2-f3", "--jobs", "7"],
+                                  ["--bits", "32", "--tol", "abc", "list"],
+                                  ["--bits", "256", "list"],
+                                  ["list", "--tol", "1e-10"],
+                                  ["--max-terms", "100", "list"],
+                                  ["list", "--format", "json"],
+                                  ["--quiet", "list"],
+                                  ["list", "--quiet"]])
 def test_bad_flag_values_are_usage_errors(capsys, argv):
     # a value the run cannot honour is refused with one line on stderr
     # and exit code 2, before any check runs

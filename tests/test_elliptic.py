@@ -286,8 +286,8 @@ def test_lattice_sum_rounding_against_mpf_loop(name, q, bits):
         z0 = _registry_point(name, q)
         z = z0 * q ** int(nint(log(abs(z0)) / -log(abs(q))))  # kernel's shift
         d = bloch_wigner(z, ctx)
-        counter = TermCounter()
-        val = lattice_dilog_sum(z0, q, ctx, counter=counter)
+        with TermCounter() as counter:
+            val = lattice_dilog_sum(z0, q, ctx)
     eps = mpf(2) ** -(bits + GUARD_LI2)
     with workprec(w + 300):
         up, k_up = _half_sum_reference(z, q, eps)
@@ -308,8 +308,8 @@ def test_lattice_sum_term_counts(bits, at_i, at_bertin):
         cases = [(mpc(0, 1), mpf(1) / 4, at_i), (mpc(0, 1), -mpf(1) / 4, at_i),
                  (_registry_point(_BERTIN_POINT, q_b), q_b, at_bertin)]
     for z0, q, expected in cases:
-        counter = TermCounter()
-        lattice_dilog_sum(z0, q, ctx, counter=counter)
+        with TermCounter() as counter:
+            lattice_dilog_sum(z0, q, ctx)
         assert counter.count == expected, (bits, q)
 
 
@@ -367,8 +367,8 @@ def test_lattice_sum_domain_and_budget():
         lattice_dilog_sum(z_b, q_b, short)
     # the counter receives the expansion terms of both half-sums plus D(z0);
     # on the unit circle with q > 0 both half-sums stop at the same k
-    counter = TermCounter()
-    lattice_dilog_sum(mpc(0, 1), mpf(1) / 4, CTX, counter=counter)
+    with TermCounter() as counter:
+        lattice_dilog_sum(mpc(0, 1), mpf(1) / 4, CTX)
     assert counter.count % 2 == 1 and 200 < counter.count < 400
 
 

@@ -13,7 +13,7 @@ from wzmahler.registry import (lookup, n_lattice, registry_entries,
                                run_check)
 
 CTX = PrecisionCtx(bits=256)
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "report-256.json")
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "report-{bits}.json")
 
 MINIMUM_IDS = {
     "wz-pair-1", "wz-pair-3", "wz-pair-divergent",
@@ -110,30 +110,35 @@ def test_report_invariant_and_determinism():
 
 
 def test_run_all_jobs_parity():
-    """The whole registry: every report field but elapsed_ms is independent
-    of --jobs and equal to the checked-in report.  After a change that moves
-    a value on purpose, regenerate that report from the repository root with
+    """The whole registry: every report field but elapsed_ms is equal to the
+    checked-in report at 256 and at 512 bits, and at 256 bits independent of
+    --jobs.  After a change that moves a value on purpose, regenerate both
+    reports from the repository root with
 
-    PYTHONPATH=src python -m wzmahler.cli --format json all | python -c "import json, sys; d = json.load(sys.stdin); [r.pop('elapsed_ms') for r in d['reports']]; print(json.dumps(d, indent=2))" > tests/data/report-256.json
+    for b in 256 512; do PYTHONPATH=src python -m wzmahler.cli --bits $b --format json all | python -c "import json, sys; d = json.load(sys.stdin); [r.pop('elapsed_ms') for r in d['reports']]; print(json.dumps(d, indent=2))" > tests/data/report-$b.json; done
     """
-    def stripped(jobs):
-        reports, code = run_all(jobs=jobs, ctx=CTX)
+    def stripped(jobs, bits):
+        reports, code = run_all(jobs=jobs, ctx=PrecisionCtx(bits=bits))
+        assert code == 0
         data = json.loads(reports_to_json(reports))
         for row in data["reports"]:
             del row["elapsed_ms"]
-        return data, code
+        return data
+
+    def golden(bits):
+        with open(GOLDEN.format(bits=bits)) as fh:
+            return json.load(fh)
 
     def by_id(data):
         return {row["id"]: row for row in data["reports"]}
 
-    (seq, code1), (par, code2) = stripped(1), stripped(2)
-    assert code1 == code2 == 0
-    with open(GOLDEN) as fh:
-        golden = json.load(fh)
-    rows = by_id(seq)
-    for name, other in (("jobs=2", par), ("golden", golden)):
-        assert seq["schema"] == other["schema"]
-        theirs = by_id(other)
+    seq = stripped(1, 256)
+    # --jobs 2 at 256 bits only: each 512-bit pass adds ~1.5 s
+    checks = [(seq, "jobs=2", stripped(2, 256)), (seq, "golden", golden(256)),
+              (stripped(1, 512), "512-bit golden", golden(512))]
+    for ours, name, other in checks:
+        assert ours["schema"] == other["schema"]
+        rows, theirs = by_id(ours), by_id(other)
         assert list(rows) == list(theirs), name
         for ident, row in rows.items():
             assert row == theirs[ident], f"{ident} differs from the {name} report"
