@@ -19,7 +19,8 @@ for name, pair in pairs.items():
     print(report)
 
 print()
-print("The certificate data itself is small. For the first pair:")
+print("The certificate data for the first pair, each quotient over a common\n"
+      "denominator, not reduced:")
 q1, q2, q3 = certificate_components(pairs["pair-1"])
 print("  F(n+1,k)/F(n,k) =", q1)
 print("  G(n,k)/F(n,k)   =", q2)

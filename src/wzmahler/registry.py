@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count, islice
-from math import comb
+from math import comb, log10
 from typing import Callable
 
 from mpmath import atan, cbrt, log, mp, mpc, mpf, pi, sqrt, workprec
@@ -566,6 +566,8 @@ def run_check(ident: str, ctx: PrecisionCtx | None = None,
             diff_s = "0" if lval == rval else "mismatch"
         else:
             params = rec.params if rec.params else (None,)
+            # significant digits that 2^-bits resolves, at most 40
+            digits = min(40, int(ctx.bits * log10(2)))
             worst = mpf(-1)
             lhs_s = rhs_s = diff_s = ""
             with workprec(ctx.bits + 64):
@@ -579,7 +581,7 @@ def run_check(ident: str, ctx: PrecisionCtx | None = None,
                         notes.append(f"param {p}: |diff| = {mp.nstr(diff, 6)}")
                     if diff > worst:
                         worst = diff
-                        lhs_s, rhs_s, diff_s = (mp.nstr(mpf(v), 40, strip_zeros=True)
+                        lhs_s, rhs_s, diff_s = (mp.nstr(mpf(v), digits, strip_zeros=True)
                                                 for v in (lval, rval, diff))
             status = "PASS" if worst <= tol else "FAIL"
             if rec.kind == KIND_CONJECTURAL:

@@ -98,10 +98,6 @@ class HyperTerm:
             pre = RatFunc.const(pre)
         return cls(tuple(clean), base, g_cn, g_ck, pre)
 
-    def scaled(self, factor) -> "HyperTerm":
-        return HyperTerm.build(self.gammas, self.base, self.g_cn, self.g_ck,
-                               self.pre * RatFunc.const(factor))
-
     def shifted(self, dn: int, dk: int) -> "HyperTerm":
         """T(n+dn, k+dk) with the constant part of the geometric factor folded
         into the prefactor (always an integer power of the base here)."""
@@ -141,7 +137,7 @@ def term_cross_ratio(a: HyperTerm, b: HyperTerm) -> RatFunc:
             continue
         frac = lf.c0 - floor(lf.c0)
         groups.setdefault((lf.cn, lf.ck, frac), []).append((lf, e))
-    # accumulate raw numerator/denominator; normalize once at the end
+    # accumulate one numerator and one denominator; the quotient is not reduced
     num = a.pre.num * b.pre.den
     den = a.pre.den * b.pre.num
     for key, members in groups.items():

@@ -27,6 +27,12 @@ from .wz import WZPair
 
 
 def parse_fixture(text: str) -> dict[str, WZPair]:
+    """Parse fixture text into pairs by name.
+
+    A ``pre`` line is kept as written, so write it in lowest terms: a common
+    factor of its numerator and denominator is not cancelled, and at a point
+    where that factor vanishes the prefactor raises instead of evaluating.
+    """
     pairs: dict[str, WZPair] = {}
     name = None
     terms: dict[str, HyperTerm] = {}

@@ -5,9 +5,10 @@ Dividing through by F turns the claim into a rational-function identity
 
     Q1 - 1 = Q3 - Q2,   Q1 = F(n+1,k)/F,  Q2 = G/F,  Q3 = G(n,k+1)/F,
 
-so a pair certifies exactly when the canonical form of Q1 - 1 - Q3 + Q2 is
-the zero rational function.  A failed check carries the nonzero numerator
-polynomial as its witness.
+so a pair certifies exactly when Q1 - 1 - Q3 + Q2 is the zero rational
+function, that is when its numerator over the common denominator is the
+zero polynomial.  A failed check carries that nonzero (unreduced) numerator
+as its witness.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def wz_verify(pair: WZPair) -> CertificateReport:
 
 def certificate_random_probe(pair: WZPair, points: int = 20, seed: int = 0) -> bool:
     """Probabilistic cross-check: evaluate Q1 - 1 - Q3 + Q2 at random rational
-    points without re-normalizing; must agree with the structural result."""
+    points, skipping those where a denominator vanishes; must agree with the
+    exact zero test of ``wz_verify``."""
     q1, q2, q3 = certificate_components(pair)
     rng = random.Random(seed)
     done = 0

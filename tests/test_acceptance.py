@@ -6,7 +6,10 @@ is being accepted; the property criteria (randomized functional equations,
 group laws, round trips) run directly against the library.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 
 from mpmath import asin, exp, log, mp, mpc, mpf, pi, sin, sqrt, workprec
@@ -233,3 +236,21 @@ def test_criterion_15_property_suites():
     assert elapsed < 60
     _report(15, "randomized functional equations, group laws, compositions, "
                 "round trips", elapsed)
+
+
+def test_demos_run():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    t0 = time.monotonic()
+    demos = sorted(f for f in os.listdir(os.path.join(root, "demos")) if f.endswith(".py"))
+    assert len(demos) == 4
+    for name in demos:
+        run = subprocess.run([sys.executable, os.path.join(root, "demos", name)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, f"{name}: {run.stderr}"
+        if name.startswith("01_"):
+            assert run.stdout.count("PASS (certificate polynomial == 0)") == 3
+            assert "==  F(31,1) - F(0,1): True" in run.stdout
+    _report("demos", "the four demo scripts exit 0", time.monotonic() - t0)

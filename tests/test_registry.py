@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 from mpmath import cbrt, log, mp, mpf, sqrt, workprec
@@ -107,6 +108,16 @@ def test_report_invariant_and_determinism():
     for a, b in zip(reports, again):
         assert (a.id, a.lhs_value, a.rhs_value, a.abs_diff) == \
             (b.id, b.lhs_value, b.rhs_value, b.abs_diff)
+    # at 64 bits a value string carries only the 19 significant digits
+    # that 2^-64 resolves
+    numeric = 0
+    for rep in run_all(ctx=PrecisionCtx(bits=64))[0]:
+        for v in (rep.lhs_value, rep.rhs_value, rep.abs_diff):
+            m = re.fullmatch(r"-?(\d+)\.?(\d*)(e[-+]?\d+)?", v)
+            if m:
+                numeric += 1
+                assert len((m[1] + m[2]).lstrip("0")) <= 19, f"{rep.id}: {v}"
+    assert numeric >= 60
 
 
 def test_run_all_jobs_parity():

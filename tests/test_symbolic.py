@@ -5,6 +5,7 @@ rewritten through gamma, shifted quotients reduced with expand_func/cancel,
 and the functional-equation combination must simplify to literal zero.
 """
 
+import operator
 import random
 from fractions import Fraction
 
@@ -16,8 +17,7 @@ from wzmahler import NonComparableError, PoleError
 from wzmahler.symbolic.hyperterm import (HyperTerm, LinForm, term_cross_ratio,
                                          term_eval_exact, term_eval_numeric,
                                          term_shift_ratio)
-from wzmahler.symbolic.multipoly import (MultiPoly, RatFunc, parse_ratfunc,
-                                         poly_gcd, ratfunc_arith)
+from wzmahler.symbolic.multipoly import MultiPoly, RatFunc, parse_ratfunc
 from wzmahler.symbolic.pairs import builtin_pairs, parse_fixture, serialize_fixture
 from wzmahler.symbolic.wz import (WZPair, certificate_random_probe,
                                   wz_verify)
@@ -37,15 +37,20 @@ def test_ratfunc_basic_identities():
     assert sq == n + k
     with pytest.raises(ZeroDivisionError):
         n / (k - k)
+    # equality by cross-multiplication, with no common factor cancelled
+    q = parse_ratfunc("(n + k)**2 * (2*n + 1)") / parse_ratfunc("(n + k) * (4*n + 2)")
+    assert q == parse_ratfunc("(n + k)/2")
+    assert q != parse_ratfunc("(n + k)/3")
+    assert ((n + k) / (n + k) - 1).is_zero
+    with pytest.raises(TypeError):
+        hash(q)
 
 
 def test_ratfunc_arith_dispatch():
     a = parse_ratfunc("n/(k+1)")
     b = parse_ratfunc("(n+1)/k")
-    assert ratfunc_arith(a, b, "mul") == parse_ratfunc("n*(n+1)/(k*(k+1))")
-    assert ratfunc_arith(a, b, "div") == parse_ratfunc("n*k/((k+1)*(n+1))")
-    with pytest.raises(ValueError):
-        ratfunc_arith(a, b, "pow")
+    assert operator.mul(a, b) == parse_ratfunc("n*(n+1)/(k*(k+1))")
+    assert operator.truediv(a, b) == parse_ratfunc("n*k/((k+1)*(n+1))")
 
 
 def test_ratfunc_arith_matches_fraction_eval():
@@ -54,24 +59,12 @@ def test_ratfunc_arith_matches_fraction_eval():
     funcs = [parse_ratfunc(e) for e in exprs]
     for a in funcs:
         for b in funcs:
-            for op, pyop in (("add", lambda x, y: x + y),
-                             ("sub", lambda x, y: x - y),
-                             ("mul", lambda x, y: x * y),
-                             ("div", lambda x, y: x / y)):
-                c = ratfunc_arith(a, b, op)
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                c = op(a, b)
                 for _ in range(6):
                     nv = Fraction(rng.randint(1, 60), rng.randint(1, 9))
                     kv = Fraction(rng.randint(1, 60), rng.randint(1, 9))
-                    assert c.eval(nv, kv) == pyop(a.eval(nv, kv), b.eval(nv, kv))
-
-
-def test_gcd_and_canonical_form():
-    p = parse_ratfunc("(n + k)**2 * (2*n + 1)").num
-    q = parse_ratfunc("(n + k) * (4*n + 2)").num
-    g = poly_gcd(p, q)
-    expect = parse_ratfunc("(n + k)*(n + 1/2)").num
-    # both are monic-normalized versions of (n+k)(2n+1)
-    assert g == expect.scale(1 / expect.leading()[1])
+                    assert c.eval(nv, kv) == op(a.eval(nv, kv), b.eval(nv, kv))
 
 
 def test_parse_str_round_trip():
@@ -194,12 +187,15 @@ def test_wz_certificates_against_sympy():
 
 
 def test_wz_negative_control():
-    p1 = PAIRS["pair-1"]
-    bad_g = HyperTerm.build(p1.G.gammas, p1.G.base, p1.G.g_cn, p1.G.g_ck,
-                            p1.G.pre + RatFunc.const(1))
-    rep = wz_verify(WZPair(p1.F, bad_g, "perturbed"))
-    assert not rep.passed
-    assert rep.witness is not None and not rep.witness.is_zero
+    for name, pair in PAIRS.items():
+        g = pair.G
+        for bad_pre in (g.pre + RatFunc.const(1), g.pre * 2):
+            bad_g = HyperTerm.build(g.gammas, g.base, g.g_cn, g.g_ck, bad_pre)
+            bad = WZPair(pair.F, bad_g, f"{name}-perturbed")
+            rep = wz_verify(bad)
+            assert not rep.passed, name
+            assert rep.witness is not None and not rep.witness.is_zero
+            assert not certificate_random_probe(bad, points=20)
 
 
 def test_certificate_random_probe_agrees():
