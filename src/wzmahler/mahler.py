@@ -32,10 +32,22 @@ is even: n(alpha) is 6 times its integral over [0, 1/6].  Near alpha = 3
 the curve is close to three lines meeting the torus at t = 0, 1/3, 2/3,
 which the reduction puts at the endpoint t = 0.
 
-The kinks where a root magnitude crosses 1 are located first (bisection on
-the number of roots outside the unit circle, which also sees two roots of
-equal magnitude crossing together) and made interval endpoints, which is
-what keeps tanh-sinh quadrature at full speed.
+For alpha > 3 the polynomial has no zero on the torus, since there
+|x^3 + y^3 + 1| <= 3 < alpha = |alpha x y|: no root magnitude crosses 1 and
+the integrand is analytic.  Its nearest singularities are the branch points
+of the roots, where the discriminant 4 alpha^3 y^3 - 27 (1 + y^3)^2 vanishes,
+at y^3 = Y+ and 1/Y+ with Y+ the larger root of
+Y^2 + (2 - 4 alpha^3/27) Y + 1 = 0.  The trapezoidal rule with N nodes per
+period then errs by about Y+^(-N) (Trefethen and Weideman, SIAM Review 56,
+2014), so it needs about N* = prec log 2/log Y+ nodes, with
+log Y+ = acosh(2 alpha^3/27 - 1).  n_quadrature takes that rule while N* is
+below _PERIODIC_MAX_NODES, and tanh-sinh otherwise: for alpha <= 3, and
+for alpha just above 3 (N* is 1,470 at (7 - sqrt 5)/4^(1/3) = 3.0011 and
+140 bits).  On the tanh-sinh route the kinks where a root magnitude
+crosses 1 are located first (bisection on the number of roots outside the
+unit circle, which also sees two roots of equal magnitude crossing
+together) and made interval endpoints, which is what keeps tanh-sinh
+quadrature at full speed.
 """
 
 from __future__ import annotations
@@ -50,9 +62,15 @@ from .context import (DomainError, PrecisionCtx,
                       QuadratureBudgetError, SlowConvergenceWarning,
                       ensure_ctx, to_mpf)
 from .numkernel import lambda_series
-from .series import richardson_sum, sum_geometric
+from .series import count_terms, richardson_sum, sum_geometric
 
 _ACCEL_THRESHOLD = mpf("0.9")  # switch to Richardson when r^2 exceeds this
+# Largest predicted node count N* for which n_quadrature takes the periodic
+# trapezoidal rule.  Measured at 140 bits (mpmath's Python backend, 2 vCPUs):
+# up to N* ~ 1,350 the rule stops at 1,024 nodes in ~0.8 of the tanh-sinh
+# route's time; beyond, it doubles to 2,048 nodes and takes ~1.8 times as
+# long.
+_PERIODIC_MAX_NODES = 1350
 _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 
 
@@ -162,6 +180,7 @@ def m_quadrature(alpha, ctx: PrecisionCtx | None = None, tol=mpf("1e-8")) -> mpf
             raise DomainError("m_quadrature requires alpha >= 0")
 
         def f(t):
+            count_terms(1)
             u = alpha + 2 * cos(2 * pi * t)
             au = fabs(u)
             if au <= 2:
@@ -205,7 +224,9 @@ def _cubic_root_mags(alpha, t):
 
 
 def _n_integrand(alpha, t):
-    """sum_i log+ |x_i(t)| over the roots of x^3 - alpha y x + 1 + y^3."""
+    """sum_i log+ |x_i(t)| over the roots of x^3 - alpha y x + 1 + y^3;
+    each call counts as one term."""
+    count_terms(1)
     total = mpf(0)
     for m in _cubic_root_mags(alpha, t):
         if m > 1:
@@ -270,15 +291,54 @@ def _n_breakpoints(alpha, grid: int = 64) -> list:
     return found
 
 
+def _n_trapezoid(alpha, gate):
+    """n(alpha) by the periodic trapezoidal rule, alpha > 3.
+
+    With N nodes t_k = k/(3N) per period 1/3 and the integrand f even, the
+    rule (1/N) sum_{k<N} f(t_k) is (2/N) (f(t_0)/2 + f(t_1) + ... +
+    f(t_{N/2-1}) + f(t_{N/2})/2), t_{N/2} = 1/6.  Each doubling of N from 8
+    reuses the nodes before it; the rule stops once two levels differ by
+    less than gate.
+    """
+    def f(k, n):
+        return _n_integrand(alpha, mpf(k) / (3 * n))
+
+    n = 8
+    total = (f(0, n) + f(n // 2, n)) / 2 + sum(f(k, n) for k in range(1, n // 2))
+    value = 2 * total / n
+    while n < 4 * _PERIODIC_MAX_NODES:  # gives up after 8,192 nodes
+        total += sum(f(k, 2 * n) for k in range(1, n, 2))
+        n *= 2
+        value, prev = 2 * total / n, value
+        if abs(value - prev) < gate:
+            return value
+    raise QuadratureBudgetError(
+        f"periodic rule at alpha = {mp.nstr(alpha, 8)} still moves by "
+        f"{mp.nstr(abs(value - prev), 3)} at {n} nodes")
+
+
 def n_quadrature(alpha, ctx: PrecisionCtx | None = None, tol=mpf("1e-8")) -> mpf:
     """Jensen-reduced integral for n(alpha) = m(x^3 + y^3 + 1 - alpha x y).
 
     The cubic in x is monic, so the inner integral is sum_i log+ |r_i(t)|;
-    root magnitudes come from Cardano's formula at each node, checked
-    against polyroots at the ends of every piece (ArithmeticError if they
-    differ by more than 2^(-prec/2)).  That integrand has period 1/3 and is
-    even (the order-3 symmetry and the conjugation symmetry of the
-    polynomial), so only [0, 1/6] is integrated, with weight 6.
+    root magnitudes come from Cardano's formula at each node.  That
+    integrand has period 1/3 and is even (the order-3 symmetry and the
+    conjugation symmetry of the polynomial).
+
+    Route: for alpha > 3 the integrand is analytic (no zero of the
+    polynomial on the torus) and, while the predicted node count N* of the
+    module docstring is below _PERIODIC_MAX_NODES, it goes through the
+    periodic trapezoidal rule, which stops once two doublings differ by
+    less than 2^(-prec/2); no kink scan is needed.  Every other alpha goes
+    through tanh-sinh over [0, 1/6], weight 6, split at the kinks and
+    bisected wherever a piece's error estimate exceeds tol/24.  Either way
+    polyroots cross-checks the closed-form roots at the ends of the pieces
+    (ArithmeticError if they differ by more than 2^(-prec/2)), and every
+    integrand call counts as one term.
+
+    tol sets the working precision, max(140, -log2(tol) + 80) bits, and
+    the tanh-sinh bisection gate; the value comes out at about that
+    working precision, far below tol.
     """
     ctx = ensure_ctx(ctx)
     tol = mpf(tol)
@@ -288,6 +348,10 @@ def n_quadrature(alpha, ctx: PrecisionCtx | None = None, tol=mpf("1e-8")) -> mpf
         if alpha < 0:
             raise DomainError("n_quadrature requires alpha >= 0")
 
+        if alpha > 3 and (prec * log(2)
+                          < _PERIODIC_MAX_NODES * acosh(2 * alpha ** 3 / 27 - 1)):
+            _check_root_mags(alpha, [mpf(0), mpf(1) / 6])
+            return +_n_trapezoid(alpha, mpf(2) ** (-(prec // 2)))
         points = [mpf(0)] + _n_breakpoints(alpha) + [mpf(1) / 6]
         _check_root_mags(alpha, points)
         return +(6 * _quad_pieces(lambda t: _n_integrand(alpha, t), points,

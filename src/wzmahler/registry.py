@@ -48,8 +48,11 @@ KIND_CONJECTURAL = "conjectural-numeric"
 KIND_FINITE = "finite-family"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdentityRecord:
+    """One registry entry.  Records are built once per process and compared
+    by identity, so every record hashes, also one whose lhs is a WZPair."""
+
     id: str
     description: str
     kind: str

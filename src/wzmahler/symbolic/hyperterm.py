@@ -67,6 +67,8 @@ class HyperTerm:
     g_ck: int
     pre: RatFunc
 
+    __hash__ = None  # pre is a RatFunc, which is unhashable
+
     @classmethod
     def build(cls, gammas, base=1, g_cn=0, g_ck=0, pre=None) -> "HyperTerm":
         merged: dict[LinForm, int] = {}

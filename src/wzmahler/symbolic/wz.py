@@ -27,6 +27,8 @@ class WZPair:
     G: HyperTerm
     name: str
 
+    __hash__ = None  # F and G are unhashable HyperTerms
+
 
 @dataclass(frozen=True)
 class CertificateReport:
@@ -34,6 +36,8 @@ class CertificateReport:
     passed: bool
     certificate: RatFunc
     witness: MultiPoly | None
+
+    __hash__ = None  # certificate is an unhashable RatFunc
 
     def __str__(self):
         if self.passed:

@@ -1,16 +1,20 @@
 """Mahler-measure evaluators: series branches, quadrature oracles, and the
 relations between special values."""
 
+import itertools
+
 import pytest
 from mpmath import (cbrt, cos, expjpi, log, mp, mpf, pi, polyroots, psi, quad,
                     sqrt, workprec)
 
 from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
-                      PrecisionCtx, SlowConvergenceWarning)
+                      PrecisionCtx, QuadratureBudgetError,
+                      SlowConvergenceWarning)
 from wzmahler import mahler
 from wzmahler.mahler import (m_quadrature, m_series, n_quadrature, n_series,
                              rv_series, s_ratio, _cubic_root_mags,
                              _n_breakpoints, _n_integrand)
+from wzmahler.series import TermCounter
 
 CTX = PrecisionCtx(bits=256)
 
@@ -284,3 +288,50 @@ def test_n_quadrature_cross_check_catches_bad_roots(monkeypatch):
     monkeypatch.setattr(mahler, "_cubic_root_mags", perturbed)
     with pytest.raises(ArithmeticError, match="polyroots"):
         n_quadrature(cbrt(mpf(32)), CTX)
+
+
+def test_n_quadrature_periodic_route_against_series():
+    # alpha > 3 away from 3: the periodic trapezoidal rule, accurate to
+    # about the working precision (140 bits, and 212 bits at tol = 1e-40)
+    with workprec(300):
+        a1, _, a3 = _bertin_alphas()
+        for alpha in (mpf("3.3"), a1, a3, mpf(5), mpf(10)):
+            ref = n_series(alpha, CTX, tol=mpf(10) ** -80)
+            for tol in (mpf("1e-8"), mpf(10) ** -40):
+                assert abs(n_quadrature(alpha, CTX, tol=tol) - ref) < mpf(10) ** -41
+
+
+def test_quadrature_counts_integrand_calls():
+    a1, _, a3 = _bertin_alphas()
+    with TermCounter() as periodic:
+        n_quadrature(a3, CTX)
+    with TermCounter() as kinked:
+        n_quadrature(mpf(2), CTX)
+    with TermCounter() as m_quad:
+        m_quadrature(mpf(5), CTX)
+    # the periodic rule settles at 128 nodes per period, 65 distinct calls
+    assert 0 < periodic.count <= 129
+    assert kinked.count > 0 and m_quad.count > 0
+
+
+def test_n_quadrature_route_rule(monkeypatch):
+    # the kink scan runs on the tanh-sinh route only: alpha <= 3, and
+    # alpha2 = 3.0011, whose predicted periodic node count is above the
+    # crossover
+    def scan(alpha, grid=64):
+        raise LookupError("kink scan")
+
+    monkeypatch.setattr(mahler, "_n_breakpoints", scan)
+    _, a2, a3 = _bertin_alphas()
+    n_quadrature(a3, CTX)
+    for alpha in (mpf(2), mpf(3), a2):
+        with pytest.raises(LookupError, match="kink scan"):
+            n_quadrature(alpha, CTX)
+
+
+def test_n_quadrature_periodic_budget(monkeypatch):
+    # an integrand whose trapezoidal sums never settle exhausts the doubling
+    calls = itertools.count()
+    monkeypatch.setattr(mahler, "_n_integrand", lambda alpha, t: mpf(next(calls)))
+    with pytest.raises(QuadratureBudgetError, match="nodes"):
+        n_quadrature(mpf(5), CTX)

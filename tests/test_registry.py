@@ -52,6 +52,23 @@ def test_registry_is_built_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_hash_contract():
+    # records compare by identity, so all of them hash, WZ-backed ones too;
+    # the WZ pairs, their terms and their certificate reports hold an
+    # unhashable RatFunc and say so instead of failing inside hash()
+    from wzmahler.symbolic.pairs import builtin_pairs
+    from wzmahler.symbolic.wz import wz_verify
+    table = registry_entries()
+    assert len({hash(rec) for rec in table}) == len(table) == 34
+    pairs = builtin_pairs()
+    assert len(pairs) == 3
+    for pair in pairs.values():
+        for obj in (pair, pair.F, pair.G, wz_verify(pair)):
+            assert type(obj).__hash__ is None
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(obj)
+
+
 def test_lookup_contracts():
     rec = lookup("log2-f3")
     assert rec is not None
