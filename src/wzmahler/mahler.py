@@ -10,8 +10,14 @@ sides of alpha = 4:
 where Lambda_s(z) = sum_{n>=1} (s)_n (1-s)_n/n!^2 z^n/n is the kernel of
 ``numkernel.lambda_series``, continued to z -> 1 by the logarithmic
 connection formula, so the alpha >= 4 branch costs a few dozen terms even
-at alpha = 4.  Below 4 the binomial series is summed directly, and by
-Richardson extrapolation once r^2 > 0.9.  There is a quadrature oracle via
+at alpha = 4.  Both series are stepped on integers (``series``), with
+alpha or z entering as the exact dyadic rational its mpf value is, and
+summed at guard bits with a geometric tail bound.  Below 4 the tail is
+about r^(2n)/n^2, which has no expansion in 1/n, so Richardson
+extrapolation serves only where r^(2n) stays within tol of 1 over its at
+most 364 terms and the partial sums are m(4)'s; elsewhere the direct sum
+takes about log(1/tol)/(1 - r^2) terms (1,429 at alpha = 3.9 and 11,099
+at 3.99 for tol 1e-30).  There is a quadrature oracle via
 Jensen's formula in x: with u(t) = alpha + 2 cos(2 pi t) the inner integral is
 arccosh(|u|/2) where |u| >= 2 and zero otherwise.
 
@@ -62,9 +68,9 @@ from .context import (DomainError, PrecisionCtx,
                       QuadratureBudgetError, SlowConvergenceWarning,
                       ensure_ctx, to_mpf)
 from .numkernel import lambda_series
-from .series import count_terms, richardson_sum, sum_geometric
+from .series import (as_ratio, count_terms, ratio_series, richardson_sum,
+                     sum_geometric)
 
-_ACCEL_THRESHOLD = mpf("0.9")  # switch to Richardson when r^2 exceeds this
 # Largest predicted node count N* for which n_quadrature takes the periodic
 # trapezoidal rule.  Measured at 140 bits (mpmath's Python backend, 2 vCPUs):
 # up to N* ~ 1,350 the rule stops at 1,024 nodes in ~0.8 of the tanh-sinh
@@ -72,16 +78,6 @@ _ACCEL_THRESHOLD = mpf("0.9")  # switch to Richardson when r^2 exceeds this
 # long.
 _PERIODIC_MAX_NODES = 1350
 _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
-
-
-def _csq_terms(r: mpf):
-    """Yield C(2n,n)^2 (r/4)^(2n) for n = 0, 1, 2, ...; ratio < r^2."""
-    c = mpf(1)
-    n = 0
-    while True:
-        yield c
-        c = c * ((2 * n + 1) ** 2 * r * r) / (4 * (n + 1) ** 2)
-        n += 1
 
 
 def m_series(alpha, ctx: PrecisionCtx | None = None, tol=None) -> mpf:
@@ -99,18 +95,19 @@ def m_series(alpha, ctx: PrecisionCtx | None = None, tol=None) -> mpf:
                 z = 16 / alpha ** 2
             lam = lambda_series(_HALF, z, ctx, tol=tol)
             return +(log(alpha) - lam / 2)
-        r = alpha / 4
-        rsq = r * r
+        rsq = (alpha / 4) ** 2
         if 4 - alpha < mpf("1e-3"):
             warnings.warn("alpha within 1e-3 below the branch point 4; series "
                           "converges like 1/n^2", SlowConvergenceWarning)
-
-        def terms():
-            return (r * c / (2 * n + 1) for n, c in enumerate(_csq_terms(r)))
-
-        if rsq > _ACCEL_THRESHOLD:
+        a, b = as_ratio(alpha)  # r = alpha/4 = a/(4b)
+        terms = ratio_series(  # C(2n,n)^2 (r/4)^(2n) r/(2n+1)
+            lambda n: ((2 * n - 1) ** 2 * a * a, 64 * n * n * b * b),
+            lambda n: (a, 4 * b * (2 * n + 1)))
+        if (1 - rsq) * 1000 < tol:
+            # r^(2n+1) is within tol of 1 over Richardson's at most 364
+            # terms: these are m(4)'s partial sums, with a 1/n expansion
             return +richardson_sum(terms, tol, max_terms=ctx.max_terms)
-        return +sum_geometric(terms(), tol, ratio=rsq, max_terms=ctx.max_terms)
+        return +sum_geometric(terms, tol, ratio=rsq, max_terms=ctx.max_terms)
 
 
 def s_ratio(r, ctx: PrecisionCtx | None = None) -> mpf:
@@ -291,14 +288,15 @@ def _n_breakpoints(alpha, grid: int = 64) -> list:
     return found
 
 
-def _n_trapezoid(alpha, gate):
+def _n_trapezoid(alpha, gate, floor):
     """n(alpha) by the periodic trapezoidal rule, alpha > 3.
 
     With N nodes t_k = k/(3N) per period 1/3 and the integrand f even, the
     rule (1/N) sum_{k<N} f(t_k) is (2/N) (f(t_0)/2 + f(t_1) + ... +
     f(t_{N/2-1}) + f(t_{N/2})/2), t_{N/2} = 1/6.  Each doubling of N from 8
     reuses the nodes before it; the rule stops once two levels differ by
-    less than gate.
+    less than gate, at a level of at least ``floor`` nodes (the predicted
+    N*: a small error prefactor can make two coarser levels agree early).
     """
     def f(k, n):
         return _n_integrand(alpha, mpf(k) / (3 * n))
@@ -310,7 +308,7 @@ def _n_trapezoid(alpha, gate):
         total += sum(f(k, 2 * n) for k in range(1, n, 2))
         n *= 2
         value, prev = 2 * total / n, value
-        if abs(value - prev) < gate:
+        if n >= floor and abs(value - prev) < gate:
             return value
     raise QuadratureBudgetError(
         f"periodic rule at alpha = {mp.nstr(alpha, 8)} still moves by "
@@ -329,7 +327,7 @@ def n_quadrature(alpha, ctx: PrecisionCtx | None = None, tol=mpf("1e-8")) -> mpf
     polynomial on the torus) and, while the predicted node count N* of the
     module docstring is below _PERIODIC_MAX_NODES, it goes through the
     periodic trapezoidal rule, which stops once two doublings differ by
-    less than 2^(-prec/2); no kink scan is needed.  Every other alpha goes
+    less than 2^(-prec/2) at N >= N* nodes; no kink scan is needed.  Every other alpha goes
     through tanh-sinh over [0, 1/6], weight 6, split at the kinks and
     bisected wherever a piece's error estimate exceeds tol/24.  Either way
     polyroots cross-checks the closed-form roots at the ends of the pieces
@@ -348,10 +346,11 @@ def n_quadrature(alpha, ctx: PrecisionCtx | None = None, tol=mpf("1e-8")) -> mpf
         if alpha < 0:
             raise DomainError("n_quadrature requires alpha >= 0")
 
-        if alpha > 3 and (prec * log(2)
-                          < _PERIODIC_MAX_NODES * acosh(2 * alpha ** 3 / 27 - 1)):
-            _check_root_mags(alpha, [mpf(0), mpf(1) / 6])
-            return +_n_trapezoid(alpha, mpf(2) ** (-(prec // 2)))
+        if alpha > 3:
+            nodes = prec * log(2) / acosh(2 * alpha ** 3 / 27 - 1)  # N*
+            if nodes < _PERIODIC_MAX_NODES:
+                _check_root_mags(alpha, [mpf(0), mpf(1) / 6])
+                return +_n_trapezoid(alpha, mpf(2) ** (-(prec // 2)), nodes)
         points = [mpf(0)] + _n_breakpoints(alpha) + [mpf(1) / 6]
         _check_root_mags(alpha, points)
         return +(6 * _quad_pieces(lambda t: _n_integrand(alpha, t), points,

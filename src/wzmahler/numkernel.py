@@ -22,7 +22,7 @@ from mpmath import zeta as _mp_zeta
 
 from .context import (ConvergenceError, DivergentSeriesError, DomainError,
                       PoleError, PrecisionCtx, ensure_ctx, to_mpf)
-from .series import count_terms, sum_geometric
+from .series import as_ratio, count_terms, ratio_series, sum_geometric
 
 GUARD_LI2 = 24  # extra bits sought from the Li2 kernels beyond ctx.bits
 
@@ -216,8 +216,8 @@ def lambda_series(s, z, ctx: PrecisionCtx | None = None, tol=None) -> mpf:
 
     The sum runs 32 bits above the callers' ``ctx.workprec(32)``, so that
     its rounding stays well below an ulp of their results.  Below
-    ``LAMBDA_SWITCH`` the series is summed directly; its term ratio is below
-    |z|.  From there on, Lambda_s(z) = Lambda_s(1) - I(1 - z) with
+    ``LAMBDA_SWITCH`` the series is summed directly on integers, z entering
+    as the dyadic rational its mpf value is; its term ratio is below |z|.  From there on, Lambda_s(z) = Lambda_s(1) - I(1 - z) with
     I(w) = int_0^w (F_s(1-v) - 1)/(1-v) dv.  Multiplying the connection
     formula by 1/(1-v) = sum v^m gives
         (F_s(1-v) - 1)/(1-v) = sum_m (A_m - B_m log v) v^m,
@@ -237,21 +237,17 @@ def lambda_series(s, z, ctx: PrecisionCtx | None = None, tol=None) -> mpf:
             raise DivergentSeriesError("Lambda_s(z) needs -1 < z <= 1")
         tol = mpf(tol) if tol is not None else ctx.target_tol
         if z < LAMBDA_SWITCH:
-            return +sum_geometric(_lambda_terms(s, z), tol, ratio=abs(z),
+            pn, pd = as_ratio(_KERNEL[s][0])
+            zn, zd = as_ratio(z)
+            terms = ratio_series(  # c_n z^n/n, n >= 1
+                lambda n: (((n - 1) * n * pd + pn) * zn, n * n * pd * zd),
+                lambda n: (1, n), start=1)
+            return +sum_geometric(terms, tol, ratio=abs(z),
                                   max_terms=ctx.max_terms)
         top = _lambda_at_one(s, mp.prec)
         if z == 1:
             return top
         return +(top - _connection_integral(s, 1 - z, tol, ctx.max_terms))
-
-
-def _lambda_terms(s, z):
-    """c_n z^n/n for n = 1, 2, ...; the term ratio is below |z|."""
-    zpow = mpf(1)
-    for n, (c, _) in enumerate(_c_h_terms(s)):
-        if n:
-            yield c * zpow / n
-        zpow *= z
 
 
 def _connection_integral(s, w, tol, max_terms):

@@ -24,7 +24,7 @@ from itertools import count, islice
 from math import comb, log10
 from typing import Callable
 
-from mpmath import atan, cbrt, log, mp, mpc, mpf, pi, sqrt, workprec
+from mpmath import atan, cbrt, ldexp, log, mp, mpc, mpf, pi, sqrt, workprec
 
 from .context import (DomainError, PrecisionCtx, UnknownIdentityError,
                       ensure_ctx, to_mpf)
@@ -35,7 +35,8 @@ from .mahler import (m_quadrature, m_series, n_quadrature, n_series, rv_series,
                      s_ratio)
 from .modular import phi_theta, q3_from_beta, xq_product
 from .numkernel import gamma_real, zeta_int
-from .series import TermCounter, count_terms, richardson_sum, sum_geometric
+from .series import (TermCounter, as_ratio, count_terms, ratio_series,
+                     richardson_sum, sum_geometric)
 from .symbolic.pairs import builtin_pairs
 from .symbolic.pfq import pfq_eval
 from .symbolic.wz import WZPair, wz_verify
@@ -134,11 +135,12 @@ class Formula(_Side):
 @dataclass(frozen=True)
 class HyperSum(_Side):
     """head + scale * sum_{n>=start} weight(n) c_n, with c_0 = 1 and
-    c_n = step(n, c_{n-1}), at inner tolerance 10**-tol.  ``ratio``, the limit
-    of the term ratio, times the decimal ``slack`` bounds the term ratio; a
-    bound below 1 sums directly with a geometric tail, any other by Richardson
-    extrapolation.  Head, scale, ratio and slack are converted at the working
-    precision."""
+    c_n = c_{n-1} step(n), at inner tolerance 10**-tol; step and weight map
+    n to an integer pair (p, q) standing for p/q (``series.ratio_series``).
+    ``ratio``, the limit of the term ratio, times the decimal ``slack``
+    bounds the term ratio; a bound below 1 sums directly with a geometric
+    tail, any other by Richardson extrapolation.  Head, scale, ratio and
+    slack are converted at the working precision."""
     step: Callable
     weight: Callable
     ratio: Fraction | mpf
@@ -148,22 +150,14 @@ class HyperSum(_Side):
     start: int = 0
     slack: str = "1"
 
-    def terms(self):
-        c = mpf(1)
-        for n in count():
-            if n:
-                c = self.step(n, c)
-            if n >= self.start:
-                yield self.weight(n) * c
-
     def value(self, ctx, param):
         bound = to_mpf(self.ratio) * mpf(self.slack)
         tol = mpf(10) ** -self.tol
+        terms = ratio_series(self.step, self.weight, start=self.start)
         if bound < 1:
-            s = sum_geometric(self.terms(), tol, ratio=bound,
-                              max_terms=ctx.max_terms)
+            s = sum_geometric(terms, tol, ratio=bound, max_terms=ctx.max_terms)
         else:
-            s = richardson_sum(self.terms, tol, max_terms=ctx.max_terms)
+            s = richardson_sum(terms, tol, max_terms=ctx.max_terms)
         return to_mpf(self.head) + to_mpf(self.scale) * s
 
 
@@ -247,16 +241,16 @@ class Combo(_Side):
 
 def _log2_sum(a, b, shift, head, tol):
     """head + sum_{n>=1} (an+b)/((2n)(2n+1)) C(2n,n)^2 / 2^(shift n)"""
-    return HyperSum(lambda n, c: c * (2 * n - 1) ** 2 / (n * n * 2 ** (shift - 2)),
-                    lambda n: mpf(a * n + b) / ((2 * n) * (2 * n + 1)),
+    return HyperSum(lambda n: ((2 * n - 1) ** 2, n * n << (shift - 2)),
+                    lambda n: (a * n + b, (2 * n) * (2 * n + 1)),
                     ratio=Fraction(1, 2 ** (shift - 4)), slack="1.1", tol=tol,
                     head=head, start=1)
 
 
 def _zeta3_sum(a, b, base, scale, tol):
     """scale * sum_{n>=0} (an+b) base^n / ((2n+1)^3 (n+1) C(2n,n)^2)"""
-    return HyperSum(lambda n, c: c * (base * n * n) / (4 * (2 * n - 1) ** 2),
-                    lambda n: mpf(a * n + b) / ((2 * n + 1) ** 3 * (n + 1)),
+    return HyperSum(lambda n: (base * n * n, 4 * (2 * n - 1) ** 2),
+                    lambda n: (a * n + b, (2 * n + 1) ** 3 * (n + 1)),
                     ratio=Fraction(base, 16), slack="1.05", tol=tol, scale=scale)
 
 
@@ -268,57 +262,59 @@ def _gamma_quotient(x, ctx):
 
 @Formula
 def _gen1_rhs(ctx, x):
-    def terms():
-        xv, p, c = to_mpf(x), mpf(1), mpf(1)
-        for n in count():
-            yield (4 * n + 2 * xv + 1) / ((2 * n + 1) * (n + xv)) * p * c
-            p = p * (mpf("0.5") + xv + n) / (1 + xv + n)  # (1/2+x)_n/(1+x)_n
-            c = c * (2 * n + 1) / (2 * mpf(n + 1))         # C(2n,n)/4^n
-
+    """sum_{n>=0} (4n+2x+1)/((2n+1)(n+x)) (1/2+x)_n/(1+x)_n C(2n,n)/4^n"""
+    a, b = as_ratio(x)
+    terms = ratio_series(  # c_n = (1/2+x)_n/(1+x)_n C(2n,n)/4^n, x = a/b
+        lambda n: ((2 * b * n - b + 2 * a) * (2 * n - 1), 4 * n * (b * n + a)),
+        lambda n: (4 * b * n + 2 * a + b, (2 * n + 1) * (b * n + a)))
     return richardson_sum(terms, mpf(10) ** -31, max_terms=ctx.max_terms)
 
 
 @Formula
 def _gen3_rhs(ctx, x):
-    with ctx.workprec(64):
-        xv = to_mpf(x)
+    """sum_{n>=0} P(n, x)/((2n+1)(2n+x)(2n+x+1)^2) u_n C(2n,n)/2^(6n) with
+    u_n = (1/2+x)_n^2/((1+x/2)_n ((1+x)/2)_n) and
+    P = 2(2n+1)^2 (15n+2) + x ((2n+1)(86n+19) + 4x(20n+7) + 12x^2)"""
+    a, b = as_ratio(x)  # x = a/b; P and the denominator are scaled by b^3
 
-        def terms():
-            u = mpf(1)   # (1/2+x)_n^2 / ((1+x/2)_n ((1+x)/2)_n)
-            c = mpf(1)   # C(2n,n)/2^(6n)
-            for n in count():
-                p = (2 * n + 1) * (86 * n + 19) + 4 * xv * (20 * n + 7) + 12 * xv * xv
-                num = 2 * (2 * n + 1) ** 2 * (15 * n + 2) + xv * p
-                den = (2 * n + 1) * (2 * n + xv) * (2 * n + xv + 1) ** 2
-                yield num / den * u * c
-                u = u * (mpf("0.5") + xv + n) ** 2 / ((1 + xv / 2 + n) * ((1 + xv) / 2 + n))
-                c = c * (2 * n + 1) / (32 * mpf(n + 1))
+    def weight(n):
+        p = b * b * (2 * n + 1) * (86 * n + 19) + 4 * a * b * (20 * n + 7) + 12 * a * a
+        return (2 * b ** 3 * (2 * n + 1) ** 2 * (15 * n + 2) + a * p,
+                (2 * n + 1) * (2 * b * n + a) * (2 * b * n + a + b) ** 2)
 
-        gen = terms()
-        head = sum(islice(gen, 8), mpf(0))
-        count_terms(8)
-        return head + sum_geometric(gen, mpf(10) ** -31, ratio=mpf("0.25"),
-                                    max_terms=ctx.max_terms)
+    terms = ratio_series(
+        lambda n: ((2 * b * n - b + 2 * a) ** 2 * (2 * n - 1),
+                   32 * n * (2 * b * n + a) * (2 * b * n + a - b)),
+        weight)
+    # the term ratio is below 1/4 from the ninth term on
+    return sum_geometric(terms, mpf(10) ** -31, ratio=Fraction(1, 4), head=8,
+                         max_terms=ctx.max_terms)
 
 
 _ZETA2_LHS = Formula(lambda ctx, *_: -zeta_int(2, ctx) + 4 * log(mpf(2)) ** 2)
 
 
-def _zeta2_laurent_rhs(ctx, _):
-    def terms():
-        c, a = mpf(1), mpf(0)
-        for n in count(1):
-            c = c * (2 * n - 1) ** 2 / (4 * mpf(n) ** 2)
-            a += mpf(1) / (2 * n - 1) - mpf(1) / (2 * n)
-            yield mpf(4 * n + 1) / ((2 * n) * (2 * n + 1)) * c * \
-                (-mpf(2 * n + 1) / ((2 * n) * (4 * n + 1)) + a)
+def _zeta2_terms(bits):
+    """(4n+1)/((2n)(2n+1)) C(2n,n)^2/16^n (A_2n - (2n+1)/((2n)(4n+1))) for
+    n >= 1, A_2n = sum_{k<=n} 1/(2k-1) - 1/(2k), at ``bits`` fractional bits"""
+    one = 1 << bits
+    c = one  # C(2n,n)^2/16^n
+    h = 0    # A_2n
+    for n in count(1):
+        c = c * (2 * n - 1) ** 2 // (4 * n * n)
+        h += one // (2 * n - 1) - one // (2 * n)
+        # (4n+1) A/((2n)(2n+1)) - 1/(4n^2) over the denominator (2n)(2n+1) 4n^2
+        num = (4 * n + 1) * 4 * n * n * h - (2 * n) * (2 * n + 1) * one
+        yield c * num // ((2 * n) * (2 * n + 1) * 4 * n * n << bits)
 
+
+def _zeta2_laurent_rhs(ctx, _):
     with TermCounter() as counter:
         # interpretation check first, at low precision: the 2n-th partial sum
         # of the alternating harmonic series must reproduce the constant to
         # ~1e-3
         with workprec(80):
-            probe = 2 * sum(islice(terms(), 600))
+            probe = 2 * ldexp(sum(islice(_zeta2_terms(80), 600)), -80)
             lhs, _ = _ZETA2_LHS(ctx, None)
             gap = abs(probe - lhs)
             if gap > mpf("1e-3"):
@@ -326,7 +322,8 @@ def _zeta2_laurent_rhs(ctx, _):
                     f"partial-sum interpretation of A_2n fails: gap {mp.nstr(gap, 3)}")
             note = f"interpretation check gap {mp.nstr(gap, 3)} at 600 direct terms"
         count_terms(600)
-        value = 2 * richardson_sum(terms, mpf(10) ** -11, max_terms=ctx.max_terms)
+        value = 2 * richardson_sum(_zeta2_terms, mpf(10) ** -11,
+                                   max_terms=ctx.max_terms)
     return value, counter.count, note
 
 
@@ -352,8 +349,10 @@ def _log4r_rhs(ctx, r):
     """rs + sum_{n>=1} (2(1+rs)n+1)/((2n)(2n+1)) C(2n,n)^2 (r/4)^(2n)"""
     rv = to_mpf(r)
     rs = rv * s_ratio(rv, ctx)
-    return HyperSum(lambda n, c: c * (2 * n - 1) ** 2 * rv * rv / (4 * n * n),
-                    lambda n: (2 * (1 + rs) * n + 1) / ((2 * n) * (2 * n + 1)),
+    a, b = as_ratio(r)
+    k, e = as_ratio(1 + rs)  # 1 + rs = k/e, e a power of two
+    return HyperSum(lambda n: ((2 * n - 1) ** 2 * a * a, 4 * n * n * b * b),
+                    lambda n: (2 * k * n + e, e * (2 * n) * (2 * n + 1)),
                     ratio=rv * rv, tol=11 if rv == 1 else 32, head=rs,
                     start=1).value(ctx, r)
 
@@ -512,9 +511,9 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
                        "(12/pi) atan(1/sqrt 2) = 3 - sum (54n^2+n-1) C(2n,n) C(4n,2n)/...",
                        KIND_NUMERIC, Formula(lambda *_: 12 / pi * atan(1 / sqrt(mpf(2)))),
                        # C(2n,n) C(4n,2n)/64^n steps by (4n-3)(4n-1)/(16 n^2)
-                       HyperSum(lambda n, c: c * (4 * n - 3) * (4 * n - 1) / (16 * n * n),
-                                lambda n: mpf(54 * n * n + n - 1)
-                                / ((3 * n - 1) * (3 * n + 1) * (4 * n - 1)),
+                       HyperSum(lambda n: ((4 * n - 3) * (4 * n - 1), 16 * n * n),
+                                lambda n: (54 * n * n + n - 1,
+                                           (3 * n - 1) * (3 * n + 1) * (4 * n - 1)),
                                 ratio=1, tol=31, head=3, scale=-1, start=1), t[30],
                        note="1/n^2 tail despite the 2^(-6n) appearance; accelerated"),
         IdentityRecord("rs-param", "m(4/r)/m(4r) = L(i,q)/L(i,-q) with r = phi^2(-q)/phi^2(q)",

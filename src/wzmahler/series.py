@@ -1,15 +1,26 @@
-"""Series summation engines: direct with geometric tail bounds, and Richardson
-extrapolation for series whose partial sums have an asymptotic 1/n expansion,
-plus the term tally both report into.
+"""Series summation on integers: one fixed-point term interface, two
+finishers (a geometric tail bound and Richardson extrapolation), and the
+term tally both report into.
 
-The Richardson path is what makes the 1/n^2-tail sums (central-binomial
-squared over 16^n and friends) reachable at 1e-30..1e-40 with a couple of
-hundred terms instead of 1e30 of them.  Working precision is escalated with
-the extrapolation depth because the binomial weights grow like 2**(1.5*N).
+A series is a callable ``terms(bits)`` that yields its terms as Python
+integers in fixed point, t_n ~ terms_n * 2^bits.  ``ratio_series`` builds
+one from an exact term ratio and weight, each a function n -> (p, q) of
+integer pairs; a coefficient that is not rational (1 + rs in log(4/r),
+z = 16/alpha^2 at an irrational alpha) enters as the dyadic rational its
+mpf value is (``as_ratio``).  The finishers choose ``bits`` from the
+working precision, sum the integers and round once to an mpf:
 
-A caller describes a series by a zero-argument factory ``terms`` whose call
-yields its terms: ``sum_geometric`` consumes one ``terms()``, and
-``richardson_sum`` calls ``terms`` afresh at each extrapolation depth.
+* ``sum_geometric`` sums at mp.prec + GUARD bits until the geometric tail
+  bound |t| ratio/(1 - ratio) stays below tol for two consecutive terms.
+* ``richardson_sum`` steps the terms once, at
+  mp.prec + GUARD + ceil(1.8 N_max) bits (the Richardson weights grow like
+  2^(1.5 N)), and extrapolates their partial sums at depths 48, 72, 108,
+  ... with mpmath.richardson's N-term weights, evaluated as one exact
+  integer dot product (``richardson_estimate``).  That is what makes the
+  1/n^2-tail sums (central-binomial squared over 16^n and friends)
+  reachable at 1e-30..1e-40 with a couple of hundred terms instead of
+  1e30 of them.
+
 Every summation reports the terms it used through ``count_terms`` to the
 innermost open ``TermCounter``.
 """
@@ -17,12 +28,23 @@ innermost open ``TermCounter``.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from itertools import islice
-from typing import Callable, Iterable
+from fractions import Fraction
+from functools import cache
+from itertools import count, islice
+from math import ceil, comb, factorial
+from operator import mul
+from typing import Callable, Iterator
 
-from mpmath import mp, mpf, richardson, workprec
+from mpmath import ldexp, mp, mpf
+from mpmath.libmp import to_rational
 
 from .context import ConvergenceError
+
+# terms(bits) -> the terms as integers at ``bits`` fractional bits
+Series = Callable[[int], Iterator[int]]
+
+GUARD = 64  # fractional bits the finishers carry beyond the working precision
+_DEPTHS = (48, 72, 108, 162, 243, 364)  # Richardson's partial-sum counts
 
 # the innermost open TermCounter of the running context
 _ACTIVE: ContextVar[TermCounter | None] = ContextVar("term_counter", default=None)
@@ -51,24 +73,61 @@ def count_terms(n: int) -> None:
         counter.count += n
 
 
-def sum_geometric(terms: Iterable, tol, *, ratio: float = 0.5,
-                  max_terms: int = 500_000):
-    """Sum a series whose term ratio is eventually bounded by ``ratio`` < 1.
+def as_ratio(x) -> tuple[int, int]:
+    """x as an exact integer pair (p, q), q > 0: an int, a Fraction, or the
+    dyadic rational an mpf stands for (at its own precision, not rounded to
+    the working one); anything else is read by mpf() first."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if not isinstance(x, mpf):
+        x = mpf(x)
+    return to_rational(x._mpf_)
+
+
+def to_fixed(x, bits: int) -> int:
+    """floor(x * 2^bits), exactly."""
+    p, q = as_ratio(x)
+    return (p << bits) // q
+
+
+def ratio_series(step: Callable, weight: Callable, *, start: int = 0) -> Series:
+    """The series sum_{n>=start} weight(n) c_n with c_0 = 1 and
+    c_n = c_{n-1} step(n), where step and weight map n to an integer pair
+    (p, q) standing for p/q.  Each product is floored to the fixed point, so
+    the n-th term is within about n units of 2^-bits."""
+    def terms(bits):
+        c = 1 << bits
+        for n in count():
+            if n:
+                p, q = step(n)
+                c = c * p // q
+            if n >= start:
+                p, q = weight(n)
+                yield c * p // q
+    return terms
+
+
+def sum_geometric(terms: Series, tol, *, ratio=0.5, head: int = 0,
+                  max_terms: int = 500_000) -> mpf:
+    """Sum a series whose term ratio is bounded by ``ratio`` < 1 from term
+    ``head`` on, at mp.prec + GUARD fractional bits.
 
     Stops once the geometric tail bound |t|*ratio/(1-ratio) stays below tol
-    for two consecutive terms (guards parity-structured series).
+    for two consecutive terms past the head (guards parity-structured
+    series).
     """
-    ratio = mpf(ratio)
-    if not ratio < 1:
+    rp, rq = as_ratio(ratio)
+    if not rp < rq:
         raise ValueError("ratio bound must be < 1")
-    tail_factor = ratio / (1 - ratio)
-    total = mpf(0)
-    small = 0
-    n = 0
-    for t in terms:
+    bits = mp.prec + GUARD
+    limit = to_fixed(tol, bits) * (rq - rp)  # |t| rp < limit: below tol
+    total = small = n = 0
+    for t in terms(bits):
         total += t
         n += 1
-        if abs(t) * tail_factor < tol:
+        if n > head and abs(t) * rp < limit:
             small += 1
             if small >= 2:
                 break
@@ -78,37 +137,57 @@ def sum_geometric(terms: Iterable, tol, *, ratio: float = 0.5,
             raise ConvergenceError(
                 f"series did not reach tol={mp.nstr(mpf(tol), 5)} in {max_terms} terms")
     count_terms(n)
-    return total
+    return ldexp(mpf(total), -bits)
 
 
-def richardson_sum(terms: Callable[[], Iterable], tol, *,
-                   max_terms: int = 500_000) -> mpf:
-    """Accelerated value of the series ``terms()`` yields.
+@cache
+def _richardson_weights(n: int) -> tuple[tuple[int, ...], int]:
+    """((-1)^(n-k) C(n,k) (n+k)^n for k = 0..n), n!"""
+    return (tuple((-1) ** (n - k) * comb(n, k) * (n + k) ** n for k in range(n + 1)),
+            factorial(n))
 
-    The terms must decay like a smooth asymptotic series in 1/n.  ``terms``
-    is called afresh at each extrapolation depth, inside that depth's working
-    precision, so the terms are computed at it.  Convergence is declared when
-    two consecutive extrapolation depths agree to tol/4.
+
+def richardson_estimate(partials: list[int]) -> int:
+    """mpmath.richardson's extrapolate of at least three partial sums S_j,
+    as an exact integer dot product floored once:
+    (1/N!) sum_{k<=N} (-1)^(N-k) C(N,k) (N+k)^N S_{N+k}, N = len//2 - 1,
+    taken over the even-index S_j when the last three do not move
+    monotonically (an oscillating sequence)."""
+    a, b, c = partials[-3:]
+    if (c > b) - (c < b) != (b > a) - (b < a):
+        partials = partials[::2]
+    n = len(partials) // 2 - 1
+    weights, nfact = _richardson_weights(n)
+    return sum(map(mul, weights, partials[n:])) // nfact
+
+
+def richardson_sum(terms: Series, tol, *, max_terms: int = 500_000) -> mpf:
+    """Accelerated value of the series ``terms``.
+
+    The terms must decay like a smooth asymptotic series in 1/n.  They are
+    stepped once, at mp.prec + GUARD + ceil(1.8 N_max) bits for the deepest
+    depth N_max <= max_terms, and extrapolated at each depth in turn.
+    Convergence is declared when two consecutive depths agree to tol/4 and
+    each depth agrees to tol/4 with the extrapolation of its first three
+    quarters.
     """
-    tol = mpf(tol)
-    base_prec = mp.prec
-    sizes = [48, 72, 108, 162, 243, 364]
-    prev = None
-    for N in sizes:
-        if N > max_terms:
-            break
-        with workprec(base_prec + 64 + int(1.8 * N)):
-            s = mpf(0)
-            partials = []
-            for t in islice(terms(), N):
+    depths = [d for d in _DEPTHS if d <= max_terms]
+    if depths:
+        bits = mp.prec + GUARD + ceil(1.8 * depths[-1])
+        gate = to_fixed(tol, bits)  # 4 |est - other| < gate: within tol/4
+        gen = terms(bits)
+        partials, s, prev = [], 0, None
+        for depth in depths:
+            for t in islice(gen, depth - len(partials)):
                 s += t
                 partials.append(s)
-            est, _weights = richardson(partials)
+            est = richardson_estimate(partials)
             # cross-check against a shallower extrapolation of the same data
-            est_lo, _ = richardson(partials[: (3 * N) // 4])
-        if prev is not None and abs(est - prev) < tol / 4 and abs(est - est_lo) < tol / 4:
-            count_terms(N)
-            return +est
-        prev = est
+            est_lo = richardson_estimate(partials[: (3 * depth) // 4])
+            if (prev is not None and 4 * abs(est - prev) < gate
+                    and 4 * abs(est - est_lo) < gate):
+                count_terms(depth)
+                return ldexp(mpf(est), -bits)
+            prev = est
     raise ConvergenceError("Richardson extrapolation did not stabilize "
-                           f"at tol={mp.nstr(tol, 5)}")
+                           f"at tol={mp.nstr(mpf(tol), 5)}")

@@ -1,18 +1,21 @@
 """Generalized hypergeometric series pFq evaluated by term recurrence.
 
-Inside the unit disk the tail is bounded geometrically.  At z = 1 the series
-converges only when the parameter excess s = sum(bottoms) - sum(tops) is
-positive, with terms decaying like n**(-1-s); those sums go through the
-Richardson engine.
+The parameters and z enter the term ratio as exact integer pairs, and the
+terms are stepped on integers by ``series.ratio_series``.  Inside the unit
+disk the tail is bounded geometrically.  At z = 1 the series converges only
+when the parameter excess s = sum(bottoms) - sum(tops) is positive, with
+terms decaying like n**(-1-s); those sums go through the Richardson engine.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from mpmath import isint, mp, mpf
 
 from ..context import (DivergentSeriesError, DomainError, PrecisionCtx,
                        ensure_ctx, to_mpf)
-from ..series import count_terms, richardson_sum, sum_geometric
+from ..series import as_ratio, ratio_series, richardson_sum, sum_geometric
 
 
 def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx | None = None,
@@ -20,6 +23,10 @@ def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx | None = None,
     """Sum pFq(tops; bottoms; z) to tolerance (default: ctx.target_tol)."""
     ctx = ensure_ctx(ctx)
     with ctx.workprec(64):
+        # each parameter, and z below, as an exact integer pair for the
+        # term ratio
+        tops_q = [as_ratio(a) for a in tops]
+        bottoms_q = [as_ratio(b) for b in bottoms]
         tops = [to_mpf(a) for a in tops]
         bottoms = [to_mpf(b) for b in bottoms]
         z = to_mpf(z)
@@ -36,32 +43,21 @@ def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx | None = None,
                     f"parameter excess {mp.nstr(excess, 8)} <= 0 at |z| = 1")
             # z = -1 with positive excess: alternating, summed directly below
 
-        def ratio(n):
-            num = mpf(1)
-            for a in tops:
-                num *= a + n
-            den = mpf(n + 1)
-            for b in bottoms:
-                den *= b + n
-            return num / den * z
+        # t_n = t_{n-1} z prod(a + n-1) / (n prod(b + n-1))
+        zn, zd = as_ratio(z)
+        scale_n = prod(d for _, d in bottoms_q)
+        scale_d = prod(d for _, d in tops_q)
 
-        def terms():
-            t = mpf(1)
-            n = 0
-            while True:
-                yield t
-                t = t * ratio(n)
-                n += 1
+        def step(n):
+            num = zn * scale_n * prod(a + (n - 1) * d for a, d in tops_q)
+            den = zd * scale_d * n * prod(b + (n - 1) * d for b, d in bottoms_q)
+            return num, den
 
+        terms = ratio_series(step, lambda n: (1, 1))
         if z == 1:
             return +richardson_sum(terms, tol, max_terms=ctx.max_terms)
         # term ratio tends to |z|; past n0 it is within (1+|z|)/2
         n0 = int(max((abs(a) for a in tops + bottoms), default=1)) + 2
         bound = (1 + abs(z)) / 2 if abs(z) < 1 else mpf("0.999")
-        gen = terms()
-        head = mpf(0)
-        for _ in range(n0):
-            head += next(gen)
-        count_terms(n0)
-        tail = sum_geometric(gen, tol, ratio=bound, max_terms=ctx.max_terms)
-        return +(head + tail)
+        return +sum_geometric(terms, tol, ratio=bound, head=n0,
+                              max_terms=ctx.max_terms)

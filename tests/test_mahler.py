@@ -4,8 +4,8 @@ relations between special values."""
 import itertools
 
 import pytest
-from mpmath import (cbrt, cos, expjpi, log, mp, mpf, pi, polyroots, psi, quad,
-                    sqrt, workprec)
+from mpmath import (cbrt, cos, expjpi, frexp, ldexp, log, mp, mpf, pi,
+                    polyroots, psi, quad, sqrt, workprec)
 
 from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
                       PrecisionCtx, QuadratureBudgetError,
@@ -335,3 +335,45 @@ def test_n_quadrature_periodic_budget(monkeypatch):
     monkeypatch.setattr(mahler, "_n_integrand", lambda alpha, t: mpf(next(calls)))
     with pytest.raises(QuadratureBudgetError, match="nodes"):
         n_quadrature(mpf(5), CTX)
+
+
+def test_m_series_at_64_bits_within_an_ulp():
+    # below 4 the binomial series is summed at guard bits, so m(1) and m(2)
+    # at a 64-bit context (128-bit results) are within an ulp of the truth
+    ctx64 = PrecisionCtx(bits=64)
+    for alpha in (1, 2):
+        got = m_series(alpha, ctx64)
+        with workprec(360):
+            ref = m_series(alpha, PrecisionCtx(bits=360), tol=mpf(2) ** -370)
+            ulp = ldexp(1, frexp(got)[1] - 128)
+            assert abs(got - ref) <= ulp, alpha
+
+
+def test_m_series_near_four_against_quadrature():
+    # 3.79 < alpha < 4 (r^2 > 0.9): the r^(2n)/n^2 tail is summed directly,
+    # well within its tail bound, and without the warning reserved for
+    # alpha within 1e-3 of 4
+    import warnings
+    tol = mpf(10) ** -30
+    with workprec(300), warnings.catch_warnings():
+        warnings.simplefilter("error", SlowConvergenceWarning)
+        for alpha in (mpf("3.9"), mpf("3.99")):
+            ser = m_series(alpha, CTX, tol=tol)
+            assert abs(ser - m_quadrature(alpha, CTX, tol=tol)) < tol, alpha
+
+
+def test_n_quadrature_periodic_level_floor():
+    # at alpha ~ 3.00139 (N* ~ 1,301 nodes at 140 bits) the levels 512 and
+    # 1,024 agree to 2^-70 while 11 bits short of the working precision; the
+    # rule goes on to 2,048 >= N* nodes
+    alpha = mpf("3.00139")
+    with TermCounter() as counter:
+        got = n_quadrature(alpha, CTX)
+    with workprec(400):
+        ref = n_series(alpha, PrecisionCtx(bits=400), tol=mpf(2) ** -400)
+        assert abs(got - ref) < mpf(2) ** (4 - 140)
+    assert counter.count == 2048 // 2 + 1
+    # alpha3 = 32^(1/3) has N* = 116 and still stops at 128 nodes
+    with TermCounter() as counter:
+        n_quadrature(_bertin_alphas()[2], CTX)
+    assert counter.count == 65

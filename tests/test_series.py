@@ -1,64 +1,147 @@
-"""Series engines and the term counter they report into."""
+"""Series engines on integers, the Richardson dot product, and the term
+counter they report into."""
 
-from itertools import count
+import random
+from fractions import Fraction
+from math import ceil
 
 import pytest
-from mpmath import mp, mpf, pi, workprec
+from mpmath import ldexp, mpf, pi, richardson, workprec
 
 from wzmahler.context import ConvergenceError
-from wzmahler.series import (TermCounter, count_terms, richardson_sum,
-                             sum_geometric)
+from wzmahler.series import (GUARD, TermCounter, as_ratio, count_terms,
+                             ratio_series, richardson_estimate, richardson_sum,
+                             sum_geometric, to_fixed)
 
-
-def _halving():
-    return (mpf(1) / 2 ** n for n in count())
+# 1 + 1/2 + 1/4 + ...
+_halving = ratio_series(lambda n: (1, 2), lambda n: (1, 1))
+# 1 + 1/4 + 1/9 + ...
+_inverse_squares = ratio_series(lambda n: (n * n, (n + 1) ** 2), lambda n: (1, 1))
 
 
 def test_sum_geometric_rejects_ratio_and_budget():
     for ratio in (1, 1.5):
         with pytest.raises(ValueError):
-            sum_geometric(_halving(), mpf(10) ** -30, ratio=ratio)
+            sum_geometric(_halving, mpf(10) ** -30, ratio=ratio)
     with pytest.raises(ConvergenceError):
-        sum_geometric(_halving(), mpf(10) ** -30, ratio=0.5, max_terms=20)
+        sum_geometric(_halving, mpf(10) ** -30, ratio=0.5, max_terms=20)
 
 
 def test_sum_geometric_needs_two_small_terms_in_a_row():
     # 1 + 0 + 1/2 + 0 + 1/4 + ...: every zero term is small, so a rule that
     # stopped at the first small term would return 1
-    def parity():
-        for n in count():
-            yield mpf(1) / 2 ** (n // 2) if n % 2 == 0 else mpf(0)
-
+    parity = ratio_series(lambda n: (1, 2) if n % 2 == 0 else (1, 1),
+                          lambda n: (1 - n % 2, 1))
     tol = mpf(10) ** -30
     with workprec(256), TermCounter() as counter:
-        s = sum_geometric(parity(), tol, ratio=0.5)
+        s = sum_geometric(parity, tol, ratio=0.5)
         assert abs(s - 2) < tol
     # stops at 2^-100, the first nonzero term below tol, which follows a zero
     assert counter.count == 2 * 100 + 1
 
 
-def test_richardson_sum_inverse_squares():
-    precs = []
+def test_sum_geometric_head_is_not_tested():
+    # 0 + 0 + 0 + 1 + 1/2 + ...: without the head the zeros would stop it
+    late = ratio_series(lambda n: (1, 2) if n > 3 else (1, 1),
+                        lambda n: (int(n >= 3), 1))
+    with workprec(128), TermCounter() as counter:
+        assert sum_geometric(late, mpf(10) ** -20, ratio=0.5, head=3) > 1
+    assert counter.count > 60
 
-    def terms():
-        precs.append(mp.prec)
-        return (1 / mpf(n) ** 2 for n in count(1))
+
+def _random_step(rng):
+    """A positive rational step (P(n), Q(n)) whose limit is below 1/2."""
+    deg = rng.randint(1, 3)
+    p = [rng.randint(1, 9) for _ in range(deg + 1)]
+    q = [rng.randint(1, 9) for _ in range(deg)] + [rng.randint(2 * p[-1] + 1, 40)]
+    return lambda n: (sum(c * n ** i for i, c in enumerate(p)),
+                      sum(c * n ** i for i, c in enumerate(q)))
+
+
+def test_integer_partial_sums_against_fractions():
+    # random rational-ratio series: every integer partial sum, and the value
+    # sum_geometric returns, lie within 2^-prec of the exact Fraction sums
+    rng = random.Random(11)
+    for prec in (64, 200):
+        bits = prec + GUARD
+        for _ in range(5):
+            step = _random_step(rng)
+            a, b = rng.randint(-9, 9), rng.randint(1, 9)
+            weight = lambda n, a=a, b=b: (a * n + 1, b * n + 1)
+            start = rng.randint(0, 2)
+            series = ratio_series(step, weight, start=start)
+            with workprec(prec), TermCounter() as counter:
+                val = sum_geometric(series, mpf(2) ** -prec, ratio=Fraction(1, 2))
+            exact, c, got = Fraction(0), Fraction(1), 0
+            terms = series(bits)
+            for n in range(start + counter.count):
+                if n:
+                    c *= Fraction(*step(n))
+                if n >= start:
+                    exact += c * Fraction(*weight(n))
+                    got += next(terms)
+                    assert abs(Fraction(got, 1 << bits) - exact) < Fraction(1, 1 << prec)
+            # one rounding to prec bits on top
+            err = abs(Fraction(*as_ratio(val)) - exact)
+            assert err < Fraction(1, 1 << prec) * max(1, abs(exact))
+
+
+def test_richardson_estimate_against_mpmath():
+    bits = 400
+    alternating = ratio_series(lambda n: (-n * n, (n + 1) ** 2), lambda n: (1, 1))
+
+    def partials(series, count):
+        out, s = [], 0
+        for _, t in zip(range(count), series(bits)):
+            s += t
+            out.append(s)
+        return out
+
+    inverse_squares = partials(_inverse_squares, 48)
+    oscillating = partials(alternating, 48)
+    for seq in (inverse_squares, inverse_squares[:36], oscillating, oscillating[:37]):
+        est = richardson_estimate(seq)
+        with workprec(bits + 300):
+            ref, _ = richardson([ldexp(mpf(s), -bits) for s in seq])
+            assert abs(ldexp(mpf(est), -bits) - ref) < mpf(2) ** (1 - bits)
+    # the oscillating partial sums are extrapolated from their even-index half
+    assert richardson_estimate(oscillating) == richardson_estimate(oscillating[::2])
+    with workprec(bits):
+        assert abs(ldexp(mpf(richardson_estimate(oscillating)), -bits)
+                   - pi ** 2 / 12) < mpf(10) ** -12
+
+
+def test_to_fixed_is_exact():
+    with workprec(100):
+        third = mpf(1) / 3
+    assert as_ratio(third) == (third.man, 2 ** -third.exp)
+    assert to_fixed(Fraction(-1, 3), 10) == -342
+    assert to_fixed(third, 200) == third.man << (200 + third.exp)
+
+
+def test_richardson_sum_inverse_squares():
+    calls = []
+
+    def terms(bits):
+        calls.append(bits)
+        return _inverse_squares(bits)
 
     with workprec(256), TermCounter() as counter:
         s = richardson_sum(terms, mpf(10) ** -30)
         assert abs(s - pi ** 2 / 6) < mpf(10) ** -30
-    # one fresh factory call per depth, at that depth's working precision
+    # the terms are computed once, at the deepest depth's precision, and the
+    # depth reached (72) is what counts
     assert counter.count == 72
-    assert precs == [256 + 64 + int(1.8 * 48), 256 + 64 + int(1.8 * 72)]
+    assert calls == [256 + GUARD + ceil(1.8 * 364)]
 
 
 def test_richardson_sum_failures():
+    harmonic = ratio_series(lambda n: (n, n + 1), lambda n: (1, 1))
     with workprec(256):
         with pytest.raises(ConvergenceError):
-            richardson_sum(lambda: (1 / mpf(n) for n in count(1)), mpf(10) ** -30)
+            richardson_sum(harmonic, mpf(10) ** -30)
         with pytest.raises(ConvergenceError):
-            richardson_sum(lambda: (1 / mpf(n) ** 2 for n in count(1)),
-                           mpf(10) ** -30, max_terms=47)
+            richardson_sum(_inverse_squares, mpf(10) ** -30, max_terms=47)
 
 
 def test_nested_counters_do_not_leak():
@@ -66,7 +149,7 @@ def test_nested_counters_do_not_leak():
         count_terms(3)
         with TermCounter() as inner:
             count_terms(5)
-            sum_geometric(_halving(), mpf(10) ** -10, ratio=0.5)
+            sum_geometric(_halving, mpf(10) ** -10, ratio=0.5)
         count_terms(1)
     assert outer.count == 4
     assert inner.count > 5
@@ -74,7 +157,7 @@ def test_nested_counters_do_not_leak():
 
 def test_count_outside_a_counter_is_dropped():
     count_terms(7)
-    sum_geometric(_halving(), mpf(10) ** -10, ratio=0.5)
+    sum_geometric(_halving, mpf(10) ** -10, ratio=0.5)
     with TermCounter() as counter:
         pass
     assert counter.count == 0
@@ -85,6 +168,6 @@ def test_outer_counter_restored_after_exception():
         with pytest.raises(ConvergenceError):
             with TermCounter() as inner:
                 count_terms(2)
-                sum_geometric(_halving(), mpf(10) ** -30, ratio=0.5, max_terms=20)
+                sum_geometric(_halving, mpf(10) ** -30, ratio=0.5, max_terms=20)
         count_terms(3)
     assert (outer.count, inner.count) == (3, 2)
