@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf, workprec
+from mpmath import mpf, workprec
 
 # Exact rational scalar used throughout the exact-arithmetic modules.
 Rational = Fraction
@@ -94,10 +94,6 @@ class PrecisionCtx:
     def workprec(self, extra: int = 0):
         """mpmath context manager at bits + GUARD_BITS (+ extra)."""
         return workprec(self.bits + GUARD_BITS + extra)
-
-    @property
-    def eps(self) -> mpf:
-        return mpf(2) ** (-self.bits)
 
 
 DEFAULT_CTX = PrecisionCtx()

@@ -1,6 +1,6 @@
 """Elliptic curves y^2 = 4x^3 - g2 x - g3 over Q: exact chord-tangent group
-law and torsion orders, AGM periods, the Weierstrass functions by q-series,
-and the two-sided elliptic dilogarithm lattice sums.
+law and torsion orders, AGM periods, the Weierstrass function P by its
+q-series, and the two-sided elliptic dilogarithm lattice sums.
 
 Curves in scope have positive discriminant (three real roots e1 > e2 > e3),
 for which the full periods are
@@ -195,53 +195,32 @@ def _reduce_to_cell(u, per: Periods) -> mpc:
     return u - floor(a) * per.omega - floor(b) * per.omega_prime
 
 
-def _wp_series(u, per: Periods, ctx: PrecisionCtx, derivative: bool) -> mpc:
-    u = _reduce_to_cell(u, per)
-    q = per.q
-    z = exp(2 * pi * mpc(0, 1) * u / per.omega)
-    eps = mpf(2) ** (-(ctx.bits + 24))
-    if abs(1 - z) < eps:
-        raise LatticePoleError("u is a lattice point")
-    if derivative:
-        total = z * (1 + z) / (1 - z) ** 3
-    else:
-        total = mpf(1) / 12 + z / (1 - z) ** 2
-    n = 1
-    while True:
-        qn = q ** n
-        a, binv = qn * z, qn / z
-        if abs(1 - a) < eps or abs(1 - binv) < eps:
-            raise LatticePoleError("u is a lattice point")
-        if derivative:
-            t = a * (1 + a) / (1 - a) ** 3 - binv * (1 + binv) / (1 - binv) ** 3
-        else:
-            t = a / (1 - a) ** 2 + binv / (1 - binv) ** 2 - 2 * qn / (1 - qn) ** 2
-        total += t
-        if n > 2 and abs(qn) * (abs(z) + 1 / abs(z) + 2) / (1 - abs(q)) < eps:
-            break
-        n += 1
-        if n > ctx.max_terms:
-            raise ConvergenceError("Weierstrass q-series budget exhausted")
-    factor = 2 * pi * mpc(0, 1) / per.omega
-    return (factor ** 3 if derivative else factor ** 2) * total
-
-
 def wp(curve: EllipticCurve, u, ctx: PrecisionCtx | None = None,
        per: Periods | None = None) -> mpc:
     """Weierstrass P(u) via the q-series in z = exp(2 pi i u/omega)."""
     ctx = ensure_ctx(ctx)
     per = per if per is not None else periods(curve, ctx)
     with ctx.workprec(32):
-        return +_wp_series(u, per, ctx, derivative=False)
-
-
-def wp_prime(curve: EllipticCurve, u, ctx: PrecisionCtx | None = None,
-             per: Periods | None = None) -> mpc:
-    """P'(u); odd, with P'(u)^2 = 4 P(u)^3 - g2 P(u) - g3."""
-    ctx = ensure_ctx(ctx)
-    per = per if per is not None else periods(curve, ctx)
-    with ctx.workprec(32):
-        return +_wp_series(u, per, ctx, derivative=True)
+        u = _reduce_to_cell(u, per)
+        q = per.q
+        z = exp(2 * pi * mpc(0, 1) * u / per.omega)
+        eps = mpf(2) ** (-(ctx.bits + 24))
+        if abs(1 - z) < eps:
+            raise LatticePoleError("u is a lattice point")
+        total = mpf(1) / 12 + z / (1 - z) ** 2
+        n = 1
+        while True:
+            qn = q ** n
+            a, binv = qn * z, qn / z
+            if abs(1 - a) < eps or abs(1 - binv) < eps:
+                raise LatticePoleError("u is a lattice point")
+            total += a / (1 - a) ** 2 + binv / (1 - binv) ** 2 - 2 * qn / (1 - qn) ** 2
+            if n > 2 and abs(qn) * (abs(z) + 1 / abs(z) + 2) / (1 - abs(q)) < eps:
+                break
+            n += 1
+            if n > ctx.max_terms:
+                raise ConvergenceError("Weierstrass q-series budget exhausted")
+        return +((2 * pi * mpc(0, 1) / per.omega) ** 2 * total)
 
 
 def _stop_index(r: mpf, c: mpf, eps: mpf, max_terms: int) -> int:

@@ -1,14 +1,12 @@
-"""Theta function phi(q), the cubic eta-quotient x(q), q-inversion in
-signatures 2 and 3, the rational J-expressions in beta, and the degree-2
-modular relation connecting x(sqrt(q)), x(q) and x(q^2).
+"""Theta function phi(q), the cubic eta-quotient x(q), the signature-3 nome
+q(beta) and J-expression in beta, and the degree-2 modular relation
+connecting x(sqrt(q)), x(q) and x(q^2).
 
-Signature 2 is the classical theory built on 2F1(1/2,1/2;1;.), where
-sqrt(1-beta) = phi^2(-q)/phi^2(q); signature 3 is Ramanujan's alternative
-theory built on 2F1(1/3,2/3;1;.) (Berndt, Bhargava and Garvan, "Ramanujan's
-theories of elliptic functions to alternative bases", 1995).  Both nomes come
-in closed form from the logarithmic connection formula of
-``numkernel.connection_pair``, which only ever sums at an argument <= 1/2:
-q = beta/16 + ... and q = beta/27 + ... are the leading terms.
+Signature 3 is Ramanujan's alternative theory built on 2F1(1/3,2/3;1;.)
+(Berndt, Bhargava and Garvan, "Ramanujan's theories of elliptic functions
+to alternative bases", 1995).  Its nome comes in closed form from the
+logarithmic connection formula of ``numkernel.connection_pair``, which only
+ever sums at an argument <= 1/2: q = beta/27 + ... is the leading term.
 """
 
 from __future__ import annotations
@@ -59,58 +57,32 @@ def xq_product(q, ctx: PrecisionCtx | None = None) -> mpf:
             n += 1
 
 
-def _nome(s: Fraction, beta, ctx) -> mpf:
-    """exp(-(pi/sin(pi s)) F_s(1-beta)/F_s(beta)), F_s = 2F1(s,1-s;1;.), from
-    the kernel's pair (F_s, G_s) at whichever of beta, 1-beta is <= 1/2:
-
-        q = beta exp(-G_s(beta)/F_s(beta))                       beta <= 1/2,
-        q = exp(-(pi/sin(pi s))^2 F_s(w)/(G_s(w) - log w F_s(w)))  w = 1-beta.
-    """
-    beta = to_mpf(beta)
-    if not 0 < beta < 1:
-        raise DomainError("beta must lie in (0, 1)")
-    # full working precision: downstream values (q, x(q)) inherit this accuracy
-    tol = mpf(2) ** (-(ctx.bits + 24))
-    if beta <= mpf(1) / 2:
-        f, g = connection_pair(s, beta, ctx, tol=tol)
-        return +(beta * exp(-g / f))
-    w = 1 - beta
-    f, g = connection_pair(s, w, ctx, tol=tol)
-    return +exp(-(pi / sin(pi * to_mpf(s))) ** 2 * f / (g - log(w) * f))
-
-
-def q_from_beta2(beta, ctx: PrecisionCtx | None = None) -> mpf:
-    """Signature-2 nome: q = exp(-pi 2F1(1/2,1/2;1;1-b)/2F1(1/2,1/2;1;b))."""
-    ctx = ensure_ctx(ctx)
-    with ctx.workprec(16):
-        return _nome(Fraction(1, 2), beta, ctx)
-
-
 def q3_from_beta(beta, ctx: PrecisionCtx | None = None) -> mpf:
-    """Signature-3 nome with the 2F1(1/3,2/3;1;.) quotient and 2*pi/sqrt(3)."""
+    """Signature-3 nome exp(-(pi/sin(pi s)) F(1-beta)/F(beta)), s = 1/3 and
+    F = 2F1(s,1-s;1;.), from the kernel's pair (F, G) at whichever of beta,
+    1-beta is <= 1/2:
+
+        q = beta exp(-G(beta)/F(beta))                       beta <= 1/2,
+        q = exp(-(pi/sin(pi s))^2 F(w)/(G(w) - log w F(w)))  w = 1-beta.
+    """
     ctx = ensure_ctx(ctx)
+    s = Fraction(1, 3)
     with ctx.workprec(16):
-        return _nome(Fraction(1, 3), beta, ctx)
-
-
-def beta2_from_q(q, ctx: PrecisionCtx | None = None) -> mpf:
-    """Inverse of the signature-2 parameterization: 1 - phi^4(-q)/phi^4(q)."""
-    ctx = ensure_ctx(ctx)
-    with ctx.workprec():
-        q = to_mpf(q)
-        return +(1 - (phi_theta(-q, ctx) / phi_theta(q, ctx)) ** 4)
-
-
-def j_from_beta2(beta: Fraction) -> Fraction:
-    """Signature-2 J-invariant g2^3/(g2^3-27*g3^2) = (1+14b+b^2)^3/(108 b (1-b)^4)."""
-    beta = Fraction(beta)
-    if beta in (0, 1):
-        raise DomainError("J has poles at beta in {0, 1}")
-    return (1 + 14 * beta + beta * beta) ** 3 / (108 * beta * (1 - beta) ** 4)
+        beta = to_mpf(beta)
+        if not 0 < beta < 1:
+            raise DomainError("beta must lie in (0, 1)")
+        # full working precision: downstream values (q, x(q)) inherit this accuracy
+        tol = mpf(2) ** (-(ctx.bits + 24))
+        if beta <= mpf(1) / 2:
+            f, g = connection_pair(s, beta, ctx, tol=tol)
+            return +(beta * exp(-g / f))
+        w = 1 - beta
+        f, g = connection_pair(s, w, ctx, tol=tol)
+        return +exp(-(pi / sin(pi * to_mpf(s))) ** 2 * f / (g - log(w) * f))
 
 
 def j3_from_beta(beta: Fraction) -> Fraction:
-    """Signature-3 analogue (1+8b)^3/(64 b (1-b)^3)."""
+    """Signature-3 J-invariant g2^3/(g2^3-27*g3^2) = (1+8b)^3/(64 b (1-b)^3)."""
     beta = Fraction(beta)
     if beta in (0, 1):
         raise DomainError("J has poles at beta in {0, 1}")

@@ -7,8 +7,11 @@ certificates), a tolerance, and optional sampled parameters.  A side is a
 callable ``side(ctx, param) -> (value, terms_used)``, declared as a
 ``HyperSum`` (a hypergeometric-type series), a ``Combo`` (a linear combination
 of named quantities such as m(alpha), n(alpha) and lattice sums) or a
-``Formula`` (a closed form, or a sum that fits neither).  The table is built
-once per process, on first use.  Conjectural records and records carrying a
+``Formula`` (a closed form, or a sum that fits neither).  The log 2 sums
+that a WZ pair proves, and their Gamma-quotient generalizations, take their
+term ratio and weight from that pair's G (``_g_kernel``), so the fixture is
+the one source of the certificate and of the sum.  The table is built once
+per process, on first use.  Conjectural records and records carrying a
 documented correction can never flip the suite's exit code.
 """
 
@@ -37,6 +40,8 @@ from .modular import phi_theta, q3_from_beta, xq_product
 from .numkernel import gamma_real, zeta_int
 from .series import (TermCounter, as_ratio, count_terms, ratio_series,
                      richardson_sum, sum_geometric)
+from .symbolic.hyperterm import HyperTerm, term_cross_ratio
+from .symbolic.multipoly import RatFunc
 from .symbolic.pairs import builtin_pairs
 from .symbolic.pfq import pfq_eval
 from .symbolic.wz import WZPair, wz_verify
@@ -132,30 +137,38 @@ class Formula(_Side):
         return self.f(ctx, param)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperSum(_Side):
     """head + scale * sum_{n>=start} weight(n) c_n, with c_0 = 1 and
-    c_n = c_{n-1} step(n), at inner tolerance 10**-tol; step and weight map
-    n to an integer pair (p, q) standing for p/q (``series.ratio_series``).
+    c_n = c_{n-1} step(n), at inner tolerance 10**-tol.  Step and weight
+    map n to an integer pair (p, q) standing for p/q
+    (``series.ratio_series``), or are RatFuncs in (n, k) taken at k = param
+    (k = 0 without one), as ``_g_kernel`` derives them from a WZ pair.
     ``ratio``, the limit of the term ratio, times the decimal ``slack``
-    bounds the term ratio; a bound below 1 sums directly with a geometric
-    tail, any other by Richardson extrapolation.  Head, scale, ratio and
-    slack are converted at the working precision."""
-    step: Callable
-    weight: Callable
+    bounds the term ratio from term ``ratio_from`` on; a bound below 1 sums
+    directly with a geometric tail, any other by Richardson extrapolation.
+    Head, scale, ratio and slack are converted at the working precision.
+    Compared and hashed by identity: a RatFunc is unhashable."""
+    step: Callable | RatFunc
+    weight: Callable | RatFunc
     ratio: Fraction | mpf
     tol: int
     head: Fraction | mpf = 0
     scale: Fraction = 1
     start: int = 0
     slack: str = "1"
+    ratio_from: int = 0
 
     def value(self, ctx, param):
         bound = to_mpf(self.ratio) * mpf(self.slack)
         tol = mpf(10) ** -self.tol
-        terms = ratio_series(self.step, self.weight, start=self.start)
+        k = 0 if param is None else param
+        step, weight = (f.int_ratio(k) if isinstance(f, RatFunc) else f
+                        for f in (self.step, self.weight))
+        terms = ratio_series(step, weight, start=self.start)
         if bound < 1:
-            s = sum_geometric(terms, tol, ratio=bound, max_terms=ctx.max_terms)
+            s = sum_geometric(terms, tol, ratio=bound, head=self.ratio_from,
+                              max_terms=ctx.max_terms)
         else:
             s = richardson_sum(terms, tol, max_terms=ctx.max_terms)
         return to_mpf(self.head) + to_mpf(self.scale) * s
@@ -239,12 +252,15 @@ class Combo(_Side):
         return total
 
 
-def _log2_sum(a, b, shift, head, tol):
-    """head + sum_{n>=1} (an+b)/((2n)(2n+1)) C(2n,n)^2 / 2^(shift n)"""
-    return HyperSum(lambda n: ((2 * n - 1) ** 2, n * n << (shift - 2)),
-                    lambda n: (a * n + b, (2 * n) * (2 * n + 1)),
-                    ratio=Fraction(1, 2 ** (shift - 4)), slack="1.1", tol=tol,
-                    head=head, start=1)
+def _g_kernel(pair: WZPair) -> tuple[RatFunc, RatFunc]:
+    """(step, weight) of sum_n G(n, k)/(k K(0, k)) for the pair's
+    G = pre K, K its Gamma and geometric factors with pre = 1:
+    step(n, k) = K(n, k)/K(n-1, k) and weight = pre/k, k divided out of
+    pre's numerator exactly so that the sum stays defined at k = 0."""
+    g = pair.G
+    kernel = HyperTerm.build(g.gammas, g.base, g.g_cn, g.g_ck)
+    return (term_cross_ratio(kernel, kernel.shifted(-1, 0)),
+            RatFunc(g.pre.num.div_k(), g.pre.den))
 
 
 def _zeta3_sum(a, b, base, scale, tol):
@@ -258,37 +274,6 @@ def _gamma_quotient(x, ctx):
     """pi G(x)G(x+1)/G(x+1/2)^2"""
     x = to_mpf(x)
     return pi * gamma_real(x, ctx) * gamma_real(x + 1, ctx) / gamma_real(x + mpf("0.5"), ctx) ** 2
-
-
-@Formula
-def _gen1_rhs(ctx, x):
-    """sum_{n>=0} (4n+2x+1)/((2n+1)(n+x)) (1/2+x)_n/(1+x)_n C(2n,n)/4^n"""
-    a, b = as_ratio(x)
-    terms = ratio_series(  # c_n = (1/2+x)_n/(1+x)_n C(2n,n)/4^n, x = a/b
-        lambda n: ((2 * b * n - b + 2 * a) * (2 * n - 1), 4 * n * (b * n + a)),
-        lambda n: (4 * b * n + 2 * a + b, (2 * n + 1) * (b * n + a)))
-    return richardson_sum(terms, mpf(10) ** -31, max_terms=ctx.max_terms)
-
-
-@Formula
-def _gen3_rhs(ctx, x):
-    """sum_{n>=0} P(n, x)/((2n+1)(2n+x)(2n+x+1)^2) u_n C(2n,n)/2^(6n) with
-    u_n = (1/2+x)_n^2/((1+x/2)_n ((1+x)/2)_n) and
-    P = 2(2n+1)^2 (15n+2) + x ((2n+1)(86n+19) + 4x(20n+7) + 12x^2)"""
-    a, b = as_ratio(x)  # x = a/b; P and the denominator are scaled by b^3
-
-    def weight(n):
-        p = b * b * (2 * n + 1) * (86 * n + 19) + 4 * a * b * (20 * n + 7) + 12 * a * a
-        return (2 * b ** 3 * (2 * n + 1) ** 2 * (15 * n + 2) + a * p,
-                (2 * n + 1) * (2 * b * n + a) * (2 * b * n + a + b) ** 2)
-
-    terms = ratio_series(
-        lambda n: ((2 * b * n - b + 2 * a) ** 2 * (2 * n - 1),
-                   32 * n * (2 * b * n + a) * (2 * b * n + a - b)),
-        weight)
-    # the term ratio is below 1/4 from the ninth term on
-    return sum_geometric(terms, mpf(10) ** -31, ratio=Fraction(1, 4), head=8,
-                         max_terms=ctx.max_terms)
 
 
 _ZETA2_LHS = Formula(lambda ctx, *_: -zeta_int(2, ctx) + 4 * log(mpf(2)) ** 2)
@@ -380,6 +365,10 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
     if _TABLE:
         return _TABLE
     pairs = builtin_pairs()
+    # the log 2 sums and their Gamma-quotient generalizations, from the G of
+    # the pair that proves each
+    step1, weight1 = _g_kernel(pairs["pair-1"])
+    step3, weight3 = _g_kernel(pairs["pair-3"])
     # tolerances at mpmath's default precision, whatever the caller's
     with workprec(53):
         t = {k: mpf(10) ** -k for k in (6, 8, 10, 15, 20, 30, 40)}
@@ -400,22 +389,30 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
                        KIND_EXACT, pairs["pair-divergent"], None, None),
         IdentityRecord("log2-f1", "2 log 2 = 1 + sum (4n+1)/((2n)(2n+1)) C(2n,n)^2/2^(4n)",
                        KIND_NUMERIC, Formula(lambda *_: 2 * log(mpf(2))),
-                       _log2_sum(4, 1, 4, 1, 41), t[40],
+                       HyperSum(step1, weight1, ratio=1, slack="1.1", tol=41, head=1,
+                                start=1), t[40],
                        note="1/n^2 tail, Richardson accelerated"),
         IdentityRecord("log2-f2", "3 log 2 = 2 + sum (6n+1)/((2n)(2n+1)) C(2n,n)^2/2^(6n)",
                        KIND_NUMERIC, Formula(lambda *_: 3 * log(mpf(2))),
-                       _log2_sum(6, 1, 6, 2, 42), t[40],
+                       # C(2n,n)^2/64^n steps by (2n-1)^2/(16 n^2)
+                       HyperSum(lambda n: ((2 * n - 1) ** 2, 16 * n * n),
+                                lambda n: (6 * n + 1, (2 * n) * (2 * n + 1)),
+                                ratio=Fraction(1, 4), slack="1.1", tol=42, head=2,
+                                start=1), t[40],
                        note="no certificate-backed route is known for this one; "
                             "verified numerically only"),
         IdentityRecord("log2-f3", "8 log 2 = 11/2 + sum (15n+2)/((2n)(2n+1)) C(2n,n)^2/2^(8n)",
                        KIND_NUMERIC, Formula(lambda *_: 8 * log(mpf(2))),
-                       _log2_sum(15, 2, 8, Fraction(11, 2), 42), t[40]),
+                       HyperSum(step3, weight3, ratio=Fraction(1, 16), slack="1.1", tol=42,
+                                head=Fraction(11, 2), start=1), t[40]),
         IdentityRecord("log2-f1-gen", "pi G(x)G(x+1)/G(x+1/2)^2 as a 2^(-2n) binomial sum",
                        KIND_NUMERIC, Formula(lambda ctx, x: _gamma_quotient(x, ctx)),
-                       _gen1_rhs, t[30], params=gen_x),
+                       HyperSum(step1, weight1 * 2, ratio=1, tol=31), t[30], params=gen_x),
         IdentityRecord("log2-f3-gen", "4 pi G(x)G(x+1)/G(x+1/2)^2 as the 2^(-6n) kernel sum",
                        KIND_NUMERIC, Formula(lambda ctx, x: 4 * _gamma_quotient(x, ctx)),
-                       _gen3_rhs, t[30], params=gen_x),
+                       # the term ratio is below 1/4 from the ninth term on
+                       HyperSum(step3, weight3 * 2, ratio=Fraction(1, 16), slack="4", tol=31,
+                                ratio_from=8), t[30], params=gen_x),
         IdentityRecord("zeta2-laurent", "-zeta(2) + 4 log^2 2 from the Laurent coefficient sum",
                        KIND_NUMERIC, _ZETA2_LHS, _zeta2_laurent_rhs, t[10],
                        note="A_2n interpreted as the 2n-th partial sum of the "

@@ -12,6 +12,10 @@ matter uniform:
 
 Coefficients of the Gamma arguments are rationals: the second WZ pair uses
 arguments like 1 + k/2 + n, so half-integer k-coefficients are required.
+
+Everything here is exact: ``term_shift_ratio`` gives the quotients behind
+both the WZ certificates and the registry's log 2 term ratios, and
+``term_eval_exact`` evaluates a term where it is rational.
 """
 
 from __future__ import annotations
@@ -20,11 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from mpmath import mp, mpf, power
-
-from ..context import (NonComparableError, PoleError, PrecisionCtx,
-                       ensure_ctx, to_mpf)
-from ..numkernel import gamma_real
+from ..context import NonComparableError, PoleError
 from .multipoly import MultiPoly, RatFunc
 
 
@@ -166,42 +166,6 @@ def term_cross_ratio(a: HyperTerm, b: HyperTerm) -> RatFunc:
 def term_shift_ratio(t: HyperTerm, dn: int, dk: int) -> RatFunc:
     """T(n+dn, k+dk) / T(n, k) as an exact rational function."""
     return term_cross_ratio(t.shifted(dn, dk), t)
-
-
-def term_eval_numeric(t: HyperTerm, n, k, ctx: PrecisionCtx | None = None) -> mpf:
-    """Numeric value at real (possibly non-integer) indices.
-
-    A Gamma pole in the numerator raises PoleError; one in the denominator
-    makes the whole term vanish.
-    """
-    ctx = ensure_ctx(ctx)
-    with ctx.workprec():
-        n, k = to_mpf(n), to_mpf(k)
-        total = mpf(1)
-        for lf, e in t.gammas:
-            x = mpf(lf.c0.numerator) / lf.c0.denominator \
-                + mpf(lf.cn.numerator) / lf.cn.denominator * n \
-                + mpf(lf.ck.numerator) / lf.ck.denominator * k
-            try:
-                g = gamma_real(x, ctx)
-            except PoleError:
-                if e > 0:
-                    raise
-                return mpf(0)
-            total *= g ** e
-        if t.base != 1:
-            expo = t.g_cn * n + t.g_ck * k
-            base_val = mpf(t.base.numerator) / t.base.denominator
-            if t.base < 0:
-                if expo != int(expo):
-                    raise PoleError("negative geometric base at non-integer index")
-                total *= base_val ** int(expo)
-            else:
-                total *= power(base_val, expo)
-        den = t.pre.den.eval_num(n, k)
-        if den == 0:
-            raise PoleError(f"prefactor pole at (n, k) = ({mp.nstr(n, 8)}, {mp.nstr(k, 8)})")
-        return total * t.pre.num.eval_num(n, k) / den
 
 
 def term_eval_exact(t: HyperTerm, n, k) -> Fraction:

@@ -6,14 +6,17 @@ through and never reduces to lowest terms, so there is no GCD anywhere.
 Equality is decided by cross-multiplication (a == b iff
 a.num * b.den == b.num * a.den) and a RatFunc is zero iff its numerator is.
 Equal values need not share a structure, so RatFunc is unhashable.
-Prefactors parsed from text are kept as written.
+Prefactors parsed from text are kept as written.  ``RatFunc.int_ratio``
+fixes k and evaluates the rest on integers, which is how the series layer
+steps a sum whose term ratio comes from a WZ pair.
 """
 
 from __future__ import annotations
 
 import ast
 from fractions import Fraction
-from typing import Iterable
+from math import lcm
+from typing import Callable, Iterable
 
 Exponent = tuple[int, int]  # (degree in n, degree in k)
 
@@ -118,12 +121,11 @@ class MultiPoly:
             total += c * n ** a * k ** b
         return total
 
-    def eval_num(self, n, k):
-        """Evaluate with arbitrary numeric types (e.g. mpf)."""
-        total = 0
-        for (a, b), c in self.coeffs.items():
-            total = total + (n ** a) * (k ** b) * c.numerator / c.denominator
-        return total
+    def div_k(self) -> "MultiPoly":
+        """self / k, exactly; ValueError unless k divides every term."""
+        if any(b == 0 for _, b in self.coeffs):
+            raise ValueError(f"k does not divide {self}")
+        return MultiPoly({(a, b - 1): c for (a, b), c in self.coeffs.items()})
 
     def shift(self, dn, dk) -> "MultiPoly":
         """Substitute n -> n + dn, k -> k + dk (dn, dk rational)."""
@@ -235,6 +237,33 @@ class RatFunc:
 
     def shift(self, dn, dk) -> "RatFunc":
         return RatFunc(self.num.shift(dn, dk), self.den.shift(dn, dk))
+
+    def int_ratio(self, k) -> Callable[[int], tuple[int, int]]:
+        """The map n -> (p, q) of integers with p/q = self(n, k) at a fixed
+        rational k = a/b.  Both polynomials are taken times the lcm of their
+        coefficient denominators and b^(degree in k), which makes their
+        coefficients in n integers, so each call is two Horner passes on ints."""
+        a, b = Fraction(k).as_integer_ratio()
+        polys = (self.num, self.den)
+        top = max((e for p in polys for _, e in p.coeffs), default=0)
+        scale = lcm(*(c.denominator for p in polys for c in p.coeffs.values()))
+
+        def in_n(poly):  # highest degree first
+            out = [0] * (1 + max((d for d, _ in poly.coeffs), default=0))
+            for (d, e), c in poly.coeffs.items():
+                out[-1 - d] += c.numerator * (scale // c.denominator) * a ** e * b ** (top - e)
+            return out
+
+        num, den = in_n(self.num), in_n(self.den)
+
+        def ratio(n):
+            p = q = 0
+            for c in num:
+                p = p * n + c
+            for c in den:
+                q = q * n + c
+            return p, q
+        return ratio
 
     def __str__(self) -> str:
         if self.den == ONE:

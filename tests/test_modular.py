@@ -1,5 +1,5 @@
-"""Theta function, eta-quotient x(q), q-inversion in both signatures, the
-J-expressions, and the degree-2 modular relation."""
+"""Theta function, eta-quotient x(q), the signature-3 nome and
+J-expression, and the degree-2 modular relation."""
 
 import random
 from fractions import Fraction
@@ -8,10 +8,9 @@ import pytest
 from mpmath import exp, gamma, mp, mpf, pi, sqrt, workprec
 
 from wzmahler import DomainError, PrecisionCtx
-from wzmahler.elliptic import curve_from_family
-from wzmahler.modular import (beta2_from_q, j3_from_beta, j_from_beta2,
-                              modular_poly_solve, modular_relation, phi_theta,
-                              q3_from_beta, q_from_beta2, xq_product)
+from wzmahler.modular import (j3_from_beta, modular_poly_solve,
+                              modular_relation, phi_theta, q3_from_beta,
+                              xq_product)
 from wzmahler.symbolic.pfq import pfq_eval
 
 CTX = PrecisionCtx(bits=256)
@@ -47,20 +46,6 @@ def test_xq_basic_and_bertin_values():
         assert abs(xq_product(q0 ** 2, CTX) - (7 - s5) ** 3 / 108) < TOL
 
 
-def test_q_inversion_signature2():
-    rng = random.Random(31)
-    with workprec(300):
-        assert abs(q_from_beta2(Fraction(1, 2), CTX) - exp(-pi)) < TOL
-        # round-trip through the theta quotient, fixed and random samples
-        betas = [Fraction(9, 25)] + [mpf(rng.uniform(0.05, 0.95)) for _ in range(10)]
-        for beta in betas:
-            q = q_from_beta2(beta, CTX)
-            back = beta2_from_q(q, CTX)
-            want = mpf(beta.numerator) / beta.denominator \
-                if isinstance(beta, Fraction) else beta
-            assert abs(back - want) < TOL
-
-
 def test_q_inversion_signature3():
     with workprec(300):
         assert abs(q3_from_beta(Fraction(1, 2), CTX) - exp(-2 * pi / sqrt(mpf(3)))) < TOL
@@ -69,11 +54,10 @@ def test_q_inversion_signature3():
 def test_nomes_continuous_at_half():
     # beta = 1/2 is where the kernel's pair moves from beta to 1 - beta; on
     # either side the nome stays within the slope times 2^-250 of its value
-    # at 1/2, exp(-pi) and exp(-2 pi/sqrt 3)
+    # at 1/2, exp(-2 pi/sqrt 3)
     with workprec(300):
         half, delta = mpf(1) / 2, mpf(2) ** -250
         for beta in (half - delta, half, half + delta):
-            assert abs(q_from_beta2(beta, CTX) - exp(-pi)) < mpf(10) ** -70
             assert abs(q3_from_beta(beta, CTX) - exp(-2 * pi / sqrt(mpf(3)))) \
                 < mpf(10) ** -70
 
@@ -83,20 +67,16 @@ def test_nomes_match_hypergeometric_quotient():
     # directly by pfq_eval, against the connection-formula closed forms
     with workprec(300):
         tol = mpf(2) ** -290
-        third, half = mpf(1) / 3, mpf(1) / 2
+        a = mpf(1) / 3
         for beta in (mpf("0.1"), mpf("0.3"), mpf("0.7")):
-            for a, scale, nome in ((third, 2 * pi / sqrt(mpf(3)), q3_from_beta),
-                                   (half, pi, q_from_beta2)):
-                top = pfq_eval([a, 1 - a], [1], 1 - beta, CTX, tol=tol)
-                bot = pfq_eval([a, 1 - a], [1], beta, CTX, tol=tol)
-                ref = exp(-scale * top / bot)
-                assert abs(nome(beta, CTX) / ref - 1) < mpf(10) ** -75
+            top = pfq_eval([a, 1 - a], [1], 1 - beta, CTX, tol=tol)
+            bot = pfq_eval([a, 1 - a], [1], beta, CTX, tol=tol)
+            ref = exp(-2 * pi / sqrt(mpf(3)) * top / bot)
+            assert abs(q3_from_beta(beta, CTX) / ref - 1) < mpf(10) ** -75
 
 
 def test_q_inversion_domain():
     for beta in (0, 1, -2, 2):
-        with pytest.raises(DomainError):
-            q_from_beta2(beta, CTX)
         with pytest.raises(DomainError):
             q3_from_beta(beta, CTX)
 
@@ -108,16 +88,6 @@ def test_theta_involution():
             a = (phi_theta(-exp(-pi * x), CTX) / phi_theta(exp(-pi * x), CTX)) ** 4
             b = (phi_theta(-exp(-pi / x), CTX) / phi_theta(exp(-pi / x), CTX)) ** 4
             assert abs(a + b - 1) < TOL
-
-
-def test_j_from_beta2_against_curves():
-    # beta = 1 - 16/k^2 must reproduce g2^3/(g2^3 - 27 g3^2) of the family
-    for ksq in (Fraction(25), Fraction(64), Fraction(256)):
-        beta = 1 - Fraction(16) / ksq
-        jval = j_from_beta2(beta)
-        for ell in (Fraction(2), Fraction(1, 2), Fraction(3)):
-            e = curve_from_family(ksq, ell)
-            assert jval == e.g2 ** 3 / (e.g2 ** 3 - 27 * e.g3 ** 2)
 
 
 def test_j3_bertin_value():
@@ -135,11 +105,9 @@ def test_j3_pole_structure():
 
 
 def test_j_domain_errors():
-    for f in (j_from_beta2, j3_from_beta):
+    for beta in (Fraction(0), Fraction(1)):
         with pytest.raises(DomainError):
-            f(Fraction(0))
-        with pytest.raises(DomainError):
-            f(Fraction(1))
+            j3_from_beta(beta)
 
 
 def test_modular_relation_trivia():

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+from fractions import Fraction
 
 import pytest
 from mpmath import cbrt, log, mp, mpf, sqrt, workprec
@@ -12,6 +13,9 @@ from wzmahler.mahler import n_quadrature
 from wzmahler.registry import (lookup, n_lattice, registry_entries,
                                reports_from_json, reports_to_json, run_all,
                                run_check)
+from wzmahler.symbolic.hyperterm import HyperTerm
+from wzmahler.symbolic.pairs import builtin_pairs
+from wzmahler.symbolic.wz import WZPair
 
 CTX = PrecisionCtx(bits=256)
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "report-{bits}.json")
@@ -52,14 +56,76 @@ def test_registry_is_built_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _log2_closed_form(a, b, shift):
+    """(step, weight) of sum_{n>=1} (an+b)/((2n)(2n+1)) C(2n,n)^2/2^(shift n)"""
+    return (lambda n: ((2 * n - 1) ** 2, n * n << (shift - 2)),
+            lambda n: (a * n + b, (2 * n) * (2 * n + 1)))
+
+
+def _gen1_closed_form(x):
+    """(step, weight) of sum_{n>=0} (4n+2x+1)/((2n+1)(n+x)) c_n with
+    c_n = (1/2+x)_n/(1+x)_n C(2n,n)/4^n"""
+    a, b = x.numerator, x.denominator
+    return (lambda n: ((2 * b * n - b + 2 * a) * (2 * n - 1), 4 * n * (b * n + a)),
+            lambda n: (4 * b * n + 2 * a + b, (2 * n + 1) * (b * n + a)))
+
+
+def _gen3_closed_form(x):
+    """(step, weight) of sum_{n>=0} P(n, x)/((2n+1)(2n+x)(2n+x+1)^2) c_n with
+    c_n = (1/2+x)_n^2/((1+x/2)_n ((1+x)/2)_n) C(2n,n)/2^(6n) and
+    P = 2(2n+1)^2 (15n+2) + x ((2n+1)(86n+19) + 4x(20n+7) + 12x^2)"""
+    a, b = x.numerator, x.denominator  # P and the denominator scaled by b^3
+
+    def weight(n):
+        p = b * b * (2 * n + 1) * (86 * n + 19) + 4 * a * b * (20 * n + 7) + 12 * a * a
+        return (2 * b ** 3 * (2 * n + 1) ** 2 * (15 * n + 2) + a * p,
+                (2 * n + 1) * (2 * b * n + a) * (2 * b * n + a + b) ** 2)
+
+    return (lambda n: ((2 * b * n - b + 2 * a) ** 2 * (2 * n - 1),
+                       32 * n * (2 * b * n + a) * (2 * b * n + a - b)),
+            weight)
+
+
+def test_fixture_sums_match_closed_forms():
+    # the log 2 sums step and weigh their terms by ratios derived from the
+    # G of pair-1 and pair-3; those must equal the closed forms, as exact
+    # rationals, at every registry x (x = 0 for the sums without a param)
+    closed = {"log2-f1": lambda x: _log2_closed_form(4, 1, 4),
+              "log2-f3": lambda x: _log2_closed_form(15, 2, 8),
+              "log2-f1-gen": _gen1_closed_form,
+              "log2-f3-gen": _gen3_closed_form}
+    for ident, closed_form in closed.items():
+        side = lookup(ident).rhs
+        for x in lookup(ident).params or (Fraction(0),):
+            want_step, want_weight = closed_form(x)
+            step, weight = side.step.int_ratio(x), side.weight.int_ratio(x)
+            for n in range(1, 400):
+                assert Fraction(*step(n)) == Fraction(*want_step(n)), (ident, x, n)
+            for n in range(side.start, 400):
+                assert Fraction(*weight(n)) == Fraction(*want_weight(n)), (ident, x, n)
+    # negative control: doubling G's prefactor keeps the step, moves the weight
+    for name in ("pair-1", "pair-3"):
+        pair = builtin_pairs()[name]
+        g = pair.G
+        bad = WZPair(pair.F, HyperTerm.build(g.gammas, g.base, g.g_cn, g.g_ck, g.pre * 2),
+                     f"{name}-perturbed")
+        (step, weight), (bad_step, bad_weight) = map(registry._g_kernel, (pair, bad))
+        assert bad_step == step
+        assert bad_weight != weight
+        half = Fraction(1, 2)
+        assert Fraction(*bad_weight.int_ratio(half)(3)) == 2 * Fraction(*weight.int_ratio(half)(3))
+
+
 def test_hash_contract():
     # records compare by identity, so all of them hash, WZ-backed ones too;
     # the WZ pairs, their terms and their certificate reports hold an
     # unhashable RatFunc and say so instead of failing inside hash()
-    from wzmahler.symbolic.pairs import builtin_pairs
     from wzmahler.symbolic.wz import wz_verify
     table = registry_entries()
     assert len({hash(rec) for rec in table}) == len(table) == 34
+    # so do the sides, also the sums stepped by a pair's RatFuncs
+    sides = [s for rec in table for s in (rec.lhs, rec.rhs) if not isinstance(s, WZPair)]
+    assert all(isinstance(hash(s), int) for s in sides)
     pairs = builtin_pairs()
     assert len(pairs) == 3
     for pair in pairs.values():

@@ -11,12 +11,10 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from mpmath import mp, mpf, pi, workprec
 
-from wzmahler import NonComparableError, PoleError
+from wzmahler import NonComparableError
 from wzmahler.symbolic.hyperterm import (HyperTerm, LinForm, term_cross_ratio,
-                                         term_eval_exact, term_eval_numeric,
-                                         term_shift_ratio)
+                                         term_eval_exact, term_shift_ratio)
 from wzmahler.symbolic.multipoly import MultiPoly, RatFunc, parse_ratfunc
 from wzmahler.symbolic.pairs import builtin_pairs, parse_fixture, serialize_fixture
 from wzmahler.symbolic.wz import (WZPair, certificate_random_probe,
@@ -225,31 +223,10 @@ def test_f_vanishes_at_n0():
 
 
 def test_f_decays_numerically():
-    with workprec(300):
-        for name in ("pair-1", "pair-3"):
-            for k in (0, 1):
-                vals = [abs(term_eval_numeric(PAIRS[name].F, mpf(2) ** j, mpf(k)))
-                        for j in range(1, 13)]
-                assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_term_eval_numeric_half_integer_values():
-    with workprec(300):
-        tol = mpf(2) ** -200
-        v1 = term_eval_numeric(PAIRS["pair-1"].F, mpf(1) / 2, mpf(0))
-        assert abs(v1 + 2 / pi ** 2) < tol
-        v3 = term_eval_numeric(PAIRS["pair-3"].F, mpf(1) / 2, mpf(1))
-        assert abs(v3 + 2 / (4 * pi ** 2)) < tol
-
-
-def test_term_eval_numeric_zero_prefactor():
-    assert term_eval_numeric(PAIRS["pair-1"].F, mpf(0), mpf(3)) == 0
-
-
-def test_term_eval_numeric_pole():
-    # n = -1/2 puts Gamma(1/2 + n) at its pole in the numerator
-    with pytest.raises(PoleError):
-        term_eval_numeric(PAIRS["pair-1"].F, mpf(-1) / 2, mpf(3))
+    for name in ("pair-1", "pair-3"):
+        for k in (0, 1):
+            vals = [abs(term_eval_exact(PAIRS[name].F, 2 ** j, k)) for j in range(1, 13)]
+            assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 # ---------------------------------------------------------------------------
