@@ -12,11 +12,11 @@ from .context import (ComplexRootsUnsupportedError, ConvergenceError,
                       QuadratureBudgetError, Rational, RootIdentificationError,
                       SingularCurveError, SlowConvergenceWarning,
                       UnknownIdentityError)
-from .numkernel import agm, bloch_wigner, gamma_real, li2_complex, zeta_int
+from .numkernel import agm, bloch_wigner, gamma_real, zeta_int
 
 __all__ = [
     "PrecisionCtx", "Rational",
-    "gamma_real", "li2_complex", "bloch_wigner", "agm", "zeta_int",
+    "gamma_real", "bloch_wigner", "agm", "zeta_int",
     "PoleError", "DomainError", "ConvergenceError", "DivergentSeriesError",
     "NonComparableError", "QuadratureBudgetError", "RootIdentificationError",
     "SingularCurveError", "ComplexRootsUnsupportedError", "LatticePoleError",

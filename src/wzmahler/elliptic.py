@@ -36,7 +36,7 @@ from mpmath.libmp import to_fixed
 from .context import (ComplexRootsUnsupportedError, ConvergenceError,
                       DomainError, LatticePoleError, PrecisionCtx,
                       SingularCurveError, ensure_ctx, to_mpf)
-from .numkernel import GUARD_LI2, agm, bloch_wigner
+from .numkernel import GUARD_D, agm, bloch_wigner
 from .series import count_terms
 
 
@@ -294,7 +294,7 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx | None = None) -> mpf:
     The k-th term of H(z) is at most C r^k with r = |z||q| and
     C = (1 + |log|z|| + |log|q||/(1-|q|))/(1-|q|), so each half-sum stops
     at the first k_up (k_down for 1/z) where the tail bound
-    C r^(k+1)/(1-r) is below 2^-(bits + GUARD_LI2).  Both half-sums then
+    C r^(k+1)/(1-r) is below 2^-(bits + GUARD_D).  Both half-sums then
     run in one loop over k to K = max(k_up, k_down) on Python integers at
     P fractional bits, carrying (zq)^k, (q/z)^k and q^k as fixed-point
     values, so a term costs a dozen integer products instead of a dozen
@@ -302,7 +302,7 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx | None = None) -> mpf:
     adds at most 36 C/((1-r)(1-|q|)^3) units of 2^-P of rounding error, so
     P = w + the bit length of 64 K C/((1-r)(1-|q|)^3), with w the working
     precision (bits + 64), keeps the summed rounding error below 2^-w,
-    far below 2^-(bits + GUARD_LI2).  The n = 0 term D(z0) is one
+    far below 2^-(bits + GUARD_D).  The n = 0 term D(z0) is one
     Bloch-Wigner call, memoised on (the exact z0 at the working precision,
     ctx), because the registry's lattice sums meet the same few points
     again and again.
@@ -322,7 +322,7 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx | None = None) -> mpf:
             count_terms(1)
             return mpf(0)
         z = z0 * q ** int(nint(log(abs(z0)) / -log(abs(q))))
-        eps = mpf(2) ** (-(ctx.bits + GUARD_LI2))
+        eps = mpf(2) ** (-(ctx.bits + GUARD_D))
         aq, lz, lq = abs(q), log(abs(z)), log(abs(q))
         c = (1 + abs(lz) + abs(lq) / (1 - aq)) / (1 - aq)
         r_up, r_down = abs(z) * aq, aq / abs(z)

@@ -4,20 +4,20 @@ connecting x(sqrt(q)), x(q) and x(q^2).
 
 Signature 3 is Ramanujan's alternative theory built on 2F1(1/3,2/3;1;.)
 (Berndt, Bhargava and Garvan, "Ramanujan's theories of elliptic functions
-to alternative bases", 1995).  Its nome comes in closed form from the
-logarithmic connection formula of ``numkernel.connection_pair``, which only
-ever sums at an argument <= 1/2: q = beta/27 + ... is the leading term.
+to alternative bases", 1995).  Its nome comes from Borwein's cubic AGM
+(``numkernel.agm3``), as ``elliptic.periods`` takes the signature-2 nome
+from the classical one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from mpmath import exp, log, mp, mpf, pi, polyroots, sin, sqrt
+from mpmath import cbrt, exp, mp, mpf, pi, polyroots, sqrt
 
 from .context import (DomainError, PrecisionCtx, RootIdentificationError,
                       ensure_ctx, to_mpf)
-from .numkernel import connection_pair
+from .numkernel import agm3
 
 
 def phi_theta(q, ctx: PrecisionCtx | None = None) -> mpf:
@@ -58,27 +58,18 @@ def xq_product(q, ctx: PrecisionCtx | None = None) -> mpf:
 
 
 def q3_from_beta(beta, ctx: PrecisionCtx | None = None) -> mpf:
-    """Signature-3 nome exp(-(pi/sin(pi s)) F(1-beta)/F(beta)), s = 1/3 and
-    F = 2F1(s,1-s;1;.), from the kernel's pair (F, G) at whichever of beta,
-    1-beta is <= 1/2:
+    """Signature-3 nome exp(-(2 pi/sqrt 3) F(1-beta)/F(beta)),
+    F = 2F1(1/3, 2/3; 1; .), with F(x) = 1/agm3(1, (1-x)^(1/3)):
 
-        q = beta exp(-G(beta)/F(beta))                       beta <= 1/2,
-        q = exp(-(pi/sin(pi s))^2 F(w)/(G(w) - log w F(w)))  w = 1-beta.
+        q = exp(-(2 pi/sqrt 3) agm3(1, (1-beta)^(1/3))/agm3(1, beta^(1/3))).
     """
     ctx = ensure_ctx(ctx)
-    s = Fraction(1, 3)
     with ctx.workprec(16):
         beta = to_mpf(beta)
         if not 0 < beta < 1:
             raise DomainError("beta must lie in (0, 1)")
-        # full working precision: downstream values (q, x(q)) inherit this accuracy
-        tol = mpf(2) ** (-(ctx.bits + 24))
-        if beta <= mpf(1) / 2:
-            f, g = connection_pair(s, beta, ctx, tol=tol)
-            return +(beta * exp(-g / f))
-        w = 1 - beta
-        f, g = connection_pair(s, w, ctx, tol=tol)
-        return +exp(-(pi / sin(pi * to_mpf(s))) ** 2 * f / (g - log(w) * f))
+        ratio = agm3(1, cbrt(1 - beta), ctx) / agm3(1, cbrt(beta), ctx)
+        return +exp(-2 * pi / sqrt(3) * ratio)
 
 
 def j3_from_beta(beta: Fraction) -> Fraction:

@@ -1,13 +1,14 @@
-"""Special functions at configurable precision: real Gamma, principal-branch
-dilogarithm, the Bloch-Wigner function D, the arithmetic-geometric mean,
+"""Special functions at configurable precision: real Gamma, the
+Bloch-Wigner function D, the classical and cubic arithmetic-geometric means,
 integer zeta values, and the hypergeometric kernel F_s = 2F1(s, 1-s; 1; .)
 for s in {1/3, 1/2}.
 
 Real/complex scalars are mpmath ``mpf``/``mpc`` values; exact rationals are
 ``fractions.Fraction``.  Gamma and zeta are delegated to mpmath's
-correctly-rounded implementations; Li2, D, the AGM and F_s are written out
+correctly-rounded implementations; D, the AGMs and F_s are written out
 here because their branch and termination behaviour is what the identity
-checks lean on.
+checks lean on.  Each has one route: D one Bernoulli series after its
+symmetries, the two AGMs one iteration each.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from mpmath import (arg, bernoulli, expjpi, im, isint, log, mp, mpc, mpf, pi,
-                    sin, workprec)
+from mpmath import (arg, bernoulli, cbrt, expjpi, im, isint, log, mp, mpc, mpf,
+                    pi, sin, workprec)
 from mpmath import gamma as _mp_gamma
 from mpmath import zeta as _mp_zeta
 
@@ -24,7 +25,7 @@ from .context import (ConvergenceError, DivergentSeriesError, DomainError,
                       PoleError, PrecisionCtx, ensure_ctx, to_mpf)
 from .series import as_ratio, count_terms, ratio_series, sum_geometric
 
-GUARD_LI2 = 24  # extra bits sought from the Li2 kernels beyond ctx.bits
+GUARD_D = 24  # extra bits sought from D and the lattice sums beyond ctx.bits
 
 
 def gamma_real(x, ctx: PrecisionCtx | None = None) -> mpf:
@@ -59,94 +60,59 @@ def agm(a, b, ctx: PrecisionCtx | None = None) -> mpf:
         return +a
 
 
-def _li2_taylor(z: mpc, eps: mpf, max_terms: int) -> mpc:
-    # sum z^n/n^2, |z| < 1; after adding z^n/n^2 the tail is bounded by
-    # |z|^(n+1)/(1-|z|), i.e. |power|/(1-r) with power the next numerator
-    total = mpc(0)
-    power = z
-    tail = 1 / (1 - abs(z))
-    n = 1
-    while True:
-        total += power / (n * n)
-        power *= z
-        if abs(power) * tail < eps:
-            return total
-        n += 1
-        if n > max_terms:
-            raise ConvergenceError("Li2 series budget exhausted")
-
-
-def _li2_log_series(z: mpc, eps: mpf, max_terms: int) -> mpc:
-    # Li2(z) = sum_{j>=0} B_j * w^(j+1)/(j+1)!,  w = -log(1-z), |w| < 2*pi.
-    # |B_{2m}| <= 2.3*(2m)!/(2*pi)^(2m), so the term bound decays like
-    # (|w|/2pi)^(2m) and gives a rigorous stopping rule.
-    w = -log(1 - z)
-    absw = abs(w)
-    q = (absw / (2 * pi)) ** 2
-    total = w - w * w / 4  # j = 0 and j = 1 (B_0 = 1, B_1 = -1/2)
-    wpow = w ** 3  # w^(j+1) at j = 2
-    fact = mpf(6)  # (j+1)! at j = 2
-    j = 2
-    while True:
-        total += bernoulli(j) * wpow / fact
-        bound = mpf("2.3") * absw * q ** (j // 2 + 1) / (1 - q)
-        if bound < eps:
-            return total
-        wpow *= w * w
-        fact *= (j + 2) * (j + 3)
-        j += 2
-        if j > max_terms:
-            raise ConvergenceError("Li2 log-series budget exhausted")
-
-
-def li2_complex(z, ctx: PrecisionCtx | None = None) -> mpc:
-    """Principal-branch dilogarithm Li2(z), branch cut along [1, oo).
-
-    Defining series inside |z| <= 0.55; reflection z -> 1-z and inversion
-    z -> 1/z move everything else into that disk except a neighbourhood of
-    the two sextic fixed points e^(+-i*pi/3), where the log-series in
-    w = -log(1-z) (Bernoulli coefficients) converges geometrically.
-
-    On the cut itself (real z > 1) the value is the limit from below,
-    Im Li2(x - i0); use the side you mean explicitly if it matters.
-    """
+def agm3(a, b, ctx: PrecisionCtx | None = None) -> mpf:
+    """Borwein's cubic arithmetic-geometric mean of positive reals,
+    (a, b) -> ((a + 2b)/3, (b (a^2 + ab + b^2)/3)^(1/3)), cubic convergence.
+    2F1(1/3, 2/3; 1; x) = 1/agm3(1, (1 - x)^(1/3)) for 0 <= x < 1
+    (Borwein and Borwein, Trans. AMS 323, 1991)."""
     ctx = ensure_ctx(ctx)
-    with ctx.workprec(32):
-        z = mpc(z)
-        eps = mpf(2) ** (-(ctx.bits + GUARD_LI2))
-        return +_li2(z, eps, ctx.max_terms)
-
-
-def _li2(z: mpc, eps: mpf, max_terms: int) -> mpc:
-    if z == 0:
-        return mpc(0)
-    if z == 1:
-        return mpc(pi ** 2 / 6)
-    if abs(z) > mpf("1.25"):
-        # Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2/2
-        return -_li2(1 / z, eps, max_terms) - pi ** 2 / 6 - log(-z) ** 2 / 2
-    if abs(z) <= mpf("0.55"):
-        return _li2_taylor(z, eps, max_terms)
-    if abs(1 - z) <= mpf("0.55"):
-        # Li2(z) + Li2(1-z) = pi^2/6 - log(z) log(1-z)
-        return pi ** 2 / 6 - log(z) * log(1 - z) - _li2_taylor(1 - z, eps, max_terms)
-    return _li2_log_series(z, eps, max_terms)
+    with ctx.workprec():
+        a, b = to_mpf(a), to_mpf(b)
+        if a <= 0 or b <= 0:
+            raise DomainError("agm3 requires positive arguments")
+        eps = mpf(2) ** (-(ctx.bits + 16))
+        while abs(a - b) > eps * a:
+            a, b = (a + 2 * b) / 3, cbrt(b * (a * a + a * b + b * b) / 3)
+        # the mean lies between the next a and b, which differ by O(|a - b|^3)
+        return (a + 2 * b) / 3
 
 
 def bloch_wigner(z, ctx: PrecisionCtx | None = None) -> mpf:
     """Bloch-Wigner dilogarithm D(z) = Im Li2(z) + arg(1-z) log|z|.
 
     Single-valued and real on all of C; vanishes on the real line, and
-    D(0) = D(1) = 0 by continuity.
+    D(0) = D(1) = 0 by continuity.  D(1/z) = -D(z) and D(1-z) = -D(z) move
+    z into |z| <= 1, Re z <= 1/2, where w = -log(1-z) has |w| < 1.26 and
+    Li2(z) = sum_{j>=0} B_j w^(j+1)/(j+1)! (Zagier, "The dilogarithm
+    function", 2007).  |B_2m| <= 2.3 (2m)!/(2 pi)^(2m) bounds the B_2m
+    term by 2.3 |w| r^m, r = (|w|/2 pi)^2 < 0.041, so the loop stops once
+    the tail sum_{m' >= m} 2.3 |w| r^m' is below 2^-(bits + GUARD_D).
     """
     ctx = ensure_ctx(ctx)
     with ctx.workprec(32):
         z = mpc(z)
         if z.imag == 0:
             return mpf(0)
-        eps = mpf(2) ** (-(ctx.bits + GUARD_LI2))
-        val = im(_li2(z, eps, ctx.max_terms)) + arg(1 - z) * log(abs(z))
-        return +val
+        sign = 1
+        if abs(z) > 1:
+            z, sign = 1 / z, -sign
+        if z.real > 0.5:
+            z, sign = 1 - z, -sign
+        eps = mpf(2) ** (-(ctx.bits + GUARD_D))
+        w = -log(1 - z)
+        r = (abs(w) / (2 * pi)) ** 2
+        total = im(w - w * w / 4)  # j = 0 and j = 1 (B_0 = 1, B_1 = -1/2)
+        wpow, fact, j = w ** 3, mpf(6), 2  # w^(j+1) and (j+1)! at j = 2
+        tail = 2.3 * abs(w) * r / (1 - r)  # bound on the terms from j on
+        while tail >= eps:
+            if j > ctx.max_terms:
+                raise ConvergenceError("Bloch-Wigner series budget exhausted")
+            total += bernoulli(j) * im(wpow) / fact
+            wpow *= w * w
+            fact *= (j + 2) * (j + 3)
+            tail *= r
+            j += 2
+        return +(sign * (total + arg(1 - z) * log(abs(z))))
 
 
 # ---------------------------------------------------------------------------
@@ -272,33 +238,3 @@ def _connection_integral(s, w, tol, max_terms):
             return total
         if m + 1 >= max_terms:
             raise ConvergenceError("connection expansion budget exhausted")
-
-
-def connection_pair(s, x, ctx: PrecisionCtx | None = None,
-                    tol=None) -> tuple[mpf, mpf]:
-    """(F_s(x), G_s(x)) with G_s(x) = sum c_n h_n x^n, for 0 <= x <= 1/2,
-    each to within tol (default ctx.target_tol).
-
-    By the connection formula, F_s(1-x) = kappa (G_s(x) - log x F_s(x)).
-    The tails after n = N are below c_N x^(N+1)/(1-x) and
-    c_N h_N x^(N+1)/(1-x).
-    """
-    ctx = ensure_ctx(ctx)
-    with ctx.workprec(32):
-        s = _kernel_s(s)
-        x = to_mpf(x)
-        if not 0 <= x <= mpf(1) / 2:
-            raise DomainError("connection_pair needs 0 <= x <= 1/2")
-        tol = mpf(tol) if tol is not None else ctx.target_tol
-        f = g = mpf(0)
-        xpow = mpf(1)
-        tail = 1 / (1 - x)
-        for n, (c, h) in enumerate(_c_h_terms(s)):
-            f += c * xpow
-            g += c * h * xpow
-            xpow *= x
-            if c * (1 + h) * xpow * tail < tol:
-                count_terms(n + 1)
-                return +f, +g
-            if n + 1 >= ctx.max_terms:
-                raise ConvergenceError("connection pair budget exhausted")

@@ -116,13 +116,18 @@ def sum_geometric(terms: Series, tol, *, ratio=0.5, head: int = 0,
 
     Stops once the geometric tail bound |t|*ratio/(1-ratio) stays below tol
     for two consecutive terms past the head (guards parity-structured
-    series).
+    series).  A tol below 2^-(mp.prec + GUARD) can never be met, and raises
+    ConvergenceError before any term is summed.
     """
     rp, rq = as_ratio(ratio)
     if not rp < rq:
         raise ValueError("ratio bound must be < 1")
     bits = mp.prec + GUARD
     limit = to_fixed(tol, bits) * (rq - rp)  # |t| rp < limit: below tol
+    if limit == 0:
+        raise ConvergenceError(
+            f"tol={mp.nstr(mpf(tol), 5)} is below the resolution 2^-{bits} "
+            f"of the working precision ({mp.prec} bits)")
     total = small = n = 0
     for t in terms(bits):
         total += t

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import factorial, floor, prod
 
 from ..context import NonComparableError, PoleError
 from .multipoly import MultiPoly, RatFunc
@@ -173,7 +173,8 @@ def term_eval_exact(t: HyperTerm, n, k) -> Fraction:
 
     Gamma factors are grouped by the fractional part of their evaluated
     argument; non-integer classes must have exponent sum zero (their Gamma(r)
-    reference values cancel), integer-class factors unfold to factorials.
+    reference values cancel, leaving integer rising products), integer-class
+    factors are factorials.
     """
     n, k = Fraction(n), Fraction(k)
     classes: dict[Fraction, list[tuple[Fraction, int]]] = {}
@@ -181,7 +182,7 @@ def term_eval_exact(t: HyperTerm, n, k) -> Fraction:
         x = lf.eval(n, k)
         frac = x - floor(x)
         classes.setdefault(frac, []).append((x, e))
-    total = Fraction(1)
+    num = den = 1
     for frac, members in classes.items():
         if frac == 0:
             for x, e in members:
@@ -189,23 +190,23 @@ def term_eval_exact(t: HyperTerm, n, k) -> Fraction:
                     if e > 0:
                         raise PoleError(f"Gamma pole at integer argument {x}")
                     return Fraction(0)
-                f = Fraction(1)
-                for j in range(1, int(x)):
-                    f *= j
-                total *= f ** e
+                f = factorial(int(x) - 1) ** abs(e)
+                if e > 0:
+                    num *= f
+                else:
+                    den *= f
             continue
         if sum(e for _, e in members) != 0:
             raise ValueError("term is not rational at this point: unbalanced "
                              f"Gamma class with fractional part {frac}")
         ref = min(x for x, _ in members)
+        p, q = ref.numerator, ref.denominator
         for x, e in members:
-            # Gamma(x) = Gamma(ref) * ref*(ref+1)*...*(x-1)
-            p = Fraction(1)
-            v = ref
-            while v < x:
-                p *= v
-                v += 1
-            total *= p ** e
+            # Gamma(x)/Gamma(ref) = prod_{j<m} (p + j q)/q^m, m = x - ref
+            m = int(x - ref)
+            a, b = prod(range(p, p + m * q, q)) ** abs(e), q ** (m * abs(e))
+            num, den = (num * a, den * b) if e > 0 else (num * b, den * a)
+    total = Fraction(num, den)
     if t.base != 1:
         expo = t.g_cn * n + t.g_ck * k
         if expo.denominator != 1:

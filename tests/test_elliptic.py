@@ -16,7 +16,7 @@ from wzmahler.elliptic import (INFINITY, CurvePoint, EllipticCurve,
                                curve_from_family, elliptic_dilog, is_on_curve,
                                lattice_dilog_sum, periods, point_add,
                                point_mul, point_neg, point_order, wp)
-from wzmahler.numkernel import GUARD_LI2, bloch_wigner
+from wzmahler.numkernel import GUARD_D, bloch_wigner
 from wzmahler.series import TermCounter
 
 CTX = PrecisionCtx(bits=256)
@@ -266,7 +266,7 @@ def test_lattice_sum_rounding_against_mpf_loop(name, q, bits):
         d = bloch_wigner(z, ctx)
         with TermCounter() as counter:
             val = lattice_dilog_sum(z0, q, ctx)
-    eps = mpf(2) ** -(bits + GUARD_LI2)
+    eps = mpf(2) ** -(bits + GUARD_D)
     with workprec(w + 300):
         up, k_up = _half_sum_reference(z, q, eps)
         down, k_down = _half_sum_reference(1 / z, q, eps)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import exp, gamma, mp, mpf, pi, sqrt, workprec
+from mpmath import exp, gamma, hyp2f1, mp, mpf, pi, sqrt, workprec
 
 from wzmahler import DomainError, PrecisionCtx
 from wzmahler.modular import (j3_from_beta, modular_poly_solve,
@@ -52,9 +52,9 @@ def test_q_inversion_signature3():
 
 
 def test_nomes_continuous_at_half():
-    # beta = 1/2 is where the kernel's pair moves from beta to 1 - beta; on
-    # either side the nome stays within the slope times 2^-250 of its value
-    # at 1/2, exp(-2 pi/sqrt 3)
+    # beta and 1 - beta enter the cubic AGM symmetrically, so at beta = 1/2
+    # the quotient is 1; on either side the nome stays within the slope
+    # times 2^-250 of exp(-2 pi/sqrt 3)
     with workprec(300):
         half, delta = mpf(1) / 2, mpf(2) ** -250
         for beta in (half - delta, half, half + delta):
@@ -64,7 +64,9 @@ def test_nomes_continuous_at_half():
 
 def test_nomes_match_hypergeometric_quotient():
     # exp(-(pi/sin pi s) F(1-beta)/F(beta)) with both 2F1 values summed
-    # directly by pfq_eval, against the connection-formula closed forms
+    # directly by pfq_eval (at 0.1, 0.3, 0.7) or by mpmath's hyp2f1 (next to
+    # 0 and 1, where a direct sum at 1 - beta cannot converge), against the
+    # cubic AGM, to within 2^-(bits+24) relatively
     with workprec(300):
         tol = mpf(2) ** -290
         a = mpf(1) / 3
@@ -72,7 +74,15 @@ def test_nomes_match_hypergeometric_quotient():
             top = pfq_eval([a, 1 - a], [1], 1 - beta, CTX, tol=tol)
             bot = pfq_eval([a, 1 - a], [1], beta, CTX, tol=tol)
             ref = exp(-2 * pi / sqrt(mpf(3)) * top / bot)
-            assert abs(q3_from_beta(beta, CTX) / ref - 1) < mpf(10) ** -75
+            assert abs(q3_from_beta(beta, CTX) / ref - 1) < mpf(2) ** -280
+    for bits in (256, 512):
+        ctx = PrecisionCtx(bits=bits)
+        for beta in (mpf(10) ** -6, 1 - mpf(10) ** -6):
+            with workprec(bits + 96):
+                ref = exp(-2 * pi / sqrt(mpf(3))
+                          * hyp2f1(mpf(1) / 3, mpf(2) / 3, 1, 1 - beta)
+                          / hyp2f1(mpf(1) / 3, mpf(2) / 3, 1, beta))
+                assert abs(q3_from_beta(beta, ctx) / ref - 1) < mpf(2) ** -(bits + 24)
 
 
 def test_q_inversion_domain():

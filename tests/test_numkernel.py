@@ -5,13 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import (asin, catalan, exp, hyper, log, mp, mpc, mpf, pi,
-                    polylog, sin, sqrt, workprec)
+from mpmath import (arg, asin, catalan, cbrt, clsin, exp, hyp2f1, hyper, im,
+                    log, mp, mpc, mpf, pi, polylog, sin, sqrt, workprec)
 
 from wzmahler import (DivergentSeriesError, DomainError, PoleError,
-                      PrecisionCtx, agm, bloch_wigner, gamma_real, li2_complex,
-                      zeta_int)
-from wzmahler.numkernel import LAMBDA_SWITCH, connection_pair, lambda_series
+                      PrecisionCtx, agm, bloch_wigner, gamma_real, zeta_int)
+from wzmahler.numkernel import LAMBDA_SWITCH, agm3, lambda_series
 
 CTX = PrecisionCtx(bits=256)
 TOL = mpf(2) ** -200
@@ -48,26 +47,37 @@ def test_gamma_recurrence_and_reflection():
             assert abs(lhs - pi / sin(pi * x)) < TOL * abs(lhs)
 
 
-def test_li2_special_values():
-    with workprec(300):
-        assert li2_complex(0, CTX) == 0
-        assert abs(li2_complex(1, CTX) - pi ** 2 / 6) < TOL
-        # series value against the closed form at 1/2
-        expected = pi ** 2 / 12 - log(mpf(2)) ** 2 / 2
-        assert abs(li2_complex(mpf(1) / 2, CTX) - expected) < TOL
-
-
-def test_li2_matches_independent_implementation():
-    # mpmath's polylog is an independent evaluation route
+def test_bloch_wigner_matches_polylog():
+    # the 100 random points, and points on both sides of |z| = 1 and of
+    # Re z = 1/2 (where the symmetries change which z is summed), near 0,
+    # near infinity and next to z = 1
     rng = random.Random(5)
-    with workprec(300):
-        worst = mpf(0)
-        for _ in range(100):
-            z = mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            worst = max(worst, abs(li2_complex(z, CTX) - polylog(2, z)))
-        assert worst < TOL
-        z = exp(pi * mpc(0, 1) / 3)  # the hard point for functional equations
-        assert abs(li2_complex(z, CTX) - polylog(2, z)) < TOL
+    points = [mpc(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(100)]
+    h = mpf(2) ** -40
+    for y in ("0.3", "0.8660254", "2"):
+        points += [mpc(mpf("0.5") - h, y), mpc(mpf("0.5") + h, y)]
+    for t in ("0.5", "1.1", "2.5"):
+        u = exp(mpc(0, t))
+        points += [(1 - h) * u, u, (1 + h) * u]
+    points += [mpc(3, 4) * mpf(10) ** -31, mpc(-3, 4) * mpf(10) ** 29,
+               mpc(1, mpf(10) ** -30), mpc(mpf(10) ** -30, mpf(10) ** 30)]
+    # D = Im Li2(z) + arg(1-z) log|z| by mpmath's polylog, an independent
+    # route, once at 552 bits for both precisions
+    with workprec(552):
+        refs = [im(polylog(2, z)) + arg(1 - z) * log(abs(z)) for z in points]
+        for bits in (256, 512):
+            ctx = PrecisionCtx(bits=bits)
+            worst = max(abs(bloch_wigner(z, ctx) - ref)
+                        for z, ref in zip(points, refs))
+            assert worst < mpf(2) ** -(bits + 20)
+
+
+def test_bloch_wigner_clausen():
+    # D(e^(i theta)) = Cl2(theta); at theta = pi/3 it is the maximum of D
+    for bits in (256, 512):
+        with workprec(bits + 96):
+            d = bloch_wigner(exp(pi * mpc(0, 1) / 3), PrecisionCtx(bits=bits))
+            assert abs(d - clsin(2, pi / 3)) < mpf(2) ** -(bits + 20)
 
 
 def test_bloch_wigner_catalan():
@@ -119,8 +129,18 @@ def test_agm_oracle_doubled_precision():
 
 def test_agm_domain():
     for a, b in ((0, 1), (-1, 2), (1, 0)):
-        with pytest.raises(DomainError):
-            agm(a, b, CTX)
+        for mean in (agm, agm3):
+            with pytest.raises(DomainError):
+                mean(a, b, CTX)
+
+
+def test_agm3_is_the_cubic_hypergeometric_function():
+    # 2F1(1/3, 2/3; 1; x) = 1/agm3(1, (1-x)^(1/3)), and agm3(x, x) = x
+    with workprec(300):
+        assert abs(agm3(mpf("1.7"), mpf("1.7"), CTX) - mpf("1.7")) < TOL
+        for x in (mpf("0.01"), mpf("0.5"), mpf("0.99")):
+            ref = hyp2f1(mpf(1) / 3, mpf(2) / 3, 1, x)
+            assert abs(1 / agm3(1, cbrt(1 - x), CTX) / ref - 1) < TOL
 
 
 def test_zeta_values_and_oracle():
@@ -210,19 +230,3 @@ def test_lambda_series_small_z_and_domain():
     for z in (mpf("1.01"), mpf(-1), mpf(2)):
         with pytest.raises(DivergentSeriesError):
             lambda_series(Fraction(1, 3), z, CTX)
-
-
-def test_connection_pair_reflection():
-    # F_s(1-x) = (sin pi s/pi) (G_s(x) - log x F_s(x)): the left side summed
-    # directly at 1-x in [1/2, 0.9], the right from the kernel's pair at x
-    with workprec(300):
-        for s in KERNEL_S:
-            sm = mpf(s.numerator) / s.denominator
-            for x in ("0.1", "0.3", "0.5"):
-                x = mpf(x)
-                f, g = connection_pair(s, x, CTX, tol=mpf(10) ** -60)
-                with workprec(400):
-                    ref = hyper([sm, 1 - sm], [1], 1 - x)
-                assert abs(sin(pi * sm) / pi * (g - log(x) * f) - ref) < mpf(10) ** -55
-    with pytest.raises(DomainError):
-        connection_pair(Fraction(1, 3), mpf("0.6"), CTX)

@@ -235,7 +235,12 @@ def test_run_all_jobs_parity():
         rows, theirs = by_id(ours), by_id(other)
         assert list(rows) == list(theirs), name
         for ident, row in rows.items():
-            assert row == theirs[ident], f"{ident} differs from the {name} report"
+            moved = [f"{key} {row[key]!r} vs {theirs[ident].get(key)!r}"
+                     for key in row if row[key] != theirs[ident].get(key)]
+            moved += [f"{key} only in the {name} report"
+                      for key in theirs[ident] if key not in row]
+            assert not moved, f"{ident} differs from the {name} report " \
+                f"(ours vs {name}): " + "; ".join(moved)
 
 
 def test_monotone_precision():

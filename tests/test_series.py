@@ -27,6 +27,24 @@ def test_sum_geometric_rejects_ratio_and_budget():
         sum_geometric(_halving, mpf(10) ** -30, ratio=0.5, max_terms=20)
 
 
+def test_sum_geometric_refuses_tol_below_resolution():
+    # a tol under 2^-(prec + GUARD) floors to 0 in fixed point, so no term
+    # could ever meet it: the sum raises before pulling a single term
+    pulled = []
+
+    def counting(bits):
+        for t in _halving(bits):
+            pulled.append(t)
+            yield t
+
+    with workprec(128):
+        with pytest.raises(ConvergenceError, match="resolution"):
+            sum_geometric(counting, mpf(2) ** -(128 + GUARD + 1), ratio=0.5)
+        assert pulled == []
+        assert sum_geometric(counting, mpf(2) ** -(128 + GUARD), ratio=0.5) == 2
+    assert pulled
+
+
 def test_sum_geometric_needs_two_small_terms_in_a_row():
     # 1 + 0 + 1/2 + 0 + 1/4 + ...: every zero term is small, so a rule that
     # stopped at the first small term would return 1
