@@ -5,7 +5,8 @@
     wzmahler all [--filter S] [--jobs N] [--bits N] [--format json|text]
 
 Exit codes: 0 all pass, 1 at least one non-conjectural failure,
-2 usage error or unknown id.
+2 usage error or unknown id (a --filter that matches no id, and --tol on
+``verify`` of an exact entry, are usage errors).
 """
 
 from __future__ import annotations
@@ -116,14 +117,19 @@ def main(argv=None) -> int:
         return _usage_error(str(exc))
 
     if args.command == "verify":
-        if lookup(args.id) is None:
+        rec = lookup(args.id)
+        if rec is None:
             print(f"unknown identity id: {args.id}", file=sys.stderr)
             return 2
+        if tol is not None and rec.tol is None:
+            return _usage_error(f"--tol does not apply to the exact check {args.id}")
         reports = [run_check(args.id, ctx, tol_override=tol)]
         code = exit_code(reports)
     else:
         reports, code = run_all(filter=args.filter, jobs=args.jobs or 1,
                                 ctx=ctx, tol_override=tol)
+        if not reports:
+            return _usage_error(f"--filter {args.filter!r} matches no identity id")
 
     if args.format == "json":
         print(reports_to_json(reports))

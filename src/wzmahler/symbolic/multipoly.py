@@ -1,9 +1,15 @@
 """Exact polynomials and rational functions in the two summation indices
-(n, k), with Fraction coefficients.
+(n, k), with rational coefficients held as integers over one denominator.
+
+A MultiPoly stores ``ints``, a dict of int coefficients, and ``den``, a
+positive int, in lowest terms: the gcd of ``den`` and every coefficient is
+1, so equal polynomials have equal fields.  Sums and products run on ints
+only, combining denominators by lcm or product; a coefficient becomes a
+Fraction only where a value or a string is produced.
 
 A RatFunc is num/den exactly as built: arithmetic multiplies straight
-through and never reduces to lowest terms, so there is no GCD anywhere.
-Equality is decided by cross-multiplication (a == b iff
+through and never reduces to lowest terms, so there is no polynomial GCD
+anywhere.  Equality is decided by cross-multiplication (a == b iff
 a.num * b.den == b.num * a.den) and a RatFunc is zero iff its numerator is.
 Equal values need not share a structure, so RatFunc is unhashable.
 Prefactors parsed from text are kept as written.  ``RatFunc.int_ratio``
@@ -15,70 +21,93 @@ from __future__ import annotations
 
 import ast
 from fractions import Fraction
-from math import lcm
+from math import comb, gcd, lcm
+from numbers import Rational
 from typing import Callable, Iterable
 
 Exponent = tuple[int, int]  # (degree in n, degree in k)
 
 
-class MultiPoly:
-    """Polynomial in n and k over Fraction, sparse dict representation."""
+def _ratio(c) -> tuple[int, int]:
+    """(p, q) with c == p/q and q > 0, in lowest terms."""
+    if isinstance(c, Rational):
+        return int(c.numerator), int(c.denominator)
+    return Fraction(c).as_integer_ratio()
 
-    __slots__ = ("coeffs",)
+
+class MultiPoly:
+    """Polynomial in n and k: sparse int coefficients ``ints`` over ``den``."""
+
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: dict[Exponent, Fraction] | None = None):
-        clean: dict[Exponent, Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    clean[(int(e[0]), int(e[1]))] = c
-        self.coeffs = clean
+        pairs = {(int(a), int(b)): _ratio(c) for (a, b), c in (coeffs or {}).items()}
+        den = lcm(*(q for _, q in pairs.values()))
+        self._set({e: p * (den // q) for e, (p, q) in pairs.items()}, den)
+
+    def _set(self, ints: dict[Exponent, int], den: int) -> None:
+        ints = {e: c for e, c in ints.items() if c}
+        g = gcd(den, *ints.values())
+        if g != 1:
+            ints = {e: c // g for e, c in ints.items()}
+            den //= g
+        self.ints, self.den = ints, den
+
+    @classmethod
+    def _of(cls, ints: dict[Exponent, int], den: int) -> "MultiPoly":
+        """ints/den brought to lowest terms; den must be positive."""
+        out = cls.__new__(cls)
+        out._set(ints, den)
+        return out
 
     # -- constructors -------------------------------------------------
     @classmethod
     def const(cls, c) -> "MultiPoly":
-        return cls({(0, 0): Fraction(c)})
+        p, q = _ratio(c)
+        return cls._of({(0, 0): p}, q)
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
         if name == "n":
-            return cls({(1, 0): Fraction(1)})
+            return cls._of({(1, 0): 1}, 1)
         if name == "k":
-            return cls({(0, 1): Fraction(1)})
+            return cls._of({(0, 1): 1}, 1)
         raise ValueError(f"unknown variable {name!r}")
 
     @classmethod
     def linear(cls, c0, cn, ck) -> "MultiPoly":
-        return cls({(0, 0): Fraction(c0), (1, 0): Fraction(cn), (0, 1): Fraction(ck)})
+        return cls({(0, 0): c0, (1, 0): cn, (0, 1): ck})
 
     # -- structure -----------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def terms(self) -> Iterable[tuple[Exponent, Fraction]]:
-        return sorted(self.coeffs.items(), reverse=True)
+        return [(e, Fraction(c, self.den)) for e, c in sorted(self.ints.items(), reverse=True)]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MultiPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, MultiPoly) and self.den == other.den
+                and self.ints == other.ints)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other) -> "MultiPoly":
         other = _coerce(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(out)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        out = {e: c * s for e, c in self.ints.items()}
+        for e, c in other.ints.items():
+            out[e] = out.get(e, 0) + c * t
+        return MultiPoly._of(out, den)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly({e: -c for e, c in self.coeffs.items()})
+        return MultiPoly._of({e: -c for e, c in self.ints.items()}, self.den)
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-_coerce(other))
@@ -88,12 +117,14 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         other = _coerce(other)
-        out: dict[Exponent, Fraction] = {}
-        for (a1, a2), c in self.coeffs.items():
-            for (b1, b2), d in other.coeffs.items():
+        out: dict[Exponent, int] = {}
+        get = out.get
+        right = other.ints.items()
+        for (a1, a2), c in self.ints.items():
+            for (b1, b2), d in right:
                 e = (a1 + b1, a2 + b2)
-                out[e] = out.get(e, Fraction(0)) + c * d
-        return MultiPoly(out)
+                out[e] = get(e, 0) + c * d
+        return MultiPoly._of(out, self.den * other.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -101,7 +132,7 @@ class MultiPoly:
     def __pow__(self, m: int) -> "MultiPoly":
         if m < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.const(1)
+        out = ONE
         base = self
         while m:
             if m & 1:
@@ -111,34 +142,52 @@ class MultiPoly:
         return out
 
     def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        return MultiPoly({e: v * c for e, v in self.coeffs.items()})
+        p, q = _ratio(c)
+        return MultiPoly._of({e: v * p for e, v in self.ints.items()}, self.den * q)
 
     def eval(self, n, k) -> Fraction:
-        n, k = Fraction(n), Fraction(k)
-        total = Fraction(0)
-        for (a, b), c in self.coeffs.items():
-            total += c * n ** a * k ** b
-        return total
+        """The exact value at rational (n, k) = (p/q, r/s): every term is put
+        over den * q^A * s^B (A, B the top degrees) and summed as an int."""
+        (p, q), (r, s) = _ratio(n), _ratio(k)
+        top_a = max((a for a, _ in self.ints), default=0)
+        top_b = max((b for _, b in self.ints), default=0)
+        total = sum(c * p ** a * q ** (top_a - a) * r ** b * s ** (top_b - b)
+                    for (a, b), c in self.ints.items())
+        return Fraction(total, self.den * q ** top_a * s ** top_b)
 
     def div_k(self) -> "MultiPoly":
         """self / k, exactly; ValueError unless k divides every term."""
-        if any(b == 0 for _, b in self.coeffs):
+        if any(b == 0 for _, b in self.ints):
             raise ValueError(f"k does not divide {self}")
-        return MultiPoly({(a, b - 1): c for (a, b), c in self.coeffs.items()})
+        return MultiPoly._of({(a, b - 1): c for (a, b), c in self.ints.items()}, self.den)
 
     def shift(self, dn, dk) -> "MultiPoly":
-        """Substitute n -> n + dn, k -> k + dk (dn, dk rational)."""
-        n = MultiPoly.var("n") + MultiPoly.const(Fraction(dn))
-        k = MultiPoly.var("k") + MultiPoly.const(Fraction(dk))
-        out = MultiPoly()
-        for (a, b), c in self.coeffs.items():
-            out = out + (n ** a * k ** b).scale(c)
-        return out
+        """Substitute n -> n + dn, k -> k + dk (dn, dk rational).
+
+        With dn = p/q and dk = r/s, the term c n^a k^b becomes
+        c (qn + p)^a (sk + r)^b / (q^a s^b); everything is put over
+        den * q^A * s^B and expanded by the binomial theorem."""
+        (p, q), (r, s) = _ratio(dn), _ratio(dk)
+        top_a = max((a for a, _ in self.ints), default=0)
+        top_b = max((b for _, b in self.ints), default=0)
+
+        def rows(top, x, y):  # row m: the coefficients of (y t + x)^m y^(top-m)
+            return [[comb(m, i) * x ** (m - i) * y ** (top - m + i) for i in range(m + 1)]
+                    for m in range(top + 1)]
+
+        in_n, in_k = rows(top_a, p, q), rows(top_b, r, s)
+        out: dict[Exponent, int] = {}
+        for (a, b), c in self.ints.items():
+            row_k = in_k[b]
+            for i, u in enumerate(in_n[a]):
+                cu = c * u
+                for j, v in enumerate(row_k):
+                    out[(i, j)] = out.get((i, j), 0) + cu * v
+        return MultiPoly._of(out, self.den * q ** top_a * s ** top_b)
 
     # -- string form -----------------------------------------------------
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.ints:
             return "0"
         parts = []
         for (a, b), c in self.terms():
@@ -241,17 +290,18 @@ class RatFunc:
     def int_ratio(self, k) -> Callable[[int], tuple[int, int]]:
         """The map n -> (p, q) of integers with p/q = self(n, k) at a fixed
         rational k = a/b.  Both polynomials are taken times the lcm of their
-        coefficient denominators and b^(degree in k), which makes their
-        coefficients in n integers, so each call is two Horner passes on ints."""
-        a, b = Fraction(k).as_integer_ratio()
+        denominators and b^(degree in k), which makes their coefficients in n
+        integers, so each call is two Horner passes on ints."""
+        a, b = _ratio(k)
         polys = (self.num, self.den)
-        top = max((e for p in polys for _, e in p.coeffs), default=0)
-        scale = lcm(*(c.denominator for p in polys for c in p.coeffs.values()))
+        top = max((e for p in polys for _, e in p.ints), default=0)
+        scale = lcm(self.num.den, self.den.den)
 
         def in_n(poly):  # highest degree first
-            out = [0] * (1 + max((d for d, _ in poly.coeffs), default=0))
-            for (d, e), c in poly.coeffs.items():
-                out[-1 - d] += c.numerator * (scale // c.denominator) * a ** e * b ** (top - e)
+            out = [0] * (1 + max((d for d, _ in poly.ints), default=0))
+            mult = scale // poly.den
+            for (d, e), c in poly.ints.items():
+                out[-1 - d] += c * mult * a ** e * b ** (top - e)
             return out
 
         num, den = in_n(self.num), in_n(self.den)

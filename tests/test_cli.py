@@ -88,7 +88,9 @@ def test_usage_error():
                                   ["--max-terms", "100", "list"],
                                   ["list", "--format", "json"],
                                   ["--quiet", "list"],
-                                  ["list", "--quiet"]])
+                                  ["list", "--quiet"],
+                                  ["--tol", "1e-5", "verify", "wz-pair-1"],
+                                  ["verify", "torsion-orders", "--tol", "1e-5"]])
 def test_bad_flag_values_are_usage_errors(capsys, argv):
     # a value the run cannot honour is refused with one line on stderr
     # and exit code 2, before any check runs
@@ -96,3 +98,18 @@ def test_bad_flag_values_are_usage_errors(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("wzmahler: error:")
+
+
+def test_all_filter_matching_nothing_is_a_usage_error(capsys):
+    # a run that checked nothing must not report success
+    assert main(["all", "--filter", "no-such-entry"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "no-such-entry" in err
+
+
+def test_tol_under_all_skips_exact_entries(capsys):
+    # under 'all', --tol applies to the numeric entries and leaves the
+    # exact ones alone
+    assert main(["--tol", "1e-5", "all", "--filter", "torsion"]) == 0
+    assert "PASS" in capsys.readouterr().out

@@ -5,9 +5,11 @@ rewritten through gamma, shifted quotients reduced with expand_func/cancel,
 and the functional-equation combination must simplify to literal zero.
 """
 
+import hashlib
 import operator
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy as sp
@@ -15,6 +17,7 @@ import sympy as sp
 from wzmahler import NonComparableError
 from wzmahler.symbolic.hyperterm import (HyperTerm, LinForm, term_cross_ratio,
                                          term_eval_exact, term_shift_ratio)
+from wzmahler.symbolic import multipoly
 from wzmahler.symbolic.multipoly import MultiPoly, RatFunc, parse_ratfunc
 from wzmahler.symbolic.pairs import builtin_pairs, parse_fixture, serialize_fixture
 from wzmahler.symbolic.wz import (WZPair, certificate_random_probe,
@@ -76,6 +79,128 @@ def test_parse_str_round_trip():
             nv = Fraction(rng.randint(1, 30))
             kv = Fraction(rng.randint(1, 30))
             assert rf.eval(nv, kv) == rf2.eval(nv, kv)
+
+
+# reference arithmetic on plain {(a, b): Fraction} dicts, zeros dropped
+
+def _ref(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def _ref_add(x, y):
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + c
+    return _ref(out)
+
+
+def _ref_mul(x, y):
+    out = {}
+    for (a1, b1), c in x.items():
+        for (a2, b2), d in y.items():
+            e = (a1 + a2, b1 + b2)
+            out[e] = out.get(e, 0) + c * d
+    return _ref(out)
+
+
+def _ref_shift(x, dn, dk):
+    out = {}
+    for (a, b), c in x.items():
+        for i in range(a + 1):
+            for j in range(b + 1):
+                e = (i, j)
+                out[e] = out.get(e, 0) + c * comb(a, i) * dn ** (a - i) * comb(b, j) * dk ** (b - j)
+    return _ref(out)
+
+
+def _ref_str(x):
+    parts = []
+    for (a, b), c in sorted(x.items(), reverse=True):
+        factors = []
+        if c != 1 or (a == 0 and b == 0):
+            factors.append(str(c) if c > 0 or not parts else f"({c})")
+        if a:
+            factors.append("n" if a == 1 else f"n**{a}")
+        if b:
+            factors.append("k" if b == 1 else f"k**{b}")
+        parts.append("*".join(factors) if factors else str(c))
+    return " + ".join(parts) or "0"
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 4, 6, 8, 9, 27)))
+
+
+def _random_ref(rng):
+    return _ref({(rng.randint(0, 4), rng.randint(0, 3)): _random_rational(rng)
+                 for _ in range(rng.randint(0, 6))})
+
+
+def _same(poly, ref):
+    assert poly == MultiPoly(ref)
+    assert list(poly.terms()) == sorted(ref.items(), reverse=True)
+    assert str(poly) == _ref_str(ref)
+
+
+def test_multipoly_matches_fraction_reference():
+    rng = random.Random(14)
+    for _ in range(300):
+        x, y = _random_ref(rng), _random_ref(rng)
+        p, q = MultiPoly(x), MultiPoly(y)
+        _same(p, x)
+        _same(p + q, _ref_add(x, y))
+        _same(p - q, _ref_add(x, {e: -c for e, c in y.items()}))
+        _same(-p, {e: -c for e, c in x.items()})
+        _same(p * q, _ref_mul(x, y))
+        m = rng.randint(0, 3)
+        want = {(0, 0): Fraction(1)}
+        for _ in range(m):
+            want = _ref_mul(want, x)
+        _same(p ** m, want)
+        c = _random_rational(rng)
+        _same(p.scale(c), _ref({e: v * c for e, v in x.items()}))
+        dn, dk = _random_rational(rng), _random_rational(rng)
+        _same(p.shift(dn, dk), _ref_shift(x, dn, dk))
+        kx = _ref_mul(x, {(0, 1): Fraction(1)})
+        _same(MultiPoly(kx).div_k(), x)
+        nv, kv = _random_rational(rng), _random_rational(rng)
+        assert p.eval(nv, kv) == sum((c * nv ** a * kv ** b for (a, b), c in x.items()),
+                                     Fraction(0))
+        # == holds exactly between equal values and nowhere else
+        assert (p == q) == (x == y)
+        assert p + MultiPoly.const(Fraction(1, 7)) != p
+        assert p * 3 - p * 2 == p
+
+
+def test_int_ratio_matches_eval():
+    rng = random.Random(15)
+    checked = 0
+    while checked < 200:
+        top, bottom = _random_ref(rng), _random_ref(rng)
+        if not bottom:
+            continue
+        rf = RatFunc(MultiPoly(top), MultiPoly(bottom))
+        kv = _random_rational(rng)
+        nv = rng.randint(-40, 40)
+        p, q = rf.int_ratio(kv)(nv)
+        if q == 0:
+            with pytest.raises(ZeroDivisionError):
+                rf.eval(nv, kv)
+            continue
+        assert Fraction(p, q) == rf.eval(nv, kv)
+        checked += 1
+
+
+def test_multipoly_arithmetic_builds_no_fraction(monkeypatch):
+    # certificates and registry kernels run on ints: with Fraction gone from
+    # the module, every pair still verifies and int_ratio still steps
+    def no_fraction(*args):
+        raise AssertionError("Fraction constructed in MultiPoly arithmetic")
+    monkeypatch.setattr(multipoly, "Fraction", no_fraction)
+    for pair in PAIRS.values():
+        assert wz_verify(pair).passed
+    step = term_shift_ratio(PAIRS["pair-1"].F, 1, 0)
+    assert step.int_ratio(0)(5) == step.int_ratio(Fraction(0))(5)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +319,39 @@ def test_wz_negative_control():
             assert not rep.passed, name
             assert rep.witness is not None and not rep.witness.is_zero
             assert not certificate_random_probe(bad, points=20)
+
+
+# SHA-256 of str(witness) and str(certificate) for the perturbed pairs of
+# test_wz_negative_control, as printed by the Fraction-coefficient MultiPoly:
+# a FAIL report prints the same polynomials whatever the representation
+_FAIL_OUTPUT_SHA256 = {
+    ("pair-1", "plus1"): ("548695f1a4c9dd570ee9d534ebebd4db5589b89d9f8224901d5336f837ed0a1f",
+                          "9ff7ad07122e842a49e53be4a601558a63cbd1128d676b7795274d7dc0b0bfbf"),
+    ("pair-1", "times2"): ("0a248d66134ca06a2e13ab9497e94945b09e930d14ec55d3ec87c50188dea31d",
+                           "38a4e6d22614940da6ecb8b37f7d51d1436b73c1968b6d26ce4cf59ba9a3d4d0"),
+    ("pair-3", "plus1"): ("99cba49709924d0d995a009c874d2ed8b898477b458703b70b501972f7669426",
+                          "93e679af43070f9965559df2ab29b8a524a76a1a06f1446df0c67006241f5b40"),
+    ("pair-3", "times2"): ("8b62bc8316d9684f85ef3be16b91bda592fa57689463e66b704087b9fa5335ce",
+                           "67af5eb31fa7f96f883261e29626c624b5550909a272948746e307c43b527e89"),
+    ("pair-divergent", "plus1"): (
+        "48680288f6aaa5e7ff7ee4eb40da01a46f88b48c1ee306728257cf422294c002",
+        "240e7894ad76084ff4567e7841b0617319ea712744a09377e2a4bfd617f97628"),
+    ("pair-divergent", "times2"): (
+        "9e4dab63de2efd5937142bbd75ff2b9486f300110acbeb87bd7beb6f9c13bb6e",
+        "a83d7bcc5af98354f7598d0e411a8ec9a46d6cf8bd13d01b65b25ec5715aa437"),
+}
+
+
+def test_wz_failure_output_pinned():
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+    for name, pair in PAIRS.items():
+        g = pair.G
+        for label, bad_pre in (("plus1", g.pre + RatFunc.const(1)), ("times2", g.pre * 2)):
+            bad_g = HyperTerm.build(g.gammas, g.base, g.g_cn, g.g_ck, bad_pre)
+            rep = wz_verify(WZPair(pair.F, bad_g, f"{name}-perturbed"))
+            assert (sha(str(rep.witness)), sha(str(rep.certificate))) \
+                == _FAIL_OUTPUT_SHA256[name, label], (name, label)
 
 
 def test_certificate_random_probe_agrees():
