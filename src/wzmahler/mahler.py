@@ -13,13 +13,12 @@ connection formula, so the alpha >= 4 branch costs a few dozen terms even
 at alpha = 4.  Both series are stepped on integers (``series``), with
 alpha or z entering as the exact dyadic rational its mpf value is, and
 summed at guard bits with a geometric tail bound.  Below 4 the tail is
-about r^(2n)/n^2, which has no expansion in 1/n, so Richardson
-extrapolation serves only where r^(2n) stays within tol of 1 over its at
-most 364 terms and the partial sums are m(4)'s; elsewhere the direct sum
-takes about log(1/tol)/(1 - r^2) terms (1,429 at alpha = 3.9 and 11,099
-at 3.99 for tol 1e-30).  There is a quadrature oracle via
-Jensen's formula in x: with u(t) = alpha + 2 cos(2 pi t) the inner integral is
-arccosh(|u|/2) where |u| >= 2 and zero otherwise.
+about r^(2n)/n^2, and the direct sum takes about log(1/tol)/(1 - r^2)
+terms (1,429 at alpha = 3.9 and 11,099 at 3.99 for tol 1e-30).  Where
+m(4) is provably within tol/2 of m(alpha) (``_gap_below_four``), m(4) is
+taken instead, through the alpha >= 4 branch.  There is a quadrature
+oracle via Jensen's formula in x: with u(t) = alpha + 2 cos(2 pi t) the
+inner integral is arccosh(|u|/2) where |u| >= 2 and zero otherwise.
 
 n(alpha) = m(x^3 + y^3 + 1 - alpha x y) has Rodriguez-Villegas's series for
 alpha > 3,
@@ -68,8 +67,7 @@ from .context import (DomainError, PrecisionCtx,
                       QuadratureBudgetError, SlowConvergenceWarning,
                       ensure_ctx, to_mpf)
 from .numkernel import lambda_series
-from .series import (as_ratio, count_terms, ratio_series, richardson_sum,
-                     sum_geometric)
+from .series import as_ratio, count_terms, ratio_series, sum_geometric
 
 # Largest predicted node count N* for which n_quadrature takes the periodic
 # trapezoidal rule.  Measured at 140 bits (mpmath's Python backend, 2 vCPUs):
@@ -80,16 +78,29 @@ _PERIODIC_MAX_NODES = 1350
 _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 
 
+def _gap_below_four(eps) -> mpf:
+    """A bound on m(4) - m(4(1 - eps)), 0 < eps < 1.
+
+    With r = 1 - eps and c_n = C(2n,n)^2/16^n, the gap is
+    sum_n c_n (1 - r^(2n+1))/(2n+1), and 1 - r^(2n+1) <= min(1, (2n+1) eps).
+    As c_0 = 1 and c_n <= 1/(pi n), cutting at N = ceil(1/eps) gives
+    eps + (eps/pi)(1 + log N) + 1/(2 pi N) <= eps (1.5 + log(1/eps + 1)/pi).
+    """
+    return eps * (mpf(1.5) + log(1 / eps + 1) / pi)
+
+
 def m_series(alpha, ctx: PrecisionCtx | None = None, tol=None) -> mpf:
     """m(alpha) by the branch-appropriate series: log(alpha) minus half of
     Lambda_{1/2}(16/alpha^2) for alpha >= 4, the binomial series of m(4r)
-    below 4."""
+    below 4, unless m(4) is within tol/2 of m(alpha)."""
     ctx = ensure_ctx(ctx)
     with ctx.workprec(32):
         alpha = to_mpf(alpha)
         if alpha <= 0:
             raise DomainError("m_series requires alpha > 0")
         tol = mpf(tol) if tol is not None else min(ctx.target_tol, mpf(10) ** -40)
+        if alpha < 4 and _gap_below_four(1 - alpha / 4) <= tol / 2:
+            alpha, tol = mpf(4), tol / 2
         if alpha >= 4:
             with ctx.workprec(64):
                 z = 16 / alpha ** 2
@@ -103,10 +114,6 @@ def m_series(alpha, ctx: PrecisionCtx | None = None, tol=None) -> mpf:
         terms = ratio_series(  # C(2n,n)^2 (r/4)^(2n) r/(2n+1)
             lambda n: ((2 * n - 1) ** 2 * a * a, 64 * n * n * b * b),
             lambda n: (a, 4 * b * (2 * n + 1)))
-        if (1 - rsq) * 1000 < tol:
-            # r^(2n+1) is within tol of 1 over Richardson's at most 364
-            # terms: these are m(4)'s partial sums, with a 1/n expansion
-            return +richardson_sum(terms, tol, max_terms=ctx.max_terms)
         return +sum_geometric(terms, tol, ratio=rsq, max_terms=ctx.max_terms)
 
 

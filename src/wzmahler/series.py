@@ -22,7 +22,7 @@ working precision, sum the integers and round once to an mpf:
   1e30 of them.
 
 Every summation reports the terms it used through ``count_terms`` to the
-innermost open ``TermCounter``.
+innermost open ``TermCounter``, which also collects the notes of ``note``.
 """
 
 from __future__ import annotations
@@ -52,11 +52,13 @@ _ACTIVE: ContextVar[TermCounter | None] = ContextVar("term_counter", default=Non
 
 class TermCounter:
     """Tally of the series terms summed inside ``with TermCounter() as c:``,
-    read as ``c.count``.  Counters nest: terms count toward the innermost
-    open one only, and terms summed outside any counter are not counted."""
+    read as ``c.count``, and the notes the work inside left, ``c.notes``.
+    Counters nest: terms and notes go to the innermost open one only, and
+    outside any counter they are dropped."""
 
     def __init__(self):
         self.count = 0
+        self.notes = []
 
     def __enter__(self):
         self._token = _ACTIVE.set(self)
@@ -71,6 +73,13 @@ def count_terms(n: int) -> None:
     counter = _ACTIVE.get()
     if counter is not None:
         counter.count += n
+
+
+def note(text: str) -> None:
+    """Add a note to the innermost open TermCounter, if any."""
+    counter = _ACTIVE.get()
+    if counter is not None:
+        counter.notes.append(text)
 
 
 def as_ratio(x) -> tuple[int, int]:

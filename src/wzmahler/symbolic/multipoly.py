@@ -141,10 +141,6 @@ class MultiPoly:
             m >>= 1
         return out
 
-    def scale(self, c) -> "MultiPoly":
-        p, q = _ratio(c)
-        return MultiPoly._of({e: v * p for e, v in self.ints.items()}, self.den * q)
-
     def eval(self, n, k) -> Fraction:
         """The exact value at rational (n, k) = (p/q, r/s): every term is put
         over den * q^A * s^B (A, B the top degrees) and summed as an int."""

@@ -17,8 +17,7 @@ from mpmath import asin, exp, log, mp, mpc, mpf, pi, sin, sqrt, workprec
 from wzmahler import PrecisionCtx, bloch_wigner, gamma_real
 from wzmahler.elliptic import point_add, point_mul, point_neg, point_order
 from wzmahler.mahler import m_quadrature, m_series
-from wzmahler.registry import (BERTIN_CURVE, BERTIN_P, curve, curve_point,
-                               lookup, run_check)
+from wzmahler.registry import CURVES, lookup, run_check
 from wzmahler.symbolic.hyperterm import term_shift_ratio
 from wzmahler.symbolic.pairs import builtin_pairs
 from wzmahler.symbolic.pfq import pfq_eval
@@ -209,9 +208,7 @@ def test_criterion_15_property_suites():
                 assert abs(lhs - rhs) < tol
 
         # group laws on torsion multiples across the five curves
-        curves = [(curve(n), curve_point(n)) for n in ("E1", "E2", "E3", "E4")]
-        curves.append((BERTIN_CURVE, BERTIN_P))
-        for e, p in curves:
+        for e, p in CURVES.values():
             pts = [point_mul(e, m, p) for m in range(point_order(e, p))]
             for _ in range(10):
                 a, b, c = (rng.choice(pts) for _ in range(3))

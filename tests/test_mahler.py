@@ -13,7 +13,7 @@ from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
 from wzmahler import mahler
 from wzmahler.mahler import (m_quadrature, m_series, n_quadrature, n_series,
                              rv_series, s_ratio, _cubic_root_mags,
-                             _n_breakpoints, _n_integrand)
+                             _gap_below_four, _n_breakpoints, _n_integrand)
 from wzmahler.series import TermCounter
 
 CTX = PrecisionCtx(bits=256)
@@ -70,13 +70,36 @@ def test_domain_and_warnings():
         m_series(0, CTX)
     with pytest.raises(DomainError):
         m_series(-3, CTX)
-    # below 4 the binomial series of m(4r) converges like 1/n^2
+    # below 4 the binomial series of m(4r) converges like 1/n^2; a small
+    # term budget runs out fast
     with pytest.warns(SlowConvergenceWarning):
         with workprec(300):
             try:
-                m_series(mpf(4) - mpf(10) ** -5, CTX, tol=mpf(10) ** -8)
+                m_series(mpf(4) - mpf(10) ** -5, PrecisionCtx(max_terms=1000),
+                         tol=mpf(10) ** -8)
             except ConvergenceError:
                 pass  # the warning is the contract; convergence may still fail
+
+
+def test_gap_below_four_bounds_quadrature():
+    # m(4) - m(4(1 - eps)) by the Jensen quadrature lies below the bound of
+    # m_series's shortcut to m(4), and above 80% of it
+    with workprec(300):
+        m4 = m_series(4, CTX)
+        for eps in (mpf(10) ** -3, mpf(10) ** -6, mpf(10) ** -12):
+            gap = m4 - m_quadrature(4 * (1 - eps), CTX, tol=mpf(10) ** -20)
+            bound = _gap_below_four(eps)
+            assert bound * mpf("0.8") < gap <= bound, eps
+
+
+def test_m_series_just_below_four_takes_m4():
+    # eps = 1 - alpha/4 = 1e-29: the gap bound 2.3e-28 is below tol/2, so
+    # m(4) is the answer, through the alpha >= 4 branch, instead of a direct
+    # sum that runs out of its 500,000 terms
+    with workprec(300), TermCounter() as counter:
+        got = m_series(4 * (1 - mpf(10) ** -29), CTX, tol=mpf(10) ** -26)
+        assert abs(got - m_series(4, CTX)) < mpf(10) ** -26
+    assert counter.count < 1000
 
 
 def test_m_series_just_above_four():

@@ -1,6 +1,8 @@
-"""Source hygiene: every top-level import of a ``wzmahler`` module is used."""
+"""Source hygiene: every top-level import of a ``wzmahler`` module is used,
+and every module-level ``_private`` function or class is referenced."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import wzmahler
@@ -35,3 +37,36 @@ def test_no_unused_imports_in_package():
         if path.name != "__init__.py" and (names := unused_imports(path.read_text())):
             found[str(path.relative_to(PACKAGE))] = names
     assert found == {}
+
+
+def _named(node) -> list[str]:
+    """Every name read, reached as an attribute or imported under ``node``."""
+    return [n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+            else n.name for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.alias))]
+
+
+def unreferenced_private(sources: list[str]) -> list[str]:
+    """Module-level ``_private`` functions and classes of the given module
+    sources that no code outside their own definition names."""
+    trees = [ast.parse(source) for source in sources]
+    named = Counter(name for tree in trees for name in _named(tree))
+    return [node.name for tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and named[node.name] == _named(node).count(node.name)]
+
+
+def test_unreferenced_private_detected():
+    # _a only calls itself, _C is never named; _b is read, _d is imported by
+    # another module and _e is reached as an attribute
+    mod = ("def _a():\n    return _a()\n\nclass _C:\n    pass\n\n"
+           "def _b():\n    pass\n\ndef _d():\n    pass\n\n"
+           "def _e():\n    pass\n\ndef __getattr__(name):\n    pass\n\nprint(_b)\n")
+    assert unreferenced_private([mod, "from m import _d\nimport m\nm._e()\n"]) \
+        == ["_a", "_C"]
+
+
+def test_no_unreferenced_private_in_package():
+    sources = [path.read_text() for path in sorted(PACKAGE.rglob("*.py"))]
+    assert unreferenced_private(sources) == []
