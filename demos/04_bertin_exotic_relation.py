@@ -4,9 +4,10 @@ walked through all of its equivalent forms.
 The point P = (-6, 54) has order 6 and sits at u = (omega - 3 omega')/6, so
 D^E(P) is a lattice sum over e^(i pi/3) q^(n - 1/2).  The nome q is also
 reachable through Ramanujan's signature-3 theory at beta = 5/32, which leads
-to the cubic-field evaluation x(sqrt q) = (7 + sqrt 5)^3/108 via the degree-2
-modular relation, the n(alpha) identity (lattice sums at the signature-3 nome
-against quadrature), and finally an explicit (3n)!/(n n!^3) series.
+to the cubic-field evaluation x(sqrt q) = (7 + sqrt 5)^3/108 across the
+degree-2 modular relation from x(q) = 32/27, the n(alpha) identity (lattice
+sums at the signature-3 nome against quadrature), and finally an explicit
+(3n)!/(n n!^3) series.
 """
 
 from fractions import Fraction
@@ -14,10 +15,12 @@ from fractions import Fraction
 from mpmath import cbrt, log, mp, mpf, sqrt, workprec
 
 from wzmahler import PrecisionCtx
+from wzmahler.context import to_mpf
 from wzmahler.elliptic import (EllipticCurve, CurvePoint, elliptic_dilog,
                                periods, point_mul, point_order)
 from wzmahler.mahler import n_quadrature, rv_series
-from wzmahler.modular import j3_from_beta, modular_poly_solve, q3_from_beta, xq_product
+from wzmahler.modular import (j3_from_beta, modular_relation, q3_from_beta,
+                              xq_product)
 from wzmahler.registry import n_lattice
 
 ctx = PrecisionCtx(bits=256)
@@ -41,10 +44,16 @@ with workprec(300):
     print("  |q(periods) - q(beta)| =", mp.nstr(abs(per.q - q3), 5))
     print("  x(q) =", mp.nstr(xq_product(q3, ctx), 25), " = 32/27")
 
-    alpha_root, gamma_root = modular_poly_solve(beta, ctx)
+    # x(sqrt q) and x(q^2) sit across the degree-2 modular relation from
+    # x(q) = 1/(1 - beta): with a = 1 - 1/x, 27 a b (1-a)(1-b) = (a+b-2ab)^3
     s5 = sqrt(mpf(5))
-    print("  x(sqrt q) =", mp.nstr(1 / (1 - alpha_root), 25),
-          " = (7+sqrt5)^3/108 =", mp.nstr((7 + s5) ** 3 / 108, 25))
+    for name, arg, closed, label in (
+            ("sqrt q", sqrt(q3), (7 + s5) ** 3 / 108, "(7+sqrt5)^3/108"),
+            ("q^2", q3 ** 2, (7 - s5) ** 3 / 108, "(7-sqrt5)^3/108")):
+        x = xq_product(arg, ctx)
+        print(f"  x({name}) =", mp.nstr(x, 25), f" = {label} =", mp.nstr(closed, 25))
+        print(f"    degree-2 relation at x({name}):",
+              mp.nstr(abs(modular_relation(1 - 1 / x, to_mpf(beta))), 5))
 
     # the n(alpha) form: the left side by the nome and a lattice sum, the
     # right side by adaptive Jensen quadrature

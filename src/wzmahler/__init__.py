@@ -9,16 +9,15 @@ the ``wzmahler`` command line runs the whole table.
 from .context import (ComplexRootsUnsupportedError, ConvergenceError,
                       DivergentSeriesError, DomainError, LatticePoleError,
                       NonComparableError, PoleError, PrecisionCtx,
-                      QuadratureBudgetError, Rational, RootIdentificationError,
-                      SingularCurveError, SlowConvergenceWarning,
-                      UnknownIdentityError)
+                      QuadratureBudgetError, Rational, SingularCurveError,
+                      SlowConvergenceWarning, UnknownIdentityError)
 from .numkernel import agm, bloch_wigner, gamma_real, zeta_int
 
 __all__ = [
     "PrecisionCtx", "Rational",
     "gamma_real", "bloch_wigner", "agm", "zeta_int",
     "PoleError", "DomainError", "ConvergenceError", "DivergentSeriesError",
-    "NonComparableError", "QuadratureBudgetError", "RootIdentificationError",
-    "SingularCurveError", "ComplexRootsUnsupportedError", "LatticePoleError",
-    "UnknownIdentityError", "SlowConvergenceWarning",
+    "NonComparableError", "QuadratureBudgetError", "SingularCurveError",
+    "ComplexRootsUnsupportedError", "LatticePoleError", "UnknownIdentityError",
+    "SlowConvergenceWarning",
 ]

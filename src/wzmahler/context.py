@@ -43,10 +43,6 @@ class QuadratureBudgetError(ArithmeticError):
     """Adaptive quadrature could not meet the tolerance within its budget."""
 
 
-class RootIdentificationError(ArithmeticError):
-    """No root of the modular relation matches the q-series cross-check."""
-
-
 class SingularCurveError(ValueError):
     """Discriminant g2^3 - 27*g3^2 vanishes."""
 

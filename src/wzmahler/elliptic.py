@@ -1,9 +1,11 @@
 """Elliptic curves y^2 = 4x^3 - g2 x - g3 over Q: exact chord-tangent group
-law and torsion orders, AGM periods, the Weierstrass function P by its
-q-series, and the two-sided elliptic dilogarithm lattice sums.
+law and torsion orders, AGM periods from closed-form 2-division roots, the
+Weierstrass function P by its q-series, and the two-sided elliptic
+dilogarithm lattice sums.
 
-Curves in scope have positive discriminant (three real roots e1 > e2 > e3),
-for which the full periods are
+Curves in scope have positive discriminant, so the 2-division cubic has
+three real roots e1 > e2 > e3, given by Viete's trigonometric form, and the
+full periods are
 
     omega  = pi / agm(sqrt(e1-e3), sqrt(e1-e2))          (real)
     omega' = i pi / agm(sqrt(e1-e3), sqrt(e2-e3))        (imaginary)
@@ -29,8 +31,8 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from mpmath import (ceil, exp, floor, im, log, mp, mpc, mpf, nint, pi,
-                    polyroots, re, sqrt, workprec)
+from mpmath import (acos, ceil, cos, exp, floor, im, log, mp, mpc, mpf, nint,
+                    pi, re, sqrt, workprec)
 from mpmath.libmp import to_fixed
 
 from .context import (ComplexRootsUnsupportedError, ConvergenceError,
@@ -173,12 +175,17 @@ def periods(curve: EllipticCurve, ctx: PrecisionCtx | None = None) -> Periods:
     if curve.discriminant < 0:
         raise ComplexRootsUnsupportedError(
             "negative discriminant: one real root; not supported")
+    # Viete's trigonometric form: with m = sqrt(g2/3) and
+    # cos(3 theta) = 3 g3/(g2 m), whose square is 27 g3^2/g2^3 < 1 exactly,
+    # the roots are m cos(theta - 2 pi k/3).  It runs 24 bits above the
+    # working precision, so that a rational root rounds to itself.
+    with ctx.workprec(32 + 24):
+        m = sqrt(to_mpf(curve.g2 / 3))
+        c = sqrt(to_mpf(27 * curve.g3 ** 2 / curve.g2 ** 3))
+        theta = acos(c if curve.g3 >= 0 else -c) / 3
+        roots = [m * cos(theta - 2 * pi * k / 3) for k in range(3)]
     with ctx.workprec(32):
-        g2 = mpf(curve.g2.numerator) / curve.g2.denominator
-        g3 = mpf(curve.g3.numerator) / curve.g3.denominator
-        roots = polyroots([mpf(4), mpf(0), -g2, -g3], maxsteps=120, extraprec=80)
-        reals = sorted((re(r) for r in roots), reverse=True)
-        e1, e2, e3 = reals
+        e1, e2, e3 = sorted((+r for r in roots), reverse=True)
         omega = pi / agm(sqrt(e1 - e3), sqrt(e1 - e2), ctx)
         omega_prime = mpc(0, 1) * pi / agm(sqrt(e1 - e3), sqrt(e2 - e3), ctx)
         tau = omega_prime / omega

@@ -1,6 +1,6 @@
-"""Theta function phi(q), the cubic eta-quotient x(q), the signature-3 nome
-q(beta) and J-expression in beta, and the degree-2 modular relation
-connecting x(sqrt(q)), x(q) and x(q^2).
+"""Theta function phi(q), the signature-3 x(q) from Borwein's cubic theta
+functions, the signature-3 nome q(beta) and J-expression in beta, and the
+degree-2 modular relation connecting x(sqrt(q)), x(q) and x(q^2).
 
 Signature 3 is Ramanujan's alternative theory built on 2F1(1/3,2/3;1;.)
 (Berndt, Bhargava and Garvan, "Ramanujan's theories of elliptic functions
@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from mpmath import cbrt, exp, mp, mpf, pi, polyroots, sqrt
+from mpmath import cbrt, ceil, exp, log, mpf, pi, sqrt
 
-from .context import (DomainError, PrecisionCtx, RootIdentificationError,
-                      ensure_ctx, to_mpf)
+from .context import DomainError, PrecisionCtx, ensure_ctx, to_mpf
 from .numkernel import agm3
 
 
@@ -38,23 +37,53 @@ def phi_theta(q, ctx: PrecisionCtx | None = None) -> mpf:
             n += 1
 
 
+def _theta3_and_s(x, eps):
+    """(theta3(x), S(x)) = (1 + 2 sum_{n>=1} x^(n^2), sum_{n>=0} x^(n(n+1)))
+    for |x| < 1, each to within eps: the terms run in the order x^1, x^2,
+    x^4, x^6, x^9, ..., every one the last times x^(n+1), and both tails
+    after a theta3 term t = x^(n^2) are below 2|t|/(1-|x|)."""
+    theta = s = sq = tri = mpf(1)  # sq = x^(n^2), tri = x^(n(n+1))
+    xn = x  # x^(n+1)
+    stop = eps * (1 - abs(x))
+    while True:
+        sq = tri * xn
+        tri = sq * xn
+        theta += 2 * sq
+        s += tri
+        if 2 * abs(sq) < stop:
+            return theta, s
+        xn *= x
+
+
 def xq_product(q, ctx: PrecisionCtx | None = None) -> mpf:
-    """x(q) = 1 + 27 q prod_{n>=1} ((1-q^(3n))/(1-q^n))^12."""
+    """x(q) = 1 + 27 q prod_{n>=1} ((1-q^(3n))/(1-q^n))^12 for |q| < 1, by
+    Borwein's cubic theta functions (Borwein and Borwein, Trans. AMS 323,
+    1991): x(q) = (a(q)/b(q))^3 with
+
+        a(q) = theta3(q) theta3(q^3) + theta2(q) theta2(q^3)
+             = theta3(q) theta3(q^3) + 4q S(q) S(q^3),
+        b(q) = (3 a(q^3) - a(q))/2,
+
+    S(x) = sum_{n>=0} x^(n(n+1)), so no q^(1/4) appears and q <= 0 needs no
+    special case.  The series fall like |q|^(n^2).  b(q) = prod (1-q^n)^3/
+    (1-q^(3n)) is small as |q| -> 1, log(1/|b|) <= pi^2 |q|/(2(1-|q|)), and
+    the subtraction that forms it loses about that many bits; the working
+    precision and the stop test 2^-(bits+24) carry them as extra bits."""
     ctx = ensure_ctx(ctx)
     with ctx.workprec():
         q = to_mpf(q)
         if not abs(q) < 1:
             raise DomainError("xq_product requires |q| < 1")
-        eps = mpf(2) ** (-(ctx.bits + 24))
-        prod = mpf(1)
-        n = 1
-        while True:
-            qn = q ** n
-            prod *= ((1 - qn ** 3) / (1 - qn)) ** 12
-            # log-tail of the product is below 13*sum_{m>n} |q|^m
-            if 13 * abs(qn) * abs(q) / (1 - abs(q)) < eps:
-                return +(1 + 27 * q * prod)
-            n += 1
+        lost = int(ceil(pi ** 2 * abs(q) / (2 * (1 - abs(q)) * log(2))))
+        with ctx.workprec(lost):
+            eps = mpf(2) ** (-(ctx.bits + 24 + lost))
+            t1, s1 = _theta3_and_s(q, eps)
+            t3, s3 = _theta3_and_s(q ** 3, eps)
+            t9, s9 = _theta3_and_s(q ** 9, eps)
+            a = t1 * t3 + 4 * q * s1 * s3
+            b = (3 * (t3 * t9 + 4 * q ** 3 * s3 * s9) - a) / 2
+            x = (a / b) ** 3
+        return +x
 
 
 def q3_from_beta(beta, ctx: PrecisionCtx | None = None) -> mpf:
@@ -84,39 +113,3 @@ def modular_relation(alpha, beta):
     """27 a b (1-a)(1-b) - (a + b - 2ab)^3; zero when x-values of sqrt(q) and
     q^2 sit across the degree-2 relation from x(q)."""
     return 27 * alpha * beta * (1 - alpha) * (1 - beta) - (alpha + beta - 2 * alpha * beta) ** 3
-
-
-def modular_poly_solve(beta, ctx: PrecisionCtx | None = None) -> tuple[mpf, mpf]:
-    """Solve the degree-2 modular relation as a cubic in the companion of beta.
-
-    Returns (alpha, gamma) with x(sqrt(q)) = 1/(1-alpha), x(q^2) = 1/(1-gamma)
-    for q = q3_from_beta(beta); roots are identified against xq_product, not by
-    algebraic conjugacy.  The remaining root is discarded.
-    """
-    ctx = ensure_ctx(ctx)
-    with ctx.workprec(16):
-        beta = to_mpf(beta)
-        if not 0 < beta < 1:
-            raise DomainError("beta must lie in (0, 1)")
-        c = 1 - 2 * beta
-        bb = 27 * beta * (1 - beta)
-        # modular_relation(a, beta) = -c^3 a^3 - (3c^2 b + bb) a^2 + (bb - 3c b^2) a - b^3
-        coeffs = [-c ** 3,
-                  -3 * c * c * beta - bb,
-                  bb - 3 * c * beta * beta,
-                  -beta ** 3]
-        roots = polyroots(coeffs, maxsteps=120, extraprec=80)
-        q = q3_from_beta(beta, ctx)
-        targets = []
-        for arg in (sqrt(q), q * q):
-            x = xq_product(arg, ctx)
-            targets.append(1 - 1 / x)
-        match_tol = mpf(2) ** (-(ctx.bits // 2))
-        picked = []
-        for target in targets:
-            best = min(roots, key=lambda r: abs(r - target))
-            if abs(best - target) > match_tol * (1 + abs(target)):
-                raise RootIdentificationError(
-                    f"no cubic root within tolerance of q-series value {mp.nstr(target, 20)}")
-            picked.append(best.real if hasattr(best, "real") else mpf(best))
-        return +picked[0], +picked[1]

@@ -57,7 +57,8 @@ def agm(a, b, ctx: PrecisionCtx | None = None) -> mpf:
         eps = mpf(2) ** (-(ctx.bits + 16))
         while abs(a - b) > eps * a:
             a, b = (a + b) / 2, (a * b) ** mpf("0.5")
-        return +a
+        # the mean lies between the next a and b, which differ by O(|a - b|^2)
+        return (a + b) / 2
 
 
 def agm3(a, b, ctx: PrecisionCtx | None = None) -> mpf:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
@@ -587,6 +586,8 @@ def run_all(filter: str | None = None, jobs: int = 1,
     ctx = ensure_ctx(ctx)
     ids = [r.id for r in registry_entries() if not filter or filter in r.id]
     if jobs > 1 and len(ids) > 1:
+        # imported here: it is a tenth of the registry's import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_worker, ids, [ctx] * len(ids),
                                     [tol_override] * len(ids)))

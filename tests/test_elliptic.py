@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import (arg, exp, expjpi, im, log, mp, mpc, mpf, nint, pi,
-                    polylog, workprec)
+                    polylog, polyroots, workprec)
 
 from wzmahler import (ComplexRootsUnsupportedError, ConvergenceError,
                       DomainError, PrecisionCtx, SingularCurveError)
@@ -91,10 +91,48 @@ def test_group_law_associativity_random():
 
 def test_lemniscatic_tau():
     e = EllipticCurve(4, 0)
-    per = periods(e, CTX)
-    with workprec(300):
-        assert abs(per.tau - mpc(0, 1)) < TOL
-        assert per.roots[0] == 1 and abs(per.roots[2] + 1) < TOL
+    for bits in (224, 256, 512):
+        per = periods(e, PrecisionCtx(bits=bits))
+        with workprec(bits + 64):
+            assert abs(per.tau - mpc(0, 1)) < TOL
+            assert per.roots[0] == 1 and abs(per.roots[2] + 1) < TOL
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+def test_periods_recover_rational_roots(bits):
+    # each registry curve's rational 2-division roots, from the closed form
+    # to within 2^-(bits+48) max|e_i|
+    ctx = PrecisionCtx(bits=bits)
+    for e, rational in [(E1, (-93, 42, 51)), (E4, (-21, 6, 15)), (E2, (186,)),
+                        (E3, (42,)), (BERTIN, (3,))]:
+        assert all(e.rhs(r) == 0 for r in rational)
+        roots = periods(e, ctx).roots
+        with workprec(bits + 64):
+            tol = mpf(2) ** -(bits + 48) * max(abs(r) for r in roots)
+            for r in rational:
+                assert min(abs(x - r) for x in roots) < tol
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+def test_periods_roots_against_polyroots(bits):
+    # seeded random curves of positive discriminant against mpmath's
+    # polyroots at bits + 96, to within 2^-(bits+48) max|e_i|
+    rng = random.Random(bits)
+    ctx = PrecisionCtx(bits=bits)
+    checked = 0
+    while checked < 12:
+        e = EllipticCurve(Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 50)),
+                          Fraction(rng.randint(-10 ** 8, 10 ** 8), rng.randint(1, 50)))
+        if e.discriminant <= 0:
+            continue
+        roots = periods(e, ctx).roots
+        with workprec(bits + 96):
+            ref = sorted((x.real for x in polyroots(
+                [4, 0, -to_mpf(e.g2), -to_mpf(e.g3)], maxsteps=200,
+                extraprec=bits)), reverse=True)
+            tol = mpf(2) ** -(bits + 48) * max(abs(x) for x in ref)
+            assert all(abs(x - y) < tol for x, y in zip(roots, ref))
+        checked += 1
 
 
 def test_periods_structure():

@@ -1,5 +1,5 @@
-"""Theta function, eta-quotient x(q), the signature-3 nome and
-J-expression, and the degree-2 modular relation."""
+"""Theta function, x(q) from the cubic theta functions, the signature-3 nome
+and J-expression, and the degree-2 modular relation."""
 
 import random
 from fractions import Fraction
@@ -8,9 +8,8 @@ import pytest
 from mpmath import exp, gamma, hyp2f1, mp, mpf, pi, sqrt, workprec
 
 from wzmahler import DomainError, PrecisionCtx
-from wzmahler.modular import (j3_from_beta, modular_poly_solve,
-                              modular_relation, phi_theta, q3_from_beta,
-                              xq_product)
+from wzmahler.modular import (j3_from_beta, modular_relation, phi_theta,
+                              q3_from_beta, xq_product)
 from wzmahler.symbolic.pfq import pfq_eval
 
 CTX = PrecisionCtx(bits=256)
@@ -44,6 +43,44 @@ def test_xq_basic_and_bertin_values():
         s5 = sqrt(mpf(5))
         assert abs(xq_product(sqrt(q0), CTX) - (7 + s5) ** 3 / 108) < TOL
         assert abs(xq_product(q0 ** 2, CTX) - (7 - s5) ** 3 / 108) < TOL
+
+
+def eta_product(q, bits):
+    """The reference x(q) = 1 + 27 q prod_{n>=1} ((1-q^(3n))/(1-q^n))^12 at
+    bits + 64, stopped once the log-tail 13 sum_{m>n} |q|^m is below
+    2^-(bits+64)."""
+    with workprec(bits + 64):
+        q = mpf(q)
+        eps = mpf(2) ** -(bits + 64)
+        prod, n = mpf(1), 1
+        while True:
+            qn = q ** n
+            prod *= ((1 - qn ** 3) / (1 - qn)) ** 12
+            if 13 * abs(qn) * abs(q) / (1 - abs(q)) < eps:
+                return 1 + 27 * q * prod
+            n += 1
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+def test_xq_theta_series_matches_eta_product(bits):
+    # the two bertin-n-form nomes besides the fixed q, to relative
+    # 2^-(bits+16); at q = 0.9, b(q) ~ 2^-53 tests the bits xq_product adds
+    ctx = PrecisionCtx(bits=bits)
+    with workprec(bits + 64):
+        qs = [mpf(q) for q in ("0", "0.01", "-0.01", "0.1", "-0.1", "0.2",
+                               "0.5", "-0.5", "0.9")]
+        s5 = sqrt(mpf(5))
+        qs += [q3_from_beta(1 - 108 / (7 + sign * s5) ** 3, ctx) for sign in (1, -1)]
+        for q in qs:
+            ref = eta_product(q, bits)
+            assert abs(xq_product(q, ctx) / ref - 1) < mpf(2) ** -(bits + 16)
+    assert xq_product(0, ctx) == 1
+
+
+def test_xq_domain():
+    for q in (1, -1, mpf("1.5")):
+        with pytest.raises(DomainError):
+            xq_product(q, CTX)
 
 
 def test_q_inversion_signature3():
@@ -125,18 +162,6 @@ def test_modular_relation_trivia():
     # symmetry under swapping the arguments
     a, b = Fraction(3, 7), Fraction(2, 11)
     assert modular_relation(a, b) == modular_relation(b, a)
-
-
-def test_modular_poly_solve_bertin():
-    with workprec(300):
-        alpha, gamma_root = modular_poly_solve(Fraction(5, 32), CTX)
-        s5 = sqrt(mpf(5))
-        assert abs(1 / (1 - alpha) - (7 + s5) ** 3 / 108) < mpf(10) ** -60
-        assert abs(1 / (1 - gamma_root) - (7 - s5) ** 3 / 108) < mpf(10) ** -60
-        # plugging (beta, alpha) back in yields 0 at tolerance
-        b = mpf(5) / 32
-        assert abs(modular_relation(alpha, b)) < mpf(10) ** -55
-        assert abs(modular_relation(gamma_root, b)) < mpf(10) ** -55
 
 
 def test_degree2_consistency_random_beta():

@@ -127,6 +127,19 @@ def test_agm_oracle_doubled_precision():
         assert mp.nstr(val, 9) == "1.19814023"
 
 
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_agm_relative_error_against_mpmath(bits):
+    # agm(1, x) on 300 random x in (0.001, 1) against mpmath's agm at
+    # bits + 120, to relative 2^-(bits+24)
+    rng = random.Random(bits)
+    ctx = PrecisionCtx(bits=bits)
+    with workprec(bits + 120):
+        for _ in range(300):
+            x = mpf(rng.uniform(0.001, 1))
+            ref = mp.agm(1, x)
+            assert abs(agm(1, x, ctx) / ref - 1) < mpf(2) ** -(bits + 24)
+
+
 def test_agm_domain():
     for a, b in ((0, 1), (-1, 2), (1, 0)):
         for mean in (agm, agm3):

@@ -70,3 +70,11 @@ def test_unreferenced_private_detected():
 def test_no_unreferenced_private_in_package():
     sources = [path.read_text() for path in sorted(PACKAGE.rglob("*.py"))]
     assert unreferenced_private(sources) == []
+
+
+def test_polyroots_only_in_mahler():
+    # the n(alpha) quadrature's Cardano cross-check is the one use of an
+    # iterative root solver; the special functions take closed forms
+    users = sorted(str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py")
+                   if "polyroots" in _named(ast.parse(path.read_text())))
+    assert users == ["mahler.py"]
