@@ -4,9 +4,9 @@
     wzmahler verify <id> [--bits N] [--tol T] [--format json|text]
     wzmahler all [--filter S] [--jobs N] [--bits N] [--format json|text]
 
-Exit codes: 0 all pass, 1 at least one non-conjectural failure,
-2 usage error or unknown id (a --filter that matches no id, and --tol on
-``verify`` of an exact entry, are usage errors).
+Exit codes: 0 all pass, 1 at least one non-conjectural FAIL, UNRESOLVED
+or ERROR, 2 usage error or unknown id (a --filter that matches no id, and
+--tol on ``verify`` of an exact entry, are usage errors).
 """
 
 from __future__ import annotations
@@ -63,14 +63,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _print_text(reports: list[CheckReport], quiet: bool):
     width = max((len(r.id) for r in reports), default=10) + 2
+    status_width = max((len(r.status) for r in reports), default=0)
     for rep in reports:
-        line = f"{rep.status:<17} {rep.id:<{width}}"
+        line = f"{rep.status:<{status_width}} {rep.id:<{width}}"
         if rep.abs_diff:
             line += f" |diff| = {rep.abs_diff}"
         line += f"  [{rep.elapsed_ms} ms, {rep.terms_used} terms]"
         print(line)
         if rep.notes and not quiet:
-            print(f"{'':<18}{rep.notes}")
+            print(f"{'':<{status_width + 1}}{rep.notes}")
 
 
 def _usage_error(message: str) -> int:

@@ -95,10 +95,6 @@ class PrecisionCtx:
 DEFAULT_CTX = PrecisionCtx()
 
 
-def ensure_ctx(ctx: PrecisionCtx | None) -> PrecisionCtx:
-    return DEFAULT_CTX if ctx is None else ctx
-
-
 def to_mpf(x) -> mpf:
     """mpf from int/float/str/mpf or exact Fraction (at current precision)."""
     if isinstance(x, Fraction):

@@ -35,9 +35,9 @@ from mpmath import (acos, ceil, cos, exp, floor, im, log, mp, mpc, mpf, nint,
                     pi, re, sqrt, workprec)
 from mpmath.libmp import to_fixed
 
-from .context import (ComplexRootsUnsupportedError, ConvergenceError,
-                      DomainError, LatticePoleError, PrecisionCtx,
-                      SingularCurveError, ensure_ctx, to_mpf)
+from .context import (DEFAULT_CTX, ComplexRootsUnsupportedError,
+                      ConvergenceError, DomainError, LatticePoleError,
+                      PrecisionCtx, SingularCurveError, to_mpf)
 from .numkernel import GUARD_D, agm, bloch_wigner
 from .series import count_terms
 
@@ -170,8 +170,7 @@ class Periods:
     roots: tuple[mpf, mpf, mpf]
 
 
-def periods(curve: EllipticCurve, ctx: PrecisionCtx | None = None) -> Periods:
-    ctx = ensure_ctx(ctx)
+def periods(curve: EllipticCurve, ctx: PrecisionCtx = DEFAULT_CTX) -> Periods:
     if curve.discriminant < 0:
         raise ComplexRootsUnsupportedError(
             "negative discriminant: one real root; not supported")
@@ -202,10 +201,9 @@ def _reduce_to_cell(u, per: Periods) -> mpc:
     return u - floor(a) * per.omega - floor(b) * per.omega_prime
 
 
-def wp(curve: EllipticCurve, u, ctx: PrecisionCtx | None = None,
+def wp(curve: EllipticCurve, u, ctx: PrecisionCtx = DEFAULT_CTX,
        per: Periods | None = None) -> mpc:
     """Weierstrass P(u) via the q-series in z = exp(2 pi i u/omega)."""
-    ctx = ensure_ctx(ctx)
     per = per if per is not None else periods(curve, ctx)
     with ctx.workprec(32):
         u = _reduce_to_cell(u, per)
@@ -282,7 +280,7 @@ def _bloch_wigner_at(z: tuple, ctx: PrecisionCtx) -> mpf:
     return bloch_wigner(mp.make_mpc(z), ctx)
 
 
-def lattice_dilog_sum(z0, q, ctx: PrecisionCtx | None = None) -> mpf:
+def lattice_dilog_sum(z0, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """Two-sided sum_{n in Z} D(z0 q^n) for real q in (-1, 1), z0 != 0.
 
     Bloch's q-expansion sums the series in closed form.  For |w| < 1,
@@ -316,7 +314,6 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx | None = None) -> mpf:
     It counts k_up + k_down + 1 terms, D(z0) included (1 for a real z0),
     toward the open ``series.TermCounter``.
     """
-    ctx = ensure_ctx(ctx)
     with ctx.workprec(32):
         q = to_mpf(q)
         if not 0 < abs(q) < 1:
@@ -344,10 +341,9 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx | None = None) -> mpf:
 
 
 def elliptic_dilog(curve: EllipticCurve, loc: TorsionLocation | tuple,
-                   ctx: PrecisionCtx | None = None,
+                   ctx: PrecisionCtx = DEFAULT_CTX,
                    per: Periods | None = None) -> mpf:
     """D^E at u = a*omega + b*omega': the lattice sum with z0 = e^(2 pi i a) q^b."""
-    ctx = ensure_ctx(ctx)
     a, b = Fraction(loc[0]), Fraction(loc[1])
     if a == int(a) and b == int(b):
         raise DomainError("(a, b) must be nonzero mod 1")

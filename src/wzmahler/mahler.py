@@ -63,9 +63,8 @@ from fractions import Fraction
 from mpmath import (acos, acosh, cbrt, cos, expjpi, fabs, log, mp, mpc, mpf,
                     pi, polyroots, quad, sqrt, workprec)
 
-from .context import (DomainError, PrecisionCtx,
-                      QuadratureBudgetError, SlowConvergenceWarning,
-                      ensure_ctx, to_mpf)
+from .context import (DEFAULT_CTX, DomainError, PrecisionCtx,
+                      QuadratureBudgetError, SlowConvergenceWarning, to_mpf)
 from .numkernel import lambda_series
 from .series import as_ratio, count_terms, ratio_series, sum_geometric
 
@@ -89,11 +88,10 @@ def _gap_below_four(eps) -> mpf:
     return eps * (mpf(1.5) + log(1 / eps + 1) / pi)
 
 
-def m_series(alpha, ctx: PrecisionCtx | None = None, tol=None) -> mpf:
+def m_series(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
     """m(alpha) by the branch-appropriate series: log(alpha) minus half of
     Lambda_{1/2}(16/alpha^2) for alpha >= 4, the binomial series of m(4r)
     below 4, unless m(4) is within tol/2 of m(alpha)."""
-    ctx = ensure_ctx(ctx)
     with ctx.workprec(32):
         alpha = to_mpf(alpha)
         if alpha <= 0:
@@ -117,9 +115,8 @@ def m_series(alpha, ctx: PrecisionCtx | None = None, tol=None) -> mpf:
         return +sum_geometric(terms, tol, ratio=rsq, max_terms=ctx.max_terms)
 
 
-def s_ratio(r, ctx: PrecisionCtx | None = None) -> mpf:
+def s_ratio(r, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """s = m(4/r)/m(4r) for r in (0, 1]."""
-    ctx = ensure_ctx(ctx)
     with ctx.workprec(32):
         r = to_mpf(r)
         if not 0 < r <= 1:
@@ -127,20 +124,18 @@ def s_ratio(r, ctx: PrecisionCtx | None = None) -> mpf:
         return +(m_series(4 / r, ctx) / m_series(4 * r, ctx))
 
 
-def rv_series(x, ctx: PrecisionCtx | None = None, tol=None) -> mpf:
+def rv_series(x, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
     """sum_{n>=1} (3n)!/(n n!^3) x^n = Lambda_{1/3}(27x); requires
     -1 < 27x <= 1.  (3n)!/n!^3 = 27^n (1/3)_n (2/3)_n / n!^2."""
-    ctx = ensure_ctx(ctx)
     with ctx.workprec(32):
         return lambda_series(_THIRD, 27 * to_mpf(x), ctx, tol=tol)
 
 
-def n_series(alpha, ctx: PrecisionCtx | None = None, tol=None) -> mpf:
+def n_series(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
     """n(alpha) = log(alpha) - rv_series(alpha^-3)/3 for alpha > 3.
 
     The error is at most tol/3.
     """
-    ctx = ensure_ctx(ctx)
     with ctx.workprec(32):
         alpha = to_mpf(alpha)
         if alpha <= 3:
@@ -169,13 +164,12 @@ def _quad_pieces(f, points, tol, depth: int = 0):
     return total
 
 
-def m_quadrature(alpha, ctx: PrecisionCtx | None = None, tol=mpf("1e-8")) -> mpf:
+def m_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf:
     """Jensen-reduced integral for m(alpha), alpha >= 0.
 
     Splits at the |u| = 2 crossing (square-root kink) and doubles the
     integral over [0, 1/2] by the t -> 1-t symmetry.
     """
-    ctx = ensure_ctx(ctx)
     tol = mpf(tol)
     prec = max(140, int(-mp.log(tol, 2)) + 80)
     with workprec(prec):
@@ -322,7 +316,7 @@ def _n_trapezoid(alpha, gate, floor):
         f"{mp.nstr(abs(value - prev), 3)} at {n} nodes")
 
 
-def n_quadrature(alpha, ctx: PrecisionCtx | None = None, tol=mpf("1e-8")) -> mpf:
+def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf:
     """Jensen-reduced integral for n(alpha) = m(x^3 + y^3 + 1 - alpha x y).
 
     The cubic in x is monic, so the inner integral is sum_i log+ |r_i(t)|;
@@ -345,7 +339,6 @@ def n_quadrature(alpha, ctx: PrecisionCtx | None = None, tol=mpf("1e-8")) -> mpf
     the tanh-sinh bisection gate; the value comes out at about that
     working precision, far below tol.
     """
-    ctx = ensure_ctx(ctx)
     tol = mpf(tol)
     prec = max(140, int(-mp.log(tol, 2)) + 80)
     with workprec(prec):

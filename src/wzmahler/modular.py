@@ -15,26 +15,18 @@ from fractions import Fraction
 
 from mpmath import cbrt, ceil, exp, log, mpf, pi, sqrt
 
-from .context import DomainError, PrecisionCtx, ensure_ctx, to_mpf
+from .context import DEFAULT_CTX, DomainError, PrecisionCtx, to_mpf
 from .numkernel import agm3
 
 
-def phi_theta(q, ctx: PrecisionCtx | None = None) -> mpf:
-    """phi(q) = sum_{n in Z} q^(n^2), |q| < 1 (super-geometric tail)."""
-    ctx = ensure_ctx(ctx)
+def phi_theta(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
+    """phi(q) = theta3(q) = sum_{n in Z} q^(n^2), |q| < 1, to within
+    2^-(bits+16)."""
     with ctx.workprec():
         q = to_mpf(q)
         if not abs(q) < 1:
             raise DomainError("phi_theta requires |q| < 1")
-        eps = mpf(2) ** (-(ctx.bits + 16))
-        total = mpf(1)
-        n = 1
-        while True:
-            t = 2 * q ** (n * n)
-            total += t
-            if abs(t) < eps:
-                return +total
-            n += 1
+        return +_theta3_and_s(q, mpf(2) ** (-(ctx.bits + 16)))[0]
 
 
 def _theta3_and_s(x, eps):
@@ -55,7 +47,7 @@ def _theta3_and_s(x, eps):
         xn *= x
 
 
-def xq_product(q, ctx: PrecisionCtx | None = None) -> mpf:
+def xq_product(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """x(q) = 1 + 27 q prod_{n>=1} ((1-q^(3n))/(1-q^n))^12 for |q| < 1, by
     Borwein's cubic theta functions (Borwein and Borwein, Trans. AMS 323,
     1991): x(q) = (a(q)/b(q))^3 with
@@ -69,7 +61,6 @@ def xq_product(q, ctx: PrecisionCtx | None = None) -> mpf:
     (1-q^(3n)) is small as |q| -> 1, log(1/|b|) <= pi^2 |q|/(2(1-|q|)), and
     the subtraction that forms it loses about that many bits; the working
     precision and the stop test 2^-(bits+24) carry them as extra bits."""
-    ctx = ensure_ctx(ctx)
     with ctx.workprec():
         q = to_mpf(q)
         if not abs(q) < 1:
@@ -86,13 +77,12 @@ def xq_product(q, ctx: PrecisionCtx | None = None) -> mpf:
         return +x
 
 
-def q3_from_beta(beta, ctx: PrecisionCtx | None = None) -> mpf:
+def q3_from_beta(beta, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """Signature-3 nome exp(-(2 pi/sqrt 3) F(1-beta)/F(beta)),
     F = 2F1(1/3, 2/3; 1; .), with F(x) = 1/agm3(1, (1-x)^(1/3)):
 
         q = exp(-(2 pi/sqrt 3) agm3(1, (1-beta)^(1/3))/agm3(1, beta^(1/3))).
     """
-    ctx = ensure_ctx(ctx)
     with ctx.workprec(16):
         beta = to_mpf(beta)
         if not 0 < beta < 1:

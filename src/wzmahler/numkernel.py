@@ -21,16 +21,15 @@ from mpmath import (arg, bernoulli, cbrt, expjpi, im, isint, log, mp, mpc, mpf,
 from mpmath import gamma as _mp_gamma
 from mpmath import zeta as _mp_zeta
 
-from .context import (ConvergenceError, DivergentSeriesError, DomainError,
-                      PoleError, PrecisionCtx, ensure_ctx, to_mpf)
+from .context import (DEFAULT_CTX, ConvergenceError, DivergentSeriesError,
+                      DomainError, PoleError, PrecisionCtx, to_mpf)
 from .series import as_ratio, count_terms, ratio_series, sum_geometric
 
 GUARD_D = 24  # extra bits sought from D and the lattice sums beyond ctx.bits
 
 
-def gamma_real(x, ctx: PrecisionCtx | None = None) -> mpf:
+def gamma_real(x, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """Gamma(x) for real x, PoleError at non-positive integers."""
-    ctx = ensure_ctx(ctx)
     with ctx.workprec():
         x = to_mpf(x)
         if x <= 0 and isint(x):
@@ -38,18 +37,16 @@ def gamma_real(x, ctx: PrecisionCtx | None = None) -> mpf:
         return +_mp_gamma(x)
 
 
-def zeta_int(s: int, ctx: PrecisionCtx | None = None) -> mpf:
+def zeta_int(s: int, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """zeta(s) for integer s >= 2."""
-    ctx = ensure_ctx(ctx)
     if s != int(s) or s <= 1:
         raise DomainError("zeta_int requires an integer s >= 2")
     with ctx.workprec():
         return +_mp_zeta(int(s))
 
 
-def agm(a, b, ctx: PrecisionCtx | None = None) -> mpf:
+def agm(a, b, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """Arithmetic-geometric mean of positive reals, quadratic convergence."""
-    ctx = ensure_ctx(ctx)
     with ctx.workprec():
         a, b = to_mpf(a), to_mpf(b)
         if a <= 0 or b <= 0:
@@ -61,12 +58,11 @@ def agm(a, b, ctx: PrecisionCtx | None = None) -> mpf:
         return (a + b) / 2
 
 
-def agm3(a, b, ctx: PrecisionCtx | None = None) -> mpf:
+def agm3(a, b, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """Borwein's cubic arithmetic-geometric mean of positive reals,
     (a, b) -> ((a + 2b)/3, (b (a^2 + ab + b^2)/3)^(1/3)), cubic convergence.
     2F1(1/3, 2/3; 1; x) = 1/agm3(1, (1 - x)^(1/3)) for 0 <= x < 1
     (Borwein and Borwein, Trans. AMS 323, 1991)."""
-    ctx = ensure_ctx(ctx)
     with ctx.workprec():
         a, b = to_mpf(a), to_mpf(b)
         if a <= 0 or b <= 0:
@@ -78,7 +74,7 @@ def agm3(a, b, ctx: PrecisionCtx | None = None) -> mpf:
         return (a + 2 * b) / 3
 
 
-def bloch_wigner(z, ctx: PrecisionCtx | None = None) -> mpf:
+def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """Bloch-Wigner dilogarithm D(z) = Im Li2(z) + arg(1-z) log|z|.
 
     Single-valued and real on all of C; vanishes on the real line, and
@@ -89,7 +85,6 @@ def bloch_wigner(z, ctx: PrecisionCtx | None = None) -> mpf:
     term by 2.3 |w| r^m, r = (|w|/2 pi)^2 < 0.041, so the loop stops once
     the tail sum_{m' >= m} 2.3 |w| r^m' is below 2^-(bits + GUARD_D).
     """
-    ctx = ensure_ctx(ctx)
     with ctx.workprec(32):
         z = mpc(z)
         if z.imag == 0:
@@ -177,7 +172,7 @@ def _lambda_at_one(s: Fraction, prec: int) -> mpf:
         return +(log(exp_h0) - w * d / pi)
 
 
-def lambda_series(s, z, ctx: PrecisionCtx | None = None, tol=None) -> mpf:
+def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
     """Lambda_s(z) = sum_{n>=1} c_n z^n/n = int_0^z (F_s(t) - 1)/t dt for
     -1 < z <= 1, to within tol (default ctx.target_tol).
 
@@ -196,7 +191,6 @@ def lambda_series(s, z, ctx: PrecisionCtx | None = None, tol=None) -> mpf:
     at most ((|A_M| + B_M L)/(M+2) + kappa c_M (h_M + L)) w^(M+2)/(1-w).
     Lambda_s(1) is cached per (s, precision).
     """
-    ctx = ensure_ctx(ctx)
     with ctx.workprec(64):
         s = _kernel_s(s)
         z = to_mpf(z)

@@ -13,15 +13,14 @@ from math import prod
 
 from mpmath import isint, mp, mpf
 
-from ..context import (DivergentSeriesError, DomainError, PrecisionCtx,
-                       ensure_ctx, to_mpf)
+from ..context import (DEFAULT_CTX, DivergentSeriesError, DomainError,
+                       PrecisionCtx, to_mpf)
 from ..series import as_ratio, ratio_series, richardson_sum, sum_geometric
 
 
-def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx | None = None,
+def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx = DEFAULT_CTX,
              tol=None) -> mpf:
     """Sum pFq(tops; bottoms; z) to tolerance (default: ctx.target_tol)."""
-    ctx = ensure_ctx(ctx)
     with ctx.workprec(64):
         # each parameter, and z below, as an exact integer pair for the
         # term ratio

@@ -43,8 +43,19 @@ def test_all_tol_override_fails(capsys, jobs):
     argv = ["--tol", "1e-200", "all", "--filter", "log2-f3", "--jobs", jobs]
     assert main(argv) == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out and "PASS" not in out
+    # 1e-200 lies below 2^-288, which 256 bits cannot resolve
+    assert "UNRESOLVED" in out and "PASS" not in out
     assert lookup("log2-f3").tol == before
+
+
+def test_text_status_column_fits_the_longest_status(capsys):
+    # at 64 bits zeta3-f2's 1e-30 claim is CONJECTURAL-UNRESOLVED; the ids
+    # still start in one column
+    assert main(["--bits", "64", "--quiet", "all", "--filter", "zeta3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == \
+        ["PASS", "CONJECTURAL-UNRESOLVED", "PASS"]
+    assert len({line.index("zeta3-f") for line in lines}) == 1
 
 
 @pytest.mark.parametrize("argv", [["verify", "bertin-series"],

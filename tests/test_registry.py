@@ -243,6 +243,29 @@ def test_run_all_jobs_parity():
                 f"(ours vs {name}): " + "; ".join(moved)
 
 
+def test_claims_beyond_the_precision_are_unresolved():
+    """At 64 bits the 1e-30 and 1e-40 claims lie below 2^-(bits+32): none
+    may pass on a difference that rounding made zero, they report
+    (CONJECTURAL-)UNRESOLVED and flip the exit code, and every status the
+    precision can decide equals its 256-bit one."""
+    with open(GOLDEN.format(bits=256)) as fh:
+        at_256 = {row["id"]: row["status"] for row in json.load(fh)["reports"]}
+    reports, code = run_all(ctx=PrecisionCtx(bits=64))
+    assert code == 1
+    unresolved = set()
+    for rep in reports:
+        assert not (rep.status.endswith("PASS") and rep.abs_diff == "0.0"), rep.id
+        if rep.status.endswith("UNRESOLVED"):
+            unresolved.add(rep.id)
+        else:
+            assert rep.status == at_256[rep.id], rep.id
+    beyond = {rec.id for rec in registry_entries()
+              if rec.tol is not None and rec.tol < mpf(2) ** -96}
+    assert unresolved == beyond and len(beyond) == 11
+    assert [r.status for r in reports if r.id == "zeta3-f2"] == \
+        ["CONJECTURAL-UNRESOLVED"]
+
+
 def test_monotone_precision():
     lo = run_check("log2-f3", PrecisionCtx(bits=192))
     hi = run_check("log2-f3", PrecisionCtx(bits=384))

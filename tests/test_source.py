@@ -1,5 +1,6 @@
 """Source hygiene: every top-level import of a ``wzmahler`` module is used,
-and every module-level ``_private`` function or class is referenced."""
+and every module-level ``_private`` function, class or constant is
+referenced."""
 
 import ast
 from collections import Counter
@@ -46,15 +47,23 @@ def _named(node) -> list[str]:
             if isinstance(n, (ast.Name, ast.Attribute, ast.alias))]
 
 
+def _defined(node) -> list[str]:
+    """The names a module-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def unreferenced_private(sources: list[str]) -> list[str]:
-    """Module-level ``_private`` functions and classes of the given module
-    sources that no code outside their own definition names."""
+    """Module-level ``_private`` functions, classes and assigned names of the
+    given module sources that no code outside their own definition names."""
     trees = [ast.parse(source) for source in sources]
     named = Counter(name for tree in trees for name in _named(tree))
-    return [node.name for tree in trees for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
-            and named[node.name] == _named(node).count(node.name)]
+    return [name for tree in trees for node in tree.body for name in _defined(node)
+            if name.startswith("_") and not name.startswith("__")
+            and named[name] == _named(node).count(name)]
 
 
 def test_unreferenced_private_detected():
@@ -65,6 +74,16 @@ def test_unreferenced_private_detected():
            "def _e():\n    pass\n\ndef __getattr__(name):\n    pass\n\nprint(_b)\n")
     assert unreferenced_private([mod, "from m import _d\nimport m\nm._e()\n"]) \
         == ["_a", "_C"]
+
+
+def test_unreferenced_private_constant_detected():
+    # _D is assigned and never read; _A is read in _C's value, _B is
+    # imported by another module, _C and _E are read and _F is read by a
+    # function
+    mod = ("_A = 1\n_B: int = 2\n_C = {'k': _A}\n_D, _E = 3, 4\n_F = 5\n"
+           "__all__ = ['f']\n\ndef f():\n    return _F\n\nprint(_C, _E)\n")
+    assert unreferenced_private([mod, "from m import _B\n"]) == ["_D"]
+    assert unreferenced_private(["_A = 1\n_B = [_A]\n"]) == ["_B"]
 
 
 def test_no_unreferenced_private_in_package():
