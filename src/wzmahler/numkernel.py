@@ -9,21 +9,31 @@ correctly-rounded implementations; D, the AGMs and F_s are written out
 here because their branch and termination behaviour is what the identity
 checks lean on.  Each has one route: D one Bernoulli series after its
 symmetries, the two AGMs one iteration each.
+
+D's series and the connection expansion of F_s are summed on Python
+integers in fixed point, as the lattice sums and the series engines are.
+Each docstring bounds the loop's rounding error in units of its last
+fractional bit; the guard bits above the working precision are the bit
+length of that bound, so the loop rounds below one unit of the working
+precision.  The Bernoulli numbers come exactly from a table of tangent
+numbers that grows on demand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from threading import Lock
 
-from mpmath import (arg, bernoulli, cbrt, expjpi, im, isint, log, mp, mpc, mpf,
-                    pi, sin, workprec)
+from mpmath import (arg, cbrt, expjpi, isint, log, mp, mpc, mpf, pi, sin,
+                    workprec)
 from mpmath import gamma as _mp_gamma
 from mpmath import zeta as _mp_zeta
 
 from .context import (DEFAULT_CTX, ConvergenceError, DivergentSeriesError,
                       DomainError, PoleError, PrecisionCtx, to_mpf)
-from .series import as_ratio, count_terms, ratio_series, sum_geometric
+from .series import (as_ratio, count_terms, ratio_series, sum_geometric,
+                     to_fixed)
 
 GUARD_D = 24  # extra bits sought from D and the lattice sums beyond ctx.bits
 
@@ -74,6 +84,30 @@ def agm3(a, b, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         return (a + 2 * b) / 3
 
 
+# Brent and Harvey's triangle for the tangent numbers T_k, tan x =
+# sum_k T_k x^(2k-1)/(2k-1)! ("Fast computation of Bernoulli, tangent and
+# secant numbers", 2011), one row at a time: row j holds T_j^(1..j) with
+# T_j^(1) = (j-1)!, T_j^(i) = (j-i) T_(j-1)^(i) + (j-i+2) T_j^(i-1), and
+# T_j = T_j^(j).  B_2k = (-1)^(k-1) 2k T_k/(4^k (4^k - 1)).
+_TANGENT = [1]  # T_1, T_2, ...: the table, grown on demand
+_TANGENT_ROW = [1]  # the row of its last entry
+_TANGENT_LOCK = Lock()  # one thread at a time extends the row and the table
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """The table T_1, T_2, ..., extended to at least n entries."""
+    with _TANGENT_LOCK:
+        row = _TANGENT_ROW
+        while len(_TANGENT) < n:
+            j = len(_TANGENT) + 1
+            row[0] *= j - 1
+            for i in range(1, j - 1):
+                row[i] = (j - 1 - i) * row[i] + (j + 1 - i) * row[i - 1]
+            row.append(2 * row[-1])
+            _TANGENT.append(row[-1])
+    return _TANGENT
+
+
 def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """Bloch-Wigner dilogarithm D(z) = Im Li2(z) + arg(1-z) log|z|.
 
@@ -81,9 +115,20 @@ def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     D(0) = D(1) = 0 by continuity.  D(1/z) = -D(z) and D(1-z) = -D(z) move
     z into |z| <= 1, Re z <= 1/2, where w = -log(1-z) has |w| < 1.26 and
     Li2(z) = sum_{j>=0} B_j w^(j+1)/(j+1)! (Zagier, "The dilogarithm
-    function", 2007).  |B_2m| <= 2.3 (2m)!/(2 pi)^(2m) bounds the B_2m
-    term by 2.3 |w| r^m, r = (|w|/2 pi)^2 < 0.041, so the loop stops once
-    the tail sum_{m' >= m} 2.3 |w| r^m' is below 2^-(bits + GUARD_D).
+    function", 2007).  |B_2k| <= 2.3 (2k)!/(2 pi)^(2k) bounds the B_2k
+    term by 2.3 |w| r^k, r = (|w|/2 pi)^2 < 0.041, so the series stops
+    after the K terms B_2 .. B_2K, K the least with 2.3 |w| r^(K+1)/(1-r)
+    below 2^-(bits + GUARD_D); ConvergenceError if K > ``ctx.max_terms``.
+
+    The K terms are summed on Python integers at P fractional bits: w
+    enters floored, w^2 and w^(2k+1) are carried as fixed-point values, and
+    B_2k/(2k+1)! comes exactly from the tangent numbers.  Each term is
+    floored once; the error of w^(2k+1), below 8k 1.59^k units of 2^-P, is
+    shrunk below 9 (0.041)^k units by |B_2k|/(2k+1)! < 2.3/(2 pi)^(2k); the
+    B_0 and B_1 terms add below 4 units.  The sum is therefore within K + 5
+    units of 2^-P, and P = the working precision (bits + 64) plus the bit
+    length of K + 5 keeps that below one unit of the working precision, far
+    below 2^-(bits + GUARD_D).
     """
     with ctx.workprec(32):
         z = mpc(z)
@@ -97,18 +142,26 @@ def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         eps = mpf(2) ** (-(ctx.bits + GUARD_D))
         w = -log(1 - z)
         r = (abs(w) / (2 * pi)) ** 2
-        total = im(w - w * w / 4)  # j = 0 and j = 1 (B_0 = 1, B_1 = -1/2)
-        wpow, fact, j = w ** 3, mpf(6), 2  # w^(j+1) and (j+1)! at j = 2
-        tail = 2.3 * abs(w) * r / (1 - r)  # bound on the terms from j on
+        big_k, tail = 0, 2.3 * abs(w) * r / (1 - r)  # the terms from B_2 on
         while tail >= eps:
-            if j > ctx.max_terms:
-                raise ConvergenceError("Bloch-Wigner series budget exhausted")
-            total += bernoulli(j) * im(wpow) / fact
-            wpow *= w * w
-            fact *= (j + 2) * (j + 3)
-            tail *= r
-            j += 2
-        return +(sign * (total + arg(1 - z) * log(abs(z))))
+            big_k, tail = big_k + 1, tail * r
+        if big_k > ctx.max_terms:
+            raise ConvergenceError("Bloch-Wigner series budget exhausted")
+        prec = mp.prec + (big_k + 5).bit_length()
+        wr, wi = to_fixed(w.real, prec), to_fixed(w.imag, prec)
+        sr, si = (wr * wr - wi * wi) >> prec, (2 * wr * wi) >> prec  # w^2
+        total = wi - (si >> 2)  # B_0 = 1, B_1 = -1/2
+        tangents = _tangent_numbers(big_k)
+        fact = 1  # (2k-1)!
+        for k in range(1, big_k + 1):
+            wr, wi = (wr * sr - wi * si) >> prec, (wr * si + wi * sr) >> prec
+            if k > 1:
+                fact *= (2 * k - 2) * (2 * k - 1)
+            # B_2k/(2k+1)! = (-1)^(k-1) T_k/((2k-1)! (2k+1) 4^k (4^k - 1))
+            den = fact * (2 * k + 1) * ((1 << 2 * k) - 1)
+            t = (wi * tangents[k - 1] // den) >> 2 * k
+            total += t if k % 2 else -t
+        return +(sign * (mpf((total, -prec)) + arg(1 - z) * log(abs(z))))
 
 
 # ---------------------------------------------------------------------------
@@ -147,20 +200,6 @@ def _kernel_s(s) -> Fraction:
     return s
 
 
-def _c_h_terms(s: Fraction):
-    """Yield (c_n, h_n) for n = 0, 1, 2, ... at the working precision."""
-    p, exp_h0, _, _ = _KERNEL[s]
-    p = to_mpf(p)
-    c, h = mpf(1), log(exp_h0)
-    n = 0
-    while True:
-        yield c, h
-        d = n * (n + 1) + p
-        c = c * d / (n + 1) ** 2
-        h = h - (n + 1 - 2 * p) / ((n + 1) * d)
-        n += 1
-
-
 @cache
 def _lambda_at_one(s: Fraction, prec: int) -> mpf:
     """Lambda_s(1) = h_0 - w D(z0)/pi: 3 log 3 - 9 D(e^(i pi/3))/pi and
@@ -179,7 +218,8 @@ def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
     The sum runs 32 bits above the callers' ``ctx.workprec(32)``, so that
     its rounding stays well below an ulp of their results.  Below
     ``LAMBDA_SWITCH`` the series is summed directly on integers, z entering
-    as the dyadic rational its mpf value is; its term ratio is below |z|.  From there on, Lambda_s(z) = Lambda_s(1) - I(1 - z) with
+    as the dyadic rational its mpf value is; its term ratio is below |z|.
+    From there on, Lambda_s(z) = Lambda_s(1) - I(1 - z) with
     I(w) = int_0^w (F_s(1-v) - 1)/(1-v) dv.  Multiplying the connection
     formula by 1/(1-v) = sum v^m gives
         (F_s(1-v) - 1)/(1-v) = sum_m (A_m - B_m log v) v^m,
@@ -190,6 +230,17 @@ def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
     B_m <= B_M + kappa c_M (m-M), so with L = 1 - log w the tail after M is
     at most ((|A_M| + B_M L)/(M+2) + kappa c_M (h_M + L)) w^(M+2)/(1-w).
     Lambda_s(1) is cached per (s, precision).
+
+    I(w) is summed on Python integers at P fractional bits: c_n and h_n
+    step by their recurrences in the exact p and are floored, and A_m, B_m,
+    w^(m+1), log w and the tail bound are fixed-point values; the stop test
+    compares the bound with tol on those same integers.  The floors let the
+    errors of A_m and B_m grow at most quadratically in m, which the factor
+    w^(m+1) <= 0.35^(m+1) holds below 11 units of 2^-P in all, and each term
+    adds at most 6 + |log w|/2 units more.  After M <= max_terms terms the
+    error is thus below (M + 1)(10 + |log w|) units.  At the working
+    precision W, w = 1 - z >= 2^-W gives |log w| < W, so
+    P = W + the bit length of (max_terms + 1)(10 + W) keeps it below 2^-W.
     """
     with ctx.workprec(64):
         s = _kernel_s(s)
@@ -212,24 +263,29 @@ def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
 
 
 def _connection_integral(s, w, tol, max_terms):
-    kappa = sin(pi * to_mpf(s)) / pi
-    logw = log(w)
-    big_l = 1 - logw
-    a = -mpf(1)
-    b = mpf(0)
-    total = mpf(0)
-    wpow = mpf(1)
-    tail = 1 / (1 - w)
-    for m, (c, h) in enumerate(_c_h_terms(s)):
-        kc = kappa * c
-        a += kc * h
+    pn, pd = as_ratio(_KERNEL[s][0])
+    prec = mp.prec + ((max_terms + 1) * (10 + mp.prec)).bit_length()
+    with workprec(prec):
+        kappa, logw, h = (to_fixed(x, prec) for x in (
+            sin(pi * to_mpf(s)) / pi, log(w), log(_KERNEL[s][1])))
+    one = 1 << prec
+    wf, limit = to_fixed(w, prec), to_fixed(tol, prec)
+    big_l = one - logw
+    tail = (one << prec) // (one - wf)  # 1/(1-w)
+    c, a, b, total, wpow = one, -one, 0, 0, one
+    for m in range(max_terms):
+        kc = kappa * c >> prec
+        a += kc * h >> prec
         b += kc
-        wpow *= w
-        total += wpow / (m + 1) * (a - b * (logw - mpf(1) / (m + 1)))
-        bound = ((abs(a) + b * big_l) / (m + 2) + kc * (h + big_l)) \
-            * wpow * w * tail
-        if bound < tol:
+        wpow = wpow * wf >> prec
+        x = a - (b * (logw - one // (m + 1)) >> prec)
+        total += (wpow * x >> prec) // (m + 1)
+        bound = (abs(a) + (b * big_l >> prec)) // (m + 2) \
+            + (kc * (h + big_l) >> prec)
+        if ((bound * wpow >> prec) * wf >> prec) * tail >> prec < limit:
             count_terms(m + 1)
-            return total
-        if m + 1 >= max_terms:
-            raise ConvergenceError("connection expansion budget exhausted")
+            return mpf((total, -prec))
+        d = m * (m + 1) * pd + pn  # (m(m+1) + p) pd
+        c = c * d // ((m + 1) ** 2 * pd)
+        h -= (((m + 1) * pd - 2 * pn) << prec) // ((m + 1) * d)
+    raise ConvergenceError("connection expansion budget exhausted")

@@ -2,15 +2,23 @@
 equations on random points, domain errors."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
-from mpmath import (arg, asin, catalan, cbrt, clsin, exp, hyp2f1, hyper, im,
-                    log, mp, mpc, mpf, pi, polylog, sin, sqrt, workprec)
+from mpmath import (arg, asin, bernfrac, catalan, cbrt, clsin, exp, hyp2f1,
+                    hyper, im, log, mp, mpc, mpf, pi, polylog, sin, sqrt,
+                    workprec)
 
-from wzmahler import (DivergentSeriesError, DomainError, PoleError,
-                      PrecisionCtx, agm, bloch_wigner, gamma_real, zeta_int)
-from wzmahler.numkernel import LAMBDA_SWITCH, agm3, lambda_series
+from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
+                      PoleError, PrecisionCtx, agm, bloch_wigner, gamma_real,
+                      zeta_int)
+from wzmahler.context import to_mpf
+from wzmahler.numkernel import (_KERNEL, GUARD_D, LAMBDA_SWITCH,
+                                _connection_integral, _tangent_numbers, agm3,
+                                lambda_series)
+from wzmahler.series import TermCounter, count_terms
 
 CTX = PrecisionCtx(bits=256)
 TOL = mpf(2) ** -200
@@ -65,7 +73,7 @@ def test_bloch_wigner_matches_polylog():
     # route, once at 552 bits for both precisions
     with workprec(552):
         refs = [im(polylog(2, z)) + arg(1 - z) * log(abs(z)) for z in points]
-        for bits in (256, 512):
+        for bits in (64, 256, 512):
             ctx = PrecisionCtx(bits=bits)
             worst = max(abs(bloch_wigner(z, ctx) - ref)
                         for z, ref in zip(points, refs))
@@ -90,6 +98,72 @@ def test_bloch_wigner_catalan():
         val = bloch_wigner(mpc(0, 1), CTX)
         assert abs(val - acc) < mpf(1) / 401 ** 2
         assert abs(val - catalan) < TOL
+
+
+def test_bloch_wigner_budget_counts_terms():
+    # the series sums the K terms B_2 .. B_2K, K the least with
+    # 2.3 |w| r^(K+1)/(1-r) < 2^-(bits + 24); max_terms = K is enough
+    i, rho = mpc(0, 1), exp(pi * mpc(0, 1) / 3)
+    for bits, z, terms in ((256, i, 48), (256, rho, 54), (512, i, 93),
+                           (512, rho, 103)):
+        with workprec(bits + 64):
+            w = abs(log(1 - z))
+            r = (w / (2 * pi)) ** 2
+            k = 0
+            while 2.3 * w * r ** (k + 1) / (1 - r) >= mpf(2) ** -(bits + GUARD_D):
+                k += 1
+        assert k == terms
+        ref = bloch_wigner(z, PrecisionCtx(bits=bits))
+        assert bloch_wigner(z, PrecisionCtx(bits=bits, max_terms=k)) == ref
+        with pytest.raises(ConvergenceError, match="Bloch-Wigner"):
+            bloch_wigner(z, PrecisionCtx(bits=bits, max_terms=k - 1))
+
+
+def _is_bernoulli(k, t):
+    """B_2k = (-1)^(k-1) 2k T_k/(4^k (4^k - 1)) for t = T_k, against
+    mpmath's own rational B_2k."""
+    p, q = bernfrac(2 * k)
+    return Fraction((-1) ** (k - 1) * 2 * k * t, 4 ** k * (4 ** k - 1)) \
+        == Fraction(int(p), int(q))
+
+
+def test_tangent_table_gives_exact_bernoulli_numbers():
+    # B_2 .. B_400
+    table = list(_tangent_numbers(200)[:200])
+    for k, t in enumerate(table, 1):
+        assert _is_bernoulli(k, t), k
+    # a smaller request after a larger one reads the same table
+    small = _tangent_numbers(10)
+    assert len(small) >= 200 and small[:200] == table
+    assert table[:5] == [1, 2, 16, 272, 7936]
+
+
+def test_tangent_table_grows_once_under_threads():
+    # eight threads extend the table at once, switching every microsecond;
+    # a lost or doubled update would put a wrong T_k in the table
+    n = len(_tangent_numbers(1)) + 40
+    start = threading.Barrier(8)
+
+    def extend(m):
+        start.wait(timeout=60)
+        _tangent_numbers(m)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=extend, args=(n - i,))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    table = _tangent_numbers(n)
+    assert len(table) == n
+    for k in range(n - 40, n + 1):
+        assert _is_bernoulli(k, table[k - 1]), k
 
 
 def test_bloch_wigner_vanishes_on_reals():
@@ -243,3 +317,57 @@ def test_lambda_series_small_z_and_domain():
     for z in (mpf("1.01"), mpf(-1), mpf(2)):
         with pytest.raises(DivergentSeriesError):
             lambda_series(Fraction(1, 3), z, CTX)
+
+
+def _c_h_terms(s):
+    """(c_n, h_n) in mpf arithmetic: the term-by-term reference."""
+    p, exp_h0, _, _ = _KERNEL[s]
+    p = to_mpf(p)
+    c, h = mpf(1), log(exp_h0)
+    n = 0
+    while True:
+        yield c, h
+        d = n * (n + 1) + p
+        c = c * d / (n + 1) ** 2
+        h = h - (n + 1 - 2 * p) / ((n + 1) * d)
+        n += 1
+
+
+def _connection_integral_mpf(s, w, tol):
+    """The connection expansion summed term by term in mpf arithmetic, with
+    the same tail bound and stopping rule as the integer loop."""
+    kappa = sin(pi * to_mpf(s)) / pi
+    logw = log(w)
+    big_l = 1 - logw
+    a, b, total, wpow, tail = -mpf(1), mpf(0), mpf(0), mpf(1), 1 / (1 - w)
+    for m, (c, h) in enumerate(_c_h_terms(s)):
+        kc = kappa * c
+        a += kc * h
+        b += kc
+        wpow *= w
+        total += wpow / (m + 1) * (a - b * (logw - mpf(1) / (m + 1)))
+        bound = ((abs(a) + b * big_l) / (m + 2) + kc * (h + big_l)) \
+            * wpow * w * tail
+        if bound < tol:
+            count_terms(m + 1)
+            return total
+
+
+def test_connection_expansion_matches_mpf_loop():
+    # the integer loop against the mpf loop run 64 bits higher (at equal
+    # precision the mpf loop's own rounding reaches 1.7 units of 2^-prec):
+    # within one unit of 2^-prec, after the same number of terms
+    for bits in (64, 256, 512):
+        ctx = PrecisionCtx(bits=bits)
+        for s in KERNEL_S:
+            for w in (mpf("0.35"), mpf("0.2"), mpf("0.05"), mpf("1e-3"),
+                      mpf(2) ** -40):
+                for tol in (mpf(10) ** -42, mpf(2) ** -(bits + 8)):
+                    with ctx.workprec(64):
+                        with TermCounter() as got:
+                            val = _connection_integral(s, w, tol, ctx.max_terms)
+                        prec = mp.prec
+                        with workprec(prec + 64), TermCounter() as want:
+                            ref = _connection_integral_mpf(s, w, tol)
+                        assert abs(val - ref) <= mpf(2) ** -prec, (bits, s, w)
+                    assert got.count == want.count > 0, (bits, s, w)
