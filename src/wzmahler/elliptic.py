@@ -38,7 +38,7 @@ from mpmath.libmp import to_fixed
 from .context import (DEFAULT_CTX, ComplexRootsUnsupportedError,
                       ConvergenceError, DomainError, LatticePoleError,
                       PrecisionCtx, SingularCurveError, to_mpf)
-from .numkernel import GUARD_D, agm, bloch_wigner
+from .numkernel import GUARD_D, _stop_index, agm, bloch_wigner
 from .series import count_terms
 
 
@@ -228,20 +228,6 @@ def wp(curve: EllipticCurve, u, ctx: PrecisionCtx = DEFAULT_CTX,
         return +((2 * pi * mpc(0, 1) / per.omega) ** 2 * total)
 
 
-def _stop_index(r: mpf, c: mpf, eps: mpf, max_terms: int) -> int:
-    """Least k >= 1 with tail bound c r^(k+1)/(1-r) < eps, for 0 < r < 1;
-    ConvergenceError past ``max_terms``."""
-    tail = c * r / (1 - r)
-    k = max(1, int(ceil(log(eps / tail) / log(r))))
-    while tail * r ** k >= eps:
-        k += 1
-    while k > 1 and tail * r ** (k - 1) < eps:
-        k -= 1
-    if k > max_terms:
-        raise ConvergenceError("lattice dilogarithm sum budget exhausted")
-    return k
-
-
 def _half_sum_difference(z: mpc, q: mpf, k_up: int, k_down: int,
                          prec: int) -> mpf:
     """H(z) - H(1/z) (see ``lattice_dilog_sum``) with the up terms taken to
@@ -330,8 +316,9 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         aq, lz, lq = abs(q), log(abs(z)), log(abs(q))
         c = (1 + abs(lz) + abs(lq) / (1 - aq)) / (1 - aq)
         r_up, r_down = abs(z) * aq, aq / abs(z)
-        k_up = _stop_index(r_up, c, eps, ctx.max_terms)
-        k_down = _stop_index(r_down, c, eps, ctx.max_terms)
+        budget = "lattice dilogarithm sum budget exhausted"
+        k_up = _stop_index(r_up, c, eps, ctx.max_terms, budget)
+        k_down = _stop_index(r_down, c, eps, ctx.max_terms, budget)
         bound = 64 * max(k_up, k_down) * c \
             / ((1 - max(r_up, r_down)) * (1 - aq) ** 3)
         prec = mp.prec + int(ceil(bound)).bit_length()

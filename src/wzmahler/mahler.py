@@ -29,8 +29,12 @@ alpha > 3,
 through the same kernel, and a quadrature oracle for every alpha >= 0: the
 cubic in x is monic, so Jensen gives the sum of log+ of its root
 magnitudes, which Cardano's formula gives in closed form at each node.
-mpmath's polyroots cross-checks the closed form at the ends of every
-quadrature piece.  The polynomial is
+The formula runs on Python integers at 32 bits above the working
+precision, with one mpmath cube root and, for the integrand, one
+logarithm of the product of the squared magnitudes above 1; the node
+values and the trapezoidal sums keep those 32 bits.  mpmath's polyroots
+cross-checks the closed form at the ends of every quadrature piece.  The
+polynomial is
 invariant under (x, y) -> (w^2 x, w y), w = e^(2 pi i/3), and under complex
 conjugation, so that integrand has period 1/3 in t (y = e^(2 pi i t)) and
 is even: n(alpha) is 6 times its integral over [0, 1/6].  Near alpha = 3
@@ -59,9 +63,14 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 
-from mpmath import (acos, acosh, cbrt, cos, expjpi, fabs, log, mp, mpc, mpf,
-                    pi, polyroots, quad, sqrt, workprec)
+from mpmath import (acos, acosh, cos, extraprec, fabs, log, mp, mpf, pi,
+                    polyroots, quad, workprec)
+from mpmath.libmp import (from_man_exp, from_rational, mpc_cbrt,
+                          mpf_cos_sin_pi, mpf_log, mpf_shift, round_nearest,
+                          to_fixed)
 
 from .context import (DEFAULT_CTX, DomainError, PrecisionCtx,
                       QuadratureBudgetError, SlowConvergenceWarning, to_mpf)
@@ -69,11 +78,14 @@ from .numkernel import lambda_series
 from .series import as_ratio, count_terms, ratio_series, sum_geometric
 
 # Largest predicted node count N* for which n_quadrature takes the periodic
-# trapezoidal rule.  Measured at 140 bits (mpmath's Python backend, 2 vCPUs):
-# up to N* ~ 1,350 the rule stops at 1,024 nodes in ~0.8 of the tanh-sinh
-# route's time; beyond, it doubles to 2,048 nodes and takes ~1.8 times as
-# long.
-_PERIODIC_MAX_NODES = 1350
+# trapezoidal rule.  The rule stops at a level of at least N* nodes, so it
+# makes 513 integrand calls for N* <= 1,024 and 1,025 above, against the
+# tanh-sinh route's 537.  Measured at 140 bits (mpmath's Python backend,
+# 2 vCPUs, the integer integrand on both routes): at N* = 1,000 the rule
+# takes 0.88 of the tanh-sinh route's time (54 against 61 ms); at N* =
+# 1,350 it takes 1.7 times as long (101 against 60 ms), and at
+# (7 - sqrt 5)/4^(1/3), N* = 1,470, 1.8 times (132 against 74 ms).
+_PERIODIC_MAX_NODES = 1024
 _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 
 
@@ -192,10 +204,63 @@ def m_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
         return +(2 * _quad_pieces(f, points, tol / 2))
 
 
-def _torus_point(t):
-    """y = e^(2 pi i t) and y^3, each from its own exponential so that
-    1 + y^3 vanishes exactly at t = 1/6 and t = 1/2."""
-    return expjpi(2 * t), expjpi(6 * t)
+def _torus_point(t, prec):
+    """y = e^(2 pi i t) and y^3 as raw (cos, sin) pairs at prec bits, each
+    from its own exponential of an argument rounded at the working
+    precision, so that 1 + y^3 vanishes exactly at t = 1/6 and t = 1/2."""
+    return (mpf_cos_sin_pi(mpf(2 * t)._mpf_, prec, round_nearest),
+            mpf_cos_sin_pi(mpf(6 * t)._mpf_, prec, round_nearest))
+
+
+@lru_cache(maxsize=16)
+def _cubic_constants(alpha: tuple, bits: int) -> tuple:
+    """floor(alpha/3) and floor(sqrt(3)/2) at ``bits`` fractional bits, for
+    the raw mpf alpha."""
+    return to_fixed(alpha, bits) // 3, isqrt(3 << 2 * bits) >> 1
+
+
+def _cubic_root_norms(alpha, t):
+    """(F, [|x_0|^2, |x_1|^2, |x_2|^2]): the squared root magnitudes of
+    x^3 - alpha y x + 1 + y^3 at 2F fractional bits, F = mp.prec + 32, by
+    Cardano's formula on integers (see ``_cubic_root_mags``)."""
+    bits = mp.prec + 32
+    one = 1 << bits
+    a3, s3 = _cubic_constants(mpf(alpha)._mpf_, bits)
+    (yr, yi), (zr, zi) = ((to_fixed(c, bits), to_fixed(s, bits))
+                          for c, s in _torus_point(t, bits))
+    pr, pi_ = -(a3 * yr >> bits), -(a3 * yi >> bits)  # p/3
+    hr, hi = (one + zr) >> 1, zi >> 1  # h
+    qr, qi = (pr * pr - pi_ * pi_) >> bits, (pr * pi_) >> (bits - 1)
+    dr = (hr * hr - hi * hi + qr * pr - qi * pi_) >> bits  # h^2 + (p/3)^3
+    di = (2 * hr * hi + qr * pi_ + qi * pr) >> bits
+    m = isqrt(dr * dr + di * di)  # its square root d, up to sign
+    if dr >= 0:
+        sr = isqrt((m + dr) << (bits - 1))
+        si = (di << bits) // (2 * sr) if sr else 0
+    else:
+        si = isqrt((m - dr) << (bits - 1))
+        sr = (abs(di) << bits) // (2 * si)
+        si = -si if di < 0 else si
+    # |h + d|^2 - |h - d|^2 = 4 Re(h conj(d)), exactly
+    if hr * sr + hi * si > 0:
+        ur, ui = -hr - sr, -hi - si
+    else:
+        ur, ui = sr - hr, si - hi
+    if ur == ui == 0:
+        return bits, [0, 0, 0]
+    cr, ci = (to_fixed(x, bits) for x in mpc_cbrt(
+        (from_man_exp(ur, -bits), from_man_exp(ui, -bits)), bits))
+    n = cr * cr + ci * ci
+    gr = ((pr * cr + pi_ * ci) << bits) // n  # (p/3)/c
+    gi = ((pi_ * cr - pr * ci) << bits) // n
+    half = one >> 1
+    norms = []
+    for _ in range(3):  # x = c w^k - (p/3)/(c w^k), w = -1/2 + i sqrt(3)/2
+        xr, xi = cr - gr, ci - gi
+        norms.append(xr * xr + xi * xi)
+        cr, ci = (-cr * half - ci * s3) >> bits, (cr * s3 - ci * half) >> bits
+        gr, gi = (gi * s3 - gr * half) >> bits, (-gr * s3 - gi * half) >> bits
+    return bits, norms
 
 
 def _cubic_root_mags(alpha, t):
@@ -204,39 +269,45 @@ def _cubic_root_mags(alpha, t):
     With p = -alpha y and h = (1 + y^3)/2 the roots are c w^k - p/(3 c w^k),
     w = e^(2 pi i/3), where c^3 is the larger of -h +- sqrt(h^2 + (p/3)^3)
     (no cancellation); it vanishes only for the triple root 0.
+
+    The formula runs on Python integers at F = mp.prec + 32 fractional
+    bits: y and y^3 enter as their two exponentials at F bits, floored;
+    every complex product is floored once; the square root d comes from
+    ``math.isqrt``, and the larger of -h +- d from the exact sign of
+    Re(h conj(d)).  Only the cube root c is an mpmath call, ``mpc_cbrt`` at
+    F bits.  The magnitudes come back unrounded, at F bits.  As
+    |c|^2 >= |p|/3 and max|x_i|/2 <= |c| <= max|x_i|, the rounding errors
+    add up, to first order, to at most
+        2^(4 - F) (1 + alpha/3)^3 (1 + 1/|c|)^2 (1 + 1/max(|d|, 2^(-F/2)))
+    in each magnitude, which grows only near a double root (d = 0) and the
+    triple root (c = 0).
     """
-    y, y3 = _torus_point(t)
-    p = -alpha * y
-    h = (1 + y3) / 2
-    d = sqrt(h * h + (p / 3) ** 3)
-    u = -h - d if abs(h + d) > abs(h - d) else -h + d
-    if u == 0:
-        return [mpf(0)] * 3
-    c = cbrt(u)
-    w = mpc(-1, sqrt(mpf(3))) / 2
-    mags = []
-    for _ in range(3):
-        mags.append(abs(c - p / (3 * c)))
-        c *= w
-    return mags
+    bits, norms = _cubic_root_norms(alpha, t)
+    return [mp.make_mpf(from_man_exp(isqrt(n), -bits)) for n in norms]
 
 
 def _n_integrand(alpha, t):
-    """sum_i log+ |x_i(t)| over the roots of x^3 - alpha y x + 1 + y^3;
-    each call counts as one term."""
+    """sum_i log+ |x_i(t)| over the roots of x^3 - alpha y x + 1 + y^3, as
+    half the log of the product of the squared magnitudes above 1, at the
+    F bits of ``_cubic_root_norms``; each call counts as one term."""
     count_terms(1)
-    total = mpf(0)
-    for m in _cubic_root_mags(alpha, t):
-        if m > 1:
-            total += log(m)
-    return total
+    bits, norms = _cubic_root_norms(alpha, t)
+    one = 1 << 2 * bits
+    prod, shift = 1, 0
+    for n in norms:
+        if n > one:
+            prod, shift = prod * n, shift + 2 * bits
+    if not shift:
+        return mpf(0)
+    return mp.make_mpf(mpf_shift(
+        mpf_log(from_man_exp(prod, -shift, bits), bits, round_nearest), -1))
 
 
 def _check_root_mags(alpha, points):
     """Cross-check the closed-form root magnitudes against polyroots."""
     gate = mpf(2) ** (-(mp.prec // 2))
     for t in points:
-        y, y3 = _torus_point(t)
+        y, y3 = (mp.make_mpc(z) for z in _torus_point(t, mp.prec))
         if alpha == 0 and 1 + y3 == 0:
             continue  # x^3 itself: exact, and polyroots cannot converge on it
         roots = polyroots([mpf(1), mpf(0), -alpha * y, 1 + y3],
@@ -298,19 +369,26 @@ def _n_trapezoid(alpha, gate, floor):
     reuses the nodes before it; the rule stops once two levels differ by
     less than gate, at a level of at least ``floor`` nodes (the predicted
     N*: a small error prefactor can make two coarser levels agree early).
+    The nodes are rounded at the working precision and the sums kept 32 bits
+    above it, as the integrand's values are.
     """
-    def f(k, n):
-        return _n_integrand(alpha, mpf(k) / (3 * n))
+    prec = mp.prec
 
-    n = 8
-    total = (f(0, n) + f(n // 2, n)) / 2 + sum(f(k, n) for k in range(1, n // 2))
-    value = 2 * total / n
-    while n < 4 * _PERIODIC_MAX_NODES:  # gives up after 8,192 nodes
-        total += sum(f(k, 2 * n) for k in range(1, n, 2))
-        n *= 2
-        value, prev = 2 * total / n, value
-        if n >= floor and abs(value - prev) < gate:
-            return value
+    def f(k, n):  # the node k/(3n) rounded at the working precision
+        return _n_integrand(alpha, mp.make_mpf(
+            from_rational(k, 3 * n, prec, round_nearest)))
+
+    with extraprec(32):
+        n = 8
+        total = (f(0, n) + f(n // 2, n)) / 2 \
+            + sum(f(k, n) for k in range(1, n // 2))
+        value = 2 * total / n
+        while n < 4 * _PERIODIC_MAX_NODES:  # gives up after 4,096 nodes
+            total += sum(f(k, 2 * n) for k in range(1, n, 2))
+            n *= 2
+            value, prev = 2 * total / n, value
+            if n >= floor and abs(value - prev) < gate:
+                return value
     raise QuadratureBudgetError(
         f"periodic rule at alpha = {mp.nstr(alpha, 8)} still moves by "
         f"{mp.nstr(abs(value - prev), 3)} at {n} nodes")
@@ -320,20 +398,20 @@ def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
     """Jensen-reduced integral for n(alpha) = m(x^3 + y^3 + 1 - alpha x y).
 
     The cubic in x is monic, so the inner integral is sum_i log+ |r_i(t)|;
-    root magnitudes come from Cardano's formula at each node.  That
-    integrand has period 1/3 and is even (the order-3 symmetry and the
-    conjugation symmetry of the polynomial).
+    root magnitudes come from Cardano's formula on integers at each node
+    (``_cubic_root_mags``).  That integrand has period 1/3 and is even (the
+    order-3 symmetry and the conjugation symmetry of the polynomial).
 
     Route: for alpha > 3 the integrand is analytic (no zero of the
     polynomial on the torus) and, while the predicted node count N* of the
     module docstring is below _PERIODIC_MAX_NODES, it goes through the
     periodic trapezoidal rule, which stops once two doublings differ by
-    less than 2^(-prec/2) at N >= N* nodes; no kink scan is needed.  Every other alpha goes
-    through tanh-sinh over [0, 1/6], weight 6, split at the kinks and
-    bisected wherever a piece's error estimate exceeds tol/24.  Either way
-    polyroots cross-checks the closed-form roots at the ends of the pieces
-    (ArithmeticError if they differ by more than 2^(-prec/2)), and every
-    integrand call counts as one term.
+    less than 2^(-prec/2) at N >= N* nodes; no kink scan is needed.  Every
+    other alpha goes through tanh-sinh over [0, 1/6], weight 6, split at the
+    kinks and bisected wherever a piece's error estimate exceeds tol/24.
+    Either way polyroots cross-checks the closed-form roots at the ends of
+    the pieces (ArithmeticError if they differ by more than 2^(-prec/2)),
+    and every integrand call counts as one term.
 
     tol sets the working precision, max(140, -log2(tol) + 80) bits, and
     the tanh-sinh bisection gate; the value comes out at about that

@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import cache
 from threading import Lock
 
-from mpmath import (arg, cbrt, expjpi, isint, log, mp, mpc, mpf, pi, sin,
-                    workprec)
+from mpmath import (arg, cbrt, ceil, expjpi, isint, log, mp, mpc, mpf, pi,
+                    sin, workprec)
 from mpmath import gamma as _mp_gamma
 from mpmath import zeta as _mp_zeta
 
@@ -108,6 +108,21 @@ def _tangent_numbers(n: int) -> list[int]:
     return _TANGENT
 
 
+def _stop_index(r: mpf, c: mpf, eps: mpf, max_terms: int, budget: str) -> int:
+    """Least k >= 1 with tail bound c r^(k+1)/(1-r) < eps, for 0 < r < 1,
+    from a log estimate corrected by direct comparisons; ConvergenceError
+    with the message ``budget`` past ``max_terms``."""
+    tail = c * r / (1 - r)
+    k = max(1, int(ceil(log(eps / tail) / log(r))))
+    while tail * r ** k >= eps:
+        k += 1
+    while k > 1 and tail * r ** (k - 1) < eps:
+        k -= 1
+    if k > max_terms:
+        raise ConvergenceError(budget)
+    return k
+
+
 def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """Bloch-Wigner dilogarithm D(z) = Im Li2(z) + arg(1-z) log|z|.
 
@@ -118,7 +133,8 @@ def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     function", 2007).  |B_2k| <= 2.3 (2k)!/(2 pi)^(2k) bounds the B_2k
     term by 2.3 |w| r^k, r = (|w|/2 pi)^2 < 0.041, so the series stops
     after the K terms B_2 .. B_2K, K the least with 2.3 |w| r^(K+1)/(1-r)
-    below 2^-(bits + GUARD_D); ConvergenceError if K > ``ctx.max_terms``.
+    below 2^-(bits + GUARD_D), found by ``_stop_index``; ConvergenceError
+    if K > ``ctx.max_terms``.
 
     The K terms are summed on Python integers at P fractional bits: w
     enters floored, w^2 and w^(2k+1) are carried as fixed-point values, and
@@ -141,12 +157,12 @@ def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
             z, sign = 1 - z, -sign
         eps = mpf(2) ** (-(ctx.bits + GUARD_D))
         w = -log(1 - z)
-        r = (abs(w) / (2 * pi)) ** 2
-        big_k, tail = 0, 2.3 * abs(w) * r / (1 - r)  # the terms from B_2 on
-        while tail >= eps:
-            big_k, tail = big_k + 1, tail * r
-        if big_k > ctx.max_terms:
-            raise ConvergenceError("Bloch-Wigner series budget exhausted")
+        r, c = (abs(w) / (2 * pi)) ** 2, 2.3 * abs(w)
+        if c * r / (1 - r) < eps:  # even the terms from B_2 on
+            big_k = 0
+        else:
+            big_k = _stop_index(r, c, eps, ctx.max_terms,
+                                "Bloch-Wigner series budget exhausted")
         prec = mp.prec + (big_k + 5).bit_length()
         wr, wi = to_fixed(w.real, prec), to_fixed(w.imag, prec)
         sr, si = (wr * wr - wi * wi) >> prec, (2 * wr * wi) >> prec  # w^2

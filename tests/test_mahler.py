@@ -2,10 +2,11 @@
 relations between special values."""
 
 import itertools
+import random
 
 import pytest
-from mpmath import (cbrt, cos, expjpi, frexp, ldexp, log, mp, mpf, pi,
-                    polyroots, psi, quad, sqrt, workprec)
+from mpmath import (acosh, cbrt, cos, expjpi, frexp, ldexp, log, mp, mpc,
+                    mpf, pi, polyroots, psi, quad, sqrt, workprec)
 
 from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
                       PrecisionCtx, QuadratureBudgetError,
@@ -275,6 +276,67 @@ def test_cubic_root_mags_match_polyroots():
                 assert max(abs(a - b) for a, b in zip(got, ref)) < gate
 
 
+def _cardano_mpc(alpha, t, extra):
+    """Cardano's formula on mpc values, ``extra`` bits above the working
+    precision, as the root magnitudes were computed before they moved to
+    integers; the arguments 2t and 6t are rounded at the working precision,
+    as ``_torus_point`` rounds them.  Returns the magnitudes, |c| and |d|."""
+    a2, a6 = 2 * t, 6 * t
+    with workprec(mp.prec + extra):
+        y, y3 = expjpi(a2), expjpi(a6)
+        p = -alpha * y
+        h = (1 + y3) / 2
+        d = sqrt(h * h + (p / 3) ** 3)
+        u = -h - d if abs(h + d) > abs(h - d) else -h + d
+        if u == 0:
+            return [mpf(0)] * 3, mpf(0), abs(d)
+        c = cbrt(u)
+        w = mpc(-1, sqrt(mpf(3))) / 2
+        mags, c0 = [], abs(c)
+        for _ in range(3):
+            mags.append(abs(c - p / (3 * c)))
+            c *= w
+        return mags, c0, abs(d)
+
+
+def test_cubic_root_mags_against_mpc_cardano():
+    # the integer evaluation against the mpc formula run 64 bits higher, on
+    # seeded alpha in [0, 30] and t in [0, 1/2] and on the special points:
+    # the triple root (alpha = 0, t = 1/6), the double root x = 1 (alpha = 3,
+    # t = 0), the roots 0, +-sqrt(3 y) (alpha = 3, t = 1/6) and 0, +-i sqrt 3
+    # (alpha = 3, t = 1/2).  Each sorted magnitude is within the docstring's
+    # rounding bound, which is of the size of max |x_i| 2^-F times the
+    # conditioning (1/|c| near the triple root, 1/|d| near a double root),
+    # and the integrand within three times that
+    rng = random.Random(1903)
+    for bits in (64, 140, 256, 512):
+        with workprec(bits):
+            f = bits + 32
+            specials = [mpf(0), mpf(1) / 6, mpf(1) / 2]
+            points = [(mpf(rng.uniform(0, 30)), mpf(rng.uniform(0, 0.5)))
+                      for _ in range(40)]
+            points += [(mpf(a), t) for a in (0, 3) for t in specials]
+            points += [(mpf(rng.uniform(0, 30)), t) for t in specials]
+            points += [(mpf(a), mpf(rng.uniform(0, 0.5))) for a in (0, 3)]
+            for alpha, t in points:
+                got = sorted(_cubic_root_mags(alpha, t))
+                ref, c, d = _cardano_mpc(alpha, t, 64)
+                ref = sorted(ref)
+                if c == 0:
+                    assert got == ref == [0, 0, 0]
+                    continue
+                bound = mpf(2) ** (4 - f) * (1 + alpha / 3) ** 3 \
+                    * (1 + 1 / c) ** 2 * (1 + 1 / max(d, mpf(2) ** (-f // 2)))
+                gap = max(abs(a - b) for a, b in zip(got, ref))
+                assert gap <= bound, (bits, alpha, t)
+                # log+ is 1-Lipschitz above 1; the one log rounds at F bits
+                value = _n_integrand(alpha, t)
+                with workprec(bits + 64):
+                    want = sum(log(m) for m in ref if m > 1)
+                    assert abs(value - want) <= 3 * bound \
+                        + mpf(2) ** (1 - f) * (1 + want), (bits, alpha, t)
+
+
 def test_cubic_root_mags_triple_root():
     # alpha = 0, y^3 = -1: the cubic is x^3 and Cardano's c vanishes
     with workprec(140):
@@ -340,14 +402,16 @@ def test_quadrature_counts_integrand_calls():
 def test_n_quadrature_route_rule(monkeypatch):
     # the kink scan runs on the tanh-sinh route only: alpha <= 3, and
     # alpha2 = 3.0011, whose predicted periodic node count is above the
-    # crossover
+    # crossover, as is N* ~ 1,034 at alpha = 3.0022; N* ~ 1,003 at
+    # alpha = 3.00234 is below it
     def scan(alpha, grid=64):
         raise LookupError("kink scan")
 
     monkeypatch.setattr(mahler, "_n_breakpoints", scan)
     _, a2, a3 = _bertin_alphas()
-    n_quadrature(a3, CTX)
-    for alpha in (mpf(2), mpf(3), a2):
+    for alpha in (a3, mpf("3.00234")):
+        n_quadrature(alpha, CTX)
+    for alpha in (mpf(2), mpf(3), a2, mpf("3.0022")):
         with pytest.raises(LookupError, match="kink scan"):
             n_quadrature(alpha, CTX)
 
@@ -388,10 +452,12 @@ def test_m_series_near_four_against_quadrature():
 def test_n_quadrature_periodic_level_floor():
     # at alpha ~ 3.00139 (N* ~ 1,301 nodes at 140 bits) the levels 512 and
     # 1,024 agree to 2^-70 while 11 bits short of the working precision; the
-    # rule goes on to 2,048 >= N* nodes
+    # rule goes on to 2,048 >= N* nodes.  N* is above the crossover, so
+    # n_quadrature takes tanh-sinh there: the rule is called directly
     alpha = mpf("3.00139")
-    with TermCounter() as counter:
-        got = n_quadrature(alpha, CTX)
+    with workprec(140), TermCounter() as counter:
+        nodes = 140 * log(2) / acosh(2 * alpha ** 3 / 27 - 1)
+        got = mahler._n_trapezoid(alpha, mpf(2) ** -70, nodes)
     with workprec(400):
         ref = n_series(alpha, PrecisionCtx(bits=400), tol=mpf(2) ** -400)
         assert abs(got - ref) < mpf(2) ** (4 - 140)

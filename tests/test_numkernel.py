@@ -16,8 +16,8 @@ from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
                       zeta_int)
 from wzmahler.context import to_mpf
 from wzmahler.numkernel import (_KERNEL, GUARD_D, LAMBDA_SWITCH,
-                                _connection_integral, _tangent_numbers, agm3,
-                                lambda_series)
+                                _connection_integral, _stop_index,
+                                _tangent_numbers, agm3, lambda_series)
 from wzmahler.series import TermCounter, count_terms
 
 CTX = PrecisionCtx(bits=256)
@@ -117,6 +117,49 @@ def test_bloch_wigner_budget_counts_terms():
         assert bloch_wigner(z, PrecisionCtx(bits=bits, max_terms=k)) == ref
         with pytest.raises(ConvergenceError, match="Bloch-Wigner"):
             bloch_wigner(z, PrecisionCtx(bits=bits, max_terms=k - 1))
+
+
+def _stepped_terms(r, c, eps):
+    """D's term count as it was found before the log estimate: the least
+    K >= 0 with c r^(K+1)/(1-r) < eps, stepping the tail bound once per
+    term."""
+    big_k, tail = 0, c * r / (1 - r)
+    while tail >= eps:
+        big_k, tail = big_k + 1, tail * r
+    return big_k
+
+
+def test_bloch_wigner_stop_index_matches_stepped_tail():
+    # seeded z in D's reduced domain |z| <= 1, Re z <= 1/2, from |z| ~
+    # 10^-(bits/4) (K = 0) to the corner e^(i pi/3): the log estimate
+    # corrected by comparisons gives the stepped loop's K, and D's budget is
+    # exactly K
+    rng = random.Random(1907)
+    for bits in (64, 256, 512):
+        ctx = PrecisionCtx(bits=bits)
+        seen = set()
+        for _ in range(60):
+            with ctx.workprec(32):
+                while True:
+                    z = mpf(10) ** -rng.uniform(0, bits // 4) * exp(
+                        mpc(0, rng.uniform(-pi, pi)))
+                    if z.real <= 0.5 and z.imag != 0:
+                        break
+                eps = mpf(2) ** (-(bits + GUARD_D))
+                w = abs(log(1 - z))
+                r, c = (w / (2 * pi)) ** 2, 2.3 * w
+                want = _stepped_terms(r, c, eps)
+                got = 0 if c * r / (1 - r) < eps else _stop_index(
+                    r, c, eps, ctx.max_terms, "D")
+            assert got == want, (bits, z)
+            seen.add(min(want, 2))
+            if want >= 2:
+                ref = bloch_wigner(z, ctx)
+                tight = PrecisionCtx(bits=bits, max_terms=want)
+                assert bloch_wigner(z, tight) == ref
+                with pytest.raises(ConvergenceError, match="Bloch-Wigner"):
+                    bloch_wigner(z, PrecisionCtx(bits=bits, max_terms=want - 1))
+        assert seen == {0, 1, 2}, bits
 
 
 def _is_bernoulli(k, t):
