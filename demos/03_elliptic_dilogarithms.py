@@ -31,7 +31,7 @@ with workprec(300):
     for label, (e, p, alpha) in curves.items():
         per = periods(e, ctx)
         order = point_order(e, p)
-        x_quarter = wp(e, per.omega / 4, ctx, per)
+        x_quarter = wp(e, per.omega / 4, ctx)
         dsum = lattice_dilog_sum(mpc(0, 1), per.q, ctx)
         sums[label] = dsum
         print(f"{label}: g2={e.g2}, g3={e.g3}")

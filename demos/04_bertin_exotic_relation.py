@@ -32,8 +32,8 @@ with workprec(300):
           f" order {point_order(e, p)}; 2P = {point_mul(e, 2, p)}")
 
     per = periods(e, ctx)
-    d_p = elliptic_dilog(e, (Fraction(1, 6), Fraction(-1, 2)), ctx, per=per)
-    d_2p = elliptic_dilog(e, (Fraction(1, 3), Fraction(0)), ctx, per=per)
+    d_p = elliptic_dilog(e, (Fraction(1, 6), Fraction(-1, 2)), ctx)
+    d_2p = elliptic_dilog(e, (Fraction(1, 3), Fraction(0)), ctx)
     print("  |16 D^E(P) - 11 D^E(2P)| =", mp.nstr(abs(16 * d_p - 11 * d_2p), 5))
 
     # the same q from the signature-3 theory

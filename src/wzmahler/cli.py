@@ -16,12 +16,13 @@ import sys
 
 from mpmath import isfinite, mpf
 
-from .context import DomainError, PrecisionCtx
+from .context import DEFAULT_CTX, DomainError, PrecisionCtx
 from .registry import (KIND_CONJECTURAL, CheckReport, exit_code, lookup,
                        registry_entries, reports_to_json, run_all, run_check)
 
 
-_DEFAULTS = {"bits": 256, "tol": None, "max_terms": 500_000, "jobs": None,
+_DEFAULTS = {"bits": DEFAULT_CTX.bits, "tol": None,
+             "max_terms": DEFAULT_CTX.max_terms, "jobs": None,
              "format": "text", "quiet": False}
 
 
@@ -29,11 +30,13 @@ def _add_common(parser):
     # flags are accepted both before and after the subcommand; every copy
     # defaults to SUPPRESS, so the parsed namespace holds the flags given
     parser.add_argument("--bits", type=int, default=argparse.SUPPRESS,
-                        help="working mantissa precision (default 256)")
+                        help="working mantissa precision; inner tolerances follow it "
+                             f"(default {DEFAULT_CTX.bits})")
     parser.add_argument("--tol", type=str, default=argparse.SUPPRESS,
-                        help="override the per-entry tolerance")
+                        help="override the per-entry acceptance tolerance; changes "
+                             "statuses only")
     parser.add_argument("--max-terms", type=int, default=argparse.SUPPRESS,
-                        help="series term budget")
+                        help=f"series term budget (default {DEFAULT_CTX.max_terms})")
     parser.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                         help="parallel worker processes for 'all' (default 1)")
     parser.add_argument("--format", choices=("text", "json"),
@@ -112,8 +115,7 @@ def main(argv=None) -> int:
         if not (tol > 0 and isfinite(tol)):
             return _usage_error("--tol must be positive and finite")
     try:
-        ctx = PrecisionCtx(bits=args.bits, max_terms=args.max_terms,
-                           target_tol=tol)
+        ctx = PrecisionCtx(bits=args.bits, max_terms=args.max_terms)
     except DomainError as exc:
         return _usage_error(str(exc))
 

@@ -1,9 +1,11 @@
 """Precision context and the error types shared by every numeric module.
 
 All floating computation runs through mpmath.  A ``PrecisionCtx`` carries the
-working mantissa size in bits, the acceptance tolerance used when two
-evaluation routes are compared, and a term budget for series.  Internals add
-``GUARD_BITS`` of head-room so that digits reported at ``bits`` are trustworthy.
+working mantissa size in bits and a term budget for series; the default inner
+tolerance of a quantity called without one follows from ``bits``.  The
+acceptance tolerance of a comparison belongs to the registry entry, not to the
+context.  Internals add ``GUARD_BITS`` of head-room so that digits reported at
+``bits`` are trustworthy.
 """
 
 from __future__ import annotations
@@ -65,14 +67,9 @@ class SlowConvergenceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class PrecisionCtx:
-    """Working precision plus comparison tolerance and series budget.
-
-    ``target_tol`` defaults to 2**(-bits/2), the tolerance used by the
-    randomized property suites; registry entries override it per identity.
-    """
+    """Working precision and series term budget."""
 
     bits: int = 256
-    target_tol: mpf = None
     max_terms: int = 500_000
 
     def __post_init__(self):
@@ -80,12 +77,12 @@ class PrecisionCtx:
             raise DomainError("bits must be >= 64")
         if self.max_terms <= 0:
             raise DomainError("max_terms must be positive")
-        if self.target_tol is None:
-            object.__setattr__(self, "target_tol", mpf(2) ** (-(self.bits // 2)))
-        else:
-            object.__setattr__(self, "target_tol", mpf(self.target_tol))
-        if not self.target_tol > 0:
-            raise DomainError("target_tol must be positive")
+
+    @property
+    def default_tol(self) -> mpf:
+        """2**-(bits//2), the inner tolerance of a quantity called without
+        one."""
+        return mpf(2) ** -(self.bits // 2)
 
     def workprec(self, extra: int = 0):
         """mpmath context manager at bits + GUARD_BITS (+ extra)."""

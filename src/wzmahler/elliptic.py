@@ -44,12 +44,12 @@ from .series import count_terms
 
 @dataclass(frozen=True)
 class EllipticCurve:
-    g2: Fraction
-    g3: Fraction
+    """g2, g3 are ints or Fractions; every operation on them stays exact."""
+
+    g2: Fraction | int
+    g3: Fraction | int
 
     def __post_init__(self):
-        object.__setattr__(self, "g2", Fraction(self.g2))
-        object.__setattr__(self, "g3", Fraction(self.g3))
         if self.discriminant == 0:
             raise SingularCurveError(f"g2={self.g2}, g3={self.g3} is singular")
 
@@ -170,7 +170,9 @@ class Periods:
     roots: tuple[mpf, mpf, mpf]
 
 
+@cache
 def periods(curve: EllipticCurve, ctx: PrecisionCtx = DEFAULT_CTX) -> Periods:
+    """The periods of ``curve`` at ``ctx``, memoised per (curve, ctx)."""
     if curve.discriminant < 0:
         raise ComplexRootsUnsupportedError(
             "negative discriminant: one real root; not supported")
@@ -179,8 +181,8 @@ def periods(curve: EllipticCurve, ctx: PrecisionCtx = DEFAULT_CTX) -> Periods:
     # the roots are m cos(theta - 2 pi k/3).  It runs 24 bits above the
     # working precision, so that a rational root rounds to itself.
     with ctx.workprec(32 + 24):
-        m = sqrt(to_mpf(curve.g2 / 3))
-        c = sqrt(to_mpf(27 * curve.g3 ** 2 / curve.g2 ** 3))
+        m = sqrt(to_mpf(Fraction(curve.g2, 3)))
+        c = sqrt(to_mpf(Fraction(27 * curve.g3 ** 2, curve.g2 ** 3)))
         theta = acos(c if curve.g3 >= 0 else -c) / 3
         roots = [m * cos(theta - 2 * pi * k / 3) for k in range(3)]
     with ctx.workprec(32):
@@ -201,10 +203,9 @@ def _reduce_to_cell(u, per: Periods) -> mpc:
     return u - floor(a) * per.omega - floor(b) * per.omega_prime
 
 
-def wp(curve: EllipticCurve, u, ctx: PrecisionCtx = DEFAULT_CTX,
-       per: Periods | None = None) -> mpc:
+def wp(curve: EllipticCurve, u, ctx: PrecisionCtx = DEFAULT_CTX) -> mpc:
     """Weierstrass P(u) via the q-series in z = exp(2 pi i u/omega)."""
-    per = per if per is not None else periods(curve, ctx)
+    per = periods(curve, ctx)
     with ctx.workprec(32):
         u = _reduce_to_cell(u, per)
         q = per.q
@@ -328,8 +329,7 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
 
 
 def elliptic_dilog(curve: EllipticCurve, loc: TorsionLocation | tuple,
-                   ctx: PrecisionCtx = DEFAULT_CTX,
-                   per: Periods | None = None) -> mpf:
+                   ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """D^E at u = a*omega + b*omega': the lattice sum with z0 = e^(2 pi i a) q^b."""
     a, b = Fraction(loc[0]), Fraction(loc[1])
     if a == int(a) and b == int(b):
@@ -337,7 +337,7 @@ def elliptic_dilog(curve: EllipticCurve, loc: TorsionLocation | tuple,
     if (2 * a).denominator == 1:
         # e^(2 pi i a) = +-1 and q^b is real: every D term vanishes
         return mpf(0)
-    per = per if per is not None else periods(curve, ctx)
+    per = periods(curve, ctx)
     with ctx.workprec(32):
         z0 = exp(2 * pi * mpc(0, 1) * mpf(a.numerator) / a.denominator) \
             * per.q ** (mpf(b.numerator) / b.denominator)

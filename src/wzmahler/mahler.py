@@ -108,7 +108,7 @@ def m_series(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
         alpha = to_mpf(alpha)
         if alpha <= 0:
             raise DomainError("m_series requires alpha > 0")
-        tol = mpf(tol) if tol is not None else min(ctx.target_tol, mpf(10) ** -40)
+        tol = mpf(tol) if tol is not None else min(ctx.default_tol, mpf(10) ** -40)
         if alpha < 4 and _gap_below_four(1 - alpha / 4) <= tol / 2:
             alpha, tol = mpf(4), tol / 2
         if alpha >= 4:

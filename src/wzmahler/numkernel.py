@@ -229,7 +229,7 @@ def _lambda_at_one(s: Fraction, prec: int) -> mpf:
 
 def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
     """Lambda_s(z) = sum_{n>=1} c_n z^n/n = int_0^z (F_s(t) - 1)/t dt for
-    -1 < z <= 1, to within tol (default ctx.target_tol).
+    -1 < z <= 1, to within tol (default ctx.default_tol).
 
     The sum runs 32 bits above the callers' ``ctx.workprec(32)``, so that
     its rounding stays well below an ulp of their results.  Below
@@ -263,7 +263,7 @@ def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
         z = to_mpf(z)
         if not -1 < z <= 1:
             raise DivergentSeriesError("Lambda_s(z) needs -1 < z <= 1")
-        tol = mpf(tol) if tol is not None else ctx.target_tol
+        tol = mpf(tol) if tol is not None else ctx.default_tol
         if z < LAMBDA_SWITCH:
             pn, pd = as_ratio(_KERNEL[s][0])
             zn, zd = as_ratio(z)

@@ -100,13 +100,8 @@ CURVES = {
     "E2": (curve_from_family(256, Fraction(1, 2)), CurvePoint.affine(195, 432)),
     "E3": (curve_from_family(64, Fraction(1, 2)), CurvePoint.affine(51, 216)),
     "E4": (curve_from_family(18, 1), CurvePoint.affine(33, 324)),
-    "bertin": (EllipticCurve(Fraction(432), Fraction(-1188)), CurvePoint.affine(-6, 54)),
+    "bertin": (EllipticCurve(432, -1188), CurvePoint.affine(-6, 54)),
 }
-
-
-@cache
-def _periods_for(name: str, ctx: PrecisionCtx):
-    return periods(CURVES[name][0], ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +267,9 @@ def _torsion_lhs(ctx, _):
 # the registry table
 # ---------------------------------------------------------------------------
 
-_TABLE: tuple[IdentityRecord, ...] = ()
-_BY_ID: dict[str, IdentityRecord] = {}
-
-
+@cache
 def registry_entries() -> tuple[IdentityRecord, ...]:
     """Every record, in registry order; built on the first call, then shared."""
-    global _TABLE
-    if _TABLE:
-        return _TABLE
     pairs = builtin_pairs()
     # the log 2 sums and their Gamma-quotient generalizations, from the G of
     # the pair that proves each
@@ -295,7 +284,7 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
     def zeta3(ctx, _):
         return zeta_int(3, ctx)
 
-    _TABLE = (
+    return (
         IdentityRecord("wz-pair-1", "WZ certificate of the log(2) pair",
                        KIND_EXACT, pairs["pair-1"], None, None),
         IdentityRecord("wz-pair-3", "WZ certificate of the 2^(-6n) pair",
@@ -396,42 +385,41 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
                        t[6], params=q_samples),
         IdentityRecord("dilog-equiv-1", "11 D^E1(P1) = 6 D^E2(P2)", KIND_NUMERIC,
                        lambda ctx, _: 11 * lattice_dilog_sum(
-                           mpc(0, 1), _periods_for("E1", ctx).q, ctx),
+                           mpc(0, 1), periods(CURVES["E1"][0], ctx).q, ctx),
                        lambda ctx, _: 6 * lattice_dilog_sum(
-                           mpc(0, 1), _periods_for("E2", ctx).q, ctx), t[20],
+                           mpc(0, 1), periods(CURVES["E2"][0], ctx).q, ctx), t[20],
                        note="P1, P2 at u = omega/4 (z0 = i) on E(5,2), E(16,1/2)"),
         IdentityRecord("dilog-equiv-2", "5 D^E3(P3) = 8 D^E4(P4)", KIND_NUMERIC,
                        lambda ctx, _: 5 * lattice_dilog_sum(
-                           mpc(0, 1), _periods_for("E3", ctx).q, ctx),
+                           mpc(0, 1), periods(CURVES["E3"][0], ctx).q, ctx),
                        lambda ctx, _: 8 * lattice_dilog_sum(
-                           mpc(0, 1), _periods_for("E4", ctx).q, ctx), t[20],
+                           mpc(0, 1), periods(CURVES["E4"][0], ctx).q, ctx), t[20],
                        note="P3, P4 at u = omega/4 on E(8,1/2), E(3sqrt2,1); the "
                             "(1/4, 0) location is adopted for all four curves"),
         # m(k) = (4/pi) L(i, q) at the nome q of the curve E(k, l)
         IdentityRecord("m5-dilog", "m(5) = (4/pi) D^E(5,2)(P1)", KIND_NUMERIC,
                        lambda ctx, _: m_series(5, ctx, tol=mpf(10) ** -40),
                        lambda ctx, _: 4 / pi * lattice_dilog_sum(
-                           mpc(0, 1), _periods_for("E1", ctx).q, ctx), t[15]),
+                           mpc(0, 1), periods(CURVES["E1"][0], ctx).q, ctx), t[15]),
         IdentityRecord("m8-dilog", "m(8) = (4/pi) D^E(8,1/2)(P3)", KIND_NUMERIC,
                        lambda ctx, _: m_series(8, ctx, tol=mpf(10) ** -40),
                        lambda ctx, _: 4 / pi * lattice_dilog_sum(
-                           mpc(0, 1), _periods_for("E3", ctx).q, ctx), t[15]),
+                           mpc(0, 1), periods(CURVES["E3"][0], ctx).q, ctx), t[15]),
         IdentityRecord("m16-dilog", "m(16) = (4/pi) D^E(16,1/2)(P2)", KIND_NUMERIC,
                        lambda ctx, _: m_series(16, ctx, tol=mpf(10) ** -40),
                        lambda ctx, _: 4 / pi * lattice_dilog_sum(
-                           mpc(0, 1), _periods_for("E2", ctx).q, ctx), t[15]),
+                           mpc(0, 1), periods(CURVES["E2"][0], ctx).q, ctx), t[15]),
         IdentityRecord("m3sqrt2-dilog", "m(3 sqrt 2) = (4/pi) D^E(3sqrt2,1)(P4)", KIND_NUMERIC,
                        lambda ctx, _: m_series(sqrt(mpf(2)) * 3, ctx, tol=mpf(10) ** -40),
                        lambda ctx, _: 4 / pi * lattice_dilog_sum(
-                           mpc(0, 1), _periods_for("E4", ctx).q, ctx), t[15]),
+                           mpc(0, 1), periods(CURVES["E4"][0], ctx).q, ctx), t[15]),
         IdentityRecord("bertin-exotic", "16 D^E(P) = 11 D^E(2P) on y^2 = 4x^3 - 432x + 1188",
                        KIND_NUMERIC,
                        lambda ctx, _: 16 * elliptic_dilog(
-                           CURVES["bertin"][0], (Fraction(1, 6), Fraction(-1, 2)), ctx,
-                           per=_periods_for("bertin", ctx)),
+                           CURVES["bertin"][0], (Fraction(1, 6), Fraction(-1, 2)), ctx),
                        lambda ctx, _: 11 * elliptic_dilog(
-                           CURVES["bertin"][0], (Fraction(1, 3), Fraction(0)), ctx,
-                           per=_periods_for("bertin", ctx)), t[20],
+                           CURVES["bertin"][0], (Fraction(1, 3), Fraction(0)), ctx),
+                       t[20],
                        note="P at u = (omega - 3 omega')/6; g2^3/(g2^3-27g3^2) "
                             "computes to 256/135 exactly (not the sometimes-"
                             "quoted 6912/6971), consistent with beta = 5/32"),
@@ -481,14 +469,16 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
         IdentityRecord("torsion-orders", "orders of P1..P4 and Bertin's P by the exact group law",
                        KIND_EXACT, _torsion_lhs, lambda *_: (4, 4, 4, 4, 6), None),
     )
-    _BY_ID.update((rec.id, rec) for rec in _TABLE)
-    return _TABLE
+
+
+@cache
+def _by_id() -> dict[str, IdentityRecord]:
+    """Every record by id, in registry order."""
+    return {rec.id: rec for rec in registry_entries()}
 
 
 def lookup(ident: str) -> IdentityRecord | None:
-    if not _BY_ID:
-        registry_entries()
-    return _BY_ID.get(ident)
+    return _by_id().get(ident)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +570,8 @@ def run_all(filter: str | None = None, jobs: int = 1,
             tol_override=None) -> tuple[list[CheckReport], int]:
     """Run matching entries; returns the reports sorted by id and their
     ``exit_code``."""
-    ids = [r.id for r in registry_entries() if not filter or filter in r.id]
+    # the id index, built here so that forked pool workers inherit it
+    ids = [i for i in _by_id() if not filter or filter in i]
     if jobs > 1 and len(ids) > 1:
         # imported here: it is a tenth of the registry's import time
         from concurrent.futures import ProcessPoolExecutor

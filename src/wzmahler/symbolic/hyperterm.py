@@ -36,11 +36,6 @@ class LinForm:
     cn: Fraction
     ck: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "c0", Fraction(self.c0))
-        object.__setattr__(self, "cn", Fraction(self.cn))
-        object.__setattr__(self, "ck", Fraction(self.ck))
-
     def shifted(self, dn, dk) -> "LinForm":
         return LinForm(self.c0 + self.cn * dn + self.ck * dk, self.cn, self.ck)
 
@@ -74,7 +69,7 @@ class HyperTerm:
         merged: dict[LinForm, int] = {}
         for lf, e in gammas:
             if not isinstance(lf, LinForm):
-                lf = LinForm(*lf)
+                lf = LinForm(*map(Fraction, lf))
             merged[lf] = merged.get(lf, 0) + int(e)
         clean = []
         for lf, e in merged.items():

@@ -20,7 +20,7 @@ from ..series import as_ratio, ratio_series, richardson_sum, sum_geometric
 
 def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx = DEFAULT_CTX,
              tol=None) -> mpf:
-    """Sum pFq(tops; bottoms; z) to tolerance (default: ctx.target_tol)."""
+    """Sum pFq(tops; bottoms; z) to tolerance (default: ctx.default_tol)."""
     with ctx.workprec(64):
         # each parameter, and z below, as an exact integer pair for the
         # term ratio
@@ -29,7 +29,7 @@ def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx = DEFAULT_CTX,
         tops = [to_mpf(a) for a in tops]
         bottoms = [to_mpf(b) for b in bottoms]
         z = to_mpf(z)
-        tol = mpf(tol) if tol is not None else ctx.target_tol
+        tol = mpf(tol) if tol is not None else ctx.default_tol
         for b in bottoms:
             if b <= 0 and isint(b):
                 raise DomainError("bottom parameter is a non-positive integer")

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from wzmahler.cli import main
-from wzmahler.registry import lookup
+from wzmahler.registry import registry_entries
 
 
 def test_list(capsys):
@@ -39,13 +39,34 @@ def test_verify_tol_override_fails(capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_all_tol_override_fails(capsys, jobs):
-    before = lookup("log2-f3").tol
-    argv = ["--tol", "1e-200", "all", "--filter", "log2-f3", "--jobs", jobs]
+    before = {rec.id: rec.tol for rec in registry_entries()}
+    argv = ["--tol", "1e-200", "--format", "json", "all", "--jobs", jobs]
     assert main(argv) == 1
-    out = capsys.readouterr().out
-    # 1e-200 lies below 2^-288, which 256 bits cannot resolve
-    assert "UNRESOLVED" in out and "PASS" not in out
-    assert lookup("log2-f3").tol == before
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    # 1e-200 lies below 2^-288, which 256 bits cannot resolve: every numeric
+    # entry is unresolved, none errs, and the exact ones still pass
+    assert len(reports) == len(before)
+    for rep in reports:
+        expected = ("PASS",) if before[rep["id"]] is None \
+            else ("UNRESOLVED", "CONJECTURAL-UNRESOLVED")
+        assert rep["status"] in expected, rep
+    assert {rec.id: rec.tol for rec in registry_entries()} == before
+
+
+def test_tol_changes_statuses_only(capsys):
+    # --tol is the acceptance tolerance alone: the values, differences,
+    # term counts and notes follow --bits
+    runs = []
+    for argv in ([], ["--tol", "1e-45"]):
+        main(argv + ["--format", "json", "all"])
+        runs.append(json.loads(capsys.readouterr().out)["reports"])
+    default, tight = runs
+    assert len(default) == len(tight)
+    assert any(a["status"] != b["status"] for a, b in zip(default, tight))
+    for a, b in zip(default, tight):
+        for key in ("status", "elapsed_ms"):
+            del a[key], b[key]
+        assert a == b
 
 
 def test_text_status_column_fits_the_longest_status(capsys):

@@ -141,6 +141,8 @@ def test_periods_structure():
         assert im(per.tau) > 0
         assert 0 < per.q < 1
     assert [round(float(r)) for r in periods(E1, CTX).roots] == [51, 42, -93]
+    # memoised per (curve, context); an int-built curve is the same key
+    assert periods(EllipticCurve(int(E1.g2), int(E1.g3)), CTX) is periods(E1, CTX)
 
 
 def test_complex_roots_rejected():
@@ -152,25 +154,25 @@ def test_lattice_pole_rejected():
     from wzmahler import LatticePoleError
     per = periods(E1, CTX)
     with pytest.raises(LatticePoleError):
-        wp(E1, mpf(0), CTX, per)
+        wp(E1, mpf(0), CTX)
     with workprec(300):  # the lattice point must be formed at full precision
         u = per.omega + per.omega_prime
     with pytest.raises(LatticePoleError):
-        wp(E1, u, CTX, per)
+        wp(E1, u, CTX)
 
 
 def test_wp_half_period_and_evenness():
     with workprec(300):
         per = periods(E1, CTX)
-        assert abs(wp(E1, per.omega / 2, CTX, per) - per.roots[0]) < mpf(10) ** -60
+        assert abs(wp(E1, per.omega / 2, CTX) - per.roots[0]) < mpf(10) ** -60
         u = mpf("0.11") * per.omega + mpf("0.23") * per.omega_prime
-        assert abs(wp(E1, u, CTX, per) - wp(E1, -u, CTX, per)) < mpf(10) ** -60
+        assert abs(wp(E1, u, CTX) - wp(E1, -u, CTX)) < mpf(10) ** -60
 
 
 def test_wp_quarter_period_torsion_point():
     with workprec(300):
         per = periods(E1, CTX)
-        assert abs(wp(E1, per.omega / 4, CTX, per) - 87) < mpf(10) ** -60
+        assert abs(wp(E1, per.omega / 4, CTX) - 87) < mpf(10) ** -60
 
 
 def test_wp_torsion_consistency():
@@ -184,7 +186,7 @@ def test_wp_torsion_consistency():
             a, b = locs[id(e)]
             u = mpf(a.numerator) / a.denominator * per.omega \
                 + mpf(b.numerator) / b.denominator * per.omega_prime
-            val = wp(e, u, CTX, per)
+            val = wp(e, u, CTX)
             assert abs(val - mpf(int(p.x))) < mpf(10) ** -20
 
 
@@ -392,12 +394,12 @@ def test_elliptic_dilog_locations():
     with workprec(300):
         per = periods(E1, CTX)
         # (1/2, 0) means z0 = -1, a real point: the sum vanishes
-        assert elliptic_dilog(E1, (Fraction(1, 2), Fraction(0)), CTX, per=per) == 0
+        assert elliptic_dilog(E1, (Fraction(1, 2), Fraction(0)), CTX) == 0
         with pytest.raises(DomainError):
-            elliptic_dilog(E1, (Fraction(0), Fraction(0)), CTX, per=per)
+            elliptic_dilog(E1, (Fraction(0), Fraction(0)), CTX)
         loc = TorsionLocation(Fraction(1, 4), Fraction(0))
         direct = lattice_dilog_sum(mpc(0, 1), per.q, CTX)
-        assert abs(elliptic_dilog(E1, loc, CTX, per=per) - direct) < TOL
+        assert abs(elliptic_dilog(E1, loc, CTX) - direct) < TOL
 
 
 def test_bertin_q_matches_signature3_nome():
@@ -419,6 +421,6 @@ def test_bertin_location_identity():
         z0 = exp(2 * pi * mpc(0, 1) * u / per.omega)
         z0b = exp(pi * mpc(0, 1) / 3) * per.q ** mpf("-0.5")
         assert abs(z0 - z0b) < mpf(10) ** -70
-        via_loc = elliptic_dilog(BERTIN, (Fraction(1, 6), Fraction(-1, 2)), CTX, per=per)
+        via_loc = elliptic_dilog(BERTIN, (Fraction(1, 6), Fraction(-1, 2)), CTX)
         direct = lattice_dilog_sum(z0b, per.q, CTX)
         assert abs(via_loc - direct) < mpf(10) ** -70

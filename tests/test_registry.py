@@ -45,8 +45,8 @@ def test_registry_is_built_once(monkeypatch):
     calls = []
     original = registry.builtin_pairs
     monkeypatch.setattr(registry, "builtin_pairs", lambda: calls.append(1) or original())
-    monkeypatch.setattr(registry, "_TABLE", ())
-    monkeypatch.setattr(registry, "_BY_ID", {})
+    registry.registry_entries.cache_clear()
+    registry._by_id.cache_clear()
     recs = [lookup(ident) for ident in sorted(MINIMUM_IDS)]
     table = registry_entries()
     assert isinstance(table, tuple) and len(table) == len(MINIMUM_IDS)

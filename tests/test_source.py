@@ -1,6 +1,6 @@
 """Source hygiene: every top-level import of a ``wzmahler`` module is used,
-and every module-level ``_private`` function, class or constant is
-referenced."""
+every module-level ``_private`` function, class or constant is referenced,
+and no frozen record is patched after it is built."""
 
 import ast
 from collections import Counter
@@ -97,3 +97,22 @@ def test_polyroots_only_in_mahler():
     users = sorted(str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py")
                    if "polyroots" in _named(ast.parse(path.read_text())))
     assert users == ["mahler.py"]
+
+
+def frozen_patches(source: str) -> int:
+    """The number of ``object.__setattr__`` calls in ``source``."""
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "__setattr__"
+               and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_frozen_patches_detected():
+    assert frozen_patches("object.__setattr__(self, 'a', 1)\nsetattr(x, 'b', 2)\n") == 1
+
+
+def test_no_frozen_record_is_patched():
+    # a frozen dataclass gets its final field values from its builder
+    found = {str(path.relative_to(PACKAGE)): n for path in sorted(PACKAGE.rglob("*.py"))
+             if (n := frozen_patches(path.read_text()))}
+    assert found == {}

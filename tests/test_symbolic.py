@@ -206,9 +206,12 @@ def test_multipoly_arithmetic_builds_no_fraction(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_shift_ratio_pochhammer():
-    # (x)_n realized as Gamma(x + n)/Gamma(x) with x the symbol k
-    t = HyperTerm.build([(LinForm(0, 1, 1), 1), (LinForm(0, 0, 1), -1)])
+    # (x)_n realized as Gamma(x + n)/Gamma(x) with x the symbol k; build
+    # turns bare coefficient tuples into LinForms of Fractions
+    t = HyperTerm.build([((0, 1, 1), 1), ((0, 0, 1), -1)])
     assert term_shift_ratio(t, 1, 0) == parse_ratfunc("n + k")
+    assert all(type(c) is Fraction for lf, _ in t.gammas
+               for c in (lf.c0, lf.cn, lf.ck))
 
 
 def test_shift_ratio_geometric_factor():
@@ -247,7 +250,8 @@ def test_cross_ratio_pair1_g_over_f():
 
 def test_cross_ratio_noncomparable():
     f = PAIRS["pair-1"].F
-    extra = HyperTerm.build(list(f.gammas) + [(LinForm(Fraction(1, 3), Fraction(1, 2), 0), 1)],
+    third = LinForm(Fraction(1, 3), Fraction(1, 2), Fraction(0))
+    extra = HyperTerm.build(list(f.gammas) + [(third, 1)],
                             f.base, f.g_cn, f.g_ck, f.pre)
     with pytest.raises(NonComparableError):
         term_cross_ratio(extra, f)
