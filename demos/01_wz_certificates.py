@@ -1,4 +1,4 @@
-"""Exact WZ-certificate checking, from the fixture file to the zero polynomial.
+"""Exact WZ-certificate checking, from the declared pairs to the zero polynomial.
 
 A pair (F, G) of Gamma-product terms certifies a summation identity when
 F(n+1,k) - F(n,k) = G(n,k+1) - G(n,k) holds as a rational-function identity.

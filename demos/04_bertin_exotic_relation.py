@@ -19,8 +19,8 @@ from wzmahler.context import to_mpf
 from wzmahler.elliptic import (EllipticCurve, CurvePoint, elliptic_dilog,
                                periods, point_mul, point_order)
 from wzmahler.mahler import n_quadrature, rv_series
-from wzmahler.modular import (j3_from_beta, modular_relation, q3_from_beta,
-                              xq_product)
+from wzmahler.modular import (cubic_theta_ratio, j3_from_beta,
+                              modular_relation, q3_from_beta, xq_product)
 from wzmahler.registry import n_lattice
 
 ctx = PrecisionCtx(bits=256)
@@ -64,7 +64,7 @@ with workprec(300):
           "q = q3(1 - 27/a^3)")
     for name, a in (("a1", a1), ("a2", a2)):
         q = q3_from_beta(1 - 27 / a ** 3, ctx)
-        back = 3 * cbrt(xq_product(q, ctx))
+        back = 3 * cubic_theta_ratio(q, ctx)
         print(f"  {name} = {mp.nstr(a, 20)}: q = {mp.nstr(q, 8)}, "
               f"3 x(q)^(1/3) - {name} = {mp.nstr(back - a, 3)}")
     lhs = 16 * n_lattice(a1, ctx) - 8 * n_lattice(a2, ctx)

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
 
 from mpmath import (acos, ceil, cos, exp, floor, im, log, mp, mpc, mpf, nint,
                     pi, re, sqrt, workprec)
@@ -88,13 +87,6 @@ class CurvePoint:
 
 
 INFINITY = CurvePoint.infinity()
-
-
-class TorsionLocation(NamedTuple):
-    """u = a*omega + b*omega' with rational a, b."""
-
-    a: Fraction
-    b: Fraction
 
 
 def curve_from_family(ksq, ell) -> EllipticCurve:
@@ -328,7 +320,7 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         return +(_bloch_wigner_at(z._mpc_, ctx) + half)
 
 
-def elliptic_dilog(curve: EllipticCurve, loc: TorsionLocation | tuple,
+def elliptic_dilog(curve: EllipticCurve, loc: tuple,
                    ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """D^E at u = a*omega + b*omega': the lattice sum with z0 = e^(2 pi i a) q^b."""
     a, b = Fraction(loc[0]), Fraction(loc[1])

@@ -47,10 +47,9 @@ def _theta3_and_s(x, eps):
         xn *= x
 
 
-def xq_product(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
-    """x(q) = 1 + 27 q prod_{n>=1} ((1-q^(3n))/(1-q^n))^12 for |q| < 1, by
-    Borwein's cubic theta functions (Borwein and Borwein, Trans. AMS 323,
-    1991): x(q) = (a(q)/b(q))^3 with
+def cubic_theta_ratio(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
+    """a(q)/b(q) = x(q)^(1/3) for |q| < 1, in Borwein's cubic theta functions
+    (Borwein and Borwein, Trans. AMS 323, 1991):
 
         a(q) = theta3(q) theta3(q^3) + theta2(q) theta2(q^3)
              = theta3(q) theta3(q^3) + 4q S(q) S(q^3),
@@ -64,7 +63,7 @@ def xq_product(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     with ctx.workprec():
         q = to_mpf(q)
         if not abs(q) < 1:
-            raise DomainError("xq_product requires |q| < 1")
+            raise DomainError("cubic_theta_ratio requires |q| < 1")
         lost = int(ceil(pi ** 2 * abs(q) / (2 * (1 - abs(q)) * log(2))))
         with ctx.workprec(lost):
             eps = mpf(2) ** (-(ctx.bits + 24 + lost))
@@ -73,8 +72,15 @@ def xq_product(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
             t9, s9 = _theta3_and_s(q ** 9, eps)
             a = t1 * t3 + 4 * q * s1 * s3
             b = (3 * (t3 * t9 + 4 * q ** 3 * s3 * s9) - a) / 2
-            x = (a / b) ** 3
-        return +x
+            ratio = a / b
+        return +ratio
+
+
+def xq_product(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
+    """x(q) = 1 + 27 q prod_{n>=1} ((1-q^(3n))/(1-q^n))^12 for |q| < 1, as
+    the cube of ``cubic_theta_ratio``."""
+    with ctx.workprec():
+        return cubic_theta_ratio(q, ctx) ** 3
 
 
 def q3_from_beta(beta, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:

@@ -14,10 +14,11 @@ both values.  A numeric check whose tolerance lies below 2^-(bits+32)
 reports UNRESOLVED (CONJECTURAL-UNRESOLVED) whatever its difference, which
 counts against the exit code as FAIL does.  The log 2 sums
 that a WZ pair proves, and their Gamma-quotient generalizations, take their
-term ratio and weight from that pair's G (``_g_kernel``), so the fixture is
-the one source of the certificate and of the sum.  The table is built once
-per process, on first use.  Conjectural records and records carrying a
-documented correction can never flip the suite's exit code.
+term ratio and weight from that pair's G (``_g_kernel``), so
+``symbolic.pairs`` is the one source of the certificate and of the sum.
+The table is built once per process, on first use.  Conjectural records
+and records carrying a documented correction can never flip the suite's
+exit code.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import count, islice
 from math import comb, log10
 from typing import Callable
 
-from mpmath import atan, cbrt, ldexp, log, mp, mpc, mpf, pi, sqrt, workprec
+from mpmath import atan, ldexp, log, mp, mpc, mpf, pi, sqrt, workprec
 
 from .context import (DEFAULT_CTX, DomainError, PrecisionCtx,
                       UnknownIdentityError, to_mpf)
@@ -40,7 +41,7 @@ from .elliptic import (CurvePoint, EllipticCurve, curve_from_family,
                        periods, point_order)
 from .mahler import (m_quadrature, m_series, n_quadrature, n_series, rv_series,
                      s_ratio)
-from .modular import phi_theta, q3_from_beta, xq_product
+from .modular import cubic_theta_ratio, phi_theta, q3_from_beta
 from .numkernel import gamma_real, zeta_int
 from .series import (TermCounter, as_ratio, count_terms, note, ratio_series,
                      richardson_sum, sum_geometric)
@@ -154,7 +155,7 @@ def n_lattice(alpha, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         if alpha <= 3:
             raise DomainError("n_lattice requires alpha > 3")
         q = q3_from_beta(1 - 27 / alpha ** 3, ctx)
-        gap = abs(3 * cbrt(xq_product(q, ctx)) - alpha)
+        gap = abs(3 * cubic_theta_ratio(q, ctx) - alpha)
         if gap > mpf(2) ** (-(ctx.bits // 2)):
             raise ArithmeticError(
                 f"3 x(q)^(1/3) misses alpha = {mp.nstr(alpha, 12)} by "
@@ -170,8 +171,9 @@ def _alpha_phi(q, ctx: PrecisionCtx) -> mpf:
 
 
 def _alpha_x(q, ctx: PrecisionCtx) -> mpf:
-    """alpha = 3 x(q)^(1/3), where n(alpha) = (9/2pi) L(e^(2pi i/3), q)"""
-    return 3 * xq_product(to_mpf(q), ctx) ** (mpf(1) / 3)
+    """alpha = 3 x(q)^(1/3) = 3 a(q)/b(q), where
+    n(alpha) = (9/2pi) L(e^(2pi i/3), q)"""
+    return 3 * cubic_theta_ratio(to_mpf(q), ctx)
 
 
 def _g_kernel(pair: WZPair) -> tuple[RatFunc, RatFunc]:

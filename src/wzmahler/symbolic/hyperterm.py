@@ -45,9 +45,6 @@ class LinForm:
     def eval(self, n, k) -> Fraction:
         return self.c0 + self.cn * Fraction(n) + self.ck * Fraction(k)
 
-    def __str__(self):
-        return f"{self.c0} + {self.cn}*n + {self.ck}*k"
-
 
 _DROPPABLE_CONSTANTS = {Fraction(1), Fraction(2)}  # Gamma(1) = Gamma(2) = 1
 

@@ -11,15 +11,15 @@ A RatFunc is num/den exactly as built: arithmetic multiplies straight
 through and never reduces to lowest terms, so there is no polynomial GCD
 anywhere.  Equality is decided by cross-multiplication (a == b iff
 a.num * b.den == b.num * a.den) and a RatFunc is zero iff its numerator is.
-Equal values need not share a structure, so RatFunc is unhashable.
-Prefactors parsed from text are kept as written.  ``RatFunc.int_ratio``
-fixes k and evaluates the rest on integers, which is how the series layer
-steps a sum whose term ratio comes from a WZ pair.
+Equal values need not share a structure, so RatFunc is unhashable.  The
+prefactors that ``pairs`` writes as RatFunc expressions in n and k are
+kept as written.  ``RatFunc.int_ratio`` fixes k and evaluates the rest on
+integers, which is how the series layer steps a sum whose term ratio comes
+from a WZ pair.
 """
 
 from __future__ import annotations
 
-import ast
 from fractions import Fraction
 from math import comb, gcd, lcm
 from numbers import Rational
@@ -326,46 +326,3 @@ def _coerce_rf(x) -> RatFunc:
     if isinstance(x, MultiPoly):
         return RatFunc(x)
     return RatFunc.const(x)
-
-
-# ---------------------------------------------------------------------------
-# parsing:  python expression syntax over n, k with integer/rational literals
-# ---------------------------------------------------------------------------
-
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-
-
-def parse_ratfunc(text: str) -> RatFunc:
-    """Parse an expression like '-n/(2*(n+k))' into a RatFunc."""
-    try:
-        tree = ast.parse(text.strip(), mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(f"cannot parse {text!r}: {exc}") from None
-    return _from_ast(tree.body)
-
-
-def _from_ast(node) -> RatFunc:
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, int):
-            return RatFunc.const(node.value)
-        raise ValueError(f"non-integer literal {node.value!r}")
-    if isinstance(node, ast.Name):
-        return RatFunc(MultiPoly.var(node.id))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        val = _from_ast(node.operand)
-        return -val if isinstance(node.op, ast.USub) else val
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-        left, right = _from_ast(node.left), _from_ast(node.right)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if isinstance(node.op, ast.Div):
-            return left / right
-        if isinstance(node.op, ast.Pow):
-            if not (isinstance(node.right, ast.Constant) and isinstance(node.right.value, int)):
-                raise ValueError("exponent must be an integer literal")
-            return left ** node.right.value
-    raise ValueError(f"unsupported syntax element {ast.dump(node)}")

@@ -1,108 +1,63 @@
-"""Declarative fixture syntax for WZ pairs.
+"""The three WZ pairs of the paper, in canonical Gamma-product form.
 
-The file format is line-oriented:
+A pair's F and G share one kernel K: Gamma rows (c0, cn, ck, exponent), each
+the factor Gamma(c0 + cn*n + ck*k)**exponent, and a geometric factor
+(base, cn, ck), that is base**(cn*n + ck*k).  F = pre_F K and G = pre_G K,
+the prefactors written as RatFunc expressions in n and k.
 
-    pair <name>
-    term F
-    gamma <c0> <cn> <ck> <exponent>     # Gamma(c0 + cn*n + ck*k)**exponent
-    geom <base> <cn> <ck>               # base**(cn*n + ck*k)
-    pre <rational expression in n, k>
-    term G
-    ...
-    end
-
-Rationals are written as p/q.  ``parse_fixture(serialize_fixture(pairs))``
-returns an equal mapping; the shipped file ``fixtures/wz_pairs.txt`` defines
-the three built-in pairs.
+A prefactor is kept as written, so write it in lowest terms: a common factor
+of its numerator and denominator is not cancelled, and at a point where that
+factor vanishes the prefactor raises instead of evaluating.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from importlib import resources
 
-from .hyperterm import HyperTerm, LinForm
-from .multipoly import parse_ratfunc
+from .hyperterm import HyperTerm
+from .multipoly import MultiPoly, RatFunc
 from .wz import WZPair
 
+_h = Fraction(1, 2)
 
-def parse_fixture(text: str) -> dict[str, WZPair]:
-    """Parse fixture text into pairs by name.
+# (1/2+k)_n (1/2)_n (1/2)_k^2 / ((1+k)_n (1)_n (1)_k^2)
+_PAIR_1 = ((_h, 1, 1, 1), (_h, 1, 0, 1), (_h, 0, 1, 1), (_h, 0, 0, -3),
+           (1, 1, 1, -1), (1, 1, 0, -1), (1, 0, 1, -1)), (1, 0, 0)
 
-    A ``pre`` line is kept as written, so write it in lowest terms: a common
-    factor of its numerator and denominator is not cancelled, and at a point
-    where that factor vanishes the prefactor raises instead of evaluating.
-    """
-    pairs: dict[str, WZPair] = {}
-    name = None
-    terms: dict[str, HyperTerm] = {}
-    current = None
-    gammas: list[tuple[LinForm, int]] = []
-    geom = (Fraction(1), 0, 0)
-    pre = None
+# 16^(-n) (1/2+k)_n^2 (1/2)_n (1/2)_k^2 / ((1+k/2)_n (1/2+k/2)_n (1)_n (1)_k^2)
+_PAIR_3 = ((_h, 1, 1, 2), (_h, 1, 0, 1), (_h, 0, 0, -3),
+           (1, 1, _h, -1), (1, 0, _h, 1), (_h, 1, _h, -1), (_h, 0, _h, 1),
+           (1, 1, 0, -1), (1, 0, 1, -2)), (16, -1, 0)
 
-    def close_term():
-        nonlocal current, gammas, geom, pre
-        if current is None:
-            return
-        if pre is None:
-            raise ValueError(f"term {current!r} of pair {name!r} has no pre line")
-        terms[current] = HyperTerm.build(gammas, geom[0], geom[1], geom[2], pre)
-        current, gammas, geom, pre = None, [], (Fraction(1), 0, 0), None
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "pair":
-            if name is not None:
-                raise ValueError(f"line {lineno}: previous pair {name!r} not closed")
-            name = rest
-            terms = {}
-        elif head == "term":
-            close_term()
-            if rest not in ("F", "G"):
-                raise ValueError(f"line {lineno}: term must be F or G")
-            current = rest
-        elif head == "gamma":
-            c0, cn, ck, e = rest.split()
-            gammas.append((LinForm(Fraction(c0), Fraction(cn), Fraction(ck)), int(e)))
-        elif head == "geom":
-            base, cn, ck = rest.split()
-            geom = (Fraction(base), int(cn), int(ck))
-        elif head == "pre":
-            pre = parse_ratfunc(rest)
-        elif head == "end":
-            close_term()
-            if name is None or set(terms) != {"F", "G"}:
-                raise ValueError(f"line {lineno}: pair needs both F and G terms")
-            pairs[name] = WZPair(terms["F"], terms["G"], name)
-            name = None
-        else:
-            raise ValueError(f"line {lineno}: unknown directive {head!r}")
-    if name is not None:
-        raise ValueError(f"pair {name!r} missing end line")
-    return pairs
+# 16^n (1/2)_n (1+k/2)_n (1/2+k/2)_n / ((1)_n (1+k)_n^2)
+_PAIR_DIVERGENT = ((_h, 1, 0, 1), (_h, 0, 0, -1), (1, 1, _h, 1), (1, 0, _h, -1),
+                   (_h, 1, _h, 1), (_h, 0, _h, -1), (1, 1, 0, -1), (1, 0, 1, 2),
+                   (1, 1, 1, -2)), (16, 1, 0)
 
 
-def serialize_fixture(pairs: dict[str, WZPair]) -> str:
-    out = []
-    for name, pair in pairs.items():
-        out.append(f"pair {name}")
-        for label, term in (("F", pair.F), ("G", pair.G)):
-            out.append(f"term {label}")
-            for lf, e in term.gammas:
-                out.append(f"gamma {lf.c0} {lf.cn} {lf.ck} {e}")
-            out.append(f"geom {term.base} {term.g_cn} {term.g_ck}")
-            out.append(f"pre {term.pre}")
-        out.append("end")
-        out.append("")
-    return "\n".join(out)
+def _pair(name, kernel, pre_f: RatFunc, pre_g: RatFunc) -> WZPair:
+    rows, (base, g_cn, g_ck) = kernel
+    gammas = [((c0, cn, ck), e) for c0, cn, ck, e in rows]
+    return WZPair(HyperTerm.build(gammas, base, g_cn, g_ck, pre_f),
+                  HyperTerm.build(gammas, base, g_cn, g_ck, pre_g), name)
 
 
 def builtin_pairs() -> dict[str, WZPair]:
-    """The three pairs shipped with the package, parsed from the fixture file."""
-    text = resources.files("wzmahler.symbolic").joinpath("fixtures/wz_pairs.txt").read_text()
-    return parse_fixture(text)
+    """pair-1, pair-3 and pair-divergent by name, built afresh on each call."""
+    n, k = RatFunc(MultiPoly.var("n")), RatFunc(MultiPoly.var("k"))
+    pairs = (
+        _pair("pair-1", _PAIR_1,
+              -n / (2 * (n + k)),
+              k * (4 * n + 2 * k + 1) / (2 * (n + k) * (2 * n + 1))),
+        _pair("pair-3", _PAIR_3,
+              -4 * n / (2 * n + k),
+              k * (2 * (15 * n + 2) * (2 * n + 1) ** 2
+                   + k * ((2 * n + 1) * (86 * n + 19) + 4 * k * (20 * n + 7) + 12 * k ** 2))
+              / (2 * (2 * n + k + 1) ** 2 * (2 * n + k) * (2 * n + 1))),
+        _pair("pair-divergent", _PAIR_DIVERGENT,
+              n / (2 * n + k) ** 2,
+              -(3 * k ** 3 + k ** 2 * (20 * n + 3) + k * n * (43 * n + 12)
+                + n ** 2 * (30 * n + 11))
+              / (n * (2 * n + k) ** 2 * (1 + 2 * n + k))),
+    )
+    return {pair.name: pair for pair in pairs}

@@ -12,10 +12,10 @@ from wzmahler import (ComplexRootsUnsupportedError, ConvergenceError,
                       DomainError, PrecisionCtx, SingularCurveError)
 from wzmahler.context import to_mpf
 from wzmahler.elliptic import (INFINITY, CurvePoint, EllipticCurve,
-                               TorsionLocation, _bloch_wigner_at,
-                               curve_from_family, elliptic_dilog, is_on_curve,
-                               lattice_dilog_sum, periods, point_add,
-                               point_mul, point_neg, point_order, wp)
+                               _bloch_wigner_at, curve_from_family,
+                               elliptic_dilog, is_on_curve, lattice_dilog_sum,
+                               periods, point_add, point_mul, point_neg,
+                               point_order, wp)
 from wzmahler.numkernel import GUARD_D, bloch_wigner
 from wzmahler.series import TermCounter
 
@@ -397,7 +397,7 @@ def test_elliptic_dilog_locations():
         assert elliptic_dilog(E1, (Fraction(1, 2), Fraction(0)), CTX) == 0
         with pytest.raises(DomainError):
             elliptic_dilog(E1, (Fraction(0), Fraction(0)), CTX)
-        loc = TorsionLocation(Fraction(1, 4), Fraction(0))
+        loc = (Fraction(1, 4), Fraction(0))
         direct = lattice_dilog_sum(mpc(0, 1), per.q, CTX)
         assert abs(elliptic_dilog(E1, loc, CTX) - direct) < TOL
 

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import exp, gamma, hyp2f1, mp, mpf, pi, sqrt, workprec
+from mpmath import cbrt, exp, gamma, hyp2f1, mp, mpf, pi, sqrt, workprec
 
 from wzmahler import DomainError, PrecisionCtx
-from wzmahler.modular import (j3_from_beta, modular_relation, phi_theta,
-                              q3_from_beta, xq_product)
+from wzmahler.modular import (cubic_theta_ratio, j3_from_beta,
+                              modular_relation, phi_theta, q3_from_beta,
+                              xq_product)
 from wzmahler.symbolic.pfq import pfq_eval
 
 CTX = PrecisionCtx(bits=256)
@@ -77,10 +78,25 @@ def test_xq_theta_series_matches_eta_product(bits):
     assert xq_product(0, ctx) == 1
 
 
+@pytest.mark.parametrize("bits", [256, 512])
+def test_cubic_theta_ratio_is_cube_root_of_xq(bits):
+    # 3 a(q)/b(q), the registry's alpha, is 3 x(q)^(1/3) with no cube root
+    # taken: on the two bertin-n-form nomes and q = 0.1, 0.2, to relative
+    # 2^-(bits+16)
+    ctx = PrecisionCtx(bits=bits)
+    with workprec(bits + 64):
+        s5 = sqrt(mpf(5))
+        qs = [q3_from_beta(1 - 108 / (7 + sign * s5) ** 3, ctx) for sign in (1, -1)]
+        for q in qs + [mpf("0.1"), mpf("0.2")]:
+            ref = 3 * cbrt(xq_product(q, ctx))
+            assert abs(3 * cubic_theta_ratio(q, ctx) / ref - 1) < mpf(2) ** -(bits + 16)
+
+
 def test_xq_domain():
     for q in (1, -1, mpf("1.5")):
-        with pytest.raises(DomainError):
-            xq_product(q, CTX)
+        for f in (xq_product, cubic_theta_ratio):
+            with pytest.raises(DomainError):
+                f(q, CTX)
 
 
 def test_q_inversion_signature3():

@@ -40,8 +40,8 @@ def test_registry_is_complete_and_unique():
 
 
 def test_registry_is_built_once(monkeypatch):
-    # from an unbuilt table: the first lookup builds it and parses the WZ
-    # fixture, and every later call shares that one table
+    # from an unbuilt table: the first lookup builds it, with the WZ pairs
+    # built once, and every later call shares that one table
     calls = []
     original = registry.builtin_pairs
     monkeypatch.setattr(registry, "builtin_pairs", lambda: calls.append(1) or original())

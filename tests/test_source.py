@@ -1,6 +1,7 @@
-"""Source hygiene: every top-level import of a ``wzmahler`` module is used,
-every module-level ``_private`` function, class or constant is referenced,
-and no frozen record is patched after it is built."""
+"""Source hygiene: the package is Python modules only, every top-level
+import of a ``wzmahler`` module is used, every module-level ``_private``
+function, class or constant is referenced, and no frozen record is patched
+after it is built."""
 
 import ast
 from collections import Counter
@@ -9,6 +10,15 @@ from pathlib import Path
 import wzmahler
 
 PACKAGE = Path(wzmahler.__file__).parent
+
+
+def test_package_is_python_modules_only():
+    # data the package reads is declared in Python, so the package needs no
+    # package-data entry to ship it
+    others = sorted(str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*")
+                    if path.is_file() and path.suffix != ".py"
+                    and "__pycache__" not in path.parts)
+    assert others == []
 
 
 def unused_imports(source: str) -> list[str]:

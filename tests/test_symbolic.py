@@ -18,12 +18,13 @@ from wzmahler import NonComparableError
 from wzmahler.symbolic.hyperterm import (HyperTerm, LinForm, term_cross_ratio,
                                          term_eval_exact, term_shift_ratio)
 from wzmahler.symbolic import multipoly
-from wzmahler.symbolic.multipoly import MultiPoly, RatFunc, parse_ratfunc
-from wzmahler.symbolic.pairs import builtin_pairs, parse_fixture, serialize_fixture
+from wzmahler.symbolic.multipoly import MultiPoly, RatFunc
+from wzmahler.symbolic.pairs import builtin_pairs
 from wzmahler.symbolic.wz import (WZPair, certificate_random_probe,
                                   wz_verify)
 
 PAIRS = builtin_pairs()
+n, k = RatFunc(MultiPoly.var("n")), RatFunc(MultiPoly.var("k"))
 
 
 # ---------------------------------------------------------------------------
@@ -31,33 +32,30 @@ PAIRS = builtin_pairs()
 # ---------------------------------------------------------------------------
 
 def test_ratfunc_basic_identities():
-    n = RatFunc(MultiPoly.var("n"))
-    k = RatFunc(MultiPoly.var("k"))
     assert (n + k) - n == k
-    sq = parse_ratfunc("(n**2 + 2*n*k + k**2)/(n + k)")
+    sq = (n ** 2 + 2 * n * k + k ** 2) / (n + k)
     assert sq == n + k
     with pytest.raises(ZeroDivisionError):
         n / (k - k)
     # equality by cross-multiplication, with no common factor cancelled
-    q = parse_ratfunc("(n + k)**2 * (2*n + 1)") / parse_ratfunc("(n + k) * (4*n + 2)")
-    assert q == parse_ratfunc("(n + k)/2")
-    assert q != parse_ratfunc("(n + k)/3")
+    q = ((n + k) ** 2 * (2 * n + 1)) / ((n + k) * (4 * n + 2))
+    assert q == (n + k) / 2
+    assert q != (n + k) / 3
     assert ((n + k) / (n + k) - 1).is_zero
     with pytest.raises(TypeError):
         hash(q)
 
 
 def test_ratfunc_arith_dispatch():
-    a = parse_ratfunc("n/(k+1)")
-    b = parse_ratfunc("(n+1)/k")
-    assert operator.mul(a, b) == parse_ratfunc("n*(n+1)/(k*(k+1))")
-    assert operator.truediv(a, b) == parse_ratfunc("n*k/((k+1)*(n+1))")
+    a = n / (k + 1)
+    b = (n + 1) / k
+    assert operator.mul(a, b) == n * (n + 1) / (k * (k + 1))
+    assert operator.truediv(a, b) == n * k / ((k + 1) * (n + 1))
 
 
 def test_ratfunc_arith_matches_fraction_eval():
     rng = random.Random(1)
-    exprs = ["(3*n**2 - k)/(n + 2)", "k/(2*n + 1)", "(n*k - 5)/(k**2 + 1)"]
-    funcs = [parse_ratfunc(e) for e in exprs]
+    funcs = [(3 * n ** 2 - k) / (n + 2), k / (2 * n + 1), (n * k - 5) / (k ** 2 + 1)]
     for a in funcs:
         for b in funcs:
             for op in (operator.add, operator.sub, operator.mul, operator.truediv):
@@ -69,16 +67,33 @@ def test_ratfunc_arith_matches_fraction_eval():
 
 
 def test_parse_str_round_trip():
-    rng = random.Random(2)
-    for text in ("-n/(2*(n+k))", "k*(4*n+2*k+1)/(2*(n+k)*(2*n+1))",
-                 "(3*k**3 + k**2*(20*n+3) + k*n*(43*n+12) + n**2*(30*n+11))/(n+1)"):
-        rf = parse_ratfunc(text)
-        rf2 = parse_ratfunc(str(rf))
-        assert rf == rf2
-        for _ in range(4):
-            nv = Fraction(rng.randint(1, 30))
-            kv = Fraction(rng.randint(1, 30))
-            assert rf.eval(nv, kv) == rf2.eval(nv, kv)
+    # str(rf), parsed by sympy, is the rational function rf was built as:
+    # three expressions built alike in RatFunc and in sympy, and the six
+    # pair prefactors against the prefactors written out in sympy
+    ns, ks = sp.symbols("n k")
+    exprs = (lambda n, k: -n / (2 * (n + k)),
+             lambda n, k: k * (4 * n + 2 * k + 1) / (2 * (n + k) * (2 * n + 1)),
+             lambda n, k: (3 * k ** 3 + k ** 2 * (20 * n + 3) + k * n * (43 * n + 12)
+                           + n ** 2 * (30 * n + 11)) / (n + 1))
+    cases = [(e(n, k), e(ns, ks)) for e in exprs]
+    p3 = (2 * ns + 1) * (86 * ns + 19) + 4 * ks * (20 * ns + 7) + 12 * ks ** 2
+    pd = (3 * ks ** 3 + ks ** 2 * (20 * ns + 3) + ks * ns * (43 * ns + 12)
+          + ns ** 2 * (30 * ns + 11))
+    pres = {
+        "pair-1": (-ns / (2 * (ns + ks)),
+                   ks * (4 * ns + 2 * ks + 1) / (2 * (ns + ks) * (2 * ns + 1))),
+        "pair-3": (-4 * ns / (2 * ns + ks),
+                   (2 * (15 * ns + 2) * (2 * ns + 1) ** 2 + ks * p3)
+                   / ((2 * ns + ks + 1) ** 2 * (2 * ns + ks) * (2 * ns + 1)) * ks / 2),
+        "pair-divergent": (ns / (2 * ns + ks) ** 2,
+                           -pd / (ns * (2 * ns + ks) ** 2 * (1 + 2 * ns + ks))),
+    }
+    assert list(pres) == list(PAIRS)
+    cases += [(t.pre, want) for name, wants in pres.items()
+              for t, want in zip((PAIRS[name].F, PAIRS[name].G), wants)]
+    for rf, want in cases:
+        back = sp.sympify(str(rf), locals={"n": ns, "k": ks})
+        assert sp.cancel(back - want) == 0, str(rf)
 
 
 # reference arithmetic on plain {(a, b): Fraction} dicts, zeros dropped
@@ -209,7 +224,7 @@ def test_shift_ratio_pochhammer():
     # (x)_n realized as Gamma(x + n)/Gamma(x) with x the symbol k; build
     # turns bare coefficient tuples into LinForms of Fractions
     t = HyperTerm.build([((0, 1, 1), 1), ((0, 0, 1), -1)])
-    assert term_shift_ratio(t, 1, 0) == parse_ratfunc("n + k")
+    assert term_shift_ratio(t, 1, 0) == n + k
     assert all(type(c) is Fraction for lf, _ in t.gammas
                for c in (lf.c0, lf.cn, lf.ck))
 
@@ -245,7 +260,7 @@ def test_cross_ratio_same_term_is_one():
 
 def test_cross_ratio_pair1_g_over_f():
     q2 = term_cross_ratio(PAIRS["pair-1"].G, PAIRS["pair-1"].F)
-    assert q2 == parse_ratfunc("-k*(4*n + 2*k + 1)/(n*(2*n + 1))")
+    assert q2 == -k * (4 * n + 2 * k + 1) / (n * (2 * n + 1))
 
 
 def test_cross_ratio_noncomparable():
@@ -387,23 +402,3 @@ def test_f_decays_numerically():
         for k in (0, 1):
             vals = [abs(term_eval_exact(PAIRS[name].F, 2 ** j, k)) for j in range(1, 13)]
             assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-# ---------------------------------------------------------------------------
-# fixture round trip
-# ---------------------------------------------------------------------------
-
-def test_fixture_round_trip():
-    text = serialize_fixture(PAIRS)
-    again = parse_fixture(text)
-    assert again == PAIRS
-    assert serialize_fixture(again) == text
-
-
-def test_fixture_parse_errors():
-    with pytest.raises(ValueError):
-        parse_fixture("pair broken\nterm F\npre n\nend\n")  # missing G
-    with pytest.raises(ValueError):
-        parse_fixture("pair x\nterm F\ngamma 1 2\n")  # malformed gamma
-    with pytest.raises(ValueError):
-        parse_fixture("bogus directive\n")
