@@ -56,7 +56,7 @@ with workprec(300):
               mp.nstr(abs(modular_relation(1 - 1 / x, to_mpf(beta))), 5))
 
     # the n(alpha) form: the left side by the nome and a lattice sum, the
-    # right side by adaptive Jensen quadrature
+    # right side by Jensen quadrature (the periodic trapezoidal rule)
     a1 = (7 + s5) / cbrt(mpf(4))
     a2 = (7 - s5) / cbrt(mpf(4))
     a3 = cbrt(mpf(32))

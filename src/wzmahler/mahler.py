@@ -20,6 +20,38 @@ taken instead, through the alpha >= 4 branch.  There is a quadrature
 oracle via Jensen's formula in x: with u(t) = alpha + 2 cos(2 pi t) the
 inner integral is arccosh(|u|/2) where |u| >= 2 and zero otherwise.
 
+Both quadrature oracles take, wherever they can, one periodic trapezoidal
+rule: for an even, periodic integrand analytic in the strip |Im t| < a it
+errs by about e^(-2 pi a N/P) at N nodes per period P (Trefethen and
+Weideman, SIAM Review 56, 2014), so it needs about N* nodes, with
+e^(-2 pi a N*/P) = 2^-prec.  N doubles from 8, reusing every node, until
+two levels agree to 2^(-prec/2) at a level within 8 bits of N*; the rule is
+taken while N* is below _PERIODIC_MAX_NODES, and tanh-sinh, split at the
+integrand's kinks, otherwise.
+
+For m(alpha), alpha > 4, the integrand arccosh((alpha + 2 cos 2 pi t)/2) is
+even, 1-periodic and analytic; its nearest singularity is where
+u = 2, at 2 pi Im t = arccosh((alpha - 2)/2), so
+N* = prec log 2/arccosh((alpha - 2)/2) (50 at alpha = 9 and 140 bits).
+For 0 < alpha < 4 it vanishes outside |t| <= t*, cos(2 pi t*) = (2 - alpha)/2,
+and has a square-root branch at t*.  With theta = 2 pi t*, the substitution
+2 pi t = theta sin(pi s/2), s in [0, 1], gives
+m(alpha) = (theta/2) times the mean over s of
+h(s) = arccosh((alpha + 2 cos(theta sin(pi s/2)))/2) cos(pi s/2):
+near s = 0 the argument is odd in s, near s = 1 both factors are odd in
+1 - s (theta - 2 pi t is of order (1 - s)^2), so h continues to an even,
+analytic function of period 2.  Its singularities are where
+sin(pi s/2) = z for the roots theta z of alpha + 2 cos(theta z) = +-2 that
+the substitution does not remove, z = 2 pi/theta - 1 (the crossing at
+1 - t*) and z = (pi + i arccosh((alpha + 2)/2))/theta; each lies at
+|Im s| = (2/pi) arccosh((|z + 1| + |z - 1|)/2).  With A the smaller of
+the two arccosh, the rule errs by about e^(-2 A N) at N nodes per period 2,
+and N* = prec log 2/(2 A) (74 at alpha = 3.9 and 241 at 3.999, 140 bits).
+Near 4 from either side N* passes the cap, sooner above 4 (N* grows like
+(alpha - 4)^(-1/2)) than below (like (4 - alpha)^(-1/4)): at 140 bits for
+4 - 3.1e-6 < alpha < 4.009, where m_quadrature takes tanh-sinh, as at
+alpha = 4 itself.
+
 n(alpha) = m(x^3 + y^3 + 1 - alpha x y) has Rodriguez-Villegas's series for
 alpha > 3,
 
@@ -47,12 +79,12 @@ the integrand is analytic.  Its nearest singularities are the branch points
 of the roots, where the discriminant 4 alpha^3 y^3 - 27 (1 + y^3)^2 vanishes,
 at y^3 = Y+ and 1/Y+ with Y+ the larger root of
 Y^2 + (2 - 4 alpha^3/27) Y + 1 = 0.  The trapezoidal rule with N nodes per
-period then errs by about Y+^(-N) (Trefethen and Weideman, SIAM Review 56,
-2014), so it needs about N* = prec log 2/log Y+ nodes, with
-log Y+ = acosh(2 alpha^3/27 - 1).  n_quadrature takes that rule while N* is
-below _PERIODIC_MAX_NODES, and tanh-sinh otherwise: for alpha <= 3, and
-for alpha just above 3 (N* is 1,470 at (7 - sqrt 5)/4^(1/3) = 3.0011 and
-140 bits).  On the tanh-sinh route the kinks where a root magnitude
+period then errs by about Y+^(-N), so it needs about
+N* = prec log 2/log Y+ nodes, with log Y+ = acosh(2 alpha^3/27 - 1).
+n_quadrature takes the periodic rule while N* is below
+_PERIODIC_MAX_NODES, and tanh-sinh otherwise: for alpha <= 3, and for
+alpha just above 3 (N* is 1,470 at (7 - sqrt 5)/4^(1/3) = 3.0011 and 140
+bits).  On the tanh-sinh route the kinks where a root magnitude
 crosses 1 are located first (bisection on the number of roots outside the
 unit circle, which also sees two roots of equal magnitude crossing
 together) and made interval endpoints, which is what keeps tanh-sinh
@@ -66,8 +98,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from mpmath import (acos, acosh, cos, extraprec, fabs, log, mp, mpf, pi,
-                    polyroots, quad, workprec)
+from mpmath import (acos, acosh, cos, cospi, extraprec, log, mp, mpc, mpf, pi,
+                    polyroots, quad, sinpi, workprec)
 from mpmath.libmp import (from_man_exp, from_rational, mpc_cbrt,
                           mpf_cos_sin_pi, mpf_log, mpf_shift, round_nearest,
                           to_fixed)
@@ -77,14 +109,16 @@ from .context import (DEFAULT_CTX, DomainError, PrecisionCtx,
 from .numkernel import lambda_series
 from .series import as_ratio, count_terms, ratio_series, sum_geometric
 
-# Largest predicted node count N* for which n_quadrature takes the periodic
-# trapezoidal rule.  The rule stops at a level of at least N* nodes, so it
-# makes 513 integrand calls for N* <= 1,024 and 1,025 above, against the
-# tanh-sinh route's 537.  Measured at 140 bits (mpmath's Python backend,
-# 2 vCPUs, the integer integrand on both routes): at N* = 1,000 the rule
-# takes 0.88 of the tanh-sinh route's time (54 against 61 ms); at N* =
-# 1,350 it takes 1.7 times as long (101 against 60 ms), and at
-# (7 - sqrt 5)/4^(1/3), N* = 1,470, 1.8 times (132 against 74 ms).
+# Largest predicted node count N* for which m_quadrature and n_quadrature
+# take the periodic trapezoidal rule.  The rule stops at a level within 8
+# bits of N*, so it makes at most 513 integrand calls below the cap and
+# 1,025 above, against the tanh-sinh route's 537 for n(alpha).  Measured at
+# 140 bits (mpmath's Python backend, 2 vCPUs, the integer integrand on both
+# routes): at N* = 1,000 the rule takes 0.88 of the tanh-sinh route's time
+# (54 against 61 ms); at N* = 1,350 it takes 1.7 times as long (101 against
+# 60 ms), and at (7 - sqrt 5)/4^(1/3), N* = 1,470, 1.8 times (132 against
+# 74 ms).  For m(alpha) at alpha = 4 - 1e-5, N* = 764, the rule's 513 calls
+# take 45 ms against tanh-sinh's 570 calls and 48 ms.
 _PERIODIC_MAX_NODES = 1024
 _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 
@@ -176,32 +210,107 @@ def _quad_pieces(f, points, tol, depth: int = 0):
     return total
 
 
-def m_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf:
-    """Jensen-reduced integral for m(alpha), alpha >= 0.
+def _periodic_trapezoid(f, period, gate, floor):
+    """The mean of f over one period by the periodic trapezoidal rule, for f
+    even, analytic on the real line and of rational period ``period``.
 
-    Splits at the |u| = 2 crossing (square-root kink) and doubles the
-    integral over [0, 1/2] by the t -> 1-t symmetry.
+    With N nodes t_k = k period/N and f even, the rule (1/N) sum_{k<N} f(t_k)
+    is (2/N) (f(t_0)/2 + f(t_1) + ... + f(t_{N/2-1}) + f(t_{N/2})/2), where
+    t_{N/2} is half a period.  Each doubling of N from 8 reuses the nodes
+    before it; the rule stops once two levels differ by less than gate, at a
+    level whose predicted error is within 8 bits of the working precision,
+    N >= floor (prec - 8)/prec for the predicted node count N* = ``floor``
+    (a small error prefactor can make two coarser levels agree early).
+    The nodes are rounded at the working precision and the sums kept 32 bits
+    above it, as the integrands' values are.
+    """
+    prec = mp.prec
+    enough = floor * (prec - 8) / prec
+
+    def node(k, n):  # k period/n rounded at the working precision
+        return f(mp.make_mpf(from_rational(
+            k * period.numerator, n * period.denominator, prec, round_nearest)))
+
+    with extraprec(32):
+        n = 8
+        total = (node(0, n) + node(n // 2, n)) / 2 \
+            + sum(node(k, n) for k in range(1, n // 2))
+        value = 2 * total / n
+        while n < 4 * _PERIODIC_MAX_NODES:  # gives up after 4,096 nodes
+            total += sum(node(k, 2 * n) for k in range(1, n, 2))
+            n *= 2
+            value, prev = 2 * total / n, value
+            if n >= enough and abs(value - prev) < gate:
+                return value
+    raise QuadratureBudgetError(
+        f"periodic rule still moves by {mp.nstr(abs(value - prev), 3)} at "
+        f"{n} nodes")
+
+
+def m_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf:
+    """Jensen-reduced integral for m(alpha), alpha >= 0: the mean over
+    t in [0, 1] of arccosh(u/2) where u = alpha + 2 cos(2 pi t) > 2, and of
+    zero elsewhere (u > -2).
+
+    Route: alpha = 0 is an exact 0.  Above 4 the integrand is even,
+    1-periodic and analytic, and below 4 the substitution
+    2 pi t = theta sin(pi s/2) of the module docstring makes it even,
+    2-periodic and analytic in s; either way, while the predicted node
+    count N* of the module docstring is below _PERIODIC_MAX_NODES, it goes
+    through the periodic trapezoidal rule, which stops once two doublings
+    differ by less than 2^(-prec/2) at a level within 8 bits of N*.  Near
+    4, where N* passes that cap, and at 4 itself, it goes through tanh-sinh
+    with weight 2, over [0, 1/2], or over [0, t*] below 4, where the
+    integrand vanishes beyond the u = 2 crossing t* (a square-root kink),
+    bisected wherever a piece's error estimate exceeds tol/4.
+    Every integrand call counts as one term.
+
+    tol sets the working precision, max(140, -log2(tol) + 80) bits, and
+    the tanh-sinh bisection gate; the value comes out at about that
+    working precision, far below tol.  alpha is taken at the 32 guard bits
+    of the sums, and the periodic route returns its sum unrounded.
     """
     tol = mpf(tol)
     prec = max(140, int(-mp.log(tol, 2)) + 80)
-    with workprec(prec):
+    gate = mpf(2) ** (-(prec // 2))
+    with workprec(prec + 32):  # alpha, t* and the result at the sums' bits
         alpha = to_mpf(alpha)
         if alpha < 0:
             raise DomainError("m_quadrature requires alpha >= 0")
+        if alpha == 0:
+            return mpf(0)
 
-        def f(t):
+        def f(t):  # arccosh(u/2) where u > 2
             count_terms(1)
-            u = alpha + 2 * cos(2 * pi * t)
-            au = fabs(u)
-            if au <= 2:
-                return mpf(0)
-            return acosh(au / 2)
+            w = alpha / 2 + cospi(2 * t)
+            return acosh(w) if w > 1 else mpf(0)
 
-        points = [mpf(0), mpf(1) / 2]
-        if 0 < alpha < 4:
-            tstar = acos((2 - alpha) / 2) / (2 * pi)
-            points = [mpf(0), tstar, mpf(1) / 2]
-        return +(2 * _quad_pieces(f, points, tol / 2))
+        end = mpf(1) / 2
+        if alpha > 4:
+            nodes = prec * log(2) / acosh((alpha - 2) / 2)  # N*
+            if nodes < _PERIODIC_MAX_NODES:
+                with workprec(prec):
+                    return _periodic_trapezoid(f, 1, gate, nodes)
+        elif alpha < 4:
+            theta = acos((2 - alpha) / 2)  # 2 pi t*
+            z = mpc(pi, acosh((alpha + 2) / 2)) / theta
+            width = min(acosh(2 * pi / theta - 1),
+                        acosh((abs(z + 1) + abs(z - 1)) / 2))
+            nodes = prec * log(2) / (2 * width)  # N*
+            if nodes < _PERIODIC_MAX_NODES:
+                def h(s):  # 2 pi t = theta sin(pi s/2)
+                    count_terms(1)
+                    if s == 1:
+                        return mpf(0)
+                    w = alpha / 2 + cos(theta * sinpi(s / 2))
+                    return acosh(w) * cospi(s / 2)
+
+                with workprec(prec):
+                    mean = _periodic_trapezoid(h, 2, gate, nodes)
+                return theta / 2 * mean
+            end = theta / (2 * pi)
+        with workprec(prec):
+            return +(2 * _quad_pieces(f, [mpf(0), end], tol / 2))
 
 
 def _torus_point(t, prec):
@@ -360,40 +469,6 @@ def _n_breakpoints(alpha, grid: int = 64) -> list:
     return found
 
 
-def _n_trapezoid(alpha, gate, floor):
-    """n(alpha) by the periodic trapezoidal rule, alpha > 3.
-
-    With N nodes t_k = k/(3N) per period 1/3 and the integrand f even, the
-    rule (1/N) sum_{k<N} f(t_k) is (2/N) (f(t_0)/2 + f(t_1) + ... +
-    f(t_{N/2-1}) + f(t_{N/2})/2), t_{N/2} = 1/6.  Each doubling of N from 8
-    reuses the nodes before it; the rule stops once two levels differ by
-    less than gate, at a level of at least ``floor`` nodes (the predicted
-    N*: a small error prefactor can make two coarser levels agree early).
-    The nodes are rounded at the working precision and the sums kept 32 bits
-    above it, as the integrand's values are.
-    """
-    prec = mp.prec
-
-    def f(k, n):  # the node k/(3n) rounded at the working precision
-        return _n_integrand(alpha, mp.make_mpf(
-            from_rational(k, 3 * n, prec, round_nearest)))
-
-    with extraprec(32):
-        n = 8
-        total = (f(0, n) + f(n // 2, n)) / 2 \
-            + sum(f(k, n) for k in range(1, n // 2))
-        value = 2 * total / n
-        while n < 4 * _PERIODIC_MAX_NODES:  # gives up after 4,096 nodes
-            total += sum(f(k, 2 * n) for k in range(1, n, 2))
-            n *= 2
-            value, prev = 2 * total / n, value
-            if n >= floor and abs(value - prev) < gate:
-                return value
-    raise QuadratureBudgetError(
-        f"periodic rule at alpha = {mp.nstr(alpha, 8)} still moves by "
-        f"{mp.nstr(abs(value - prev), 3)} at {n} nodes")
-
-
 def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf:
     """Jensen-reduced integral for n(alpha) = m(x^3 + y^3 + 1 - alpha x y).
 
@@ -428,7 +503,9 @@ def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
             nodes = prec * log(2) / acosh(2 * alpha ** 3 / 27 - 1)  # N*
             if nodes < _PERIODIC_MAX_NODES:
                 _check_root_mags(alpha, [mpf(0), mpf(1) / 6])
-                return +_n_trapezoid(alpha, mpf(2) ** (-(prec // 2)), nodes)
+                return +_periodic_trapezoid(
+                    lambda t: _n_integrand(alpha, t), _THIRD,
+                    mpf(2) ** (-(prec // 2)), nodes)
         points = [mpf(0)] + _n_breakpoints(alpha) + [mpf(1) / 6]
         _check_root_mags(alpha, points)
         return +(6 * _quad_pieces(lambda t: _n_integrand(alpha, t), points,

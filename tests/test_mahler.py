@@ -3,6 +3,7 @@ relations between special values."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import (acosh, cbrt, cos, expjpi, frexp, ldexp, log, mp, mpc,
@@ -146,6 +147,68 @@ def test_quadrature_oracle_equivalence():
             assert abs(m_series(mpf(a), CTX) - m_quadrature(mpf(a), CTX)) < mpf(10) ** -6
         a = 3 * sqrt(mpf(2))
         assert abs(m_series(a, CTX) - m_quadrature(a, CTX)) < mpf(10) ** -6
+
+
+M_PERIODIC_ALPHAS = ("0.5", "1", "2", "3", "3.9", "3.999", "4.5", "9.0", "21.6")
+
+
+def test_m_quadrature_periodic_route_against_series():
+    # above 4 the periodic rule on arccosh((alpha + 2 cos 2 pi t)/2), below 4
+    # on the substitution t = t* sin(pi s/2): both accurate to about the
+    # working precision (140 bits, and 212 bits at tol = 1e-40); 3.999 is
+    # within 1e-3 of 4, where the series warns of its slow convergence
+    import warnings
+    with workprec(300), warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowConvergenceWarning)
+        for a in M_PERIODIC_ALPHAS:
+            ref = m_series(mpf(a), CTX, tol=mpf(10) ** -50)
+            for tol in (mpf("1e-8"), mpf(10) ** -40):
+                got = m_quadrature(mpf(a), CTX, tol=tol)
+                assert abs(got - ref) < mpf(10) ** -41, (a, tol)
+
+
+def test_m_quadrature_route_rule(monkeypatch):
+    # tanh-sinh serves only the band around 4 where N* passes the cap:
+    # alpha = 4, 4 + 1e-5 (N* ~ 30,700 at 140 bits) and 4 - 1e-5 at
+    # tol = 1e-40 (N* ~ 1,160 at 212 bits); at tol = 1e-8 (140 bits) the
+    # substitution keeps 4 - 1e-5 below the cap (N* ~ 760)
+    def tanh_sinh(*args, **kwargs):
+        raise LookupError("tanh-sinh")
+
+    monkeypatch.setattr(mahler, "quad", tanh_sinh)
+    for a in M_PERIODIC_ALPHAS:
+        for tol in (mpf("1e-8"), mpf(10) ** -40):
+            m_quadrature(mpf(a), CTX, tol=tol)
+    near = mpf(4) - mpf(10) ** -5
+    m_quadrature(near, CTX)
+    for alpha, tol in ((mpf(4), mpf("1e-8")), (mpf(4) + mpf(10) ** -5, mpf("1e-8")),
+                       (near, mpf(10) ** -40)):
+        with pytest.raises(LookupError, match="tanh-sinh"):
+            m_quadrature(alpha, CTX, tol=tol)
+
+
+def test_m_quadrature_level_floor_below_four():
+    # at alpha = 3.89 (N* ~ 72 at 140 bits) the levels 32 and 64 agree to
+    # 2^-70 while the 64-node value is 2.6e-41 off; at alpha = 2.08 (N* ~ 35)
+    # the levels 16 and 32 do, 1.7e-41 off.  The floor takes both on
+    import warnings
+    with workprec(300), warnings.catch_warnings():
+        warnings.simplefilter("error", SlowConvergenceWarning)
+        for a, calls in (("3.89", 65), ("2.08", 33)):
+            alpha = mpf(a)
+            ref = m_series(alpha, CTX, tol=mpf(10) ** -50)
+            with TermCounter() as counter:
+                got = m_quadrature(alpha, CTX)
+            assert abs(got - ref) < mpf(10) ** -41, a
+            assert counter.count == calls, a
+
+
+def test_m_quadrature_periodic_budget(monkeypatch):
+    # an integrand whose trapezoidal sums never settle exhausts the doubling
+    calls = itertools.count()
+    monkeypatch.setattr(mahler, "cospi", lambda x: mpf(next(calls)))
+    with pytest.raises(QuadratureBudgetError, match="nodes"):
+        m_quadrature(mpf(5), CTX)
 
 
 def test_m_quadrature_alpha_zero():
@@ -394,9 +457,10 @@ def test_quadrature_counts_integrand_calls():
         n_quadrature(mpf(2), CTX)
     with TermCounter() as m_quad:
         m_quadrature(mpf(5), CTX)
-    # the periodic rule settles at 128 nodes per period, 65 distinct calls
+    # the periodic rule settles at 128 nodes per period, 65 distinct calls;
+    # for m(5), N* = 101 also puts it at 128 nodes
     assert 0 < periodic.count <= 129
-    assert kinked.count > 0 and m_quad.count > 0
+    assert kinked.count > 0 and 0 < m_quad.count <= 65
 
 
 def test_n_quadrature_route_rule(monkeypatch):
@@ -457,7 +521,8 @@ def test_n_quadrature_periodic_level_floor():
     alpha = mpf("3.00139")
     with workprec(140), TermCounter() as counter:
         nodes = 140 * log(2) / acosh(2 * alpha ** 3 / 27 - 1)
-        got = mahler._n_trapezoid(alpha, mpf(2) ** -70, nodes)
+        got = mahler._periodic_trapezoid(lambda t: _n_integrand(alpha, t),
+                                         Fraction(1, 3), mpf(2) ** -70, nodes)
     with workprec(400):
         ref = n_series(alpha, PrecisionCtx(bits=400), tol=mpf(2) ** -400)
         assert abs(got - ref) < mpf(2) ** (4 - 140)
@@ -466,3 +531,19 @@ def test_n_quadrature_periodic_level_floor():
     with TermCounter() as counter:
         n_quadrature(_bertin_alphas()[2], CTX)
     assert counter.count == 65
+
+
+def test_n_quadrature_level_within_eight_bits_of_floor():
+    # at alpha = 3.0084, N* ~ 529 at 140 bits, just above 512: 512 nodes
+    # predict an error within 8 bits of the working precision, so the rule
+    # stops there, at 257 calls where a hard floor of N* made 513
+    alpha = mpf("3.0084")
+    with workprec(140):
+        nodes = 140 * log(2) / acosh(2 * alpha ** 3 / 27 - 1)
+        assert 512 < nodes < 512 * mpf(140) / 132
+    with TermCounter() as counter:
+        got = n_quadrature(alpha, CTX)
+    assert counter.count == 512 // 2 + 1
+    with workprec(300):
+        ref = n_series(alpha, CTX, tol=mpf(10) ** -80)
+        assert abs(got - ref) < mpf(10) ** -41

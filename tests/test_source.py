@@ -1,9 +1,12 @@
 """Source hygiene: the package is Python modules only, every top-level
 import of a ``wzmahler`` module is used, every module-level ``_private``
-function, class or constant is referenced, and no frozen record is patched
-after it is built."""
+function, class or constant is referenced, no frozen record is patched
+after it is built, and every name the benchmark's tracer rebinds exists."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -126,3 +129,18 @@ def test_no_frozen_record_is_patched():
     found = {str(path.relative_to(PACKAGE)): n for path in sorted(PACKAGE.rglob("*.py"))
              if (n := frozen_patches(path.read_text()))}
     assert found == {}
+
+
+def test_benchmark_traced_bindings_resolve(monkeypatch):
+    # perfbench's tracer rebinds each (module, attr) of TRACED with getattr,
+    # so a refactor that drops one of these names would crash a traced
+    # benchmark run; workloads.py imports nothing but dataclasses
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads.TRACED
+    missing = [f"{module}.{attr}" for module, attr in workloads.TRACED.values()
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
