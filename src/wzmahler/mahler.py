@@ -33,24 +33,10 @@ For m(alpha), alpha > 4, the integrand arccosh((alpha + 2 cos 2 pi t)/2) is
 even, 1-periodic and analytic; its nearest singularity is where
 u = 2, at 2 pi Im t = arccosh((alpha - 2)/2), so
 N* = prec log 2/arccosh((alpha - 2)/2) (50 at alpha = 9 and 140 bits).
-For 0 < alpha < 4 it vanishes outside |t| <= t*, cos(2 pi t*) = (2 - alpha)/2,
-and has a square-root branch at t*.  With theta = 2 pi t*, the substitution
-2 pi t = theta sin(pi s/2), s in [0, 1], gives
-m(alpha) = (theta/2) times the mean over s of
-h(s) = arccosh((alpha + 2 cos(theta sin(pi s/2)))/2) cos(pi s/2):
-near s = 0 the argument is odd in s, near s = 1 both factors are odd in
-1 - s (theta - 2 pi t is of order (1 - s)^2), so h continues to an even,
-analytic function of period 2.  Its singularities are where
-sin(pi s/2) = z for the roots theta z of alpha + 2 cos(theta z) = +-2 that
-the substitution does not remove, z = 2 pi/theta - 1 (the crossing at
-1 - t*) and z = (pi + i arccosh((alpha + 2)/2))/theta; each lies at
-|Im s| = (2/pi) arccosh((|z + 1| + |z - 1|)/2).  With A the smaller of
-the two arccosh, the rule errs by about e^(-2 A N) at N nodes per period 2,
-and N* = prec log 2/(2 A) (74 at alpha = 3.9 and 241 at 3.999, 140 bits).
-Near 4 from either side N* passes the cap, sooner above 4 (N* grows like
-(alpha - 4)^(-1/2)) than below (like (4 - alpha)^(-1/4)): at 140 bits for
-4 - 3.1e-6 < alpha < 4.009, where m_quadrature takes tanh-sinh, as at
-alpha = 4 itself.
+N* grows like (alpha - 4)^(-1/2) and passes the cap for alpha < 4.009 at
+140 bits.  There, at alpha = 4, and for 0 < alpha < 4, where the integrand
+vanishes beyond the u = 2 crossing t*, cos(2 pi t*) = (2 - alpha)/2, with
+a square-root kink, m_quadrature takes tanh-sinh.
 
 n(alpha) = m(x^3 + y^3 + 1 - alpha x y) has Rodriguez-Villegas's series for
 alpha > 3,
@@ -98,8 +84,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from mpmath import (acos, acosh, cos, cospi, extraprec, log, mp, mpc, mpf, pi,
-                    polyroots, quad, sinpi, workprec)
+from mpmath import (acos, acosh, cospi, extraprec, log, mp, mpf, pi, polyroots,
+                    quad, workprec)
 from mpmath.libmp import (from_man_exp, from_rational, mpc_cbrt,
                           mpf_cos_sin_pi, mpf_log, mpf_shift, round_nearest,
                           to_fixed)
@@ -117,8 +103,7 @@ from .series import as_ratio, count_terms, ratio_series, sum_geometric
 # routes): at N* = 1,000 the rule takes 0.88 of the tanh-sinh route's time
 # (54 against 61 ms); at N* = 1,350 it takes 1.7 times as long (101 against
 # 60 ms), and at (7 - sqrt 5)/4^(1/3), N* = 1,470, 1.8 times (132 against
-# 74 ms).  For m(alpha) at alpha = 4 - 1e-5, N* = 764, the rule's 513 calls
-# take 45 ms against tanh-sinh's 570 calls and 48 ms.
+# 74 ms).
 _PERIODIC_MAX_NODES = 1024
 _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 
@@ -253,17 +238,14 @@ def m_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
     zero elsewhere (u > -2).
 
     Route: alpha = 0 is an exact 0.  Above 4 the integrand is even,
-    1-periodic and analytic, and below 4 the substitution
-    2 pi t = theta sin(pi s/2) of the module docstring makes it even,
-    2-periodic and analytic in s; either way, while the predicted node
-    count N* of the module docstring is below _PERIODIC_MAX_NODES, it goes
-    through the periodic trapezoidal rule, which stops once two doublings
-    differ by less than 2^(-prec/2) at a level within 8 bits of N*.  Near
-    4, where N* passes that cap, and at 4 itself, it goes through tanh-sinh
-    with weight 2, over [0, 1/2], or over [0, t*] below 4, where the
-    integrand vanishes beyond the u = 2 crossing t* (a square-root kink),
-    bisected wherever a piece's error estimate exceeds tol/4.
-    Every integrand call counts as one term.
+    1-periodic and analytic and, while the predicted node count N* of the
+    module docstring is below _PERIODIC_MAX_NODES, it goes through the
+    periodic trapezoidal rule, which stops once two doublings differ by
+    less than 2^(-prec/2) at a level within 8 bits of N*.  Every other
+    alpha goes through tanh-sinh with weight 2, over [0, 1/2], or over
+    [0, t*] below 4, where the integrand vanishes beyond the u = 2 crossing
+    t* (a square-root kink), bisected wherever a piece's error estimate
+    exceeds tol/4.  Every integrand call counts as one term.
 
     tol sets the working precision, max(140, -log2(tol) + 80) bits, and
     the tanh-sinh bisection gate; the value comes out at about that
@@ -272,7 +254,6 @@ def m_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
     """
     tol = mpf(tol)
     prec = max(140, int(-mp.log(tol, 2)) + 80)
-    gate = mpf(2) ** (-(prec // 2))
     with workprec(prec + 32):  # alpha, t* and the result at the sums' bits
         alpha = to_mpf(alpha)
         if alpha < 0:
@@ -290,25 +271,10 @@ def m_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
             nodes = prec * log(2) / acosh((alpha - 2) / 2)  # N*
             if nodes < _PERIODIC_MAX_NODES:
                 with workprec(prec):
-                    return _periodic_trapezoid(f, 1, gate, nodes)
+                    return _periodic_trapezoid(
+                        f, 1, mpf(2) ** (-(prec // 2)), nodes)
         elif alpha < 4:
-            theta = acos((2 - alpha) / 2)  # 2 pi t*
-            z = mpc(pi, acosh((alpha + 2) / 2)) / theta
-            width = min(acosh(2 * pi / theta - 1),
-                        acosh((abs(z + 1) + abs(z - 1)) / 2))
-            nodes = prec * log(2) / (2 * width)  # N*
-            if nodes < _PERIODIC_MAX_NODES:
-                def h(s):  # 2 pi t = theta sin(pi s/2)
-                    count_terms(1)
-                    if s == 1:
-                        return mpf(0)
-                    w = alpha / 2 + cos(theta * sinpi(s / 2))
-                    return acosh(w) * cospi(s / 2)
-
-                with workprec(prec):
-                    mean = _periodic_trapezoid(h, 2, gate, nodes)
-                return theta / 2 * mean
-            end = theta / (2 * pi)
+            end = acos((2 - alpha) / 2) / (2 * pi)  # t*
         with workprec(prec):
             return +(2 * _quad_pieces(f, [mpf(0), end], tol / 2))
 
@@ -481,7 +447,8 @@ def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
     polynomial on the torus) and, while the predicted node count N* of the
     module docstring is below _PERIODIC_MAX_NODES, it goes through the
     periodic trapezoidal rule, which stops once two doublings differ by
-    less than 2^(-prec/2) at N >= N* nodes; no kink scan is needed.  Every
+    less than 2^(-prec/2) at a level within 8 bits of N*; no kink scan is
+    needed.  Every
     other alpha goes through tanh-sinh over [0, 1/6], weight 6, split at the
     kinks and bisected wherever a piece's error estimate exceeds tol/24.
     Either way polyroots cross-checks the closed-form roots at the ends of

@@ -149,18 +149,18 @@ def test_quadrature_oracle_equivalence():
         assert abs(m_series(a, CTX) - m_quadrature(a, CTX)) < mpf(10) ** -6
 
 
-M_PERIODIC_ALPHAS = ("0.5", "1", "2", "3", "3.9", "3.999", "4.5", "9.0", "21.6")
+M_QUAD_ALPHAS = ("0.5", "1", "2", "3", "3.9", "3.999", "4.5", "9.0", "21.6")
 
 
-def test_m_quadrature_periodic_route_against_series():
-    # above 4 the periodic rule on arccosh((alpha + 2 cos 2 pi t)/2), below 4
-    # on the substitution t = t* sin(pi s/2): both accurate to about the
-    # working precision (140 bits, and 212 bits at tol = 1e-40); 3.999 is
-    # within 1e-3 of 4, where the series warns of its slow convergence
+def test_m_quadrature_against_series():
+    # above 4 the periodic rule, below 4 tanh-sinh over [0, t*]: both
+    # accurate to about the working precision (140 bits, and 212 bits at
+    # tol = 1e-40); 3.999 is within 1e-3 of 4, where the series warns of its
+    # slow convergence
     import warnings
     with workprec(300), warnings.catch_warnings():
         warnings.simplefilter("ignore", SlowConvergenceWarning)
-        for a in M_PERIODIC_ALPHAS:
+        for a in M_QUAD_ALPHAS:
             ref = m_series(mpf(a), CTX, tol=mpf(10) ** -50)
             for tol in (mpf("1e-8"), mpf(10) ** -40):
                 got = m_quadrature(mpf(a), CTX, tol=tol)
@@ -168,33 +168,31 @@ def test_m_quadrature_periodic_route_against_series():
 
 
 def test_m_quadrature_route_rule(monkeypatch):
-    # tanh-sinh serves only the band around 4 where N* passes the cap:
-    # alpha = 4, 4 + 1e-5 (N* ~ 30,700 at 140 bits) and 4 - 1e-5 at
-    # tol = 1e-40 (N* ~ 1,160 at 212 bits); at tol = 1e-8 (140 bits) the
-    # substitution keeps 4 - 1e-5 below the cap (N* ~ 760)
+    # the periodic rule serves alpha > 4 while N* is below the cap; tanh-sinh
+    # serves alpha <= 4 and the band just above 4 where N* passes the cap
+    # (4 + 1e-5: N* ~ 30,700 at 140 bits)
     def tanh_sinh(*args, **kwargs):
         raise LookupError("tanh-sinh")
 
     monkeypatch.setattr(mahler, "quad", tanh_sinh)
-    for a in M_PERIODIC_ALPHAS:
+    periodic = [a for a in M_QUAD_ALPHAS if mpf(a) > 4]
+    assert periodic == ["4.5", "9.0", "21.6"]
+    for a in periodic:
         for tol in (mpf("1e-8"), mpf(10) ** -40):
             m_quadrature(mpf(a), CTX, tol=tol)
-    near = mpf(4) - mpf(10) ** -5
-    m_quadrature(near, CTX)
-    for alpha, tol in ((mpf(4), mpf("1e-8")), (mpf(4) + mpf(10) ** -5, mpf("1e-8")),
-                       (near, mpf(10) ** -40)):
+    kinked = [mpf(a) for a in M_QUAD_ALPHAS if mpf(a) < 4]
+    for alpha in kinked + [mpf(4), mpf(4) + mpf(10) ** -5, mpf(4) - mpf(10) ** -5]:
         with pytest.raises(LookupError, match="tanh-sinh"):
-            m_quadrature(alpha, CTX, tol=tol)
+            m_quadrature(alpha, CTX)
 
 
-def test_m_quadrature_level_floor_below_four():
-    # at alpha = 3.89 (N* ~ 72 at 140 bits) the levels 32 and 64 agree to
-    # 2^-70 while the 64-node value is 2.6e-41 off; at alpha = 2.08 (N* ~ 35)
-    # the levels 16 and 32 do, 1.7e-41 off.  The floor takes both on
-    import warnings
-    with workprec(300), warnings.catch_warnings():
-        warnings.simplefilter("error", SlowConvergenceWarning)
-        for a, calls in (("3.89", 65), ("2.08", 33)):
+def test_m_quadrature_level_floor():
+    # at alpha = 4.45 (N* ~ 105 at 140 bits) the levels 32 and 64 agree to
+    # 2^-70 while the 64-node value is 1.1e-40 off; at alpha = 4.11
+    # (N* ~ 223) the levels 64 and 128 do, 2.2e-41 off.  The floor takes
+    # both one level on
+    with workprec(300):
+        for a, calls in (("4.45", 129), ("4.11", 257)):
             alpha = mpf(a)
             ref = m_series(alpha, CTX, tol=mpf(10) ** -50)
             with TermCounter() as counter:
