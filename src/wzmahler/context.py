@@ -10,8 +10,8 @@ context.  Internals add ``GUARD_BITS`` of head-room so that digits reported at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mpf, workprec
 
@@ -65,18 +65,25 @@ class SlowConvergenceWarning(UserWarning):
     """Series argument sits next to a branch boundary; convergence is slow."""
 
 
-@dataclass(frozen=True)
-class PrecisionCtx:
-    """Working precision and series term budget."""
-
+# The fields of PrecisionCtx.  A NamedTuple body may not define __new__,
+# so the validating __new__ lives on the subclass.
+class _Precision(NamedTuple):
     bits: int = 256
     max_terms: int = 500_000
 
-    def __post_init__(self):
+
+class PrecisionCtx(_Precision):
+    """Working precision and series term budget."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.bits < 64:
             raise DomainError("bits must be >= 64")
         if self.max_terms <= 0:
             raise DomainError("max_terms must be positive")
+        return self
 
     @property
     def default_tol(self) -> mpf:

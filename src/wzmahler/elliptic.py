@@ -26,9 +26,9 @@ Bloch-Wigner call, memoised per (exact z0, context).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from mpmath import (acos, ceil, cos, exp, floor, im, log, mp, mpc, mpf, nint,
                     pi, re, sqrt, workprec)
@@ -41,16 +41,22 @@ from .numkernel import GUARD_D, _stop_index, agm, bloch_wigner
 from .series import count_terms
 
 
-@dataclass(frozen=True)
-class EllipticCurve:
-    """g2, g3 are ints or Fractions; every operation on them stays exact."""
-
+# The fields of EllipticCurve, whose __new__ rejects a singular curve.
+class _Coefficients(NamedTuple):
     g2: Fraction | int
     g3: Fraction | int
 
-    def __post_init__(self):
+
+class EllipticCurve(_Coefficients):
+    """g2, g3 are ints or Fractions; every operation on them stays exact."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.discriminant == 0:
             raise SingularCurveError(f"g2={self.g2}, g3={self.g3} is singular")
+        return self
 
     @property
     def discriminant(self) -> Fraction:
@@ -61,8 +67,7 @@ class EllipticCurve:
         return 4 * x ** 3 - self.g2 * x - self.g3
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     x: Fraction | None
     y: Fraction | None
 
@@ -153,8 +158,7 @@ def point_order(curve: EllipticCurve, p: CurvePoint, max_order: int = 24) -> int
     return None
 
 
-@dataclass(frozen=True)
-class Periods:
+class Periods(NamedTuple):
     omega: mpf
     omega_prime: mpc
     tau: mpc

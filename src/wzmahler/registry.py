@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count, islice
 from math import comb, log10
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from mpmath import atan, ldexp, log, mp, mpc, mpf, pi, sqrt, workprec
 
@@ -59,8 +58,7 @@ KIND_CONJECTURAL = "conjectural-numeric"
 KIND_FINITE = "finite-family"
 
 
-@dataclass(frozen=True, eq=False)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     """One registry entry.  Records are built once per process and compared
     by identity, so every record hashes, also one whose lhs is a WZPair."""
 
@@ -74,9 +72,10 @@ class IdentityRecord:
     note: str = ""
     exit_exempt: bool = False
 
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-@dataclass
-class CheckReport:
+
+class CheckReport(NamedTuple):
     id: str
     status: str
     lhs_value: str
@@ -87,7 +86,7 @@ class CheckReport:
     notes: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +108,7 @@ CURVES = {
 # side evaluators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class HyperSum:
+class HyperSum(NamedTuple):
     """head + scale * sum_{n>=start} weight(n) c_n, with c_0 = 1 and
     c_n = c_{n-1} step(n), at inner tolerance 10**-tol.  Step and weight
     map n to an integer pair (p, q) standing for p/q
@@ -129,6 +127,8 @@ class HyperSum:
     scale: Fraction = 1
     start: int = 0
     ratio_from: int = 0
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def __call__(self, ctx, param):
         bound = to_mpf(self.ratio)

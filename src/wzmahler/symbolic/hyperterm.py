@@ -20,16 +20,15 @@ both the WZ certificates and the registry's log 2 term ratios, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, floor, prod
+from typing import NamedTuple
 
 from ..context import NonComparableError, PoleError
 from .multipoly import MultiPoly, RatFunc
 
 
-@dataclass(frozen=True, order=True)
-class LinForm:
+class LinForm(NamedTuple):
     """c0 + cn*n + ck*k with rational coefficients."""
 
     c0: Fraction
@@ -49,8 +48,7 @@ class LinForm:
 _DROPPABLE_CONSTANTS = {Fraction(1), Fraction(2)}  # Gamma(1) = Gamma(2) = 1
 
 
-@dataclass(frozen=True)
-class HyperTerm:
+class HyperTerm(NamedTuple):
     """gammas: ((LinForm, exponent), ...);  geom: base**(g_cn*n + g_ck*k)."""
 
     gammas: tuple[tuple[LinForm, int], ...]

@@ -14,15 +14,14 @@ as its witness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .hyperterm import HyperTerm, term_cross_ratio, term_shift_ratio
 from .multipoly import MultiPoly, RatFunc
 
 
-@dataclass(frozen=True)
-class WZPair:
+class WZPair(NamedTuple):
     F: HyperTerm
     G: HyperTerm
     name: str
@@ -30,8 +29,7 @@ class WZPair:
     __hash__ = None  # F and G are unhashable HyperTerms
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     name: str
     passed: bool
     certificate: RatFunc

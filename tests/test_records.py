@@ -31,7 +31,8 @@ def _frozen_records():
             (CurvePoint.affine(-6, 54), "x"), (_periods(), "q"),
             (LinForm(Fraction(1), Fraction(0), Fraction(1)), "c0"),
             (pair.F, "base"), (pair, "name"), (wz_verify(pair), "passed"),
-            (rec, "tol"), (rec.rhs, "tol")]
+            (rec, "tol"), (rec.rhs, "tol"),
+            (CheckReport("a", "PASS", "1", "1", "0", 3, 4, "n"), "status")]
 
 
 def test_frozen_records_refuse_assignment():

@@ -6,6 +6,8 @@ after it is built, and every name the benchmark's tracer rebinds exists."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -125,10 +127,21 @@ def test_frozen_patches_detected():
 
 
 def test_no_frozen_record_is_patched():
-    # a frozen dataclass gets its final field values from its builder
+    # a frozen record gets its final field values from its constructor
     found = {str(path.relative_to(PACKAGE)): n for path in sorted(PACKAGE.rglob("*.py"))
              if (n := frozen_patches(path.read_text()))}
     assert found == {}
+
+
+def test_startup_imports_neither_dataclasses_nor_inspect():
+    # the records are NamedTuples: importing dataclasses would pull in
+    # inspect, ast, dis and tokenize, and exec each class's methods
+    code = ("import sys, wzmahler.registry as r; r.registry_entries(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_benchmark_traced_bindings_resolve(monkeypatch):
