@@ -447,6 +447,18 @@ def test_n_quadrature_periodic_route_against_series():
                 assert abs(n_quadrature(alpha, CTX, tol=tol) - ref) < mpf(10) ** -41
 
 
+def test_n_quadrature_periodic_route_keeps_guard_bits():
+    # alpha is taken at 32 bits above the working precision and the sum is
+    # returned unrounded: the error sits ~12 bits below 2^-prec, where
+    # rounding alpha and the result at prec left it at about 2^-prec
+    with workprec(300):
+        for alpha in (mpf("3.3"), _bertin_alphas()[2], mpf(10)):
+            ref = n_series(alpha, CTX, tol=mpf(10) ** -80)
+            for tol, prec in ((mpf("1e-8"), 140), (mpf(10) ** -40, 212)):
+                err = abs(n_quadrature(alpha, CTX, tol=tol) - ref)
+                assert err < mpf(2) ** -(prec + 8), (alpha, tol)
+
+
 def test_quadrature_counts_integrand_calls():
     a1, _, a3 = _bertin_alphas()
     with TermCounter() as periodic:
