@@ -1,6 +1,7 @@
 """What the code relies on in its records: frozen fields, validation,
 defaults and keyword construction, value or identity equality and hashing,
-``LinForm``'s order, ``CurvePoint``'s text, the report's dict and pickling."""
+``LinForm``'s order, ``CurvePoint``'s text, the report's dict and pickling.
+``test_registry.test_hash_contract`` pins the unhashable WZ records."""
 
 import pickle
 from fractions import Fraction
@@ -112,13 +113,6 @@ def test_records_compared_by_identity():
     # a WZ-backed record hashes too, although its lhs does not
     rec = lookup("wz-pair-1")
     assert hash(rec) == object.__hash__(rec) and rec == lookup("wz-pair-1")
-
-
-def test_unhashable_records():
-    pair = builtin_pairs()["pair-3"]
-    for record in (pair.F, pair, wz_verify(pair)):
-        with pytest.raises(TypeError):
-            hash(record)
 
 
 def test_curve_point_text():
