@@ -462,21 +462,20 @@ def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
     """
     tol = mpf(tol)
     prec = max(140, int(-mp.log(tol, 2)) + 80)
-    with workprec(prec + 32):  # alpha and the result at the sums' bits
+    with workprec(prec + 32):  # alpha at the sums' bits
         alpha = to_mpf(alpha)
+    with workprec(prec):
         if alpha < 0:
             raise DomainError("n_quadrature requires alpha >= 0")
 
-        def f(t):
-            return _n_integrand(alpha, t)
-
-        with workprec(prec):
-            if alpha > 3:
-                nodes = prec * log(2) / acosh(2 * alpha ** 3 / 27 - 1)  # N*
-                if nodes < _PERIODIC_MAX_NODES:
-                    _check_root_mags(alpha, [mpf(0), mpf(1) / 6])
-                    return _periodic_trapezoid(
-                        f, _THIRD, mpf(2) ** (-(prec // 2)), nodes)
-            points = [mpf(0)] + _n_breakpoints(alpha) + [mpf(1) / 6]
-            _check_root_mags(alpha, points)
-            return +(6 * _quad_pieces(f, points, tol / 6))
+        if alpha > 3:
+            nodes = prec * log(2) / acosh(2 * alpha ** 3 / 27 - 1)  # N*
+            if nodes < _PERIODIC_MAX_NODES:
+                _check_root_mags(alpha, [mpf(0), mpf(1) / 6])
+                return _periodic_trapezoid(
+                    lambda t: _n_integrand(alpha, t), _THIRD,
+                    mpf(2) ** (-(prec // 2)), nodes)
+        points = [mpf(0)] + _n_breakpoints(alpha) + [mpf(1) / 6]
+        _check_root_mags(alpha, points)
+        return +(6 * _quad_pieces(lambda t: _n_integrand(alpha, t), points,
+                                  tol / 6))
