@@ -20,14 +20,21 @@ taken instead, through the alpha >= 4 branch.  There is a quadrature
 oracle via Jensen's formula in x: with u(t) = alpha + 2 cos(2 pi t) the
 inner integral is arccosh(|u|/2) where |u| >= 2 and zero otherwise.
 
-Both quadrature oracles take, wherever they can, one periodic trapezoidal
-rule: for an even, periodic integrand analytic in the strip |Im t| < a it
-errs by about e^(-2 pi a N/P) at N nodes per period P (Trefethen and
-Weideman, SIAM Review 56, 2014), so it needs about N* nodes, with
+Both quadrature oracles follow one route rule.  Where the integrand is
+even, periodic and analytic they take the periodic trapezoidal rule: for
+an integrand analytic in the strip |Im t| < a it errs by about
+e^(-2 pi a N/P) at N nodes per period P (Trefethen and Weideman, SIAM
+Review 56, 2014), so it needs about N* nodes, with
 e^(-2 pi a N*/P) = 2^-prec.  N doubles from 8, reusing every node, until
-two levels agree to 2^(-prec/2) at a level within 8 bits of N*; the rule is
-taken while N* is below _PERIODIC_MAX_NODES, and tanh-sinh, split at the
-integrand's kinks, otherwise.
+two levels agree to 2^(-prec/2) at a level within 8 bits of N*.  The rule
+is taken while N* is below _PERIODIC_MAX_NODES; otherwise, and wherever
+the integrand has kinks, tanh-sinh runs on pieces split at the kinks,
+bisected wherever a piece's error estimate times the integrand's weight
+exceeds tol/4.  tol sets the working precision, max(140, -log2(tol) + 80)
+bits, and that gate; the value comes out at about that precision, far
+below tol.  alpha is taken at the 32 guard bits of the periodic sums, the
+periodic sum is returned unrounded, and every integrand call counts as
+one term.
 
 For m(alpha), alpha > 4, the integrand arccosh((alpha + 2 cos 2 pi t)/2) is
 even, 1-periodic and analytic; its nearest singularity is where
@@ -67,14 +74,24 @@ at y^3 = Y+ and 1/Y+ with Y+ the larger root of
 Y^2 + (2 - 4 alpha^3/27) Y + 1 = 0.  The trapezoidal rule with N nodes per
 period then errs by about Y+^(-N), so it needs about
 N* = prec log 2/log Y+ nodes, with log Y+ = acosh(2 alpha^3/27 - 1).
-n_quadrature takes the periodic rule while N* is below
-_PERIODIC_MAX_NODES, and tanh-sinh otherwise: for alpha <= 3, and for
-alpha just above 3 (N* is 1,470 at (7 - sqrt 5)/4^(1/3) = 3.0011 and 140
-bits).  On the tanh-sinh route the kinks where a root magnitude
-crosses 1 are located first (bisection on the number of roots outside the
-unit circle, which also sees two roots of equal magnitude crossing
-together) and made interval endpoints, which is what keeps tanh-sinh
-quadrature at full speed.
+Just above 3 N* passes the cap (1,470 at (7 - sqrt 5)/4^(1/3) = 3.0011 and
+140 bits), and n_quadrature takes tanh-sinh there and for every
+alpha <= 3.
+
+For 0 <= alpha <= 3 the integrand has kinks where a root magnitude crosses
+1, at the zeros of P(x, y) = x^3 + y^3 + 1 - alpha x y on the torus
+|x| = |y| = 1, and they are in closed form.  P has real coefficients, so on
+the torus P(x, y) and x^3 y^3 P(1/x, 1/y) vanish together; their
+difference is (1 - u)(u^2 + (1 - alpha) u + 1), u = xy, so u = 1 or
+u = e^(+-i theta) with cos(theta) = (alpha - 1)/2.  Putting x = u/y into
+P = 0 gives Y^2 + (1 - alpha u) Y + u^3 = 0 in Y = y^3, whose roots are
+e^(+-i theta) for u = 1, and u and u^2 otherwise.  So the zeros lie at
+y^3 = e^(+-i theta) and e^(+-2 i theta), t = theta/(6 pi) and
+theta/(3 pi) up to the period 1/3 and sign: 1/18 and 1/9 at alpha = 2,
+where two roots of equal magnitude cross together at 1/18.  For alpha > 3
+theta is not real, and no Y has modulus 1, as the bound above requires.
+Made the ends of the tanh-sinh pieces, the kinks keep tanh-sinh at full
+speed.
 """
 
 from __future__ import annotations
@@ -237,20 +254,10 @@ def m_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
     t in [0, 1] of arccosh(u/2) where u = alpha + 2 cos(2 pi t) > 2, and of
     zero elsewhere (u > -2).
 
-    Route: alpha = 0 is an exact 0.  Above 4 the integrand is even,
-    1-periodic and analytic and, while the predicted node count N* of the
-    module docstring is below _PERIODIC_MAX_NODES, it goes through the
-    periodic trapezoidal rule, which stops once two doublings differ by
-    less than 2^(-prec/2) at a level within 8 bits of N*.  Every other
-    alpha goes through tanh-sinh with weight 2, over [0, 1/2], or over
-    [0, t*] below 4, where the integrand vanishes beyond the u = 2 crossing
-    t* (a square-root kink), bisected wherever a piece's error estimate
-    exceeds tol/4.  Every integrand call counts as one term.
-
-    tol sets the working precision, max(140, -log2(tol) + 80) bits, and
-    the tanh-sinh bisection gate; the value comes out at about that
-    working precision, far below tol.  alpha is taken at the 32 guard bits
-    of the sums, and the periodic route returns its sum unrounded.
+    alpha = 0 is an exact 0.  The route and the role of tol are the module
+    docstring's; the periodic rule runs over one period, and tanh-sinh
+    with weight 2 over [0, 1/2], or over [0, t*] below 4, where the
+    integrand vanishes beyond the u = 2 crossing t* (a square-root kink).
     """
     tol = mpf(tol)
     prec = max(140, int(-mp.log(tol, 2)) + 80)
@@ -282,7 +289,10 @@ def m_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
 def _torus_point(t, prec):
     """y = e^(2 pi i t) and y^3 as raw (cos, sin) pairs at prec bits, each
     from its own exponential of an argument rounded at the working
-    precision, so that 1 + y^3 vanishes exactly at t = 1/6 and t = 1/2."""
+    precision, so that 1 + y^3 vanishes exactly at t = 1/2, and at
+    t = 1/6 rounded at the working precision.  The periodic rule's
+    half-period node is rounded 32 bits below it, where 1 + y^3 is about
+    2^-prec."""
     return (mpf_cos_sin_pi(mpf(2 * t)._mpf_, prec, round_nearest),
             mpf_cos_sin_pi(mpf(6 * t)._mpf_, prec, round_nearest))
 
@@ -305,6 +315,9 @@ def _cubic_root_norms(alpha, t):
                           for c, s in _torus_point(t, bits))
     pr, pi_ = -(a3 * yr >> bits), -(a3 * yi >> bits)  # p/3
     hr, hi = (one + zr) >> 1, zi >> 1  # h
+    if hr == hi == 0:  # x (x^2 + p): 0 and +-sqrt(-p), |p| = alpha |y|
+        n = 3 * a3 << bits
+        return bits, [0, n, n]
     qr, qi = (pr * pr - pi_ * pi_) >> bits, (pr * pi_) >> (bits - 1)
     dr = (hr * hr - hi * hi + qr * pr - qi * pi_) >> bits  # h^2 + (p/3)^3
     di = (2 * hr * hi + qr * pi_ + qi * pr) >> bits
@@ -321,8 +334,6 @@ def _cubic_root_norms(alpha, t):
         ur, ui = -hr - sr, -hi - si
     else:
         ur, ui = sr - hr, si - hi
-    if ur == ui == 0:
-        return bits, [0, 0, 0]
     cr, ci = (to_fixed(x, bits) for x in mpc_cbrt(
         (from_man_exp(ur, -bits), from_man_exp(ui, -bits)), bits))
     n = cr * cr + ci * ci
@@ -343,7 +354,9 @@ def _cubic_root_mags(alpha, t):
 
     With p = -alpha y and h = (1 + y^3)/2 the roots are c w^k - p/(3 c w^k),
     w = e^(2 pi i/3), where c^3 is the larger of -h +- sqrt(h^2 + (p/3)^3)
-    (no cancellation); it vanishes only for the triple root 0.
+    (no cancellation).  Where h = 0 the cubic is x (x^2 + p), and its
+    squared magnitudes 0, |p|, |p| are taken directly, since (p/3)^3
+    underflows the fixed point for tiny alpha; so c^3 never vanishes.
 
     The formula runs on Python integers at F = mp.prec + 32 fractional
     bits: y and y^3 enter as their two exponentials at F bits, floored;
@@ -396,43 +409,23 @@ def _check_root_mags(alpha, points):
                 f"polyroots by {mp.nstr(gap, 3)}")
 
 
-def _n_breakpoints(alpha, grid: int = 64) -> list:
-    """Points of (0, 1/6) where the number of roots outside the unit circle
-    changes, located by bisection.
-
-    Counting sees two roots of equal magnitude crossing |x| = 1 together, as
-    at alpha = 2, t = 1/18, where prod(|root| - 1) keeps its sign.  A change
-    within 2^(-prec/4) of a grid point is put on it: kinks at rational t
-    such as alpha = 1, t = 1/12 fall there, and rounding blurs the count
-    next to a root on |x| = 1.  On the ends 0 and 1/6 (alpha = 3 at t = 0,
-    alpha = 1 at t = 1/6) it is dropped.
-    """
-    def outside(t):
-        return sum(m > 1 for m in _cubic_root_mags(alpha, t))
-
-    end = mpf(1) / 6
-    near = mpf(2) ** (-(mp.prec // 4))
-    pts = [mpf(i) / (6 * grid) for i in range(grid + 1)]
-    counts = [outside(t) for t in pts]
-    found = []
-    for a, b, ca, cb in zip(pts, pts[1:], counts, counts[1:]):
-        if ca == cb:
-            continue
-        lo, hi = a, b
-        for _ in range(mp.prec // 2):
-            mid = (lo + hi) / 2
-            if outside(mid) == ca:
-                lo = mid
-            else:
-                hi = mid
-        t = (lo + hi) / 2
-        if t - a < near:
-            t = a
-        elif b - t < near:
-            t = b
-        if 0 < t < end:
-            found.append(t)
-    return found
+def _n_breakpoints(alpha) -> list:
+    """The kinks of the n(alpha) integrand in (0, 1/6), 0 <= alpha: the
+    zeros of the polynomial on the torus, at y^3 = e^(i theta) and
+    e^(2 i theta), cos(theta) = (alpha - 1)/2 (module docstring), folded by
+    the period 1/3 and evenness.  None for alpha > 3; points within
+    2^(-prec/2) of the ends 0, 1/6 or of each other are dropped."""
+    if alpha > 3:
+        return []
+    gap, end = mpf(2) ** (-(mp.prec // 2)), mpf(1) / 6
+    with extraprec(32):
+        t = acos((alpha - 1) / 2) / (6 * pi)  # y^3 = e^(i theta)
+        s = min(2 * t, 1 / mpf(3) - 2 * t)  # y^3 = e^(2 i theta)
+    pts = []
+    for p in sorted((+t, +s)):
+        if gap < p < end - gap and not (pts and p - pts[-1] < gap):
+            pts.append(p)
+    return pts
 
 
 def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf:
@@ -443,22 +436,11 @@ def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
     (``_cubic_root_mags``).  That integrand has period 1/3 and is even (the
     order-3 symmetry and the conjugation symmetry of the polynomial).
 
-    Route: for alpha > 3 the integrand is analytic (no zero of the
-    polynomial on the torus) and, while the predicted node count N* of the
-    module docstring is below _PERIODIC_MAX_NODES, it goes through the
-    periodic trapezoidal rule, which stops once two doublings differ by
-    less than 2^(-prec/2) at a level within 8 bits of N*; no kink scan is
-    needed.  Every
-    other alpha goes through tanh-sinh over [0, 1/6], weight 6, split at the
-    kinks and bisected wherever a piece's error estimate exceeds tol/24.
-    Either way polyroots cross-checks the closed-form roots at the ends of
-    the pieces (ArithmeticError if they differ by more than 2^(-prec/2)),
-    and every integrand call counts as one term.
-
-    tol sets the working precision, max(140, -log2(tol) + 80) bits, and
-    the tanh-sinh bisection gate; the value comes out at about that
-    working precision, far below tol.  alpha is taken at the 32 guard bits
-    of the sums, and the periodic route returns its sum unrounded.
+    The route and the role of tol are the module docstring's; the
+    periodic rule runs over one period, and tanh-sinh over [0, 1/6] with
+    weight 6, split at the kinks of ``_n_breakpoints``.  Either way
+    polyroots cross-checks the closed-form roots at the ends of the pieces
+    (ArithmeticError if they differ by more than 2^(-prec/2)).
     """
     tol = mpf(tol)
     prec = max(140, int(-mp.log(tol, 2)) + 80)

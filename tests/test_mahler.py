@@ -223,10 +223,10 @@ def test_m_integrand_symmetry():
             assert abs(u1 - u2) < mpf(10) ** -30
 
 
-def test_n_quadrature_breakpoints():
+def test_n_quadrature_breakpoints(monkeypatch):
     # below alpha = 3 the cubic has torus zeros and the integrand has kinks;
     # above 3 (all the catalogued arguments) it is smooth: no breakpoints.
-    # Only (0, 1/6) is scanned: the kinks at 2/9 and 4/9 for alpha = 2 are
+    # Only (0, 1/6) is searched: the kinks at 2/9 and 4/9 for alpha = 2 are
     # the images of 1/9 under t -> 1/3 - t and t -> t + 1/3.  At 1/18 two
     # roots of equal magnitude cross |x| = 1 together (magnitudes 1, 1,
     # sqrt 3), which leaves the sign of prod(|x| - 1) unchanged
@@ -250,6 +250,33 @@ def test_n_quadrature_breakpoints():
             assert abs(got - want) < mpf(10) ** -12
         alpha = (7 - sqrt(mpf(5))) / cbrt(mpf(4))  # just above 3
         assert _n_breakpoints(alpha) == []
+        # the closed form over [0, 3]: increasing points inside (0, 1/6),
+        # each a zero on the torus, so one root magnitude is 1 there
+        gate, exact = mpf(2) ** -70, mpf(2) ** (8 - 140)
+        alphas = [mpf(a) / 2 for a in range(7)] + [mpf("2.9")]
+        found = {}
+        for alpha in alphas:
+            pts = found[alpha] = _n_breakpoints(alpha)
+            ends = [mpf(0)] + pts + [mpf(1) / 6]
+            assert all(a < b for a, b in zip(ends, ends[1:])), alpha
+            for t in pts:
+                mags = _cubic_root_mags(alpha, t)
+                assert min(abs(m - 1) for m in mags) < gate, (alpha, t)
+        # the kinks at rational t are exact, and alpha = 1 has one: the
+        # second zero family meets the torus at the end t = 1/6 there
+        for alpha, want in ((0, [mpf(1) / 9]), (1, [mpf(1) / 12]),
+                            (2, [mpf(1) / 18, mpf(1) / 9]), (3, [])):
+            pts = found[mpf(alpha)]
+            assert len(pts) == len(want), alpha
+            assert all(abs(a - b) < exact for a, b in zip(pts, want)), alpha
+
+        # the kinks come from the closed form alone, with no root solve
+        def solve(alpha, t):
+            raise LookupError("root solve")
+
+        monkeypatch.setattr(mahler, "_cubic_root_norms", solve)
+        for alpha in alphas:
+            assert _n_breakpoints(alpha) == found[alpha]
 
 
 def test_n_integrand_symmetry():
@@ -406,6 +433,20 @@ def test_cubic_root_mags_triple_root():
         assert abs(n_quadrature(0, CTX) - _smyth()) < mpf(10) ** -8
 
 
+def test_n_quadrature_small_alpha():
+    # at t = 1/6, 1 + y^3 = 0 and the cubic is x (x^2 - alpha y), with
+    # roots 0 and +-sqrt(alpha y): for tiny alpha (p/3)^3 underflows the
+    # fixed point, so Cardano's formula would give the triple root 0 and the
+    # polyroots cross-check would raise
+    ref = n_quadrature(0, CTX)
+    with workprec(140):
+        for alpha in (mpf("1e-20"), mpf("1e-30"), mpf("1e-40")):
+            want = [0, sqrt(alpha), sqrt(alpha)]
+            got = sorted(_cubic_root_mags(alpha, mpf(1) / 6))
+            assert max(abs(a - b) for a, b in zip(got, want)) < mpf(2) ** -70
+            assert abs(n_quadrature(alpha, CTX) - ref) < mpf(10) ** -30
+
+
 def test_n_series_against_quadrature():
     with workprec(300):
         a1, a2, a3 = _bertin_alphas()
@@ -474,11 +515,11 @@ def test_quadrature_counts_integrand_calls():
 
 
 def test_n_quadrature_route_rule(monkeypatch):
-    # the kink scan runs on the tanh-sinh route only: alpha <= 3, and
+    # the kinks are found on the tanh-sinh route only: alpha <= 3, and
     # alpha2 = 3.0011, whose predicted periodic node count is above the
     # crossover, as is N* ~ 1,034 at alpha = 3.0022; N* ~ 1,003 at
     # alpha = 3.00234 is below it
-    def scan(alpha, grid=64):
+    def scan(alpha):
         raise LookupError("kink scan")
 
     monkeypatch.setattr(mahler, "_n_breakpoints", scan)
