@@ -5,8 +5,9 @@
     wzmahler all [--filter S] [--jobs N] [--bits N] [--format json|text]
 
 Exit codes: 0 all pass, 1 at least one non-conjectural FAIL, UNRESOLVED
-or ERROR, 2 usage error or unknown id (a --filter that matches no id, and
---tol on ``verify`` of an exact entry, are usage errors).
+or ERROR, 2 usage error or unknown id (a --filter that matches no id,
+--tol where every entry to run is exact, and --quiet with --format json
+are usage errors).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from mpmath import isfinite, mpf
 
 from .context import DEFAULT_CTX, DomainError, PrecisionCtx
 from .registry import (KIND_CONJECTURAL, CheckReport, exit_code, lookup,
-                       registry_entries, reports_to_json, run_all, run_check)
+                       matching, registry_entries, reports_to_json, run_all,
+                       run_check)
 
 
 _DEFAULTS = {"bits": DEFAULT_CTX.bits, "tol": None,
@@ -30,8 +32,10 @@ def _add_common(parser):
     # flags are accepted both before and after the subcommand; every copy
     # defaults to SUPPRESS, so the parsed namespace holds the flags given
     parser.add_argument("--bits", type=int, default=argparse.SUPPRESS,
-                        help="working mantissa precision; inner tolerances follow it "
-                             f"(default {DEFAULT_CTX.bits})")
+                        help="working mantissa precision (default "
+                             f"{DEFAULT_CTX.bits}); the lattice sums and closed "
+                             "forms follow it, the series sides keep their fixed "
+                             "inner tolerances")
     parser.add_argument("--tol", type=str, default=argparse.SUPPRESS,
                         help="override the per-entry acceptance tolerance; changes "
                              "statuses only")
@@ -98,6 +102,8 @@ def main(argv=None) -> int:
         return _usage_error("--jobs applies only to 'all'")
     if args.jobs is not None and args.jobs < 1:
         return _usage_error("--jobs must be at least 1")
+    if args.quiet and args.format == "json":
+        return _usage_error("--quiet applies only to text output")
 
     if args.command == "list":
         for rec in registry_entries():
@@ -129,10 +135,14 @@ def main(argv=None) -> int:
         reports = [run_check(args.id, ctx, tol_override=tol)]
         code = exit_code(reports)
     else:
+        records = matching(args.filter)
+        if not records:
+            return _usage_error(f"--filter {args.filter!r} matches no identity id")
+        if tol is not None and all(rec.tol is None for rec in records):
+            return _usage_error("--tol does not apply: every matched entry is "
+                                "an exact check")
         reports, code = run_all(filter=args.filter, jobs=args.jobs or 1,
                                 ctx=ctx, tol_override=tol)
-        if not reports:
-            return _usage_error(f"--filter {args.filter!r} matches no identity id")
 
     if args.format == "json":
         print(reports_to_json(reports))

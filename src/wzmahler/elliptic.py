@@ -21,13 +21,14 @@ decay like (|z0||q|)^k.  Both half-sums of that series run in one loop on
 Python integers at a fixed-point precision derived from the working
 precision and the number of terms, as mpmath's own libmp series do, so a
 lattice sum costs about a millisecond at 256 bits.  The n = 0 term is one
-Bloch-Wigner call, memoised per (exact z0, context).
+Bloch-Wigner call.  The periods, D and the lattice sums are memoised for
+the process on their exact arguments (``series.shared``), since the
+registry checks each identity in two forms that meet the same sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from typing import NamedTuple
 
 from mpmath import (acos, ceil, cos, exp, floor, im, log, mp, mpc, mpf, nint,
@@ -38,7 +39,7 @@ from .context import (DEFAULT_CTX, ComplexRootsUnsupportedError,
                       ConvergenceError, DomainError, LatticePoleError,
                       PrecisionCtx, SingularCurveError, to_mpf)
 from .numkernel import GUARD_D, _stop_index, agm, bloch_wigner
-from .series import count_terms
+from .series import count_terms, shared
 
 
 # The fields of EllipticCurve, whose __new__ rejects a singular curve.
@@ -166,9 +167,10 @@ class Periods(NamedTuple):
     roots: tuple[mpf, mpf, mpf]
 
 
-@cache
+@shared
 def periods(curve: EllipticCurve, ctx: PrecisionCtx = DEFAULT_CTX) -> Periods:
-    """The periods of ``curve`` at ``ctx``, memoised per (curve, ctx)."""
+    """The periods of ``curve`` at ``ctx``, memoised per (curve, ctx)
+    (``series.shared``)."""
     if curve.discriminant < 0:
         raise ComplexRootsUnsupportedError(
             "negative discriminant: one real root; not supported")
@@ -256,13 +258,7 @@ def _half_sum_difference(z: mpc, q: mpf, k_up: int, k_down: int,
     return mpf((total, -prec))
 
 
-@cache
-def _bloch_wigner_at(z: tuple, ctx: PrecisionCtx) -> mpf:
-    """D(z) for the exact ``_mpc_`` value z, memoised per context: the
-    registry's lattice sums meet the same few points z0 again and again."""
-    return bloch_wigner(mp.make_mpc(z), ctx)
-
-
+@shared
 def lattice_dilog_sum(z0, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """Two-sided sum_{n in Z} D(z0 q^n) for real q in (-1, 1), z0 != 0.
 
@@ -291,11 +287,12 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     P = w + the bit length of 64 K C/((1-r)(1-|q|)^3), with w the working
     precision (bits + 64), keeps the summed rounding error below 2^-w,
     far below 2^-(bits + GUARD_D).  The n = 0 term D(z0) is one
-    Bloch-Wigner call, memoised on (the exact z0 at the working precision,
-    ctx), because the registry's lattice sums meet the same few points
-    again and again.
-    It counts k_up + k_down + 1 terms, D(z0) included (1 for a real z0),
-    toward the open ``series.TermCounter``.
+    Bloch-Wigner call.
+
+    The sum is memoised on its exact (z0, q, ctx) by ``series.shared``: the
+    registry sums (i, 1/10) three times and each curve's nome twice.  Every
+    call, a memo hit too, counts k_up + k_down + 1 terms, D(z0) included
+    (1 for a real z0), toward the open ``series.TermCounter``.
     """
     with ctx.workprec(32):
         q = to_mpf(q)
@@ -321,7 +318,7 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         prec = mp.prec + int(ceil(bound)).bit_length()
         half = _half_sum_difference(z, q, k_up, k_down, prec)
         count_terms(k_up + k_down + 1)
-        return +(_bloch_wigner_at(z._mpc_, ctx) + half)
+        return +(bloch_wigner(z, ctx) + half)
 
 
 def elliptic_dilog(curve: EllipticCurve, loc: tuple,

@@ -110,7 +110,8 @@ from mpmath.libmp import (from_man_exp, from_rational, mpc_cbrt,
 from .context import (DEFAULT_CTX, DomainError, PrecisionCtx,
                       QuadratureBudgetError, SlowConvergenceWarning, to_mpf)
 from .numkernel import lambda_series
-from .series import as_ratio, count_terms, ratio_series, sum_geometric
+from .series import (as_ratio, count_terms, ratio_series, shared,
+                     sum_geometric)
 
 # Largest predicted node count N* for which m_quadrature and n_quadrature
 # take the periodic trapezoidal rule.  The rule stops at a level within 8
@@ -139,7 +140,9 @@ def _gap_below_four(eps) -> mpf:
 def m_series(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
     """m(alpha) by the branch-appropriate series: log(alpha) minus half of
     Lambda_{1/2}(16/alpha^2) for alpha >= 4, the binomial series of m(4r)
-    below 4, unless m(4) is within tol/2 of m(alpha)."""
+    below 4, unless m(4) is within tol/2 of m(alpha).  The series is
+    memoised on (alpha, tol, ctx) (``series.shared``); the warning for the
+    band just below 4 is given on every call."""
     with ctx.workprec(32):
         alpha = to_mpf(alpha)
         if alpha <= 0:
@@ -147,15 +150,21 @@ def m_series(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
         tol = mpf(tol) if tol is not None else min(ctx.default_tol, mpf(10) ** -40)
         if alpha < 4 and _gap_below_four(1 - alpha / 4) <= tol / 2:
             alpha, tol = mpf(4), tol / 2
+        if 0 < 4 - alpha < mpf("1e-3"):
+            warnings.warn("alpha within 1e-3 below the branch point 4; series "
+                          "converges like 1/n^2", SlowConvergenceWarning)
+    return _m_series(alpha, tol, ctx)
+
+
+@shared
+def _m_series(alpha: mpf, tol: mpf, ctx: PrecisionCtx) -> mpf:
+    with ctx.workprec(32):
         if alpha >= 4:
             with ctx.workprec(64):
                 z = 16 / alpha ** 2
             lam = lambda_series(_HALF, z, ctx, tol=tol)
             return +(log(alpha) - lam / 2)
         rsq = (alpha / 4) ** 2
-        if 4 - alpha < mpf("1e-3"):
-            warnings.warn("alpha within 1e-3 below the branch point 4; series "
-                          "converges like 1/n^2", SlowConvergenceWarning)
         a, b = as_ratio(alpha)  # r = alpha/4 = a/(4b)
         terms = ratio_series(  # C(2n,n)^2 (r/4)^(2n) r/(2n+1)
             lambda n: ((2 * n - 1) ** 2 * a * a, 64 * n * n * b * b),
@@ -179,8 +188,10 @@ def rv_series(x, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
         return lambda_series(_THIRD, 27 * to_mpf(x), ctx, tol=tol)
 
 
+@shared
 def n_series(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
-    """n(alpha) = log(alpha) - rv_series(alpha^-3)/3 for alpha > 3.
+    """n(alpha) = log(alpha) - rv_series(alpha^-3)/3 for alpha > 3,
+    memoised on its arguments (``series.shared``).
 
     The error is at most tol/3.
     """

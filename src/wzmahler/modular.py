@@ -6,7 +6,8 @@ Signature 3 is Ramanujan's alternative theory built on 2F1(1/3,2/3;1;.)
 (Berndt, Bhargava and Garvan, "Ramanujan's theories of elliptic functions
 to alternative bases", 1995).  Its nome comes from Borwein's cubic AGM
 (``numkernel.agm3``), as ``elliptic.periods`` takes the signature-2 nome
-from the classical one.
+from the classical one.  phi(q) and a(q)/b(q) are memoised for the process
+on their exact arguments (``series.shared``).
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from mpmath import cbrt, ceil, exp, log, mpf, pi, sqrt
 
 from .context import DEFAULT_CTX, DomainError, PrecisionCtx, to_mpf
 from .numkernel import agm3
+from .series import shared
 
 
+@shared
 def phi_theta(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """phi(q) = theta3(q) = sum_{n in Z} q^(n^2), |q| < 1, to within
     2^-(bits+16)."""
@@ -47,6 +50,7 @@ def _theta3_and_s(x, eps):
         xn *= x
 
 
+@shared
 def cubic_theta_ratio(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """a(q)/b(q) = x(q)^(1/3) for |q| < 1, in Borwein's cubic theta functions
     (Borwein and Borwein, Trans. AMS 323, 1991):

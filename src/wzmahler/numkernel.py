@@ -16,13 +16,13 @@ Each docstring bounds the loop's rounding error in units of its last
 fractional bit; the guard bits above the working precision are the bit
 length of that bound, so the loop rounds below one unit of the working
 precision.  The Bernoulli numbers come exactly from a table of tangent
-numbers that grows on demand.
+numbers that grows on demand.  Gamma, D and Lambda_s(1) are memoised for
+the process on their exact arguments (``series.shared``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from threading import Lock
 
 from mpmath import (arg, cbrt, ceil, expjpi, isint, log, mp, mpc, mpf, pi,
@@ -32,12 +32,13 @@ from mpmath import zeta as _mp_zeta
 
 from .context import (DEFAULT_CTX, ConvergenceError, DivergentSeriesError,
                       DomainError, PoleError, PrecisionCtx, to_mpf)
-from .series import (as_ratio, count_terms, ratio_series, sum_geometric,
-                     to_fixed)
+from .series import (as_ratio, count_terms, ratio_series, shared,
+                     sum_geometric, to_fixed)
 
 GUARD_D = 24  # extra bits sought from D and the lattice sums beyond ctx.bits
 
 
+@shared
 def gamma_real(x, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """Gamma(x) for real x, PoleError at non-positive integers."""
     with ctx.workprec():
@@ -123,6 +124,7 @@ def _stop_index(r: mpf, c: mpf, eps: mpf, max_terms: int, budget: str) -> int:
     return k
 
 
+@shared
 def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """Bloch-Wigner dilogarithm D(z) = Im Li2(z) + arg(1-z) log|z|.
 
@@ -216,7 +218,7 @@ def _kernel_s(s) -> Fraction:
     return s
 
 
-@cache
+@shared
 def _lambda_at_one(s: Fraction, prec: int) -> mpf:
     """Lambda_s(1) = h_0 - w D(z0)/pi: 3 log 3 - 9 D(e^(i pi/3))/pi and
     2 log 4 - 8 D(i)/pi, from n(3) = 3 D(e^(i pi/3))/pi and m(4) = 4G/pi."""

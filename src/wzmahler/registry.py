@@ -483,6 +483,12 @@ def lookup(ident: str) -> IdentityRecord | None:
     return _by_id().get(ident)
 
 
+def matching(filter: str | None = None) -> list[IdentityRecord]:
+    """The records whose id contains ``filter`` (every one without it), in
+    registry order."""
+    return [rec for rec in _by_id().values() if not filter or filter in rec.id]
+
+
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
@@ -573,7 +579,7 @@ def run_all(filter: str | None = None, jobs: int = 1,
     """Run matching entries; returns the reports sorted by id and their
     ``exit_code``."""
     # the id index, built here so that forked pool workers inherit it
-    ids = [i for i in _by_id() if not filter or filter in i]
+    ids = [rec.id for rec in matching(filter)]
     if jobs > 1 and len(ids) > 1:
         # imported here: it is a tenth of the registry's import time
         from concurrent.futures import ProcessPoolExecutor

@@ -23,13 +23,15 @@ working precision, sum the integers and round once to an mpf:
 
 Every summation reports the terms it used through ``count_terms`` to the
 innermost open ``TermCounter``, which also collects the notes of ``note``.
+``shared`` memoises a quantity for the process and charges its stored count
+and notes to every caller.
 """
 
 from __future__ import annotations
 
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import cache
+from functools import cache, wraps
 from itertools import count, islice
 from math import ceil, comb, factorial
 from operator import mul
@@ -80,6 +82,38 @@ def note(text: str) -> None:
     counter = _ACTIVE.get()
     if counter is not None:
         counter.notes.append(text)
+
+
+def shared(fn: Callable) -> Callable:
+    """Memoise ``fn`` for the life of the process on its exact arguments.
+
+    The key is the call's positional and keyword arguments as given: mpf,
+    mpc, Fraction, int and PrecisionCtx hash and compare by value, so the
+    key holds each argument's exact value and the context's bits and
+    max_terms.  On a miss ``fn`` runs inside a fresh ``TermCounter``, and
+    its value, term count and notes are stored; an exception is not.  On
+    every call, hit or miss, the stored count and notes go to the caller's
+    open counter, so what a caller is charged does not depend on which
+    call came first.  ``cache_clear()`` empties the memo.
+    """
+    memo = {}
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        key = (args, tuple(kwargs.items()))
+        hit = memo.get(key)
+        if hit is None:
+            with TermCounter() as scope:
+                value = fn(*args, **kwargs)
+            hit = memo[key] = (value, scope.count, tuple(scope.notes))
+        value, n, notes = hit
+        count_terms(n)
+        for text in notes:
+            note(text)
+        return value
+
+    call.cache_clear = memo.clear
+    return call
 
 
 def as_ratio(x) -> tuple[int, int]:

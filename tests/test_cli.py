@@ -122,10 +122,16 @@ def test_usage_error():
                                   ["--quiet", "list"],
                                   ["list", "--quiet"],
                                   ["--tol", "1e-5", "verify", "wz-pair-1"],
-                                  ["verify", "torsion-orders", "--tol", "1e-5"]])
+                                  ["verify", "torsion-orders", "--tol", "1e-5"],
+                                  ["--tol", "1e-5", "all"],
+                                  ["--quiet", "--format", "json", "all"],
+                                  ["verify", "wz-pair-1", "--format", "json",
+                                   "--quiet"]])
 def test_bad_flag_values_are_usage_errors(capsys, argv):
     # a value the run cannot honour is refused with one line on stderr
-    # and exit code 2, before any check runs
+    # and exit code 2, before any check runs: --tol under 'all' where every
+    # matched entry is exact, and --quiet, which only the text output has,
+    # with --format json
     assert main(argv + (["--filter", "torsion"] if "all" in argv else [])) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -142,6 +148,17 @@ def test_all_filter_matching_nothing_is_a_usage_error(capsys):
 
 def test_tol_under_all_skips_exact_entries(capsys):
     # under 'all', --tol applies to the numeric entries and leaves the
-    # exact ones alone
-    assert main(["--tol", "1e-5", "all", "--filter", "torsion"]) == 0
-    assert "PASS" in capsys.readouterr().out
+    # exact ones alone: "rs" matches rs-param and torsion-orders
+    assert main(["--tol", "1e-5", "--format", "json", "all", "--filter", "rs"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [(r["id"], r["status"]) for r in reports] == \
+        [("rs-param", "PASS"), ("torsion-orders", "PASS")]
+
+
+def test_bits_help_does_not_claim_inner_tolerances_follow_it(capsys):
+    # the m(alpha), n(alpha) and hypergeometric sides keep fixed inner
+    # tolerances whatever --bits is
+    assert main(["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "inner tolerances follow" not in text
+    assert "series sides keep their fixed inner tolerances" in text

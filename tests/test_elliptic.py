@@ -12,10 +12,9 @@ from wzmahler import (ComplexRootsUnsupportedError, ConvergenceError,
                       DomainError, PrecisionCtx, SingularCurveError)
 from wzmahler.context import to_mpf
 from wzmahler.elliptic import (INFINITY, CurvePoint, EllipticCurve,
-                               _bloch_wigner_at, curve_from_family,
-                               elliptic_dilog, is_on_curve, lattice_dilog_sum,
-                               periods, point_add, point_mul, point_neg,
-                               point_order, wp)
+                               curve_from_family, elliptic_dilog, is_on_curve,
+                               lattice_dilog_sum, periods, point_add, point_mul,
+                               point_neg, point_order, wp)
 from wzmahler.numkernel import GUARD_D, bloch_wigner
 from wzmahler.series import TermCounter
 
@@ -348,23 +347,45 @@ def test_lattice_sum_index_shift_invariance(name, q):
 
 
 def test_lattice_sum_memoises_d_of_z0():
-    # D(z0) is memoised on (the exact z0 at the working precision, ctx):
-    # a repeated sum is the identical mpf, the memo holds an uncached D(z0)
-    # bit for bit, and another precision or another ctx gets its own entry.
-    # i is exact at every precision, so only ctx tells its keys apart
+    # the sum and D(z0) are memoised on their exact arguments, ctx included:
+    # a repeated sum is the identical mpf and charges the same terms, the
+    # memo of D holds an uncached D(z0) bit for bit, and 256 and 512 bits,
+    # or another max_terms, get entries of their own.  i is exact at every
+    # precision, so only ctx tells the keys apart
     z, q = mpc(0, 1), mpf(1) / 10
     ctx256, ctx512 = PrecisionCtx(bits=256), PrecisionCtx(bits=512)
-    first = lattice_dilog_sum(z, q, ctx256)
-    assert lattice_dilog_sum(z, q, ctx256)._mpf_ == first._mpf_
-    memo = {ctx: _bloch_wigner_at(z._mpc_, ctx) for ctx in (ctx256, ctx512)}
+    counts, values = [], []
+    for _ in range(2):
+        with TermCounter() as counter:
+            values.append(lattice_dilog_sum(z, q, ctx256))
+        counts.append(counter.count)
+    assert values[0] is values[1] and counts[0] == counts[1] > 1
+    memo = {ctx: bloch_wigner(z, ctx) for ctx in (ctx256, ctx512)}
+    bloch_wigner.cache_clear()
+    lattice_dilog_sum.cache_clear()
     for ctx, val in memo.items():
         assert val._mpf_ == bloch_wigner(z, ctx)._mpf_
     assert memo[ctx256] != memo[ctx512]
+    at512 = lattice_dilog_sum(z, q, ctx512)
+    assert at512 != values[0] and abs(at512 - values[0]) < mpf(2) ** -256
+    assert lattice_dilog_sum(z, q, ctx256) == values[0]
     other = PrecisionCtx(bits=256, max_terms=400_001)
-    misses = _bloch_wigner_at.cache_info().misses
-    for _ in range(2):
-        assert lattice_dilog_sum(z, q, other) == first
-        assert _bloch_wigner_at.cache_info().misses == misses + 1
+    again = lattice_dilog_sum(z, q, ctx256)
+    assert lattice_dilog_sum(z, q, other) == again
+    assert lattice_dilog_sum(z, q, other) is not again
+
+
+def test_lattice_sum_failure_is_not_memoised():
+    # q = 1/10 at 256 bits needs about 85 expansion terms on each side: the
+    # budget of 60 fails before and after the default budget succeeds
+    short = PrecisionCtx(max_terms=60)
+    z, q = mpc(0, 1), mpf(1) / 10
+    lattice_dilog_sum.cache_clear()
+    with pytest.raises(ConvergenceError):
+        lattice_dilog_sum(z, q, short)
+    assert lattice_dilog_sum(z, q) != 0
+    with pytest.raises(ConvergenceError):
+        lattice_dilog_sum(z, q, short)
 
 
 def test_lattice_sum_domain_and_budget():

@@ -83,6 +83,19 @@ def test_domain_and_warnings():
                 pass  # the warning is the contract; convergence may still fail
 
 
+def test_slow_convergence_warning_on_every_call():
+    # the warning is given outside the memo of the series: the second call,
+    # a memo hit, warns as the first did and charges the same terms
+    alpha, tol = mpf("3.9991"), mpf(10) ** -8
+    mahler._m_series.cache_clear()
+    runs = []
+    for _ in range(2):
+        with pytest.warns(SlowConvergenceWarning), TermCounter() as counter:
+            runs.append((m_series(alpha, CTX, tol=tol), counter.count))
+    (first, count), (second, again) = runs
+    assert second is first and count == again > 10_000
+
+
 def test_gap_below_four_bounds_quadrature():
     # m(4) - m(4(1 - eps)) by the Jensen quadrature lies below the bound of
     # m_series's shortcut to m(4), and above 80% of it

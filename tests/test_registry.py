@@ -3,7 +3,10 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import cbrt, log, mp, mpf, sqrt, workprec
@@ -241,6 +244,31 @@ def test_run_all_jobs_parity():
                       for key in theirs[ident] if key not in row]
             assert not moved, f"{ident} differs from the {name} report " \
                 f"(ours vs {name}): " + "; ".join(moved)
+
+
+def test_reports_do_not_depend_on_entry_order():
+    """The quantities memoised for the process (``series.shared``) charge
+    their terms and notes to every entry that uses them, so no report
+    depends on which entry met them first.  In a fresh process, run_check
+    over the ids in reverse registry order, from a cold memo, gives every
+    report of the run_all that follows it and of the checked-in report
+    (elapsed_ms aside)."""
+    code = ("import json\n"
+            "from wzmahler.registry import registry_entries, run_all, run_check\n"
+            "ids = [rec.id for rec in registry_entries()]\n"
+            "rev = [run_check(i).to_dict() for i in reversed(ids)]\n"
+            "fwd = [rep.to_dict() for rep in run_all()[0]]\n"
+            "print(json.dumps([len(ids), rev, fwd]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(registry.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    count, rev, fwd = json.loads(out)
+    for row in rev + fwd:
+        del row["elapsed_ms"]
+    with open(GOLDEN.format(bits=256)) as fh:
+        golden = json.load(fh)["reports"]
+    assert count == len(rev) == len(MINIMUM_IDS)
+    assert sorted(rev, key=lambda row: row["id"]) == fwd == golden
 
 
 def test_claims_beyond_the_precision_are_unresolved():

@@ -9,9 +9,9 @@ import pytest
 from mpmath import ldexp, mpf, pi, richardson, workprec
 
 from wzmahler.context import ConvergenceError
-from wzmahler.series import (GUARD, TermCounter, as_ratio, count_terms,
+from wzmahler.series import (GUARD, TermCounter, as_ratio, count_terms, note,
                              ratio_series, richardson_estimate, richardson_sum,
-                             sum_geometric, to_fixed)
+                             shared, sum_geometric, to_fixed)
 
 # 1 + 1/2 + 1/4 + ...
 _halving = ratio_series(lambda n: (1, 2), lambda n: (1, 1))
@@ -189,3 +189,36 @@ def test_outer_counter_restored_after_exception():
                 sum_geometric(_halving, mpf(10) ** -30, ratio=0.5, max_terms=20)
         count_terms(3)
     assert (outer.count, inner.count) == (3, 2)
+
+
+def test_shared_charges_every_caller_the_same():
+    # a memo hit replays the stored terms and notes into the caller's open
+    # counter, so two separate counters see the same; outside any counter
+    # the replay is dropped, and the stored tally stays the miss's own
+    runs = []
+
+    @shared
+    def quantity(x, *, scale=1):
+        runs.append(x)
+        count_terms(3)
+        with TermCounter():  # an inner scope keeps its own tally
+            count_terms(100)
+        note(f"quantity at {x}")
+        return scale * sum_geometric(_halving, mpf(10) ** -10, ratio=0.5)
+
+    quantity(mpf(2))
+    tallies = []
+    for _ in range(2):
+        with TermCounter() as counter:
+            value = quantity(mpf(2))
+        tallies.append((counter.count, counter.notes))
+    assert runs == [2]
+    assert tallies[0] == tallies[1] and tallies[0][0] > 3
+    assert tallies[0][1] == ["quantity at 2.0"]
+    # keys are the exact arguments: an equal value of another type hits, a
+    # keyword or another value misses
+    assert quantity(Fraction(2)) is value and quantity(2) is value
+    assert quantity(mpf(2), scale=2) == 2 * value and quantity(mpf(3))
+    assert runs == [2, 2, 3]
+    quantity.cache_clear()
+    assert quantity(mpf(2)) == value and runs == [2, 2, 3, 2]
