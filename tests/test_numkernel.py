@@ -5,11 +5,12 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from mpmath import (arg, asin, bernfrac, catalan, cbrt, clsin, exp, hyp2f1,
-                    hyper, im, log, mp, mpc, mpf, pi, polylog, sin, sqrt,
-                    workprec)
+from mpmath import (arg, asin, bernfrac, catalan, cbrt, clsin, exp, gamma,
+                    hyp2f1, hyper, im, log, mp, mpc, mpf, pi, polylog, sin,
+                    sqrt, workprec)
 
 from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
                       PoleError, PrecisionCtx, agm, bloch_wigner, gamma_real,
@@ -48,11 +49,58 @@ def test_gamma_recurrence_and_reflection():
             x = mpf(rng.uniform(0.05, 6.0))
             assert abs(gamma_real(x + 1, CTX) - x * gamma_real(x, CTX)) \
                 < TOL * gamma_real(x + 1, CTX)
-        # reflection on non-integer x in (0, 1)
+        # reflection on non-integer x in (0, 1): below 1/2 this is the
+        # kernel's own route, so only test_gamma_matches_mpmath checks it
         for _ in range(40):
             x = mpf(rng.uniform(0.02, 0.98))
             lhs = gamma_real(x, CTX) * gamma_real(1 - x, CTX)
             assert abs(lhs - pi / sin(pi * x)) < TOL * abs(lhs)
+
+
+def test_gamma_matches_mpmath():
+    # mpmath's gamma as the oracle, 64 bits above the working precision
+    # W = bits + 32: every branch is within the docstring's 5/4 units of
+    # 2^-W relative, and a positive integer gives its factorial exactly
+    for bits in (64, 256, 512, 1024):
+        ctx, big_w = PrecisionCtx(bits=bits), bits + 32
+        with workprec(big_w):
+            h = mpf(2) ** -40
+            points = [mpf("1e-30"), mpf(1) / 4, mpf(1) / 3, mpf(1) / 2,
+                      mpf(5) / 6, 1 + h, mpf("2.5"), mpf("7.3"), mpf("150.3"),
+                      mpf(10) ** 6 + mpf(1) / 2, mpf("-2.5"), -3 + h]
+        for x in points:
+            with workprec(big_w + 64):
+                ref = gamma(x)
+                bound = mpf(5) / 4 * 2 ** -big_w * abs(ref)
+                assert abs(gamma_real(x, ctx) - ref) <= bound
+        for n in range(1, 26):
+            assert gamma_real(n, ctx) == factorial(n - 1)
+
+
+def test_gamma_budget():
+    # K is the least with |B_(2K+2)|/((2K+2)(2K+1)) z0^-(2K+1) below
+    # 2^-(W + 8), z0 = W//4; max_terms = K is enough, and an integer sums
+    # no series
+    for bits, terms in ((256, 36), (512, 66)):
+        big_w = bits + 32
+        k = 1
+        while abs(Fraction(*bernfrac(2 * k + 2))) * 2 ** (big_w + 8) \
+                >= (2 * k + 2) * (2 * k + 1) * (big_w // 4) ** (2 * k + 1):
+            k += 1
+        assert k == terms
+        x = mpf("2.5")
+        ref = gamma_real(x, PrecisionCtx(bits=bits))
+        assert gamma_real(x, PrecisionCtx(bits=bits, max_terms=k)) == ref
+        with pytest.raises(ConvergenceError, match="Stirling"):
+            gamma_real(x, PrecisionCtx(bits=bits, max_terms=k - 1))
+    tiny = PrecisionCtx(max_terms=1)
+    for x in (mpf("0.25"), mpf("7.3"), mpf("-2.5")):
+        with pytest.raises(ConvergenceError):
+            gamma_real(x, tiny)
+    with TermCounter() as counter:
+        assert gamma_real(5, tiny) == 24
+        gamma_real(mpf("7.3"), CTX)
+    assert counter.count == 0
 
 
 def test_bloch_wigner_matches_polylog():

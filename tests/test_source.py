@@ -144,6 +144,20 @@ def test_startup_imports_neither_dataclasses_nor_inspect():
     assert out.strip() == "[]"
 
 
+def test_registry_builds_no_mpmath_gamma_table():
+    # gamma_real sums Stirling's series on the tangent numbers: mpmath's
+    # gamma would build its Taylor table for 1/Gamma at each precision
+    code = ("from mpmath.libmp import gammazeta; "
+            "from wzmahler.context import PrecisionCtx; "
+            "from wzmahler.registry import run_all; "
+            "[run_all(ctx=PrecisionCtx(bits=b)) for b in (256, 512)]; "
+            "print(sorted(gammazeta.gamma_taylor_cache))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_benchmark_traced_bindings_resolve(monkeypatch):
     # perfbench's tracer rebinds each (module, attr) of TRACED with getattr,
     # so a refactor that drops one of these names would crash a traced
