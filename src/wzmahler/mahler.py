@@ -18,7 +18,9 @@ terms (1,429 at alpha = 3.9 and 11,099 at 3.99 for tol 1e-30).  Where
 m(4) is provably within tol/2 of m(alpha) (``_gap_below_four``), m(4) is
 taken instead, through the alpha >= 4 branch.  There is a quadrature
 oracle via Jensen's formula in x: with u(t) = alpha + 2 cos(2 pi t) the
-inner integral is arccosh(|u|/2) where |u| >= 2 and zero otherwise.
+inner integral is arccosh(|u|/2) where |u| >= 2 and zero otherwise, taken
+as log(w + sqrt(w^2 - 1)), w = u/2, with an integer square root and one
+logarithm per node.
 
 Both quadrature oracles follow one route rule.  Where the integrand is
 even, periodic and analytic they take the periodic trapezoidal rule: for
@@ -32,9 +34,12 @@ the integrand has kinks, tanh-sinh runs on pieces split at the kinks,
 bisected wherever a piece's error estimate times the integrand's weight
 exceeds tol/4.  tol sets the working precision, max(140, -log2(tol) + 80)
 bits, and that gate; the value comes out at about that precision, far
-below tol.  alpha is taken at the 32 guard bits of the periodic sums, the
-periodic sum is returned unrounded, and every integrand call counts as
-one term.
+below tol.  The periodic rule's nodes y = e^(2 pi i t) are the exact
+t = k P/N up to a few units of 2^-(prec + 64): they come from a table of
+roots of unity on integers, one exponential per level and one complex
+integer product per node, and the integrands take y itself.  alpha is
+taken at the 32 guard bits of the periodic sums, the periodic sum is
+returned unrounded, and every integrand call counts as one term.
 
 For m(alpha), alpha > 4, the integrand arccosh((alpha + 2 cos 2 pi t)/2) is
 even, 1-periodic and analytic; its nearest singularity is where
@@ -55,11 +60,13 @@ through the same kernel, and a quadrature oracle for every alpha >= 0: the
 cubic in x is monic, so Jensen gives the sum of log+ of its root
 magnitudes, which Cardano's formula gives in closed form at each node.
 The formula runs on Python integers at 32 bits above the working
-precision, with one mpmath cube root and, for the integrand, one
-logarithm of the product of the squared magnitudes above 1; the node
-values and the trapezoidal sums keep those 32 bits.  mpmath's polyroots
-cross-checks the closed form at the ends of every quadrature piece.  The
-polynomial is
+precision: y^3 comes from two integer products at the periodic rule's
+table nodes, and from its own exponential on the tanh-sinh route; the
+cube root is Newton's iteration on integers from a float seed; and the
+integrand makes one logarithm, of the product of the squared magnitudes
+above 1.  The node values and the trapezoidal sums keep those 32 bits.
+mpmath's polyroots cross-checks the closed form at the ends of every
+quadrature piece.  The polynomial is
 invariant under (x, y) -> (w^2 x, w y), w = e^(2 pi i/3), and under complex
 conjugation, so that integrand has period 1/3 in t (y = e^(2 pi i t)) and
 is even: n(alpha) is 6 times its integral over [0, 1/6].  Near alpha = 3
@@ -99,13 +106,12 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, ldexp
 
-from mpmath import (acos, acosh, cospi, extraprec, log, mp, mpf, pi, polyroots,
-                    quad, workprec)
-from mpmath.libmp import (from_man_exp, from_rational, mpc_cbrt,
-                          mpf_cos_sin_pi, mpf_log, mpf_shift, round_nearest,
-                          to_fixed)
+from mpmath import (acos, acosh, extraprec, log, mp, mpf, pi, polyroots, quad,
+                    workprec)
+from mpmath.libmp import (from_man_exp, from_rational, mpf_cos_sin_pi,
+                          mpf_log, mpf_shift, round_nearest, to_fixed)
 
 from .context import (DEFAULT_CTX, DomainError, PrecisionCtx,
                       QuadratureBudgetError, SlowConvergenceWarning, to_mpf)
@@ -223,6 +229,13 @@ def _quad_pieces(f, points, tol, depth: int = 0):
     return total
 
 
+def _cmul(a, b, bits):
+    """The product of two fixed-point complex pairs at ``bits`` fractional
+    bits, each part floored once."""
+    return ((a[0] * b[0] - a[1] * b[1]) >> bits,
+            (a[0] * b[1] + a[1] * b[0]) >> bits)
+
+
 def _periodic_trapezoid(f, period, gate, floor):
     """The mean of f over one period by the periodic trapezoidal rule, for f
     even, analytic on the real line and of rational period ``period``.
@@ -234,24 +247,41 @@ def _periodic_trapezoid(f, period, gate, floor):
     level whose predicted error is within 8 bits of the working precision,
     N >= floor (prec - 8)/prec for the predicted node count N* = ``floor``
     (a small error prefactor can make two coarser levels agree early).
-    The nodes are rounded at the working precision and the sums kept 32 bits
-    above it, as the integrands' values are.
+
+    f is called with the torus point y_k = e^(2 pi i t_k) as a fixed-point
+    pair at F = prec + 64 fractional bits, and its values summed 32 bits
+    above the working precision.  The nodes come from a table of roots of
+    unity: one ``mpf_cos_sin_pi`` per level gives w = e^(2 pi i period/N),
+    floored at F bits; the first level's nodes are 1, w, w^2, w^3 = w^2 w
+    and w^4 = w^2 w^2, and each later level's new nodes are the old ones
+    times w, one complex integer product each.  With w within 3/2 units of
+    2^-F in each part and every product floored once, a node of level N
+    lies within (log2(N) + 1) 2.13 + log2(N) 1.42 < 4 log2(N) + 1 units of
+    2^-F of e^(2 pi i k period/N), to first order: 49 units at N = 4,096.
     """
     prec = mp.prec
     enough = floor * (prec - 8) / prec
-
-    def node(k, n):  # k period/n rounded at the working precision
-        return f(mp.make_mpf(from_rational(
-            k * period.numerator, n * period.denominator, prec, round_nearest)))
-
     with extraprec(32):
+        bits = mp.prec + 32
+
+        def root(n):  # e^(2 pi i period/n), floored at bits
+            x = from_rational(2 * period.numerator, n * period.denominator,
+                              bits + 8, round_nearest)
+            return tuple(to_fixed(v, bits)
+                         for v in mpf_cos_sin_pi(x, bits, round_nearest))
+
         n = 8
-        total = (node(0, n) + node(n // 2, n)) / 2 \
-            + sum(node(k, n) for k in range(1, n // 2))
+        w = root(n)
+        w2 = _cmul(w, w, bits)
+        ys = [(1 << bits, 0), w, w2, _cmul(w2, w, bits), _cmul(w2, w2, bits)]
+        total = (f(ys[0]) + f(ys[-1])) / 2 + sum(f(y) for y in ys[1:-1])
         value = 2 * total / n
         while n < 4 * _PERIODIC_MAX_NODES:  # gives up after 4,096 nodes
-            total += sum(node(k, 2 * n) for k in range(1, n, 2))
             n *= 2
+            w = root(n)
+            odd = [_cmul(y, w, bits) for y in ys[:-1]]
+            total += sum(f(y) for y in odd)
+            ys = [y for pair in zip(ys, odd) for y in pair] + ys[-1:]
             value, prev = 2 * total / n, value
             if n >= enough and abs(value - prev) < gate:
                 return value
@@ -260,15 +290,41 @@ def _periodic_trapezoid(f, period, gate, floor):
         f"{n} nodes")
 
 
+def _m_node(alpha, y):
+    """arccosh(alpha/2 + Re y) where alpha/2 + Re y > 1, and 0 elsewhere,
+    for y a fixed-point pair at F = mp.prec + 32 fractional bits.
+
+    With w = alpha/2 + Re y floored at F bits, arccosh(w) =
+    log(w + sqrt(w^2 - 1)) takes its square root from ``math.isqrt`` and
+    makes one ``mpf_log`` at F bits; each call counts as one term."""
+    count_terms(1)
+    bits = mp.prec + 32
+    w = to_fixed(alpha._mpf_, bits - 1) + y[0]
+    if w <= 1 << bits:
+        return mpf(0)
+    root = isqrt(w * w - (1 << 2 * bits))
+    return mp.make_mpf(mpf_log(from_man_exp(w + root, -bits), bits,
+                               round_nearest))
+
+
+def _m_integrand(alpha, t):
+    """``_m_node`` at y = e^(2 pi i t) from one ``mpf_cos_sin_pi`` call: the
+    tanh-sinh route's integrand."""
+    bits = mp.prec + 32
+    return _m_node(alpha, tuple(to_fixed(v, bits) for v in mpf_cos_sin_pi(
+        mpf(2 * t)._mpf_, bits, round_nearest)))
+
+
 def m_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf:
     """Jensen-reduced integral for m(alpha), alpha >= 0: the mean over
     t in [0, 1] of arccosh(u/2) where u = alpha + 2 cos(2 pi t) > 2, and of
     zero elsewhere (u > -2).
 
     alpha = 0 is an exact 0.  The route and the role of tol are the module
-    docstring's; the periodic rule runs over one period, and tanh-sinh
-    with weight 2 over [0, 1/2], or over [0, t*] below 4, where the
-    integrand vanishes beyond the u = 2 crossing t* (a square-root kink).
+    docstring's; the periodic rule runs over one period on its table
+    nodes, and tanh-sinh (``_m_integrand``) with weight 2 over [0, 1/2], or
+    over [0, t*] below 4, where the integrand vanishes beyond the u = 2
+    crossing t* (a square-root kink).  Both routes evaluate ``_m_node``.
     """
     tol = mpf(tol)
     prec = max(140, int(-mp.log(tol, 2)) + 80)
@@ -279,33 +335,29 @@ def m_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
         if alpha == 0:
             return mpf(0)
 
-        def f(t):  # arccosh(u/2) where u > 2
-            count_terms(1)
-            w = alpha / 2 + cospi(2 * t)
-            return acosh(w) if w > 1 else mpf(0)
-
         end = mpf(1) / 2
         if alpha > 4:
             nodes = prec * log(2) / acosh((alpha - 2) / 2)  # N*
             if nodes < _PERIODIC_MAX_NODES:
                 with workprec(prec):
                     return _periodic_trapezoid(
-                        f, 1, mpf(2) ** (-(prec // 2)), nodes)
+                        lambda y: _m_node(alpha, y), 1,
+                        mpf(2) ** (-(prec // 2)), nodes)
         elif alpha < 4:
             end = acos((2 - alpha) / 2) / (2 * pi)  # t*
         with workprec(prec):
-            return +(2 * _quad_pieces(f, [mpf(0), end], tol / 2))
+            return +(2 * _quad_pieces(lambda t: _m_integrand(alpha, t),
+                                      [mpf(0), end], tol / 2))
 
 
-def _torus_point(t, prec):
-    """y = e^(2 pi i t) and y^3 as raw (cos, sin) pairs at prec bits, each
-    from its own exponential of an argument rounded at the working
-    precision, so that 1 + y^3 vanishes exactly at t = 1/2, and at
-    t = 1/6 rounded at the working precision.  The periodic rule's
-    half-period node is rounded 32 bits below it, where 1 + y^3 is about
-    2^-prec."""
-    return (mpf_cos_sin_pi(mpf(2 * t)._mpf_, prec, round_nearest),
-            mpf_cos_sin_pi(mpf(6 * t)._mpf_, prec, round_nearest))
+def _torus_point(t, bits):
+    """y = e^(2 pi i t) and y^3 as fixed-point (re, im) pairs at ``bits``
+    fractional bits, each floored from its own exponential of an argument
+    rounded at the working precision, so that 1 + y^3 vanishes exactly at
+    t = 1/2, and at t = 1/6 rounded at the working precision."""
+    return tuple((to_fixed(c, bits), to_fixed(s, bits)) for c, s in (
+        mpf_cos_sin_pi(mpf(2 * t)._mpf_, bits, round_nearest),
+        mpf_cos_sin_pi(mpf(6 * t)._mpf_, bits, round_nearest)))
 
 
 @lru_cache(maxsize=16)
@@ -315,15 +367,59 @@ def _cubic_constants(alpha: tuple, bits: int) -> tuple:
     return to_fixed(alpha, bits) // 3, isqrt(3 << 2 * bits) >> 1
 
 
-def _cubic_root_norms(alpha, t):
+# Newton steps allowed to _cube_root: from the float seed's ~50 bits they
+# reach ~50,000 bits
+_CBRT_STEPS = 12
+
+
+def _cube_root(ur, ui, bits):
+    """A cube root c of u = (ur + i ui) 2^-bits, u != 0, as a fixed-point
+    pair at ``bits`` fractional bits, by Newton's step c <- (2c + u/c^2)/3.
+
+    u is first scaled by 2^(3k), k >= 0 the least with |u| >= 1, so that
+    |c| >= 1 and each step's roundings stay below 2.4 units; the steps run
+    2 bits finer, at G = bits + 2.  The float seed takes u shifted right by
+    s bits, s >= 0 with s + 2G a multiple of 3, to 60 bits or fewer, so it
+    neither overflows nor underflows, and its principal cube root is lifted
+    by 2^((s + 2G)/3).  From the seed's ~50 bits each step doubles the
+    correct bits, and the iteration stops once a step moves c by at most 2
+    units of 2^-bits in each part (8 at G bits), which it does within about
+    log2(G/50) + 2 steps; past _CBRT_STEPS it raises ArithmeticError.  The
+    result, floored back by k + 2 bits, lies within 2 units of 2^-bits of
+    one of the three cube roots of u, which one not chosen (Cardano takes
+    any), so |c^3 - u| <= 6 (|c| + 2^(1-bits))^2 2^-bits.
+    """
+    k = max(0, -((max(abs(ur), abs(ui)).bit_length() - bits - 1) // 3))
+    big = bits + 2
+    ar, ai = ur << 3 * k + 2, ui << 3 * k + 2
+    s = max(max(abs(ar), abs(ai)).bit_length() - 60, 0)
+    s += -(s + 2 * big) % 3
+    z = complex(ar >> s, ai >> s) ** (1 / 3)
+    e = (s + 2 * big) // 3
+    lift = min(e, 52)
+    cr, ci = (int(ldexp(v, lift)) << e - lift for v in (z.real, z.imag))
+    for _ in range(_CBRT_STEPS):
+        sr, si = (cr * cr - ci * ci) >> big, (cr * ci) >> (big - 1)  # c^2
+        n = sr * sr + si * si
+        qr = ((ar * sr + ai * si) << big) // n  # u/c^2
+        qi = ((ai * sr - ar * si) << big) // n
+        nr, ni = (2 * cr + qr) // 3, (2 * ci + qi) // 3
+        if abs(nr - cr) <= 8 and abs(ni - ci) <= 8:
+            return nr >> k + 2, ni >> k + 2
+        cr, ci = nr, ni
+    raise ArithmeticError(f"cube root still moving after {_CBRT_STEPS} "
+                          f"Newton steps")
+
+
+def _cubic_root_norms(alpha, y, y3):
     """(F, [|x_0|^2, |x_1|^2, |x_2|^2]): the squared root magnitudes of
-    x^3 - alpha y x + 1 + y^3 at 2F fractional bits, F = mp.prec + 32, by
-    Cardano's formula on integers (see ``_cubic_root_mags``)."""
+    x^3 - alpha y x + 1 + y^3 at 2F fractional bits, F = mp.prec + 32, for
+    y and y^3 fixed-point pairs at F bits, by Cardano's formula on integers
+    (see ``_cubic_root_mags``)."""
     bits = mp.prec + 32
     one = 1 << bits
     a3, s3 = _cubic_constants(mpf(alpha)._mpf_, bits)
-    (yr, yi), (zr, zi) = ((to_fixed(c, bits), to_fixed(s, bits))
-                          for c, s in _torus_point(t, bits))
+    (yr, yi), (zr, zi) = y, y3
     pr, pi_ = -(a3 * yr >> bits), -(a3 * yi >> bits)  # p/3
     hr, hi = (one + zr) >> 1, zi >> 1  # h
     if hr == hi == 0:  # x (x^2 + p): 0 and +-sqrt(-p), |p| = alpha |y|
@@ -345,8 +441,7 @@ def _cubic_root_norms(alpha, t):
         ur, ui = -hr - sr, -hi - si
     else:
         ur, ui = sr - hr, si - hi
-    cr, ci = (to_fixed(x, bits) for x in mpc_cbrt(
-        (from_man_exp(ur, -bits), from_man_exp(ui, -bits)), bits))
+    cr, ci = _cube_root(ur, ui, bits)
     n = cr * cr + ci * ci
     gr = ((pr * cr + pi_ * ci) << bits) // n  # (p/3)/c
     gi = ((pi_ * cr - pr * ci) << bits) // n
@@ -360,8 +455,10 @@ def _cubic_root_norms(alpha, t):
     return bits, norms
 
 
-def _cubic_root_mags(alpha, t):
-    """|roots| of x^3 - alpha y x + 1 + y^3 by Cardano's formula.
+def _cubic_root_mags(alpha, t, point=None):
+    """|roots| of x^3 - alpha y x + 1 + y^3, y = e^(2 pi i t), by Cardano's
+    formula; ``point`` is y and y^3 as ``_torus_point`` gives them at
+    F = mp.prec + 32 bits, computed from t when not given.
 
     With p = -alpha y and h = (1 + y^3)/2 the roots are c w^k - p/(3 c w^k),
     w = e^(2 pi i/3), where c^3 is the larger of -h +- sqrt(h^2 + (p/3)^3)
@@ -369,28 +466,37 @@ def _cubic_root_mags(alpha, t):
     squared magnitudes 0, |p|, |p| are taken directly, since (p/3)^3
     underflows the fixed point for tiny alpha; so c^3 never vanishes.
 
-    The formula runs on Python integers at F = mp.prec + 32 fractional
-    bits: y and y^3 enter as their two exponentials at F bits, floored;
-    every complex product is floored once; the square root d comes from
-    ``math.isqrt``, and the larger of -h +- d from the exact sign of
-    Re(h conj(d)).  Only the cube root c is an mpmath call, ``mpc_cbrt`` at
-    F bits.  The magnitudes come back unrounded, at F bits.  As
-    |c|^2 >= |p|/3 and max|x_i|/2 <= |c| <= max|x_i|, the rounding errors
-    add up, to first order, to at most
+    The formula runs on Python integers at F fractional bits: y and y^3
+    enter as their two exponentials at F bits, floored; every complex
+    product is floored once; the square root d comes from ``math.isqrt``,
+    the larger of -h +- d from the exact sign of Re(h conj(d)), and the
+    cube root c from ``_cube_root``'s Newton iteration, within 2 units of
+    2^-F of a cube root of that fixed-point -h +- d.  The magnitudes come
+    back unrounded, at F bits.  As |c|^2 >= |p|/3 and
+    max|x_i|/2 <= |c| <= max|x_i|, the rounding errors, the Newton term
+    among them, add up, to first order, to at most
         2^(4 - F) (1 + alpha/3)^3 (1 + 1/|c|)^2 (1 + 1/max(|d|, 2^(-F/2)))
     in each magnitude, which grows only near a double root (d = 0) and the
-    triple root (c = 0).
+    triple root (c = 0).  Inputs within E units instead, as the periodic
+    rule's table nodes and the y^3 formed from them are, scale the part of
+    the bound that comes from y and y^3 by E.
     """
-    bits, norms = _cubic_root_norms(alpha, t)
+    bits, norms = _cubic_root_norms(
+        alpha, *(point or _torus_point(t, mp.prec + 32)))
     return [mp.make_mpf(from_man_exp(isqrt(n), -bits)) for n in norms]
 
 
-def _n_integrand(alpha, t):
-    """sum_i log+ |x_i(t)| over the roots of x^3 - alpha y x + 1 + y^3, as
-    half the log of the product of the squared magnitudes above 1, at the
-    F bits of ``_cubic_root_norms``; each call counts as one term."""
+def _n_node(alpha, y, y3=None):
+    """sum_i log+ |x_i| over the roots of x^3 - alpha y x + 1 + y^3, for y
+    a fixed-point pair at the F = mp.prec + 32 bits of ``_cubic_root_norms``
+    and y^3 formed from it by two integer products when not given, as half
+    the log of the product of the squared magnitudes above 1, at F bits;
+    each call counts as one term."""
     count_terms(1)
-    bits, norms = _cubic_root_norms(alpha, t)
+    bits = mp.prec + 32
+    if y3 is None:
+        y3 = _cmul(_cmul(y, y, bits), y, bits)
+    bits, norms = _cubic_root_norms(alpha, y, y3)
     one = 1 << 2 * bits
     prod, shift = 1, 0
     for n in norms:
@@ -402,17 +508,27 @@ def _n_integrand(alpha, t):
         mpf_log(from_man_exp(prod, -shift, bits), bits, round_nearest), -1))
 
 
+def _n_integrand(alpha, t):
+    """``_n_node`` at y = e^(2 pi i t), with y and y^3 from the two
+    exponentials of ``_torus_point``: the tanh-sinh route's integrand."""
+    return _n_node(alpha, *_torus_point(t, mp.prec + 32))
+
+
 def _check_root_mags(alpha, points):
-    """Cross-check the closed-form root magnitudes against polyroots."""
+    """Cross-check the closed-form root magnitudes against polyroots, both
+    at the one torus point ``_torus_point`` gives for each t."""
     gate = mpf(2) ** (-(mp.prec // 2))
+    bits = mp.prec + 32
     for t in points:
-        y, y3 = (mp.make_mpc(z) for z in _torus_point(t, mp.prec))
+        point = _torus_point(t, bits)
+        y, y3 = (mp.make_mpc(tuple(from_man_exp(v, -bits) for v in z))
+                 for z in point)
         if alpha == 0 and 1 + y3 == 0:
             continue  # x^3 itself: exact, and polyroots cannot converge on it
         roots = polyroots([mpf(1), mpf(0), -alpha * y, 1 + y3],
                           maxsteps=160, extraprec=80)
         ref = sorted(abs(r) for r in roots)
-        got = sorted(_cubic_root_mags(alpha, t))
+        got = sorted(_cubic_root_mags(alpha, t, point))
         gap = max(abs(a - b) for a, b in zip(got, ref))
         if gap > gate:
             raise ArithmeticError(
@@ -466,7 +582,7 @@ def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
             if nodes < _PERIODIC_MAX_NODES:
                 _check_root_mags(alpha, [mpf(0), mpf(1) / 6])
                 return _periodic_trapezoid(
-                    lambda t: _n_integrand(alpha, t), _THIRD,
+                    lambda y: _n_node(alpha, y), _THIRD,
                     mpf(2) ** (-(prec // 2)), nodes)
         points = [mpf(0)] + _n_breakpoints(alpha) + [mpf(1) / 6]
         _check_root_mags(alpha, points)

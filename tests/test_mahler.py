@@ -6,8 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import (acosh, cbrt, cos, expjpi, frexp, ldexp, log, mp, mpc,
-                    mpf, pi, polyroots, psi, quad, sqrt, workprec)
+from mpmath import (acosh, cbrt, cospi, expjpi, frexp, ldexp, log, mp, mpc,
+                    mpf, pi, polyroots, psi, quad, sinpi, sqrt, workprec)
 
 from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
                       PrecisionCtx, QuadratureBudgetError,
@@ -217,7 +217,7 @@ def test_m_quadrature_level_floor():
 def test_m_quadrature_periodic_budget(monkeypatch):
     # an integrand whose trapezoidal sums never settle exhausts the doubling
     calls = itertools.count()
-    monkeypatch.setattr(mahler, "cospi", lambda x: mpf(next(calls)))
+    monkeypatch.setattr(mahler, "_m_node", lambda alpha, y: mpf(next(calls)))
     with pytest.raises(QuadratureBudgetError, match="nodes"):
         m_quadrature(mpf(5), CTX)
 
@@ -227,13 +227,64 @@ def test_m_quadrature_alpha_zero():
     assert m_quadrature(0, CTX) == 0
 
 
+def _table_nodes(period, prec):
+    """{k: (y_k, N)} for every node y_k of the periodic rule's table up to
+    4,096 nodes per period, at F = prec + 64 bits, with the level N that
+    formed it: an integrand that never settles runs the rule to its budget
+    and records each y it is given."""
+    seen = []
+
+    def record(y):
+        seen.append(y)
+        return mpf(len(seen))
+
+    with workprec(prec), pytest.raises(QuadratureBudgetError):
+        mahler._periodic_trapezoid(record, period, mpf(2) ** -70, 1)
+    n, f = 4096, prec + 64
+    nodes = {}
+    for y in seen:
+        with workprec(f + 32):
+            k = int(mp.nint(mp.atan2(y[1], y[0]) / (2 * pi) * n / period)) % n
+        level = max(8, n >> (k & -k).bit_length() - 1) if k else 8
+        nodes[k] = y, level
+    assert len(seen) == len(nodes) == n // 2 + 1
+    return nodes
+
+
+def test_periodic_table_nodes_within_bound():
+    # every node y_k = e^(2 pi i k period/N) up to N = 4,096, at periods 1
+    # and 1/3, against mpmath's cospi and sinpi: within the docstring's
+    # 4 log2(N) + 1 units of 2^-F at the level N that formed it
+    for prec in (64, 140):
+        f = prec + 64
+        for period in (1, Fraction(1, 3)):
+            worst = 0
+            for k, (y, level) in _table_nodes(period, prec).items():
+                with workprec(f + 64):
+                    x = 2 * mpf(k) * period.numerator \
+                        / (4096 * period.denominator)
+                    err = abs(mpc(y[0] - cospi(x) * 2 ** f,
+                                  y[1] - sinpi(x) * 2 ** f))
+                assert err < 4 * (level.bit_length() - 1) + 1, (prec, period, k)
+                worst = max(worst, err)
+            assert worst > 0, (prec, period)
+
+
 def test_m_integrand_symmetry():
-    # u(t) = alpha + 2 cos(2 pi t) is symmetric under t -> 1 - t
-    with workprec(120):
-        for t in (mpf("0.1"), mpf("0.23"), mpf("0.4")):
-            u1 = 3 + 2 * cos(2 * pi * t)
-            u2 = 3 + 2 * cos(2 * pi * (1 - t))
-            assert abs(u1 - u2) < mpf(10) ** -30
+    # the m(alpha) kernel itself: even, f(y) = f(conj y), and at the same
+    # t = k/N the periodic rule's table node and tanh-sinh's own exponential
+    # give the same integrand, within the node bound times the kernel's
+    # slope 1/sqrt(w^2 - 1); alpha = 3 vanishes beyond t* = 1/3
+    nodes = _table_nodes(1, 120)
+    with workprec(120 + 32):  # the rule's F = 120 + 64
+        for alpha in (mpf(3), mpf(5), mpf("4.5")):
+            for k in (0, 409, 942, 1365, 1638, 2048):
+                y, _ = nodes[k]
+                got = mahler._m_node(alpha, y)
+                assert got == mahler._m_node(alpha, (y[0], -y[1]))
+                want = mahler._m_integrand(alpha, mpf(k) / 4096)
+                assert abs(got - want) < mpf(2) ** (8 - 184), (alpha, k)
+                assert (got == 0) == (k > 1365 and alpha == 3), (alpha, k)
 
 
 def test_n_quadrature_breakpoints(monkeypatch):
@@ -438,6 +489,71 @@ def test_cubic_root_mags_against_mpc_cardano():
                         + mpf(2) ** (1 - f) * (1 + want), (bits, alpha, t)
 
 
+def test_cube_root_against_mpc_cbrt():
+    # the integer Newton cube root for |u| from 2^-200 to 2^200, in all four
+    # quadrants and on both axes: c^3 within the docstring's
+    # 6 (|c| + 2^(1-F))^2 2^-F of u, and c within 2 units of 2^-F of one of
+    # the three cube roots mpc_cbrt gives, at 64 bits above F
+    from mpmath.libmp import from_man_exp, mpc_cbrt
+    rng = random.Random(2707)
+    w = mpc(-1, sqrt(mpf(3))) / 2
+    for f in (204, 256, 600):
+        for e in range(-200, 201, 25):
+            for x, y in ((1, 0), (-1, 0), (0, 1), (0, -1),
+                         (1, 1), (-1, 1), (-1, -1), (1, -1)):
+                scale = rng.uniform(1, 2)
+                ur, ui = (int(ldexp(v * scale, e + f)) for v in (x, y))
+                cr, ci = mahler._cube_root(ur, ui, f)
+                with workprec(3 * f + 700):
+                    c, u = mpc(cr, ci) / 2 ** f, mpc(ur, ui) / 2 ** f
+                    bound = 6 * (abs(c) + ldexp(1, 1 - f)) ** 2 * ldexp(1, -f)
+                    assert abs(c ** 3 - u) <= bound, (f, e, x, y)
+                    ref = mp.make_mpc(mpc_cbrt(
+                        (from_man_exp(ur, -f), from_man_exp(ui, -f)), f + 64))
+                    gap = min(abs(c - ref * w ** k) for k in range(3))
+                    assert gap <= ldexp(2, -f), (f, e, x, y)
+
+
+def test_cube_root_step_budget(monkeypatch):
+    # at 204 bits the seed's ~50 bits take 3 steps to settle and a fourth to
+    # see it; with fewer allowed, the iteration refuses instead of returning
+    u = (5 << 203, -(3 << 202))
+    assert mahler._cube_root(*u, 204)
+    monkeypatch.setattr(mahler, "_CBRT_STEPS", 3)
+    with pytest.raises(ArithmeticError, match="Newton"):
+        mahler._cube_root(*u, 204)
+
+
+def test_n_quadrature_periodic_route_needs_no_cube_root_or_node_exponential(
+        monkeypatch):
+    # at alpha3 = 32^(1/3) the periodic rule takes its nodes from the table,
+    # one mpf_cos_sin_pi per level, and its cube roots from Newton's
+    # iteration: no mpc_cbrt call, and at most 4 exponentials beyond one per
+    # level, the two of each polyroots cross-check point
+    from mpmath.libmp import libmpc
+    import mpmath.libmp
+
+    def cbrt_call(*args):
+        raise AssertionError("mpc_cbrt")
+
+    exponentials = []
+    cos_sin = mahler.mpf_cos_sin_pi
+
+    def counted(*args):
+        exponentials.append(args)
+        return cos_sin(*args)
+
+    assert not hasattr(mahler, "mpc_cbrt")
+    monkeypatch.setattr(libmpc, "mpc_cbrt", cbrt_call)
+    monkeypatch.setattr(mpmath.libmp, "mpc_cbrt", cbrt_call)
+    monkeypatch.setattr(mahler, "mpf_cos_sin_pi", counted)
+    with TermCounter() as counter:
+        n_quadrature(_bertin_alphas()[2], CTX)
+    levels = (2 * (counter.count - 1)).bit_length() - 3  # 8, 16, ..., N
+    assert counter.count == 65 and levels == 5
+    assert len(exponentials) <= 4 + levels
+
+
 def test_cubic_root_mags_triple_root():
     # alpha = 0, y^3 = -1: the cubic is x^3 and Cardano's c vanishes
     with workprec(140):
@@ -480,8 +596,8 @@ def test_n_series_domain():
 def test_n_quadrature_cross_check_catches_bad_roots(monkeypatch):
     good = mahler._cubic_root_mags
 
-    def perturbed(alpha, t):
-        mags = good(alpha, t)
+    def perturbed(alpha, t, *point):
+        mags = good(alpha, t, *point)
         mags[0] *= 1 + mpf(10) ** -15
         return mags
 
@@ -502,15 +618,16 @@ def test_n_quadrature_periodic_route_against_series():
 
 
 def test_n_quadrature_periodic_route_keeps_guard_bits():
-    # alpha is taken at 32 bits above the working precision and the sum is
-    # returned unrounded: the error sits ~12 bits below 2^-prec, where
-    # rounding alpha and the result at prec left it at about 2^-prec
+    # alpha is taken at 32 bits above the working precision, the nodes are
+    # the exact k/(3N) up to a few units of 2^-(prec + 64), and the sum is
+    # returned unrounded: the error sits over 20 bits below 2^-prec, where
+    # rounding alpha, t or the result at prec left it at about 2^-prec
     with workprec(300):
         for alpha in (mpf("3.3"), _bertin_alphas()[2], mpf(10)):
             ref = n_series(alpha, CTX, tol=mpf(10) ** -80)
             for tol, prec in ((mpf("1e-8"), 140), (mpf(10) ** -40, 212)):
                 err = abs(n_quadrature(alpha, CTX, tol=tol) - ref)
-                assert err < mpf(2) ** -(prec + 8), (alpha, tol)
+                assert err < mpf(2) ** -(prec + 20), (alpha, tol)
 
 
 def test_quadrature_counts_integrand_calls():
@@ -547,7 +664,7 @@ def test_n_quadrature_route_rule(monkeypatch):
 def test_n_quadrature_periodic_budget(monkeypatch):
     # an integrand whose trapezoidal sums never settle exhausts the doubling
     calls = itertools.count()
-    monkeypatch.setattr(mahler, "_n_integrand", lambda alpha, t: mpf(next(calls)))
+    monkeypatch.setattr(mahler, "_n_node", lambda alpha, y: mpf(next(calls)))
     with pytest.raises(QuadratureBudgetError, match="nodes"):
         n_quadrature(mpf(5), CTX)
 
@@ -585,7 +702,7 @@ def test_n_quadrature_periodic_level_floor():
     alpha = mpf("3.00139")
     with workprec(140), TermCounter() as counter:
         nodes = 140 * log(2) / acosh(2 * alpha ** 3 / 27 - 1)
-        got = mahler._periodic_trapezoid(lambda t: _n_integrand(alpha, t),
+        got = mahler._periodic_trapezoid(lambda y: mahler._n_node(alpha, y),
                                          Fraction(1, 3), mpf(2) ** -70, nodes)
     with workprec(400):
         ref = n_series(alpha, PrecisionCtx(bits=400), tol=mpf(2) ** -400)
