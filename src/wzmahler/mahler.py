@@ -65,13 +65,16 @@ table nodes, and from its own exponential on the tanh-sinh route; the
 cube root is Newton's iteration on integers from a float seed; and the
 integrand makes one logarithm, of the product of the squared magnitudes
 above 1.  The node values and the trapezoidal sums keep those 32 bits.
-mpmath's polyroots cross-checks the closed form at the ends of every
-quadrature piece.  The polynomial is
-invariant under (x, y) -> (w^2 x, w y), w = e^(2 pi i/3), and under complex
-conjugation, so that integrand has period 1/3 in t (y = e^(2 pi i t)) and
-is even: n(alpha) is 6 times its integral over [0, 1/6].  Near alpha = 3
-the curve is close to three lines meeting the torus at t = 0, 1/3, 2/3,
-which the reduction puts at the endpoint t = 0.
+On the periodic route every node certifies its own roots by their
+residuals, the symmetric functions of the roots against the cubic's
+coefficients, which divided by |f'| at each root bound its error.  On the
+tanh-sinh route mpmath's polyroots cross-checks the closed form at the
+ends of every quadrature piece.  The polynomial is invariant under
+(x, y) -> (w^2 x, w y), w = e^(2 pi i/3), and under complex conjugation,
+so that integrand has period 1/3 in t (y = e^(2 pi i t)) and is even:
+n(alpha) is 6 times its integral over [0, 1/6].  Near alpha = 3 the curve
+is close to three lines meeting the torus at t = 0, 1/3, 2/3, which the
+reduction puts at the endpoint t = 0.
 
 For alpha > 3 the polynomial has no zero on the torus, since there
 |x^3 + y^3 + 1| <= 3 < alpha = |alpha x y|: no root magnitude crosses 1 and
@@ -106,7 +109,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, ldexp
+from math import hypot, isqrt, ldexp
 
 from mpmath import (acos, acosh, extraprec, log, mp, mpf, pi, polyroots, quad,
                     workprec)
@@ -362,9 +365,10 @@ def _torus_point(t, bits):
 
 @lru_cache(maxsize=16)
 def _cubic_constants(alpha: tuple, bits: int) -> tuple:
-    """floor(alpha/3) and floor(sqrt(3)/2) at ``bits`` fractional bits, for
-    the raw mpf alpha."""
-    return to_fixed(alpha, bits) // 3, isqrt(3 << 2 * bits) >> 1
+    """alpha, floor(alpha/3) and floor(sqrt(3)/2) at ``bits`` fractional
+    bits, alpha floored, for the raw mpf alpha."""
+    a = to_fixed(alpha, bits)
+    return a, a // 3, isqrt(3 << 2 * bits) >> 1
 
 
 # Newton steps allowed to _cube_root: from the float seed's ~50 bits they
@@ -411,14 +415,46 @@ def _cube_root(ur, ui, bits):
                           f"Newton steps")
 
 
-def _cubic_root_norms(alpha, y, y3):
+def _cubic_root_norms(alpha, y, y3, gate=None):
     """(F, [|x_0|^2, |x_1|^2, |x_2|^2]): the squared root magnitudes of
     x^3 - alpha y x + 1 + y^3 at 2F fractional bits, F = mp.prec + 32, for
     y and y^3 fixed-point pairs at F bits, by Cardano's formula on integers
-    (see ``_cubic_root_mags``)."""
+    (see ``_cubic_root_mags``).
+
+    With an integer ``gate``, as at the periodic rule's nodes, the roots
+    x_k = c w^k - g conj(w)^k, g = (p/3)/c, are first certified by
+    ``_certify_roots``: their symmetric functions e_1, e_2, e_3, exact on
+    the fixed-point x_k, against 0, -alpha y and -(1 + y^3), formed from
+    alpha, y and y^3, not from p/3 or h; then each residual, divided by
+    |f'(x_k)|, against 2^-gate.  To first order and for |c| >= 1 (alpha > 3
+    with |y| = 1, since |c|^2 >= |p|/3), the roundings bound the residuals
+    r_k, in units of 2^-F, by the gates
+        |r_k| <= 3 (2 + 2|c|)^k,   k = 1, 2, 3.
+    In exact arithmetic e_1 = 0, e_2 = 3cg and e_3 = c^3 - g^3 for any c and
+    g.  With C = |c| >= |g| and one floor per part of every product:
+    * the rotations by w, with sqrt(3)/2 floored: x_1 and x_2 lie within
+      3(C + |g|) + 6 sqrt(2) <= 6C + 8.5 units, together, of the rotations
+      by the exact w, and their e_1 within sqrt(3)(C + |g|) + 4 sqrt(2);
+      through e_2 and e_3 (|x_i| <= 2C) that is at most 2C (6C + 8.5) and
+      4C^2 (6C + 8.5);
+    * e_2: the division g, within sqrt(2), gives 3 sqrt(2) C; p/3, from
+      alpha/3 and alpha y/3 floored, 3 sqrt(2) + 4; alpha's floor 1;
+    * e_3: c^3 - g^3 = -2h + eps(1 + (h + s d)/u) + eta/u - 3 g^2 dg, with
+      u = -h + s d the cube, eps = c^3 - u within 6 C^2 (``_cube_root``),
+      |h + s d| <= |u|, and eta = d^2 - h^2 - (p/3)^3: d's isqrt and
+      division leave d within 3 + 1/(sqrt(2)|d|) units, so d^2 within
+      6|d| + sqrt(2), and h^2 + (p/3)^3 is within sqrt(2)(1 + |p/3|); as
+      |u| = C^3 >= |d|, eta/u is at most 6 + 3 sqrt(2).  With h's floor
+      (sqrt(2)) and g's (3 sqrt(2) C^2) that is 24C^3 + 50.2C^2 + 11.7.
+    The residuals total at most 3.5C + 5.7, 12C^2 + 21.3C + 9.3 and
+    24C^3 + 50.2C^2 + 11.7, each below its gate.  Where h = 0 the squared
+    magnitudes 0, |p|, |p| are the closed form's and take no check: there
+    |1 + y^3| < 2 units, which moves roots where |f'| >= alpha by less
+    than a unit.
+    """
     bits = mp.prec + 32
     one = 1 << bits
-    a3, s3 = _cubic_constants(mpf(alpha)._mpf_, bits)
+    a, a3, s3 = _cubic_constants(mpf(alpha)._mpf_, bits)
     (yr, yi), (zr, zi) = y, y3
     pr, pi_ = -(a3 * yr >> bits), -(a3 * yi >> bits)  # p/3
     hr, hi = (one + zr) >> 1, zi >> 1  # h
@@ -446,13 +482,68 @@ def _cubic_root_norms(alpha, y, y3):
     gr = ((pr * cr + pi_ * ci) << bits) // n  # (p/3)/c
     gi = ((pi_ * cr - pr * ci) << bits) // n
     half = one >> 1
-    norms = []
+    xs = []
     for _ in range(3):  # x = c w^k - (p/3)/(c w^k), w = -1/2 + i sqrt(3)/2
-        xr, xi = cr - gr, ci - gi
-        norms.append(xr * xr + xi * xi)
+        xs.append((cr - gr, ci - gi))
         cr, ci = (-cr * half - ci * s3) >> bits, (cr * s3 - ci * half) >> bits
         gr, gi = (gi * s3 - gr * half) >> bits, (-gr * s3 - gi * half) >> bits
-    return bits, norms
+    if gate is not None:
+        _certify_roots(a, y, y3, xs, n, gate)
+    return bits, [xr * xr + xi * xi for xr, xi in xs]
+
+
+def _certify_roots(a, y, y3, xs, cc, gate):
+    """Check the fixed-point roots ``xs`` of x^3 - alpha y x + 1 + y^3 at
+    F = mp.prec + 32 bits, for alpha = a 2^-F and |c|^2 = cc 2^-2F, against
+    the cubic (``_cubic_root_norms``), and return the residuals |e_1|,
+    |e_2 + alpha y| and |e_3 + 1 + y^3| and each root's error bound, all in
+    units of 2^-F.
+
+    The residuals are exact, at F, 2F and 3F bits.  Each past its gate
+    3 (2 + 2|c|)^k raises ArithmeticError.  The x_k are the exact roots of
+    x^3 - e_1 x^2 + e_2 x - e_3, so to first order each lies within
+    (|r_1| |x_i|^2 + |r_2| |x_i| + |r_3|)/|f'(x_i)| of a root of the cubic,
+    f'(x_i) = prod_{j != i} (x_i - x_j) from exact differences; that bound,
+    and so the magnitude's error, past 2^-gate raises ArithmeticError.  For
+    alpha > 3 the discriminant 4 alpha^3 y^3 - 27 (1 + y^3)^2 has no zero on
+    the torus, so |f'| is bounded below there.
+    """
+    bits = mp.prec + 32
+    one = 1 << bits
+    (ur, ui), (vr, vi), (wr, wi) = xs
+    (yr, yi), (zr, zi) = y, y3
+    sr, si = ur + vr, ui + vi
+    qr, qi = ur * vr - ui * vi, ur * vi + ui * vr  # x_0 x_1
+    res = ((sr + wr, si + wi),
+           (qr + sr * wr - si * wi + a * yr, qi + sr * wi + si * wr + a * yi),
+           (qr * wr - qi * wi + (one + zr << 2 * bits),
+            qr * wi + qi * wr + (zi << 2 * bits)))
+    b = 2 * (one + isqrt(cc) + 1)  # 2 + 2|c| at F bits, rounded up
+    rho, g, scale = [], 3 * b, 1
+    for k, (rr, ri) in enumerate(res, 1):  # r_k at kF bits, its gate too
+        if rr * rr + ri * ri > (g >> bits) ** 2:
+            y = complex(yr / one, yi / one)
+            raise ArithmeticError(
+                f"Cardano roots at node y = {y} leave residual e_{k} above "
+                f"its gate 3 (2 + 2|c|)^{k}")
+        rho.append(hypot(rr / scale, ri / scale))
+        g, scale = g * b, scale << bits
+    r1, r2, r3 = rho
+    d01 = hypot((ur - vr) / one, (ui - vi) / one)
+    d02 = hypot((ur - wr) / one, (ui - wi) / one)
+    d12 = hypot((vr - wr) / one, (vi - wi) / one)
+    bounds = []
+    for (xr, xi), fp in zip(xs, (d01 * d02, d01 * d12, d02 * d12)):
+        m = hypot(xr / one, xi / one)
+        err = (r1 * m + r2) * m + r3
+        if ldexp(err, gate - bits) >= fp:
+            y = complex(yr / one, yi / one)
+            raise ArithmeticError(
+                f"Cardano roots at node y = {y}: a root magnitude is "
+                f"certified only to {err:.3g}/{fp:.3g} units of 2^-{bits}, "
+                f"above 2^-{gate}")
+        bounds.append(err / fp)
+    return rho, bounds
 
 
 def _cubic_root_mags(alpha, t, point=None):
@@ -486,17 +577,28 @@ def _cubic_root_mags(alpha, t, point=None):
     return [mp.make_mpf(from_man_exp(isqrt(n), -bits)) for n in norms]
 
 
-def _n_node(alpha, y, y3=None):
-    """sum_i log+ |x_i| over the roots of x^3 - alpha y x + 1 + y^3, for y
-    a fixed-point pair at the F = mp.prec + 32 bits of ``_cubic_root_norms``
-    and y^3 formed from it by two integer products when not given, as half
-    the log of the product of the squared magnitudes above 1, at F bits;
-    each call counts as one term."""
-    count_terms(1)
+def _n_node(alpha, y):
+    """The periodic rule's n(alpha) integrand, ``_log_plus`` at a table node
+    y, a fixed-point pair at the F = mp.prec + 32 bits of
+    ``_cubic_root_norms``, with y^3 formed from it by two integer products
+    and the roots certified at the gate 2^(-mp.prec/2)."""
     bits = mp.prec + 32
-    if y3 is None:
-        y3 = _cmul(_cmul(y, y, bits), y, bits)
-    bits, norms = _cubic_root_norms(alpha, y, y3)
+    y3 = _cmul(_cmul(y, y, bits), y, bits)
+    return _log_plus(*_cubic_root_norms(alpha, y, y3, mp.prec // 2))
+
+
+def _n_integrand(alpha, t):
+    """``_log_plus`` at y = e^(2 pi i t), with y and y^3 from the two
+    exponentials of ``_torus_point``: the tanh-sinh route's integrand, whose
+    roots ``_check_root_mags`` checks at the ends of its pieces."""
+    return _log_plus(*_cubic_root_norms(alpha, *_torus_point(t, mp.prec + 32)))
+
+
+def _log_plus(bits, norms):
+    """sum_i log+ |x_i| for the squared root magnitudes ``norms`` at 2F
+    fractional bits, F = ``bits``, as half the log of the product of those
+    above 1, at F bits; each call counts as one term."""
+    count_terms(1)
     one = 1 << 2 * bits
     prod, shift = 1, 0
     for n in norms:
@@ -506,12 +608,6 @@ def _n_node(alpha, y, y3=None):
         return mpf(0)
     return mp.make_mpf(mpf_shift(
         mpf_log(from_man_exp(prod, -shift, bits), bits, round_nearest), -1))
-
-
-def _n_integrand(alpha, t):
-    """``_n_node`` at y = e^(2 pi i t), with y and y^3 from the two
-    exponentials of ``_torus_point``: the tanh-sinh route's integrand."""
-    return _n_node(alpha, *_torus_point(t, mp.prec + 32))
 
 
 def _check_root_mags(alpha, points):
@@ -565,9 +661,12 @@ def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
 
     The route and the role of tol are the module docstring's; the
     periodic rule runs over one period, and tanh-sinh over [0, 1/6] with
-    weight 6, split at the kinks of ``_n_breakpoints``.  Either way
-    polyroots cross-checks the closed-form roots at the ends of the pieces
-    (ArithmeticError if they differ by more than 2^(-prec/2)).
+    weight 6, split at the kinks of ``_n_breakpoints``.  The periodic rule
+    certifies the roots at every node by their residuals
+    (``_cubic_root_norms``); on tanh-sinh, polyroots cross-checks the
+    closed-form roots at the ends of the pieces.  Either way ArithmeticError
+    is raised if a magnitude may be off by more than 2^(-P/2), P the
+    working precision (prec + 32 at the periodic rule's nodes).
     """
     tol = mpf(tol)
     prec = max(140, int(-mp.log(tol, 2)) + 80)
@@ -580,7 +679,6 @@ def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
         if alpha > 3:
             nodes = prec * log(2) / acosh(2 * alpha ** 3 / 27 - 1)  # N*
             if nodes < _PERIODIC_MAX_NODES:
-                _check_root_mags(alpha, [mpf(0), mpf(1) / 6])
                 return _periodic_trapezoid(
                     lambda y: _n_node(alpha, y), _THIRD,
                     mpf(2) ** (-(prec // 2)), nodes)

@@ -270,6 +270,71 @@ def test_periodic_table_nodes_within_bound():
             assert worst > 0, (prec, period)
 
 
+def test_periodic_root_residuals_within_gates(monkeypatch):
+    # at every node n_quadrature's periodic rule evaluates for alpha1,
+    # alpha3 and 5, at 140, 256, 512 and 1024 bits, in exact integer
+    # arithmetic on the fixed-point roots x_i: the residuals e_1,
+    # x0 x1 + x0 x2 + x1 x2 + alpha y and x0 x1 x2 + 1 + y^3 are the check's
+    # own and within _cubic_root_norms' gates 3 (2 + 2|c|)^k units of 2^-F;
+    # and each root's Newton correction f(x_i)/f'(x_i) on the cubic itself,
+    # its error to first order, is within its magnitude bound, at most
+    # 2^-(P/2)
+    seen = []
+    certify = mahler._certify_roots
+
+    def record(*args):
+        rho, bounds = certify(*args)
+        seen.append((args, rho, bounds, mp.prec))
+        return rho, bounds
+
+    def mul(u, v):
+        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+    def units(z, scale):  # |z| 2^-scale as a float
+        return ((z[0] ** 2 + z[1] ** 2) / (1 << 2 * scale)) ** 0.5
+
+    monkeypatch.setattr(mahler, "_certify_roots", record)
+    a1, _, a3 = _bertin_alphas()
+    worst = [0] * 4
+    for prec in (140, 256, 512, 1024):
+        for alpha in (a1, a3, mpf(5)):
+            seen.clear()
+            n_quadrature(alpha, CTX, tol=mpf(2) ** (80 - prec))
+            assert len(seen) >= 17 and seen[0][3] >= prec + 32, (prec, alpha)
+            for (a, y, y3, xs, cc, gate), rho, bounds, p in seen:
+                f = p + 32
+                x0, x1, x2 = xs
+                ay = a * y[0], a * y[1]
+                free = (1 << f) + y3[0] << 2 * f, y3[1] << 2 * f  # 1 + y^3
+                pairs = mul(x0, x1), mul(x0, x2), mul(x1, x2)
+                res = [[sum(v[j] for v in xs) for j in (0, 1)],
+                       [sum(v[j] for v in pairs) + ay[j] for j in (0, 1)],
+                       [mul(pairs[0], x2)[j] + free[j] for j in (0, 1)]]
+                c = units((cc, 0), 2 * f) ** 0.5
+                for k, (r, got) in enumerate(zip(res, rho), 1):
+                    r = units(r, (k - 1) * f)
+                    assert abs(r - got) <= 1e-12 * (1 + r)
+                    assert r <= 3 * (2 + 2 * c) ** k, (prec, alpha, k)
+                    worst[k - 1] = max(worst[k - 1],
+                                       r / (3 * (2 + 2 * c) ** k))
+                for x, bound in zip(xs, bounds):
+                    x2_ = mul(x, x)
+                    fx = [mul(x2_, x)[j] - mul(ay, x)[j] + free[j]
+                          for j in (0, 1)]  # at 3F bits
+                    dfx = [3 * x2_[j] - ay[j] for j in (0, 1)]  # at 2F bits
+                    err = units(fx, 2 * f) / units(dfx, 2 * f)
+                    assert err <= bound * (1 + 1e-9), (prec, alpha)
+                    assert bound <= 2 ** (f - gate)
+                    worst[3] = max(worst[3], err)
+    assert all(0 < w < 1 for w in worst[:3]) and worst[3] > 0
+    # the magnitude gate itself: at 2^-F, not 2^-(P/2), the roots of the
+    # least certain node fail it
+    args, _, bounds, p = max(seen, key=lambda node: max(node[2]))
+    assert max(bounds) > 1
+    with workprec(p), pytest.raises(ArithmeticError, match="certified only"):
+        certify(*args[:-1], p + 32)
+
+
 def test_m_integrand_symmetry():
     # the m(alpha) kernel itself: even, f(y) = f(conj y), and at the same
     # t = k/N the periodic rule's table node and tanh-sinh's own exponential
@@ -528,13 +593,16 @@ def test_n_quadrature_periodic_route_needs_no_cube_root_or_node_exponential(
         monkeypatch):
     # at alpha3 = 32^(1/3) the periodic rule takes its nodes from the table,
     # one mpf_cos_sin_pi per level, and its cube roots from Newton's
-    # iteration: no mpc_cbrt call, and at most 4 exponentials beyond one per
-    # level, the two of each polyroots cross-check point
+    # iteration: no mpc_cbrt call, one exponential per level and none
+    # beyond, and no polyroots call, since each node certifies its own roots
     from mpmath.libmp import libmpc
     import mpmath.libmp
 
     def cbrt_call(*args):
         raise AssertionError("mpc_cbrt")
+
+    def polyroots_call(*args, **kwargs):
+        raise AssertionError("polyroots")
 
     exponentials = []
     cos_sin = mahler.mpf_cos_sin_pi
@@ -547,11 +615,12 @@ def test_n_quadrature_periodic_route_needs_no_cube_root_or_node_exponential(
     monkeypatch.setattr(libmpc, "mpc_cbrt", cbrt_call)
     monkeypatch.setattr(mpmath.libmp, "mpc_cbrt", cbrt_call)
     monkeypatch.setattr(mahler, "mpf_cos_sin_pi", counted)
+    monkeypatch.setattr(mahler, "polyroots", polyroots_call)
     with TermCounter() as counter:
         n_quadrature(_bertin_alphas()[2], CTX)
     levels = (2 * (counter.count - 1)).bit_length() - 3  # 8, 16, ..., N
     assert counter.count == 65 and levels == 5
-    assert len(exponentials) <= 4 + levels
+    assert len(exponentials) == levels
 
 
 def test_cubic_root_mags_triple_root():
@@ -594,6 +663,21 @@ def test_n_series_domain():
 
 
 def test_n_quadrature_cross_check_catches_bad_roots(monkeypatch):
+    # a wrong root formula makes n_quadrature raise on either route.  On
+    # the periodic route (alpha3) a cube root 2^-60 off moves e_3 far past
+    # its residual gate at the first node; on tanh-sinh (alpha = 2) wrong
+    # magnitudes fail the polyroots cross-check at the ends of the pieces
+    cube_root = mahler._cube_root
+
+    def off(ur, ui, bits):
+        cr, ci = cube_root(ur, ui, bits)
+        return cr + (1 << bits - 60), ci
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mahler, "_cube_root", off)
+        with pytest.raises(ArithmeticError,
+                           match="Cardano roots at node .* residual e_3"):
+            n_quadrature(cbrt(mpf(32)), CTX)
     good = mahler._cubic_root_mags
 
     def perturbed(alpha, t, *point):
@@ -603,7 +687,7 @@ def test_n_quadrature_cross_check_catches_bad_roots(monkeypatch):
 
     monkeypatch.setattr(mahler, "_cubic_root_mags", perturbed)
     with pytest.raises(ArithmeticError, match="polyroots"):
-        n_quadrature(cbrt(mpf(32)), CTX)
+        n_quadrature(mpf(2), CTX)
 
 
 def test_n_quadrature_periodic_route_against_series():

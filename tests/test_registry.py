@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from mpmath import cbrt, log, mp, mpf, sqrt, workprec
 
-from wzmahler import DomainError, PrecisionCtx, UnknownIdentityError, registry
+from wzmahler import (DomainError, PrecisionCtx, UnknownIdentityError, mahler,
+                      registry)
 from wzmahler.mahler import n_quadrature
 from wzmahler.registry import (lookup, n_lattice, registry_entries,
                                reports_from_json, reports_to_json, run_all,
@@ -244,6 +245,32 @@ def test_run_all_jobs_parity():
                       for key in theirs[ident] if key not in row]
             assert not moved, f"{ident} differs from the {name} report " \
                 f"(ours vs {name}): " + "; ".join(moved)
+
+
+def test_run_all_needs_no_polyroots(monkeypatch):
+    """Every n(alpha) quadrature in the registry takes the periodic rule,
+    whose nodes certify their own roots: with mpmath's polyroots made to
+    raise, run_all at 256 bits gives the checked-in report (elapsed_ms
+    aside), and the roots were certified."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("polyroots")
+
+    certified = []
+    certify = mahler._certify_roots
+
+    def counted(*args):
+        certified.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(mahler, "polyroots", refuse)
+    monkeypatch.setattr(mahler, "_certify_roots", counted)
+    reports, code = run_all(ctx=CTX)
+    assert code == 0 and certified
+    data = json.loads(reports_to_json(reports))
+    for row in data["reports"]:
+        del row["elapsed_ms"]
+    with open(GOLDEN.format(bits=256)) as fh:
+        assert data == json.load(fh)
 
 
 def test_reports_do_not_depend_on_entry_order():
