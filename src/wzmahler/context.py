@@ -104,3 +104,11 @@ def to_mpf(x) -> mpf:
     if isinstance(x, Fraction):
         return mpf(x.numerator) / x.denominator
     return mpf(x)
+
+
+def to_tol(tol) -> mpf:
+    """A tolerance as an mpf; DomainError unless it is finite and positive."""
+    tol = to_mpf(tol)
+    if not 0 < tol < mpf("inf"):
+        raise DomainError(f"tolerance must be finite and positive, not {tol}")
+    return tol

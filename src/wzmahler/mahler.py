@@ -18,9 +18,9 @@ terms (1,429 at alpha = 3.9 and 11,099 at 3.99 for tol 1e-30).  Where
 m(4) is provably within tol/2 of m(alpha) (``_gap_below_four``), m(4) is
 taken instead, through the alpha >= 4 branch.  There is a quadrature
 oracle via Jensen's formula in x: with u(t) = alpha + 2 cos(2 pi t) the
-inner integral is arccosh(|u|/2) where |u| >= 2 and zero otherwise, taken
-as log(w + sqrt(w^2 - 1)), w = u/2, with an integer square root and one
-logarithm per node.
+inner integral is arccosh(|u|/2) where |u| >= 2 and zero otherwise, the log
+of w + sqrt(w^2 - 1), w = u/2, which a node gives with an integer square
+root.
 
 Both quadrature oracles follow one route rule.  Where the integrand is
 even, periodic and analytic they take the periodic trapezoidal rule: for
@@ -37,7 +37,9 @@ bits, and that gate; the value comes out at about that precision, far
 below tol.  The periodic rule's nodes y = e^(2 pi i t) are the exact
 t = k P/N up to a few units of 2^-(prec + 64): they come from a table of
 roots of unity on integers, one exponential per level and one complex
-integer product per node, and the integrands take y itself.  alpha is
+integer product per node, and the integrands take y itself.  Each node
+returns a positive integer value whose log is the integrand, and the rule
+takes one logarithm per level, of the product of the values.  alpha is
 taken at the 32 guard bits of the periodic sums, the periodic sum is
 returned unrounded, and every integrand call counts as one term.
 
@@ -58,35 +60,29 @@ alpha > 3,
 
 through the same kernel, and a quadrature oracle for every alpha >= 0: the
 cubic in x is monic, so Jensen gives the sum of log+ of its root
-magnitudes, which Cardano's formula gives in closed form at each node.
-The formula runs on Python integers at 32 bits above the working
-precision: y^3 comes from two integer products at the periodic rule's
-table nodes, and from its own exponential on the tanh-sinh route; the
-cube root is Newton's iteration on integers from a float seed; and the
-integrand makes one logarithm, of the product of the squared magnitudes
-above 1.  The node values and the trapezoidal sums keep those 32 bits.
-On the periodic route every node certifies its own roots by their
-residuals, the symmetric functions of the roots against the cubic's
-coefficients, which divided by |f'| at each root bound its error.  On the
-tanh-sinh route mpmath's polyroots cross-checks the closed form at the
-ends of every quadrature piece.  The polynomial is invariant under
-(x, y) -> (w^2 x, w y), w = e^(2 pi i/3), and under complex conjugation,
-so that integrand has period 1/3 in t (y = e^(2 pi i t)) and is even:
-n(alpha) is 6 times its integral over [0, 1/6].  Near alpha = 3 the curve
-is close to three lines meeting the torus at t = 0, 1/3, 2/3, which the
-reduction puts at the endpoint t = 0.
+magnitudes.  The polynomial is invariant under (x, y) -> (w^2 x, w y),
+w = e^(2 pi i/3), and under complex conjugation, so that integrand has
+period 1/3 in t (y = e^(2 pi i t)) and is even: n(alpha) is 6 times its
+integral over [0, 1/6].  Near alpha = 3 the curve is close to three lines
+meeting the torus at t = 0, 1/3, 2/3, which the reduction puts at the
+endpoint t = 0.  Both routes run on Python integers at 32 bits above the
+working precision, and their node values and sums keep those bits.
 
 For alpha > 3 the polynomial has no zero on the torus, since there
-|x^3 + y^3 + 1| <= 3 < alpha = |alpha x y|: no root magnitude crosses 1 and
-the integrand is analytic.  Its nearest singularities are the branch points
-of the roots, where the discriminant 4 alpha^3 y^3 - 27 (1 + y^3)^2 vanishes,
-at y^3 = Y+ and 1/Y+ with Y+ the larger root of
+|x^3 + y^3 + 1| <= 3 < alpha = |alpha x y|.  By Rouche's theorem exactly
+one root x_3 lies inside the unit disk, so by Vieta the integrand is
+log |x_1 x_2| = log |alpha y - x_3^2|, and the periodic rule's node solves
+for x_3 alone (``_n_node``).  The integrand is analytic; its nearest
+singularities are the branch points of the roots, where the discriminant
+4 alpha^3 y^3 - 27 (1 + y^3)^2 vanishes, at y^3 = Y+ and 1/Y+ with Y+ the
+larger root of
 Y^2 + (2 - 4 alpha^3/27) Y + 1 = 0.  The trapezoidal rule with N nodes per
 period then errs by about Y+^(-N), so it needs about
 N* = prec log 2/log Y+ nodes, with log Y+ = acosh(2 alpha^3/27 - 1).
 Just above 3 N* passes the cap (1,470 at (7 - sqrt 5)/4^(1/3) = 3.0011 and
 140 bits), and n_quadrature takes tanh-sinh there and for every
-alpha <= 3.
+alpha <= 3, on Cardano's formula for all three magnitudes
+(``_cubic_root_mags``).
 
 For 0 <= alpha <= 3 the integrand has kinks where a root magnitude crosses
 1, at the zeros of P(x, y) = x^3 + y^3 + 1 - alpha x y on the torus
@@ -109,7 +105,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from math import hypot, isqrt, ldexp
+from math import isqrt, ldexp
 
 from mpmath import (acos, acosh, extraprec, log, mp, mpf, pi, polyroots, quad,
                     workprec)
@@ -117,7 +113,8 @@ from mpmath.libmp import (from_man_exp, from_rational, mpf_cos_sin_pi,
                           mpf_log, mpf_shift, round_nearest, to_fixed)
 
 from .context import (DEFAULT_CTX, DomainError, PrecisionCtx,
-                      QuadratureBudgetError, SlowConvergenceWarning, to_mpf)
+                      QuadratureBudgetError, SlowConvergenceWarning, to_mpf,
+                      to_tol)
 from .numkernel import lambda_series
 from .series import (as_ratio, count_terms, ratio_series, shared,
                      sum_geometric)
@@ -126,11 +123,10 @@ from .series import (as_ratio, count_terms, ratio_series, shared,
 # take the periodic trapezoidal rule.  The rule stops at a level within 8
 # bits of N*, so it makes at most 513 integrand calls below the cap and
 # 1,025 above, against the tanh-sinh route's 537 for n(alpha).  Measured at
-# 140 bits (mpmath's Python backend, 2 vCPUs, the integer integrand on both
-# routes): at N* = 1,000 the rule takes 0.88 of the tanh-sinh route's time
-# (54 against 61 ms); at N* = 1,350 it takes 1.7 times as long (101 against
-# 60 ms), and at (7 - sqrt 5)/4^(1/3), N* = 1,470, 1.8 times (132 against
-# 74 ms).
+# 140 bits (mpmath's Python backend, 2 vCPUs, best of 3 in each of 3 runs):
+# n(alpha)'s rule takes 0.19-0.28 of the tanh-sinh route's time at
+# N* = 1,000 (15-22 against 72-79 ms), 0.56-0.62 at N* = 1,350, and
+# 0.44-0.61 at (7 - sqrt 5)/4^(1/3), N* = 1,470 (27-42 against 62-69 ms).
 _PERIODIC_MAX_NODES = 1024
 _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 
@@ -156,7 +152,7 @@ def m_series(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
         alpha = to_mpf(alpha)
         if alpha <= 0:
             raise DomainError("m_series requires alpha > 0")
-        tol = mpf(tol) if tol is not None else min(ctx.default_tol, mpf(10) ** -40)
+        tol = to_tol(tol) if tol is not None else min(ctx.default_tol, mpf(10) ** -40)
         if alpha < 4 and _gap_below_four(1 - alpha / 4) <= tol / 2:
             alpha, tol = mpf(4), tol / 2
         if 0 < 4 - alpha < mpf("1e-3"):
@@ -240,20 +236,25 @@ def _cmul(a, b, bits):
 
 
 def _periodic_trapezoid(f, period, gate, floor):
-    """The mean of f over one period by the periodic trapezoidal rule, for f
-    even, analytic on the real line and of rational period ``period``.
+    """The mean of log f over one period by the periodic trapezoidal rule,
+    for f positive, even, analytic on the real line and of rational period
+    ``period``.
 
-    With N nodes t_k = k period/N and f even, the rule (1/N) sum_{k<N} f(t_k)
-    is (2/N) (f(t_0)/2 + f(t_1) + ... + f(t_{N/2-1}) + f(t_{N/2})/2), where
-    t_{N/2} is half a period.  Each doubling of N from 8 reuses the nodes
-    before it; the rule stops once two levels differ by less than gate, at a
-    level whose predicted error is within 8 bits of the working precision,
+    With N nodes t_k = k period/N and f even, the rule is
+    (1/N) log(f(t_0) f(t_{N/2}) (f(t_1) ... f(t_{N/2-1}))^2), where t_{N/2}
+    is half a period.  Each doubling of N from 8 reuses the nodes before it;
+    the rule stops once two levels differ by less than gate, at a level
+    whose predicted error is within 8 bits of the working precision,
     N >= floor (prec - 8)/prec for the predicted node count N* = ``floor``
     (a small error prefactor can make two coarser levels agree early).
 
     f is called with the torus point y_k = e^(2 pi i t_k) as a fixed-point
-    pair at F = prec + 64 fractional bits, and its values summed 32 bits
-    above the working precision.  The nodes come from a table of roots of
+    pair at F = prec + 64 fractional bits and returns a value m 2^e > 0 as
+    the integer pair (m, e).  The values go into two running products, of
+    the ends and of the inner nodes, floored to F + 8 bits after each
+    product, and a level takes one ``mpf_log``, at F bits, of the ends times
+    the inner product squared; the at most 4,100 floors of a run move the
+    mean by less than 2^(2 - F).  The nodes come from a table of roots of
     unity: one ``mpf_cos_sin_pi`` per level gives w = e^(2 pi i period/N),
     floored at F bits; the first level's nodes are 1, w, w^2, w^3 = w^2 w
     and w^4 = w^2 w^2, and each later level's new nodes are the old ones
@@ -273,19 +274,32 @@ def _periodic_trapezoid(f, period, gate, floor):
             return tuple(to_fixed(v, bits)
                          for v in mpf_cos_sin_pi(x, bits, round_nearest))
 
+        def times(u, v):  # u v, floored to bits + 8 bits
+            m, e = u[0] * v[0], u[1] + v[1]
+            cut = m.bit_length() - bits - 8
+            return (m >> cut, e + cut) if cut > 0 else (m, e)
+
+        def mean(n):  # (2/n) (log f(t_0)/2 + ... + log f(t_{n/2})/2)
+            m, e = times(times(ends, inner), inner)
+            return mp.make_mpf(mpf_log(from_man_exp(m, e), bits,
+                                       round_nearest)) / n
+
         n = 8
         w = root(n)
         w2 = _cmul(w, w, bits)
         ys = [(1 << bits, 0), w, w2, _cmul(w2, w, bits), _cmul(w2, w2, bits)]
-        total = (f(ys[0]) + f(ys[-1])) / 2 + sum(f(y) for y in ys[1:-1])
-        value = 2 * total / n
+        ends, inner = times(f(ys[0]), f(ys[-1])), (1, 0)
+        for y in ys[1:-1]:
+            inner = times(inner, f(y))
+        value = mean(n)
         while n < 4 * _PERIODIC_MAX_NODES:  # gives up after 4,096 nodes
             n *= 2
             w = root(n)
             odd = [_cmul(y, w, bits) for y in ys[:-1]]
-            total += sum(f(y) for y in odd)
+            for y in odd:
+                inner = times(inner, f(y))
             ys = [y for pair in zip(ys, odd) for y in pair] + ys[-1:]
-            value, prev = 2 * total / n, value
+            value, prev = mean(n), value
             if n >= enough and abs(value - prev) < gate:
                 return value
     raise QuadratureBudgetError(
@@ -294,28 +308,25 @@ def _periodic_trapezoid(f, period, gate, floor):
 
 
 def _m_node(alpha, y):
-    """arccosh(alpha/2 + Re y) where alpha/2 + Re y > 1, and 0 elsewhere,
-    for y a fixed-point pair at F = mp.prec + 32 fractional bits.
-
-    With w = alpha/2 + Re y floored at F bits, arccosh(w) =
-    log(w + sqrt(w^2 - 1)) takes its square root from ``math.isqrt`` and
-    makes one ``mpf_log`` at F bits; each call counts as one term."""
+    """e^arccosh(w) = w + sqrt(w^2 - 1) where w = alpha/2 + Re y > 1, and 1
+    elsewhere, as the pair (m, e) of ``_periodic_trapezoid``, for y at
+    F = mp.prec + 32 fractional bits: w floored at F bits, its square root
+    from ``math.isqrt``.  Each call counts as one term."""
     count_terms(1)
     bits = mp.prec + 32
     w = to_fixed(alpha._mpf_, bits - 1) + y[0]
     if w <= 1 << bits:
-        return mpf(0)
-    root = isqrt(w * w - (1 << 2 * bits))
-    return mp.make_mpf(mpf_log(from_man_exp(w + root, -bits), bits,
-                               round_nearest))
+        return 1, 0
+    return w + isqrt(w * w - (1 << 2 * bits)), -bits
 
 
 def _m_integrand(alpha, t):
-    """``_m_node`` at y = e^(2 pi i t) from one ``mpf_cos_sin_pi`` call: the
-    tanh-sinh route's integrand."""
+    """The log of ``_m_node`` at y = e^(2 pi i t) from one
+    ``mpf_cos_sin_pi`` call, at F bits: the tanh-sinh route's integrand."""
     bits = mp.prec + 32
-    return _m_node(alpha, tuple(to_fixed(v, bits) for v in mpf_cos_sin_pi(
+    m, e = _m_node(alpha, tuple(to_fixed(v, bits) for v in mpf_cos_sin_pi(
         mpf(2 * t)._mpf_, bits, round_nearest)))
+    return mp.make_mpf(mpf_log(from_man_exp(m, e), bits, round_nearest))
 
 
 def m_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf:
@@ -329,7 +340,7 @@ def m_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
     over [0, t*] below 4, where the integrand vanishes beyond the u = 2
     crossing t* (a square-root kink).  Both routes evaluate ``_m_node``.
     """
-    tol = mpf(tol)
+    tol = to_tol(tol)
     prec = max(140, int(-mp.log(tol, 2)) + 80)
     with workprec(prec + 32):  # alpha, t* and the result at the sums' bits
         alpha = to_mpf(alpha)
@@ -371,9 +382,10 @@ def _cubic_constants(alpha: tuple, bits: int) -> tuple:
     return a, a // 3, isqrt(3 << 2 * bits) >> 1
 
 
-# Newton steps allowed to _cube_root: from the float seed's ~50 bits they
-# reach ~50,000 bits
-_CBRT_STEPS = 12
+# Newton steps allowed to _cube_root and _disk_root: from their float
+# seeds' ~50 bits they reach ~50,000 bits
+_CBRT_STEPS = _ROOT_STEPS = 12
+_UNITY = (1, complex(-0.5, 0.75 ** 0.5), complex(-0.5, -0.75 ** 0.5))
 
 
 def _cube_root(ur, ui, bits):
@@ -415,46 +427,14 @@ def _cube_root(ur, ui, bits):
                           f"Newton steps")
 
 
-def _cubic_root_norms(alpha, y, y3, gate=None):
+def _cubic_root_norms(alpha, y, y3):
     """(F, [|x_0|^2, |x_1|^2, |x_2|^2]): the squared root magnitudes of
     x^3 - alpha y x + 1 + y^3 at 2F fractional bits, F = mp.prec + 32, for
     y and y^3 fixed-point pairs at F bits, by Cardano's formula on integers
-    (see ``_cubic_root_mags``).
-
-    With an integer ``gate``, as at the periodic rule's nodes, the roots
-    x_k = c w^k - g conj(w)^k, g = (p/3)/c, are first certified by
-    ``_certify_roots``: their symmetric functions e_1, e_2, e_3, exact on
-    the fixed-point x_k, against 0, -alpha y and -(1 + y^3), formed from
-    alpha, y and y^3, not from p/3 or h; then each residual, divided by
-    |f'(x_k)|, against 2^-gate.  To first order and for |c| >= 1 (alpha > 3
-    with |y| = 1, since |c|^2 >= |p|/3), the roundings bound the residuals
-    r_k, in units of 2^-F, by the gates
-        |r_k| <= 3 (2 + 2|c|)^k,   k = 1, 2, 3.
-    In exact arithmetic e_1 = 0, e_2 = 3cg and e_3 = c^3 - g^3 for any c and
-    g.  With C = |c| >= |g| and one floor per part of every product:
-    * the rotations by w, with sqrt(3)/2 floored: x_1 and x_2 lie within
-      3(C + |g|) + 6 sqrt(2) <= 6C + 8.5 units, together, of the rotations
-      by the exact w, and their e_1 within sqrt(3)(C + |g|) + 4 sqrt(2);
-      through e_2 and e_3 (|x_i| <= 2C) that is at most 2C (6C + 8.5) and
-      4C^2 (6C + 8.5);
-    * e_2: the division g, within sqrt(2), gives 3 sqrt(2) C; p/3, from
-      alpha/3 and alpha y/3 floored, 3 sqrt(2) + 4; alpha's floor 1;
-    * e_3: c^3 - g^3 = -2h + eps(1 + (h + s d)/u) + eta/u - 3 g^2 dg, with
-      u = -h + s d the cube, eps = c^3 - u within 6 C^2 (``_cube_root``),
-      |h + s d| <= |u|, and eta = d^2 - h^2 - (p/3)^3: d's isqrt and
-      division leave d within 3 + 1/(sqrt(2)|d|) units, so d^2 within
-      6|d| + sqrt(2), and h^2 + (p/3)^3 is within sqrt(2)(1 + |p/3|); as
-      |u| = C^3 >= |d|, eta/u is at most 6 + 3 sqrt(2).  With h's floor
-      (sqrt(2)) and g's (3 sqrt(2) C^2) that is 24C^3 + 50.2C^2 + 11.7.
-    The residuals total at most 3.5C + 5.7, 12C^2 + 21.3C + 9.3 and
-    24C^3 + 50.2C^2 + 11.7, each below its gate.  Where h = 0 the squared
-    magnitudes 0, |p|, |p| are the closed form's and take no check: there
-    |1 + y^3| < 2 units, which moves roots where |f'| >= alpha by less
-    than a unit.
-    """
+    (see ``_cubic_root_mags``), as the tanh-sinh route takes them."""
     bits = mp.prec + 32
     one = 1 << bits
-    a, a3, s3 = _cubic_constants(mpf(alpha)._mpf_, bits)
+    _, a3, s3 = _cubic_constants(mpf(alpha)._mpf_, bits)
     (yr, yi), (zr, zi) = y, y3
     pr, pi_ = -(a3 * yr >> bits), -(a3 * yi >> bits)  # p/3
     hr, hi = (one + zr) >> 1, zi >> 1  # h
@@ -487,63 +467,7 @@ def _cubic_root_norms(alpha, y, y3, gate=None):
         xs.append((cr - gr, ci - gi))
         cr, ci = (-cr * half - ci * s3) >> bits, (cr * s3 - ci * half) >> bits
         gr, gi = (gi * s3 - gr * half) >> bits, (-gr * s3 - gi * half) >> bits
-    if gate is not None:
-        _certify_roots(a, y, y3, xs, n, gate)
     return bits, [xr * xr + xi * xi for xr, xi in xs]
-
-
-def _certify_roots(a, y, y3, xs, cc, gate):
-    """Check the fixed-point roots ``xs`` of x^3 - alpha y x + 1 + y^3 at
-    F = mp.prec + 32 bits, for alpha = a 2^-F and |c|^2 = cc 2^-2F, against
-    the cubic (``_cubic_root_norms``), and return the residuals |e_1|,
-    |e_2 + alpha y| and |e_3 + 1 + y^3| and each root's error bound, all in
-    units of 2^-F.
-
-    The residuals are exact, at F, 2F and 3F bits.  Each past its gate
-    3 (2 + 2|c|)^k raises ArithmeticError.  The x_k are the exact roots of
-    x^3 - e_1 x^2 + e_2 x - e_3, so to first order each lies within
-    (|r_1| |x_i|^2 + |r_2| |x_i| + |r_3|)/|f'(x_i)| of a root of the cubic,
-    f'(x_i) = prod_{j != i} (x_i - x_j) from exact differences; that bound,
-    and so the magnitude's error, past 2^-gate raises ArithmeticError.  For
-    alpha > 3 the discriminant 4 alpha^3 y^3 - 27 (1 + y^3)^2 has no zero on
-    the torus, so |f'| is bounded below there.
-    """
-    bits = mp.prec + 32
-    one = 1 << bits
-    (ur, ui), (vr, vi), (wr, wi) = xs
-    (yr, yi), (zr, zi) = y, y3
-    sr, si = ur + vr, ui + vi
-    qr, qi = ur * vr - ui * vi, ur * vi + ui * vr  # x_0 x_1
-    res = ((sr + wr, si + wi),
-           (qr + sr * wr - si * wi + a * yr, qi + sr * wi + si * wr + a * yi),
-           (qr * wr - qi * wi + (one + zr << 2 * bits),
-            qr * wi + qi * wr + (zi << 2 * bits)))
-    b = 2 * (one + isqrt(cc) + 1)  # 2 + 2|c| at F bits, rounded up
-    rho, g, scale = [], 3 * b, 1
-    for k, (rr, ri) in enumerate(res, 1):  # r_k at kF bits, its gate too
-        if rr * rr + ri * ri > (g >> bits) ** 2:
-            y = complex(yr / one, yi / one)
-            raise ArithmeticError(
-                f"Cardano roots at node y = {y} leave residual e_{k} above "
-                f"its gate 3 (2 + 2|c|)^{k}")
-        rho.append(hypot(rr / scale, ri / scale))
-        g, scale = g * b, scale << bits
-    r1, r2, r3 = rho
-    d01 = hypot((ur - vr) / one, (ui - vi) / one)
-    d02 = hypot((ur - wr) / one, (ui - wi) / one)
-    d12 = hypot((vr - wr) / one, (vi - wi) / one)
-    bounds = []
-    for (xr, xi), fp in zip(xs, (d01 * d02, d01 * d12, d02 * d12)):
-        m = hypot(xr / one, xi / one)
-        err = (r1 * m + r2) * m + r3
-        if ldexp(err, gate - bits) >= fp:
-            y = complex(yr / one, yi / one)
-            raise ArithmeticError(
-                f"Cardano roots at node y = {y}: a root magnitude is "
-                f"certified only to {err:.3g}/{fp:.3g} units of 2^-{bits}, "
-                f"above 2^-{gate}")
-        bounds.append(err / fp)
-    return rho, bounds
 
 
 def _cubic_root_mags(alpha, t, point=None):
@@ -568,23 +492,100 @@ def _cubic_root_mags(alpha, t, point=None):
     among them, add up, to first order, to at most
         2^(4 - F) (1 + alpha/3)^3 (1 + 1/|c|)^2 (1 + 1/max(|d|, 2^(-F/2)))
     in each magnitude, which grows only near a double root (d = 0) and the
-    triple root (c = 0).  Inputs within E units instead, as the periodic
-    rule's table nodes and the y^3 formed from them are, scale the part of
-    the bound that comes from y and y^3 by E.
+    triple root (c = 0).
     """
     bits, norms = _cubic_root_norms(
         alpha, *(point or _torus_point(t, mp.prec + 32)))
     return [mp.make_mpf(from_man_exp(isqrt(n), -bits)) for n in norms]
 
 
+def _disk_seed(alpha: float, y: complex, q: complex) -> complex:
+    """A float seed for the root of x^3 - alpha y x + q inside the unit
+    disk, alpha > 3: -q/(x_1 x_2) for the two larger of Cardano's roots in
+    floats (Vieta), which keeps its relative accuracy where the inner root
+    is small; from alpha = 2^30 on, where (alpha/3)^3 nears the float range,
+    q/(alpha y), within 4/alpha^3 of the root relatively."""
+    if alpha >= 2 ** 30:
+        return q / (alpha * y)
+    p3, h = -alpha * y / 3, q / 2
+    d = (h * h + p3 ** 3) ** 0.5
+    c = (-h - d if abs(h + d) > abs(h - d) else d - h) ** (1 / 3)
+    x = sorted((c * w - p3 / (c * w) for w in _UNITY), key=abs)
+    return -q / (x[1] * x[2])
+
+
+def _cubic_at(x, ay, q, bits):
+    """alpha y - x^2 and f'(x) at 2P and f(x) = q - x (alpha y - x^2) at 3P
+    fractional bits, exactly, for f(x) = x^3 - alpha y x + q, x and q at
+    P = ``bits`` fractional bits and alpha y at 2P."""
+    (xr, xi), (ar, ai), (qr, qi) = x, ay, q
+    sr, si = xr * xr - xi * xi, 2 * xr * xi
+    vr, vi = ar - sr, ai - si
+    return ((vr, vi), (3 * sr - ar, 3 * si - ai),
+            ((qr << 2 * bits) - xr * vr + xi * vi,
+             (qi << 2 * bits) - xr * vi - xi * vr))
+
+
+def _disk_root(ay, q, bits, seed):
+    """The root of f(x) = x^3 - alpha y x + q near the complex float
+    ``seed`` at F = ``bits`` fractional bits, for alpha y at 2F and q at F
+    bits, by Newton's step x <- x - f(x)/f'(x) from 64 bits up: a step at P
+    bits takes ``_cubic_at`` on alpha y and q floored to 2P and P bits and
+    floors f/f'.  A step that moves x by about 2^-k leaves it within about
+    2^-(2k - 8) of the root (8 bits for the curvature near alpha = 3), so
+    the next runs at min(F, 2 min(P, 2k - 8)) bits; at F the iteration stops
+    once 2k - 8 reaches F, and past _ROOT_STEPS steps it raises
+    ArithmeticError."""
+    p = 64
+    xr, xi = int(ldexp(seed.real, p)), int(ldexp(seed.imag, p))
+    for _ in range(_ROOT_STEPS):
+        cut = bits - p
+        _, (dr, di), (fr, fi) = _cubic_at(
+            (xr, xi), (ay[0] >> 2 * cut, ay[1] >> 2 * cut),
+            (q[0] >> cut, q[1] >> cut), p)
+        n = dr * dr + di * di
+        er, ei = (fr * dr + fi * di) // n, (fi * dr - fr * di) // n
+        xr, xi = xr - er, xi - ei
+        good = 2 * (p - max(abs(er), abs(ei)).bit_length()) - 8
+        if p == bits and good >= bits:
+            return xr, xi
+        step = min(bits, 2 * min(p, good)) - p
+        if step > 0:
+            xr, xi, p = xr << step, xi << step, p + step
+    raise ArithmeticError(f"root inside the unit disk still moving after "
+                          f"{_ROOT_STEPS} Newton steps")
+
+
 def _n_node(alpha, y):
-    """The periodic rule's n(alpha) integrand, ``_log_plus`` at a table node
-    y, a fixed-point pair at the F = mp.prec + 32 bits of
-    ``_cubic_root_norms``, with y^3 formed from it by two integer products
-    and the roots certified at the gate 2^(-mp.prec/2)."""
-    bits = mp.prec + 32
+    """The periodic rule's n(alpha) node value |alpha y - x^2|^2 as the pair
+    (m, -4F), exact, for alpha > 3, y a table node at F = mp.prec + 32 bits
+    with y^3 from two integer products, and x the root of
+    f(x) = x^3 - alpha y x + 1 + y^3 inside the unit disk: half its log is
+    sum_i log+ |x_i| (module docstring).  Each call counts as one term.
+
+    x (``_disk_root``) must pass |f(x)/f'(x)| <= 2^-g, g = mp.prec // 2,
+    exact at F bits.  As f'/f = sum_i 1/(x - x_i), a root lies within
+    3 |f/f'| of x, and |x| + 3 2^-g < 1 puts it inside the unit disk, which
+    by Rouche holds only one; either failure raises ArithmeticError.  As
+    |d log|alpha y - x^2|/dx| <= 2/(alpha - 1) in the disk, half the log is
+    then within 6 |f/f'|/(alpha - 1) of the exact root's."""
+    count_terms(1)
+    bits, gate = mp.prec + 32, mp.prec // 2
+    one = 1 << bits
     y3 = _cmul(_cmul(y, y, bits), y, bits)
-    return _log_plus(*_cubic_root_norms(alpha, y, y3, mp.prec // 2))
+    a = _cubic_constants(alpha._mpf_, bits)[0]
+    ay, q = (a * y[0], a * y[1]), (one + y3[0], y3[1])
+    at = complex(y[0] / one, y[1] / one)
+    x = _disk_root(ay, q, bits, _disk_seed(
+        float(alpha), at, complex(q[0] / one, q[1] / one)))
+    (vr, vi), (dr, di), (fr, fi) = _cubic_at(x, ay, q, bits)
+    if (fr * fr + fi * fi) << 2 * gate > (dr * dr + di * di) << 2 * bits:
+        raise ArithmeticError(f"root at node y = {at}: residual over |f'| "
+                              f"above 2^-{gate}")
+    if x[0] * x[0] + x[1] * x[1] >= (one - (3 << bits - gate)) ** 2:
+        raise ArithmeticError(f"root at node y = {at} not certified inside "
+                              f"the unit disk (Rouche)")
+    return vr * vr + vi * vi, -4 * bits
 
 
 def _n_integrand(alpha, t):
@@ -652,23 +653,18 @@ def _n_breakpoints(alpha) -> list:
 
 
 def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf:
-    """Jensen-reduced integral for n(alpha) = m(x^3 + y^3 + 1 - alpha x y).
+    """Jensen-reduced integral for n(alpha) = m(x^3 + y^3 + 1 - alpha x y),
+    the mean of sum_i log+ |x_i(t)| over the roots x_i of the cubic in x.
 
-    The cubic in x is monic, so the inner integral is sum_i log+ |r_i(t)|;
-    root magnitudes come from Cardano's formula on integers at each node
-    (``_cubic_root_mags``).  That integrand has period 1/3 and is even (the
-    order-3 symmetry and the conjugation symmetry of the polynomial).
-
-    The route and the role of tol are the module docstring's; the
-    periodic rule runs over one period, and tanh-sinh over [0, 1/6] with
-    weight 6, split at the kinks of ``_n_breakpoints``.  The periodic rule
-    certifies the roots at every node by their residuals
-    (``_cubic_root_norms``); on tanh-sinh, polyroots cross-checks the
-    closed-form roots at the ends of the pieces.  Either way ArithmeticError
-    is raised if a magnitude may be off by more than 2^(-P/2), P the
-    working precision (prec + 32 at the periodic rule's nodes).
+    The route and the role of tol are the module docstring's: the periodic
+    rule over one period of 1/3 on ``_n_node``, the one root inside the unit
+    disk, and tanh-sinh over [0, 1/6] with weight 6, split at the kinks of
+    ``_n_breakpoints``, on Cardano's magnitudes (``_n_integrand``), which
+    polyroots cross-checks at the ends of the pieces.  Either way
+    ArithmeticError is raised if a root may be off by more than 2^(-P/2), P
+    the working precision (prec + 32 at the periodic rule's nodes).
     """
-    tol = mpf(tol)
+    tol = to_tol(tol)
     prec = max(140, int(-mp.log(tol, 2)) + 80)
     with workprec(prec + 32):  # alpha at the sums' bits
         alpha = to_mpf(alpha)
@@ -678,10 +674,10 @@ def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
 
         if alpha > 3:
             nodes = prec * log(2) / acosh(2 * alpha ** 3 / 27 - 1)  # N*
-            if nodes < _PERIODIC_MAX_NODES:
-                return _periodic_trapezoid(
+            if nodes < _PERIODIC_MAX_NODES:  # the mean of 2 sum log+ |x_i|
+                return mp.make_mpf(mpf_shift(_periodic_trapezoid(
                     lambda y: _n_node(alpha, y), _THIRD,
-                    mpf(2) ** (-(prec // 2)), nodes)
+                    mpf(2) ** (1 - prec // 2), nodes)._mpf_, -1))
         points = [mpf(0)] + _n_breakpoints(alpha) + [mpf(1) / 6]
         _check_root_mags(alpha, points)
         return +(6 * _quad_pieces(lambda t: _n_integrand(alpha, t), points,

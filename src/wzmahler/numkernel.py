@@ -34,7 +34,7 @@ from mpmath import (arg, cbrt, ceil, exp, expjpi, isint, ldexp, log, mp, mpc,
 from mpmath import zeta as _mp_zeta
 
 from .context import (DEFAULT_CTX, ConvergenceError, DivergentSeriesError,
-                      DomainError, PoleError, PrecisionCtx, to_mpf)
+                      DomainError, PoleError, PrecisionCtx, to_mpf, to_tol)
 from .series import (as_ratio, count_terms, ratio_series, shared,
                      sum_geometric, to_fixed)
 
@@ -342,7 +342,7 @@ def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
         z = to_mpf(z)
         if not -1 < z <= 1:
             raise DivergentSeriesError("Lambda_s(z) needs -1 < z <= 1")
-        tol = mpf(tol) if tol is not None else ctx.default_tol
+        tol = to_tol(tol) if tol is not None else ctx.default_tol
         if z < LAMBDA_SWITCH:
             pn, pd = as_ratio(_KERNEL[s][0])
             zn, zd = as_ratio(z)

@@ -216,8 +216,8 @@ def test_m_quadrature_level_floor():
 
 def test_m_quadrature_periodic_budget(monkeypatch):
     # an integrand whose trapezoidal sums never settle exhausts the doubling
-    calls = itertools.count()
-    monkeypatch.setattr(mahler, "_m_node", lambda alpha, y: mpf(next(calls)))
+    calls = itertools.count(1)
+    monkeypatch.setattr(mahler, "_m_node", lambda alpha, y: (next(calls), 0))
     with pytest.raises(QuadratureBudgetError, match="nodes"):
         m_quadrature(mpf(5), CTX)
 
@@ -236,7 +236,7 @@ def _table_nodes(period, prec):
 
     def record(y):
         seen.append(y)
-        return mpf(len(seen))
+        return len(seen), 0
 
     with workprec(prec), pytest.raises(QuadratureBudgetError):
         mahler._periodic_trapezoid(record, period, mpf(2) ** -70, 1)
@@ -270,86 +270,192 @@ def test_periodic_table_nodes_within_bound():
             assert worst > 0, (prec, period)
 
 
+def _disk_roots(monkeypatch):
+    """Record (alpha y, q, F, x, P) for every root ``_disk_root`` returns:
+    the cubic's coefficients alpha y at 2F and q = 1 + y^3 at F fractional
+    bits, the root x at F and the node's working precision P."""
+    seen = []
+    root = mahler._disk_root
+
+    def record(ay, q, bits, seed):
+        x = root(ay, q, bits, seed)
+        seen.append((ay, q, bits, x, mp.prec))
+        return x
+
+    monkeypatch.setattr(mahler, "_disk_root", record)
+    return seen
+
+
+def _newton_units(ay, q, f, x):
+    """|f(x)/f'(x)| in units of 2^-F for f(x) = x^3 - alpha y x + q, from
+    exact integers grouped as x^3 - (alpha y) x + q."""
+    xr, xi = x
+    sr, si = xr * xr - xi * xi, 2 * xr * xi  # x^2 at 2F
+    res = [sr * xr - si * xi - ay[0] * xr + ay[1] * xi + (q[0] << 2 * f),
+           sr * xi + si * xr - ay[0] * xi - ay[1] * xr + (q[1] << 2 * f)]
+    der = [3 * sr - ay[0], 3 * si - ay[1]]  # at 2F bits
+    return ((res[0] ** 2 + res[1] ** 2) / (der[0] ** 2 + der[1] ** 2)) ** 0.5
+
+
+def _disk_margin(x, f, p):
+    """1 - |x| - 3 2^-(P//2): the Rouche check's margin."""
+    return 1 - ((x[0] ** 2 + x[1] ** 2) / (1 << 2 * f)) ** 0.5 \
+        - 3 * 2.0 ** -(p // 2)
+
+
 def test_periodic_root_residuals_within_gates(monkeypatch):
     # at every node n_quadrature's periodic rule evaluates for alpha1,
     # alpha3 and 5, at 140, 256, 512 and 1024 bits, in exact integer
-    # arithmetic on the fixed-point roots x_i: the residuals e_1,
-    # x0 x1 + x0 x2 + x1 x2 + alpha y and x0 x1 x2 + 1 + y^3 are the check's
-    # own and within _cubic_root_norms' gates 3 (2 + 2|c|)^k units of 2^-F;
-    # and each root's Newton correction f(x_i)/f'(x_i) on the cubic itself,
-    # its error to first order, is within its magnitude bound, at most
-    # 2^-(P/2)
-    seen = []
-    certify = mahler._certify_roots
-
-    def record(*args):
-        rho, bounds = certify(*args)
-        seen.append((args, rho, bounds, mp.prec))
-        return rho, bounds
-
-    def mul(u, v):
-        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
-
-    def units(z, scale):  # |z| 2^-scale as a float
-        return ((z[0] ** 2 + z[1] ** 2) / (1 << 2 * scale)) ** 0.5
-
-    monkeypatch.setattr(mahler, "_certify_roots", record)
+    # arithmetic on the fixed-point root x inside the unit disk: its Newton
+    # correction f(x)/f'(x), from a residual grouped differently from
+    # _cubic_at's, is within 4 units of 2^-F (1.41 at most here), far inside
+    # the gate 2^-(P/2); the Rouche margin is positive; and the node value
+    # |alpha y - x^2|^2 is at least (alpha - 1)^2
+    seen = _disk_roots(monkeypatch)
     a1, _, a3 = _bertin_alphas()
-    worst = [0] * 4
+    worst = 0
     for prec in (140, 256, 512, 1024):
         for alpha in (a1, a3, mpf(5)):
             seen.clear()
             n_quadrature(alpha, CTX, tol=mpf(2) ** (80 - prec))
-            assert len(seen) >= 17 and seen[0][3] >= prec + 32, (prec, alpha)
-            for (a, y, y3, xs, cc, gate), rho, bounds, p in seen:
-                f = p + 32
-                x0, x1, x2 = xs
-                ay = a * y[0], a * y[1]
-                free = (1 << f) + y3[0] << 2 * f, y3[1] << 2 * f  # 1 + y^3
-                pairs = mul(x0, x1), mul(x0, x2), mul(x1, x2)
-                res = [[sum(v[j] for v in xs) for j in (0, 1)],
-                       [sum(v[j] for v in pairs) + ay[j] for j in (0, 1)],
-                       [mul(pairs[0], x2)[j] + free[j] for j in (0, 1)]]
-                c = units((cc, 0), 2 * f) ** 0.5
-                for k, (r, got) in enumerate(zip(res, rho), 1):
-                    r = units(r, (k - 1) * f)
-                    assert abs(r - got) <= 1e-12 * (1 + r)
-                    assert r <= 3 * (2 + 2 * c) ** k, (prec, alpha, k)
-                    worst[k - 1] = max(worst[k - 1],
-                                       r / (3 * (2 + 2 * c) ** k))
-                for x, bound in zip(xs, bounds):
-                    x2_ = mul(x, x)
-                    fx = [mul(x2_, x)[j] - mul(ay, x)[j] + free[j]
-                          for j in (0, 1)]  # at 3F bits
-                    dfx = [3 * x2_[j] - ay[j] for j in (0, 1)]  # at 2F bits
-                    err = units(fx, 2 * f) / units(dfx, 2 * f)
-                    assert err <= bound * (1 + 1e-9), (prec, alpha)
-                    assert bound <= 2 ** (f - gate)
-                    worst[3] = max(worst[3], err)
-    assert all(0 < w < 1 for w in worst[:3]) and worst[3] > 0
-    # the magnitude gate itself: at 2^-F, not 2^-(P/2), the roots of the
-    # least certain node fail it
-    args, _, bounds, p = max(seen, key=lambda node: max(node[2]))
-    assert max(bounds) > 1
-    with workprec(p), pytest.raises(ArithmeticError, match="certified only"):
-        certify(*args[:-1], p + 32)
+            assert len(seen) >= 17 and seen[0][4] >= prec + 32, (prec, alpha)
+            low = (float(alpha) - 1) ** 2 * (1 - 1e-12)
+            for ay, q, f, x, p in seen:
+                assert f == p + 32
+                units = _newton_units(ay, q, f, x)
+                assert units <= 4 and units < 2.0 ** (f - p // 2), (prec, alpha)
+                worst = max(worst, units)
+                assert _disk_margin(x, f, p) > 0, (prec, alpha)
+                v = [ay[j] - (x[0] ** 2 - x[1] ** 2, 2 * x[0] * x[1])[j]
+                     for j in (0, 1)]
+                assert (v[0] ** 2 + v[1] ** 2) / (1 << 4 * f) >= low
+    assert 0 < worst <= 4
+
+
+def _cardano_c_d(alpha, y, y3, f):
+    """|c| and |d| of Cardano's formula for x^3 - alpha y x + 1 + y^3, for
+    y and y^3 fixed-point pairs at F bits, in mpc arithmetic 64 bits above
+    F (``_cubic_root_mags``' bound takes them)."""
+    with workprec(f + 64):
+        y, y3 = (mpc(*z) / 2 ** f for z in (y, y3))
+        p, h = -alpha * y, (1 + y3) / 2
+        d = sqrt(h * h + (p / 3) ** 3)
+        u = -h - d if abs(h + d) > abs(h - d) else -h + d
+        return abs(cbrt(u)), abs(d)
+
+
+def test_rouche_node_against_cardano(monkeypatch):
+    # at every node of the periodic rule for alpha1, alpha3, 5 and 50, at
+    # 140, 256, 512 and 1024 bits, half the log of the Rouche node value
+    # against Cardano's sum of log+ on the same fixed-point y and y^3,
+    # within the sum of the two stated bounds: _cubic_root_mags' bound per
+    # magnitude, twice (two magnitudes above 1, where log+ is 1-Lipschitz),
+    # plus its one log's rounding at F bits, 2^(1-F)(1 + value); and
+    # _n_node's 6 |f/f'|/(alpha - 1) for half its log, the log itself taken
+    # here 64 bits above F
+    nodes = []
+    node = mahler._n_node
+
+    def record(alpha, y):
+        value = node(alpha, y)
+        nodes.append((alpha, y, value, mp.prec))
+        return value
+
+    roots = _disk_roots(monkeypatch)
+    monkeypatch.setattr(mahler, "_n_node", record)
+    a1, _, a3 = _bertin_alphas()
+    worst = 0
+    for prec in (140, 256, 512, 1024):
+        for alpha in (a1, a3, mpf(5), mpf(50)):
+            nodes.clear()
+            roots.clear()
+            n_quadrature(alpha, CTX, tol=mpf(2) ** (80 - prec))
+            assert len(nodes) == len(roots) >= 9, (prec, alpha)
+            for (a, y, (m, e), p), (ay, q, f, x, _) in zip(nodes, roots):
+                with workprec(p):
+                    y3 = mahler._cmul(mahler._cmul(y, y, f), y, f)
+                    want = mahler._log_plus(*mahler._cubic_root_norms(a, y, y3))
+                c, d = _cardano_c_d(a, y, y3, f)
+                with workprec(f + 64):
+                    got = log(ldexp(mpf(m), e)) / 2
+                    cardano = 2 * mpf(2) ** (4 - f) * (1 + a / 3) ** 3 \
+                        * (1 + 1 / c) ** 2 * (1 + 1 / max(d, mpf(2) ** (-f // 2))) \
+                        + mpf(2) ** (1 - f) * (1 + want)
+                    rouche = 6 * _newton_units(ay, q, f, x) * mpf(2) ** -f \
+                        / (a - 1)
+                    gap = abs(got - want)
+                    assert gap <= cardano + rouche, (prec, alpha)
+                    worst = max(worst, gap / (cardano + rouche))
+    assert 0 < worst < 1
+
+
+def test_n_quadrature_periodic_near_the_cap(monkeypatch):
+    # alpha = 3.003, 3.01 and 3.05, where the root inside the unit disk
+    # nears 1 at t = 0 (0.968 at 3.003) and N* nears the cap: the periodic
+    # rule against n_series at 1e-80, at 140 and 212 bits, with every
+    # node's Rouche margin positive.  N* ~ 1,342 for 3.003 at 212 bits,
+    # over the cap, so there the rule is called directly
+    roots = _disk_roots(monkeypatch)
+    for a in ("3.003", "3.01", "3.05"):
+        with workprec(300):
+            alpha = mpf(a)
+            ref = n_series(alpha, CTX, tol=mpf(10) ** -80)
+        for prec in (140, 212):
+            roots.clear()
+            with workprec(prec):
+                nodes = prec * log(2) / acosh(2 * alpha ** 3 / 27 - 1)
+            if nodes < mahler._PERIODIC_MAX_NODES:
+                got = n_quadrature(alpha, CTX, tol=mpf(2) ** (80 - prec))
+            else:
+                assert (a, prec) == ("3.003", 212)
+                with workprec(prec):
+                    got = mahler._periodic_trapezoid(
+                        lambda y: mahler._n_node(alpha, y), Fraction(1, 3),
+                        mpf(2) ** (1 - prec // 2), nodes) / 2
+            assert abs(got - ref) < mpf(2) ** (4 - prec), (a, prec)
+            margins = [_disk_margin(x, f, p) for _, _, f, x, p in roots]
+            assert len(margins) > nodes / 2 and min(margins) > 0, (a, prec)
+        if a == "3.003":
+            assert min(margins) < 0.035
+
+
+def test_n_node_refuses_a_root_outside_the_disk(monkeypatch):
+    # on the first node of n_quadrature at alpha3: a seed at the largest
+    # root leads Newton's iteration to a root outside the unit disk, whose
+    # residual passes its gate and which the Rouche check refuses; and with
+    # two steps allowed the iteration stops short of the working precision
+    # and raises (a root 2^-60 off: test_n_quadrature_cross_check_...)
+    alpha = _bertin_alphas()[2]
+
+    def outside(alpha, y, q):
+        return complex(max(polyroots([1, 0, -alpha * y, q]), key=abs))
+
+    for name, patch, match in (("_disk_seed", outside, "unit disk"),
+                               ("_ROOT_STEPS", 2, "Newton steps")):
+        with monkeypatch.context() as m:
+            m.setattr(mahler, name, patch)
+            with pytest.raises(ArithmeticError, match=match):
+                n_quadrature(alpha, CTX)
 
 
 def test_m_integrand_symmetry():
     # the m(alpha) kernel itself: even, f(y) = f(conj y), and at the same
-    # t = k/N the periodic rule's table node and tanh-sinh's own exponential
-    # give the same integrand, within the node bound times the kernel's
-    # slope 1/sqrt(w^2 - 1); alpha = 3 vanishes beyond t* = 1/3
+    # t = k/N the log of the periodic rule's node value at its table node
+    # and tanh-sinh's integrand at its own exponential agree, within the
+    # node bound times the kernel's slope 1/sqrt(w^2 - 1); alpha = 3
+    # vanishes beyond t* = 1/3, where the node value is 1
     nodes = _table_nodes(1, 120)
     with workprec(120 + 32):  # the rule's F = 120 + 64
         for alpha in (mpf(3), mpf(5), mpf("4.5")):
             for k in (0, 409, 942, 1365, 1638, 2048):
                 y, _ = nodes[k]
-                got = mahler._m_node(alpha, y)
-                assert got == mahler._m_node(alpha, (y[0], -y[1]))
+                node = mahler._m_node(alpha, y)
+                assert node == mahler._m_node(alpha, (y[0], -y[1]))
+                with workprec(250):
+                    got = log(ldexp(mpf(node[0]), node[1]))
                 want = mahler._m_integrand(alpha, mpf(k) / 4096)
                 assert abs(got - want) < mpf(2) ** (8 - 184), (alpha, k)
-                assert (got == 0) == (k > 1365 and alpha == 3), (alpha, k)
+                assert (node == (1, 0)) == (k > 1365 and alpha == 3), (alpha, k)
 
 
 def test_n_quadrature_breakpoints(monkeypatch):
@@ -591,36 +697,39 @@ def test_cube_root_step_budget(monkeypatch):
 
 def test_n_quadrature_periodic_route_needs_no_cube_root_or_node_exponential(
         monkeypatch):
-    # at alpha3 = 32^(1/3) the periodic rule takes its nodes from the table,
-    # one mpf_cos_sin_pi per level, and its cube roots from Newton's
-    # iteration: no mpc_cbrt call, one exponential per level and none
-    # beyond, and no polyroots call, since each node certifies its own roots
+    # at alpha3 = 32^(1/3) the periodic rule takes its nodes from the table
+    # and solves for one root per node by Newton's iteration: no Cardano
+    # cube root, no mpc_cbrt and no polyroots call, and exactly one
+    # mpf_cos_sin_pi and one mpf_log per level.  m_quadrature's periodic
+    # rule at alpha = 5 makes the same one of each per level
     from mpmath.libmp import libmpc
     import mpmath.libmp
 
-    def cbrt_call(*args):
-        raise AssertionError("mpc_cbrt")
+    def refuse(*args, **kwargs):
+        raise AssertionError("root solver")
 
-    def polyroots_call(*args, **kwargs):
-        raise AssertionError("polyroots")
+    calls = {"mpf_cos_sin_pi": [], "mpf_log": []}
 
-    exponentials = []
-    cos_sin = mahler.mpf_cos_sin_pi
-
-    def counted(*args):
-        exponentials.append(args)
-        return cos_sin(*args)
+    def counted(name):
+        fn = getattr(mahler, name)
+        return lambda *args: calls[name].append(args) or fn(*args)
 
     assert not hasattr(mahler, "mpc_cbrt")
-    monkeypatch.setattr(libmpc, "mpc_cbrt", cbrt_call)
-    monkeypatch.setattr(mpmath.libmp, "mpc_cbrt", cbrt_call)
-    monkeypatch.setattr(mahler, "mpf_cos_sin_pi", counted)
-    monkeypatch.setattr(mahler, "polyroots", polyroots_call)
-    with TermCounter() as counter:
-        n_quadrature(_bertin_alphas()[2], CTX)
-    levels = (2 * (counter.count - 1)).bit_length() - 3  # 8, 16, ..., N
-    assert counter.count == 65 and levels == 5
-    assert len(exponentials) == levels
+    monkeypatch.setattr(libmpc, "mpc_cbrt", refuse)
+    monkeypatch.setattr(mpmath.libmp, "mpc_cbrt", refuse)
+    for name in ("polyroots", "_cube_root", "_cubic_root_norms"):
+        monkeypatch.setattr(mahler, name, refuse)
+    for name in calls:
+        monkeypatch.setattr(mahler, name, counted(name))
+    for quadrature, alpha in ((n_quadrature, _bertin_alphas()[2]),
+                              (m_quadrature, mpf(5))):
+        for name in calls:
+            calls[name].clear()
+        with TermCounter() as counter:
+            quadrature(alpha, CTX)
+        levels = (2 * (counter.count - 1)).bit_length() - 3  # 8, ..., N
+        assert counter.count == 65 and levels == 5
+        assert [len(v) for v in calls.values()] == [levels, levels]
 
 
 def test_cubic_root_mags_triple_root():
@@ -656,6 +765,19 @@ def test_n_series_against_quadrature():
         assert abs(ser - n_quadrature(a2, CTX, tol=mpf(10) ** -8)) < mpf(10) ** -40
 
 
+@pytest.mark.parametrize("tol", [0, -1, float("inf"), float("nan")])
+def test_bad_tolerances_are_domain_errors(tol):
+    # a tolerance that is not finite and positive is refused before any
+    # work: no term is summed and no node evaluated
+    calls = ((m_quadrature, 5), (n_quadrature, _bertin_alphas()[2]),
+             (m_series, 5), (n_series, 5), (rv_series, mpf(1) / 40))
+    for fn, arg in calls:
+        with TermCounter() as counter:
+            with pytest.raises(DomainError, match="tolerance"):
+                fn(arg, CTX, tol=tol)
+        assert counter.count == 0, fn.__name__
+
+
 def test_n_series_domain():
     for alpha in (3, 2, 0, -4):
         with pytest.raises(DomainError):
@@ -663,20 +785,20 @@ def test_n_series_domain():
 
 
 def test_n_quadrature_cross_check_catches_bad_roots(monkeypatch):
-    # a wrong root formula makes n_quadrature raise on either route.  On
-    # the periodic route (alpha3) a cube root 2^-60 off moves e_3 far past
-    # its residual gate at the first node; on tanh-sinh (alpha = 2) wrong
-    # magnitudes fail the polyroots cross-check at the ends of the pieces
-    cube_root = mahler._cube_root
+    # a wrong root makes n_quadrature raise on either route.  On the
+    # periodic route (alpha3) a root 2^-60 off fails its residual gate at
+    # the first node; on tanh-sinh (alpha = 2) wrong magnitudes fail the
+    # polyroots cross-check at the ends of the pieces
+    root = mahler._disk_root
 
-    def off(ur, ui, bits):
-        cr, ci = cube_root(ur, ui, bits)
-        return cr + (1 << bits - 60), ci
+    def off(ay, q, bits, seed):
+        xr, xi = root(ay, q, bits, seed)
+        return xr + (1 << bits - 60), xi
 
     with monkeypatch.context() as patch:
-        patch.setattr(mahler, "_cube_root", off)
+        patch.setattr(mahler, "_disk_root", off)
         with pytest.raises(ArithmeticError,
-                           match="Cardano roots at node .* residual e_3"):
+                           match="root at node .* residual over"):
             n_quadrature(cbrt(mpf(32)), CTX)
     good = mahler._cubic_root_mags
 
@@ -692,10 +814,12 @@ def test_n_quadrature_cross_check_catches_bad_roots(monkeypatch):
 
 def test_n_quadrature_periodic_route_against_series():
     # alpha > 3 away from 3: the periodic trapezoidal rule, accurate to
-    # about the working precision (140 bits, and 212 bits at tol = 1e-40)
+    # about the working precision (140 bits, and 212 bits at tol = 1e-40);
+    # at 1e200, where (alpha/3)^3 overflows a float, the node seeds its
+    # root with q/(alpha y)
     with workprec(300):
         a1, _, a3 = _bertin_alphas()
-        for alpha in (mpf("3.3"), a1, a3, mpf(5), mpf(10)):
+        for alpha in (mpf("3.3"), a1, a3, mpf(5), mpf(10), mpf("1e200")):
             ref = n_series(alpha, CTX, tol=mpf(10) ** -80)
             for tol in (mpf("1e-8"), mpf(10) ** -40):
                 assert abs(n_quadrature(alpha, CTX, tol=tol) - ref) < mpf(10) ** -41
@@ -747,8 +871,8 @@ def test_n_quadrature_route_rule(monkeypatch):
 
 def test_n_quadrature_periodic_budget(monkeypatch):
     # an integrand whose trapezoidal sums never settle exhausts the doubling
-    calls = itertools.count()
-    monkeypatch.setattr(mahler, "_n_node", lambda alpha, y: mpf(next(calls)))
+    calls = itertools.count(1)
+    monkeypatch.setattr(mahler, "_n_node", lambda alpha, y: (next(calls), 0))
     with pytest.raises(QuadratureBudgetError, match="nodes"):
         n_quadrature(mpf(5), CTX)
 
@@ -787,7 +911,8 @@ def test_n_quadrature_periodic_level_floor():
     with workprec(140), TermCounter() as counter:
         nodes = 140 * log(2) / acosh(2 * alpha ** 3 / 27 - 1)
         got = mahler._periodic_trapezoid(lambda y: mahler._n_node(alpha, y),
-                                         Fraction(1, 3), mpf(2) ** -70, nodes)
+                                         Fraction(1, 3), mpf(2) ** -69,
+                                         nodes) / 2  # of 2 sum log+ |x_i|
     with workprec(400):
         ref = n_series(alpha, PrecisionCtx(bits=400), tol=mpf(2) ** -400)
         assert abs(got - ref) < mpf(2) ** (4 - 140)

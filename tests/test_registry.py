@@ -249,21 +249,23 @@ def test_run_all_jobs_parity():
 
 def test_run_all_needs_no_polyroots(monkeypatch):
     """Every n(alpha) quadrature in the registry takes the periodic rule,
-    whose nodes certify their own roots: with mpmath's polyroots made to
-    raise, run_all at 256 bits gives the checked-in report (elapsed_ms
-    aside), and the roots were certified."""
+    whose nodes solve for the one root inside the unit disk and certify it:
+    with mpmath's polyroots and Cardano's formula made to raise, run_all at
+    256 bits gives the checked-in report (elapsed_ms aside), and nodes were
+    certified."""
     def refuse(*args, **kwargs):
-        raise AssertionError("polyroots")
+        raise AssertionError("root solver")
 
     certified = []
-    certify = mahler._certify_roots
+    node = mahler._n_node
 
     def counted(*args):
         certified.append(args)
-        return certify(*args)
+        return node(*args)
 
-    monkeypatch.setattr(mahler, "polyroots", refuse)
-    monkeypatch.setattr(mahler, "_certify_roots", counted)
+    for name in ("polyroots", "_cube_root", "_cubic_root_norms"):
+        monkeypatch.setattr(mahler, name, refuse)
+    monkeypatch.setattr(mahler, "_n_node", counted)
     reports, code = run_all(ctx=CTX)
     assert code == 0 and certified
     data = json.loads(reports_to_json(reports))
