@@ -81,8 +81,9 @@ period then errs by about Y+^(-N), so it needs about
 N* = prec log 2/log Y+ nodes, with log Y+ = acosh(2 alpha^3/27 - 1).
 Just above 3 N* passes the cap (1,470 at (7 - sqrt 5)/4^(1/3) = 3.0011 and
 140 bits), and n_quadrature takes tanh-sinh there and for every
-alpha <= 3, on Cardano's formula for all three magnitudes
-(``_cubic_root_mags``).
+alpha <= 3, on all three magnitudes (``_cubic_root_mags``): the same
+integer Newton iteration finds the largest root, which is simple, and the
+quadratic it leaves gives the other two.
 
 For 0 <= alpha <= 3 the integrand has kinks where a root magnitude crosses
 1, at the zeros of P(x, y) = x^3 + y^3 + 1 - alpha x y on the torus
@@ -104,7 +105,6 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt, ldexp
 
 from mpmath import (acos, acosh, extraprec, log, mp, mpf, pi, polyroots, quad,
@@ -374,143 +374,113 @@ def _torus_point(t, bits):
         mpf_cos_sin_pi(mpf(6 * t)._mpf_, bits, round_nearest)))
 
 
-@lru_cache(maxsize=16)
-def _cubic_constants(alpha: tuple, bits: int) -> tuple:
-    """alpha, floor(alpha/3) and floor(sqrt(3)/2) at ``bits`` fractional
-    bits, alpha floored, for the raw mpf alpha."""
-    a = to_fixed(alpha, bits)
-    return a, a // 3, isqrt(3 << 2 * bits) >> 1
-
-
-# Newton steps allowed to _cube_root and _disk_root: from their float
-# seeds' ~50 bits they reach ~50,000 bits
-_CBRT_STEPS = _ROOT_STEPS = 12
+# Newton steps allowed to _disk_root: from its float seed's ~50 bits it
+# reaches ~50,000 bits
+_ROOT_STEPS = 12
 _UNITY = (1, complex(-0.5, 0.75 ** 0.5), complex(-0.5, -0.75 ** 0.5))
 
 
-def _cube_root(ur, ui, bits):
-    """A cube root c of u = (ur + i ui) 2^-bits, u != 0, as a fixed-point
-    pair at ``bits`` fractional bits, by Newton's step c <- (2c + u/c^2)/3.
-
-    u is first scaled by 2^(3k), k >= 0 the least with |u| >= 1, so that
-    |c| >= 1 and each step's roundings stay below 2.4 units; the steps run
-    2 bits finer, at G = bits + 2.  The float seed takes u shifted right by
-    s bits, s >= 0 with s + 2G a multiple of 3, to 60 bits or fewer, so it
-    neither overflows nor underflows, and its principal cube root is lifted
-    by 2^((s + 2G)/3).  From the seed's ~50 bits each step doubles the
-    correct bits, and the iteration stops once a step moves c by at most 2
-    units of 2^-bits in each part (8 at G bits), which it does within about
-    log2(G/50) + 2 steps; past _CBRT_STEPS it raises ArithmeticError.  The
-    result, floored back by k + 2 bits, lies within 2 units of 2^-bits of
-    one of the three cube roots of u, which one not chosen (Cardano takes
-    any), so |c^3 - u| <= 6 (|c| + 2^(1-bits))^2 2^-bits.
-    """
-    k = max(0, -((max(abs(ur), abs(ui)).bit_length() - bits - 1) // 3))
-    big = bits + 2
-    ar, ai = ur << 3 * k + 2, ui << 3 * k + 2
-    s = max(max(abs(ar), abs(ai)).bit_length() - 60, 0)
-    s += -(s + 2 * big) % 3
-    z = complex(ar >> s, ai >> s) ** (1 / 3)
-    e = (s + 2 * big) // 3
-    lift = min(e, 52)
-    cr, ci = (int(ldexp(v, lift)) << e - lift for v in (z.real, z.imag))
-    for _ in range(_CBRT_STEPS):
-        sr, si = (cr * cr - ci * ci) >> big, (cr * ci) >> (big - 1)  # c^2
-        n = sr * sr + si * si
-        qr = ((ar * sr + ai * si) << big) // n  # u/c^2
-        qi = ((ai * sr - ar * si) << big) // n
-        nr, ni = (2 * cr + qr) // 3, (2 * ci + qi) // 3
-        if abs(nr - cr) <= 8 and abs(ni - ci) <= 8:
-            return nr >> k + 2, ni >> k + 2
-        cr, ci = nr, ni
-    raise ArithmeticError(f"cube root still moving after {_CBRT_STEPS} "
-                          f"Newton steps")
-
-
 def _cubic_root_norms(alpha, y, y3):
-    """(F, [|x_0|^2, |x_1|^2, |x_2|^2]): the squared root magnitudes of
-    x^3 - alpha y x + 1 + y^3 at 2F fractional bits, F = mp.prec + 32, for
-    y and y^3 fixed-point pairs at F bits, by Cardano's formula on integers
-    (see ``_cubic_root_mags``), as the tanh-sinh route takes them."""
+    """(F', [|x_0|^2, |x_1|^2, |x_2|^2]): the squared root magnitudes of
+    x^3 - alpha y x + 1 + y^3 at 2F' fractional bits, for y and y^3
+    fixed-point pairs at F = mp.prec + 32 bits, by Newton's iteration for
+    the largest root and the quadratic it leaves, on integers, scaled by
+    2^k, F' = F + k (see ``_cubic_root_mags``), as the tanh-sinh route
+    takes them."""
     bits = mp.prec + 32
     one = 1 << bits
-    _, a3, s3 = _cubic_constants(mpf(alpha)._mpf_, bits)
+    a = to_fixed(mpf(alpha)._mpf_, bits)
     (yr, yi), (zr, zi) = y, y3
-    pr, pi_ = -(a3 * yr >> bits), -(a3 * yi >> bits)  # p/3
-    hr, hi = (one + zr) >> 1, zi >> 1  # h
-    if hr == hi == 0:  # x (x^2 + p): 0 and +-sqrt(-p), |p| = alpha |y|
-        n = 3 * a3 << bits
-        return bits, [0, n, n]
-    qr, qi = (pr * pr - pi_ * pi_) >> bits, (pr * pi_) >> (bits - 1)
-    dr = (hr * hr - hi * hi + qr * pr - qi * pi_) >> bits  # h^2 + (p/3)^3
-    di = (2 * hr * hi + qr * pi_ + qi * pr) >> bits
-    m = isqrt(dr * dr + di * di)  # its square root d, up to sign
+    if one + zr == zi == 0:  # x (x^2 - alpha y): 0 and +-sqrt(alpha y)
+        return bits, [0, a << bits, a << bits]
+    ay, q = (a * yr, a * yi), (one + zr, zi)
+    # X = 2^k x brings the largest root magnitude M near 1 (k >= 0)
+    k = max(0, min((2 * bits - max(map(abs, ay)).bit_length()) // 2,
+                   (bits - max(map(abs, q)).bit_length()) // 3))
+    ay, q = (ay[0] << 2 * k, ay[1] << 2 * k), (q[0] << 3 * k, q[1] << 3 * k)
+    seed = _float_roots(complex(ay[0] / one ** 2, ay[1] / one ** 2),
+                        complex(q[0] / one, q[1] / one))[-1]
+    (xr, xi), (vr, vi) = _certified_root(ay, q, bits, seed,
+                                         complex(yr / one, yi / one))
+    dr, di = ay[0] + 3 * vr, ay[1] + 3 * vi  # (x_2 - x_3)^2, at 2F bits
+    m = isqrt(dr * dr + di * di)  # its square root s, up to sign
     if dr >= 0:
-        sr = isqrt((m + dr) << (bits - 1))
-        si = (di << bits) // (2 * sr) if sr else 0
+        sr = isqrt((m + dr) >> 1)
+        si = di // (2 * sr) if sr else 0
     else:
-        si = isqrt((m - dr) << (bits - 1))
-        sr = (abs(di) << bits) // (2 * si)
+        si = isqrt((m - dr) >> 1)
+        sr = abs(di) // (2 * si)
         si = -si if di < 0 else si
-    # |h + d|^2 - |h - d|^2 = 4 Re(h conj(d)), exactly
-    if hr * sr + hi * si > 0:
-        ur, ui = -hr - sr, -hi - si
+    # |x_1 + s|^2 - |x_1 - s|^2 = 4 Re(x_1 conj(s)), exactly
+    if xr * sr + xi * si > 0:
+        br, bi = -xr - sr, -xi - si
     else:
-        ur, ui = sr - hr, si - hi
-    cr, ci = _cube_root(ur, ui, bits)
-    n = cr * cr + ci * ci
-    gr = ((pr * cr + pi_ * ci) << bits) // n  # (p/3)/c
-    gi = ((pi_ * cr - pr * ci) << bits) // n
-    half = one >> 1
-    xs = []
-    for _ in range(3):  # x = c w^k - (p/3)/(c w^k), w = -1/2 + i sqrt(3)/2
-        xs.append((cr - gr, ci - gi))
-        cr, ci = (-cr * half - ci * s3) >> bits, (cr * s3 - ci * half) >> bits
-        gr, gi = (gi * s3 - gr * half) >> bits, (-gr * s3 - gi * half) >> bits
-    return bits, [xr * xr + xi * xi for xr, xi in xs]
+        br, bi = sr - xr, si - xi
+    n = br * br + bi * bi  # 4 |x_2|^2; |x_3| = |alpha y - x_1^2|/|x_2|
+    return bits + k, [xr * xr + xi * xi, n >> 2,
+                      ((vr * vr + vi * vi) << 2) // n]
 
 
 def _cubic_root_mags(alpha, t, point=None):
-    """|roots| of x^3 - alpha y x + 1 + y^3, y = e^(2 pi i t), by Cardano's
-    formula; ``point`` is y and y^3 as ``_torus_point`` gives them at
-    F = mp.prec + 32 bits, computed from t when not given.
+    """|roots| of x^3 - alpha y x + 1 + y^3, y = e^(2 pi i t); ``point`` is
+    y and y^3 as ``_torus_point`` gives them at F = mp.prec + 32 bits,
+    computed from t when not given.
 
-    With p = -alpha y and h = (1 + y^3)/2 the roots are c w^k - p/(3 c w^k),
-    w = e^(2 pi i/3), where c^3 is the larger of -h +- sqrt(h^2 + (p/3)^3)
-    (no cancellation).  Where h = 0 the cubic is x (x^2 + p), and its
-    squared magnitudes 0, |p|, |p| are taken directly, since (p/3)^3
-    underflows the fixed point for tiny alpha; so c^3 never vanishes.
+    The cubic is depressed, so a largest root x_1, of magnitude M, is at
+    least M from each other root, |x_1 - x_j| = |2 x_1 + x_k| >= M: it is
+    simple, |f'(x_1)| >= M^2, and Newton's iteration is well conditioned
+    there even at a double root.  The other two roots solve
+    x^2 + x_1 x + x_1^2 - alpha y = 0; with s^2 = 4 alpha y - 3 x_1^2 =
+    (x_2 - x_3)^2 the larger is x_2 = (-x_1 -+ s)/2, its sign from the exact
+    sign of Re(x_1 conj(s)) (no cancellation), and |x_3| = |x_2 x_3|/|x_2|
+    with x_2 x_3 = x_1^2 - alpha y.  Where 1 + y^3 = 0 the cubic is
+    x (x^2 - alpha y), and its squared magnitudes 0, alpha, alpha are taken
+    directly: at alpha = 0 it is x^3, whose triple root no scaling brings
+    near 1.
 
-    The formula runs on Python integers at F fractional bits: y and y^3
-    enter as their two exponentials at F bits, floored; every complex
-    product is floored once; the square root d comes from ``math.isqrt``,
-    the larger of -h +- d from the exact sign of Re(h conj(d)), and the
-    cube root c from ``_cube_root``'s Newton iteration, within 2 units of
-    2^-F of a cube root of that fixed-point -h +- d.  The magnitudes come
-    back unrounded, at F bits.  As |c|^2 >= |p|/3 and
-    max|x_i|/2 <= |c| <= max|x_i|, the rounding errors, the Newton term
-    among them, add up, to first order, to at most
-        2^(4 - F) (1 + alpha/3)^3 (1 + 1/|c|)^2 (1 + 1/max(|d|, 2^(-F/2)))
-    in each magnitude, which grows only near a double root (d = 0) and the
-    triple root (c = 0).
+    It runs on Python integers: alpha y at 2F and q = 1 + y^3 at F
+    fractional bits are exact from alpha, y and y^3 floored at F bits.
+    The cubic is scaled to X = 2^k x, k >= 0 from their bit lengths, so
+    that 1/5 < 2^k M < 3/2 or k = 0, which multiplies them by 2^(2k) and
+    2^(3k) exactly; ``_disk_root`` finds x_1 at F bits from the
+    largest float Cardano root (``_float_roots``), ``_certified_root``
+    refuses it unless |f/f'| <= 2^-(P/2), P = mp.prec, and s comes from
+    ``math.isqrt``.  The magnitudes come back unrounded at F + k bits.
+    With u = 2^-(F + k), x_1 lies within about 2 u of a root of the
+    fixed-point cubic.  s^2 is formed exactly from x_1, whose error moves
+    it by at most 12 M u, so s errs by 12 M u/(2 |s|) + u, or by
+    sqrt(12 M u) where |s| is smaller; x_1^2 - alpha y errs by 4 M u, and
+    |x_2| >= M/2.  To first order each magnitude is thus within
+        2^4 u (1 + M/max(|x_2 - x_3|, sqrt(M u)))
+    of the fixed-point cubic's, which grows only near a double root.  The
+    floors of alpha, y and y^3 move a simple root x_i by at most
+    (2 + (1 + 2 alpha) |x_i|) 2^-F/|f'(x_i)| more: the conditioning of the
+    cubic itself, large near a double root and at the triple root.
     """
     bits, norms = _cubic_root_norms(
         alpha, *(point or _torus_point(t, mp.prec + 32)))
     return [mp.make_mpf(from_man_exp(isqrt(n), -bits)) for n in norms]
 
 
+def _float_roots(ay: complex, q: complex) -> list:
+    """The roots of x^3 - ay x + q, ay and q not both 0, by Cardano's
+    formula in floats, smallest first: c w^k - p/(3 c w^k), w = e^(2 pi i/3),
+    p = -ay, c^3 the larger of -q/2 +- sqrt(q^2/4 + (p/3)^3)."""
+    p3, h = -ay / 3, q / 2
+    d = (h * h + p3 ** 3) ** 0.5
+    c = (-h - d if abs(h + d) > abs(h - d) else d - h) ** (1 / 3)
+    return sorted((c * w - p3 / (c * w) for w in _UNITY), key=abs)
+
+
 def _disk_seed(alpha: float, y: complex, q: complex) -> complex:
     """A float seed for the root of x^3 - alpha y x + q inside the unit
-    disk, alpha > 3: -q/(x_1 x_2) for the two larger of Cardano's roots in
-    floats (Vieta), which keeps its relative accuracy where the inner root
-    is small; from alpha = 2^30 on, where (alpha/3)^3 nears the float range,
+    disk, alpha > 3: -q/(x_1 x_2) for the two larger of ``_float_roots``
+    (Vieta), which keeps its relative accuracy where the inner root is
+    small; from alpha = 2^30 on, where (alpha/3)^3 nears the float range,
     q/(alpha y), within 4/alpha^3 of the root relatively."""
     if alpha >= 2 ** 30:
         return q / (alpha * y)
-    p3, h = -alpha * y / 3, q / 2
-    d = (h * h + p3 ** 3) ** 0.5
-    c = (-h - d if abs(h + d) > abs(h - d) else d - h) ** (1 / 3)
-    x = sorted((c * w - p3 / (c * w) for w in _UNITY), key=abs)
+    x = _float_roots(alpha * y, q)
     return -q / (x[1] * x[2])
 
 
@@ -532,10 +502,11 @@ def _disk_root(ay, q, bits, seed):
     bits, by Newton's step x <- x - f(x)/f'(x) from 64 bits up: a step at P
     bits takes ``_cubic_at`` on alpha y and q floored to 2P and P bits and
     floors f/f'.  A step that moves x by about 2^-k leaves it within about
-    2^-(2k - 8) of the root (8 bits for the curvature near alpha = 3), so
-    the next runs at min(F, 2 min(P, 2k - 8)) bits; at F the iteration stops
-    once 2k - 8 reaches F, and past _ROOT_STEPS steps it raises
-    ArithmeticError."""
+    2^-(2k - 8) of the root (8 bits for the curvature |f''/f'|: near
+    alpha = 3 for the root inside the unit disk, and for a largest root
+    scaled to a magnitude near 1), so the next runs at
+    min(F, 2 min(P, 2k - 8)) bits; at F the iteration stops once 2k - 8
+    reaches F, and past _ROOT_STEPS steps it raises ArithmeticError."""
     p = 64
     xr, xi = int(ldexp(seed.real, p)), int(ldexp(seed.imag, p))
     for _ in range(_ROOT_STEPS):
@@ -552,8 +523,23 @@ def _disk_root(ay, q, bits, seed):
         step = min(bits, 2 * min(p, good)) - p
         if step > 0:
             xr, xi, p = xr << step, xi << step, p + step
-    raise ArithmeticError(f"root inside the unit disk still moving after "
-                          f"{_ROOT_STEPS} Newton steps")
+    raise ArithmeticError(f"root still moving after {_ROOT_STEPS} Newton "
+                          f"steps")
+
+
+def _certified_root(ay, q, bits, seed, at):
+    """``_disk_root``'s root x of f(x) = x^3 - alpha y x + q and
+    alpha y - x^2 at 2F bits, F = ``bits``, once x passes
+    |f(x)/f'(x)| <= 2^-g, g = mp.prec // 2, exact from ``_cubic_at``; as
+    f'/f = sum_i 1/(x - x_i), a root then lies within 3 |f/f'| of x.  A
+    failure raises ArithmeticError naming the node y = ``at``."""
+    x = _disk_root(ay, q, bits, seed)
+    v, (dr, di), (fr, fi) = _cubic_at(x, ay, q, bits)
+    gate = mp.prec // 2
+    if (fr * fr + fi * fi) << 2 * gate > (dr * dr + di * di) << 2 * bits:
+        raise ArithmeticError(f"root at node y = {at}: residual over |f'| "
+                              f"above 2^-{gate}")
+    return x, v
 
 
 def _n_node(alpha, y):
@@ -563,25 +549,20 @@ def _n_node(alpha, y):
     f(x) = x^3 - alpha y x + 1 + y^3 inside the unit disk: half its log is
     sum_i log+ |x_i| (module docstring).  Each call counts as one term.
 
-    x (``_disk_root``) must pass |f(x)/f'(x)| <= 2^-g, g = mp.prec // 2,
-    exact at F bits.  As f'/f = sum_i 1/(x - x_i), a root lies within
-    3 |f/f'| of x, and |x| + 3 2^-g < 1 puts it inside the unit disk, which
-    by Rouche holds only one; either failure raises ArithmeticError.  As
+    x (``_certified_root``) lies within 3 |f/f'| <= 3 2^-g, g = mp.prec // 2,
+    of a root, and |x| + 3 2^-g < 1 puts that root inside the unit disk,
+    which by Rouche holds only one; a failure raises ArithmeticError.  As
     |d log|alpha y - x^2|/dx| <= 2/(alpha - 1) in the disk, half the log is
     then within 6 |f/f'|/(alpha - 1) of the exact root's."""
     count_terms(1)
     bits, gate = mp.prec + 32, mp.prec // 2
     one = 1 << bits
     y3 = _cmul(_cmul(y, y, bits), y, bits)
-    a = _cubic_constants(alpha._mpf_, bits)[0]
+    a = to_fixed(alpha._mpf_, bits)
     ay, q = (a * y[0], a * y[1]), (one + y3[0], y3[1])
     at = complex(y[0] / one, y[1] / one)
-    x = _disk_root(ay, q, bits, _disk_seed(
-        float(alpha), at, complex(q[0] / one, q[1] / one)))
-    (vr, vi), (dr, di), (fr, fi) = _cubic_at(x, ay, q, bits)
-    if (fr * fr + fi * fi) << 2 * gate > (dr * dr + di * di) << 2 * bits:
-        raise ArithmeticError(f"root at node y = {at}: residual over |f'| "
-                              f"above 2^-{gate}")
+    x, (vr, vi) = _certified_root(ay, q, bits, _disk_seed(
+        float(alpha), at, complex(q[0] / one, q[1] / one)), at)
     if x[0] * x[0] + x[1] * x[1] >= (one - (3 << bits - gate)) ** 2:
         raise ArithmeticError(f"root at node y = {at} not certified inside "
                               f"the unit disk (Rouche)")
@@ -612,8 +593,8 @@ def _log_plus(bits, norms):
 
 
 def _check_root_mags(alpha, points):
-    """Cross-check the closed-form root magnitudes against polyroots, both
-    at the one torus point ``_torus_point`` gives for each t."""
+    """Cross-check the integer root magnitudes against polyroots, both at
+    the one torus point ``_torus_point`` gives for each t."""
     gate = mpf(2) ** (-(mp.prec // 2))
     bits = mp.prec + 32
     for t in points:
@@ -659,10 +640,12 @@ def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
     The route and the role of tol are the module docstring's: the periodic
     rule over one period of 1/3 on ``_n_node``, the one root inside the unit
     disk, and tanh-sinh over [0, 1/6] with weight 6, split at the kinks of
-    ``_n_breakpoints``, on Cardano's magnitudes (``_n_integrand``), which
-    polyroots cross-checks at the ends of the pieces.  Either way
-    ArithmeticError is raised if a root may be off by more than 2^(-P/2), P
-    the working precision (prec + 32 at the periodic rule's nodes).
+    ``_n_breakpoints``, on all three magnitudes (``_n_integrand``), which
+    polyroots cross-checks at the ends of the pieces.  Either way each
+    Newton root passes ``_certified_root``'s gate or ArithmeticError is
+    raised: its correction |f/f'| must be at most 2^(-P/2), P the working
+    precision (prec + 32 at the periodic rule's nodes, and mpmath's raised
+    precision in tanh-sinh).
     """
     tol = to_tol(tol)
     prec = max(140, int(-mp.log(tol, 2)) + 80)

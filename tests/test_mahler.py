@@ -347,12 +347,15 @@ def _cardano_c_d(alpha, y, y3, f):
 def test_rouche_node_against_cardano(monkeypatch):
     # at every node of the periodic rule for alpha1, alpha3, 5 and 50, at
     # 140, 256, 512 and 1024 bits, half the log of the Rouche node value
-    # against Cardano's sum of log+ on the same fixed-point y and y^3,
-    # within the sum of the two stated bounds: _cubic_root_mags' bound per
-    # magnitude, twice (two magnitudes above 1, where log+ is 1-Lipschitz),
-    # plus its one log's rounding at F bits, 2^(1-F)(1 + value); and
-    # _n_node's 6 |f/f'|/(alpha - 1) for half its log, the log itself taken
-    # here 64 bits above F
+    # against the tanh-sinh route's sum of log+ (all three magnitudes) on
+    # the same fixed-point y and y^3, within the sum of two bounds: the
+    # magnitudes' Cardano rounding bound of
+    # test_cubic_root_mags_against_mpc_cardano, twice (two magnitudes above
+    # 1, where log+ is 1-Lipschitz), plus the one log's rounding at F bits,
+    # 2^(1-F)(1 + value); and _n_node's 6 |f/f'|/(alpha - 1) for half its
+    # log, the log itself taken here 64 bits above F.  The roots are
+    # recorded during n_quadrature only, since the three-magnitude solve
+    # calls _disk_root too
     nodes = []
     node = mahler._n_node
 
@@ -361,15 +364,15 @@ def test_rouche_node_against_cardano(monkeypatch):
         nodes.append((alpha, y, value, mp.prec))
         return value
 
-    roots = _disk_roots(monkeypatch)
-    monkeypatch.setattr(mahler, "_n_node", record)
     a1, _, a3 = _bertin_alphas()
     worst = 0
     for prec in (140, 256, 512, 1024):
         for alpha in (a1, a3, mpf(5), mpf(50)):
             nodes.clear()
-            roots.clear()
-            n_quadrature(alpha, CTX, tol=mpf(2) ** (80 - prec))
+            with monkeypatch.context() as patch:
+                roots = _disk_roots(patch)
+                patch.setattr(mahler, "_n_node", record)
+                n_quadrature(alpha, CTX, tol=mpf(2) ** (80 - prec))
             assert len(nodes) == len(roots) >= 9, (prec, alpha)
             for (a, y, (m, e), p), (ay, q, f, x, _) in zip(nodes, roots):
                 with workprec(p):
@@ -601,9 +604,9 @@ def test_cubic_root_mags_match_polyroots():
 
 def _cardano_mpc(alpha, t, extra):
     """Cardano's formula on mpc values, ``extra`` bits above the working
-    precision, as the root magnitudes were computed before they moved to
-    integers; the arguments 2t and 6t are rounded at the working precision,
-    as ``_torus_point`` rounds them.  Returns the magnitudes, |c| and |d|."""
+    precision, a reference independent of the integer Newton solve; the
+    arguments 2t and 6t are rounded at the working precision, as
+    ``_torus_point`` rounds them.  Returns the magnitudes, |c| and |d|."""
     a2, a6 = 2 * t, 6 * t
     with workprec(mp.prec + extra):
         y, y3 = expjpi(a2), expjpi(a6)
@@ -627,12 +630,17 @@ def test_cubic_root_mags_against_mpc_cardano():
     # seeded alpha in [0, 30] and t in [0, 1/2] and on the special points:
     # the triple root (alpha = 0, t = 1/6), the double root x = 1 (alpha = 3,
     # t = 0), the roots 0, +-sqrt(3 y) (alpha = 3, t = 1/6) and 0, +-i sqrt 3
-    # (alpha = 3, t = 1/2).  Each sorted magnitude is within the docstring's
-    # rounding bound, which is of the size of max |x_i| 2^-F times the
-    # conditioning (1/|c| near the triple root, 1/|d| near a double root),
-    # and the integrand within three times that
+    # (alpha = 3, t = 1/2); and where the roots are small and the solve
+    # scales the cubic by 2^k, k > 0: t = 1/6 + 2^-j, near the triple root
+    # for alpha = 0 and 1e-20, and alpha = 10^-j.  Each sorted magnitude is
+    # within Cardano's rounding bound
+    # 2^(4-F) (1 + alpha/3)^3 (1 + 1/|c|)^2 (1 + 1/max(|d|, 2^(-F/2))), of
+    # the size of max |x_i| 2^-F times the conditioning (1/|c| near the
+    # triple root, 1/|d| near a double root), and the integrand within three
+    # times that
     rng = random.Random(1903)
-    for bits in (64, 140, 256, 512):
+    scaled = 0
+    for bits in (64, 140, 256, 512, 1024):
         with workprec(bits):
             f = bits + 32
             specials = [mpf(0), mpf(1) / 6, mpf(1) / 2]
@@ -641,8 +649,16 @@ def test_cubic_root_mags_against_mpc_cardano():
             points += [(mpf(a), t) for a in (0, 3) for t in specials]
             points += [(mpf(rng.uniform(0, 30)), t) for t in specials]
             points += [(mpf(a), mpf(rng.uniform(0, 0.5))) for a in (0, 3)]
+            near = [mpf(1) / 6 + mpf(2) ** -j
+                    for j in (4, 16, 40, bits // 2, bits - 4)]
+            points += [(a, t) for a in (mpf(0), mpf(10) ** -20, mpf(2), mpf(3))
+                       for t in near]
+            points += [(mpf(10) ** -j, t) for j in (3, 10, 30, 60)
+                       for t in specials + [mpf(1) / 7]]
             for alpha, t in points:
                 got = sorted(_cubic_root_mags(alpha, t))
+                scaled += mahler._cubic_root_norms(
+                    alpha, *mahler._torus_point(t, f))[0] > f
                 ref, c, d = _cardano_mpc(alpha, t, 64)
                 ref = sorted(ref)
                 if c == 0:
@@ -658,48 +674,14 @@ def test_cubic_root_mags_against_mpc_cardano():
                     want = sum(log(m) for m in ref if m > 1)
                     assert abs(value - want) <= 3 * bound \
                         + mpf(2) ** (1 - f) * (1 + want), (bits, alpha, t)
-
-
-def test_cube_root_against_mpc_cbrt():
-    # the integer Newton cube root for |u| from 2^-200 to 2^200, in all four
-    # quadrants and on both axes: c^3 within the docstring's
-    # 6 (|c| + 2^(1-F))^2 2^-F of u, and c within 2 units of 2^-F of one of
-    # the three cube roots mpc_cbrt gives, at 64 bits above F
-    from mpmath.libmp import from_man_exp, mpc_cbrt
-    rng = random.Random(2707)
-    w = mpc(-1, sqrt(mpf(3))) / 2
-    for f in (204, 256, 600):
-        for e in range(-200, 201, 25):
-            for x, y in ((1, 0), (-1, 0), (0, 1), (0, -1),
-                         (1, 1), (-1, 1), (-1, -1), (1, -1)):
-                scale = rng.uniform(1, 2)
-                ur, ui = (int(ldexp(v * scale, e + f)) for v in (x, y))
-                cr, ci = mahler._cube_root(ur, ui, f)
-                with workprec(3 * f + 700):
-                    c, u = mpc(cr, ci) / 2 ** f, mpc(ur, ui) / 2 ** f
-                    bound = 6 * (abs(c) + ldexp(1, 1 - f)) ** 2 * ldexp(1, -f)
-                    assert abs(c ** 3 - u) <= bound, (f, e, x, y)
-                    ref = mp.make_mpc(mpc_cbrt(
-                        (from_man_exp(ur, -f), from_man_exp(ui, -f)), f + 64))
-                    gap = min(abs(c - ref * w ** k) for k in range(3))
-                    assert gap <= ldexp(2, -f), (f, e, x, y)
-
-
-def test_cube_root_step_budget(monkeypatch):
-    # at 204 bits the seed's ~50 bits take 3 steps to settle and a fourth to
-    # see it; with fewer allowed, the iteration refuses instead of returning
-    u = (5 << 203, -(3 << 202))
-    assert mahler._cube_root(*u, 204)
-    monkeypatch.setattr(mahler, "_CBRT_STEPS", 3)
-    with pytest.raises(ArithmeticError, match="Newton"):
-        mahler._cube_root(*u, 204)
+    assert scaled >= 40
 
 
 def test_n_quadrature_periodic_route_needs_no_cube_root_or_node_exponential(
         monkeypatch):
     # at alpha3 = 32^(1/3) the periodic rule takes its nodes from the table
-    # and solves for one root per node by Newton's iteration: no Cardano
-    # cube root, no mpc_cbrt and no polyroots call, and exactly one
+    # and solves for one root per node by Newton's iteration: no
+    # three-magnitude solve, no mpc_cbrt and no polyroots call, and exactly one
     # mpf_cos_sin_pi and one mpf_log per level.  m_quadrature's periodic
     # rule at alpha = 5 makes the same one of each per level
     from mpmath.libmp import libmpc
@@ -717,7 +699,7 @@ def test_n_quadrature_periodic_route_needs_no_cube_root_or_node_exponential(
     assert not hasattr(mahler, "mpc_cbrt")
     monkeypatch.setattr(libmpc, "mpc_cbrt", refuse)
     monkeypatch.setattr(mpmath.libmp, "mpc_cbrt", refuse)
-    for name in ("polyroots", "_cube_root", "_cubic_root_norms"):
+    for name in ("polyroots", "_cubic_root_norms"):
         monkeypatch.setattr(mahler, name, refuse)
     for name in calls:
         monkeypatch.setattr(mahler, name, counted(name))
@@ -733,7 +715,7 @@ def test_n_quadrature_periodic_route_needs_no_cube_root_or_node_exponential(
 
 
 def test_cubic_root_mags_triple_root():
-    # alpha = 0, y^3 = -1: the cubic is x^3 and Cardano's c vanishes
+    # alpha = 0, y^3 = -1: the cubic is x^3, with no root to scale near 1
     with workprec(140):
         assert _cubic_root_mags(mpf(0), mpf(1) / 6) == [0, 0, 0]
         # n(0) = m(1 + x + y), Smyth's constant
@@ -742,9 +724,8 @@ def test_cubic_root_mags_triple_root():
 
 def test_n_quadrature_small_alpha():
     # at t = 1/6, 1 + y^3 = 0 and the cubic is x (x^2 - alpha y), with
-    # roots 0 and +-sqrt(alpha y): for tiny alpha (p/3)^3 underflows the
-    # fixed point, so Cardano's formula would give the triple root 0 and the
-    # polyroots cross-check would raise
+    # roots 0 and +-sqrt(alpha y), which tiny alpha must not lose to the
+    # fixed point, or the polyroots cross-check would raise
     ref = n_quadrature(0, CTX)
     with workprec(140):
         for alpha in (mpf("1e-20"), mpf("1e-30"), mpf("1e-40")):
@@ -785,10 +766,11 @@ def test_n_series_domain():
 
 
 def test_n_quadrature_cross_check_catches_bad_roots(monkeypatch):
-    # a wrong root makes n_quadrature raise on either route.  On the
-    # periodic route (alpha3) a root 2^-60 off fails its residual gate at
-    # the first node; on tanh-sinh (alpha = 2) wrong magnitudes fail the
-    # polyroots cross-check at the ends of the pieces
+    # a wrong root makes n_quadrature raise on either route.  A root 2^-60
+    # off fails its residual gate at the first node on both the periodic
+    # route (alpha3) and tanh-sinh (alpha = 2); on tanh-sinh wrong
+    # magnitudes also fail the polyroots cross-check at the ends of the
+    # pieces
     root = mahler._disk_root
 
     def off(ay, q, bits, seed):
@@ -797,9 +779,10 @@ def test_n_quadrature_cross_check_catches_bad_roots(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(mahler, "_disk_root", off)
-        with pytest.raises(ArithmeticError,
-                           match="root at node .* residual over"):
-            n_quadrature(cbrt(mpf(32)), CTX)
+        for alpha in (cbrt(mpf(32)), mpf(2)):
+            with pytest.raises(ArithmeticError,
+                               match="root at node .* residual over"):
+                n_quadrature(alpha, CTX)
     good = mahler._cubic_root_mags
 
     def perturbed(alpha, t, *point):

@@ -107,10 +107,10 @@ def test_no_unreferenced_private_in_package():
 
 
 def test_polyroots_only_in_mahler():
-    # the n(alpha) quadrature's Cardano cross-check on the tanh-sinh route
-    # is the one use of an iterative root solver (the periodic route
-    # certifies its roots by their residuals); the special functions take
-    # closed forms
+    # the n(alpha) quadrature's cross-check of its root magnitudes on the
+    # tanh-sinh route is the one use of mpmath's iterative root solver (both
+    # routes certify their own Newton roots by their residuals); the
+    # special functions take closed forms
     users = sorted(str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py")
                    if "polyroots" in _named(ast.parse(path.read_text())))
     assert users == ["mahler.py"]
