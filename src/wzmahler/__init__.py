@@ -9,12 +9,12 @@ the ``wzmahler`` command line runs the whole table.
 from .context import (ComplexRootsUnsupportedError, ConvergenceError,
                       DivergentSeriesError, DomainError, LatticePoleError,
                       NonComparableError, PoleError, PrecisionCtx,
-                      QuadratureBudgetError, Rational, SingularCurveError,
+                      QuadratureBudgetError, SingularCurveError,
                       SlowConvergenceWarning, UnknownIdentityError)
 from .numkernel import agm, bloch_wigner, gamma_real, zeta_int
 
 __all__ = [
-    "PrecisionCtx", "Rational",
+    "PrecisionCtx",
     "gamma_real", "bloch_wigner", "agm", "zeta_int",
     "PoleError", "DomainError", "ConvergenceError", "DivergentSeriesError",
     "NonComparableError", "QuadratureBudgetError", "SingularCurveError",

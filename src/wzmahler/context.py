@@ -15,9 +15,6 @@ from typing import NamedTuple
 
 from mpmath import mpf, workprec
 
-# Exact rational scalar used throughout the exact-arithmetic modules.
-Rational = Fraction
-
 GUARD_BITS = 32
 
 

@@ -4,21 +4,19 @@ reports.
 
 Each record binds an id to its two sides (or to a WZPair for the exact
 certificates), a tolerance, and optional sampled parameters.  A side is a
-plain callable ``side(ctx, param) -> value``: a lambda or def that calls the
-mathematics directly (closed forms, m(alpha), n(alpha), lattice sums and
-elliptic dilogarithms, with each inner tolerance formed when the side runs),
-or a ``HyperSum`` (a hypergeometric-type series).  Only ``run_check``
+callable ``side(ctx, param) -> value`` of one of three forms: a ``Side``,
+a sum of rational (or rational over pi) multiples of named quantities
+(m(alpha), n(alpha) and lattice sums, each ``Quantity`` with its inner
+tolerance); a ``HyperSum``, a hypergeometric-type series whose term ratio
+and weight come, for the log 2 sums a WZ pair proves, from that pair's G
+(``_g_kernel``); or a def or lambda for a closed form.  Only ``run_check``
 opens a scope: per parameter, one ``series.TermCounter`` around both sides,
 whose terms and notes go into the report, at bits + 64, where it rounds
 both values.  A numeric check whose tolerance lies below 2^-(bits+32)
 reports UNRESOLVED (CONJECTURAL-UNRESOLVED) whatever its difference, which
-counts against the exit code as FAIL does.  The log 2 sums
-that a WZ pair proves, and their Gamma-quotient generalizations, take their
-term ratio and weight from that pair's G (``_g_kernel``), so
-``symbolic.pairs`` is the one source of the certificate and of the sum.
-The table is built once per process, on first use.  Conjectural records
-and records carrying a documented correction can never flip the suite's
-exit code.
+counts against the exit code as FAIL does.  The table is built once per
+process, on first use.  Conjectural records and records carrying a
+documented correction can never flip the suite's exit code.
 """
 
 from __future__ import annotations
@@ -164,13 +162,73 @@ def n_lattice(alpha, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         return +(9 * lat / (2 * pi))
 
 
-def _alpha_phi(q, ctx: PrecisionCtx) -> mpf:
+def _nome_dilog_sum(curve: EllipticCurve, ctx: PrecisionCtx) -> mpf:
+    """sum_n D(i q^n) at the nome q of ``curve``: D^E at u = omega/4"""
+    return lattice_dilog_sum(mpc(0, 1), periods(curve, ctx).q, ctx)
+
+
+class OverPi(Fraction):
+    """A rational coefficient c of a ``Side`` term that stands for c/pi."""
+    __slots__ = ()
+
+
+class Quantity(NamedTuple):
+    """fn(*args, ctx), at the inner tolerance 10**-tol if one is given.  fn
+    is looked up by its name in this module when called, so that a rebound
+    module attribute (perfbench's tracer) is what runs."""
+    fn: Callable
+    tol: int | None = None
+
+    def __call__(self, ctx, *args):
+        tol = {} if self.tol is None else {"tol": mpf(10) ** -self.tol}
+        return globals()[self.fn.__name__](*args, ctx, **tol)
+
+
+class Side(NamedTuple):
+    """sum c Q(*args) over ``terms``, each a tuple (c, Q, *args) of an int or
+    ``OverPi`` coefficient c, a ``Quantity`` Q and its arguments: values, or
+    functions of (ctx, param) called when the side runs.  Compared and
+    hashed by identity like ``HyperSum``."""
+    terms: tuple
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    @classmethod
+    def of(cls, *terms) -> Side:
+        return cls(terms)
+
+    def __call__(self, ctx, param):
+        total = 0
+        for c, quantity, *args in self.terms:
+            v = quantity(ctx, *(a(ctx, param) if callable(a) else a for a in args))
+            total += to_mpf(c) / pi * v if isinstance(c, OverPi) else c * v
+        return total
+
+
+# the quantities that the Mahler-measure and elliptic-dilogarithm sides add up
+M = Quantity(m_series, 42)          # m(alpha) by its series
+M40 = Quantity(m_series, 40)
+M_QUAD = Quantity(m_quadrature, 8)  # m(alpha) by the Jensen quadrature
+N = Quantity(n_series, 42)          # n(alpha) likewise
+N_LAT = Quantity(n_lattice)
+N_QUAD = Quantity(n_quadrature, 8)
+RV = Quantity(rv_series, 42)        # the Rodriguez-Villegas series
+L = Quantity(lattice_dilog_sum)     # L(z0, q) = sum_n D(z0 q^n)
+L_NOME = Quantity(_nome_dilog_sum)  # L(i, q) at a curve's nome q
+D_E = Quantity(elliptic_dilog)      # D^E at u = a omega + b omega'
+
+
+def _q(ctx, q) -> mpf:
+    return to_mpf(q)
+
+
+def _alpha_phi(ctx, q) -> mpf:
     """alpha = 4 phi(q)^2/phi(-q)^2, where m(alpha) = (4/pi) L(i, q)"""
     q = to_mpf(q)
     return 4 * phi_theta(q, ctx) ** 2 / phi_theta(-q, ctx) ** 2
 
 
-def _alpha_x(q, ctx: PrecisionCtx) -> mpf:
+def _alpha_x(ctx, q) -> mpf:
     """alpha = 3 x(q)^(1/3) = 3 a(q)/b(q), where
     n(alpha) = (9/2pi) L(e^(2pi i/3), q)"""
     return 3 * cubic_theta_ratio(to_mpf(q), ctx)
@@ -283,6 +341,8 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
     gen_x = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 2))
     q_samples = (Fraction(1, 10), Fraction(1, 5))
 
+    e1, e2, e3, e4, bertin = (e for e, _ in CURVES.values())
+
     def zeta3(ctx, _):
         return zeta_int(3, ctx)
 
@@ -336,20 +396,14 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
                        KIND_FINITE, _finite_lhs, _finite_rhs, t[8], params=tuple(range(1, 9)),
                        note="4F3(1,1,2m,2m; m+1,m+1,2m+1; 1), 1/n^2 tail, accelerated"),
         IdentityRecord("lalin-m1-m16", "11 m(1) = m(16)", KIND_NUMERIC,
-                       lambda ctx, _: 11 * m_series(1, ctx, tol=mpf(10) ** -42),
-                       lambda ctx, _: m_series(16, ctx, tol=mpf(10) ** -42), t[40]),
+                       Side.of((11, M, 1)), Side.of((1, M, 16)), t[40]),
         IdentityRecord("m2-m8", "4 m(2) = m(8)", KIND_NUMERIC,
-                       lambda ctx, _: 4 * m_series(2, ctx, tol=mpf(10) ** -42),
-                       lambda ctx, _: m_series(8, ctx, tol=mpf(10) ** -42), t[40]),
+                       Side.of((4, M, 2)), Side.of((1, M, 8)), t[40]),
         IdentityRecord("ko-m1-m16-2m5", "m(1) + m(16) = 2 m(5)", KIND_NUMERIC,
-                       lambda ctx, _: (m_series(1, ctx, tol=mpf(10) ** -42)
-                                       + m_series(16, ctx, tol=mpf(10) ** -42)),
-                       lambda ctx, _: 2 * m_series(5, ctx, tol=mpf(10) ** -42), t[40]),
+                       Side.of((1, M, 1), (1, M, 16)), Side.of((2, M, 5)), t[40]),
         IdentityRecord("lr-m2-m8-2m3sqrt2", "m(2) + m(8) = 2 m(3 sqrt 2)", KIND_NUMERIC,
-                       lambda ctx, _: (m_series(2, ctx, tol=mpf(10) ** -42)
-                                       + m_series(8, ctx, tol=mpf(10) ** -42)),
-                       lambda ctx, _: 2 * m_series(sqrt(mpf(2)) * 3, ctx, tol=mpf(10) ** -42),
-                       t[40]),
+                       Side.of((1, M, 2), (1, M, 8)),
+                       Side.of((2, M, lambda *_: sqrt(mpf(2)) * 3)), t[40]),
         IdentityRecord("log4r-identity",
                        "log(4/r) = rs + sum (2(1+rs)n+1)/((2n)(2n+1)) C(2n,n)^2 (r/4)^(2n)",
                        KIND_NUMERIC, lambda ctx, r: log(4 / to_mpf(r)),
@@ -360,79 +414,55 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
                             "r < 1 samples converge geometrically"),
         IdentityRecord("qseries-m-series",
                        "m(4 phi^2(q)/phi^2(-q)) = (4/pi) sum D(i q^n), series route",
-                       KIND_NUMERIC,
-                       lambda ctx, q: 4 / pi * lattice_dilog_sum(mpc(0, 1), to_mpf(q), ctx),
-                       lambda ctx, q: m_series(_alpha_phi(q, ctx), ctx, tol=mpf(10) ** -40),
-                       t[6], params=q_samples),
+                       KIND_NUMERIC, Side.of((OverPi(4), L, mpc(0, 1), _q)),
+                       Side.of((1, M40, _alpha_phi)), t[6], params=q_samples),
         IdentityRecord("qseries-m-quad",
                        "m(4 phi^2(q)/phi^2(-q)) = (4/pi) sum D(i q^n), quadrature route",
-                       KIND_NUMERIC,
-                       lambda ctx, q: 4 / pi * lattice_dilog_sum(mpc(0, 1), to_mpf(q), ctx),
-                       lambda ctx, q: m_quadrature(_alpha_phi(q, ctx), ctx, tol=mpf(10) ** -8),
-                       t[6], params=q_samples),
+                       KIND_NUMERIC, Side.of((OverPi(4), L, mpc(0, 1), _q)),
+                       Side.of((1, M_QUAD, _alpha_phi)), t[6], params=q_samples),
         IdentityRecord("qseries-n", "n(3 x(q)^(1/3)) = (9/2pi) sum D(e^(2pi i/3) q^n)",
                        KIND_NUMERIC,
-                       lambda ctx, q: 9 / (2 * pi) * lattice_dilog_sum(
-                           mpc(-1, sqrt(mpf(3))) / 2, to_mpf(q), ctx),
-                       lambda ctx, q: n_series(_alpha_x(q, ctx), ctx, tol=mpf(10) ** -42),
-                       t[6], params=q_samples),
+                       Side.of((OverPi(9, 2), L, lambda *_: mpc(-1, sqrt(mpf(3))) / 2, _q)),
+                       Side.of((1, N, _alpha_x)), t[6], params=q_samples),
         IdentityRecord("qseries-n2",
                        "(9/pi) sum D(e^(pi i/3) q^n) = 2 n(3 x(q)^(1/3)) + n(3 x(q^2)^(1/3))",
                        KIND_NUMERIC,
-                       lambda ctx, q: 9 / pi * lattice_dilog_sum(
-                           mpc(1, sqrt(mpf(3))) / 2, to_mpf(q), ctx),
-                       lambda ctx, q: (
-                           2 * n_series(_alpha_x(q, ctx), ctx, tol=mpf(10) ** -42)
-                           + n_series(_alpha_x(to_mpf(q) ** 2, ctx), ctx, tol=mpf(10) ** -42)),
+                       Side.of((OverPi(9), L, lambda *_: mpc(1, sqrt(mpf(3))) / 2, _q)),
+                       Side.of((2, N, _alpha_x),
+                               (1, N, lambda ctx, q: _alpha_x(ctx, to_mpf(q) ** 2))),
                        t[6], params=q_samples),
         IdentityRecord("dilog-equiv-1", "11 D^E1(P1) = 6 D^E2(P2)", KIND_NUMERIC,
-                       lambda ctx, _: 11 * lattice_dilog_sum(
-                           mpc(0, 1), periods(CURVES["E1"][0], ctx).q, ctx),
-                       lambda ctx, _: 6 * lattice_dilog_sum(
-                           mpc(0, 1), periods(CURVES["E2"][0], ctx).q, ctx), t[20],
+                       Side.of((11, L_NOME, e1)), Side.of((6, L_NOME, e2)), t[20],
                        note="P1, P2 at u = omega/4 (z0 = i) on E(5,2), E(16,1/2)"),
         IdentityRecord("dilog-equiv-2", "5 D^E3(P3) = 8 D^E4(P4)", KIND_NUMERIC,
-                       lambda ctx, _: 5 * lattice_dilog_sum(
-                           mpc(0, 1), periods(CURVES["E3"][0], ctx).q, ctx),
-                       lambda ctx, _: 8 * lattice_dilog_sum(
-                           mpc(0, 1), periods(CURVES["E4"][0], ctx).q, ctx), t[20],
+                       Side.of((5, L_NOME, e3)), Side.of((8, L_NOME, e4)), t[20],
                        note="P3, P4 at u = omega/4 on E(8,1/2), E(3sqrt2,1); the "
                             "(1/4, 0) location is adopted for all four curves"),
         # m(k) = (4/pi) L(i, q) at the nome q of the curve E(k, l)
         IdentityRecord("m5-dilog", "m(5) = (4/pi) D^E(5,2)(P1)", KIND_NUMERIC,
-                       lambda ctx, _: m_series(5, ctx, tol=mpf(10) ** -40),
-                       lambda ctx, _: 4 / pi * lattice_dilog_sum(
-                           mpc(0, 1), periods(CURVES["E1"][0], ctx).q, ctx), t[15]),
+                       Side.of((1, M40, 5)), Side.of((OverPi(4), L_NOME, e1)), t[15]),
         IdentityRecord("m8-dilog", "m(8) = (4/pi) D^E(8,1/2)(P3)", KIND_NUMERIC,
-                       lambda ctx, _: m_series(8, ctx, tol=mpf(10) ** -40),
-                       lambda ctx, _: 4 / pi * lattice_dilog_sum(
-                           mpc(0, 1), periods(CURVES["E3"][0], ctx).q, ctx), t[15]),
+                       Side.of((1, M40, 8)), Side.of((OverPi(4), L_NOME, e3)), t[15]),
         IdentityRecord("m16-dilog", "m(16) = (4/pi) D^E(16,1/2)(P2)", KIND_NUMERIC,
-                       lambda ctx, _: m_series(16, ctx, tol=mpf(10) ** -40),
-                       lambda ctx, _: 4 / pi * lattice_dilog_sum(
-                           mpc(0, 1), periods(CURVES["E2"][0], ctx).q, ctx), t[15]),
+                       Side.of((1, M40, 16)), Side.of((OverPi(4), L_NOME, e2)), t[15]),
         IdentityRecord("m3sqrt2-dilog", "m(3 sqrt 2) = (4/pi) D^E(3sqrt2,1)(P4)", KIND_NUMERIC,
-                       lambda ctx, _: m_series(sqrt(mpf(2)) * 3, ctx, tol=mpf(10) ** -40),
-                       lambda ctx, _: 4 / pi * lattice_dilog_sum(
-                           mpc(0, 1), periods(CURVES["E4"][0], ctx).q, ctx), t[15]),
+                       Side.of((1, M40, lambda *_: sqrt(mpf(2)) * 3)),
+                       Side.of((OverPi(4), L_NOME, e4)), t[15]),
         IdentityRecord("bertin-exotic", "16 D^E(P) = 11 D^E(2P) on y^2 = 4x^3 - 432x + 1188",
                        KIND_NUMERIC,
-                       lambda ctx, _: 16 * elliptic_dilog(
-                           CURVES["bertin"][0], (Fraction(1, 6), Fraction(-1, 2)), ctx),
-                       lambda ctx, _: 11 * elliptic_dilog(
-                           CURVES["bertin"][0], (Fraction(1, 3), Fraction(0)), ctx),
-                       t[20],
+                       Side.of((16, D_E, bertin, (Fraction(1, 6), Fraction(-1, 2)))),
+                       Side.of((11, D_E, bertin, (Fraction(1, 3), Fraction(0)))), t[20],
                        note="P at u = (omega - 3 omega')/6; g2^3/(g2^3-27g3^2) "
                             "computes to 256/135 exactly (not the sometimes-"
                             "quoted 6912/6971), consistent with beta = 5/32"),
         IdentityRecord("bertin-n-form",
                        "16 n((7+sqrt5)/4^(1/3)) - 8 n((7-sqrt5)/4^(1/3)) = 19 n(32^(1/3))",
                        KIND_NUMERIC,
-                       lambda ctx, _: (
-                           16 * n_lattice((7 + sqrt(mpf(5))) / mpf(4) ** (mpf(1) / 3), ctx)
-                           - 8 * n_lattice((7 - sqrt(mpf(5))) / mpf(4) ** (mpf(1) / 3), ctx)),
-                       lambda ctx, _: 19 * n_quadrature(mpf(32) ** (mpf(1) / 3), ctx,
-                                                        tol=mpf(10) ** -8), t[6],
+                       Side.of((16, N_LAT,
+                                lambda *_: (7 + sqrt(mpf(5))) / mpf(4) ** (mpf(1) / 3)),
+                               (-8, N_LAT,
+                                lambda *_: (7 - sqrt(mpf(5))) / mpf(4) ** (mpf(1) / 3))),
+                       Side.of((19, N_QUAD, lambda *_: mpf(32) ** (mpf(1) / 3))), t[6],
                        note="left side by the nome and lattice sum, right side "
                             "by Jensen quadrature"),
         IdentityRecord("bertin-series",
@@ -440,12 +470,9 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
                        "(16 u1^n - 8 u2^n - 19 u3^n)",
                        KIND_NUMERIC, lambda *_: 3 * log((7 + sqrt(mpf(5))) ** 24
                                                         / (mpf(2) ** 53 * mpf(11) ** 8)),
-                       lambda ctx, _: (16 * rv_series(4 / (7 + sqrt(mpf(5))) ** 3, ctx,
-                                                      tol=mpf(10) ** -42)
-                                       - 8 * rv_series(4 / (7 - sqrt(mpf(5))) ** 3, ctx,
-                                                       tol=mpf(10) ** -42)
-                                       - 19 * rv_series(Fraction(1, 32), ctx,
-                                                        tol=mpf(10) ** -42)),
+                       Side.of((16, RV, lambda *_: 4 / (7 + sqrt(mpf(5))) ** 3),
+                               (-8, RV, lambda *_: 4 / (7 - sqrt(mpf(5))) ** 3),
+                               (-19, RV, Fraction(1, 32))),
                        t[6], exit_exempt=True,
                        note="a third base of 27/32, as this identity is "
                             "sometimes stated, diverges against "

@@ -14,7 +14,7 @@ from math import prod
 from mpmath import isint, mp, mpf
 
 from ..context import (DEFAULT_CTX, DivergentSeriesError, DomainError,
-                       PrecisionCtx, to_mpf)
+                       PrecisionCtx, to_mpf, to_tol)
 from ..series import as_ratio, ratio_series, richardson_sum, sum_geometric
 
 
@@ -29,7 +29,7 @@ def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx = DEFAULT_CTX,
         tops = [to_mpf(a) for a in tops]
         bottoms = [to_mpf(b) for b in bottoms]
         z = to_mpf(z)
-        tol = mpf(tol) if tol is not None else ctx.default_tol
+        tol = to_tol(tol) if tol is not None else ctx.default_tol
         for b in bottoms:
             if b <= 0 and isint(b):
                 raise DomainError("bottom parameter is a non-positive integer")

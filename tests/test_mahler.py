@@ -17,6 +17,7 @@ from wzmahler.mahler import (m_quadrature, m_series, n_quadrature, n_series,
                              rv_series, s_ratio, _cubic_root_mags,
                              _gap_below_four, _n_breakpoints, _n_integrand)
 from wzmahler.series import TermCounter
+from wzmahler.symbolic.pfq import pfq_eval
 
 CTX = PrecisionCtx(bits=256)
 
@@ -751,11 +752,12 @@ def test_bad_tolerances_are_domain_errors(tol):
     # a tolerance that is not finite and positive is refused before any
     # work: no term is summed and no node evaluated
     calls = ((m_quadrature, 5), (n_quadrature, _bertin_alphas()[2]),
-             (m_series, 5), (n_series, 5), (rv_series, mpf(1) / 40))
-    for fn, arg in calls:
+             (m_series, 5), (n_series, 5), (rv_series, mpf(1) / 40),
+             (pfq_eval, [1, 1, 2, 2], [2, 2, 3], 1))
+    for fn, *args in calls:
         with TermCounter() as counter:
             with pytest.raises(DomainError, match="tolerance"):
-                fn(arg, CTX, tol=tol)
+                fn(*args, CTX, tol=tol)
         assert counter.count == 0, fn.__name__
 
 

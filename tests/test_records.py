@@ -12,7 +12,7 @@ from mpmath import mpc, mpf
 from wzmahler import DomainError, PrecisionCtx, SingularCurveError
 from wzmahler.elliptic import CurvePoint, EllipticCurve, Periods, periods
 from wzmahler.registry import (KIND_NUMERIC, CheckReport, HyperSum,
-                               IdentityRecord, lookup, run_check)
+                               IdentityRecord, Side, lookup, run_check)
 from wzmahler.symbolic.hyperterm import HyperTerm, LinForm
 from wzmahler.symbolic.pairs import builtin_pairs
 from wzmahler.symbolic.wz import wz_verify
@@ -32,7 +32,7 @@ def _frozen_records():
             (CurvePoint.affine(-6, 54), "x"), (_periods(), "q"),
             (LinForm(Fraction(1), Fraction(0), Fraction(1)), "c0"),
             (pair.F, "base"), (pair, "name"), (wz_verify(pair), "passed"),
-            (rec, "tol"), (rec.rhs, "tol"),
+            (rec, "tol"), (rec.rhs, "tol"), (lookup("m2-m8").lhs, "terms"),
             (CheckReport("a", "PASS", "1", "1", "0", 3, 4, "n"), "status")]
 
 
@@ -109,6 +109,8 @@ def test_records_compared_by_identity():
     assert hash(a) == object.__hash__(a)
     s, t = (HyperSum(side, side, ratio=1, tol=5) for _ in range(2))
     assert s == s and s != t and hash(s) == object.__hash__(s)
+    u, v = (Side.of((1, side, 2)) for _ in range(2))
+    assert u == u and u != v and hash(u) == object.__hash__(u)
     # a WZ-backed record hashes too, although its lhs does not
     rec = lookup("wz-pair-1")
     assert hash(rec) == object.__hash__(rec) and rec == lookup("wz-pair-1")

@@ -301,26 +301,50 @@ def test_reports_do_not_depend_on_entry_order():
 
 
 def test_claims_beyond_the_precision_are_unresolved():
-    """At 64 bits the 1e-30 and 1e-40 claims lie below 2^-(bits+32): none
-    may pass on a difference that rounding made zero, they report
-    (CONJECTURAL-)UNRESOLVED and flip the exit code, and every status the
-    precision can decide equals its 256-bit one."""
+    """A claim whose tolerance lies below 2^-(bits+32) reports
+    (CONJECTURAL-)UNRESOLVED and flips the exit code: the 1e-30 and 1e-40
+    claims at 64 bits, where none may pass on a difference that rounding
+    made zero, the 1e-40 ones at 80 and 96 bits, none from 112 bits up.
+    Every status the precision can decide equals its 256-bit one."""
     with open(GOLDEN.format(bits=256)) as fh:
         at_256 = {row["id"]: row["status"] for row in json.load(fh)["reports"]}
-    reports, code = run_all(ctx=PrecisionCtx(bits=64))
-    assert code == 1
-    unresolved = set()
-    for rep in reports:
-        assert not (rep.status.endswith("PASS") and rep.abs_diff == "0.0"), rep.id
-        if rep.status.endswith("UNRESOLVED"):
-            unresolved.add(rep.id)
-        else:
-            assert rep.status == at_256[rep.id], rep.id
-    beyond = {rec.id for rec in registry_entries()
-              if rec.tol is not None and rec.tol < mpf(2) ** -96}
-    assert unresolved == beyond and len(beyond) == 11
-    assert [r.status for r in reports if r.id == "zeta3-f2"] == \
-        ["CONJECTURAL-UNRESOLVED"]
+    for bits, n_beyond in ((64, 11), (80, 7), (96, 7), (112, 0), (1024, 0)):
+        reports, code = run_all(ctx=PrecisionCtx(bits=bits))
+        assert code == int(n_beyond > 0), bits
+        unresolved = set()
+        for rep in reports:
+            if rep.status.endswith("UNRESOLVED"):
+                unresolved.add(rep.id)
+            else:
+                assert rep.status == at_256[rep.id], (bits, rep.id)
+            if bits == 64:
+                assert not (rep.status.endswith("PASS") and rep.abs_diff == "0.0"), rep.id
+        beyond = {rec.id for rec in registry_entries()
+                  if rec.tol is not None and rec.tol < mpf(2) ** -(bits + 32)}
+        assert unresolved == beyond and len(beyond) == n_beyond, bits
+        if bits == 64:
+            assert [r.status for r in reports if r.id == "zeta3-f2"] == \
+                ["CONJECTURAL-UNRESOLVED"]
+
+
+def test_sides_call_the_library_through_the_module(monkeypatch):
+    """A side looks each library function up in the registry module when
+    it runs, so a function rebound there (as perfbench's tracer rebinds
+    them) sees every call the registry makes."""
+    names = ("m_series", "m_quadrature", "n_series", "n_quadrature",
+             "rv_series", "n_lattice", "lattice_dilog_sum", "elliptic_dilog")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(registry, name, counting(name, getattr(registry, name)))
+    run_all(ctx=CTX)
+    assert [name for name, n in calls.items() if n == 0] == []
 
 
 def test_monotone_precision():
