@@ -19,16 +19,20 @@ u/omega), is summed by Bloch's q-expansion: the Taylor series of D in
 z0 q^n, summed geometrically over n, leaves one series in k whose terms
 decay like (|z0||q|)^k.  Both half-sums of that series run in one loop on
 Python integers at a fixed-point precision derived from the working
-precision and the number of terms, as mpmath's own libmp series do, so a
-lattice sum costs about a millisecond at 256 bits.  The n = 0 term is one
-Bloch-Wigner call.  The periods, D and the lattice sums are memoised for
-the process on their exact arguments (``series.shared``), since the
-registry checks each identity in two forms that meet the same sums.
+precision and the number of terms, as mpmath's own libmp series do, and
+share one power sequence Im((zq)^k), so a lattice sum costs under a
+millisecond at 256 bits.  The n = 0 term is one Bloch-Wigner call.  The
+AGM of the periods runs on Python integers too (``numkernel.agm``).  The
+periods, D and the lattice sums are memoised for the process on their
+exact arguments (``series.shared``), since the registry checks each
+identity in two forms that meet the same sums.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from mpmath import (acos, ceil, cos, exp, floor, im, log, mp, mpc, mpf, nint,
@@ -38,7 +42,8 @@ from mpmath.libmp import to_fixed
 from .context import (DEFAULT_CTX, ComplexRootsUnsupportedError,
                       ConvergenceError, DomainError, LatticePoleError,
                       PrecisionCtx, SingularCurveError, to_mpf)
-from .numkernel import GUARD_D, _stop_index, agm, bloch_wigner
+from .numkernel import (_LN2, GUARD_D, _float_ceil, _log2, _stop_index, agm,
+                        bloch_wigner)
 from .series import count_terms, shared
 
 
@@ -231,31 +236,43 @@ def _half_sum_difference(z: mpc, q: mpf, k_up: int, k_down: int,
                          prec: int) -> mpf:
     """H(z) - H(1/z) (see ``lattice_dilog_sum``) with the up terms taken to
     k_up and the down terms to k_down, summed on integers at prec
-    fractional bits.  u^k = (zq)^k, v^k = (q/z)^k and q^k are carried
-    separately from z^k, which would grow like |q|^(-k/2) while q^k
-    underflows."""
+    fractional bits.
+
+    With |z| < 1 the sum is taken over w = 1/z and negated, so |w| >= 1.
+    One power sequence serves both halves: y_k = Im(u^k), u = w q, runs by
+    y_(k+1) = 2 Re(u) y_k - |u|^2 y_(k-1), and Im((q/w)^k) = -g^k y_k with
+    g = |w|^-2 <= 1, carried as g^k; q^k is carried as well.  A unit of
+    error in y_j reaches y_k times |u|^(k-j) U_(k-j)(cos arg u), the
+    Chebyshev polynomial bounded by k - j + 1.  The recurrence's floors
+    and that of |u|^2 add under 2 units a step, and the floors of u move
+    Im(u^k) by under 3 k |u|^(k-1) units, so every y_k is within
+    5/(1-|u|)^2 units of 2^-prec of Im(u^k).
+    """
     with workprec(prec):
-        u, v = z * q, q / z
-        ur, ui, vr, vi, qf, lz, lq = (
+        n = z.real ** 2 + z.imag ** 2  # |z|^2
+        if n < 1:
+            u, g, lw, sign = q / z, n, -log(abs(z)), -1
+            k_up, k_down = k_down, k_up
+        else:
+            u, g, lw, sign = z * q, 1 / n, log(abs(z)), 1
+        ur, ui, gf, lw, qf, lq = (
             to_fixed(x._mpf_, prec)
-            for x in (u.real, u.imag, v.real, v.imag, q, log(abs(z)),
-                      log(abs(q))))
+            for x in (u.real, u.imag, g, lw, q, log(abs(q))))
     one = 1 << prec
-    ar, ai, br, bi, qk = ur, ui, vr, vi, qf
+    tr, n2 = 2 * ur, (ur * ur + ui * ui) >> prec  # 2 Re u, |u|^2
+    y_prev, y, gk, qk = 0, ui, gf, qf  # y_0, y_1, g^1, q^1
     total = 0
     for k in range(1, max(k_up, k_down) + 1):
         inv_d = (one << prec) // (one - qk)
         a = one // k - (lq * inv_d >> prec)  # 1/k - log|q|/(1-q^k)
-        s = 0
-        if k <= k_up:
-            s += ai * (a - lz)
-            ar, ai = (ar * ur - ai * ui) >> prec, (ar * ui + ai * ur) >> prec
+        s = a - lw if k <= k_up else 0
         if k <= k_down:
-            s -= bi * (a + lz)
-            br, bi = (br * vr - bi * vi) >> prec, (br * vi + bi * vr) >> prec
-        total += ((s >> prec) * inv_d >> prec) // k
+            s += gk * (a + lw) >> prec
+            gk = gk * gf >> prec
+        total += ((y * s >> prec) * inv_d >> prec) // k
+        y_prev, y = y, (tr * y - n2 * y_prev) >> prec
         qk = qk * qf >> prec
-    return mpf((total, -prec))
+    return mpf((sign * total, -prec))
 
 
 @shared
@@ -280,14 +297,26 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     at the first k_up (k_down for 1/z) where the tail bound
     C r^(k+1)/(1-r) is below 2^-(bits + GUARD_D).  Both half-sums then
     run in one loop over k to K = max(k_up, k_down) on Python integers at
-    P fractional bits, carrying (zq)^k, (q/z)^k and q^k as fixed-point
-    values, so a term costs a dozen integer products instead of a dozen
-    mpf/mpc operations.  With r the larger ratio, each step of the loop
-    adds at most 36 C/((1-r)(1-|q|)^3) units of 2^-P of rounding error, so
-    P = w + the bit length of 64 K C/((1-r)(1-|q|)^3), with w the working
-    precision (bits + 64), keeps the summed rounding error below 2^-w,
-    far below 2^-(bits + GUARD_D).  The n = 0 term D(z0) is one
-    Bloch-Wigner call.
+    P fractional bits, carrying one power sequence Im((zq)^k) and the
+    real |z|^(-2k) and q^k (``_half_sum_difference``), so a term costs
+    eight integer products and one division.
+
+    With r the larger ratio, r <= |q|^(1/2) gives 1/(1-r) <= 2/(1-|q|).
+    Each term multiplies Im((zq)^k), within 5/(1-r)^2 units of 2^-P, by a
+    bracket below 2 C (1-|q|) and by 1/(1-q^k) < 1/(1-|q|): at most
+    20 C/((1-r)(1-|q|)) units.  The floors of q^k, |z|^(-2k), 1/(1-q^k)
+    and the products, weighted by |Im((zq)^k)| <= r^k, add under
+    26 C/((1-r)(1-|q|)), so each step adds under 46 C/((1-r)(1-|q|))
+    units.  P = w + the bit length of 64 K C/((1-r)(1-|q|)^3), with w the
+    working precision (bits + 64), therefore keeps the summed rounding
+    error below 2^-w, far below 2^-(bits + GUARD_D).  The n = 0 term D(z0)
+    is one Bloch-Wigner call.
+
+    m, k_up, k_down and P are decided from float logs
+    (``numkernel._log2``), C among them; a decision whose float margin is
+    within ``numkernel._TIE`` falls back to the mpf expression at the
+    working precision, so each is the integer that expression gives.  One
+    stop index serves both halves when r_up = r_down.
 
     The sum is memoised on its exact (z0, q, ctx) by ``series.shared``: the
     registry sums (i, 1/10) three times and each curve's nome twice.  Every
@@ -305,17 +334,32 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
             # every z0 q^n is real, where D vanishes
             count_terms(1)
             return mpf(0)
-        z = z0 * q ** int(nint(log(abs(z0)) / -log(abs(q))))
+        aq = abs(q)
+        lq = _log2(aq)
+        z = z0 * q ** _float_ceil(
+            _log2(abs(z0)) / -lq - 0.5,
+            lambda: int(nint(log(abs(z0)) / -log(aq))))
         eps = mpf(2) ** (-(ctx.bits + GUARD_D))
-        aq, lz, lq = abs(q), log(abs(z)), log(abs(q))
-        c = (1 + abs(lz) + abs(lq) / (1 - aq)) / (1 - aq)
-        r_up, r_down = abs(z) * aq, aq / abs(z)
+        az, l1q = abs(z), _log2(1 - aq)
+        # log2 C in floats, and C in mpf for a tie; |log|q||/(1-|q|) tends
+        # to 1 where 1 - |q| underflows a float
+        t = 2.0 ** l1q
+        lc = math.log2(1 + _LN2 * abs(_log2(az))
+                       + (-lq * _LN2 / t if t else 1)) - l1q
+        exact_c = cache(lambda: (1 + abs(log(az)) + abs(log(aq)) / (1 - aq))
+                        / (1 - aq))
+        r_up, r_down = az * aq, aq / az
         budget = "lattice dilogarithm sum budget exhausted"
-        k_up = _stop_index(r_up, c, eps, ctx.max_terms, budget)
-        k_down = _stop_index(r_down, c, eps, ctx.max_terms, budget)
-        bound = 64 * max(k_up, k_down) * c \
-            / ((1 - max(r_up, r_down)) * (1 - aq) ** 3)
-        prec = mp.prec + int(ceil(bound)).bit_length()
+        k_up = _stop_index(r_up, exact_c, eps, ctx.max_terms, budget,
+                           log2c=lc)
+        k_down = k_up if r_down == r_up else _stop_index(
+            r_down, exact_c, eps, ctx.max_terms, budget, log2c=lc)
+        big_k, r = max(k_up, k_down), max(r_up, r_down)
+        lb = math.log2(64 * big_k) + lc - _log2(1 - r) - 3 * l1q  # log2 bound
+        prec = mp.prec + _float_ceil(  # the bit length of ceil(bound)
+            lb + math.log1p(2.0 ** -lb) / _LN2,
+            lambda: int(ceil(64 * big_k * exact_c()
+                             / ((1 - r) * (1 - aq) ** 3))).bit_length())
         half = _half_sum_difference(z, q, k_up, k_down, prec)
         count_terms(k_up + k_down + 1)
         return +(bloch_wigner(z, ctx) + half)

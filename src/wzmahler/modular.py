@@ -12,13 +12,16 @@ on their exact arguments (``series.shared``).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mpmath import cbrt, ceil, exp, log, mpf, pi, sqrt
 
 from .context import DEFAULT_CTX, DomainError, PrecisionCtx, to_mpf
-from .numkernel import agm3
+from .numkernel import _float_ceil, _log2, agm3
 from .series import shared
+
+_LOST = math.log2(math.pi ** 2 / (2 * math.log(2)))  # log2 of pi^2/(2 log 2)
 
 
 @shared
@@ -63,12 +66,17 @@ def cubic_theta_ratio(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     special case.  The series fall like |q|^(n^2).  b(q) = prod (1-q^n)^3/
     (1-q^(3n)) is small as |q| -> 1, log(1/|b|) <= pi^2 |q|/(2(1-|q|)), and
     the subtraction that forms it loses about that many bits; the working
-    precision and the stop test 2^-(bits+24) carry them as extra bits."""
+    precision and the stop test 2^-(bits+24) carry them as extra bits.  That
+    count is the ceiling of a float estimate (``numkernel._float_ceil``),
+    left to mpf only within ``numkernel._TIE`` of an integer."""
     with ctx.workprec():
         q = to_mpf(q)
         if not abs(q) < 1:
             raise DomainError("cubic_theta_ratio requires |q| < 1")
-        lost = int(ceil(pi ** 2 * abs(q) / (2 * (1 - abs(q)) * log(2))))
+        aq = abs(q)
+        lost = 0 if aq == 0 else _float_ceil(
+            2 ** (_LOST + _log2(aq) - _log2(1 - aq)),
+            lambda: int(ceil(pi ** 2 * aq / (2 * (1 - aq) * log(2)))))
         with ctx.workprec(lost):
             eps = mpf(2) ** (-(ctx.bits + 24 + lost))
             t1, s1 = _theta3_and_s(q, eps)

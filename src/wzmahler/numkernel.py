@@ -9,21 +9,29 @@ implementation; Gamma, D, the AGMs and F_s are written out here because
 their branch and termination behaviour is what the identity checks lean
 on.  Each has one route: Gamma Stirling's series after a shift (and
 reflection below 1/2), D one Bernoulli series after its symmetries, the
-two AGMs one iteration each.
+classical AGM its iteration on Python integers, the cubic AGM its
+iteration in mpf.
 
-Stirling's series, D's series and the connection expansion of F_s are
-summed on Python integers in fixed point, as the lattice sums and the
-series engines are.  Each docstring bounds the loop's rounding error in
-units of its last fractional bit; the guard bits above the working
-precision are the bit length of that bound, so the loop rounds below one
-unit of the working precision.  The Bernoulli numbers of both series come
-exactly from one table of tangent numbers that grows on demand.  Gamma, D
-and Lambda_s(1) are memoised for the process on their exact arguments
-(``series.shared``).
+Stirling's series, D's series, the classical AGM and the connection
+expansion of F_s run on Python integers in fixed point, as the lattice
+sums and the series engines do.  Each docstring bounds the loop's
+rounding error in units of its last fractional bit; the guard bits above
+the working precision are the bit length of that bound, so the loop
+rounds below one unit of the working precision.  The Bernoulli numbers
+of both series come exactly from one table of tangent numbers that grows
+on demand.  Gamma, D and Lambda_s(1) are memoised for the process on
+their exact arguments (``series.shared``).
+
+The integers that steer these loops and the lattice sums (a series' stop
+index, a fixed-point width, an index shift) are decided from float logs of
+the mpf operands (``_log2``); only a margin within ``_TIE`` bits of its
+threshold is left to the mpf expression, so each is the integer that
+expression gives.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -31,6 +39,7 @@ from threading import Lock
 
 from mpmath import (arg, cbrt, ceil, exp, expjpi, isint, ldexp, log, mp, mpc,
                     mpf, pi, sin, sinpi, sqrt, workprec)
+from mpmath import libmp
 from mpmath import zeta as _mp_zeta
 
 from .context import (DEFAULT_CTX, ConvergenceError, DivergentSeriesError,
@@ -134,16 +143,35 @@ def zeta_int(s: int, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
 
 
 def agm(a, b, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
-    """Arithmetic-geometric mean of positive reals, quadratic convergence."""
+    """Arithmetic-geometric mean of positive reals, quadratic convergence.
+
+    The mean is symmetric, so b is taken as the smaller argument.  The
+    iteration (a, b) -> ((a + b)/2, sqrt(a b)) runs on Python integers in
+    units of 2^-(W + 16) of b's binade, W = bits + 32 the working
+    precision, so B >= 2^(W + 15) units; each step floors both means
+    (``math.isqrt`` for the geometric one) and keeps A >= B >= the first B.
+    It stops by the rule |A - B| <= 2^-(bits + 16) A and returns
+    floor((A + B)/2) rounded to W bits.
+
+    Since a M_a + b M_b = M with M_a, M_b > 0, a unit moves the mean of a
+    pair by under 2^-(W + 15) relative, so the two input floors and the N
+    steps' floors leave it within (N + 2) 2^-(W + 14); the last mean is
+    within (A - B)^2/(8B) <= 2^-(2 bits + 34) A of the AGM.  Before its
+    final rounding the result is thus within 2^-(W + 9) relative for
+    N <= 30 (N = 14 at 1024 bits and b/a = 10^-40, 23 at b/a = 2^-65536),
+    against about N ulps at W bits for the same loop in mpf.
+    """
     with ctx.workprec():
         a, b = to_mpf(a), to_mpf(b)
         if a <= 0 or b <= 0:
             raise DomainError("agm requires positive arguments")
-        eps = mpf(2) ** (-(ctx.bits + 16))
-        while abs(a - b) > eps * a:
-            a, b = (a + b) / 2, (a * b) ** mpf("0.5")
-        # the mean lies between the next a and b, which differ by O(|a - b|^2)
-        return (a + b) / 2
+        if a < b:
+            a, b = b, a
+        unit = b._mpf_[2] + b._mpf_[3] - mp.prec - 16
+        big_a, big_b = (libmp.to_fixed(x._mpf_, -unit) for x in (a, b))
+        while (big_a - big_b) << (ctx.bits + 16) > big_a:
+            big_a, big_b = (big_a + big_b) >> 1, math.isqrt(big_a * big_b)
+        return mpf(((big_a + big_b) >> 1, unit))
 
 
 def agm3(a, b, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
@@ -186,16 +214,63 @@ def _tangent_numbers(n: int) -> list[int]:
     return _TANGENT
 
 
-def _stop_index(r: mpf, c: mpf, eps: mpf, max_terms: int, budget: str) -> int:
-    """Least k >= 1 with tail bound c r^(k+1)/(1-r) < eps, for 0 < r < 1,
-    from a log estimate corrected by direct comparisons; ConvergenceError
-    with the message ``budget`` past ``max_terms``."""
-    tail = c * r / (1 - r)
-    k = max(1, int(ceil(log(eps / tail) / log(r))))
-    while tail * r ** k >= eps:
-        k += 1
-    while k > 1 and tail * r ** (k - 1) < eps:
-        k -= 1
+# A float margin closer than this many bits to a threshold is left to mpf.
+# The float logs below err by under 2^-30 bits at every precision in use,
+# and the mpf products they stand in for by a few ulps: both far inside it.
+_TIE = 1e-6
+_LN2 = math.log(2)
+
+
+def _log2(x: mpf) -> float:
+    """log2 x for a positive mpf x, as a float from its exponent and leading
+    bits, so that nothing underflows at any precision.  Within about 2^-50
+    relative, near x = 1 too, where it is log1p of x - 1 formed exactly."""
+    _, man, exp, bc = x._mpf_
+    if exp + bc not in (0, 1):
+        return math.log2(man) + exp
+    d = man - (1 << -exp)  # (x - 1) 2^-exp, for 1/2 <= x < 2
+    s = max(0, d.bit_length() - 53)
+    return math.log1p((d >> s) * 2.0 ** (exp + s)) / _LN2
+
+
+def _float_ceil(x: float, exact) -> int:
+    """ceil of a quantity whose float estimate x is within 2^-40 relative:
+    ceil(x), unless x lies within _TIE (times |x| beyond 1) of an integer,
+    where ``exact()`` decides in mpf."""
+    if abs(x) < 2.0 ** 40 and abs(x - round(x)) > _TIE * max(1.0, abs(x)):
+        return math.ceil(x)
+    return exact()
+
+
+def _stop_index(r, c, eps, max_terms: int, budget: str, first: int = 1,
+                log2c: float | None = None) -> int:
+    """Least k >= first with tail bound c r^(k+1)/(1-r) < eps, for 0 < r < 1
+    and positive mpf r, c, eps; ConvergenceError with the message ``budget``
+    past ``max_terms``.
+
+    k is found from floats: with t = log2 of c r/((1-r) eps), by
+    ``_log2``, it is the least k >= first with t + k log2 r < 0.  Only when
+    that margin at k or at k - 1 is within _TIE bits, or r is within
+    2^-900 of 1, do the mpf comparisons c r/(1-r) r^k < eps at the working
+    precision decide, so k is the integer they give either way.  A caller
+    that has log2 c already passes it as ``log2c``, with c a function that
+    returns the mpf c; it is called only on a tie."""
+    lr = _log2(r)
+    excess = (_log2(c) if log2c is None else log2c) + lr - _log2(1 - r) \
+        - _log2(eps)
+    k = max(first, math.floor(excess / -lr) + 1) if lr < -2.0 ** -900 \
+        else None
+    if k is None or excess + k * lr > -_TIE \
+            or k > first and excess + (k - 1) * lr < _TIE:
+        if log2c is not None:
+            c = c()
+        tail = c * r / (1 - r)
+        if k is None:
+            k = max(first, int(ceil(log(eps / tail) / log(r))))
+        while tail * r ** k >= eps:
+            k += 1
+        while k > first and tail * r ** (k - 1) < eps:
+            k -= 1
     if k > max_terms:
         raise ConvergenceError(budget)
     return k
@@ -212,8 +287,9 @@ def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     function", 2007).  |B_2k| <= 2.3 (2k)!/(2 pi)^(2k) bounds the B_2k
     term by 2.3 |w| r^k, r = (|w|/2 pi)^2 < 0.041, so the series stops
     after the K terms B_2 .. B_2K, K the least with 2.3 |w| r^(K+1)/(1-r)
-    below 2^-(bits + GUARD_D), found by ``_stop_index``; ConvergenceError
-    if K > ``ctx.max_terms``.
+    below 2^-(bits + GUARD_D), found by ``_stop_index`` from floats (K = 0
+    when even 2.3 |w| r/(1-r) is below it); ConvergenceError if
+    K > ``ctx.max_terms``.
 
     The K terms are summed on Python integers at P fractional bits: w
     enters floored, w^2 and w^(2k+1) are carried as fixed-point values, and
@@ -237,11 +313,8 @@ def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         eps = mpf(2) ** (-(ctx.bits + GUARD_D))
         w = -log(1 - z)
         r, c = (abs(w) / (2 * pi)) ** 2, 2.3 * abs(w)
-        if c * r / (1 - r) < eps:  # even the terms from B_2 on
-            big_k = 0
-        else:
-            big_k = _stop_index(r, c, eps, ctx.max_terms,
-                                "Bloch-Wigner series budget exhausted")
+        big_k = _stop_index(r, c, eps, ctx.max_terms,
+                            "Bloch-Wigner series budget exhausted", first=0)
         prec = mp.prec + (big_k + 5).bit_length()
         wr, wi = to_fixed(w.real, prec), to_fixed(w.imag, prec)
         sr, si = (wr * wr - wi * wi) >> prec, (2 * wr * wi) >> prec  # w^2

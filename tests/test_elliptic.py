@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import (arg, exp, expjpi, im, log, mp, mpc, mpf, nint, pi,
+from mpmath import (arg, ceil, exp, expjpi, im, log, mp, mpc, mpf, nint, pi,
                     polylog, polyroots, workprec)
 
+import wzmahler.elliptic as elliptic_module
 from wzmahler import (ComplexRootsUnsupportedError, ConvergenceError,
                       DomainError, PrecisionCtx, SingularCurveError)
 from wzmahler.context import to_mpf
@@ -328,6 +329,105 @@ def test_lattice_sum_term_counts(bits, at_i, at_bertin):
         with TermCounter() as counter:
             lattice_dilog_sum(z0, q, ctx)
         assert counter.count == expected, (bits, q)
+
+
+def _mpf_stop_index(r, c, eps, max_terms, budget, first=1, log2c=None):
+    """The stop index by mpf logs corrected by mpf comparisons, at the
+    working precision: the rule the float decisions stand in for."""
+    if log2c is not None:
+        c = c()
+    tail = c * r / (1 - r)
+    k = max(first, int(ceil(log(eps / tail) / log(r))))
+    while tail * r ** k >= eps:
+        k += 1
+    while k > first and tail * r ** (k - 1) < eps:
+        k -= 1
+    if k > max_terms:
+        raise ConvergenceError(budget)
+    return k
+
+
+def test_lattice_sum_float_decisions_match_mpf(monkeypatch):
+    # the shift m, k_up, k_down and P from floats against the same integers
+    # from mpf expressions, on seeded (z0, q) at 64..1024 bits; a third of
+    # the points sit at |z0| = |q|^(+-1/2) or |q|^(+-3/2), where
+    # log|z0|/log(1/|q|) is a half-integer and m is a tie left to mpf.  The
+    # sums and their term counts are equal bit for bit as well
+    rng = random.Random(8191)
+    seen = []
+    half = elliptic_module._half_sum_difference
+
+    def spy(z, q, k_up, k_down, prec):
+        seen.append((z, k_up, k_down, prec))
+        return half(z, q, k_up, k_down, prec)
+
+    monkeypatch.setattr(elliptic_module, "_half_sum_difference", spy)
+    cases = []
+    for bits in (64, 256, 512, 1024):
+        ctx = PrecisionCtx(bits=bits)
+        for i in range(12):
+            with ctx.workprec(32):
+                q = mpf(10) ** -rng.uniform(0.1, 3) * rng.choice((1, -1))
+                power = rng.choice((-1.5, -0.5, 0.5, 1.5)) if i % 3 == 0 \
+                    else rng.uniform(-2, 2)
+                z0 = abs(q) ** power * exp(mpc(0, rng.uniform(0.1, 3)))
+            cases.append((z0, q, ctx))
+    runs = []
+    for _ in range(2):
+        lattice_dilog_sum.cache_clear()
+        seen.clear()
+        counts, values = [], []
+        for z0, q, ctx in cases:
+            with TermCounter() as counter:
+                values.append(lattice_dilog_sum(z0, q, ctx))
+            counts.append(counter.count)
+        runs.append((list(seen), counts, values))
+        monkeypatch.setattr(elliptic_module, "_float_ceil",
+                            lambda x, exact: exact())
+        monkeypatch.setattr(elliptic_module, "_stop_index", _mpf_stop_index)
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == len(cases)
+
+
+def test_lattice_sum_stop_index_once_on_the_unit_circle(monkeypatch):
+    # |z| = 1 gives r_up = r_down: one stop index serves both half-sums
+    calls = []
+    stop = elliptic_module._stop_index
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return stop(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic_module, "_stop_index", counted)
+    lattice_dilog_sum.cache_clear()
+    lattice_dilog_sum(mpc(0, 1), mpf(1) / 4, CTX)
+    assert len(calls) == 1
+    calls.clear()
+    with CTX.workprec(32):
+        q_b = mpf("0.0063508")
+        z_b = _registry_point(_BERTIN_POINT, q_b)
+    lattice_dilog_sum(z_b, q_b, CTX)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+def test_lattice_sum_inversion_antisymmetry(bits):
+    # sum_n D(q^n/z0) = -sum_n D(z0 q^n) by D(1/w) = -D(w): off the unit
+    # circle the two sums take opposite orientations of the one power
+    # sequence (|z| > 1 as given, |z| < 1 inverted), and each is checked
+    # against a polylog window as well
+    ctx = PrecisionCtx(bits=bits)
+    rng = random.Random(bits + 1)
+    with workprec(bits + 88):
+        for _ in range(3):
+            q = mpf(rng.uniform(0.05, 0.4)) * rng.choice((1, -1))
+            z0 = abs(q) ** rng.uniform(-0.45, -0.05) \
+                * exp(mpc(0, rng.uniform(0.2, 2.9)))
+            val, inv = lattice_dilog_sum(z0, q, ctx), \
+                lattice_dilog_sum(1 / z0, q, ctx)
+            assert abs(val + inv) < mpf(2) ** -(bits + 16)
+            oracle = _window_oracle(z0, q, bits + 48)
+            assert abs(val - oracle) < mpf(2) ** -(bits + 16)
 
 
 @pytest.mark.parametrize("name, q", [("i", "1/10"), ("e^(2 pi i/3)", "-1/4"),

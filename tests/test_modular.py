@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import cbrt, exp, gamma, hyp2f1, mp, mpf, pi, sqrt, workprec
+from mpmath import (cbrt, exp, gamma, hyp2f1, log, mp, mpf, pi, sqrt,
+                    workprec)
 
+import wzmahler.modular as modular_module
 from wzmahler import DomainError, PrecisionCtx
 from wzmahler.modular import (cubic_theta_ratio, j3_from_beta,
                               modular_relation, phi_theta, q3_from_beta,
@@ -190,3 +192,28 @@ def test_degree2_consistency_random_beta():
             for arg in (q ** mpf("0.5"), q ** 2):
                 val = 1 - 1 / xq_product(arg, ctx)
                 assert abs(modular_relation(val, beta)) < mpf(2) ** -96
+
+
+def test_cubic_theta_ratio_lost_bits_match_mpf(monkeypatch):
+    # the extra bit count lost = ceil(pi^2 |q|/(2 (1-|q|) log 2)) from floats
+    # against the mpf ceiling: the values are equal bit for bit at q = 0, on
+    # seeded q, and on q whose count sits within about 2^-50 of an integer
+    # n, where mpf decides
+    rng = random.Random(43)
+    for bits in (64, 256, 1024):
+        ctx = PrecisionCtx(bits=bits)
+        with ctx.workprec():
+            unit = 2 * log(2) / pi ** 2  # |q|/(1-|q|) = n unit gives n bits
+            qs = [mpf(0)] + [mpf(rng.uniform(-0.95, 0.95)) for _ in range(6)] \
+                + [n * unit / (1 + n * unit)
+                   * (1 + rng.choice((-1, 1)) * mpf(2) ** -50)
+                   for n in (1, 2, 7, 30)]
+        runs = []
+        for _ in range(2):
+            cubic_theta_ratio.cache_clear()
+            runs.append([cubic_theta_ratio(q, ctx)._mpf_ for q in qs])
+            monkeypatch.setattr(modular_module, "_float_ceil",
+                                lambda x, exact: exact())
+        monkeypatch.undo()
+        assert runs[0] == runs[1], bits
+    cubic_theta_ratio.cache_clear()

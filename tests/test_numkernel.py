@@ -16,9 +16,10 @@ from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
                       PoleError, PrecisionCtx, agm, bloch_wigner, gamma_real,
                       zeta_int)
 from wzmahler.context import to_mpf
-from wzmahler.numkernel import (_KERNEL, GUARD_D, LAMBDA_SWITCH,
-                                _connection_integral, _stop_index,
-                                _tangent_numbers, agm3, lambda_series)
+from wzmahler.numkernel import (_KERNEL, _TIE, GUARD_D, LAMBDA_SWITCH,
+                                _connection_integral, _float_ceil, _log2,
+                                _stop_index, _tangent_numbers, agm3,
+                                lambda_series)
 from wzmahler.series import TermCounter, count_terms
 
 CTX = PrecisionCtx(bits=256)
@@ -210,6 +211,72 @@ def test_bloch_wigner_stop_index_matches_stepped_tail():
         assert seen == {0, 1, 2}, bits
 
 
+def test_stop_index_matches_stepped_tail_at_every_precision():
+    # seeded (r, c, eps) at 64..1024 bits, first = 1 and first = 0, against
+    # the stepped tail; the second half of the cases put c r^(k+1)/(1-r)
+    # at eps (1 +- 2^-60), a margin of 1e-18 bit that floats cannot see,
+    # so the mpf comparisons decide there
+    rng = random.Random(3217)
+    ties = 0
+    for bits in (64, 128, 256, 512, 1024):
+        ctx = PrecisionCtx(bits=bits)
+        eps = mpf(2) ** -(bits + GUARD_D)
+        for i in range(80):
+            with ctx.workprec(32):
+                r = mpf(rng.uniform(0.001, 0.9)) if i % 3 else \
+                    mpf(10) ** -rng.uniform(1, 30)
+                if i < 40:
+                    c = mpf(10) ** rng.uniform(-3, 6)
+                    want = None
+                else:
+                    k, side = rng.randint(1, 60), rng.choice((-1, 1))
+                    with workprec(bits + 200):
+                        c = eps * (1 + side * mpf(2) ** -60) * (1 - r) \
+                            / r ** (k + 1)
+                    c = +c
+                    want = k + (side > 0)
+                    margin = _log2(c) + (k + 1) * _log2(r) - _log2(1 - r) \
+                        - _log2(eps)
+                    assert abs(margin) < _TIE
+                    ties += 1
+                stepped = _stepped_terms(r, c, eps)
+                assert want is None or stepped == want, (bits, i)
+                assert _stop_index(r, c, eps, ctx.max_terms, "x", first=0) \
+                    == stepped, (bits, i)
+                assert _stop_index(r, c, eps, ctx.max_terms, "x") \
+                    == max(1, stepped), (bits, i)
+                if stepped >= 2:
+                    with pytest.raises(ConvergenceError, match="budget"):
+                        _stop_index(r, c, eps, stepped - 1, "budget")
+    assert ties == 200
+    # r within 2^-900 of 1, where log2 r is no float: mpf decides alone
+    with workprec(1100):
+        r = 1 - mpf(2) ** -1000
+        assert _stop_index(r, mpf(2) ** -3000, mpf(2) ** -1000, 10, "x",
+                           first=0) == 0
+        with pytest.raises(ConvergenceError, match="budget"):
+            _stop_index(r, mpf(1), mpf(2) ** -1000, 10 ** 9, "budget")
+
+
+def test_float_log2_and_ceil():
+    # _log2 from the exponent and leading bits: no underflow at huge
+    # exponents, full relative accuracy next to 1 (via log1p of x - 1)
+    with workprec(2000):
+        for x, want in ((mpf(2) ** -5000, -5000.0), (mpf(2) ** 7000, 7000.0),
+                        (mpf(3) * mpf(2) ** -3000, -3000 + 1.584962500721156),
+                        (mpf(3) ** 1200, 1200 * 1.584962500721156)):
+            assert abs(_log2(x) - want) <= 1e-12 * abs(want)
+        for d in (mpf(2) ** -1000, -mpf(2) ** -900, mpf(10) ** -20,
+                  mpf("0.3"), -mpf("0.45")):
+            ref = log(1 + d, 2)
+            assert abs(_log2(1 + d) / ref - 1) < 2 ** -48, d
+        assert _log2(mpf(1)) == 0
+    # _float_ceil: the float's ceiling away from integers, exact() near them
+    assert _float_ceil(2.5, None) == 3 and _float_ceil(-2.5, None) == -2
+    for x in (3.0, 3 + 1e-8, 3 - 1e-8, 2.0 ** 41):
+        assert _float_ceil(x, lambda: "mpf") == "mpf"
+
+
 def _is_bernoulli(k, t):
     """B_2k = (-1)^(k-1) 2k T_k/(4^k (4^k - 1)) for t = T_k, against
     mpmath's own rational B_2k."""
@@ -292,17 +359,24 @@ def test_agm_oracle_doubled_precision():
         assert mp.nstr(val, 9) == "1.19814023"
 
 
-@pytest.mark.parametrize("bits", [64, 256, 512])
+@pytest.mark.parametrize("bits", [64, 256, 512, 1024])
 def test_agm_relative_error_against_mpmath(bits):
-    # agm(1, x) on 300 random x in (0.001, 1) against mpmath's agm at
-    # bits + 120, to relative 2^-(bits+24)
+    # agm(a, a x) on 300 seeded a in (10^-10, 10^10) and ratios x from
+    # 10^-40 to 1 against mpmath's agm at bits + 120, to relative
+    # 2^-(bits+24); the mean is symmetric bit for bit and agm(a, a) = a
     rng = random.Random(bits)
     ctx = PrecisionCtx(bits=bits)
-    with workprec(bits + 120):
-        for _ in range(300):
-            x = mpf(rng.uniform(0.001, 1))
-            ref = mp.agm(1, x)
-            assert abs(agm(1, x, ctx) / ref - 1) < mpf(2) ** -(bits + 24)
+    for _ in range(300):
+        with ctx.workprec():
+            a = mpf(rng.uniform(1, 10)) * mpf(10) ** rng.randint(-10, 10)
+            b = a * (mpf(10) ** -rng.uniform(0, 40) if rng.random() < 0.8
+                     else mpf(rng.uniform(0.001, 1)))
+        with workprec(bits + 120):
+            ref = mp.agm(a, b)
+            val = agm(a, b, ctx)
+            assert abs(val / ref - 1) < mpf(2) ** -(bits + 24)
+        assert agm(b, a, ctx) == val
+        assert agm(a, a, ctx) == a and agm(b, b, ctx) == b
 
 
 def test_agm_domain():
