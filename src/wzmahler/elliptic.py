@@ -42,8 +42,8 @@ from mpmath.libmp import to_fixed
 from .context import (DEFAULT_CTX, ComplexRootsUnsupportedError,
                       ConvergenceError, DomainError, LatticePoleError,
                       PrecisionCtx, SingularCurveError, to_mpf)
-from .numkernel import (_LN2, GUARD_D, _float_ceil, _log2, _stop_index, agm,
-                        bloch_wigner)
+from .numkernel import (_LN2, GUARD_D, _float_ceil, _log2, _log_near_one,
+                        _stop_index, agm, bloch_wigner)
 from .series import count_terms, shared
 
 
@@ -246,18 +246,24 @@ def _half_sum_difference(z: mpc, q: mpf, k_up: int, k_down: int,
     Chebyshev polynomial bounded by k - j + 1.  The recurrence's floors
     and that of |u|^2 add under 2 units a step, and the floors of u move
     Im(u^k) by under 3 k |u|^(k-1) units, so every y_k is within
-    5/(1-|u|)^2 units of 2^-prec of Im(u^k).
+    5/(1-|u|)^2 units of 2^-prec of Im(u^k).  log|w| is taken from |z|^2
+    by ``numkernel._log_near_one`` where |z|^2 lies within 2^-(prec/3) of
+    1 (a z0 on the unit circle), within 2 units of 2^-prec against the one
+    of mpmath's log of the rounded |z|; the slack of P absorbs the unit.
     """
     with workprec(prec):
         n = z.real ** 2 + z.imag ** 2  # |z|^2
         if n < 1:
-            u, g, lw, sign = q / z, n, -log(abs(z)), -1
+            u, g, sign = q / z, n, -1
             k_up, k_down = k_down, k_up
         else:
-            u, g, lw, sign = z * q, 1 / n, log(abs(z)), 1
-        ur, ui, gf, lw, qf, lq = (
+            u, g, sign = z * q, 1 / n, 1
+        ur, ui, gf, qf, lq = (
             to_fixed(x._mpf_, prec)
-            for x in (u.real, u.imag, g, lw, q, log(abs(q))))
+            for x in (u.real, u.imag, g, q, log(abs(q))))
+        lw = _log_near_one(n, prec)  # log |z|^2, for |z| that rounds to 1
+        lw = (to_fixed((sign * log(abs(z)))._mpf_, prec) if lw is None
+              else sign * (lw >> 1))  # log |w|
     one = 1 << prec
     tr, n2 = 2 * ur, (ur * ur + ui * ui) >> prec  # 2 Re u, |u|^2
     y_prev, y, gk, qk = 0, ui, gf, qf  # y_0, y_1, g^1, q^1

@@ -20,7 +20,12 @@ the working precision are the bit length of that bound, so the loop
 rounds below one unit of the working precision.  The Bernoulli numbers
 of both series come exactly from one table of tangent numbers that grows
 on demand.  Gamma, D and Lambda_s(1) are memoised for the process on
-their exact arguments (``series.shared``).
+their exact arguments (``series.shared``).  Lambda_s(1) takes its D(z0)
+in the caller's context, raised only where the caller's tolerance needs
+more bits, so the D(i) of Lambda_{1/2}(1) is the memo entry that the
+n = 0 term of a lattice sum at z0 = i fills in the same pass.  A log of a
+squared modulus that rounds to 1 is summed on integers (``_log_near_one``)
+rather than by mpmath's log, which doubles its precision there.
 
 The integers that steer these loops and the lattice sums (a series' stop
 index, a fixed-point width, an index shift) are decided from float logs of
@@ -233,6 +238,33 @@ def _log2(x: mpf) -> float:
     return math.log1p((d >> s) * 2.0 ** (exp + s)) / _LN2
 
 
+def _log_near_one(n: mpf, prec: int) -> int | None:
+    """log n in fixed point at prec fractional bits, within 2 units, for an
+    n within 2^-(prec//3) of 1 (a squared modulus that rounds to 1), and
+    None for any other n.
+
+    mpmath's log raises its working precision for an argument next to 1;
+    here x = n - 1 is formed exactly at prec + 4 bits and
+    log(1 + x) = sum_k (-1)^(k-1) x^k/k is summed on Python integers,
+    four terms or so, as |x|^k falls by 2^-(prec//3) a term.  Each term
+    and power is floored once, under 2 units of 2^-(prec + 4) a term, and
+    the final shift floors once more."""
+    _, _, exp, bc = n._mpf_
+    if exp + bc not in (0, 1):  # n outside [1/2, 2)
+        return None
+    bits = prec + 4
+    x = libmp.to_fixed(n._mpf_, bits) - (1 << bits)  # exact: n has <= prec bits
+    a = abs(x)
+    if a.bit_length() > bits - prec // 3:
+        return None
+    total, power, k = 0, a, 1
+    while power:
+        # log(1 - a) = -sum a^k/k; log(1 + a) alternates
+        total += power // k if x > 0 and k % 2 else -(power // k)
+        power, k = power * a >> bits, k + 1
+    return total >> 4
+
+
 def _float_ceil(x: float, exact) -> int:
     """ceil of a quantity whose float estimate x is within 2^-40 relative:
     ceil(x), unless x lies within _TIE (times |x| beyond 1) of an integer,
@@ -291,6 +323,10 @@ def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     when even 2.3 |w| r/(1-r) is below it); ConvergenceError if
     K > ``ctx.max_terms``.
 
+    Where |1 - z|^2 or |z|^2 lies within 2^-(W/3) of 1, W the working
+    precision, log|1 - z| (the real part of -w) or log|z| is taken from it
+    by ``_log_near_one``, within 2 units of 2^-W.
+
     The K terms are summed on Python integers at P fractional bits: w
     enters floored, w^2 and w^(2k+1) are carried as fixed-point values, and
     B_2k/(2k+1)! comes exactly from the tangent numbers.  Each term is
@@ -311,7 +347,10 @@ def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         if z.real > 0.5:
             z, sign = 1 - z, -sign
         eps = mpf(2) ** (-(ctx.bits + GUARD_D))
-        w = -log(1 - z)
+        v = 1 - z
+        arg_v = arg(v)
+        lv = _log_near_one(v.real ** 2 + v.imag ** 2, mp.prec)  # log |v|^2
+        w = -log(v) if lv is None else mpc(ldexp(-lv, -mp.prec - 1), -arg_v)
         r, c = (abs(w) / (2 * pi)) ** 2, 2.3 * abs(w)
         big_k = _stop_index(r, c, eps, ctx.max_terms,
                             "Bloch-Wigner series budget exhausted", first=0)
@@ -329,7 +368,9 @@ def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
             den = fact * (2 * k + 1) * ((1 << 2 * k) - 1)
             t = (wi * tangents[k - 1] // den) >> 2 * k
             total += t if k % 2 else -t
-        return +(sign * (mpf((total, -prec)) + arg(1 - z) * log(abs(z))))
+        lz = _log_near_one(z.real ** 2 + z.imag ** 2, mp.prec)  # log |z|^2
+        lz = log(abs(z)) if lz is None else ldexp(lz, -mp.prec - 1)
+        return +(sign * (mpf((total, -prec)) + arg_v * lz))
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +410,25 @@ def _kernel_s(s) -> Fraction:
 
 
 @shared
-def _lambda_at_one(s: Fraction, prec: int) -> mpf:
+def _lambda_at_one(s: Fraction, ctx: PrecisionCtx) -> mpf:
     """Lambda_s(1) = h_0 - w D(z0)/pi: 3 log 3 - 9 D(e^(i pi/3))/pi and
-    2 log 4 - 8 D(i)/pi, from n(3) = 3 D(e^(i pi/3))/pi and m(4) = 4G/pi."""
+    2 log 4 - 8 D(i)/pi, from n(3) = 3 D(e^(i pi/3))/pi and m(4) = 4G/pi,
+    at bits + 96 with D(z0) = ``bloch_wigner(z0, ctx)``, so within
+    (w/pi) 2^-(bits + GUARD_D) and a rounding.  D(i) is the memo entry
+    that the n = 0 term of the lattice sums at z0 = i fills."""
     _, exp_h0, theta, w = _KERNEL[s]
-    with workprec(prec):
-        z0 = expjpi(to_mpf(theta))
-        d = bloch_wigner(z0, PrecisionCtx(bits=prec))
+    with ctx.workprec(64):
+        d = bloch_wigner(expjpi(to_mpf(theta)), ctx)
         return +(log(exp_h0) - w * d / pi)
+
+
+def _anchor_ctx(s: Fraction, ctx: PrecisionCtx, tol) -> PrecisionCtx:
+    """The context whose D(z0) holds the error of Lambda_s(1),
+    (w/pi) 2^-(b + GUARD_D) at b bits, to tol/8: ctx itself where it does
+    (121 bits or more for tol 1e-42), else ctx at the least such b."""
+    need = math.ceil(math.log2(8 * _KERNEL[s][3] / math.pi) - _log2(tol)) \
+        - GUARD_D
+    return ctx if need <= ctx.bits else PrecisionCtx(need, ctx.max_terms)
 
 
 def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
@@ -397,7 +449,8 @@ def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
     For m > M, |A_m| <= |A_M| + kappa c_M h_M (m-M) and
     B_m <= B_M + kappa c_M (m-M), so with L = 1 - log w the tail after M is
     at most ((|A_M| + B_M L)/(M+2) + kappa c_M (h_M + L)) w^(M+2)/(1-w).
-    Lambda_s(1) is cached per (s, precision).
+    Lambda_s(1) takes D(z0) in ctx, or at the few more bits that hold its
+    error to tol/8 (``_anchor_ctx``), and is cached per (s, that context).
 
     I(w) is summed on Python integers at P fractional bits: c_n and h_n
     step by their recurrences in the exact p and are floored, and A_m, B_m,
@@ -424,9 +477,9 @@ def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
                 lambda n: (1, n), start=1)
             return +sum_geometric(terms, tol, ratio=abs(z),
                                   max_terms=ctx.max_terms)
-        top = _lambda_at_one(s, mp.prec)
+        top = _lambda_at_one(s, _anchor_ctx(s, ctx, tol))
         if z == 1:
-            return top
+            return +top
         return +(top - _connection_integral(s, 1 - z, tol, ctx.max_terms))
 
 

@@ -12,12 +12,14 @@ working precision, sum the integers and round once to an mpf:
 
 * ``sum_geometric`` sums at mp.prec + GUARD bits until the geometric tail
   bound |t| ratio/(1 - ratio) stays below tol for two consecutive terms.
-* ``richardson_sum`` steps the terms once, at
-  mp.prec + GUARD + ceil(1.8 N_max) bits (the Richardson weights grow like
-  2^(1.5 N)), and extrapolates their partial sums at depths 48, 72, 108,
-  ... with mpmath.richardson's N-term weights, evaluated as one exact
-  integer dot product (``richardson_estimate``).  That is what makes the
-  1/n^2-tail sums (central-binomial squared over 16^n and friends)
+* ``richardson_sum`` extrapolates the partial sums at depths 48, 72,
+  108, ... with mpmath.richardson's N-term weights, evaluated as one exact
+  integer dot product (``richardson_estimate``).  The weights of depth d
+  sum to about 2^(1.53 d) (2^104.5 at 72, 2^556 at 364), so the terms are
+  stepped at mp.prec + GUARD + ceil(1.8 d) bits for the deepest depth d
+  of a generation: depths 48 to 108 first, and only a sum that has not
+  settled by then is stepped again at the width of 364.  That is what
+  makes the 1/n^2-tail sums (central-binomial squared over 16^n and friends)
   reachable at 1e-30..1e-40 with a couple of hundred terms instead of
   1e30 of them.
 
@@ -47,6 +49,7 @@ Series = Callable[[int], Iterator[int]]
 
 GUARD = 64  # fractional bits the finishers carry beyond the working precision
 _DEPTHS = (48, 72, 108, 162, 243, 364)  # Richardson's partial-sum counts
+_FIRST = 3  # the depths that the first generation of terms serves
 
 # the innermost open TermCounter of the running context
 _ACTIVE: ContextVar[TermCounter | None] = ContextVar("term_counter", default=None)
@@ -213,19 +216,30 @@ def richardson_sum(terms: Series, tol, *, max_terms: int = 500_000) -> mpf:
     """Accelerated value of the series ``terms``.
 
     The terms must decay like a smooth asymptotic series in 1/n.  They are
-    stepped once, at mp.prec + GUARD + ceil(1.8 N_max) bits for the deepest
-    depth N_max <= max_terms, and extrapolated at each depth in turn.
-    Convergence is declared when two consecutive depths agree to tol/4 and
-    each depth agrees to tol/4 with the extrapolation of its first three
-    quarters.
+    extrapolated at each depth N <= max_terms in turn.  Convergence is
+    declared when two consecutive depths agree to tol/4 and each depth
+    agrees to tol/4 with the extrapolation of its first three quarters.
+
+    The weights of depth d, over N!, sum to about 2^(1.53 d) (2^104.5 at
+    72, 2^160 at 108, 2^556 at 364) and scale the rounding of the partial
+    sums by as much, so a generation of terms is stepped at
+    mp.prec + GUARD + ceil(1.8 d) bits for its deepest depth d.  The first
+    generation serves the depths up to 108.  If none of them settles, the
+    terms are stepped again from the first one, at the width of the
+    deepest depth; the last depth tried is extrapolated again, as the one
+    the next depth is compared with.  Every term stepped counts, those of
+    both generations.
     """
     depths = [d for d in _DEPTHS if d <= max_terms]
-    if depths:
-        bits = mp.prec + GUARD + ceil(1.8 * depths[-1])
+    stepped = tried = 0  # terms stepped and depths tried, earlier generations
+    for last in (min(_FIRST, len(depths)), len(depths)):
+        if last == tried:
+            continue
+        bits = mp.prec + GUARD + ceil(1.8 * depths[last - 1])
         gate = to_fixed(tol, bits)  # 4 |est - other| < gate: within tol/4
         gen = terms(bits)
         partials, s, prev = [], 0, None
-        for depth in depths:
+        for depth in depths[max(tried - 1, 0):last]:
             for t in islice(gen, depth - len(partials)):
                 s += t
                 partials.append(s)
@@ -234,8 +248,9 @@ def richardson_sum(terms: Series, tol, *, max_terms: int = 500_000) -> mpf:
             est_lo = richardson_estimate(partials[: (3 * depth) // 4])
             if (prev is not None and 4 * abs(est - prev) < gate
                     and 4 * abs(est - est_lo) < gate):
-                count_terms(depth)
+                count_terms(stepped + depth)
                 return ldexp(mpf(est), -bits)
             prev = est
+        stepped, tried = stepped + len(partials), last
     raise ConvergenceError("Richardson extrapolation did not stabilize "
                            f"at tol={mp.nstr(mpf(tol), 5)}")

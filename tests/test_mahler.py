@@ -16,6 +16,7 @@ from wzmahler import mahler
 from wzmahler.mahler import (m_quadrature, m_series, n_quadrature, n_series,
                              rv_series, s_ratio, _cubic_root_mags,
                              _gap_below_four, _n_breakpoints, _n_integrand)
+from wzmahler.numkernel import lambda_series
 from wzmahler.series import TermCounter
 from wzmahler.symbolic.pfq import pfq_eval
 
@@ -82,6 +83,21 @@ def test_domain_and_warnings():
                          tol=mpf(10) ** -8)
             except ConvergenceError:
                 pass  # the warning is the contract; convergence may still fail
+
+
+def test_m_series_meets_tol_below_its_anchor_precision():
+    # at 64 bits the anchor Lambda_{1/2}(1) takes D(i) at the few more bits
+    # that tol 1e-42 needs (at 64 bits D errs by 2^-88), so Lambda_{1/2}(8/9)
+    # meets that tol, and m(3 sqrt 2) meets it up to the rounding of its
+    # value at bits + 64; alpha is a 53-bit value, exact at both precisions
+    alpha, z, tol = 3 * sqrt(mpf(2)), mpf(8) / 9, mpf(10) ** -42
+    lo, hi = PrecisionCtx(bits=64), PrecisionCtx(bits=512)
+    lam = lambda_series(Fraction(1, 2), z, lo, tol=tol)
+    m = m_series(alpha, lo, tol=tol)
+    with workprec(600):
+        assert abs(lam - lambda_series(Fraction(1, 2), z, hi, tol=tol / 10 ** 18)) < tol
+        ref = m_series(alpha, hi, tol=tol / 10 ** 18)
+        assert abs(m - ref) < tol + ref * mpf(2) ** -128
 
 
 def test_slow_convergence_warning_on_every_call():

@@ -18,8 +18,8 @@ from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
 from wzmahler.context import to_mpf
 from wzmahler.numkernel import (_KERNEL, _TIE, GUARD_D, LAMBDA_SWITCH,
                                 _connection_integral, _float_ceil, _log2,
-                                _stop_index, _tangent_numbers, agm3,
-                                lambda_series)
+                                _log_near_one, _stop_index, _tangent_numbers,
+                                agm3, lambda_series)
 from wzmahler.series import TermCounter, count_terms
 
 CTX = PrecisionCtx(bits=256)
@@ -468,6 +468,46 @@ def test_lambda_series_at_one_against_hyper():
             sm = mpf(s.numerator) / s.denominator
             ref = sm * (1 - sm) * hyper([1, 1, 1 + sm, 2 - sm], [2, 2, 2], 1)
             assert abs(lambda_series(s, 1, ctx) - ref) < mpf(2) ** -290
+
+
+@pytest.mark.parametrize("bits", (64, 128, 256, 512, 1024))
+def test_lambda_at_one_against_catalan_and_clausen(bits):
+    # Lambda_{1/2}(1) = 4 log 2 - 8G/pi and Lambda_{1/3}(1) = 3 log 3 -
+    # 9 Cl2(pi/3)/pi, by mpmath's catalan and clsin: D(z0) is taken at the
+    # caller's bits, so within (w/pi) 2^-(bits + GUARD_D) and a rounding
+    ctx = PrecisionCtx(bits=bits)
+    with workprec(bits + 200):
+        refs = {Fraction(1, 2): 4 * log(2) - 8 * catalan / pi,
+                Fraction(1, 3): 3 * log(3) - 9 * clsin(2, pi / 3) / pi}
+        for s, ref in refs.items():
+            w = _KERNEL[s][3]
+            got = lambda_series(s, 1, ctx)
+            assert abs(got - ref) < (w / pi + mpf(2) ** -40) * mpf(2) ** -(bits + GUARD_D)
+        # a tolerance the caller's bits cannot hold raises D's precision: at
+        # 64 bits, Lambda_s(1) for tol 1e-42 is within tol/8 and a rounding
+        if bits == 64:
+            for s, ref in refs.items():
+                got = lambda_series(s, 1, ctx, tol=mpf(10) ** -42)
+                assert abs(got - ref) < mpf(10) ** -42 / 8 + mpf(2) ** -150
+
+
+def test_log_near_one_against_mpmath():
+    # log n in fixed point for n within 2^-(prec//3) of 1, on both sides of
+    # 1 and at 1 itself; None elsewhere, so mpmath's log takes those
+    rng = random.Random(11)
+    for prec in (96, 160, 288, 576, 1088):
+        with workprec(prec):
+            points = [mpf(1), mpf(1) + mpf(2) ** -prec, mpf(1) - mpf(2) ** -prec]
+            for _ in range(40):
+                e = rng.randrange(prec // 3 + 1, prec + 1)
+                points.append(1 + rng.choice((-1, 1)) * rng.random() * mpf(2) ** -e)
+            for n in points:
+                with workprec(3 * prec):
+                    ref = log(n) * mpf(2) ** prec
+                assert abs(_log_near_one(n, prec) - ref) < 2
+            for n in (1 + mpf(2) ** -(prec // 3 - 1), 1 - mpf(2) ** -(prec // 3 - 1),
+                      mpf(2), mpf("0.25")):
+                assert _log_near_one(n, prec) is None
 
 
 def test_lambda_series_small_z_and_domain():

@@ -9,14 +9,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from mpmath import cbrt, log, mp, mpf, sqrt, workprec
+from mpmath import cbrt, log, mp, mpc, mpf, sqrt, workprec
 
-from wzmahler import (DomainError, PrecisionCtx, UnknownIdentityError, mahler,
-                      registry)
+from wzmahler import (DomainError, PrecisionCtx, UnknownIdentityError,
+                      elliptic, mahler, numkernel, registry)
+from wzmahler.context import DEFAULT_CTX
 from wzmahler.mahler import n_quadrature
 from wzmahler.registry import (lookup, n_lattice, registry_entries,
                                reports_from_json, reports_to_json, run_all,
                                run_check)
+from wzmahler.series import shared
 from wzmahler.symbolic.hyperterm import HyperTerm
 from wzmahler.symbolic.pairs import builtin_pairs
 from wzmahler.symbolic.wz import WZPair
@@ -345,6 +347,40 @@ def test_sides_call_the_library_through_the_module(monkeypatch):
         monkeypatch.setattr(registry, name, counting(name, getattr(registry, name)))
     run_all(ctx=CTX)
     assert [name for name, n in calls.items() if n == 0] == []
+
+
+def test_each_special_value_once_per_pass(monkeypatch):
+    """From cold memos, one run_all at 256 bits computes D(i) once, and
+    every D at the pass's own precision: the anchor Lambda_{1/2}(1) of the
+    m(alpha) series reads the memo entry that the n = 0 term of the lattice
+    sums at z0 = i fills.  No alpha that a side takes through m_series is
+    computed at two tolerances."""
+    computed, m_calls = [], {}
+    raw = numkernel.bloch_wigner.__wrapped__
+
+    def counted(z, ctx=DEFAULT_CTX):
+        computed.append((z, ctx.bits))
+        return raw(z, ctx)
+
+    fresh = shared(counted)
+    monkeypatch.setattr(numkernel, "bloch_wigner", fresh)
+    monkeypatch.setattr(elliptic, "bloch_wigner", fresh)
+    for memo in (numkernel._lambda_at_one, elliptic.lattice_dilog_sum,
+                 mahler._m_series, mahler.n_series):
+        memo.cache_clear()
+    m_series = registry.m_series
+
+    def m_counted(alpha, ctx, tol=None):
+        m_calls.setdefault(alpha, set()).add(tol)
+        return m_series(alpha, ctx, tol=tol)
+
+    monkeypatch.setattr(registry, "m_series", m_counted)
+    reports, code = run_all(ctx=CTX)
+    assert code == 0
+    assert [z for z, _ in computed].count(mpc(0, 1)) == 1
+    assert {bits for _, bits in computed} == {256}
+    assert len(m_calls) >= 6
+    assert {alpha: tols for alpha, tols in m_calls.items() if len(tols) > 1} == {}
 
 
 def test_monotone_precision():

@@ -147,10 +147,33 @@ def test_richardson_sum_inverse_squares():
     with workprec(256), TermCounter() as counter:
         s = richardson_sum(terms, mpf(10) ** -30)
         assert abs(s - pi ** 2 / 6) < mpf(10) ** -30
-    # the terms are computed once, at the deepest depth's precision, and the
-    # depth reached (72) is what counts
+    # the terms are computed once, at the width of the first generation's
+    # deepest depth (108), and the depth reached (72) is what counts
     assert counter.count == 72
-    assert calls == [256 + GUARD + ceil(1.8 * 364)]
+    assert calls == [256 + GUARD + ceil(1.8 * 108)]
+
+
+def test_richardson_sum_regenerates_at_the_width_of_its_depth():
+    # 1e-60 does not settle by depth 108: the terms are stepped again, from
+    # the first, at the width of the deepest depth (364), the sum settles at
+    # depth 162, and the terms of both generations count
+    calls = []
+
+    def terms(bits):
+        calls.append(bits)
+        return _inverse_squares(bits)
+
+    with workprec(256), TermCounter() as counter:
+        s = richardson_sum(terms, mpf(10) ** -60)
+        assert abs(s - pi ** 2 / 6) < mpf(10) ** -60
+    assert calls == [256 + GUARD + ceil(1.8 * d) for d in (108, 364)]
+    assert counter.count == 108 + 162
+    # a budget below 108 sizes the only generation for its own deepest depth
+    calls.clear()
+    with workprec(256), TermCounter() as counter:
+        s = richardson_sum(terms, mpf(10) ** -30, max_terms=80)
+        assert abs(s - pi ** 2 / 6) < mpf(10) ** -30
+    assert calls == [256 + GUARD + ceil(1.8 * 72)] and counter.count == 72
 
 
 def test_richardson_sum_failures():
