@@ -20,8 +20,11 @@ z0 q^n, summed geometrically over n, leaves one series in k whose terms
 decay like (|z0||q|)^k.  Both half-sums of that series run in one loop on
 Python integers at a fixed-point precision derived from the working
 precision and the number of terms, as mpmath's own libmp series do, and
-share one power sequence Im((zq)^k), so a lattice sum costs under a
-millisecond at 256 bits.  The n = 0 term is one Bloch-Wigner call.  The
+share one power sequence Im((zq)^k).  Every per-term factor but the
+bracket shrinks with the term: 1/(1-q^k) enters as 1 + q^k/(1-q^k), a term
+with Im((zq)^k) exactly 0 is skipped, and |z|^(-2k) = 1 on the unit
+circle is not multiplied in, so a lattice sum costs under a millisecond at
+256 bits.  The n = 0 term is one Bloch-Wigner call.  The
 AGM of the periods runs on Python integers too (``numkernel.agm``).  The
 periods, D and the lattice sums are memoised for the process on their
 exact arguments (``series.shared``), since the registry checks each
@@ -250,6 +253,15 @@ def _half_sum_difference(z: mpc, q: mpf, k_up: int, k_down: int,
     by ``numkernel._log_near_one`` where |z|^2 lies within 2^-(prec/3) of
     1 (a z0 on the unit circle), within 2 units of 2^-prec against the one
     of mpmath's log of the rounded |z|; the slack of P absorbs the unit.
+
+    The k-th term is y_k s_k (1 + Q_k)/k, with s_k the bracket of both
+    halves and Q_k = q^k/(1-q^k), taken as (ys + ys Q_k)/k, ys = y_k s_k.
+    Q_k = floor(q^k 2^prec/(1 - q^k)) shrinks like |q|^k, so its division
+    and the products log|q| Q_k and ys Q_k cost in proportion to the term,
+    not to prec.  A k whose y_k is exactly 0 (every even k where
+    Re u = 0, as at z0 = i) adds exactly 0, and its bracket is skipped;
+    where g is exactly 1 (|z| = 1) the products by g^k are dropped.  The
+    rounding of these floors is bounded in ``lattice_dilog_sum``.
     """
     with workprec(prec):
         n = z.real ** 2 + z.imag ** 2  # |z|^2
@@ -266,16 +278,20 @@ def _half_sum_difference(z: mpc, q: mpf, k_up: int, k_down: int,
               else sign * (lw >> 1))  # log |w|
     one = 1 << prec
     tr, n2 = 2 * ur, (ur * ur + ui * ui) >> prec  # 2 Re u, |u|^2
+    unit = gf == one  # |z| = 1: g^k = 1
     y_prev, y, gk, qk = 0, ui, gf, qf  # y_0, y_1, g^1, q^1
     total = 0
     for k in range(1, max(k_up, k_down) + 1):
-        inv_d = (one << prec) // (one - qk)
-        a = one // k - (lq * inv_d >> prec)  # 1/k - log|q|/(1-q^k)
-        s = a - lw if k <= k_up else 0
-        if k <= k_down:
-            s += gk * (a + lw) >> prec
+        if y:
+            big_q = (qk << prec) // (one - qk)  # Q_k = q^k/(1-q^k)
+            a = one // k - lq - (lq * big_q >> prec)  # 1/k - log|q|/(1-q^k)
+            s = a - lw if k <= k_up else 0
+            if k <= k_down:
+                s += a + lw if unit else gk * (a + lw) >> prec
+            ys = y * s >> prec
+            total += (ys + (ys * big_q >> prec)) // k  # ys/(1-q^k), over k
+        if k <= k_down and not unit:
             gk = gk * gf >> prec
-        total += ((y * s >> prec) * inv_d >> prec) // k
         y_prev, y = y, (tr * y - n2 * y_prev) >> prec
         qk = qk * qf >> prec
     return mpf((sign * total, -prec))
@@ -304,18 +320,31 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     C r^(k+1)/(1-r) is below 2^-(bits + GUARD_D).  Both half-sums then
     run in one loop over k to K = max(k_up, k_down) on Python integers at
     P fractional bits, carrying one power sequence Im((zq)^k) and the
-    real |z|^(-2k) and q^k (``_half_sum_difference``), so a term costs
-    eight integer products and one division.
+    real |z|^(-2k) and q^k (``_half_sum_difference``).  The factor
+    1/(1-q^k) is carried as 1 + Q_k with Q_k = q^k/(1-q^k), so a term costs
+    eight integer products, each with an operand that shrinks like the
+    term, and one division whose quotient Q_k does; a term whose
+    Im((zq)^k) is exactly 0 (every even k at z0 = i) skips its bracket, and
+    on the unit circle, where |z|^(-2k) = 1, two of the products go.
 
-    With r the larger ratio, r <= |q|^(1/2) gives 1/(1-r) <= 2/(1-|q|).
-    Each term multiplies Im((zq)^k), within 5/(1-r)^2 units of 2^-P, by a
-    bracket below 2 C (1-|q|) and by 1/(1-q^k) < 1/(1-|q|): at most
-    20 C/((1-r)(1-|q|)) units.  The floors of q^k, |z|^(-2k), 1/(1-q^k)
-    and the products, weighted by |Im((zq)^k)| <= r^k, add under
-    26 C/((1-r)(1-|q|)), so each step adds under 46 C/((1-r)(1-|q|))
-    units.  P = w + the bit length of 64 K C/((1-r)(1-|q|)^3), with w the
-    working precision (bits + 64), therefore keeps the summed rounding
-    error below 2^-w, far below 2^-(bits + GUARD_D).  The n = 0 term D(z0)
+    With r the larger ratio, |q| <= r <= |q|^(1/2), so
+    1/(1-|q|) <= 1/(1-r) <= 2/(1-|q|), and |log|q|| <= C (1-|q|)^2.  Each
+    term multiplies Im((zq)^k), within 5/(1-r)^2 units of 2^-P, by a
+    bracket below 2 C (1-|q|) and by 1 + Q_k < 1/(1-|q|): at most
+    20 C/((1-r)(1-|q|)) units.  The floors of q^k, under 2/(1-|q|) units
+    in all, and that of Q_k move Q_k by under 3/(1-|q|)^3 units (x/(1-x)
+    has slope below 1/(1-|q|)^2); Q_k enters the term through log|q| Q_k
+    in both brackets and through ys Q_k, ys = Im((zq)^k) times the
+    bracket, weighted by under 4 C (1-|q|), so under 12 C/((1-r)(1-|q|)).
+    The floors of log|q|, log|z|, 1/k and |z|^(-2k), of the products
+    log|q| Q_k, ys and ys Q_k, and of the division by k add under
+    14 C/((1-r)(1-|q|)).  Each step thus adds under 46 C/((1-r)(1-|q|))
+    units, and P = w + the bit length of 64 K C/((1-r)(1-|q|)^3), with w
+    the working precision (bits + 64), keeps the summed rounding error
+    below 2^-w, far below 2^-(bits + GUARD_D).  As
+    2^(2P)/(2^P - x) = 2^P + x 2^P/(2^P - x), Q_k is the floor of
+    1/(1-q^k) less one, and the loop's integers are those of the
+    1/(1-q^k) form, whose budget took the same P.  The n = 0 term D(z0)
     is one Bloch-Wigner call.
 
     m, k_up, k_down and P are decided from float logs

@@ -10,9 +10,13 @@ sides of alpha = 4:
 where Lambda_s(z) = sum_{n>=1} (s)_n (1-s)_n/n!^2 z^n/n is the kernel of
 ``numkernel.lambda_series``, continued to z -> 1 by the logarithmic
 connection formula, so the alpha >= 4 branch costs a few dozen terms even
-at alpha = 4.  Both series are stepped on integers (``series``), with
-alpha or z entering as the exact dyadic rational its mpf value is, and
-summed at guard bits with a geometric tail bound.  Below 4 the tail is
+at alpha = 4.  Both series are stepped on integers (``series``), their
+rational term ratios as narrow integer pairs and z = 16/alpha^2, or r^2
+below 4, as one fixed-point factor of the ratio (``ratio_series``' x),
+and summed at guard bits with a geometric tail bound.  Below 4 r leaves
+the weight: the sum of C(2n,n)^2 (r/4)^(2n)/(2n+1) is taken to tol/r and
+multiplied by r, so its stop test is the one of the sum with r inside,
+divided through by r.  Below 4 the tail is
 about r^(2n)/n^2, and the direct sum takes about log(1/tol)/(1 - r^2)
 terms (1,429 at alpha = 3.9 and 11,099 at 3.99 for tol 1e-30).  Where
 m(4) is provably within tol/2 of m(alpha) (``_gap_below_four``), m(4) is
@@ -128,6 +132,11 @@ from .series import (as_ratio, count_terms, ratio_series, shared,
 # N* = 1,000 (15-22 against 72-79 ms), 0.56-0.62 at N* = 1,350, and
 # 0.44-0.61 at (7 - sqrt 5)/4^(1/3), N* = 1,470 (27-42 against 62-69 ms).
 _PERIODIC_MAX_NODES = 1024
+# The inner tolerance 10^-M_DIGITS of the m(alpha) series of every registry
+# side (``registry.M``) and of m_series' default wherever 2^-(bits/2) is
+# coarser: both form mpf(10) ** -M_DIGITS at bits + 64, so s_ratio's m(8)
+# is the memo entry of the sides' m(8)
+M_DIGITS = 42
 _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 
 
@@ -145,14 +154,17 @@ def _gap_below_four(eps) -> mpf:
 def m_series(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
     """m(alpha) by the branch-appropriate series: log(alpha) minus half of
     Lambda_{1/2}(16/alpha^2) for alpha >= 4, the binomial series of m(4r)
-    below 4, unless m(4) is within tol/2 of m(alpha).  The series is
+    below 4, unless m(4) is within tol/2 of m(alpha).  tol defaults to
+    min(2^-(bits/2), 10^-M_DIGITS), the registry sides' 1e-42 below 280
+    bits, where s_ratio then meets their memo entries.  The series is
     memoised on (alpha, tol, ctx) (``series.shared``); the warning for the
     band just below 4 is given on every call."""
     with ctx.workprec(32):
         alpha = to_mpf(alpha)
         if alpha <= 0:
             raise DomainError("m_series requires alpha > 0")
-        tol = to_tol(tol) if tol is not None else min(ctx.default_tol, mpf(10) ** -40)
+        tol = (to_tol(tol) if tol is not None
+               else min(ctx.default_tol, mpf(10) ** -M_DIGITS))
         if alpha < 4 and _gap_below_four(1 - alpha / 4) <= tol / 2:
             alpha, tol = mpf(4), tol / 2
         if 0 < 4 - alpha < mpf("1e-3"):
@@ -169,12 +181,14 @@ def _m_series(alpha: mpf, tol: mpf, ctx: PrecisionCtx) -> mpf:
                 z = 16 / alpha ** 2
             lam = lambda_series(_HALF, z, ctx, tol=tol)
             return +(log(alpha) - lam / 2)
-        rsq = (alpha / 4) ** 2
-        a, b = as_ratio(alpha)  # r = alpha/4 = a/(4b)
-        terms = ratio_series(  # C(2n,n)^2 (r/4)^(2n) r/(2n+1)
-            lambda n: ((2 * n - 1) ** 2 * a * a, 64 * n * n * b * b),
-            lambda n: (a, 4 * b * (2 * n + 1)))
-        return +sum_geometric(terms, tol, ratio=rsq, max_terms=ctx.max_terms)
+        r = alpha / 4
+        a, b = as_ratio(r)
+        terms = ratio_series(  # C(2n,n)^2 (r/4)^(2n)/(2n+1), r^2 a factor
+            lambda n: ((2 * n - 1) ** 2, 4 * n * n),
+            lambda n: (1, 2 * n + 1), x=Fraction(a * a, b * b))
+        # r leaves the weight, so the sum is taken to tol/r and scaled by r
+        return +(r * sum_geometric(terms, tol / r, ratio=r * r,
+                                   max_terms=ctx.max_terms))
 
 
 def s_ratio(r, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:

@@ -437,8 +437,11 @@ def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
 
     The sum runs 32 bits above the callers' ``ctx.workprec(32)``, so that
     its rounding stays well below an ulp of their results.  Below
-    ``LAMBDA_SWITCH`` the series is summed directly on integers, z entering
-    as the dyadic rational its mpf value is; its term ratio is below |z|.
+    ``LAMBDA_SWITCH`` the series is summed directly on integers: the
+    rational ratio of c_n steps as a narrow integer pair, and z enters as
+    one fixed-point factor of the ratio (``series.ratio_series``' x), so
+    each term c_n z^n/n is within 4 units of its fixed point; its term
+    ratio is below |z|.
     From there on, Lambda_s(z) = Lambda_s(1) - I(1 - z) with
     I(w) = int_0^w (F_s(1-v) - 1)/(1-v) dv.  Multiplying the connection
     formula by 1/(1-v) = sum v^m gives
@@ -471,10 +474,9 @@ def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
         tol = to_tol(tol) if tol is not None else ctx.default_tol
         if z < LAMBDA_SWITCH:
             pn, pd = as_ratio(_KERNEL[s][0])
-            zn, zd = as_ratio(z)
-            terms = ratio_series(  # c_n z^n/n, n >= 1
-                lambda n: (((n - 1) * n * pd + pn) * zn, n * n * pd * zd),
-                lambda n: (1, n), start=1)
+            terms = ratio_series(  # c_n z^n/n, n >= 1, z a factor
+                lambda n: ((n - 1) * n * pd + pn, n * n * pd),
+                lambda n: (1, n), start=1, x=z)
             return +sum_geometric(terms, tol, ratio=abs(z),
                                   max_terms=ctx.max_terms)
         top = _lambda_at_one(s, _anchor_ctx(s, ctx, tol))

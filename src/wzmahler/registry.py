@@ -36,8 +36,8 @@ from .context import (DEFAULT_CTX, DomainError, PrecisionCtx,
 from .elliptic import (CurvePoint, EllipticCurve, curve_from_family,
                        elliptic_dilog, is_on_curve, lattice_dilog_sum,
                        periods, point_order)
-from .mahler import (m_quadrature, m_series, n_quadrature, n_series, rv_series,
-                     s_ratio)
+from .mahler import (M_DIGITS, m_quadrature, m_series, n_quadrature, n_series,
+                     rv_series, s_ratio)
 from .modular import cubic_theta_ratio, phi_theta, q3_from_beta
 from .numkernel import gamma_real, zeta_int
 from .series import (TermCounter, as_ratio, count_terms, note, ratio_series,
@@ -207,8 +207,8 @@ class Side(NamedTuple):
 
 # the nine quantities that the Mahler-measure and elliptic-dilogarithm sides
 # add up; each m(alpha) of a side is one series at 1e-42, shared by every
-# side that takes it
-M = Quantity(m_series, 42)          # m(alpha) by its series
+# side that takes it and by s_ratio
+M = Quantity(m_series, M_DIGITS)    # m(alpha) by its series
 M_QUAD = Quantity(m_quadrature, 8)  # m(alpha) by the Jensen quadrature
 N = Quantity(n_series, 42)          # n(alpha) likewise
 N_LAT = Quantity(n_lattice)

@@ -4,11 +4,16 @@ term tally both report into.
 
 A series is a callable ``terms(bits)`` that yields its terms as Python
 integers in fixed point, t_n ~ terms_n * 2^bits.  ``ratio_series`` builds
-one from an exact term ratio and weight, each a function n -> (p, q) of
-integer pairs; a coefficient that is not rational (1 + rs in log(4/r),
-z = 16/alpha^2 at an irrational alpha) enters as the dyadic rational its
-mpf value is (``as_ratio``).  The finishers choose ``bits`` from the
-working precision, sum the integers and round once to an mpf:
+one from the rational part of a term ratio and a weight, each a function
+n -> (p, q) of integer pairs, and a constant factor x of the ratio.  An
+argument that is not rational (z in Lambda_s(z), r^2 = (alpha/4)^2 in
+m(alpha) below 4) enters as x, floored once to the fixed point, so the
+pairs stay as narrow as the integers of the rational part and a step costs
+what a rational series' step does.  The one irrational coefficient that is
+not a constant factor of the ratio, 1 + rs in the weight of log(4/r)
+(``registry._log4r_rhs``), stays the dyadic rational its mpf value is
+(``as_ratio``).  The finishers choose ``bits`` from the working precision,
+sum the integers and round once to an mpf:
 
 * ``sum_geometric`` sums at mp.prec + GUARD bits until the geometric tail
   bound |t| ratio/(1 - ratio) stays below tol for two consecutive terms.
@@ -35,7 +40,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import cache, wraps
 from itertools import count, islice
-from math import ceil, comb, factorial
+from math import ceil, comb, factorial, inf
 from operator import mul
 from typing import Callable, Iterator
 
@@ -138,17 +143,32 @@ def to_fixed(x, bits: int) -> int:
     return (p << bits) // q
 
 
-def ratio_series(step: Callable, weight: Callable, *, start: int = 0) -> Series:
+def ratio_series(step: Callable, weight: Callable, *, start: int = 0,
+                 x=None) -> Series:
     """The series sum_{n>=start} weight(n) c_n with c_0 = 1 and
-    c_n = c_{n-1} step(n), where step and weight map n to an integer pair
-    (p, q) standing for p/q.  Each product is floored to the fixed point, so
-    the n-th term is within about n units of 2^-bits."""
+    c_n = c_{n-1} step(n) x, where step and weight map n to an integer pair
+    (p, q) standing for p/q, and x, a constant factor of the term ratio
+    (none if None), is an int, Fraction or mpf (``as_ratio``).
+
+    The pairs carry only the rational part of the ratio, so they stay as
+    narrow as its integers; x is floored once to x_f = floor(x 2^bits) and
+    applied after the pair: c <- floor(c p/q), then
+    c <- floor(c x_f 2^-bits).  Each floor costs under one unit of 2^-bits,
+    weighted by |x| <= 1 for the first; the floor of x_f, weighted by
+    |c_(n-1) p/q| <= 1, adds under one unit more.  So a step adds under 1
+    unit without x and under 3 with it, and where |step(n) x| <= 1 the
+    errors do not grow: c_n is within n units (3n with x), and the n-th
+    term, floored once more, within n |weight(n)| + 1
+    (3n |weight(n)| + 1)."""
     def terms(bits):
         c = 1 << bits
+        xf = None if x is None else to_fixed(x, bits)
         for n in count():
             if n:
                 p, q = step(n)
                 c = c * p // q
+                if xf is not None:
+                    c = c * xf >> bits
             if n >= start:
                 p, q = weight(n)
                 yield c * p // q
@@ -174,11 +194,14 @@ def sum_geometric(terms: Series, tol, *, ratio=0.5, head: int = 0,
         raise ConvergenceError(
             f"tol={mp.nstr(mpf(tol), 5)} is below the resolution 2^-{bits} "
             f"of the working precision ({mp.prec} bits)")
+    # for an integer t, |t| rp < limit is |t| < ceil(limit/rp): one
+    # comparison a term, however wide the pair of an mpf ratio is
+    small_t = -(-limit // rp) if rp > 0 else inf
     total = small = n = 0
     for t in terms(bits):
         total += t
         n += 1
-        if n > head and abs(t) * rp < limit:
+        if n > head and abs(t) < small_t:
             small += 1
             if small >= 2:
                 break

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from mpmath import (arg, ceil, exp, expjpi, im, log, mp, mpc, mpf, nint, pi,
                     polylog, polyroots, workprec)
+from mpmath.libmp import to_fixed
 
 import wzmahler.elliptic as elliptic_module
 from wzmahler import (ComplexRootsUnsupportedError, ConvergenceError,
@@ -289,7 +290,11 @@ def _half_sum_reference(z, q, eps):
                             for bits in (256, 512, 1024)]
                          + [("e^(2 pi i/3)", "-0.7", 256),
                             ("e^(2 pi i/3)", "0.9", 256),
-                            (_BERTIN_POINT, "0.5", 512)])
+                            (_BERTIN_POINT, "0.5", 512)]
+                         + [("i", q, bits) for q in ("-1/4", "-0.9")
+                            for bits in (256, 512, 1024)]
+                         + [("e^(pi i/3)", "1/10", 512),
+                            ("e^(pi i/3)", "-0.9", 256)])
 def test_lattice_sum_rounding_against_mpf_loop(name, q, bits):
     # The integer loop against the same truncated half-sums summed in mpf
     # arithmetic 300 bits higher, with the same D(z0): what is left is
@@ -312,6 +317,73 @@ def test_lattice_sum_rounding_against_mpf_loop(name, q, bits):
         down, k_down = _half_sum_reference(1 / z, q, eps)
         assert counter.count == k_up + k_down + 1
         assert abs(val - (d + up - down)) < mpf(2) ** -w * (2 + 2 * abs(val))
+
+
+def _reciprocal_form(z, q, k_up, k_down, prec):
+    """``_half_sum_difference`` in the form that carried 1/(1-q^k) at full
+    width and took every term, zero or not, with both products by g^k."""
+    with workprec(prec):
+        n = z.real ** 2 + z.imag ** 2
+        if n < 1:
+            u, g, sign = q / z, n, -1
+            k_up, k_down = k_down, k_up
+        else:
+            u, g, sign = z * q, 1 / n, 1
+        ur, ui, gf, qf, lq = (to_fixed(x._mpf_, prec)
+                              for x in (u.real, u.imag, g, q, log(abs(q))))
+        lw = to_fixed((sign * log(abs(z)))._mpf_, prec)
+    one = 1 << prec
+    tr, n2 = 2 * ur, (ur * ur + ui * ui) >> prec
+    y_prev, y, gk, qk = 0, ui, gf, qf
+    total = 0
+    for k in range(1, max(k_up, k_down) + 1):
+        inv_d = (one << prec) // (one - qk)
+        a = one // k - (lq * inv_d >> prec)
+        s = a - lw if k <= k_up else 0
+        if k <= k_down:
+            s += gk * (a + lw) >> prec
+            gk = gk * gf >> prec
+        total += ((y * s >> prec) * inv_d >> prec) // k
+        y_prev, y = y, (tr * y - n2 * y_prev) >> prec
+        qk = qk * qf >> prec
+    return mpf((sign * total, -prec))
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024])
+def test_half_sums_against_the_reciprocal_form(monkeypatch, bits):
+    # The loop that carries q^k/(1-q^k), skips exact-zero terms and drops
+    # g^k = 1 against a test-local copy of the loop that carried 1/(1-q^k),
+    # on the arguments the kernel passes: on the unit circle (i, where the
+    # even terms are exact zeros, and e^(pi i/3)) and at Bertin's point,
+    # off it.  Each is within its docstring's budget of the same truncated
+    # half-sums, so they agree within 2 * 2^-w, w = bits + 64.  log|w| is
+    # mpmath's here; the kernel's integer log near |z| = 1 is within 2
+    # units of it, inside the slack of P.
+    calls = []
+    kernel = elliptic_module._half_sum_difference
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(elliptic_module, "_half_sum_difference", spy)
+    ctx = PrecisionCtx(bits=bits)
+    with ctx.workprec(32):
+        q_b = mpf("0.0063508")
+        points = [(mpc(0, 1), mpf(1) / 4), (mpc(0, 1), -mpf(1) / 4),
+                  (mpc(0, 1), mpf("0.00736")),
+                  (_registry_point("e^(pi i/3)", None), mpf(1) / 10),
+                  (_registry_point(_BERTIN_POINT, q_b), q_b)]
+    for z0, q in points:
+        elliptic_module.lattice_dilog_sum.cache_clear()
+        lattice_dilog_sum(z0, q, ctx)
+    assert len(calls) == len(points)
+    w = bits + 64
+    for z, q, k_up, k_down, prec in calls:
+        with workprec(2 * prec):
+            new, old = kernel(z, q, k_up, k_down, prec), \
+                _reciprocal_form(z, q, k_up, k_down, prec)
+            assert abs(new - old) < mpf(2) ** (1 - w), (z, q, bits)
 
 
 @pytest.mark.parametrize("bits, at_i, at_bertin", [(256, 283, 103),

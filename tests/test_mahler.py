@@ -13,11 +13,13 @@ from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
                       PrecisionCtx, QuadratureBudgetError,
                       SlowConvergenceWarning)
 from wzmahler import mahler
+from wzmahler.context import to_mpf
 from wzmahler.mahler import (m_quadrature, m_series, n_quadrature, n_series,
                              rv_series, s_ratio, _cubic_root_mags,
                              _gap_below_four, _n_breakpoints, _n_integrand)
+from wzmahler.modular import phi_theta
 from wzmahler.numkernel import lambda_series
-from wzmahler.series import TermCounter
+from wzmahler.series import TermCounter, as_ratio, ratio_series, sum_geometric
 from wzmahler.symbolic.pfq import pfq_eval
 
 CTX = PrecisionCtx(bits=256)
@@ -888,6 +890,60 @@ def test_m_series_at_64_bits_within_an_ulp():
             ref = m_series(alpha, PrecisionCtx(bits=360), tol=mpf(2) ** -370)
             ulp = ldexp(1, frexp(got)[1] - 128)
             assert abs(got - ref) <= ulp, alpha
+
+
+def _pair_stepped_m(alpha, tol, ctx):
+    """m(alpha) below 4 as the sum of C(2n,n)^2 (r/4)^(2n) r/(2n+1) to tol,
+    stepped with r = alpha/4 = a/(4b) inside the integer pairs, which are
+    as wide as alpha's mantissa."""
+    with ctx.workprec(32):
+        a, b = as_ratio(alpha)
+        terms = ratio_series(
+            lambda n: ((2 * n - 1) ** 2 * a * a, 64 * n * n * b * b),
+            lambda n: (a, 4 * b * (2 * n + 1)))
+        return +sum_geometric(terms, tol, ratio=(alpha / 4) ** 2,
+                              max_terms=ctx.max_terms)
+
+
+def _pair_stepped_lambda(s, z, tol, ctx):
+    """Lambda_s(z) summed directly with z = zn/zd inside the integer pairs."""
+    with ctx.workprec(64):
+        pn, pd = as_ratio(s * (1 - s))
+        zn, zd = as_ratio(z)
+        terms = ratio_series(
+            lambda n: (((n - 1) * n * pd + pn) * zn, n * n * pd * zd),
+            lambda n: (1, n), start=1)
+        return +sum_geometric(terms, tol, ratio=abs(z), max_terms=ctx.max_terms)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024])
+def test_ratio_factor_against_pair_stepping(bits):
+    # m(alpha) below 4 takes r^2 and Lambda_s(z) takes z as one fixed-point
+    # factor of the term ratio; stepping the same series with alpha or z
+    # inside wide integer pairs takes the same number of terms and lands
+    # within 2^-(bits + 32).  1.778... is rs-param's 4r at q = 1/10.
+    ctx, tol = PrecisionCtx(bits=bits), mpf(10) ** -42
+    with ctx.workprec(32):
+        q = mpf(1) / 10
+        alphas = [to_mpf(Fraction(8, 3)),
+                  4 * phi_theta(-q, ctx) ** 2 / phi_theta(q, ctx) ** 2]
+    with ctx.workprec(64):
+        lambdas = [(Fraction(1, 2), to_mpf(Fraction(5, 9))),
+                   (Fraction(1, 3), -to_mpf(Fraction(3, 7)))]
+    assert 1.77 < alphas[1] < 1.78
+    cases = [(lambda a=a: m_series(a, ctx, tol=tol),
+              lambda a=a: _pair_stepped_m(a, tol, ctx)) for a in alphas]
+    cases += [(lambda s=s, z=z: lambda_series(s, z, ctx, tol=tol),
+               lambda s=s, z=z: _pair_stepped_lambda(s, z, tol, ctx))
+              for s, z in lambdas]
+    for new, old in cases:
+        with TermCounter() as new_count:
+            got = new()
+        with TermCounter() as old_count:
+            ref = old()
+        assert new_count.count == old_count.count
+        with workprec(bits + 256):
+            assert abs(got - ref) < mpf(2) ** -(bits + 32)
 
 
 def test_m_series_near_four_against_quadrature():

@@ -13,12 +13,14 @@ from mpmath import cbrt, log, mp, mpc, mpf, sqrt, workprec
 
 from wzmahler import (DomainError, PrecisionCtx, UnknownIdentityError,
                       elliptic, mahler, numkernel, registry)
+from wzmahler import series as series_module
 from wzmahler.context import DEFAULT_CTX
 from wzmahler.mahler import n_quadrature
 from wzmahler.registry import (lookup, n_lattice, registry_entries,
                                reports_from_json, reports_to_json, run_all,
                                run_check)
 from wzmahler.series import shared
+from wzmahler.symbolic import pfq as pfq_module
 from wzmahler.symbolic.hyperterm import HyperTerm
 from wzmahler.symbolic.pairs import builtin_pairs
 from wzmahler.symbolic.wz import WZPair
@@ -381,6 +383,65 @@ def test_each_special_value_once_per_pass(monkeypatch):
     assert {bits for _, bits in computed} == {256}
     assert len(m_calls) >= 6
     assert {alpha: tols for alpha, tols in m_calls.items() if len(tols) > 1} == {}
+
+
+def test_one_m_series_per_alpha_per_pass(monkeypatch):
+    """From a cold memo, a 256-bit run_all sums one m(alpha) series per
+    alpha: s_ratio's default tolerance is the M sides' 1e-42, formed as the
+    same mpf, so its m(8) and m(2) are the sides' memo entries."""
+    misses = []
+    raw = mahler._m_series.__wrapped__
+
+    def counted(alpha, tol, ctx):
+        misses.append((alpha, tol))
+        return raw(alpha, tol, ctx)
+
+    monkeypatch.setattr(mahler, "_m_series", shared(counted))
+    reports, code = run_all(ctx=CTX)
+    assert code == 0
+    alphas = [alpha for alpha, _ in misses]
+    assert len(misses) == len(set(alphas)) == 19
+    with CTX.workprec(32):
+        assert {tol for _, tol in misses} == {mpf(10) ** -42}
+
+
+def test_series_pairs_stay_narrow_at_512_bits(monkeypatch):
+    """A 512-bit pass of the entries without n(alpha) quadrature steps no
+    integer pair wider than 64 bits: an irrational series argument enters
+    ratio_series as its fixed-point factor x, not inside the pairs.  The
+    weight of log4r-identity, which carries the dyadic 1 + rs, is the one
+    exemption."""
+    widths, entry = [], [None]  # (entry, "step" or "weight", bits)
+    real = series_module.ratio_series
+
+    def watch(kind, f):
+        def pair(n):
+            p, q = f(n)
+            widths.append((entry[0], kind,
+                           max(abs(p).bit_length(), abs(q).bit_length())))
+            return p, q
+        return pair
+
+    def spy(step, weight, **kwargs):
+        return real(watch("step", step), watch("weight", weight), **kwargs)
+
+    for module in (mahler, numkernel, registry, pfq_module):
+        monkeypatch.setattr(module, "ratio_series", spy)
+    for memo in (mahler._m_series, mahler.n_series, numkernel._lambda_at_one):
+        memo.cache_clear()
+    ctx = PrecisionCtx(bits=512)
+    light = [rec.id for rec in registry_entries()
+             if rec.id not in ("qseries-n", "qseries-n2", "bertin-n-form")]
+    for ident in light:
+        entry[0] = ident
+        assert run_check(ident, ctx).status.endswith("PASS"), ident
+    assert {i for i, kind, _ in widths if kind == "step"} >= {
+        "lalin-m1-m16", "qseries-m-series", "rs-param", "log4r-identity"}
+    wide = {(i, kind, w) for i, kind, w in widths
+            if w > 64 and (i, kind) != ("log4r-identity", "weight")}
+    assert wide == set()
+    assert max(w for i, kind, w in widths
+               if (i, kind) == ("log4r-identity", "weight")) > 64
 
 
 def test_monotone_precision():

@@ -104,6 +104,51 @@ def test_integer_partial_sums_against_fractions():
             assert err < Fraction(1, 1 << prec) * max(1, abs(exact))
 
 
+def _random_x(rng, prec):
+    """A constant ratio factor in (-1/2, 1/2): a Fraction, or an mpf whose
+    mantissa fills prec bits, as an irrational argument's does."""
+    if rng.random() < 0.5:
+        b = rng.randint(2, 10 ** 6)
+        return Fraction(rng.randint(-b + 1, b - 1), 2 * b)
+    with workprec(prec):
+        return mpf(rng.randint(-(1 << prec) + 1, (1 << prec) - 1)) / (2 << prec)
+
+
+def test_ratio_factor_terms_against_fractions():
+    # ratio_series with a constant factor x of the ratio against exact
+    # Fraction terms: where |x| <= 1 and every step p/q and partial product
+    # c_(n-1) p/q lies in [0, 1], the n-th term is within
+    # 3n |weight(n)| + 1 units of 2^-bits, and sum_geometric's value within
+    # 2^-prec of the exact sum
+    rng = random.Random(29)
+    for prec in (64, 200):
+        bits = prec + GUARD
+        for _ in range(6):
+            a, b = rng.randint(0, 6), rng.randint(1, 9)
+            c, d = a + rng.randint(0, 4), b + rng.randint(0, 4)
+            step = lambda n, a=a, b=b, c=c, d=d: (a * n + b, c * n + d)
+            e, f = rng.randint(-9, 9), rng.randint(1, 9)
+            weight = lambda n, e=e, f=f: (e * n + 1, f * n + 1)
+            x, start = _random_x(rng, prec + 64), rng.randint(0, 2)
+            xq = Fraction(*as_ratio(x))
+            series = ratio_series(step, weight, start=start, x=x)
+            with workprec(prec), TermCounter() as counter:
+                val = sum_geometric(series, mpf(2) ** -prec,
+                                    ratio=Fraction(1, 2))
+            exact, cn = Fraction(0), Fraction(1)
+            terms = series(bits)
+            for n in range(start + counter.count):
+                if n:
+                    cn *= Fraction(*step(n)) * xq
+                if n >= start:
+                    w = Fraction(*weight(n))
+                    exact += cn * w
+                    t = next(terms)
+                    assert abs(t - cn * w * (1 << bits)) < 3 * n * abs(w) + 1
+            err = abs(Fraction(*as_ratio(val)) - exact)
+            assert err < Fraction(1, 1 << prec) * max(1, abs(exact))
+
+
 def test_richardson_estimate_against_mpmath():
     bits = 400
     alternating = ratio_series(lambda n: (-n * n, (n + 1) ** 2), lambda n: (1, 1))
