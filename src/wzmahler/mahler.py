@@ -21,40 +21,39 @@ about r^(2n)/n^2, and the direct sum takes about log(1/tol)/(1 - r^2)
 terms (1,429 at alpha = 3.9 and 11,099 at 3.99 for tol 1e-30).  Where
 m(4) is provably within tol/2 of m(alpha) (``_gap_below_four``), m(4) is
 taken instead, through the alpha >= 4 branch.  There is a quadrature
-oracle via Jensen's formula in x: with u(t) = alpha + 2 cos(2 pi t) the
-inner integral is arccosh(|u|/2) where |u| >= 2 and zero otherwise, the log
-of w + sqrt(w^2 - 1), w = u/2, which a node gives with an integer square
-root.
+oracle via Jensen's formula in x for alpha > 4: with
+u(t) = alpha + 2 cos(2 pi t) > 2 the inner integral is arccosh(u/2), the
+log of w + sqrt(w^2 - 1), w = u/2, which a node gives with an integer
+square root.
 
-Both quadrature oracles follow one route rule.  Where the integrand is
-even, periodic and analytic they take the periodic trapezoidal rule: for
-an integrand analytic in the strip |Im t| < a it errs by about
-e^(-2 pi a N/P) at N nodes per period P (Trefethen and Weideman, SIAM
-Review 56, 2014), so it needs about N* nodes, with
-e^(-2 pi a N*/P) = 2^-prec.  N doubles from 8, reusing every node, until
-two levels agree to 2^(-prec/2) at a level within 8 bits of N*.  The rule
-is taken while N* is below _PERIODIC_MAX_NODES; otherwise, and wherever
-the integrand has kinks, tanh-sinh runs on pieces split at the kinks,
-bisected wherever a piece's error estimate times the integrand's weight
-exceeds tol/4.  tol sets the working precision, max(140, -log2(tol) + 80)
-bits, and that gate; the value comes out at about that precision, far
-below tol.  The periodic rule's nodes y = e^(2 pi i t) are the exact
-t = k P/N up to a few units of 2^-(prec + 64): they come from a table of
-roots of unity on integers, one exponential per level and one complex
-integer product per node, and the integrands take y itself.  Each node
-returns a positive integer value whose log is the integrand, and the rule
-takes one logarithm per level, of the product of the values.  alpha is
-taken at the 32 guard bits of the periodic sums, the periodic sum is
-returned unrounded, and every integrand call counts as one term.
+Both quadrature oracles take one rule, the periodic trapezoidal rule, and
+serve only where their integrand is even, periodic and analytic: alpha > 4
+for m and alpha > 3 for n.  At or below those branch points they raise
+DomainError, and the series routes serve.  For an integrand analytic in the
+strip |Im t| < a the rule errs by about e^(-2 pi a N/P) at N nodes per
+period P (Trefethen and Weideman, SIAM Review 56, 2014), so it needs about
+N* nodes, with e^(-2 pi a N*/P) = 2^-prec.  N doubles from 8, reusing every
+node, until two levels agree to 2^(-prec/2) at a level within 8 bits of N*.
+A predicted N* at or above the rule's budget, _PERIODIC_MAX_NODES, raises
+QuadratureBudgetError before any node is evaluated, naming the series
+route: N* grows without bound as alpha falls to the branch point.  tol sets
+the working precision, max(140, -log2(tol) + 80) bits; the value comes out
+at about that precision, far below tol.  The rule's nodes
+y = e^(2 pi i t) are the exact t = k P/N up to a few units of
+2^-(prec + 64): they come from a table of roots of unity on integers, one
+exponential per level and one complex integer product per node, and the
+integrands take y itself.  Each node returns a positive integer value whose
+log is the integrand, and the rule takes one logarithm per level, of the
+product of the values.  alpha is taken at the 32 guard bits of the periodic
+sums, the periodic sum is returned unrounded, and every integrand call
+counts as one term.
 
 For m(alpha), alpha > 4, the integrand arccosh((alpha + 2 cos 2 pi t)/2) is
 even, 1-periodic and analytic; its nearest singularity is where
 u = 2, at 2 pi Im t = arccosh((alpha - 2)/2), so
 N* = prec log 2/arccosh((alpha - 2)/2) (50 at alpha = 9 and 140 bits).
-N* grows like (alpha - 4)^(-1/2) and passes the cap for alpha < 4.009 at
-140 bits.  There, at alpha = 4, and for 0 < alpha < 4, where the integrand
-vanishes beyond the u = 2 crossing t*, cos(2 pi t*) = (2 - alpha)/2, with
-a square-root kink, m_quadrature takes tanh-sinh.
+N* grows like (alpha - 4)^(-1/2) and reaches the budget for
+alpha < 4.00056 at 140 bits.
 
 n(alpha) = m(x^3 + y^3 + 1 - alpha x y) has Rodriguez-Villegas's series for
 alpha > 3,
@@ -62,47 +61,28 @@ alpha > 3,
     n(alpha) = log(alpha) - (1/3) sum_{n>=1} (3n)!/(n n!^3) alpha^(-3n)
              = log(alpha) - Lambda_{1/3}(27/alpha^3)/3,
 
-through the same kernel, and a quadrature oracle for every alpha >= 0: the
+through the same kernel, and a quadrature oracle on the same domain: the
 cubic in x is monic, so Jensen gives the sum of log+ of its root
 magnitudes.  The polynomial is invariant under (x, y) -> (w^2 x, w y),
 w = e^(2 pi i/3), and under complex conjugation, so that integrand has
-period 1/3 in t (y = e^(2 pi i t)) and is even: n(alpha) is 6 times its
-integral over [0, 1/6].  Near alpha = 3 the curve is close to three lines
-meeting the torus at t = 0, 1/3, 2/3, which the reduction puts at the
-endpoint t = 0.  Both routes run on Python integers at 32 bits above the
-working precision, and their node values and sums keep those bits.
+period 1/3 in t (y = e^(2 pi i t)) and is even.  Near alpha = 3 the curve
+is close to three lines meeting the torus at t = 0, 1/3, 2/3.  The rule
+runs on Python integers at 32 bits above the working precision, and its
+node values and sums keep those bits.
 
 For alpha > 3 the polynomial has no zero on the torus, since there
 |x^3 + y^3 + 1| <= 3 < alpha = |alpha x y|.  By Rouche's theorem exactly
 one root x_3 lies inside the unit disk, so by Vieta the integrand is
-log |x_1 x_2| = log |alpha y - x_3^2|, and the periodic rule's node solves
-for x_3 alone (``_n_node``).  The integrand is analytic; its nearest
+log |x_1 x_2| = log |alpha y - x_3^2|, and the rule's node solves for x_3
+alone (``_n_node``).  The integrand is analytic; its nearest
 singularities are the branch points of the roots, where the discriminant
 4 alpha^3 y^3 - 27 (1 + y^3)^2 vanishes, at y^3 = Y+ and 1/Y+ with Y+ the
 larger root of
 Y^2 + (2 - 4 alpha^3/27) Y + 1 = 0.  The trapezoidal rule with N nodes per
 period then errs by about Y+^(-N), so it needs about
 N* = prec log 2/log Y+ nodes, with log Y+ = acosh(2 alpha^3/27 - 1).
-Just above 3 N* passes the cap (1,470 at (7 - sqrt 5)/4^(1/3) = 3.0011 and
-140 bits), and n_quadrature takes tanh-sinh there and for every
-alpha <= 3, on all three magnitudes (``_cubic_root_mags``): the same
-integer Newton iteration finds the largest root, which is simple, and the
-quadratic it leaves gives the other two.
-
-For 0 <= alpha <= 3 the integrand has kinks where a root magnitude crosses
-1, at the zeros of P(x, y) = x^3 + y^3 + 1 - alpha x y on the torus
-|x| = |y| = 1, and they are in closed form.  P has real coefficients, so on
-the torus P(x, y) and x^3 y^3 P(1/x, 1/y) vanish together; their
-difference is (1 - u)(u^2 + (1 - alpha) u + 1), u = xy, so u = 1 or
-u = e^(+-i theta) with cos(theta) = (alpha - 1)/2.  Putting x = u/y into
-P = 0 gives Y^2 + (1 - alpha u) Y + u^3 = 0 in Y = y^3, whose roots are
-e^(+-i theta) for u = 1, and u and u^2 otherwise.  So the zeros lie at
-y^3 = e^(+-i theta) and e^(+-2 i theta), t = theta/(6 pi) and
-theta/(3 pi) up to the period 1/3 and sign: 1/18 and 1/9 at alpha = 2,
-where two roots of equal magnitude cross together at 1/18.  For alpha > 3
-theta is not real, and no Y has modulus 1, as the bound above requires.
-Made the ends of the tanh-sinh pieces, the kinks keep tanh-sinh at full
-speed.
+N* is 1,470 at alpha_2 = (7 - sqrt 5)/4^(1/3) = 3.0011 and 140 bits, and
+reaches the budget for alpha < 3.00014 at 140 bits.
 """
 
 from __future__ import annotations
@@ -111,8 +91,11 @@ import warnings
 from fractions import Fraction
 from math import isqrt, ldexp
 
-from mpmath import (acos, acosh, extraprec, log, mp, mpf, pi, polyroots, quad,
-                    workprec)
+from mpmath import acosh, extraprec, log, mp, mpf, pi, workprec
+# Bound only for the benchmark's tracer, which looks both names up here; no
+# code calls them.  They go when the benchmark drops its mahler.quad and
+# mahler.polyroots layers.
+from mpmath import polyroots, quad
 from mpmath.libmp import (from_man_exp, from_rational, mpf_cos_sin_pi,
                           mpf_log, mpf_shift, round_nearest, to_fixed)
 
@@ -123,15 +106,10 @@ from .numkernel import lambda_series
 from .series import (as_ratio, count_terms, ratio_series, shared,
                      sum_geometric)
 
-# Largest predicted node count N* for which m_quadrature and n_quadrature
-# take the periodic trapezoidal rule.  The rule stops at a level within 8
-# bits of N*, so it makes at most 513 integrand calls below the cap and
-# 1,025 above, against the tanh-sinh route's 537 for n(alpha).  Measured at
-# 140 bits (mpmath's Python backend, 2 vCPUs, best of 3 in each of 3 runs):
-# n(alpha)'s rule takes 0.19-0.28 of the tanh-sinh route's time at
-# N* = 1,000 (15-22 against 72-79 ms), 0.56-0.62 at N* = 1,350, and
-# 0.44-0.61 at (7 - sqrt 5)/4^(1/3), N* = 1,470 (27-42 against 62-69 ms).
-_PERIODIC_MAX_NODES = 1024
+# The periodic rule's node budget per period: the doubling stops there, and
+# a predicted node count N* at or above it is refused before any node is
+# evaluated, so the rule makes at most 2,049 integrand calls
+_PERIODIC_MAX_NODES = 4096
 # The inner tolerance 10^-M_DIGITS of the m(alpha) series of every registry
 # side (``registry.M``) and of m_series' default wherever 2^-(bits/2) is
 # coarser: both form mpf(10) ** -M_DIGITS at bits + 64, so s_ratio's m(8)
@@ -226,22 +204,6 @@ def n_series(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
 # quadrature oracles
 # ---------------------------------------------------------------------------
 
-def _quad_pieces(f, points, tol, depth: int = 0):
-    """tanh-sinh on each piece; bisect pieces whose error estimate is too big."""
-    total = mpf(0)
-    for a, b in zip(points, points[1:]):
-        val, err = quad(f, [a, b], error=True)
-        if err > tol * mpf("0.25") and depth < 12:
-            total += _quad_pieces(f, [a, (a + b) / 2, b], tol, depth + 1)
-        elif err > tol * mpf("0.25"):
-            raise QuadratureBudgetError(
-                f"interval [{mp.nstr(a, 8)}, {mp.nstr(b, 8)}] stuck at "
-                f"error {mp.nstr(err, 3)}")
-        else:
-            total += val
-    return total
-
-
 def _cmul(a, b, bits):
     """The product of two fixed-point complex pairs at ``bits`` fractional
     bits, each part floored once."""
@@ -306,7 +268,7 @@ def _periodic_trapezoid(f, period, gate, floor):
         for y in ys[1:-1]:
             inner = times(inner, f(y))
         value = mean(n)
-        while n < 4 * _PERIODIC_MAX_NODES:  # gives up after 4,096 nodes
+        while n < _PERIODIC_MAX_NODES:
             n *= 2
             w = root(n)
             odd = [_cmul(y, w, bits) for y in ys[:-1]]
@@ -322,158 +284,55 @@ def _periodic_trapezoid(f, period, gate, floor):
 
 
 def _m_node(alpha, y):
-    """e^arccosh(w) = w + sqrt(w^2 - 1) where w = alpha/2 + Re y > 1, and 1
-    elsewhere, as the pair (m, e) of ``_periodic_trapezoid``, for y at
-    F = mp.prec + 32 fractional bits: w floored at F bits, its square root
-    from ``math.isqrt``.  Each call counts as one term."""
+    """e^arccosh(w) = w + sqrt(w^2 - 1), w = alpha/2 + Re y, as the pair
+    (m, e) of ``_periodic_trapezoid``, for y at F = mp.prec + 32 fractional
+    bits: w floored at F bits, its square root from ``math.isqrt``.  Each
+    call counts as one term.  Every admitted alpha has
+    (alpha - 2)/2 > cosh(140 log 2/_PERIODIC_MAX_NODES) > 1.0002, so w > 1
+    whatever y."""
     count_terms(1)
     bits = mp.prec + 32
     w = to_fixed(alpha._mpf_, bits - 1) + y[0]
-    if w <= 1 << bits:
-        return 1, 0
     return w + isqrt(w * w - (1 << 2 * bits)), -bits
 
 
-def _m_integrand(alpha, t):
-    """The log of ``_m_node`` at y = e^(2 pi i t) from one
-    ``mpf_cos_sin_pi`` call, at F bits: the tanh-sinh route's integrand."""
-    bits = mp.prec + 32
-    m, e = _m_node(alpha, tuple(to_fixed(v, bits) for v in mpf_cos_sin_pi(
-        mpf(2 * t)._mpf_, bits, round_nearest)))
-    return mp.make_mpf(mpf_log(from_man_exp(m, e), bits, round_nearest))
+def _node_count(prec, decay, series) -> mpf:
+    """N* = prec log 2/decay, the periodic rule's predicted node count at
+    ``prec`` bits for an integrand whose error decays like e^(-decay N);
+    at or above _PERIODIC_MAX_NODES it raises QuadratureBudgetError naming
+    the ``series`` route."""
+    if decay * _PERIODIC_MAX_NODES <= prec * log(2):
+        raise QuadratureBudgetError(
+            f"the periodic rule needs {_PERIODIC_MAX_NODES} nodes or more at "
+            f"{prec} bits this close to the branch point; take {series}")
+    return prec * log(2) / decay
 
 
 def m_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf:
-    """Jensen-reduced integral for m(alpha), alpha >= 0: the mean over
-    t in [0, 1] of arccosh(u/2) where u = alpha + 2 cos(2 pi t) > 2, and of
-    zero elsewhere (u > -2).
+    """Jensen-reduced integral for m(alpha), alpha > 4: the mean over
+    t in [0, 1] of arccosh(u/2), u = alpha + 2 cos(2 pi t), by the periodic
+    rule over one period on its table nodes (``_m_node``).
 
-    alpha = 0 is an exact 0.  The route and the role of tol are the module
-    docstring's; the periodic rule runs over one period on its table
-    nodes, and tanh-sinh (``_m_integrand``) with weight 2 over [0, 1/2], or
-    over [0, t*] below 4, where the integrand vanishes beyond the u = 2
-    crossing t* (a square-root kink).  Both routes evaluate ``_m_node``.
+    The rule, its node budget and the role of tol are the module
+    docstring's.  At or below 4 it raises DomainError, and m_series serves.
     """
     tol = to_tol(tol)
     prec = max(140, int(-mp.log(tol, 2)) + 80)
-    with workprec(prec + 32):  # alpha, t* and the result at the sums' bits
+    with workprec(prec + 32):  # alpha and the result at the sums' bits
         alpha = to_mpf(alpha)
-        if alpha < 0:
-            raise DomainError("m_quadrature requires alpha >= 0")
-        if alpha == 0:
-            return mpf(0)
-
-        end = mpf(1) / 2
-        if alpha > 4:
-            nodes = prec * log(2) / acosh((alpha - 2) / 2)  # N*
-            if nodes < _PERIODIC_MAX_NODES:
-                with workprec(prec):
-                    return _periodic_trapezoid(
-                        lambda y: _m_node(alpha, y), 1,
-                        mpf(2) ** (-(prec // 2)), nodes)
-        elif alpha < 4:
-            end = acos((2 - alpha) / 2) / (2 * pi)  # t*
+        if not alpha > 4:
+            raise DomainError("m_quadrature requires alpha > 4, where its "
+                              "integrand is analytic; m_series serves alpha > 0")
+        nodes = _node_count(prec, acosh((alpha - 2) / 2), "m_series")
         with workprec(prec):
-            return +(2 * _quad_pieces(lambda t: _m_integrand(alpha, t),
-                                      [mpf(0), end], tol / 2))
-
-
-def _torus_point(t, bits):
-    """y = e^(2 pi i t) and y^3 as fixed-point (re, im) pairs at ``bits``
-    fractional bits, each floored from its own exponential of an argument
-    rounded at the working precision, so that 1 + y^3 vanishes exactly at
-    t = 1/2, and at t = 1/6 rounded at the working precision."""
-    return tuple((to_fixed(c, bits), to_fixed(s, bits)) for c, s in (
-        mpf_cos_sin_pi(mpf(2 * t)._mpf_, bits, round_nearest),
-        mpf_cos_sin_pi(mpf(6 * t)._mpf_, bits, round_nearest)))
+            return _periodic_trapezoid(lambda y: _m_node(alpha, y), 1,
+                                       mpf(2) ** (-(prec // 2)), nodes)
 
 
 # Newton steps allowed to _disk_root: from its float seed's ~50 bits it
 # reaches ~50,000 bits
 _ROOT_STEPS = 12
 _UNITY = (1, complex(-0.5, 0.75 ** 0.5), complex(-0.5, -0.75 ** 0.5))
-
-
-def _cubic_root_norms(alpha, y, y3):
-    """(F', [|x_0|^2, |x_1|^2, |x_2|^2]): the squared root magnitudes of
-    x^3 - alpha y x + 1 + y^3 at 2F' fractional bits, for y and y^3
-    fixed-point pairs at F = mp.prec + 32 bits, by Newton's iteration for
-    the largest root and the quadratic it leaves, on integers, scaled by
-    2^k, F' = F + k (see ``_cubic_root_mags``), as the tanh-sinh route
-    takes them."""
-    bits = mp.prec + 32
-    one = 1 << bits
-    a = to_fixed(mpf(alpha)._mpf_, bits)
-    (yr, yi), (zr, zi) = y, y3
-    if one + zr == zi == 0:  # x (x^2 - alpha y): 0 and +-sqrt(alpha y)
-        return bits, [0, a << bits, a << bits]
-    ay, q = (a * yr, a * yi), (one + zr, zi)
-    # X = 2^k x brings the largest root magnitude M near 1 (k >= 0)
-    k = max(0, min((2 * bits - max(map(abs, ay)).bit_length()) // 2,
-                   (bits - max(map(abs, q)).bit_length()) // 3))
-    ay, q = (ay[0] << 2 * k, ay[1] << 2 * k), (q[0] << 3 * k, q[1] << 3 * k)
-    seed = _float_roots(complex(ay[0] / one ** 2, ay[1] / one ** 2),
-                        complex(q[0] / one, q[1] / one))[-1]
-    (xr, xi), (vr, vi) = _certified_root(ay, q, bits, seed,
-                                         complex(yr / one, yi / one))
-    dr, di = ay[0] + 3 * vr, ay[1] + 3 * vi  # (x_2 - x_3)^2, at 2F bits
-    m = isqrt(dr * dr + di * di)  # its square root s, up to sign
-    if dr >= 0:
-        sr = isqrt((m + dr) >> 1)
-        si = di // (2 * sr) if sr else 0
-    else:
-        si = isqrt((m - dr) >> 1)
-        sr = abs(di) // (2 * si)
-        si = -si if di < 0 else si
-    # |x_1 + s|^2 - |x_1 - s|^2 = 4 Re(x_1 conj(s)), exactly
-    if xr * sr + xi * si > 0:
-        br, bi = -xr - sr, -xi - si
-    else:
-        br, bi = sr - xr, si - xi
-    n = br * br + bi * bi  # 4 |x_2|^2; |x_3| = |alpha y - x_1^2|/|x_2|
-    return bits + k, [xr * xr + xi * xi, n >> 2,
-                      ((vr * vr + vi * vi) << 2) // n]
-
-
-def _cubic_root_mags(alpha, t, point=None):
-    """|roots| of x^3 - alpha y x + 1 + y^3, y = e^(2 pi i t); ``point`` is
-    y and y^3 as ``_torus_point`` gives them at F = mp.prec + 32 bits,
-    computed from t when not given.
-
-    The cubic is depressed, so a largest root x_1, of magnitude M, is at
-    least M from each other root, |x_1 - x_j| = |2 x_1 + x_k| >= M: it is
-    simple, |f'(x_1)| >= M^2, and Newton's iteration is well conditioned
-    there even at a double root.  The other two roots solve
-    x^2 + x_1 x + x_1^2 - alpha y = 0; with s^2 = 4 alpha y - 3 x_1^2 =
-    (x_2 - x_3)^2 the larger is x_2 = (-x_1 -+ s)/2, its sign from the exact
-    sign of Re(x_1 conj(s)) (no cancellation), and |x_3| = |x_2 x_3|/|x_2|
-    with x_2 x_3 = x_1^2 - alpha y.  Where 1 + y^3 = 0 the cubic is
-    x (x^2 - alpha y), and its squared magnitudes 0, alpha, alpha are taken
-    directly: at alpha = 0 it is x^3, whose triple root no scaling brings
-    near 1.
-
-    It runs on Python integers: alpha y at 2F and q = 1 + y^3 at F
-    fractional bits are exact from alpha, y and y^3 floored at F bits.
-    The cubic is scaled to X = 2^k x, k >= 0 from their bit lengths, so
-    that 1/5 < 2^k M < 3/2 or k = 0, which multiplies them by 2^(2k) and
-    2^(3k) exactly; ``_disk_root`` finds x_1 at F bits from the
-    largest float Cardano root (``_float_roots``), ``_certified_root``
-    refuses it unless |f/f'| <= 2^-(P/2), P = mp.prec, and s comes from
-    ``math.isqrt``.  The magnitudes come back unrounded at F + k bits.
-    With u = 2^-(F + k), x_1 lies within about 2 u of a root of the
-    fixed-point cubic.  s^2 is formed exactly from x_1, whose error moves
-    it by at most 12 M u, so s errs by 12 M u/(2 |s|) + u, or by
-    sqrt(12 M u) where |s| is smaller; x_1^2 - alpha y errs by 4 M u, and
-    |x_2| >= M/2.  To first order each magnitude is thus within
-        2^4 u (1 + M/max(|x_2 - x_3|, sqrt(M u)))
-    of the fixed-point cubic's, which grows only near a double root.  The
-    floors of alpha, y and y^3 move a simple root x_i by at most
-    (2 + (1 + 2 alpha) |x_i|) 2^-F/|f'(x_i)| more: the conditioning of the
-    cubic itself, large near a double root and at the triple root.
-    """
-    bits, norms = _cubic_root_norms(
-        alpha, *(point or _torus_point(t, mp.prec + 32)))
-    return [mp.make_mpf(from_man_exp(isqrt(n), -bits)) for n in norms]
 
 
 def _float_roots(ay: complex, q: complex) -> list:
@@ -516,9 +375,8 @@ def _disk_root(ay, q, bits, seed):
     bits, by Newton's step x <- x - f(x)/f'(x) from 64 bits up: a step at P
     bits takes ``_cubic_at`` on alpha y and q floored to 2P and P bits and
     floors f/f'.  A step that moves x by about 2^-k leaves it within about
-    2^-(2k - 8) of the root (8 bits for the curvature |f''/f'|: near
-    alpha = 3 for the root inside the unit disk, and for a largest root
-    scaled to a magnitude near 1), so the next runs at
+    2^-(2k - 8) of the root (8 bits for the curvature |f''/f'| near
+    alpha = 3), so the next runs at
     min(F, 2 min(P, 2k - 8)) bits; at F the iteration stops once 2k - 8
     reaches F, and past _ROOT_STEPS steps it raises ArithmeticError."""
     p = 64
@@ -583,99 +441,28 @@ def _n_node(alpha, y):
     return vr * vr + vi * vi, -4 * bits
 
 
-def _n_integrand(alpha, t):
-    """``_log_plus`` at y = e^(2 pi i t), with y and y^3 from the two
-    exponentials of ``_torus_point``: the tanh-sinh route's integrand, whose
-    roots ``_check_root_mags`` checks at the ends of its pieces."""
-    return _log_plus(*_cubic_root_norms(alpha, *_torus_point(t, mp.prec + 32)))
-
-
-def _log_plus(bits, norms):
-    """sum_i log+ |x_i| for the squared root magnitudes ``norms`` at 2F
-    fractional bits, F = ``bits``, as half the log of the product of those
-    above 1, at F bits; each call counts as one term."""
-    count_terms(1)
-    one = 1 << 2 * bits
-    prod, shift = 1, 0
-    for n in norms:
-        if n > one:
-            prod, shift = prod * n, shift + 2 * bits
-    if not shift:
-        return mpf(0)
-    return mp.make_mpf(mpf_shift(
-        mpf_log(from_man_exp(prod, -shift, bits), bits, round_nearest), -1))
-
-
-def _check_root_mags(alpha, points):
-    """Cross-check the integer root magnitudes against polyroots, both at
-    the one torus point ``_torus_point`` gives for each t."""
-    gate = mpf(2) ** (-(mp.prec // 2))
-    bits = mp.prec + 32
-    for t in points:
-        point = _torus_point(t, bits)
-        y, y3 = (mp.make_mpc(tuple(from_man_exp(v, -bits) for v in z))
-                 for z in point)
-        if alpha == 0 and 1 + y3 == 0:
-            continue  # x^3 itself: exact, and polyroots cannot converge on it
-        roots = polyroots([mpf(1), mpf(0), -alpha * y, 1 + y3],
-                          maxsteps=160, extraprec=80)
-        ref = sorted(abs(r) for r in roots)
-        got = sorted(_cubic_root_mags(alpha, t, point))
-        gap = max(abs(a - b) for a, b in zip(got, ref))
-        if gap > gate:
-            raise ArithmeticError(
-                f"cubic root magnitudes at t = {mp.nstr(t, 8)} differ from "
-                f"polyroots by {mp.nstr(gap, 3)}")
-
-
-def _n_breakpoints(alpha) -> list:
-    """The kinks of the n(alpha) integrand in (0, 1/6), 0 <= alpha: the
-    zeros of the polynomial on the torus, at y^3 = e^(i theta) and
-    e^(2 i theta), cos(theta) = (alpha - 1)/2 (module docstring), folded by
-    the period 1/3 and evenness.  None for alpha > 3; points within
-    2^(-prec/2) of the ends 0, 1/6 or of each other are dropped."""
-    if alpha > 3:
-        return []
-    gap, end = mpf(2) ** (-(mp.prec // 2)), mpf(1) / 6
-    with extraprec(32):
-        t = acos((alpha - 1) / 2) / (6 * pi)  # y^3 = e^(i theta)
-        s = min(2 * t, 1 / mpf(3) - 2 * t)  # y^3 = e^(2 i theta)
-    pts = []
-    for p in sorted((+t, +s)):
-        if gap < p < end - gap and not (pts and p - pts[-1] < gap):
-            pts.append(p)
-    return pts
-
-
 def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf:
     """Jensen-reduced integral for n(alpha) = m(x^3 + y^3 + 1 - alpha x y),
-    the mean of sum_i log+ |x_i(t)| over the roots x_i of the cubic in x.
+    alpha > 3: the mean of sum_i log+ |x_i(t)| over the roots x_i of the
+    cubic in x, by the periodic rule over one period of 1/3 on ``_n_node``,
+    the one root inside the unit disk.
 
-    The route and the role of tol are the module docstring's: the periodic
-    rule over one period of 1/3 on ``_n_node``, the one root inside the unit
-    disk, and tanh-sinh over [0, 1/6] with weight 6, split at the kinks of
-    ``_n_breakpoints``, on all three magnitudes (``_n_integrand``), which
-    polyroots cross-checks at the ends of the pieces.  Either way each
-    Newton root passes ``_certified_root``'s gate or ArithmeticError is
-    raised: its correction |f/f'| must be at most 2^(-P/2), P the working
-    precision (prec + 32 at the periodic rule's nodes, and mpmath's raised
-    precision in tanh-sinh).
+    The rule, its node budget and the role of tol are the module
+    docstring's.  Each Newton root passes ``_certified_root``'s gate or
+    ArithmeticError is raised: its correction |f/f'| must be at most
+    2^(-P/2), P = prec + 32 the precision at the rule's nodes.  At or below
+    3 it raises DomainError: n_series serves the same domain.
     """
     tol = to_tol(tol)
     prec = max(140, int(-mp.log(tol, 2)) + 80)
     with workprec(prec + 32):  # alpha at the sums' bits
         alpha = to_mpf(alpha)
     with workprec(prec):
-        if alpha < 0:
-            raise DomainError("n_quadrature requires alpha >= 0")
-
-        if alpha > 3:
-            nodes = prec * log(2) / acosh(2 * alpha ** 3 / 27 - 1)  # N*
-            if nodes < _PERIODIC_MAX_NODES:  # the mean of 2 sum log+ |x_i|
-                return mp.make_mpf(mpf_shift(_periodic_trapezoid(
-                    lambda y: _n_node(alpha, y), _THIRD,
-                    mpf(2) ** (1 - prec // 2), nodes)._mpf_, -1))
-        points = [mpf(0)] + _n_breakpoints(alpha) + [mpf(1) / 6]
-        _check_root_mags(alpha, points)
-        return +(6 * _quad_pieces(lambda t: _n_integrand(alpha, t), points,
-                                  tol / 6))
+        if not alpha > 3:
+            raise DomainError("n_quadrature requires alpha > 3, where its "
+                              "integrand is analytic, the domain of n_series")
+        nodes = _node_count(prec, acosh(2 * alpha ** 3 / 27 - 1), "n_series")
+        # the mean of 2 sum log+ |x_i|
+        return mp.make_mpf(mpf_shift(_periodic_trapezoid(
+            lambda y: _n_node(alpha, y), _THIRD,
+            mpf(2) ** (1 - prec // 2), nodes)._mpf_, -1))

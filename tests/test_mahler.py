@@ -2,12 +2,11 @@
 relations between special values."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
-from mpmath import (acosh, cbrt, cospi, expjpi, frexp, ldexp, log, mp, mpc,
-                    mpf, pi, polyroots, psi, quad, sinpi, sqrt, workprec)
+from mpmath import (acosh, cbrt, cospi, frexp, ldexp, log, mp, mpc, mpf, pi,
+                    polyroots, sinpi, sqrt, workprec)
 
 from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
                       PrecisionCtx, QuadratureBudgetError,
@@ -15,8 +14,7 @@ from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
 from wzmahler import mahler
 from wzmahler.context import to_mpf
 from wzmahler.mahler import (m_quadrature, m_series, n_quadrature, n_series,
-                             rv_series, s_ratio, _cubic_root_mags,
-                             _gap_below_four, _n_breakpoints, _n_integrand)
+                             rv_series, s_ratio, _gap_below_four)
 from wzmahler.modular import phi_theta
 from wzmahler.numkernel import lambda_series
 from wzmahler.series import TermCounter, as_ratio, ratio_series, sum_geometric
@@ -28,11 +26,6 @@ CTX = PrecisionCtx(bits=256)
 def _bertin_alphas():
     s5 = sqrt(mpf(5))
     return (7 + s5) / cbrt(mpf(4)), (7 - s5) / cbrt(mpf(4)), cbrt(mpf(32))
-
-
-def _smyth():
-    """n(0) = m(1 + x + y) = 3 sqrt3/(4 pi) L(chi_-3, 2)."""
-    return 3 * sqrt(3) / (4 * pi) * (psi(1, mpf(1) / 3) - psi(1, mpf(2) / 3)) / 9
 
 
 def test_branch_agreement_at_four():
@@ -115,13 +108,13 @@ def test_slow_convergence_warning_on_every_call():
     assert second is first and count == again > 10_000
 
 
-def test_gap_below_four_bounds_quadrature():
+def test_gap_below_four_bounds_quadrature(m_oracle):
     # m(4) - m(4(1 - eps)) by the Jensen quadrature lies below the bound of
     # m_series's shortcut to m(4), and above 80% of it
     with workprec(300):
         m4 = m_series(4, CTX)
         for eps in (mpf(10) ** -3, mpf(10) ** -6, mpf(10) ** -12):
-            gap = m4 - m_quadrature(4 * (1 - eps), CTX, tol=mpf(10) ** -20)
+            gap = m4 - m_oracle(4 * (1 - eps))
             bound = _gap_below_four(eps)
             assert bound * mpf("0.8") < gap <= bound, eps
 
@@ -136,15 +129,16 @@ def test_m_series_just_below_four_takes_m4():
     assert counter.count < 1000
 
 
-def test_m_series_just_above_four():
+def test_m_series_just_above_four(m_oracle):
     # alpha >= 4 goes through the connection formula: no slow convergence,
-    # no warning, full accuracy against the Jensen quadrature
+    # no warning, full accuracy against the Jensen quadrature, by the oracle:
+    # the periodic rule refuses 4 + 1e-5 (N* ~ 46,000 at tol 1e-40)
     import warnings
     alpha = mpf(4) + mpf(10) ** -5
     with workprec(300), warnings.catch_warnings():
         warnings.simplefilter("error", SlowConvergenceWarning)
         ser = m_series(alpha, CTX, tol=mpf(10) ** -42)
-        quad_val = m_quadrature(alpha, CTX, tol=mpf(10) ** -40)
+        quad_val = m_oracle(alpha)
         assert abs(ser - quad_val) < mpf(10) ** -40
 
 
@@ -171,11 +165,14 @@ def test_rv_series_basics():
         rv_series(mpf("0.04"), CTX)  # 27 x = 1.08 >= 1
 
 
-def test_quadrature_oracle_equivalence():
+def test_quadrature_oracle_equivalence(m_oracle):
     # the two m(alpha) routes are independent: binomial series vs Jensen
-    # quadrature; they must agree to 1e-6 (they actually do far better)
+    # quadrature, the package's above 4 and the oracle below; they must
+    # agree to 1e-6 (they actually do far better)
     with workprec(300):
-        for a in (1, 2, 5, 8, 16):
+        for a in (1, 2):
+            assert abs(m_series(mpf(a), CTX) - m_oracle(a)) < mpf(10) ** -6
+        for a in (5, 8, 16):
             assert abs(m_series(mpf(a), CTX) - m_quadrature(mpf(a), CTX)) < mpf(10) ** -6
         a = 3 * sqrt(mpf(2))
         assert abs(m_series(a, CTX) - m_quadrature(a, CTX)) < mpf(10) ** -6
@@ -184,38 +181,43 @@ def test_quadrature_oracle_equivalence():
 M_QUAD_ALPHAS = ("0.5", "1", "2", "3", "3.9", "3.999", "4.5", "9.0", "21.6")
 
 
-def test_m_quadrature_against_series():
-    # above 4 the periodic rule, below 4 tanh-sinh over [0, t*]: both
-    # accurate to about the working precision (140 bits, and 212 bits at
-    # tol = 1e-40); 3.999 is within 1e-3 of 4, where the series warns of its
-    # slow convergence
+def test_m_quadrature_against_series(m_oracle):
+    # above 4 the periodic rule, accurate to about the working precision
+    # (140 bits, and 212 bits at tol = 1e-40); below 4 the oracle, at 300
+    # bits; 3.999 is within 1e-3 of 4, where the series warns of its slow
+    # convergence
     import warnings
     with workprec(300), warnings.catch_warnings():
         warnings.simplefilter("ignore", SlowConvergenceWarning)
         for a in M_QUAD_ALPHAS:
             ref = m_series(mpf(a), CTX, tol=mpf(10) ** -50)
+            if mpf(a) < 4:
+                assert abs(m_oracle(a) - ref) < mpf(10) ** -41, a
+                continue
             for tol in (mpf("1e-8"), mpf(10) ** -40):
                 got = m_quadrature(mpf(a), CTX, tol=tol)
                 assert abs(got - ref) < mpf(10) ** -41, (a, tol)
 
 
-def test_m_quadrature_route_rule(monkeypatch):
-    # the periodic rule serves alpha > 4 while N* is below the cap; tanh-sinh
-    # serves alpha <= 4 and the band just above 4 where N* passes the cap
-    # (4 + 1e-5: N* ~ 30,700 at 140 bits)
-    def tanh_sinh(*args, **kwargs):
-        raise LookupError("tanh-sinh")
-
-    monkeypatch.setattr(mahler, "quad", tanh_sinh)
+def test_m_quadrature_route_rule():
+    # the periodic rule serves alpha > 4 while N* is below its budget; at or
+    # below 4 m_quadrature refuses, and just above 4 (4 + 1e-5: N* ~ 30,700
+    # at 140 bits) the budget refuses; both name m_series and evaluate no
+    # node
     periodic = [a for a in M_QUAD_ALPHAS if mpf(a) > 4]
     assert periodic == ["4.5", "9.0", "21.6"]
     for a in periodic:
         for tol in (mpf("1e-8"), mpf(10) ** -40):
             m_quadrature(mpf(a), CTX, tol=tol)
-    kinked = [mpf(a) for a in M_QUAD_ALPHAS if mpf(a) < 4]
-    for alpha in kinked + [mpf(4), mpf(4) + mpf(10) ** -5, mpf(4) - mpf(10) ** -5]:
-        with pytest.raises(LookupError, match="tanh-sinh"):
-            m_quadrature(alpha, CTX)
+    below = [mpf(a) for a in M_QUAD_ALPHAS if mpf(a) < 4]
+    refused = [(alpha, DomainError) for alpha in
+               below + [0, 1, 4, -1, mpf(4) - mpf(10) ** -5]]
+    refused.append((mpf(4) + mpf(10) ** -5, QuadratureBudgetError))
+    for alpha, error in refused:
+        with TermCounter() as counter:
+            with pytest.raises(error, match="m_series"):
+                m_quadrature(alpha, CTX)
+        assert counter.count == 0, alpha
 
 
 def test_m_quadrature_level_floor():
@@ -239,11 +241,6 @@ def test_m_quadrature_periodic_budget(monkeypatch):
     monkeypatch.setattr(mahler, "_m_node", lambda alpha, y: (next(calls), 0))
     with pytest.raises(QuadratureBudgetError, match="nodes"):
         m_quadrature(mpf(5), CTX)
-
-
-def test_m_quadrature_alpha_zero():
-    # for alpha = 0 the inner Jensen integral vanishes a.e.
-    assert m_quadrature(0, CTX) == 0
 
 
 def _table_nodes(period, prec):
@@ -351,30 +348,31 @@ def test_periodic_root_residuals_within_gates(monkeypatch):
     assert 0 < worst <= 4
 
 
-def _cardano_c_d(alpha, y, y3, f):
-    """|c| and |d| of Cardano's formula for x^3 - alpha y x + 1 + y^3, for
-    y and y^3 fixed-point pairs at F bits, in mpc arithmetic 64 bits above
-    F (``_cubic_root_mags``' bound takes them)."""
+def _cardano(alpha, y, y3, f):
+    """The root magnitudes of x^3 - alpha y x + 1 + y^3 by Cardano's
+    formula, and its |c| and |d|, for y and y^3 fixed-point pairs at F bits,
+    in mpc arithmetic 64 bits above F: a reference independent of the
+    Newton solve."""
     with workprec(f + 64):
         y, y3 = (mpc(*z) / 2 ** f for z in (y, y3))
         p, h = -alpha * y, (1 + y3) / 2
         d = sqrt(h * h + (p / 3) ** 3)
-        u = -h - d if abs(h + d) > abs(h - d) else -h + d
-        return abs(cbrt(u)), abs(d)
+        c = cbrt(-h - d if abs(h + d) > abs(h - d) else -h + d)
+        w = mpc(-1, sqrt(mpf(3))) / 2
+        return [abs(c * w ** k - p / (3 * c * w ** k)) for k in range(3)], \
+            abs(c), abs(d)
 
 
 def test_rouche_node_against_cardano(monkeypatch):
     # at every node of the periodic rule for alpha1, alpha3, 5 and 50, at
     # 140, 256, 512 and 1024 bits, half the log of the Rouche node value
-    # against the tanh-sinh route's sum of log+ (all three magnitudes) on
-    # the same fixed-point y and y^3, within the sum of two bounds: the
-    # magnitudes' Cardano rounding bound of
-    # test_cubic_root_mags_against_mpc_cardano, twice (two magnitudes above
-    # 1, where log+ is 1-Lipschitz), plus the one log's rounding at F bits,
-    # 2^(1-F)(1 + value); and _n_node's 6 |f/f'|/(alpha - 1) for half its
-    # log, the log itself taken here 64 bits above F.  The roots are
-    # recorded during n_quadrature only, since the three-magnitude solve
-    # calls _disk_root too
+    # against the sum of log+ of all three root magnitudes by Cardano's
+    # formula on the same fixed-point y and y^3, 64 bits above F, within
+    # the sum of two bounds: Cardano's rounding bound at those bits,
+    # 2^(4-F-64) (1 + alpha/3)^3 (1 + 1/|c|)^2 (1 + 1/max(|d|, 2^(-F/2))),
+    # twice (two magnitudes above 1, where log+ is 1-Lipschitz); and
+    # _n_node's 6 |f/f'|/(alpha - 1) for half its log, the log itself taken
+    # here 64 bits above F
     nodes = []
     node = mahler._n_node
 
@@ -394,15 +392,13 @@ def test_rouche_node_against_cardano(monkeypatch):
                 n_quadrature(alpha, CTX, tol=mpf(2) ** (80 - prec))
             assert len(nodes) == len(roots) >= 9, (prec, alpha)
             for (a, y, (m, e), p), (ay, q, f, x, _) in zip(nodes, roots):
-                with workprec(p):
-                    y3 = mahler._cmul(mahler._cmul(y, y, f), y, f)
-                    want = mahler._log_plus(*mahler._cubic_root_norms(a, y, y3))
-                c, d = _cardano_c_d(a, y, y3, f)
+                y3 = mahler._cmul(mahler._cmul(y, y, f), y, f)
+                mags, c, d = _cardano(a, y, y3, f)
                 with workprec(f + 64):
+                    want = sum(log(r) for r in mags if r > 1)
                     got = log(ldexp(mpf(m), e)) / 2
-                    cardano = 2 * mpf(2) ** (4 - f) * (1 + a / 3) ** 3 \
-                        * (1 + 1 / c) ** 2 * (1 + 1 / max(d, mpf(2) ** (-f // 2))) \
-                        + mpf(2) ** (1 - f) * (1 + want)
+                    cardano = 2 * mpf(2) ** (4 - f - 64) * (1 + a / 3) ** 3 \
+                        * (1 + 1 / c) ** 2 * (1 + 1 / max(d, mpf(2) ** (-f // 2)))
                     rouche = 6 * _newton_units(ay, q, f, x) * mpf(2) ** -f \
                         / (a - 1)
                     gap = abs(got - want)
@@ -412,32 +408,26 @@ def test_rouche_node_against_cardano(monkeypatch):
 
 
 def test_n_quadrature_periodic_near_the_cap(monkeypatch):
-    # alpha = 3.003, 3.01 and 3.05, where the root inside the unit disk
-    # nears 1 at t = 0 (0.968 at 3.003) and N* nears the cap: the periodic
-    # rule against n_series at 1e-80, at 140 and 212 bits, with every
-    # node's Rouche margin positive.  N* ~ 1,342 for 3.003 at 212 bits,
-    # over the cap, so there the rule is called directly
+    # alpha2 = (7 - sqrt 5)/4^(1/3) = 3.0011, 3.003, 3.01 and 3.05, where
+    # the root inside the unit disk nears 1 at t = 0 (0.968 at 3.003) and N*
+    # nears or passes 1,024 (1,470 for alpha2 at 140 bits, 2,226 at 212):
+    # the periodic rule against n_series at 1e-80, at 140 and 212 bits
+    # (tol = 2^-132, about 1e-40), with every node's Rouche margin positive
     roots = _disk_roots(monkeypatch)
-    for a in ("3.003", "3.01", "3.05"):
+    with workprec(300):
+        alphas = [_bertin_alphas()[1]] + [mpf(a) for a in ("3.003", "3.01", "3.05")]
+    for alpha in alphas:
         with workprec(300):
-            alpha = mpf(a)
             ref = n_series(alpha, CTX, tol=mpf(10) ** -80)
         for prec in (140, 212):
             roots.clear()
             with workprec(prec):
                 nodes = prec * log(2) / acosh(2 * alpha ** 3 / 27 - 1)
-            if nodes < mahler._PERIODIC_MAX_NODES:
-                got = n_quadrature(alpha, CTX, tol=mpf(2) ** (80 - prec))
-            else:
-                assert (a, prec) == ("3.003", 212)
-                with workprec(prec):
-                    got = mahler._periodic_trapezoid(
-                        lambda y: mahler._n_node(alpha, y), Fraction(1, 3),
-                        mpf(2) ** (1 - prec // 2), nodes) / 2
-            assert abs(got - ref) < mpf(2) ** (4 - prec), (a, prec)
+            got = n_quadrature(alpha, CTX, tol=mpf(2) ** (80 - prec))
+            assert abs(got - ref) < mpf(2) ** (4 - prec), (alpha, prec)
             margins = [_disk_margin(x, f, p) for _, _, f, x, p in roots]
-            assert len(margins) > nodes / 2 and min(margins) > 0, (a, prec)
-        if a == "3.003":
+            assert len(margins) > nodes / 2 and min(margins) > 0, (alpha, prec)
+        if alpha == alphas[1]:
             assert min(margins) < 0.035
 
 
@@ -461,135 +451,43 @@ def test_n_node_refuses_a_root_outside_the_disk(monkeypatch):
 
 
 def test_m_integrand_symmetry():
-    # the m(alpha) kernel itself: even, f(y) = f(conj y), and at the same
-    # t = k/N the log of the periodic rule's node value at its table node
-    # and tanh-sinh's integrand at its own exponential agree, within the
-    # node bound times the kernel's slope 1/sqrt(w^2 - 1); alpha = 3
-    # vanishes beyond t* = 1/3, where the node value is 1
+    # the m(alpha) kernel itself: even, f(y) = f(conj y), and at the table
+    # node of t = k/4096 the log of the node value is
+    # arccosh(alpha/2 + cos 2 pi t), within the node bound times the
+    # kernel's slope 1/sqrt(w^2 - 1)
     nodes = _table_nodes(1, 120)
     with workprec(120 + 32):  # the rule's F = 120 + 64
-        for alpha in (mpf(3), mpf(5), mpf("4.5")):
+        for alpha in (mpf(5), mpf("4.5")):
             for k in (0, 409, 942, 1365, 1638, 2048):
                 y, _ = nodes[k]
                 node = mahler._m_node(alpha, y)
                 assert node == mahler._m_node(alpha, (y[0], -y[1]))
                 with workprec(250):
                     got = log(ldexp(mpf(node[0]), node[1]))
-                want = mahler._m_integrand(alpha, mpf(k) / 4096)
+                    want = acosh(alpha / 2 + cospi(mpf(k) / 2048))
                 assert abs(got - want) < mpf(2) ** (8 - 184), (alpha, k)
-                assert (node == (1, 0)) == (k > 1365 and alpha == 3), (alpha, k)
-
-
-def test_n_quadrature_breakpoints(monkeypatch):
-    # below alpha = 3 the cubic has torus zeros and the integrand has kinks;
-    # above 3 (all the catalogued arguments) it is smooth: no breakpoints.
-    # Only (0, 1/6) is searched: the kinks at 2/9 and 4/9 for alpha = 2 are
-    # the images of 1/9 under t -> 1/3 - t and t -> t + 1/3.  At 1/18 two
-    # roots of equal magnitude cross |x| = 1 together (magnitudes 1, 1,
-    # sqrt 3), which leaves the sign of prod(|x| - 1) unchanged
-    with workprec(140):
-        pts = _n_breakpoints(mpf(2))
-        assert len(pts) == 2
-        for got, want in zip(pts, (mpf(1) / 18, mpf(1) / 9)):
-            assert abs(got - want) < mpf(10) ** -12
-        mags = sorted(_cubic_root_mags(mpf(2), mpf(1) / 18))
-        assert abs(mags[0] - 1) < mpf(10) ** -30
-        assert abs(mags[1] - 1) < mpf(10) ** -30
-        assert abs(mags[2] - sqrt(mpf(3))) < mpf(10) ** -30
-        # alpha = 5/2: a pair of roots of equal magnitude enters the unit
-        # disc together at t = 0.03834...; both kinks agree with the
-        # sorted-magnitude scan of the whole half period
-        pts = _n_breakpoints(mpf(5) / 2)
-        ref = [t for t in _half_period_kinks(mpf(5) / 2) if t < mpf(1) / 6]
-        assert len(pts) == len(ref) == 2
-        assert abs(pts[0] - mpf("0.0383422426937693")) < mpf(10) ** -14
-        for got, want in zip(pts, ref):
-            assert abs(got - want) < mpf(10) ** -12
-        alpha = (7 - sqrt(mpf(5))) / cbrt(mpf(4))  # just above 3
-        assert _n_breakpoints(alpha) == []
-        # the closed form over [0, 3]: increasing points inside (0, 1/6),
-        # each a zero on the torus, so one root magnitude is 1 there
-        gate, exact = mpf(2) ** -70, mpf(2) ** (8 - 140)
-        alphas = [mpf(a) / 2 for a in range(7)] + [mpf("2.9")]
-        found = {}
-        for alpha in alphas:
-            pts = found[alpha] = _n_breakpoints(alpha)
-            ends = [mpf(0)] + pts + [mpf(1) / 6]
-            assert all(a < b for a, b in zip(ends, ends[1:])), alpha
-            for t in pts:
-                mags = _cubic_root_mags(alpha, t)
-                assert min(abs(m - 1) for m in mags) < gate, (alpha, t)
-        # the kinks at rational t are exact, and alpha = 1 has one: the
-        # second zero family meets the torus at the end t = 1/6 there
-        for alpha, want in ((0, [mpf(1) / 9]), (1, [mpf(1) / 12]),
-                            (2, [mpf(1) / 18, mpf(1) / 9]), (3, [])):
-            pts = found[mpf(alpha)]
-            assert len(pts) == len(want), alpha
-            assert all(abs(a - b) < exact for a, b in zip(pts, want)), alpha
-
-        # the kinks come from the closed form alone, with no root solve
-        def solve(alpha, t):
-            raise LookupError("root solve")
-
-        monkeypatch.setattr(mahler, "_cubic_root_norms", solve)
-        for alpha in alphas:
-            assert _n_breakpoints(alpha) == found[alpha]
 
 
 def test_n_integrand_symmetry():
     # x^3 + y^3 + 1 - alpha x y is invariant under (x, y) -> (w^2 x, w y)
-    # and under conjugation: the Jensen integrand has period 1/3 and is even
+    # and under conjugation: the Jensen integrand, half the log of the
+    # node value, has period 1/3 and is even, so the rule runs over one
+    # period of 1/3
+    f = 140 + 32
+
+    def integrand(alpha, t):
+        with workprec(f + 32):
+            y = tuple(int(mp.floor(v * 2 ** f)) for v in (cospi(2 * t), sinpi(2 * t)))
+        m, e = mahler._n_node(alpha, y)
+        return log(ldexp(mpf(m), e)) / 2
+
     with workprec(140):
-        a2 = _bertin_alphas()[1]
         third = mpf(1) / 3
-        for alpha in (mpf(0), mpf(2), mpf(3), a2):
+        for alpha in (_bertin_alphas()[1], mpf("3.3"), mpf(5)):
             for t in (mpf("0.013"), mpf("0.07"), mpf(1) / 9, mpf("0.151")):
-                f = _n_integrand(alpha, t)
-                assert abs(f - _n_integrand(alpha, t + third)) < mpf(2) ** -100
-                assert abs(f - _n_integrand(alpha, third - t)) < mpf(2) ** -100
-
-
-def _half_period_kinks(alpha, cells=192):
-    """Points of (0, 1/2) where a sorted root magnitude crosses 1, one per
-    grid cell.  Unlike the sign of prod(|root| - 1), the sorted magnitudes
-    also see two roots of equal magnitude crossing 1 together."""
-    def above(t):
-        return [m > 1 for m in sorted(_cubic_root_mags(alpha, t))]
-
-    ts = [mpf(i) / (2 * cells) for i in range(cells + 1)]
-    sides = [above(t) for t in ts]
-    kinks = []
-    for lo, hi, side, nxt in zip(ts, ts[1:], sides, sides[1:]):
-        if side != nxt:
-            for _ in range(mp.prec // 2):
-                mid = (lo + hi) / 2
-                lo, hi = (mid, hi) if above(mid) == side else (lo, mid)
-            kinks.append((lo + hi) / 2)
-    return kinks
-
-
-def test_n_quadrature_against_full_period():
-    # 6 x the integral over [0, 1/6] against 2 x the integral over [0, 1/2],
-    # split at every kink found on the whole half period and at 1/6, 1/3
-    # (a kink at alpha = 1, the triple root at alpha = 0)
-    with workprec(180):
-        for alpha in (mpf(0), mpf(1), mpf(2), mpf(5) / 2):
-            pts = [mpf(0), mpf(1) / 6, mpf(1) / 3, mpf(1) / 2]
-            pts = sorted(set(pts + _half_period_kinks(alpha)))
-            ref, err = quad(lambda t: _n_integrand(alpha, t), pts, error=True)
-            assert err < mpf(10) ** -45
-            got = n_quadrature(alpha, CTX, tol=mpf(10) ** -40)
-            assert abs(got - 2 * ref) < mpf(10) ** -40
-
-
-def test_n_quadrature_at_three():
-    # alpha = 3: three lines x + w^k y + w^(2k) meeting the torus at
-    # t = 0, 1/3, 2/3, all at the endpoint t = 0 of the reduced domain,
-    # so n(3) = 3 m(1 + x + y); no zero-length piece at t = 0
-    with workprec(140):
-        assert _n_breakpoints(mpf(3)) == []
-        got = n_quadrature(3, CTX, tol=mpf(10) ** -20)
-        assert abs(got - 3 * _smyth()) < mpf(10) ** -30
+                v = integrand(alpha, t)
+                assert abs(v - integrand(alpha, t + third)) < mpf(2) ** -100
+                assert abs(v - integrand(alpha, third - t)) < mpf(2) ** -100
 
 
 def test_n_quadrature_against_lattice_route():
@@ -605,102 +503,11 @@ def test_n_quadrature_against_lattice_route():
         assert abs(lhs - rhs) < mpf(10) ** -6
 
 
-def test_cubic_root_mags_match_polyroots():
-    # odd multiples of 1/72 avoid t = 1/6, 1/2, where alpha = 0 gives x^3,
-    # on which polyroots cannot converge
-    with workprec(140):
-        gate = mpf(2) ** -70
-        for alpha in (mpf(0), mpf(2), mpf(3)) + _bertin_alphas():
-            for i in range(18):
-                t = mpf(2 * i + 1) / 72
-                y, y3 = expjpi(2 * t), expjpi(6 * t)
-                roots = polyroots([1, 0, -alpha * y, 1 + y3],
-                                  maxsteps=160, extraprec=80)
-                ref = sorted(abs(r) for r in roots)
-                got = sorted(_cubic_root_mags(alpha, t))
-                assert max(abs(a - b) for a, b in zip(got, ref)) < gate
-
-
-def _cardano_mpc(alpha, t, extra):
-    """Cardano's formula on mpc values, ``extra`` bits above the working
-    precision, a reference independent of the integer Newton solve; the
-    arguments 2t and 6t are rounded at the working precision, as
-    ``_torus_point`` rounds them.  Returns the magnitudes, |c| and |d|."""
-    a2, a6 = 2 * t, 6 * t
-    with workprec(mp.prec + extra):
-        y, y3 = expjpi(a2), expjpi(a6)
-        p = -alpha * y
-        h = (1 + y3) / 2
-        d = sqrt(h * h + (p / 3) ** 3)
-        u = -h - d if abs(h + d) > abs(h - d) else -h + d
-        if u == 0:
-            return [mpf(0)] * 3, mpf(0), abs(d)
-        c = cbrt(u)
-        w = mpc(-1, sqrt(mpf(3))) / 2
-        mags, c0 = [], abs(c)
-        for _ in range(3):
-            mags.append(abs(c - p / (3 * c)))
-            c *= w
-        return mags, c0, abs(d)
-
-
-def test_cubic_root_mags_against_mpc_cardano():
-    # the integer evaluation against the mpc formula run 64 bits higher, on
-    # seeded alpha in [0, 30] and t in [0, 1/2] and on the special points:
-    # the triple root (alpha = 0, t = 1/6), the double root x = 1 (alpha = 3,
-    # t = 0), the roots 0, +-sqrt(3 y) (alpha = 3, t = 1/6) and 0, +-i sqrt 3
-    # (alpha = 3, t = 1/2); and where the roots are small and the solve
-    # scales the cubic by 2^k, k > 0: t = 1/6 + 2^-j, near the triple root
-    # for alpha = 0 and 1e-20, and alpha = 10^-j.  Each sorted magnitude is
-    # within Cardano's rounding bound
-    # 2^(4-F) (1 + alpha/3)^3 (1 + 1/|c|)^2 (1 + 1/max(|d|, 2^(-F/2))), of
-    # the size of max |x_i| 2^-F times the conditioning (1/|c| near the
-    # triple root, 1/|d| near a double root), and the integrand within three
-    # times that
-    rng = random.Random(1903)
-    scaled = 0
-    for bits in (64, 140, 256, 512, 1024):
-        with workprec(bits):
-            f = bits + 32
-            specials = [mpf(0), mpf(1) / 6, mpf(1) / 2]
-            points = [(mpf(rng.uniform(0, 30)), mpf(rng.uniform(0, 0.5)))
-                      for _ in range(40)]
-            points += [(mpf(a), t) for a in (0, 3) for t in specials]
-            points += [(mpf(rng.uniform(0, 30)), t) for t in specials]
-            points += [(mpf(a), mpf(rng.uniform(0, 0.5))) for a in (0, 3)]
-            near = [mpf(1) / 6 + mpf(2) ** -j
-                    for j in (4, 16, 40, bits // 2, bits - 4)]
-            points += [(a, t) for a in (mpf(0), mpf(10) ** -20, mpf(2), mpf(3))
-                       for t in near]
-            points += [(mpf(10) ** -j, t) for j in (3, 10, 30, 60)
-                       for t in specials + [mpf(1) / 7]]
-            for alpha, t in points:
-                got = sorted(_cubic_root_mags(alpha, t))
-                scaled += mahler._cubic_root_norms(
-                    alpha, *mahler._torus_point(t, f))[0] > f
-                ref, c, d = _cardano_mpc(alpha, t, 64)
-                ref = sorted(ref)
-                if c == 0:
-                    assert got == ref == [0, 0, 0]
-                    continue
-                bound = mpf(2) ** (4 - f) * (1 + alpha / 3) ** 3 \
-                    * (1 + 1 / c) ** 2 * (1 + 1 / max(d, mpf(2) ** (-f // 2)))
-                gap = max(abs(a - b) for a, b in zip(got, ref))
-                assert gap <= bound, (bits, alpha, t)
-                # log+ is 1-Lipschitz above 1; the one log rounds at F bits
-                value = _n_integrand(alpha, t)
-                with workprec(bits + 64):
-                    want = sum(log(m) for m in ref if m > 1)
-                    assert abs(value - want) <= 3 * bound \
-                        + mpf(2) ** (1 - f) * (1 + want), (bits, alpha, t)
-    assert scaled >= 40
-
-
 def test_n_quadrature_periodic_route_needs_no_cube_root_or_node_exponential(
         monkeypatch):
     # at alpha3 = 32^(1/3) the periodic rule takes its nodes from the table
-    # and solves for one root per node by Newton's iteration: no
-    # three-magnitude solve, no mpc_cbrt and no polyroots call, and exactly one
+    # and solves for one root per node by Newton's iteration: no mpc_cbrt
+    # and no polyroots call, and exactly one
     # mpf_cos_sin_pi and one mpf_log per level.  m_quadrature's periodic
     # rule at alpha = 5 makes the same one of each per level
     from mpmath.libmp import libmpc
@@ -718,8 +525,7 @@ def test_n_quadrature_periodic_route_needs_no_cube_root_or_node_exponential(
     assert not hasattr(mahler, "mpc_cbrt")
     monkeypatch.setattr(libmpc, "mpc_cbrt", refuse)
     monkeypatch.setattr(mpmath.libmp, "mpc_cbrt", refuse)
-    for name in ("polyroots", "_cubic_root_norms"):
-        monkeypatch.setattr(mahler, name, refuse)
+    monkeypatch.setattr(mahler, "polyroots", refuse)
     for name in calls:
         monkeypatch.setattr(mahler, name, counted(name))
     for quadrature, alpha in ((n_quadrature, _bertin_alphas()[2]),
@@ -733,34 +539,14 @@ def test_n_quadrature_periodic_route_needs_no_cube_root_or_node_exponential(
         assert [len(v) for v in calls.values()] == [levels, levels]
 
 
-def test_cubic_root_mags_triple_root():
-    # alpha = 0, y^3 = -1: the cubic is x^3, with no root to scale near 1
-    with workprec(140):
-        assert _cubic_root_mags(mpf(0), mpf(1) / 6) == [0, 0, 0]
-        # n(0) = m(1 + x + y), Smyth's constant
-        assert abs(n_quadrature(0, CTX) - _smyth()) < mpf(10) ** -8
-
-
-def test_n_quadrature_small_alpha():
-    # at t = 1/6, 1 + y^3 = 0 and the cubic is x (x^2 - alpha y), with
-    # roots 0 and +-sqrt(alpha y), which tiny alpha must not lose to the
-    # fixed point, or the polyroots cross-check would raise
-    ref = n_quadrature(0, CTX)
-    with workprec(140):
-        for alpha in (mpf("1e-20"), mpf("1e-30"), mpf("1e-40")):
-            want = [0, sqrt(alpha), sqrt(alpha)]
-            got = sorted(_cubic_root_mags(alpha, mpf(1) / 6))
-            assert max(abs(a - b) for a, b in zip(got, want)) < mpf(2) ** -70
-            assert abs(n_quadrature(alpha, CTX) - ref) < mpf(10) ** -30
-
-
 def test_n_series_against_quadrature():
     with workprec(300):
         a1, a2, a3 = _bertin_alphas()
         for alpha in (a1, a3):
             ser = n_series(alpha, CTX, tol=mpf(10) ** -42)
             assert abs(ser - n_quadrature(alpha, CTX, tol=mpf(10) ** -8)) < mpf(10) ** -40
-        # 27/a2^3 = 0.99891: the connection route of the kernel
+        # 27/a2^3 = 0.99891: the connection route of the kernel; the
+        # quadrature takes the periodic rule at N* ~ 1,470
         ser = n_series(a2, CTX, tol=mpf(10) ** -42)
         assert abs(ser - n_quadrature(a2, CTX, tol=mpf(10) ** -8)) < mpf(10) ** -40
 
@@ -786,33 +572,17 @@ def test_n_series_domain():
 
 
 def test_n_quadrature_cross_check_catches_bad_roots(monkeypatch):
-    # a wrong root makes n_quadrature raise on either route.  A root 2^-60
-    # off fails its residual gate at the first node on both the periodic
-    # route (alpha3) and tanh-sinh (alpha = 2); on tanh-sinh wrong
-    # magnitudes also fail the polyroots cross-check at the ends of the
-    # pieces
+    # a wrong root makes n_quadrature raise: a root 2^-60 off fails its
+    # residual gate at the first node (alpha3)
     root = mahler._disk_root
 
     def off(ay, q, bits, seed):
         xr, xi = root(ay, q, bits, seed)
         return xr + (1 << bits - 60), xi
 
-    with monkeypatch.context() as patch:
-        patch.setattr(mahler, "_disk_root", off)
-        for alpha in (cbrt(mpf(32)), mpf(2)):
-            with pytest.raises(ArithmeticError,
-                               match="root at node .* residual over"):
-                n_quadrature(alpha, CTX)
-    good = mahler._cubic_root_mags
-
-    def perturbed(alpha, t, *point):
-        mags = good(alpha, t, *point)
-        mags[0] *= 1 + mpf(10) ** -15
-        return mags
-
-    monkeypatch.setattr(mahler, "_cubic_root_mags", perturbed)
-    with pytest.raises(ArithmeticError, match="polyroots"):
-        n_quadrature(mpf(2), CTX)
+    monkeypatch.setattr(mahler, "_disk_root", off)
+    with pytest.raises(ArithmeticError, match="root at node .* residual over"):
+        n_quadrature(cbrt(mpf(32)), CTX)
 
 
 def test_n_quadrature_periodic_route_against_series():
@@ -845,31 +615,30 @@ def test_quadrature_counts_integrand_calls():
     a1, _, a3 = _bertin_alphas()
     with TermCounter() as periodic:
         n_quadrature(a3, CTX)
-    with TermCounter() as kinked:
-        n_quadrature(mpf(2), CTX)
     with TermCounter() as m_quad:
         m_quadrature(mpf(5), CTX)
     # the periodic rule settles at 128 nodes per period, 65 distinct calls;
     # for m(5), N* = 101 also puts it at 128 nodes
     assert 0 < periodic.count <= 129
-    assert kinked.count > 0 and 0 < m_quad.count <= 65
+    assert 0 < m_quad.count <= 65
 
 
-def test_n_quadrature_route_rule(monkeypatch):
-    # the kinks are found on the tanh-sinh route only: alpha <= 3, and
-    # alpha2 = 3.0011, whose predicted periodic node count is above the
-    # crossover, as is N* ~ 1,034 at alpha = 3.0022; N* ~ 1,003 at
-    # alpha = 3.00234 is below it
-    def scan(alpha):
-        raise LookupError("kink scan")
-
-    monkeypatch.setattr(mahler, "_n_breakpoints", scan)
+def test_n_quadrature_route_rule():
+    # the periodic rule serves alpha > 3 while N* is below its budget:
+    # alpha3, N* ~ 1,003 at alpha = 3.00234, N* ~ 1,034 at 3.0022 and
+    # N* ~ 1,470 at alpha2 = 3.0011 (140 bits).  At or below 3 n_quadrature
+    # refuses, and at 3.0001 (N* ~ 4,850) the budget refuses; both name
+    # n_series and evaluate no node
     _, a2, a3 = _bertin_alphas()
-    for alpha in (a3, mpf("3.00234")):
+    for alpha in (a3, mpf("3.00234"), mpf("3.0022"), a2):
         n_quadrature(alpha, CTX)
-    for alpha in (mpf(2), mpf(3), a2, mpf("3.0022")):
-        with pytest.raises(LookupError, match="kink scan"):
-            n_quadrature(alpha, CTX)
+    refused = [(alpha, DomainError) for alpha in (0, 2, 3, -4, mpf("2.9999"))]
+    refused.append((mpf("3.0001"), QuadratureBudgetError))
+    for alpha, error in refused:
+        with TermCounter() as counter:
+            with pytest.raises(error, match="n_series"):
+                n_quadrature(alpha, CTX)
+        assert counter.count == 0, alpha
 
 
 def test_n_quadrature_periodic_budget(monkeypatch):
@@ -946,30 +715,26 @@ def test_ratio_factor_against_pair_stepping(bits):
             assert abs(got - ref) < mpf(2) ** -(bits + 32)
 
 
-def test_m_series_near_four_against_quadrature():
+def test_m_series_near_four_against_quadrature(m_oracle):
     # 3.79 < alpha < 4 (r^2 > 0.9): the r^(2n)/n^2 tail is summed directly,
     # well within its tail bound, and without the warning reserved for
-    # alpha within 1e-3 of 4
+    # alpha within 1e-3 of 4; the Jensen quadrature is the oracle's
     import warnings
     tol = mpf(10) ** -30
     with workprec(300), warnings.catch_warnings():
         warnings.simplefilter("error", SlowConvergenceWarning)
         for alpha in (mpf("3.9"), mpf("3.99")):
             ser = m_series(alpha, CTX, tol=tol)
-            assert abs(ser - m_quadrature(alpha, CTX, tol=tol)) < tol, alpha
+            assert abs(ser - m_oracle(alpha)) < tol, alpha
 
 
 def test_n_quadrature_periodic_level_floor():
     # at alpha ~ 3.00139 (N* ~ 1,301 nodes at 140 bits) the levels 512 and
     # 1,024 agree to 2^-70 while 11 bits short of the working precision; the
-    # rule goes on to 2,048 >= N* nodes.  N* is above the crossover, so
-    # n_quadrature takes tanh-sinh there: the rule is called directly
+    # rule goes on to 2,048 >= N* nodes
     alpha = mpf("3.00139")
-    with workprec(140), TermCounter() as counter:
-        nodes = 140 * log(2) / acosh(2 * alpha ** 3 / 27 - 1)
-        got = mahler._periodic_trapezoid(lambda y: mahler._n_node(alpha, y),
-                                         Fraction(1, 3), mpf(2) ** -69,
-                                         nodes) / 2  # of 2 sum log+ |x_i|
+    with TermCounter() as counter:
+        got = n_quadrature(alpha, CTX)
     with workprec(400):
         ref = n_series(alpha, PrecisionCtx(bits=400), tol=mpf(2) ** -400)
         assert abs(got - ref) < mpf(2) ** (4 - 140)

@@ -254,9 +254,8 @@ def test_run_all_jobs_parity():
 def test_run_all_needs_no_polyroots(monkeypatch):
     """Every n(alpha) quadrature in the registry takes the periodic rule,
     whose nodes solve for the one root inside the unit disk and certify it:
-    with mpmath's polyroots and the tanh-sinh route's three-magnitude solve
-    made to raise, run_all at 256 bits gives the checked-in report
-    (elapsed_ms aside), and nodes were certified."""
+    with mpmath's polyroots made to raise, run_all at 256 bits gives the
+    checked-in report (elapsed_ms aside), and nodes were certified."""
     def refuse(*args, **kwargs):
         raise AssertionError("root solver")
 
@@ -267,8 +266,7 @@ def test_run_all_needs_no_polyroots(monkeypatch):
         certified.append(args)
         return node(*args)
 
-    for name in ("polyroots", "_cubic_root_norms"):
-        monkeypatch.setattr(mahler, name, refuse)
+    monkeypatch.setattr(mahler, "polyroots", refuse)
     monkeypatch.setattr(mahler, "_n_node", counted)
     reports, code = run_all(ctx=CTX)
     assert code == 0 and certified

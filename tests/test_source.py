@@ -46,11 +46,28 @@ def test_unused_imports_detected():
                           "os.path.join('a')\n") == []
 
 
-def test_no_unused_imports_in_package():
-    # __init__.py imports to re-export, so its names are read by importers
+def _benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded from its path; it imports nothing but
+    dataclasses."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_no_unused_imports_in_package(monkeypatch):
+    # __init__.py imports to re-export, so its names are read by importers;
+    # a name the benchmark's tracer looks up in a module (TRACED) is read by
+    # the tracer
+    traced = set(_benchmark_workloads(monkeypatch).TRACED.values())
     found = {}
     for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name != "__init__.py" and (names := unused_imports(path.read_text())):
+        module = ".".join(("wzmahler",) + path.relative_to(PACKAGE).with_suffix("").parts)
+        names = [name for name in unused_imports(path.read_text())
+                 if (module, name) not in traced]
+        if path.name != "__init__.py" and names:
             found[str(path.relative_to(PACKAGE))] = names
     assert found == {}
 
@@ -106,14 +123,31 @@ def test_no_unreferenced_private_in_package():
     assert unreferenced_private(sources) == []
 
 
+def _called(node) -> list[str]:
+    """The name or attribute of every function called under ``node``."""
+    return [n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+            for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, (ast.Name, ast.Attribute))]
+
+
+def test_called_detected():
+    assert _called(ast.parse("f(g)\nmp.quad(h, [0, 1])\nx = polyroots\n")) \
+        == ["f", "quad"]
+
+
 def test_polyroots_only_in_mahler():
-    # the n(alpha) quadrature's cross-check of its root magnitudes on the
-    # tanh-sinh route is the one use of mpmath's iterative root solver (both
-    # routes certify their own Newton roots by their residuals); the
-    # special functions take closed forms
-    users = sorted(str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py")
-                   if "polyroots" in _named(ast.parse(path.read_text())))
-    assert users == ["mahler.py"]
+    # no package code calls mpmath's iterative root solver or its tanh-sinh
+    # quadrature: the n(alpha) node certifies its own Newton root by its
+    # residual, the Jensen quadratures take the periodic rule only, and the
+    # special functions take closed forms.  mahler.py alone still names
+    # both, in the import that binds them for the benchmark's tracer
+    calls, users = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree, name = ast.parse(path.read_text()), str(path.relative_to(PACKAGE))
+        calls += [(name, f) for f in _called(tree) if f in ("polyroots", "quad")]
+        if {"polyroots", "quad"} & set(_named(tree)):
+            users.append(name)
+    assert calls == [] and users == ["mahler.py"]
 
 
 def frozen_patches(source: str) -> int:
@@ -163,12 +197,8 @@ def test_registry_builds_no_mpmath_gamma_table():
 def test_benchmark_traced_bindings_resolve(monkeypatch):
     # perfbench's tracer rebinds each (module, attr) of TRACED with getattr,
     # so a refactor that drops one of these names would crash a traced
-    # benchmark run; workloads.py imports nothing but dataclasses
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    # benchmark run
+    workloads = _benchmark_workloads(monkeypatch)
     assert workloads.TRACED
     missing = [f"{module}.{attr}" for module, attr in workloads.TRACED.values()
                if not hasattr(importlib.import_module(module), attr)]
