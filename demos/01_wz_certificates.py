@@ -2,8 +2,9 @@
 
 A pair (F, G) of Gamma-product terms certifies a summation identity when
 F(n+1,k) - F(n,k) = G(n,k+1) - G(n,k) holds as a rational-function identity.
-Dividing by F turns the check into exact polynomial arithmetic: no floating
-point anywhere in this file.
+Dividing by the Gamma part of F and clearing the denominators by their least
+common multiple turns the check into exact polynomial arithmetic: no
+floating point anywhere in this file.
 """
 
 from fractions import Fraction
@@ -19,8 +20,8 @@ for name, pair in pairs.items():
     print(report)
 
 print()
-print("The certificate data for the first pair, each quotient over a common\n"
-      "denominator, not reduced:")
+print("The certificate data for the first pair: each quotient is kept as a\n"
+      "product of linear factors, multiplied out here, not reduced:")
 q1, q2, q3 = certificate_components(pairs["pair-1"])
 print("  F(n+1,k)/F(n,k) =", q1)
 print("  G(n,k)/F(n,k)   =", q2)

@@ -42,7 +42,7 @@ from .modular import cubic_theta_ratio, phi_theta, q3_from_beta
 from .numkernel import gamma_real, zeta_int
 from .series import (TermCounter, as_ratio, count_terms, note, ratio_series,
                      richardson_sum, sum_geometric)
-from .symbolic.hyperterm import HyperTerm, term_cross_ratio
+from .symbolic.hyperterm import term_shift_ratio
 from .symbolic.multipoly import RatFunc
 from .symbolic.pairs import builtin_pairs
 from .symbolic.pfq import pfq_eval
@@ -241,8 +241,7 @@ def _g_kernel(pair: WZPair) -> tuple[RatFunc, RatFunc]:
     step(n, k) = K(n, k)/K(n-1, k) and weight = pre/k, k divided out of
     pre's numerator exactly so that the sum stays defined at k = 0."""
     g = pair.G
-    kernel = HyperTerm.build(g.gammas, g.base, g.g_cn, g.g_ck)
-    return (term_cross_ratio(kernel, kernel.shifted(-1, 0)),
+    return (term_shift_ratio(g._replace(pre=RatFunc.const(1)), 1, 0).shift(-1, 0),
             RatFunc(g.pre.num.div_k(), g.pre.den))
 
 

@@ -15,17 +15,21 @@ arguments like 1 + k/2 + n, so half-integer k-coefficients are required.
 
 Everything here is exact: ``term_shift_ratio`` gives the quotients behind
 both the WZ certificates and the registry's log 2 term ratios, and
-``term_eval_exact`` evaluates a term where it is rational.
+``term_eval_exact`` evaluates a term where it is rational.  A quotient's
+rising products join its numerator or denominator as linear factors of a
+``Product``, next to the prefactors' own factors, and are not multiplied
+out: the WZ decision clears them by their lcm, and the series layer
+multiplies them out in n only, at a fixed k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, floor, prod
+from math import factorial, floor, lcm, prod
 from typing import NamedTuple
 
 from ..context import NonComparableError, PoleError
-from .multipoly import MultiPoly, RatFunc
+from .multipoly import Product, RatFunc
 
 
 class LinForm(NamedTuple):
@@ -34,12 +38,6 @@ class LinForm(NamedTuple):
     c0: Fraction
     cn: Fraction
     ck: Fraction
-
-    def shifted(self, dn, dk) -> "LinForm":
-        return LinForm(self.c0 + self.cn * dn + self.ck * dk, self.cn, self.ck)
-
-    def as_poly(self) -> MultiPoly:
-        return MultiPoly.linear(self.c0, self.cn, self.ck)
 
     def eval(self, n, k) -> Fraction:
         return self.c0 + self.cn * Fraction(n) + self.ck * Fraction(k)
@@ -84,78 +82,61 @@ class HyperTerm(NamedTuple):
             g_cn = g_ck = 0
         elif 0 < base < 1:
             base, g_cn, g_ck = 1 / base, -g_cn, -g_ck
-        if pre is None:
-            pre = RatFunc.const(1)
-        elif not isinstance(pre, RatFunc):
-            pre = RatFunc.const(pre)
+        if not isinstance(pre, RatFunc):
+            pre = RatFunc.const(1 if pre is None else pre)
         return cls(tuple(clean), base, g_cn, g_ck, pre)
 
-    def shifted(self, dn: int, dk: int) -> "HyperTerm":
-        """T(n+dn, k+dk) with the constant part of the geometric factor folded
-        into the prefactor (always an integer power of the base here)."""
-        gammas = [(lf.shifted(dn, dk), e) for lf, e in self.gammas]
-        const_exp = self.g_cn * dn + self.g_ck * dk
-        pre = self.pre.shift(dn, dk) * RatFunc.const(self.base ** const_exp)
-        return HyperTerm.build(gammas, self.base, self.g_cn, self.g_ck, pre)
 
+def term_cross_ratio(a: HyperTerm, b: HyperTerm, dn: int = 0, dk: int = 0) -> RatFunc:
+    """Exact a(n+dn, k+dk) / b(n, k) for integers dn, dk, as a rational
+    function, or NonComparableError.
 
-def _rising_product(lf: LinForm, gap: int) -> MultiPoly:
-    """(lf)(lf+1)...(lf+gap-1) as a polynomial."""
-    out = MultiPoly.const(1)
-    for j in range(gap):
-        out = out * LinForm(lf.c0 + j, lf.cn, lf.ck).as_poly()
-    return out
-
-
-def term_cross_ratio(a: HyperTerm, b: HyperTerm) -> RatFunc:
-    """Exact a/b as a rational function, or NonComparableError.
-
-    Gamma arguments are grouped by (cn, ck, c0 mod 1); inside a group the
+    The constant part of a's shifted geometric factor, an integer power of
+    the base, joins the numerator.  The Gamma rows are taken as integer
+    triples over the lcm d of their denominators, shifted as ints, and
+    grouped by (cn, ck, c0 mod 1), that is by c0 mod d; inside a group the
     exponents must sum to zero, and Abel summation over the sorted arguments
     telescopes the quotient into rising products.
     """
     if (a.base, a.g_cn, a.g_ck) != (b.base, b.g_cn, b.g_ck):
-        raise NonComparableError(
-            f"geometric parts differ: {a.base}^({a.g_cn}n+{a.g_ck}k) vs "
-            f"{b.base}^({b.g_cn}n+{b.g_ck}k)")
-    net: dict[LinForm, int] = {}
-    for lf, e in a.gammas:
-        net[lf] = net.get(lf, 0) + e
-    for lf, e in b.gammas:
-        net[lf] = net.get(lf, 0) - e
-    groups: dict[tuple, list[tuple[LinForm, int]]] = {}
-    for lf, e in net.items():
-        if e == 0:
-            continue
-        frac = lf.c0 - floor(lf.c0)
-        groups.setdefault((lf.cn, lf.ck, frac), []).append((lf, e))
-    # accumulate one numerator and one denominator; the quotient is not reduced
-    num = a.pre.num * b.pre.den
-    den = a.pre.den * b.pre.num
-    for key, members in groups.items():
-        members.sort(key=lambda t: t[0].c0)
+        raise NonComparableError(f"geometric parts (base, cn, ck) differ: {a[1:4]} vs {b[1:4]}")
+    pre = a.pre.shift(dn, dk) * RatFunc.const(a.base ** (a.g_cn * dn + a.g_ck * dk))
+    # one numerator and one denominator, each a Product; not reduced
+    num, den = pre.num * b.pre.den, pre.den * b.pre.num
+    d = lcm(*(c.denominator for lf, _ in a.gammas + b.gammas for c in lf))
+    net: dict[tuple, int] = {}
+    for sign, t, sn, sk in ((1, a, dn, dk), (-1, b, 0, 0)):
+        for lf, e in t.gammas:
+            c0, cn, ck = (c.numerator * (d // c.denominator) for c in lf)
+            key = (c0 + cn * sn + ck * sk, cn, ck)
+            net[key] = net.get(key, 0) + sign * e
+    groups: dict[tuple, list] = {}
+    for (c0, cn, ck), e in net.items():
+        if e:
+            groups.setdefault((cn, ck, c0 % d), []).append((c0, e))
+    for (cn, ck, frac), members in groups.items():
+        members.sort()
         if sum(e for _, e in members) != 0:
-            raise NonComparableError(
-                f"unmatched Gamma factors in class cn={key[0]}, ck={key[1]}, "
-                f"c0 mod 1 = {key[2]}")
+            raise NonComparableError(f"unmatched Gamma factors in the class "
+                                     f"(cn, ck, c0 mod 1) = {(cn, ck, frac)}/{d}")
         running = 0
-        for (lf, e), (nxt, _) in zip(members, members[1:]):
+        for (c0, e), (nxt, _) in zip(members, members[1:]):
             running += e
             if running == 0:
                 continue
-            gap = nxt.c0 - lf.c0
-            assert gap == int(gap) and gap > 0
-            block = _rising_product(lf, int(gap))
+            # the rising product L (L+1) ... (L+gap-1), L = (c0 + cn*n + ck*k)/d
+            block = prod((Product.linear(c0 + j * d, cn, ck, d)
+                          for j in range((nxt - c0) // d)), start=Product()) ** abs(running)
             if running < 0:
-                num = num * block ** (-running)
+                num = num * block
             else:
-                den = den * block ** running
+                den = den * block
     return RatFunc(num, den)
 
 
 def term_shift_ratio(t: HyperTerm, dn: int, dk: int) -> RatFunc:
     """T(n+dn, k+dk) / T(n, k) as an exact rational function."""
-    return term_cross_ratio(t.shifted(dn, dk), t)
+    return term_cross_ratio(t, t, dn, dk)
 
 
 def term_eval_exact(t: HyperTerm, n, k) -> Fraction:

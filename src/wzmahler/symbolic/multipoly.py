@@ -7,32 +7,65 @@ positive int, in lowest terms: the gcd of ``den`` and every coefficient is
 only, combining denominators by lcm or product; a coefficient becomes a
 Fraction only where a value or a string is produced.
 
-A RatFunc is num/den exactly as built: arithmetic multiplies straight
-through and never reduces to lowest terms, so there is no polynomial GCD
-anywhere.  Equality is decided by cross-multiplication (a == b iff
-a.num * b.den == b.num * a.den) and a RatFunc is zero iff its numerator is.
-Equal values need not share a structure, so RatFunc is unhashable.  The
-prefactors that ``pairs`` writes as RatFunc expressions in n and k are
-kept as written.  ``RatFunc.int_ratio`` fixes k and evaluates the rest on
-integers, which is how the series layer steps a sum whose term ratio comes
-from a WZ pair.
+A Product keeps a polynomial as a product of factors: a rational content,
+primitive integer linear forms with multiplicities, and the few non-linear
+factors as written, each a primitive int coefficient dict.  Products
+multiply by merging factors and are multiplied out only when a caller asks
+for ``poly``.  A Gamma quotient of ``hyperterm`` is a product of linear
+forms, and so is a pair's prefactor but for one numerator, so the WZ
+decision can clear denominators by their least common multiple (``wz``).
+
+A RatFunc is num/den, two Products, exactly as built: arithmetic multiplies
+straight through and never reduces to lowest terms, so there is no
+polynomial GCD anywhere; a sum multiplies both sides out into one new
+factor.  A RatFunc is zero iff its numerator is.  Equal values need not
+share a structure (a and b are equal iff a.num * b.den and b.num * a.den
+multiply out to the same polynomial), so RatFunc defines no value equality
+and is unhashable, and so are the records that hold one.
+``RatFunc.int_ratio`` fixes k and multiplies each side's
+factors out in n on integers, which is how the series layer steps a sum
+whose term ratio comes from a WZ pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd, lcm
-from numbers import Rational
 from typing import Callable, Iterable
 
 Exponent = tuple[int, int]  # (degree in n, degree in k)
+Ints = dict[Exponent, int]
+Form = tuple[int, int, int]  # c0 + cn*n + ck*k
+_LINEAR = ((0, 0), (1, 0), (0, 1))  # the exponents of c0, cn, ck
+_K: Form = (0, 0, 1)
 
 
 def _ratio(c) -> tuple[int, int]:
-    """(p, q) with c == p/q and q > 0, in lowest terms."""
-    if isinstance(c, Rational):
-        return int(c.numerator), int(c.denominator)
-    return Fraction(c).as_integer_ratio()
+    """(p, q) with c == p/q and q > 0, in lowest terms, for an int or Fraction."""
+    return (c, 1) if type(c) is int else (c.numerator, c.denominator)
+
+
+def _mul_ints(x: Ints, y: Ints) -> Ints:
+    out: Ints = {}
+    get = out.get
+    right = y.items()
+    for (a1, a2), c in x.items():
+        for (b1, b2), d in right:
+            e = (a1 + b1, a2 + b2)
+            out[e] = get(e, 0) + c * d
+    return out
+
+
+def _shift_ints(x: Ints, dn: int, dk: int) -> Ints:
+    """x at (n + dn, k + dk), integer dn and dk, by the binomial theorem."""
+    out: Ints = {}
+    for (a, b), c in x.items():
+        for i in range(a + 1):
+            cu = c * comb(a, i) * dn ** (a - i)
+            for j in range(b + 1):
+                out[i, j] = out.get((i, j), 0) + cu * comb(b, j) * dk ** (b - j)
+    return out
 
 
 class MultiPoly:
@@ -40,12 +73,8 @@ class MultiPoly:
 
     __slots__ = ("ints", "den")
 
-    def __init__(self, coeffs: dict[Exponent, Fraction] | None = None):
-        pairs = {(int(a), int(b)): _ratio(c) for (a, b), c in (coeffs or {}).items()}
-        den = lcm(*(q for _, q in pairs.values()))
-        self._set({e: p * (den // q) for e, (p, q) in pairs.items()}, den)
-
-    def _set(self, ints: dict[Exponent, int], den: int) -> None:
+    def __init__(self, ints: Ints, den: int = 1):
+        """ints/den brought to lowest terms; den must be positive."""
         ints = {e: c for e, c in ints.items() if c}
         g = gcd(den, *ints.values())
         if g != 1:
@@ -53,135 +82,20 @@ class MultiPoly:
             den //= g
         self.ints, self.den = ints, den
 
-    @classmethod
-    def _of(cls, ints: dict[Exponent, int], den: int) -> "MultiPoly":
-        """ints/den brought to lowest terms; den must be positive."""
-        out = cls.__new__(cls)
-        out._set(ints, den)
-        return out
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def const(cls, c) -> "MultiPoly":
-        p, q = _ratio(c)
-        return cls._of({(0, 0): p}, q)
-
-    @classmethod
-    def var(cls, name: str) -> "MultiPoly":
-        if name == "n":
-            return cls._of({(1, 0): 1}, 1)
-        if name == "k":
-            return cls._of({(0, 1): 1}, 1)
-        raise ValueError(f"unknown variable {name!r}")
-
-    @classmethod
-    def linear(cls, c0, cn, ck) -> "MultiPoly":
-        return cls({(0, 0): c0, (1, 0): cn, (0, 1): ck})
-
-    # -- structure -----------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return not self.ints
-
     def terms(self) -> Iterable[tuple[Exponent, Fraction]]:
         return [(e, Fraction(c, self.den)) for e, c in sorted(self.ints.items(), reverse=True)]
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MultiPoly) and self.den == other.den
-                and self.ints == other.ints)
-
-    def __bool__(self):
-        return bool(self.ints)
-
-    # -- arithmetic ------------------------------------------------------
-    def __add__(self, other) -> "MultiPoly":
-        other = _coerce(other)
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
         den = lcm(self.den, other.den)
         s, t = den // self.den, den // other.den
         out = {e: c * s for e, c in self.ints.items()}
         for e, c in other.ints.items():
             out[e] = out.get(e, 0) + c * t
-        return MultiPoly._of(out, den)
+        return MultiPoly(out, den)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+        return MultiPoly(_mul_ints(self.ints, other.ints), self.den * other.den)
 
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly._of({e: -c for e, c in self.ints.items()}, self.den)
-
-    def __sub__(self, other) -> "MultiPoly":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other) -> "MultiPoly":
-        other = _coerce(other)
-        out: dict[Exponent, int] = {}
-        get = out.get
-        right = other.ints.items()
-        for (a1, a2), c in self.ints.items():
-            for (b1, b2), d in right:
-                e = (a1 + b1, a2 + b2)
-                out[e] = get(e, 0) + c * d
-        return MultiPoly._of(out, self.den * other.den)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __pow__(self, m: int) -> "MultiPoly":
-        if m < 0:
-            raise ValueError("negative power of a polynomial")
-        out = ONE
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
-
-    def eval(self, n, k) -> Fraction:
-        """The exact value at rational (n, k) = (p/q, r/s): every term is put
-        over den * q^A * s^B (A, B the top degrees) and summed as an int."""
-        (p, q), (r, s) = _ratio(n), _ratio(k)
-        top_a = max((a for a, _ in self.ints), default=0)
-        top_b = max((b for _, b in self.ints), default=0)
-        total = sum(c * p ** a * q ** (top_a - a) * r ** b * s ** (top_b - b)
-                    for (a, b), c in self.ints.items())
-        return Fraction(total, self.den * q ** top_a * s ** top_b)
-
-    def div_k(self) -> "MultiPoly":
-        """self / k, exactly; ValueError unless k divides every term."""
-        if any(b == 0 for _, b in self.ints):
-            raise ValueError(f"k does not divide {self}")
-        return MultiPoly._of({(a, b - 1): c for (a, b), c in self.ints.items()}, self.den)
-
-    def shift(self, dn, dk) -> "MultiPoly":
-        """Substitute n -> n + dn, k -> k + dk (dn, dk rational).
-
-        With dn = p/q and dk = r/s, the term c n^a k^b becomes
-        c (qn + p)^a (sk + r)^b / (q^a s^b); everything is put over
-        den * q^A * s^B and expanded by the binomial theorem."""
-        (p, q), (r, s) = _ratio(dn), _ratio(dk)
-        top_a = max((a for a, _ in self.ints), default=0)
-        top_b = max((b for _, b in self.ints), default=0)
-
-        def rows(top, x, y):  # row m: the coefficients of (y t + x)^m y^(top-m)
-            return [[comb(m, i) * x ** (m - i) * y ** (top - m + i) for i in range(m + 1)]
-                    for m in range(top + 1)]
-
-        in_n, in_k = rows(top_a, p, q), rows(top_b, r, s)
-        out: dict[Exponent, int] = {}
-        for (a, b), c in self.ints.items():
-            row_k = in_k[b]
-            for i, u in enumerate(in_n[a]):
-                cu = c * u
-                for j, v in enumerate(row_k):
-                    out[(i, j)] = out.get((i, j), 0) + cu * v
-        return MultiPoly._of(out, self.den * q ** top_a * s ** top_b)
-
-    # -- string form -----------------------------------------------------
     def __str__(self) -> str:
         if not self.ints:
             return "0"
@@ -197,110 +111,173 @@ class MultiPoly:
             parts.append("*".join(factors) if factors else str(c))
         return " + ".join(parts)
 
-    def __repr__(self):
-        return f"MultiPoly({self})"
+
+class Product:
+    """p/q * prod(form**m for form, m in forms.items()) * prod(polys).
+
+    p/q is the content, brought to lowest terms with q > 0; the zero
+    polynomial has p = 0 and no factors.  ``forms`` maps primitive integer
+    linear forms (c0, cn, ck), the first nonzero of cn, ck positive, to
+    multiplicities (a zero one is no factor), so equal linear factors share
+    one key; ``polys`` are the non-linear factors, primitive int coefficient
+    dicts.  Never mutated once built."""
+
+    __slots__ = ("p", "q", "forms", "polys")
+
+    def __init__(self, p: int = 1, q: int = 1, forms: dict[Form, int] | None = None,
+                 polys: tuple[Ints, ...] = ()):
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        self.p, self.q = p // g, q // g
+        self.forms = forms if p and forms else {}
+        self.polys = polys if p else ()
+
+    @classmethod
+    def linear(cls, c0: int, cn: int, ck: int, q: int = 1) -> "Product":
+        """(c0 + cn*n + ck*k)/q for ints, as content times a primitive form."""
+        if not (cn or ck):
+            return cls(c0, q)
+        g = gcd(c0, cn, ck) if (cn or ck) > 0 else -gcd(c0, cn, ck)
+        return cls(g, q, {(c0 // g, cn // g, ck // g): 1})
+
+    @classmethod
+    def of(cls, x) -> "Product":
+        """A MultiPoly, int or Fraction as a Product: its content split off,
+        a linear rest kept as a form, any other rest as one factor."""
+        if not isinstance(x, MultiPoly):
+            return cls(*_ratio(x))
+        if x.ints.keys() <= set(_LINEAR):
+            return cls.linear(*(x.ints.get(e, 0) for e in _LINEAR), x.den)
+        g = gcd(*x.ints.values())
+        return cls(g, x.den, None, ({e: c // g for e, c in x.ints.items()},))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.p
+
+    @property
+    def poly(self) -> MultiPoly:
+        factors = [dict(zip(_LINEAR, form)) for form, m in self.forms.items() for _ in range(m)]
+        return MultiPoly(reduce(_mul_ints, factors + list(self.polys), {(0, 0): self.p}), self.q)
+
+    def __mul__(self, other: "Product") -> "Product":
+        forms = dict(self.forms)
+        for f, m in other.forms.items():
+            forms[f] = forms.get(f, 0) + m
+        return Product(self.p * other.p, self.q * other.q, forms, self.polys + other.polys)
+
+    def __pow__(self, m: int) -> "Product":
+        if m < 0:
+            raise ValueError("negative power of a polynomial")
+        return Product(self.p ** m, self.q ** m, {f: e * m for f, e in self.forms.items()},
+                       self.polys * m)
+
+    def div_k(self) -> "Product":
+        """self / k, exactly; ValueError unless k is one of its factors."""
+        if self.p and not self.forms.get(_K):
+            raise ValueError(f"k is not a factor of {self.poly}")
+        forms = dict(self.forms)
+        forms[_K] = forms.get(_K, 0) - 1  # dropped again if self is zero
+        return Product(self.p, self.q, forms, self.polys)
+
+    def shift(self, dn: int, dk: int) -> "Product":
+        """n -> n + dn, k -> k + dk for integer dn, dk: a form keeps its cn
+        and ck, so it stays primitive and distinct forms stay distinct."""
+        return Product(self.p, self.q,
+                       {(c0 + cn * dn + ck * dk, cn, ck): m
+                        for (c0, cn, ck), m in self.forms.items()},
+                       tuple(_shift_ints(x, dn, dk) for x in self.polys))
+
+    def in_n(self, a: int, b: int) -> tuple[list[int], int]:
+        """(coefficients, d): at k = a/b, self == poly(n) / d with poly's
+        integer coefficients listed highest degree first, d = q b^e for e
+        the factors' summed degree in k."""
+        factors = [([cn * b, c0 * b + ck * a], 1) if ck else ([cn, c0], 0)
+                   for (c0, cn, ck), m in self.forms.items() for _ in range(m)]
+        for x in self.polys:
+            top = max(j for _, j in x)
+            coeffs = [0] * (1 + max(d for d, _ in x))
+            for (d, j), c in x.items():
+                coeffs[-1 - d] += c * a ** j * b ** (top - j)
+            factors.append((coeffs, top))
+        out, e = [self.p], 0
+        for coeffs, top in factors:
+            nxt = [0] * (len(out) + len(coeffs) - 1)
+            for i, u in enumerate(out):
+                for j, v in enumerate(coeffs):
+                    nxt[i + j] += u * v
+            out, e = nxt, e + top
+        return out, self.q * b ** e
 
 
-def _coerce(x) -> MultiPoly:
-    if isinstance(x, MultiPoly):
-        return x
-    return MultiPoly.const(x)
+def _coerce(x) -> Product:
+    return x if isinstance(x, Product) else Product.of(x)
 
-
-ONE = MultiPoly.const(1)
-
-
-# ---------------------------------------------------------------------------
-# rational functions
-# ---------------------------------------------------------------------------
 
 class RatFunc:
-    """num/den as built, never reduced; only a zero denominator is refused."""
+    """num/den, two Products, as built and never reduced; only a zero
+    denominator is refused."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         self.num = _coerce(num)
-        self.den = ONE if den is None else _coerce(den)
+        self.den = Product() if den is None else _coerce(den)
         if self.den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
 
     @classmethod
     def const(cls, c) -> "RatFunc":
-        return cls(MultiPoly.const(c))
+        return cls(Product.of(c))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __eq__(self, other) -> bool:
-        other = _coerce_rf(other)
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
+    __hash__ = None  # see the module docstring
 
     def __add__(self, other) -> "RatFunc":
         other = _coerce_rf(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        num = self.num.poly * other.den.poly + other.num.poly * self.den.poly
+        return RatFunc(num, self.den * other.den)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return self * -1
 
     def __sub__(self, other) -> "RatFunc":
         return self + (-_coerce_rf(other))
-
-    def __rsub__(self, other):
-        return _coerce_rf(other) + (-self)
 
     def __mul__(self, other) -> "RatFunc":
         other = _coerce_rf(other)
         return RatFunc(self.num * other.num, self.den * other.den)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RatFunc":
         other = _coerce_rf(other)
         return RatFunc(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        return _coerce_rf(other) / self
-
     def __pow__(self, m: int) -> "RatFunc":
-        if m >= 0:
-            return RatFunc(self.num ** m, self.den ** m)
-        return RatFunc(self.den ** (-m), self.num ** (-m))
+        return RatFunc(self.num ** m, self.den ** m)
 
     def eval(self, n, k) -> Fraction:
-        d = self.den.eval(n, k)
-        if d == 0:
+        """The exact value at rational (n, k), by ``int_ratio``'s Horner
+        passes taken at a Fraction n."""
+        p, q = self.int_ratio(k)(Fraction(n))
+        if q == 0:
             raise ZeroDivisionError(f"denominator vanishes at (n, k) = ({n}, {k})")
-        return self.num.eval(n, k) / d
+        return p / q
 
-    def shift(self, dn, dk) -> "RatFunc":
+    def shift(self, dn: int, dk: int) -> "RatFunc":
         return RatFunc(self.num.shift(dn, dk), self.den.shift(dn, dk))
 
     def int_ratio(self, k) -> Callable[[int], tuple[int, int]]:
         """The map n -> (p, q) of integers with p/q = self(n, k) at a fixed
-        rational k = a/b.  Both polynomials are taken times the lcm of their
-        denominators and b^(degree in k), which makes their coefficients in n
-        integers, so each call is two Horner passes on ints."""
+        rational k = a/b.  Each side's factors are taken at k, times b per
+        unit of degree in k, and multiplied out in n once (``in_n``); each
+        side's leftover denominator, over their gcd, joins the other's
+        coefficients, so each call is two Horner passes on ints."""
         a, b = _ratio(k)
-        polys = (self.num, self.den)
-        top = max((e for p in polys for _, e in p.ints), default=0)
-        scale = lcm(self.num.den, self.den.den)
-
-        def in_n(poly):  # highest degree first
-            out = [0] * (1 + max((d for d, _ in poly.ints), default=0))
-            mult = scale // poly.den
-            for (d, e), c in poly.ints.items():
-                out[-1 - d] += c * mult * a ** e * b ** (top - e)
-            return out
-
-        num, den = in_n(self.num), in_n(self.den)
+        (top, s), (bottom, t) = self.num.in_n(a, b), self.den.in_n(a, b)
+        g = gcd(s, t)
+        num, den = [c * (t // g) for c in top], [c * (s // g) for c in bottom]
 
         def ratio(n):
             p = q = 0
@@ -312,17 +289,11 @@ class RatFunc:
         return ratio
 
     def __str__(self) -> str:
-        if self.den == ONE:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self):
-        return f"RatFunc({self})"
+        num, den = self.num.poly, self.den.poly
+        if den.ints == {(0, 0): den.den}:  # den == 1
+            return str(num)
+        return f"({num}) / ({den})"
 
 
 def _coerce_rf(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, MultiPoly):
-        return RatFunc(x)
-    return RatFunc.const(x)
+    return x if isinstance(x, RatFunc) else RatFunc(x)

