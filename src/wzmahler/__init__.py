@@ -10,7 +10,7 @@ from .context import (ComplexRootsUnsupportedError, ConvergenceError,
                       DivergentSeriesError, DomainError, LatticePoleError,
                       NonComparableError, PoleError, PrecisionCtx,
                       QuadratureBudgetError, SingularCurveError,
-                      SlowConvergenceWarning, UnknownIdentityError)
+                      UnknownIdentityError)
 from .numkernel import agm, bloch_wigner, gamma_real, zeta_int
 
 __all__ = [
@@ -19,5 +19,4 @@ __all__ = [
     "PoleError", "DomainError", "ConvergenceError", "DivergentSeriesError",
     "NonComparableError", "QuadratureBudgetError", "SingularCurveError",
     "ComplexRootsUnsupportedError", "LatticePoleError", "UnknownIdentityError",
-    "SlowConvergenceWarning",
 ]

@@ -58,10 +58,6 @@ class UnknownIdentityError(KeyError):
     """Registry lookup for an id that does not exist."""
 
 
-class SlowConvergenceWarning(UserWarning):
-    """Series argument sits next to a branch boundary; convergence is slow."""
-
-
 # The fields of PrecisionCtx.  A NamedTuple body may not define __new__,
 # so the validating __new__ lives on the subclass.
 class _Precision(NamedTuple):

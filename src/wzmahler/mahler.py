@@ -10,21 +10,22 @@ sides of alpha = 4:
 where Lambda_s(z) = sum_{n>=1} (s)_n (1-s)_n/n!^2 z^n/n is the kernel of
 ``numkernel.lambda_series``, continued to z -> 1 by the logarithmic
 connection formula, so the alpha >= 4 branch costs a few dozen terms even
-at alpha = 4.  Both series are stepped on integers (``series``), their
+at alpha = 4.  The kernel's real part continues past z = 1 along the real
+axis, and m(alpha) = log(alpha) - Re Lambda_{1/2}(16/alpha^2)/2 holds below
+4 as well: m_series takes it wherever 16/alpha^2 < 2 - LAMBDA_SWITCH,
+alpha > 4/sqrt(1.35) = 3.443, where the connection expansion in
+w = 1 - 16/alpha^2 converges like |w|^n, fastest next to 4, and the
+binomial series of m(4r) below that, where its terms fall like r^(2n),
+r^2 < 0.741.  Both series are stepped on integers (``series``), their
 rational term ratios as narrow integer pairs and z = 16/alpha^2, or r^2
-below 4, as one fixed-point factor of the ratio (``ratio_series``' x),
-and summed at guard bits with a geometric tail bound.  Below 4 r leaves
-the weight: the sum of C(2n,n)^2 (r/4)^(2n)/(2n+1) is taken to tol/r and
-multiplied by r, so its stop test is the one of the sum with r inside,
-divided through by r.  Below 4 the tail is
-about r^(2n)/n^2, and the direct sum takes about log(1/tol)/(1 - r^2)
-terms (1,429 at alpha = 3.9 and 11,099 at 3.99 for tol 1e-30).  Where
-m(4) is provably within tol/2 of m(alpha) (``_gap_below_four``), m(4) is
-taken instead, through the alpha >= 4 branch.  There is a quadrature
-oracle via Jensen's formula in x for alpha > 4: with
-u(t) = alpha + 2 cos(2 pi t) > 2 the inner integral is arccosh(u/2), the
-log of w + sqrt(w^2 - 1), w = u/2, which a node gives with an integer
-square root.
+below 3.443, as one fixed-point factor of the ratio (``ratio_series``' x),
+and summed at guard bits with a geometric tail bound.  In the binomial
+series r leaves the weight: the sum of C(2n,n)^2 (r/4)^(2n)/(2n+1) is taken
+to tol/r and multiplied by r, so its stop test is the one of the sum with r
+inside, divided through by r.  There is a quadrature oracle via Jensen's
+formula in x for alpha > 4: with u(t) = alpha + 2 cos(2 pi t) > 2 the inner
+integral is arccosh(u/2), the log of w + sqrt(w^2 - 1), w = u/2, which a
+node gives with an integer square root.
 
 Both quadrature oracles take one rule, the periodic trapezoidal rule, and
 serve only where their integrand is even, periodic and analytic: alpha > 4
@@ -87,11 +88,10 @@ reaches the budget for alpha < 3.00014 at 140 bits.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from math import isqrt, ldexp
 
-from mpmath import acosh, extraprec, log, mp, mpf, pi, workprec
+from mpmath import acosh, extraprec, log, mp, mpf, workprec
 # Bound only for the benchmark's tracer, which looks both names up here; no
 # code calls them.  They go when the benchmark drops its mahler.quad and
 # mahler.polyroots layers.
@@ -99,10 +99,9 @@ from mpmath import polyroots, quad
 from mpmath.libmp import (from_man_exp, from_rational, mpf_cos_sin_pi,
                           mpf_log, mpf_shift, round_nearest, to_fixed)
 
-from .context import (DEFAULT_CTX, DomainError, PrecisionCtx,
-                      QuadratureBudgetError, SlowConvergenceWarning, to_mpf,
-                      to_tol)
-from .numkernel import lambda_series
+from .context import (DEFAULT_CTX, DivergentSeriesError, DomainError,
+                      PrecisionCtx, QuadratureBudgetError, to_mpf, to_tol)
+from .numkernel import LAMBDA_SWITCH, lambda_series
 from .series import (as_ratio, count_terms, ratio_series, shared,
                      sum_geometric)
 
@@ -118,45 +117,29 @@ M_DIGITS = 42
 _HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
 
 
-def _gap_below_four(eps) -> mpf:
-    """A bound on m(4) - m(4(1 - eps)), 0 < eps < 1.
-
-    With r = 1 - eps and c_n = C(2n,n)^2/16^n, the gap is
-    sum_n c_n (1 - r^(2n+1))/(2n+1), and 1 - r^(2n+1) <= min(1, (2n+1) eps).
-    As c_0 = 1 and c_n <= 1/(pi n), cutting at N = ceil(1/eps) gives
-    eps + (eps/pi)(1 + log N) + 1/(2 pi N) <= eps (1.5 + log(1/eps + 1)/pi).
-    """
-    return eps * (mpf(1.5) + log(1 / eps + 1) / pi)
-
-
 def m_series(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
-    """m(alpha) by the branch-appropriate series: log(alpha) minus half of
-    Lambda_{1/2}(16/alpha^2) for alpha >= 4, the binomial series of m(4r)
-    below 4, unless m(4) is within tol/2 of m(alpha).  tol defaults to
-    min(2^-(bits/2), 10^-M_DIGITS), the registry sides' 1e-42 below 280
-    bits, where s_ratio then meets their memo entries.  The series is
-    memoised on (alpha, tol, ctx) (``series.shared``); the warning for the
-    band just below 4 is given on every call."""
+    """m(alpha) by the kernel, log(alpha) - Re Lambda_{1/2}(16/alpha^2)/2,
+    for 16/alpha^2 < 2 - LAMBDA_SWITCH (alpha > 3.443), and by the binomial
+    series of m(4r) below that; either takes at most a few hundred terms at
+    tol 1e-42.  tol defaults to min(2^-(bits/2), 10^-M_DIGITS), the
+    registry sides' 1e-42 below 280 bits, where s_ratio then meets their
+    memo entries.  The series is memoised on (alpha, tol, ctx)
+    (``series.shared``)."""
     with ctx.workprec(32):
         alpha = to_mpf(alpha)
         if alpha <= 0:
             raise DomainError("m_series requires alpha > 0")
         tol = (to_tol(tol) if tol is not None
                else min(ctx.default_tol, mpf(10) ** -M_DIGITS))
-        if alpha < 4 and _gap_below_four(1 - alpha / 4) <= tol / 2:
-            alpha, tol = mpf(4), tol / 2
-        if 0 < 4 - alpha < mpf("1e-3"):
-            warnings.warn("alpha within 1e-3 below the branch point 4; series "
-                          "converges like 1/n^2", SlowConvergenceWarning)
     return _m_series(alpha, tol, ctx)
 
 
 @shared
 def _m_series(alpha: mpf, tol: mpf, ctx: PrecisionCtx) -> mpf:
     with ctx.workprec(32):
-        if alpha >= 4:
-            with ctx.workprec(64):
-                z = 16 / alpha ** 2
+        with ctx.workprec(64):
+            z = 16 / alpha ** 2
+        if z < 2 - LAMBDA_SWITCH:
             lam = lambda_series(_HALF, z, ctx, tol=tol)
             return +(log(alpha) - lam / 2)
         r = alpha / 4
@@ -180,9 +163,15 @@ def s_ratio(r, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
 
 def rv_series(x, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
     """sum_{n>=1} (3n)!/(n n!^3) x^n = Lambda_{1/3}(27x); requires
-    -1 < 27x <= 1.  (3n)!/n!^3 = 27^n (1/3)_n (2/3)_n / n!^2."""
+    -1 < 27x <= 1, where the series converges, and raises
+    DivergentSeriesError outside, though the kernel's real part goes on to
+    27x < 2: there it is not n(alpha).  (3n)!/n!^3 = 27^n (1/3)_n (2/3)_n /
+    n!^2."""
     with ctx.workprec(32):
-        return lambda_series(_THIRD, 27 * to_mpf(x), ctx, tol=tol)
+        z = 27 * to_mpf(x)
+        if not -1 < z <= 1:
+            raise DivergentSeriesError("rv_series needs -1 < 27x <= 1")
+        return lambda_series(_THIRD, z, ctx, tol=tol)
 
 
 @shared

@@ -433,7 +433,9 @@ def _anchor_ctx(s: Fraction, ctx: PrecisionCtx, tol) -> PrecisionCtx:
 
 def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
     """Lambda_s(z) = sum_{n>=1} c_n z^n/n = int_0^z (F_s(t) - 1)/t dt for
-    -1 < z <= 1, to within tol (default ctx.default_tol).
+    -1 < z <= 1, and its real part int_0^z (Re F_s(t) - 1)/t dt, continued
+    along the real axis past the branch point 1, for 1 < z < 2; to within
+    tol (default ctx.default_tol).
 
     The sum runs 32 bits above the callers' ``ctx.workprec(32)``, so that
     its rounding stays well below an ulp of their results.  Below
@@ -443,34 +445,44 @@ def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
     each term c_n z^n/n is within 4 units of its fixed point; its term
     ratio is below |z|.
     From there on, Lambda_s(z) = Lambda_s(1) - I(1 - z) with
-    I(w) = int_0^w (F_s(1-v) - 1)/(1-v) dv.  Multiplying the connection
-    formula by 1/(1-v) = sum v^m gives
-        (F_s(1-v) - 1)/(1-v) = sum_m (A_m - B_m log v) v^m,
+    I(w) = int_0^w (F_s(1-v) - 1)/(1-v) dv.  For -1 < v < 0, where 1 - v
+    lies on the cut of F_s, log v = log|v| +- i pi and the real part of the
+    connection formula keeps log|v|.  Multiplying it by 1/(1-v) = sum v^m
+    gives
+        (Re F_s(1-v) - 1)/(1-v) = sum_m (A_m - B_m log|v|) v^m,
         A_m = kappa sum_{n<=m} c_n h_n - 1,   B_m = kappa sum_{n<=m} c_n,
-    which integrates term by term to
-        I(w) = sum_m w^(m+1)/(m+1) (A_m - B_m (log w - 1/(m+1))).
+    which integrates term by term, on either side of v = 0, to
+        Re I(w) = sum_m w^(m+1)/(m+1) (A_m - B_m (log|w| - 1/(m+1))).
     For m > M, |A_m| <= |A_M| + kappa c_M h_M (m-M) and
-    B_m <= B_M + kappa c_M (m-M), so with L = 1 - log w the tail after M is
-    at most ((|A_M| + B_M L)/(M+2) + kappa c_M (h_M + L)) w^(M+2)/(1-w).
+    B_m <= B_M + kappa c_M (m-M), so with L = 1 - log|w| the tail after M
+    is at most ((|A_M| + B_M L)/(M+2) + kappa c_M (h_M + L)) |w|^(M+2)/(1-|w|),
+    whatever the signs of the powers of w.
     Lambda_s(1) takes D(z0) in ctx, or at the few more bits that hold its
     error to tol/8 (``_anchor_ctx``), and is cached per (s, that context).
 
-    I(w) is summed on Python integers at P fractional bits: c_n and h_n
+    Re I(w) is summed on Python integers at P fractional bits: c_n and h_n
     step by their recurrences in the exact p and are floored, and A_m, B_m,
-    w^(m+1), log w and the tail bound are fixed-point values; the stop test
-    compares the bound with tol on those same integers.  The floors let the
-    errors of A_m and B_m grow at most quadratically in m, which the factor
-    w^(m+1) <= 0.35^(m+1) holds below 11 units of 2^-P in all, and each term
-    adds at most 6 + |log w|/2 units more.  After M <= max_terms terms the
-    error is thus below (M + 1)(10 + |log w|) units.  At the working
-    precision W, w = 1 - z >= 2^-W gives |log w| < W, so
-    P = W + the bit length of (max_terms + 1)(10 + W) keeps it below 2^-W.
+    w^(m+1), log|w| and the tail bound are fixed-point values; the stop test
+    compares the bound with tol on those same integers.  In units of 2^-P
+    the floors leave c_n and h_n within n + 1, A_m within
+    (m + 1)(0.71 m + 8) and B_m within (m + 1)(m/6 + 2): a growth that the
+    factor |w|^(m+1) holds below 1.3 g^2 + 16 g in all, with
+    g = min(1/(1 - |w|), M + 1), as |w| (1 + |log|w||) <= 1.  The floors of
+    the powers leave w^(m+1) within g + (m + 1)|w|^m, which
+    |A_m - B_m (log|w| - 1/(m+1))| <= 1 + (m + 1)(1 + |log|w||)/pi turns
+    into at most 0.7 g^2 + g + (1 + |log|w||)/pi in all and
+    (1.4 + |log|w||/3) g a term, and each term's two floors add 2.  After
+    M <= max_terms terms the error is thus below (M + 1)(20 + |log|w||) g^2
+    units.  At the working precision W, 2^-W <= |w| < 1 gives
+    |log|w|| < W, so P = W + the bit length of
+    (max_terms + 1)(20 + W) G^2, G = min(floor(1/(1 - |w|)) + 1,
+    max_terms + 1) >= g, keeps it below 2^-W; G = 2 for |w| <= 1/2.
     """
     with ctx.workprec(64):
         s = _kernel_s(s)
         z = to_mpf(z)
-        if not -1 < z <= 1:
-            raise DivergentSeriesError("Lambda_s(z) needs -1 < z <= 1")
+        if not -1 < z < 2:
+            raise DivergentSeriesError("Lambda_s(z) needs -1 < z < 2")
         tol = to_tol(tol) if tol is not None else ctx.default_tol
         if z < LAMBDA_SWITCH:
             pn, pd = as_ratio(_KERNEL[s][0])
@@ -487,14 +499,15 @@ def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
 
 def _connection_integral(s, w, tol, max_terms):
     pn, pd = as_ratio(_KERNEL[s][0])
-    prec = mp.prec + ((max_terms + 1) * (10 + mp.prec)).bit_length()
+    g = min(int(1 / (1 - abs(w))) + 1, max_terms + 1)
+    prec = mp.prec + ((max_terms + 1) * (20 + mp.prec) * g * g).bit_length()
     with workprec(prec):
         kappa, logw, h = (to_fixed(x, prec) for x in (
-            sin(pi * to_mpf(s)) / pi, log(w), log(_KERNEL[s][1])))
+            sin(pi * to_mpf(s)) / pi, log(abs(w)), log(_KERNEL[s][1])))
     one = 1 << prec
     wf, limit = to_fixed(w, prec), to_fixed(tol, prec)
     big_l = one - logw
-    tail = (one << prec) // (one - wf)  # 1/(1-w)
+    tail = (one << prec) // (one - abs(wf))  # 1/(1-|w|)
     c, a, b, total, wpow = one, -one, 0, 0, one
     for m in range(max_terms):
         kc = kappa * c >> prec
@@ -505,7 +518,8 @@ def _connection_integral(s, w, tol, max_terms):
         total += (wpow * x >> prec) // (m + 1)
         bound = (abs(a) + (b * big_l >> prec)) // (m + 2) \
             + (kc * (h + big_l) >> prec)
-        if ((bound * wpow >> prec) * wf >> prec) * tail >> prec < limit:
+        if ((bound * abs(wpow) >> prec) * abs(wf) >> prec) * tail >> prec \
+                < limit:
             count_terms(m + 1)
             return mpf((total, -prec))
         d = m * (m + 1) * pd + pn  # (m(m+1) + p) pd

@@ -2,21 +2,21 @@
 relations between special values."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import (acosh, cbrt, cospi, frexp, ldexp, log, mp, mpc, mpf, pi,
                     polyroots, sinpi, sqrt, workprec)
 
-from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
-                      PrecisionCtx, QuadratureBudgetError,
-                      SlowConvergenceWarning)
+from wzmahler import (DivergentSeriesError, DomainError, PrecisionCtx,
+                      QuadratureBudgetError)
 from wzmahler import mahler
 from wzmahler.context import to_mpf
 from wzmahler.mahler import (m_quadrature, m_series, n_quadrature, n_series,
-                             rv_series, s_ratio, _gap_below_four)
+                             rv_series, s_ratio)
 from wzmahler.modular import phi_theta
-from wzmahler.numkernel import lambda_series
+from wzmahler.numkernel import LAMBDA_SWITCH, lambda_series
 from wzmahler.series import TermCounter, as_ratio, ratio_series, sum_geometric
 from wzmahler.symbolic.pfq import pfq_eval
 
@@ -29,9 +29,7 @@ def _bertin_alphas():
 
 
 def test_branch_agreement_at_four():
-    import warnings
-    with workprec(300), warnings.catch_warnings():
-        warnings.simplefilter("ignore", SlowConvergenceWarning)
+    with workprec(300):
         lo = m_series(mpf(4) - mpf(10) ** -30, CTX, tol=mpf(10) ** -26)
         hi = m_series(mpf(4) + mpf(10) ** -30, CTX, tol=mpf(10) ** -26)
         assert abs(lo - hi) < mpf(10) ** -24
@@ -64,20 +62,17 @@ def test_m_series_monotone():
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
 
-def test_domain_and_warnings():
+def test_domain_and_warnings(m_oracle):
     with pytest.raises(DomainError):
         m_series(0, CTX)
     with pytest.raises(DomainError):
         m_series(-3, CTX)
-    # below 4 the binomial series of m(4r) converges like 1/n^2; a small
-    # term budget runs out fast
-    with pytest.warns(SlowConvergenceWarning):
-        with workprec(300):
-            try:
-                m_series(mpf(4) - mpf(10) ** -5, PrecisionCtx(max_terms=1000),
-                         tol=mpf(10) ** -8)
-            except ConvergenceError:
-                pass  # the warning is the contract; convergence may still fail
+    # just below 4 the kernel's connection expansion converges like
+    # (1e-5/2)^n, so a small term budget is plenty, and nothing warns
+    with workprec(300):
+        alpha, tol = mpf(4) - mpf(10) ** -5, mpf(10) ** -8
+        got = m_series(alpha, PrecisionCtx(max_terms=1000), tol=tol)
+        assert abs(got - m_oracle(alpha)) < tol
 
 
 def test_m_series_meets_tol_below_its_anchor_precision():
@@ -95,34 +90,11 @@ def test_m_series_meets_tol_below_its_anchor_precision():
         assert abs(m - ref) < tol + ref * mpf(2) ** -128
 
 
-def test_slow_convergence_warning_on_every_call():
-    # the warning is given outside the memo of the series: the second call,
-    # a memo hit, warns as the first did and charges the same terms
-    alpha, tol = mpf("3.9991"), mpf(10) ** -8
-    mahler._m_series.cache_clear()
-    runs = []
-    for _ in range(2):
-        with pytest.warns(SlowConvergenceWarning), TermCounter() as counter:
-            runs.append((m_series(alpha, CTX, tol=tol), counter.count))
-    (first, count), (second, again) = runs
-    assert second is first and count == again > 10_000
-
-
-def test_gap_below_four_bounds_quadrature(m_oracle):
-    # m(4) - m(4(1 - eps)) by the Jensen quadrature lies below the bound of
-    # m_series's shortcut to m(4), and above 80% of it
-    with workprec(300):
-        m4 = m_series(4, CTX)
-        for eps in (mpf(10) ** -3, mpf(10) ** -6, mpf(10) ** -12):
-            gap = m4 - m_oracle(4 * (1 - eps))
-            bound = _gap_below_four(eps)
-            assert bound * mpf("0.8") < gap <= bound, eps
-
-
 def test_m_series_just_below_four_takes_m4():
-    # eps = 1 - alpha/4 = 1e-29: the gap bound 2.3e-28 is below tol/2, so
-    # m(4) is the answer, through the alpha >= 4 branch, instead of a direct
-    # sum that runs out of its 500,000 terms
+    # eps = 1 - alpha/4 = 1e-29: z = 16/alpha^2 is 1 + 2e-29, so the
+    # kernel's connection expansion in w = 1 - z needs a few terms, where a
+    # direct sum of the binomial series would run out of its 500,000; m(4)
+    # is within 2.3e-28 of m(alpha)
     with workprec(300), TermCounter() as counter:
         got = m_series(4 * (1 - mpf(10) ** -29), CTX, tol=mpf(10) ** -26)
         assert abs(got - m_series(4, CTX)) < mpf(10) ** -26
@@ -131,12 +103,10 @@ def test_m_series_just_below_four_takes_m4():
 
 def test_m_series_just_above_four(m_oracle):
     # alpha >= 4 goes through the connection formula: no slow convergence,
-    # no warning, full accuracy against the Jensen quadrature, by the oracle:
-    # the periodic rule refuses 4 + 1e-5 (N* ~ 46,000 at tol 1e-40)
-    import warnings
+    # full accuracy against the Jensen quadrature, by the oracle: the
+    # periodic rule refuses 4 + 1e-5 (N* ~ 46,000 at tol 1e-40)
     alpha = mpf(4) + mpf(10) ** -5
-    with workprec(300), warnings.catch_warnings():
-        warnings.simplefilter("error", SlowConvergenceWarning)
+    with workprec(300):
         ser = m_series(alpha, CTX, tol=mpf(10) ** -42)
         quad_val = m_oracle(alpha)
         assert abs(ser - quad_val) < mpf(10) ** -40
@@ -184,11 +154,8 @@ M_QUAD_ALPHAS = ("0.5", "1", "2", "3", "3.9", "3.999", "4.5", "9.0", "21.6")
 def test_m_quadrature_against_series(m_oracle):
     # above 4 the periodic rule, accurate to about the working precision
     # (140 bits, and 212 bits at tol = 1e-40); below 4 the oracle, at 300
-    # bits; 3.999 is within 1e-3 of 4, where the series warns of its slow
-    # convergence
-    import warnings
-    with workprec(300), warnings.catch_warnings():
-        warnings.simplefilter("ignore", SlowConvergenceWarning)
+    # bits
+    with workprec(300):
         for a in M_QUAD_ALPHAS:
             ref = m_series(mpf(a), CTX, tol=mpf(10) ** -50)
             if mpf(a) < 4:
@@ -715,17 +682,56 @@ def test_ratio_factor_against_pair_stepping(bits):
             assert abs(got - ref) < mpf(2) ** -(bits + 32)
 
 
+# alpha in the band below 4: above 4/sqrt(1.35) = 3.443 the kernel's
+# connection expansion, continued past z = 1, and at 3.45 just above it
+NEAR_FOUR = ("3.45", "3.6", "3.9", "3.99", "3.999", "3.9999", "4 - 1e-12")
+
+
+def _near_four(a):
+    return mpf(4) - mpf("1e-12") if a == "4 - 1e-12" else mpf(a)
+
+
 def test_m_series_near_four_against_quadrature(m_oracle):
-    # 3.79 < alpha < 4 (r^2 > 0.9): the r^(2n)/n^2 tail is summed directly,
-    # well within its tail bound, and without the warning reserved for
-    # alpha within 1e-3 of 4; the Jensen quadrature is the oracle's
-    import warnings
-    tol = mpf(10) ** -30
-    with workprec(300), warnings.catch_warnings():
-        warnings.simplefilter("error", SlowConvergenceWarning)
-        for alpha in (mpf("3.9"), mpf("3.99")):
+    # up to 4 - 1e-12, where the binomial series of m(4r) would need far
+    # more than its 500,000 terms, the kernel meets tol 1e-42; the Jensen
+    # quadrature is the oracle's
+    tol = mpf(10) ** -42
+    with workprec(300):
+        for a in NEAR_FOUR:
+            alpha = _near_four(a)
             ser = m_series(alpha, CTX, tol=tol)
-            assert abs(ser - m_oracle(alpha)) < tol, alpha
+            assert abs(ser - m_oracle(alpha)) < tol, a
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+def test_m_series_below_four_has_bounded_cost(bits):
+    # every alpha in (2, 4) costs at most 300 terms at tol 1e-42 and the
+    # default budget: the binomial series up to the switch (284 terms just
+    # below it), the kernel beyond (88 just above it, fewer towards 4)
+    ctx, rng = PrecisionCtx(bits=bits), random.Random(37)
+    with workprec(bits + 64):
+        alphas = [2 + 2 * mpf(rng.random()) for _ in range(24)]
+        alphas += [_near_four(a) for a in NEAR_FOUR]
+    for alpha in alphas:
+        with TermCounter() as counter:
+            m_series(alpha, ctx, tol=mpf(10) ** -42)
+        assert 0 < counter.count <= 300, alpha
+
+
+def test_m_series_continuous_at_the_switch():
+    # 16/alpha^2 = 2 - LAMBDA_SWITCH at alpha = 4/sqrt(1.35): just below it
+    # the binomial series of m(4r), just above it the kernel's connection
+    # expansion in w = 1 - 16/alpha^2, which agree within tol
+    tol = mpf(10) ** -42
+    with workprec(300):
+        switch, delta = 4 / sqrt(2 - LAMBDA_SWITCH), mpf(2) ** -200
+        runs = []
+        for alpha in (switch * (1 - delta), switch * (1 + delta)):
+            with TermCounter() as counter:
+                runs.append((m_series(alpha, CTX, tol=tol), counter.count))
+        (below, binomial), (above, kernel) = runs
+        assert abs(below - above) < tol
+        assert binomial > 200 > 100 > kernel
 
 
 def test_n_quadrature_periodic_level_floor():

@@ -8,9 +8,9 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from mpmath import (arg, asin, bernfrac, catalan, cbrt, clsin, exp, gamma,
-                    hyp2f1, hyper, im, log, mp, mpc, mpf, pi, polylog, sin,
-                    sqrt, workprec)
+from mpmath import (arg, asin, bernfrac, catalan, cbrt, clsin, ellipk, exp,
+                    gamma, hyp2f1, hyper, im, log, mp, mpc, mpf, pi, polylog,
+                    quad, re, sin, sqrt, workprec)
 
 from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
                       PoleError, PrecisionCtx, agm, bloch_wigner, gamma_real,
@@ -519,9 +519,30 @@ def test_lambda_series_small_z_and_domain():
     for s in (Fraction(1, 4), 0, "x"):
         with pytest.raises(DomainError):
             lambda_series(s, mpf("0.5"), CTX)
-    for z in (mpf("1.01"), mpf(-1), mpf(2)):
+    for z in (mpf(-1), mpf(2)):
         with pytest.raises(DivergentSeriesError):
             lambda_series(Fraction(1, 3), z, CTX)
+
+
+def test_lambda_series_past_one_against_integral():
+    # for 1 < z < 2 the kernel is the real part of the continued integral,
+    # Lambda_s(1) + int_1^z (Re F_s(t) - 1)/t dt: Lambda_s(1) by mpmath's
+    # catalan and clsin, the integral by its tanh-sinh quadrature of
+    # mpmath's Re F_s, hyp2f1 for s = 1/3 and 2 K(t)/pi by ellipk for
+    # s = 1/2, where hyp2f1 takes a slow route for its equal parameters
+    with workprec(200):
+        third = mpf(1) / 3
+        oracles = {
+            Fraction(1, 3): (3 * log(3) - 9 * clsin(2, pi / 3) / pi,
+                             lambda t: re(hyp2f1(third, 1 - third, 1, t))),
+            Fraction(1, 2): (4 * log(2) - 8 * catalan / pi,
+                             lambda t: 2 * re(ellipk(t)) / pi)}
+        for s, (at_one, f) in oracles.items():
+            for z in ("1.01", "1.2", "1.35", "1.6", "1.9"):
+                z = mpf(z)
+                ref = at_one + quad(lambda t: (f(t) - 1) / t, [1, z])
+                got = lambda_series(s, z, CTX, tol=mpf(10) ** -50)
+                assert abs(got - ref) < mpf(10) ** -49, (s, z)
 
 
 def _c_h_terms(s):
@@ -542,9 +563,9 @@ def _connection_integral_mpf(s, w, tol):
     """The connection expansion summed term by term in mpf arithmetic, with
     the same tail bound and stopping rule as the integer loop."""
     kappa = sin(pi * to_mpf(s)) / pi
-    logw = log(w)
+    logw = log(abs(w))
     big_l = 1 - logw
-    a, b, total, wpow, tail = -mpf(1), mpf(0), mpf(0), mpf(1), 1 / (1 - w)
+    a, b, total, wpow, tail = -mpf(1), mpf(0), mpf(0), mpf(1), 1 / (1 - abs(w))
     for m, (c, h) in enumerate(_c_h_terms(s)):
         kc = kappa * c
         a += kc * h
@@ -552,7 +573,7 @@ def _connection_integral_mpf(s, w, tol):
         wpow *= w
         total += wpow / (m + 1) * (a - b * (logw - mpf(1) / (m + 1)))
         bound = ((abs(a) + b * big_l) / (m + 2) + kc * (h + big_l)) \
-            * wpow * w * tail
+            * abs(wpow * w) * tail
         if bound < tol:
             count_terms(m + 1)
             return total
@@ -561,12 +582,14 @@ def _connection_integral_mpf(s, w, tol):
 def test_connection_expansion_matches_mpf_loop():
     # the integer loop against the mpf loop run 64 bits higher (at equal
     # precision the mpf loop's own rounding reaches 1.7 units of 2^-prec):
-    # within one unit of 2^-prec, after the same number of terms
+    # within one unit of 2^-prec, after the same number of terms; negative
+    # w, z = 1 - w past 1, alternates the powers and keeps log|w|
     for bits in (64, 256, 512):
         ctx = PrecisionCtx(bits=bits)
         for s in KERNEL_S:
             for w in (mpf("0.35"), mpf("0.2"), mpf("0.05"), mpf("1e-3"),
-                      mpf(2) ** -40):
+                      mpf(2) ** -40, -mpf(2) ** -40, mpf("-0.35"),
+                      mpf("-0.9")):
                 for tol in (mpf(10) ** -42, mpf(2) ** -(bits + 8)):
                     with ctx.workprec(64):
                         with TermCounter() as got:

@@ -1,9 +1,11 @@
 """Source hygiene: the package is Python modules only, every top-level
 import of a ``wzmahler`` module is used, every module-level ``_private``
 function, class or constant is referenced, no frozen record is patched
-after it is built, and every name the benchmark's tracer rebinds exists."""
+after it is built, every error class of ``context`` is raised by some other
+module, and every name the benchmark's tracer rebinds exists."""
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import os
@@ -148,6 +150,65 @@ def test_polyroots_only_in_mahler():
         if {"polyroots", "quad"} & set(_named(tree)):
             users.append(name)
     assert calls == [] and users == ["mahler.py"]
+
+
+BUILTIN_ERRORS = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
+
+
+def error_classes(source: str) -> list[str]:
+    """The exception and warning classes a module defines at top level:
+    those with a builtin exception, or one of these classes, as a base."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                name in found or name in BUILTIN_ERRORS
+                for base in node.bases for name in _named(base)[:1]):
+            found.append(node.name)
+    return found
+
+
+def raised_classes(source: str) -> set[str]:
+    """The names raised in ``source``, or passed to ``warnings.warn`` as its
+    category."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.update(_named(exc)[:1])
+        elif isinstance(node, ast.Call) and _called(node)[:1] == ["warn"]:
+            for arg in node.args[1:2] + [k.value for k in node.keywords
+                                         if k.arg == "category"]:
+                found.update(_named(arg)[:1])
+    return found
+
+
+def unraised_errors(context: str, others: list[str]) -> list[str]:
+    """The error classes of ``context`` that none of ``others`` raises."""
+    raised = set().union(*map(raised_classes, others))
+    return [name for name in error_classes(context) if name not in raised]
+
+
+def test_unraised_errors_detected():
+    # A is raised as an attribute, W is given to warnings.warn; B only
+    # subclasses A, D is raised by its own module alone, N is no exception
+    context = ("class A(ValueError):\n    pass\n\nclass W(UserWarning):\n"
+               "    pass\n\nclass B(A):\n    pass\n\nclass D(KeyError):\n"
+               "    pass\n\nclass N:\n    pass\n\n"
+               "def f():\n    raise D('x')\n")
+    other = ("import warnings\nimport m\n\ndef g():\n"
+             "    warnings.warn('slow', category=m.W)\n    raise m.A\n")
+    assert error_classes(context) == ["A", "W", "B", "D"]
+    assert unraised_errors(context, [other]) == ["B", "D"]
+
+
+def test_every_error_class_is_raised():
+    # an error class of context.py that no other module raises or warns
+    # with is dead public API
+    context = PACKAGE / "context.py"
+    others = [path.read_text() for path in sorted(PACKAGE.rglob("*.py"))
+              if path != context]
+    assert unraised_errors(context.read_text(), others) == []
 
 
 def frozen_patches(source: str) -> int:
