@@ -42,7 +42,7 @@ from functools import cache
 from math import factorial
 from threading import Lock
 
-from mpmath import (arg, cbrt, ceil, exp, expjpi, isint, ldexp, log, mp, mpc,
+from mpmath import (arg, cbrt, ceil, exp, isint, ldexp, log, mp, mpc,
                     mpf, pi, sin, sinpi, sqrt, workprec)
 from mpmath import libmp
 from mpmath import zeta as _mp_zeta
@@ -386,10 +386,10 @@ def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
 # connection formula (Abramowitz-Stegun 15.3.10, DLMF 15.8.10) reads
 #     F_s(1-v) = kappa sum_n c_n (h_n - log v) v^n,   kappa = sin(pi s)/pi.
 
-# s -> (p, e^(h_0), theta, w) with Lambda_s(1) = h_0 - w D(e^(i pi theta))/pi
+# s -> (p, e^(h_0), w) with Lambda_s(1) = h_0 - w D(z0)/pi, z0 = e^(i pi s)
 _KERNEL = {
-    Fraction(1, 3): (Fraction(2, 9), 27, Fraction(1, 3), 9),
-    Fraction(1, 2): (Fraction(1, 4), 16, Fraction(1, 2), 8),
+    Fraction(1, 3): (Fraction(2, 9), 27, 9),
+    Fraction(1, 2): (Fraction(1, 4), 16, 8),
 }
 
 # Lambda_s(z) is summed directly below this point and by the connection
@@ -414,11 +414,14 @@ def _lambda_at_one(s: Fraction, ctx: PrecisionCtx) -> mpf:
     """Lambda_s(1) = h_0 - w D(z0)/pi: 3 log 3 - 9 D(e^(i pi/3))/pi and
     2 log 4 - 8 D(i)/pi, from n(3) = 3 D(e^(i pi/3))/pi and m(4) = 4G/pi,
     at bits + 96 with D(z0) = ``bloch_wigner(z0, ctx)``, so within
-    (w/pi) 2^-(bits + GUARD_D) and a rounding.  D(i) is the memo entry
-    that the n = 0 term of the lattice sums at z0 = i fills."""
-    _, exp_h0, theta, w = _KERNEL[s]
+    (w/pi) 2^-(bits + GUARD_D) and a rounding.  z0 is formed as the
+    lattice sums form it, (1 + i sqrt 3)/2 or i at ``ctx.workprec(32)``,
+    so D(z0) is the memo entry that their n = 0 term fills."""
+    _, exp_h0, w = _KERNEL[s]
+    with ctx.workprec(32):
+        z0 = mpc(1, sqrt(3)) / 2 if s == Fraction(1, 3) else mpc(0, 1)
     with ctx.workprec(64):
-        d = bloch_wigner(expjpi(to_mpf(theta)), ctx)
+        d = bloch_wigner(z0, ctx)
         return +(log(exp_h0) - w * d / pi)
 
 
@@ -426,7 +429,7 @@ def _anchor_ctx(s: Fraction, ctx: PrecisionCtx, tol) -> PrecisionCtx:
     """The context whose D(z0) holds the error of Lambda_s(1),
     (w/pi) 2^-(b + GUARD_D) at b bits, to tol/8: ctx itself where it does
     (121 bits or more for tol 1e-42), else ctx at the least such b."""
-    need = math.ceil(math.log2(8 * _KERNEL[s][3] / math.pi) - _log2(tol)) \
+    need = math.ceil(math.log2(8 * _KERNEL[s][2] / math.pi) - _log2(tol)) \
         - GUARD_D
     return ctx if need <= ctx.bits else PrecisionCtx(need, ctx.max_terms)
 

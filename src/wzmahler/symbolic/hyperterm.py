@@ -83,7 +83,7 @@ class HyperTerm(NamedTuple):
         elif 0 < base < 1:
             base, g_cn, g_ck = 1 / base, -g_cn, -g_ck
         if not isinstance(pre, RatFunc):
-            pre = RatFunc.const(1 if pre is None else pre)
+            pre = RatFunc(1 if pre is None else pre)
         return cls(tuple(clean), base, g_cn, g_ck, pre)
 
 
@@ -100,7 +100,7 @@ def term_cross_ratio(a: HyperTerm, b: HyperTerm, dn: int = 0, dk: int = 0) -> Ra
     """
     if (a.base, a.g_cn, a.g_ck) != (b.base, b.g_cn, b.g_ck):
         raise NonComparableError(f"geometric parts (base, cn, ck) differ: {a[1:4]} vs {b[1:4]}")
-    pre = a.pre.shift(dn, dk) * RatFunc.const(a.base ** (a.g_cn * dn + a.g_ck * dk))
+    pre = a.pre.shift(dn, dk) * RatFunc(a.base ** (a.g_cn * dn + a.g_ck * dk))
     # one numerator and one denominator, each a Product; not reduced
     num, den = pre.num * b.pre.den, pre.den * b.pre.num
     d = lcm(*(c.denominator for lf, _ in a.gammas + b.gammas for c in lf))

@@ -1,30 +1,30 @@
 """Exact polynomials and rational functions in the two summation indices
-(n, k), with rational coefficients held as integers over one denominator.
+(n, k), on integers.
 
-A MultiPoly stores ``ints``, a dict of int coefficients, and ``den``, a
-positive int, in lowest terms: the gcd of ``den`` and every coefficient is
-1, so equal polynomials have equal fields.  Sums and products run on ints
-only, combining denominators by lcm or product; a coefficient becomes a
-Fraction only where a value or a string is produced.
-
-A Product keeps a polynomial as a product of factors: a rational content,
+A Product is a polynomial kept as a product of factors: a rational content,
 primitive integer linear forms with multiplicities, and the few non-linear
 factors as written, each a primitive int coefficient dict.  Products
-multiply by merging factors and are multiplied out only when a caller asks
-for ``poly``.  A Gamma quotient of ``hyperterm`` is a product of linear
+multiply by merging factors.  They add as polynomials: a sum of two
+polynomials of degree at most 1 is one primitive linear form again, and
+any other sum is multiplied out (``expand``) into its content and one
+non-linear factor.  A product of primitive polynomials is primitive, so
+the expansion p * prod(factors) over q is in lowest terms: equal
+polynomials expand to the same ints over the same q, and that is what a
+Product prints.  A Gamma quotient of ``hyperterm`` is a product of linear
 forms, and so is a pair's prefactor but for one numerator, so the WZ
 decision can clear denominators by their least common multiple (``wz``).
 
-A RatFunc is num/den, two Products, exactly as built: arithmetic multiplies
-straight through and never reduces to lowest terms, so there is no
-polynomial GCD anywhere; a sum multiplies both sides out into one new
-factor.  A RatFunc is zero iff its numerator is.  Equal values need not
-share a structure (a and b are equal iff a.num * b.den and b.num * a.den
-multiply out to the same polynomial), so RatFunc defines no value equality
-and is unhashable, and so are the records that hold one.
-``RatFunc.int_ratio`` fixes k and multiplies each side's
-factors out in n on integers, which is how the series layer steps a sum
-whose term ratio comes from a WZ pair.
+A RatFunc is num/den, two Products, exactly as built: it multiplies and
+divides straight through and never reduces to lowest terms, so there is no
+polynomial GCD anywhere; a sum is written over a common denominator as a
+sum of Products.  A RatFunc is zero iff its numerator is.  Equal values
+need not share a structure (a and b are equal iff a.num * b.den and
+b.num * a.den expand alike), so neither type defines value equality, and a
+RatFunc, like the records that hold one, is unhashable.
+``RatFunc.int_ratio`` fixes k and multiplies each side's factors out in n
+on integers, which is how the series layer steps a sum whose term ratio
+comes from a WZ pair.  A coefficient becomes a Fraction only where a value
+or a string is produced.
 """
 
 from __future__ import annotations
@@ -32,12 +32,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
-from typing import Callable, Iterable
+from typing import Callable
 
 Exponent = tuple[int, int]  # (degree in n, degree in k)
 Ints = dict[Exponent, int]
 Form = tuple[int, int, int]  # c0 + cn*n + ck*k
 _LINEAR = ((0, 0), (1, 0), (0, 1))  # the exponents of c0, cn, ck
+_LINEAR_SET = frozenset(_LINEAR)
 _K: Form = (0, 0, 1)
 
 
@@ -68,50 +69,6 @@ def _shift_ints(x: Ints, dn: int, dk: int) -> Ints:
     return out
 
 
-class MultiPoly:
-    """Polynomial in n and k: sparse int coefficients ``ints`` over ``den``."""
-
-    __slots__ = ("ints", "den")
-
-    def __init__(self, ints: Ints, den: int = 1):
-        """ints/den brought to lowest terms; den must be positive."""
-        ints = {e: c for e, c in ints.items() if c}
-        g = gcd(den, *ints.values())
-        if g != 1:
-            ints = {e: c // g for e, c in ints.items()}
-            den //= g
-        self.ints, self.den = ints, den
-
-    def terms(self) -> Iterable[tuple[Exponent, Fraction]]:
-        return [(e, Fraction(c, self.den)) for e, c in sorted(self.ints.items(), reverse=True)]
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        den = lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        out = {e: c * s for e, c in self.ints.items()}
-        for e, c in other.ints.items():
-            out[e] = out.get(e, 0) + c * t
-        return MultiPoly(out, den)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        return MultiPoly(_mul_ints(self.ints, other.ints), self.den * other.den)
-
-    def __str__(self) -> str:
-        if not self.ints:
-            return "0"
-        parts = []
-        for (a, b), c in self.terms():
-            factors = []
-            if c != 1 or (a == 0 and b == 0):
-                factors.append(str(c) if c > 0 or not parts else f"({c})")
-            if a:
-                factors.append("n" if a == 1 else f"n**{a}")
-            if b:
-                factors.append("k" if b == 1 else f"k**{b}")
-            parts.append("*".join(factors) if factors else str(c))
-        return " + ".join(parts)
-
-
 class Product:
     """p/q * prod(form**m for form, m in forms.items()) * prod(polys).
 
@@ -140,30 +97,54 @@ class Product:
         return cls(g, q, {(c0 // g, cn // g, ck // g): 1})
 
     @classmethod
-    def of(cls, x) -> "Product":
-        """A MultiPoly, int or Fraction as a Product: its content split off,
-        a linear rest kept as a form, any other rest as one factor."""
-        if not isinstance(x, MultiPoly):
-            return cls(*_ratio(x))
-        if x.ints.keys() <= set(_LINEAR):
-            return cls.linear(*(x.ints.get(e, 0) for e in _LINEAR), x.den)
-        g = gcd(*x.ints.values())
-        return cls(g, x.den, None, ({e: c // g for e, c in x.ints.items()},))
+    def of(cls, ints: Ints, q: int = 1) -> "Product":
+        """sum(c n^a k^b for (a, b), c in ints.items())/q: its content split
+        off, a linear rest kept as a form, any other rest as one factor."""
+        ints = {e: c for e, c in ints.items() if c}
+        if ints.keys() <= _LINEAR_SET:
+            return cls.linear(*(ints.get(e, 0) for e in _LINEAR), q)
+        g = gcd(*ints.values())
+        return cls(g, q, None, ({e: c // g for e, c in ints.items()},))
 
     @property
     def is_zero(self) -> bool:
         return not self.p
 
-    @property
-    def poly(self) -> MultiPoly:
+    def expand(self) -> Ints:
+        """The int coefficients of q * self, multiplied out, zeros dropped;
+        no product is formed for a content times at most one factor."""
         factors = [dict(zip(_LINEAR, form)) for form, m in self.forms.items() for _ in range(m)]
-        return MultiPoly(reduce(_mul_ints, factors + list(self.polys), {(0, 0): self.p}), self.q)
+        factors += self.polys
+        if not factors:
+            return {(0, 0): self.p} if self.p else {}
+        first = {e: self.p * c for e, c in factors[0].items() if c}
+        if len(factors) == 1:
+            return first
+        return {e: c for e, c in reduce(_mul_ints, factors[1:], first).items() if c}
 
-    def __mul__(self, other: "Product") -> "Product":
+    def __add__(self, other) -> "Product":
+        other = _coerce(other)
+        q = lcm(self.q, other.q)
+        s, t = q // self.q, q // other.q
+        out = {e: c * s for e, c in self.expand().items()}
+        for e, c in other.expand().items():
+            out[e] = out.get(e, 0) + c * t
+        return Product.of(out, q)
+
+    def __neg__(self) -> "Product":
+        return Product(-self.p, self.q, self.forms, self.polys)
+
+    def __sub__(self, other) -> "Product":
+        return self + -_coerce(other)
+
+    def __mul__(self, other) -> "Product":
+        other = _coerce(other)
         forms = dict(self.forms)
         for f, m in other.forms.items():
             forms[f] = forms.get(f, 0) + m
         return Product(self.p * other.p, self.q * other.q, forms, self.polys + other.polys)
+
+    __rmul__ = __mul__
 
     def __pow__(self, m: int) -> "Product":
         if m < 0:
@@ -174,7 +155,7 @@ class Product:
     def div_k(self) -> "Product":
         """self / k, exactly; ValueError unless k is one of its factors."""
         if self.p and not self.forms.get(_K):
-            raise ValueError(f"k is not a factor of {self.poly}")
+            raise ValueError(f"k is not a factor of {self}")
         forms = dict(self.forms)
         forms[_K] = forms.get(_K, 0) - 1  # dropped again if self is zero
         return Product(self.p, self.q, forms, self.polys)
@@ -208,41 +189,38 @@ class Product:
             out, e = nxt, e + top
         return out, self.q * b ** e
 
+    def __str__(self) -> str:
+        """The expanded polynomial, highest exponent (n, k) first."""
+        parts = []
+        for (a, b), c in sorted(self.expand().items(), reverse=True):
+            c = Fraction(c, self.q)
+            factors = []
+            if c != 1 or (a == 0 and b == 0):
+                factors.append(str(c) if c > 0 or not parts else f"({c})")
+            if a:
+                factors.append("n" if a == 1 else f"n**{a}")
+            if b:
+                factors.append("k" if b == 1 else f"k**{b}")
+            parts.append("*".join(factors))
+        return " + ".join(parts) or "0"
+
 
 def _coerce(x) -> Product:
-    return x if isinstance(x, Product) else Product.of(x)
+    return x if isinstance(x, Product) else Product(*_ratio(x))
 
 
 class RatFunc:
-    """num/den, two Products, as built and never reduced; only a zero
-    denominator is refused."""
+    """num/den, two Products (or ints or Fractions), as built and never
+    reduced; only a zero denominator is refused."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        self.num = _coerce(num)
-        self.den = Product() if den is None else _coerce(den)
+    def __init__(self, num, den=1):
+        self.num, self.den = _coerce(num), _coerce(den)
         if self.den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
 
-    @classmethod
-    def const(cls, c) -> "RatFunc":
-        return cls(Product.of(c))
-
     __hash__ = None  # see the module docstring
-
-    def __add__(self, other) -> "RatFunc":
-        other = _coerce_rf(other)
-        num = self.num.poly * other.den.poly + other.num.poly * self.den.poly
-        return RatFunc(num, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc":
-        return self * -1
-
-    def __sub__(self, other) -> "RatFunc":
-        return self + (-_coerce_rf(other))
 
     def __mul__(self, other) -> "RatFunc":
         other = _coerce_rf(other)
@@ -289,10 +267,8 @@ class RatFunc:
         return ratio
 
     def __str__(self) -> str:
-        num, den = self.num.poly, self.den.poly
-        if den.ints == {(0, 0): den.den}:  # den == 1
-            return str(num)
-        return f"({num}) / ({den})"
+        den = str(self.den)
+        return str(self.num) if den == "1" else f"({self.num}) / ({den})"
 
 
 def _coerce_rf(x) -> RatFunc:

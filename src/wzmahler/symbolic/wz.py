@@ -14,20 +14,20 @@ the four terms is a Product over a Product, mostly of linear forms.  They
 are multiplied by the least common multiple L of their denominators (the
 lcm of the linear factors times every non-linear one), the linear factors
 that all four numerators then share are divided out, and only what is left
-is expanded, on ints.  Multiplying by L and dividing by the shared factors
-both scale the sum by a nonzero polynomial, so it is the zero polynomial
-exactly when the numerator of Q1 - 1 - Q3 + Q2 over the product of its
-denominators is.  Only a failed check builds that unreduced certificate,
-by RatFunc arithmetic, and carries its numerator as the witness.
+is added up, which multiplies it out on ints.  Multiplying by L and dividing
+by the shared factors both scale the sum by a nonzero polynomial, so the
+pair certifies exactly when that leftover is the zero polynomial; when it
+is not, the leftover is the report's witness.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from operator import add
 from typing import NamedTuple
 
-from .hyperterm import HyperTerm, term_cross_ratio, term_shift_ratio
-from .multipoly import MultiPoly, Product, RatFunc
+from .hyperterm import HyperTerm, term_cross_ratio
+from .multipoly import Product, RatFunc
 
 
 class WZPair(NamedTuple):
@@ -41,10 +41,9 @@ class WZPair(NamedTuple):
 class CertificateReport(NamedTuple):
     name: str
     passed: bool
-    certificate: RatFunc
-    witness: MultiPoly | None
+    witness: Product  # the leftover polynomial, zero exactly when passed
 
-    __hash__ = None  # certificate is an unhashable RatFunc
+    __hash__ = None  # a Product has no value equality (see multipoly)
 
     def __str__(self):
         if self.passed:
@@ -52,15 +51,9 @@ class CertificateReport(NamedTuple):
         return f"{self.name}: FAIL, witness numerator {self.witness}"
 
 
-def certificate_components(pair: WZPair) -> tuple[RatFunc, RatFunc, RatFunc]:
-    """(Q1, Q2, Q3) for the pair, all exact."""
-    f, g = pair.F, pair.G
-    return term_shift_ratio(f, 1, 0), term_cross_ratio(g, f), term_cross_ratio(g, f, 0, 1)
-
-
-def _sum_vanishes(terms: list[RatFunc]) -> bool:
-    """Whether sum(terms) is the zero function, decided over the lcm L of
-    the denominators as described above."""
+def _leftover(terms: list[RatFunc]) -> Product:
+    """sum(terms) times the lcm L of their denominators, over the linear
+    factors that all the scaled numerators share, as described above."""
     top: dict = {}
     for t in terms:
         for f, m in t.den.forms.items():
@@ -72,18 +65,13 @@ def _sum_vanishes(terms: list[RatFunc]) -> bool:
                               tuple(x for j, u in enumerate(terms) if j != i for x in u.den.polys))
               for i, t in enumerate(terms)]
     shared = {f: min(x.forms.get(f, 0) for x in scaled) for f in scaled[0].forms}
-    total = reduce(MultiPoly.__add__, (
-        Product(x.p, x.q, {f: m - shared.get(f, 0) for f, m in x.forms.items()}, x.polys).poly
-        for x in scaled))
-    return not total.ints
+    return reduce(add, (Product(x.p, x.q, {f: m - shared.get(f, 0) for f, m in x.forms.items()},
+                                x.polys) for x in scaled))
 
 
 def wz_verify(pair: WZPair) -> CertificateReport:
     f, g = pair.F, pair.G
-    kernel = f._replace(pre=RatFunc.const(1))
-    if _sum_vanishes([term_cross_ratio(f, kernel, 1, 0), -f.pre,
-                      -term_cross_ratio(g, kernel, 0, 1), term_cross_ratio(g, kernel)]):
-        return CertificateReport(pair.name, True, RatFunc.const(0), None)
-    q1, q2, q3 = certificate_components(pair)
-    cert = q1 - RatFunc.const(1) - q3 + q2
-    return CertificateReport(pair.name, False, cert, cert.num.poly)
+    kernel = f._replace(pre=RatFunc(1))
+    left = _leftover([term_cross_ratio(f, kernel, 1, 0), f.pre * -1,
+                      term_cross_ratio(g, kernel, 0, 1) * -1, term_cross_ratio(g, kernel)])
+    return CertificateReport(pair.name, left.is_zero, left)

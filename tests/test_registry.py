@@ -16,14 +16,15 @@ from wzmahler import (DomainError, PrecisionCtx, UnknownIdentityError,
 from wzmahler import series as series_module
 from wzmahler.context import DEFAULT_CTX
 from wzmahler.mahler import n_quadrature
-from wzmahler.registry import (lookup, n_lattice, registry_entries,
+from wzmahler.registry import (exit_code, lookup, n_lattice, registry_entries,
                                reports_from_json, reports_to_json, run_all,
                                run_check)
 from wzmahler.series import shared
 from wzmahler.symbolic import pfq as pfq_module
 from wzmahler.symbolic.hyperterm import HyperTerm
 from wzmahler.symbolic.pairs import builtin_pairs
-from wzmahler.symbolic.wz import WZPair
+from wzmahler.symbolic.multipoly import RatFunc
+from wzmahler.symbolic.wz import WZPair, wz_verify
 
 CTX = PrecisionCtx(bits=256)
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "report-{bits}.json")
@@ -157,6 +158,22 @@ def test_run_check_wz_pair():
     rep = run_check("wz-pair-1", CTX)
     assert rep.status == "PASS"
     assert "certificate polynomial == 0" in rep.notes
+
+
+def test_run_check_wz_fail_branch(monkeypatch):
+    # a record whose pair is perturbed (G's prefactor plus 1) fails, and its
+    # report carries wz_verify's nonzero witness as the lhs value
+    rec = lookup("wz-pair-1")
+    f, g = rec.lhs.F, rec.lhs.G
+    bad = WZPair(f, g._replace(pre=RatFunc(g.pre.num + g.pre.den, g.pre.den)), rec.lhs.name)
+    monkeypatch.setattr(registry, "lookup", lambda ident: rec._replace(lhs=bad))
+    witness = str(wz_verify(bad).witness)
+    rep = run_check("wz-pair-1", CTX)
+    assert rep.status == "FAIL"
+    assert rep.abs_diff == "nonzero" and rep.rhs_value == "0"
+    assert rep.lhs_value == witness != "0"
+    assert f"nonzero witness: {witness}" in rep.notes
+    assert exit_code([rep]) == 1
 
 
 def test_run_check_lalin():
@@ -350,11 +367,12 @@ def test_sides_call_the_library_through_the_module(monkeypatch):
 
 
 def test_each_special_value_once_per_pass(monkeypatch):
-    """From cold memos, one run_all at 256 bits computes D(i) once, and
-    every D at the pass's own precision: the anchor Lambda_{1/2}(1) of the
-    m(alpha) series reads the memo entry that the n = 0 term of the lattice
-    sums at z0 = i fills.  No alpha that a side takes through m_series is
-    computed at two tolerances."""
+    """From cold memos, one run_all at 256 bits computes D(i) and
+    D(e^(i pi/3)) once each, and every D at the pass's own precision: the
+    anchors Lambda_{1/2}(1) and Lambda_{1/3}(1) of the m(alpha) and
+    n(alpha) series read the memo entries that the n = 0 terms of the
+    lattice sums at z0 = i and at z0 = e^(i pi/3) fill.  No alpha that a
+    side takes through m_series is computed at two tolerances."""
     computed, m_calls = [], {}
     raw = numkernel.bloch_wigner.__wrapped__
 
@@ -378,6 +396,10 @@ def test_each_special_value_once_per_pass(monkeypatch):
     reports, code = run_all(ctx=CTX)
     assert code == 0
     assert [z for z, _ in computed].count(mpc(0, 1)) == 1
+    # e^(i pi/3) formed two ways rounds to two memo keys: count near hits
+    with workprec(300):
+        sixth = mpc(1, sqrt(3)) / 2
+        assert sum(abs(z - sixth) < mpf(10) ** -60 for z, _ in computed) == 1
     assert {bits for _, bits in computed} == {256}
     assert len(m_calls) >= 6
     assert {alpha: tols for alpha, tols in m_calls.items() if len(tols) > 1} == {}
