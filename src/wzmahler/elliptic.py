@@ -1,11 +1,13 @@
 """Elliptic curves y^2 = 4x^3 - g2 x - g3 over Q: exact chord-tangent group
-law and torsion orders, AGM periods from closed-form 2-division roots, the
+law and torsion orders, AGM periods from certified 2-division roots, the
 Weierstrass function P by its q-series, and the two-sided elliptic
 dilogarithm lattice sums.
 
 Curves in scope have positive discriminant, so the 2-division cubic has
-three real roots e1 > e2 > e3, given by Viete's trigonometric form, and the
-full periods are
+three real roots e1 > e2 > e3.  The outer two come from Newton's iteration
+on Python integers, on the cubic scaled to integer coefficients, from
+float seeds, and e2 from their sum; each is certified by a sign change
+across its last unit.  The full periods are
 
     omega  = pi / agm(sqrt(e1-e3), sqrt(e1-e2))          (real)
     omega' = i pi / agm(sqrt(e1-e3), sqrt(e2-e3))        (imaginary)
@@ -25,10 +27,11 @@ bracket shrinks with the term: 1/(1-q^k) enters as 1 + q^k/(1-q^k), a term
 with Im((zq)^k) exactly 0 is skipped, and |z|^(-2k) = 1 on the unit
 circle is not multiplied in, so a lattice sum costs under a millisecond at
 256 bits.  The n = 0 term is one Bloch-Wigner call.  The
-AGM of the periods runs on Python integers too (``numkernel.agm``).  The
-periods, D and the lattice sums are memoised for the process on their
-exact arguments (``series.shared``), since the registry checks each
-identity in two forms that meet the same sums.
+AGMs of the periods run on Python integers too, from the integer square
+roots of the root differences (``numkernel._agm_fixed``), and log|q| is
+taken once per nome.  The periods, D and the lattice sums are memoised
+for the process on their exact arguments (``series.shared``), since the
+registry checks each identity in two forms that meet the same sums.
 """
 
 from __future__ import annotations
@@ -38,15 +41,16 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from mpmath import (acos, ceil, cos, exp, floor, im, log, mp, mpc, mpf, nint,
-                    pi, re, sqrt, workprec)
+from mpmath import (ceil, exp, floor, im, ldexp, log, mp, mpc, mpf, nint, pi,
+                    re, workprec)
 from mpmath.libmp import to_fixed
 
 from .context import (DEFAULT_CTX, ComplexRootsUnsupportedError,
                       ConvergenceError, DomainError, LatticePoleError,
                       PrecisionCtx, SingularCurveError, to_mpf)
-from .numkernel import (_LN2, GUARD_D, _float_ceil, _log2, _log_near_one,
-                        _stop_index, agm, bloch_wigner)
+from .numkernel import (_LN2, GUARD_D, _agm_fixed, _float_ceil, _log2,
+                        _log_near_one, _stop_index, bloch_wigner,
+                        root_of_unity)
 from .series import count_terms, shared
 
 
@@ -178,26 +182,119 @@ class Periods(NamedTuple):
 @shared
 def periods(curve: EllipticCurve, ctx: PrecisionCtx = DEFAULT_CTX) -> Periods:
     """The periods of ``curve`` at ``ctx``, memoised per (curve, ctx)
-    (``series.shared``)."""
+    (``series.shared``).
+
+    The roots e1 > e2 > e3 are floors at the unit 2^-p that gives
+    m = sqrt(g2/3) > |e_i| w + 24 bits, w = bits + 64 the working
+    precision here and in the lattice sums (``_root_floors``), so a root
+    on that grid, every rational root of the registry's curves among them,
+    is exact.  Each root difference is then within a unit, so within
+    2^-(b - 1) relative, b the bit length of the smaller difference in
+    units (w + 23 or so unless two roots nearly meet).  Their integer
+    square roots, at the unit that gives the smaller one 2^(W + 15) units
+    with W = bits + 32 as ``numkernel.agm`` does, feed the two means
+    through agm's integer core (``numkernel._agm_fixed``):
+    M1 = agm(sqrt(e1-e3), sqrt(e1-e2)) and M2 = agm(sqrt(e1-e3),
+    sqrt(e2-e3)), each within 2^-(W + 9) + 2^-b relative.  omega = pi/M1,
+    omega' = i pi/M2 and tau = i t, t = M1/M2, are each rounded once to w
+    bits, and the nome is the one real q = exp(-2 pi t).
+
+    The log of q that the lattice sums take at this nome (``_nome_log``)
+    comes from t, not from q: q is exp(l) rounded to w bits, l = -2 pi t
+    at ``_log_bits``, so log q = l + log(1 + d) with d = q/exp(l) - 1,
+    |d| < 2^-w, and l + d drops under 2^-(2w + 1)."""
     if curve.discriminant < 0:
         raise ComplexRootsUnsupportedError(
             "negative discriminant: one real root; not supported")
-    # Viete's trigonometric form: with m = sqrt(g2/3) and
-    # cos(3 theta) = 3 g3/(g2 m), whose square is 27 g3^2/g2^3 < 1 exactly,
-    # the roots are m cos(theta - 2 pi k/3).  It runs 24 bits above the
-    # working precision, so that a rational root rounds to itself.
-    with ctx.workprec(32 + 24):
-        m = sqrt(to_mpf(Fraction(curve.g2, 3)))
-        c = sqrt(to_mpf(Fraction(27 * curve.g3 ** 2, curve.g2 ** 3)))
-        theta = acos(c if curve.g3 >= 0 else -c) / 3
-        roots = [m * cos(theta - 2 * pi * k / 3) for k in range(3)]
     with ctx.workprec(32):
-        e1, e2, e3 = sorted((+r for r in roots), reverse=True)
-        omega = pi / agm(sqrt(e1 - e3), sqrt(e1 - e2), ctx)
-        omega_prime = mpc(0, 1) * pi / agm(sqrt(e1 - e3), sqrt(e2 - e3), ctx)
-        tau = omega_prime / omega
-        q = re(exp(2 * pi * mpc(0, 1) * tau))
-        return Periods(+omega, +omega_prime, +tau, +q, (+e1, +e2, +e3))
+        f1, f2, f3, p = _root_floors(curve, mp.prec + 24)
+        d12, d23 = f1 - f2, f2 - f3
+        shift = max(0, 2 * (ctx.bits + 48) - min(d12, d23).bit_length())
+        shift += (shift + p) % 2
+        v = (shift + p) // 2  # the means' fixed-point unit is 2^-v
+        mean = math.isqrt((f1 - f3) << shift)
+        m1, m2 = (_agm_fixed(mean, math.isqrt(d << shift), ctx.bits)
+                  for d in (d12, d23))
+        t = mpf(m1) / m2
+        q = exp(-2 * pi * t)
+        with workprec(_log_bits(q, ctx)):
+            log_t = -2 * pi * t
+            _NOME_LOGS[(q, ctx)] = log_t + (q / exp(log_t) - 1)
+        period = ldexp(pi, v)
+        return Periods(period / m1, mpc(0, period / m2), mpc(0, t), q,
+                       tuple(mpf((f, -p)) for f in (f1, f2, f3)))
+
+
+def _root_floors(curve: EllipticCurve, bits: int) -> tuple[int, int, int, int]:
+    """(F1, F2, F3, p) with e_i in [F_i 2^-p, (F_i + 1) 2^-p) for the roots
+    e1 > e2 > e3 of f = 4x^3 - g2 x - g3 (positive discriminant), at the
+    unit 2^-p that gives m = sqrt(g2/3) > |e_i| ``bits`` bits (p >= 0).
+
+    f times the common denominator D of g2 and g3, at x = X 2^-p and
+    scaled by 2^(3p), is the integer cubic
+    P(X) = 4D X^3 - D g2 4^p X - D g3 8^p.  On x > sqrt(g2/12) > 0, f
+    increases and is convex, so Newton's iteration from a point above e1
+    stays above it; on x < -sqrt(g2/12) < 0 it increases and is concave,
+    and from a point below e3 it stays below.  Each outer root starts from
+    Viete's trigonometric form in floats, m cos(theta) and
+    m cos(theta + 2 pi/3) with cos(3 theta) = 3 g3/(g2 m), moved outward
+    in steps from 2^-40 of m's binade, each twice the last, until the
+    signs of x, P and P' place it beyond the root, and Newton's steps are
+    truncated toward the start (``_outer_root``).  e2 =
+    -(e1 + e3) then lies in (Y - 2, Y], Y = -(F1 + F3), where P falls
+    through 0, so the signs of P at Y and Y - 1 pick its floor.  Each
+    floor F is certified by P(F) = 0 or a sign change of P from F to
+    F + 1, and F3 < F2 < F1, so the three are the floors of the three
+    roots; ArithmeticError otherwise."""
+    den = math.lcm(Fraction(curve.g2).denominator,
+                   Fraction(curve.g3).denominator)
+    g2, g3 = int(curve.g2 * den), int(curve.g3 * den)
+    m = math.sqrt(g2 / (3 * den))
+    e = math.frexp(m)[1]  # m < 2^e
+    p = max(0, bits - e)
+    c2, c3, c4 = g2 << 2 * p, g3 << 3 * p, 4 * den
+
+    def poly(x):
+        return c4 * x * x * x - c2 * x - c3
+
+    def slope(x):
+        return 3 * c4 * x * x - c2
+
+    cos3 = math.sqrt(Fraction(27 * g3 * g3 * den, g2 ** 3))
+    theta = math.acos(math.copysign(cos3, g3)) / 3
+    floors = []
+    for side, angle in ((1, theta), (-1, theta + 2 * math.pi / 3)):
+        # side * x is above e1 (below e3) once P and P' say so
+        x = int(math.ldexp(m * math.cos(angle), 53 - e)) << e + p - 53
+        gap = 1 << e + p - 40
+        while not (side * x > 0 and side * poly(x) >= 0 and slope(x) > 0):
+            x, gap = x + side * gap, 2 * gap
+        x = _outer_root(poly, slope, x)
+        # a truncated step stops up to a unit short of an exact root
+        floors.append(x - (poly(x) > 0) if side > 0
+                      else x + (poly(x + 1) <= 0))
+    f1, f3 = floors
+    y = -(f1 + f3)
+    f2 = y - (poly(y) < 0) - (poly(y - 1) < 0)
+    if not (f3 < f2 < f1 and all(poly(f) == 0 or poly(f) * poly(f + 1) < 0
+                                 for f in (f1, f2, f3))):
+        raise ArithmeticError(
+            f"2-division roots of g2={curve.g2}, g3={curve.g3} not "
+            f"certified at 2^-{p}")
+    return f1, f2, f3, p
+
+
+def _outer_root(poly, slope, x: int) -> int:
+    """Newton's iteration x -> x - P(x)/P'(x) on integers from an x beyond
+    an outer root of ``_root_floors``' cubic, on the side where Newton's
+    steps do not cross it, each step truncated toward x; it stops when a
+    step truncates to 0, with the root within a few units of x."""
+    while True:
+        num, den = poly(x), slope(x)
+        step = abs(num) // den
+        if not step:
+            return x
+        x += -step if num > 0 else step
 
 
 def _reduce_to_cell(u, per: Periods) -> mpc:
@@ -235,11 +332,36 @@ def wp(curve: EllipticCurve, u, ctx: PrecisionCtx = DEFAULT_CTX) -> mpc:
         return +((2 * pi * mpc(0, 1) / per.omega) ** 2 * total)
 
 
+# log|q| per (|q|, ctx) at ``_log_bits`` bits: a curve's nome enters from
+# ``periods``, from -2 pi M1/M2, any other on its first lattice sum
+_NOME_LOGS = {}
+
+
+def _log_bits(aq: mpf, ctx: PrecisionCtx) -> int:
+    """The precision of log|q| at ``ctx``: w + 6 + 3 l + the bit length of
+    ceil(|log2 |q||), w = bits + 64 the lattice sums' working precision
+    and l = ceil(log2(1/(1-|q|))), both from float logs (``_log2``).  The
+    log is then within 2^-(w + 5) (1-|q|)^3 of its value, to which a
+    curve's nome (``periods``) adds under 2^-(2w + 1)."""
+    return ctx.bits + 70 + 3 * math.ceil(-_log2(1 - aq)) \
+        + math.ceil(-_log2(aq)).bit_length()
+
+
+def _nome_log(aq: mpf, ctx: PrecisionCtx) -> mpf:
+    """log|q| for the lattice sums at |q| = aq and ``ctx``, taken once per
+    (|q|, ctx) and kept in ``_NOME_LOGS``."""
+    key = (aq, ctx)
+    if key not in _NOME_LOGS:
+        with workprec(_log_bits(aq, ctx)):
+            _NOME_LOGS[key] = log(aq)
+    return _NOME_LOGS[key]
+
+
 def _half_sum_difference(z: mpc, q: mpf, k_up: int, k_down: int,
-                         prec: int) -> mpf:
+                         prec: int, log_q: mpf) -> mpf:
     """H(z) - H(1/z) (see ``lattice_dilog_sum``) with the up terms taken to
     k_up and the down terms to k_down, summed on integers at prec
-    fractional bits.
+    fractional bits, with log|q| = ``log_q``.
 
     With |z| < 1 the sum is taken over w = 1/z and negated, so |w| >= 1.
     One power sequence serves both halves: y_k = Im(u^k), u = w q, runs by
@@ -271,8 +393,7 @@ def _half_sum_difference(z: mpc, q: mpf, k_up: int, k_down: int,
         else:
             u, g, sign = z * q, 1 / n, 1
         ur, ui, gf, qf, lq = (
-            to_fixed(x._mpf_, prec)
-            for x in (u.real, u.imag, g, q, log(abs(q))))
+            to_fixed(x._mpf_, prec) for x in (u.real, u.imag, g, q, log_q))
         lw = _log_near_one(n, prec)  # log |z|^2, for |z| that rounds to 1
         lw = (to_fixed((sign * log(abs(z)))._mpf_, prec) if lw is None
               else sign * (lw >> 1))  # log |w|
@@ -341,7 +462,10 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     14 C/((1-r)(1-|q|)).  Each step thus adds under 46 C/((1-r)(1-|q|))
     units, and P = w + the bit length of 64 K C/((1-r)(1-|q|)^3), with w
     the working precision (bits + 64), keeps the summed rounding error
-    below 2^-w, far below 2^-(bits + GUARD_D).  As
+    below 2^-w, far below 2^-(bits + GUARD_D).  log|q| itself is taken
+    once per (|q|, ctx), within 2^-(w + 4) (1-|q|)^3 (``_nome_log``); it
+    enters each bracket over 1 - q^k and each term times 1 + Q_k, so it
+    moves the two half-sums by under 2^-(w + 2).  As
     2^(2P)/(2^P - x) = 2^P + x 2^P/(2^P - x), Q_k is the floor of
     1/(1-q^k) less one, and the loop's integers are those of the
     1/(1-q^k) form, whose budget took the same P.  The n = 0 term D(z0)
@@ -395,7 +519,8 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
             lb + math.log1p(2.0 ** -lb) / _LN2,
             lambda: int(ceil(64 * big_k * exact_c()
                              / ((1 - r) * (1 - aq) ** 3))).bit_length())
-        half = _half_sum_difference(z, q, k_up, k_down, prec)
+        half = _half_sum_difference(z, q, k_up, k_down, prec,
+                                    _nome_log(aq, ctx))
         count_terms(k_up + k_down + 1)
         return +(bloch_wigner(z, ctx) + half)
 
@@ -411,6 +536,7 @@ def elliptic_dilog(curve: EllipticCurve, loc: tuple,
         return mpf(0)
     per = periods(curve, ctx)
     with ctx.workprec(32):
-        z0 = exp(2 * pi * mpc(0, 1) * mpf(a.numerator) / a.denominator) \
-            * per.q ** (mpf(b.numerator) / b.denominator)
+        z0 = root_of_unity(a)
+        if b:
+            z0 *= per.q ** (mpf(b.numerator) / b.denominator)
         return lattice_dilog_sum(z0, per.q, ctx)

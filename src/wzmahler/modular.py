@@ -6,8 +6,11 @@ Signature 3 is Ramanujan's alternative theory built on 2F1(1/3,2/3;1;.)
 (Berndt, Bhargava and Garvan, "Ramanujan's theories of elliptic functions
 to alternative bases", 1995).  Its nome comes from Borwein's cubic AGM
 (``numkernel.agm3``), as ``elliptic.periods`` takes the signature-2 nome
-from the classical one.  phi(q) and a(q)/b(q) are memoised for the process
-on their exact arguments (``series.shared``).
+from the classical one.  phi(q) and a(q)/b(q) share one theta loop
+(``_theta3_and_s``), which runs on Python integers in fixed point over q,
+q^3 and q^9 at once; both are memoised for the process on their exact
+arguments (``series.shared``).  The cube roots of the nome's arguments are
+integer ones (``numkernel._cbrt``), as in the cubic AGM's own steps.
 """
 
 from __future__ import annotations
@@ -15,10 +18,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from mpmath import cbrt, ceil, exp, log, mpf, pi, sqrt
+from mpmath import ceil, exp, log, mp, mpf, pi, sqrt
+from mpmath.libmp import from_int, mpf_div, round_nearest
 
-from .context import DEFAULT_CTX, DomainError, PrecisionCtx, to_mpf
-from .numkernel import _float_ceil, _log2, agm3
+from .context import (DEFAULT_CTX, ConvergenceError, DomainError,
+                      PrecisionCtx, to_mpf)
+from .numkernel import _cbrt, _float_ceil, _log2, agm3
 from .series import shared
 
 _LOST = math.log2(math.pi ** 2 / (2 * math.log(2)))  # log2 of pi^2/(2 log 2)
@@ -27,30 +32,62 @@ _LOST = math.log2(math.pi ** 2 / (2 * math.log(2)))  # log2 of pi^2/(2 log 2)
 @shared
 def phi_theta(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """phi(q) = theta3(q) = sum_{n in Z} q^(n^2), |q| < 1, to within
-    2^-(bits+16)."""
+    2^-(bits+16): ``_theta3_and_s`` above W = bits + 32, the working
+    precision, rounded to W bits."""
     with ctx.workprec():
         q = to_mpf(q)
         if not abs(q) < 1:
             raise DomainError("phi_theta requires |q| < 1")
-        return +_theta3_and_s(q, mpf(2) ** (-(ctx.bits + 16)))[0]
+        prec, ((_, theta, _),) = _theta3_and_s(q, (1,), ctx.bits + 16, 0)
+        return mpf((theta, -prec))
 
 
-def _theta3_and_s(x, eps):
-    """(theta3(x), S(x)) = (1 + 2 sum_{n>=1} x^(n^2), sum_{n>=0} x^(n(n+1)))
-    for |x| < 1, each to within eps: the terms run in the order x^1, x^2,
-    x^4, x^6, x^9, ..., every one the last times x^(n+1), and both tails
-    after a theta3 term t = x^(n^2) are below 2|t|/(1-|x|)."""
-    theta = s = sq = tri = mpf(1)  # sq = x^(n^2), tri = x^(n(n+1))
-    xn = x  # x^(n+1)
-    stop = eps * (1 - abs(x))
-    while True:
-        sq = tri * xn
-        tri = sq * xn
-        theta += 2 * sq
-        s += tri
-        if 2 * abs(sq) < stop:
-            return theta, s
-        xn *= x
+def _theta3_and_s(q: mpf, powers: tuple[int, ...], stop: int,
+                  extra: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """(prec, [(x, theta3(x), S(x)), ...]), theta3(x) = 1 + 2 sum_{n>=1}
+    x^(n^2) and S(x) = sum_{n>=0} x^(n(n+1)), for each x = q^j, j in
+    ``powers``, |q| < 1, each series to within 2^-stop, in fixed point at
+    prec fractional bits: the working precision, ``extra`` bits and the
+    guard bits below.
+
+    Each x is the floor of the exact q^j.  The terms run in the order x^1,
+    x^2, x^4, x^6, x^9, ..., every one the last times x^(n+1), and both
+    tails after a theta3 term t = x^(n^2) are below 2|t|/(1-|x|), so a
+    base stops after the first t with 2|t| < 2^-stop (1 - |x|).  That
+    takes at most N steps, the least n with 2|q|^(n^2) < 2^-stop (1-|q|)
+    from float logs (``_log2``) plus 2 for their error and the floors;
+    ConvergenceError rather than a step past it.  A floored product of two
+    values of modulus at most 1 is within the sum of their errors and one
+    unit, so x^n is within 2n - 1 units, x^(n^2) within 2n^2 and
+    x^(n(n+1)) within 2n(n+1): after N steps both sums are within
+    E = 2(N + 1)^3 units of their truncations, and the guard bits are the
+    bit length of E.
+    """
+    aq = abs(q)
+    n_max = 1 if aq == 0 else math.isqrt(
+        int((stop + 1 - _log2(1 - aq)) / -_log2(aq))) + 3
+    prec = mp.prec + extra + (2 * (n_max + 1) ** 3).bit_length()
+    one, sign, man, exp = 1 << prec, *q._mpf_[:3]
+    out = []
+    for j in powers:
+        shift = prec + j * exp
+        power = (-man if sign else man) ** j
+        x = power << shift if shift >= 0 else power >> -shift
+        limit = (one - abs(x)) >> stop + 1
+        theta = s = tri = one  # tri = x^(n(n+1))
+        xn = x  # x^(n+1)
+        for _ in range(n_max):
+            sq = tri * xn >> prec
+            tri = sq * xn >> prec
+            theta += 2 * sq
+            s += tri
+            if abs(sq) < limit:
+                break
+            xn = xn * x >> prec
+        else:
+            raise ConvergenceError("theta series step bound exceeded")
+        out.append((x, theta, s))
+    return prec, out
 
 
 @shared
@@ -65,10 +102,20 @@ def cubic_theta_ratio(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     S(x) = sum_{n>=0} x^(n(n+1)), so no q^(1/4) appears and q <= 0 needs no
     special case.  The series fall like |q|^(n^2).  b(q) = prod (1-q^n)^3/
     (1-q^(3n)) is small as |q| -> 1, log(1/|b|) <= pi^2 |q|/(2(1-|q|)), and
-    the subtraction that forms it loses about that many bits; the working
-    precision and the stop test 2^-(bits+24) carry them as extra bits.  That
+    the subtraction that forms it loses about that many bits; the fixed
+    point and the stop test 2^-(bits+24) carry them as extra bits.  That
     count is the ceiling of a float estimate (``numkernel._float_ceil``),
-    left to mpf only within ``numkernel._TIE`` of an integer."""
+    left to mpf only within ``numkernel._TIE`` of an integer.
+
+    The three theta pairs at q, q^3 and q^9 come from one
+    ``_theta3_and_s`` call, each within E = 2(N + 1)^3 units.  Both
+    theta3 and S are below R = 2/(1 - |q|), so the floored products leave
+    a(q) and a(q^3) within 16 R^2 E units and b(q) within 32 R^2 E.  The
+    loop's extra bits, lost + 9 + 2 floor(l) with l = log2(1/(1-|q|)), and
+    its guard bits, the bit length of E, come to at least
+    lost + log2(32 R^2 E), so b is within 2^-(W + lost), W the working
+    precision, and about lost bits of b's leading zeros leave it W bits.
+    The quotient 2a/(2b) of the two integers is rounded once to W bits."""
     with ctx.workprec():
         q = to_mpf(q)
         if not abs(q) < 1:
@@ -77,15 +124,13 @@ def cubic_theta_ratio(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         lost = 0 if aq == 0 else _float_ceil(
             2 ** (_LOST + _log2(aq) - _log2(1 - aq)),
             lambda: int(ceil(pi ** 2 * aq / (2 * (1 - aq) * log(2)))))
-        with ctx.workprec(lost):
-            eps = mpf(2) ** (-(ctx.bits + 24 + lost))
-            t1, s1 = _theta3_and_s(q, eps)
-            t3, s3 = _theta3_and_s(q ** 3, eps)
-            t9, s9 = _theta3_and_s(q ** 9, eps)
-            a = t1 * t3 + 4 * q * s1 * s3
-            b = (3 * (t3 * t9 + 4 * q ** 3 * s3 * s9) - a) / 2
-            ratio = a / b
-        return +ratio
+        prec, ((x1, t1, s1), (x3, t3, s3), (_, t9, s9)) = _theta3_and_s(
+            q, (1, 3, 9), ctx.bits + 24 + lost,
+            lost + 9 + 2 * int(-_log2(1 - aq)))
+        a = (t1 * t3 >> prec) + (4 * x1 * (s1 * s3 >> prec) >> prec)
+        a3 = (t3 * t9 >> prec) + (4 * x3 * (s3 * s9 >> prec) >> prec)
+        return mp.make_mpf(mpf_div(from_int(2 * a), from_int(3 * a3 - a),
+                                   mp.prec, round_nearest))
 
 
 def xq_product(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
@@ -105,7 +150,7 @@ def q3_from_beta(beta, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         beta = to_mpf(beta)
         if not 0 < beta < 1:
             raise DomainError("beta must lie in (0, 1)")
-        ratio = agm3(1, cbrt(1 - beta), ctx) / agm3(1, cbrt(beta), ctx)
+        ratio = agm3(1, _cbrt(1 - beta), ctx) / agm3(1, _cbrt(beta), ctx)
         return +exp(-2 * pi / sqrt(3) * ratio)
 
 

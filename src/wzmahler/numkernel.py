@@ -9,10 +9,10 @@ implementation; Gamma, D, the AGMs and F_s are written out here because
 their branch and termination behaviour is what the identity checks lean
 on.  Each has one route: Gamma Stirling's series after a shift (and
 reflection below 1/2), D one Bernoulli series after its symmetries, the
-classical AGM its iteration on Python integers, the cubic AGM its
-iteration in mpf.
+classical AGM and the cubic AGM their iterations on Python integers, the
+cubic one with integer cube roots by Newton's iteration (``_icbrt``).
 
-Stirling's series, D's series, the classical AGM and the connection
+Stirling's series, D's series, both AGMs and the connection
 expansion of F_s run on Python integers in fixed point, as the lattice
 sums and the series engines do.  Each docstring bounds the loop's
 rounding error in units of its last fractional bit; the guard bits above
@@ -42,7 +42,7 @@ from functools import cache
 from math import factorial
 from threading import Lock
 
-from mpmath import (arg, cbrt, ceil, exp, isint, ldexp, log, mp, mpc,
+from mpmath import (arg, ceil, cospi, exp, isint, ldexp, log, mp, mpc,
                     mpf, pi, sin, sinpi, sqrt, workprec)
 from mpmath import libmp
 from mpmath import zeta as _mp_zeta
@@ -153,10 +153,8 @@ def agm(a, b, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     The mean is symmetric, so b is taken as the smaller argument.  The
     iteration (a, b) -> ((a + b)/2, sqrt(a b)) runs on Python integers in
     units of 2^-(W + 16) of b's binade, W = bits + 32 the working
-    precision, so B >= 2^(W + 15) units; each step floors both means
-    (``math.isqrt`` for the geometric one) and keeps A >= B >= the first B.
-    It stops by the rule |A - B| <= 2^-(bits + 16) A and returns
-    floor((A + B)/2) rounded to W bits.
+    precision, so B >= 2^(W + 15) units (``_agm_fixed``).  It returns
+    that loop's floor((A + B)/2) rounded to W bits.
 
     Since a M_a + b M_b = M with M_a, M_b > 0, a unit moves the mean of a
     pair by under 2^-(W + 15) relative, so the two input floors and the N
@@ -174,25 +172,102 @@ def agm(a, b, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
             a, b = b, a
         unit = b._mpf_[2] + b._mpf_[3] - mp.prec - 16
         big_a, big_b = (libmp.to_fixed(x._mpf_, -unit) for x in (a, b))
-        while (big_a - big_b) << (ctx.bits + 16) > big_a:
-            big_a, big_b = (big_a + big_b) >> 1, math.isqrt(big_a * big_b)
-        return mpf(((big_a + big_b) >> 1, unit))
+        return mpf((_agm_fixed(big_a, big_b, ctx.bits), unit))
+
+
+def _agm_fixed(big_a: int, big_b: int, bits: int) -> int:
+    """The classical AGM of integers A >= B > 0 in one fixed-point unit:
+    each step floors both means (``math.isqrt`` for the geometric one), so
+    A >= B >= the first B throughout, and the loop stops by the rule
+    |A - B| <= 2^-(bits + 16) A.  Returns floor((A + B)/2)."""
+    while (big_a - big_b) << (bits + 16) > big_a:
+        big_a, big_b = (big_a + big_b) >> 1, math.isqrt(big_a * big_b)
+    return (big_a + big_b) >> 1
 
 
 def agm3(a, b, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """Borwein's cubic arithmetic-geometric mean of positive reals,
     (a, b) -> ((a + 2b)/3, (b (a^2 + ab + b^2)/3)^(1/3)), cubic convergence.
     2F1(1/3, 2/3; 1; x) = 1/agm3(1, (1 - x)^(1/3)) for 0 <= x < 1
-    (Borwein and Borwein, Trans. AMS 323, 1991)."""
+    (Borwein and Borwein, Trans. AMS 323, 1991).
+
+    The iteration runs on Python integers in units of 2^-(W + 16) of the
+    binade of the smaller argument, W = bits + 32 the working precision,
+    so that argument is at least 2^(W + 15) units, and so is every later
+    mean: (a + 2b)/3 lies between a and b, and the cube of the second mean
+    lies between the cubes of a and b.  A step floors (A + 2B)/3 and
+    B (A^2 + AB + B^2)/3 and takes the floor of the latter's cube root
+    (``_icbrt``).  The loop stops by ``agm``'s rule
+    |A - B| <= 2^-(bits + 16) A and returns floor((A + 2B)/3) rounded to W
+    bits.
+
+    The mean is homogeneous of degree 1 and increasing in both arguments,
+    so a M_a + b M_b = M with M_a, M_b > 0 and a unit moves it by under
+    2^-(W + 15) relative.  The floor of the cube root's argument moves the
+    root by under 1/(3 B^2) unit, so a step's floors move the mean by
+    under 2^-(W + 14) relative, and the two input floors and N steps leave
+    it within (N + 2) 2^-(W + 14).  With c = (a - b)/3 the next means
+    satisfy a'^3 - b'^3 = c^3, so they differ by under |a - b|^3/(81 b^2),
+    and the mean lies between them: the returned mean is within
+    2^-(3 bits + 48) A of the exact one.  Before its final rounding the
+    result is thus within 2^-(W + 9) relative for N <= 30 (N = 6 at 1024
+    bits for b/a = 10^-40).
+    """
     with ctx.workprec():
         a, b = to_mpf(a), to_mpf(b)
         if a <= 0 or b <= 0:
             raise DomainError("agm3 requires positive arguments")
-        eps = mpf(2) ** (-(ctx.bits + 16))
-        while abs(a - b) > eps * a:
-            a, b = (a + 2 * b) / 3, cbrt(b * (a * a + a * b + b * b) / 3)
-        # the mean lies between the next a and b, which differ by O(|a - b|^3)
-        return (a + 2 * b) / 3
+        low = min(a, b)
+        unit = low._mpf_[2] + low._mpf_[3] - mp.prec - 16
+        big_a, big_b = (libmp.to_fixed(x._mpf_, -unit) for x in (a, b))
+        while abs(big_a - big_b) << (ctx.bits + 16) > big_a:
+            big_a, big_b = ((big_a + 2 * big_b) // 3, _icbrt(
+                big_b * (big_a * big_a + big_a * big_b + big_b * big_b) // 3))
+        return mpf(((big_a + 2 * big_b) // 3, unit))
+
+
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for an integer n >= 1: Newton's iteration
+    x -> floor((2x + floor(n/x^2))/3) on integers from a seed above the
+    root.  With s a third of n's bit length beyond 96 bits, m = n >> 3s
+    has at most 98 bits, and the seed (floor(f) + 2) 2^s, f the float cube
+    root of m, within 2^-50 relative, and below 2^33, is above the root,
+    as n < (m + 1) 2^(3s).  Past 96 bits it is within 2^-30 relative of
+    the root, and each step about doubles its correct bits.  By the AM-GM
+    inequality every iterate stays at or above floor(n^(1/3)), and the
+    iterates fall strictly until they reach it."""
+    shift = max(0, n.bit_length() - 96) // 3
+    x = int((n >> 3 * shift) ** (1 / 3) + 2) << shift
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+def _cbrt(x: mpf) -> mpf:
+    """x^(1/3) for an mpf x > 0 at the working precision: in units 2^v,
+    v = floor((exp + bc)/3) - prec - 3 for x's exponent and bit count, the
+    root exceeds 2^(prec + 2) units, and ``_icbrt`` of x's floor in units
+    2^(3v) is within one of it; one rounding to prec bits follows."""
+    unit = (x._mpf_[2] + x._mpf_[3]) // 3 - mp.prec - 3
+    return mpf((_icbrt(libmp.to_fixed(x._mpf_, -3 * unit)), unit))
+
+
+def root_of_unity(a) -> mpc:
+    """e^(2 pi i a) for rational a, at the working precision.  Where 12 a
+    is an integer, cos and sin of 2 pi a are 0, +-1/2, +-1 or +-sqrt(3)/2,
+    each formed exactly but for the one rounding of sqrt(3); otherwise
+    they are cospi and sinpi of 2a.  The lattice sums, the elliptic
+    dilogarithm and Lambda_s(1) all form their points here, so one point
+    at one precision is one memo key of ``bloch_wigner``."""
+    a = Fraction(a)
+    if (12 * a).denominator != 1:
+        t = 2 * to_mpf(a)
+        return mpc(cospi(t), sinpi(t))
+    k, h = int(12 * a), sqrt(3) / 2
+    cos = (1, h, 0.5, 0, -0.5, -h, -1, -h, -0.5, 0, 0.5, h)  # cos(pi j/6)
+    return mpc(cos[k % 12], cos[(3 - k) % 12])
 
 
 # Brent and Harvey's triangle for the tangent numbers T_k, tan x =
@@ -415,11 +490,11 @@ def _lambda_at_one(s: Fraction, ctx: PrecisionCtx) -> mpf:
     2 log 4 - 8 D(i)/pi, from n(3) = 3 D(e^(i pi/3))/pi and m(4) = 4G/pi,
     at bits + 96 with D(z0) = ``bloch_wigner(z0, ctx)``, so within
     (w/pi) 2^-(bits + GUARD_D) and a rounding.  z0 is formed as the
-    lattice sums form it, (1 + i sqrt 3)/2 or i at ``ctx.workprec(32)``,
+    lattice sums form it, ``root_of_unity(s/2)`` at ``ctx.workprec(32)``,
     so D(z0) is the memo entry that their n = 0 term fills."""
     _, exp_h0, w = _KERNEL[s]
     with ctx.workprec(32):
-        z0 = mpc(1, sqrt(3)) / 2 if s == Fraction(1, 3) else mpc(0, 1)
+        z0 = root_of_unity(s / 2)
     with ctx.workprec(64):
         d = bloch_wigner(z0, ctx)
         return +(log(exp_h0) - w * d / pi)

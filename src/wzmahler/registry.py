@@ -29,7 +29,7 @@ from itertools import count, islice
 from math import comb, log10
 from typing import Callable, NamedTuple
 
-from mpmath import atan, ldexp, log, mp, mpc, mpf, pi, sqrt, workprec
+from mpmath import atan, ldexp, log, mp, mpf, pi, sqrt, workprec
 
 from .context import (DEFAULT_CTX, DomainError, PrecisionCtx,
                       UnknownIdentityError, to_mpf)
@@ -39,7 +39,7 @@ from .elliptic import (CurvePoint, EllipticCurve, curve_from_family,
 from .mahler import (M_DIGITS, m_quadrature, m_series, n_quadrature, n_series,
                      rv_series, s_ratio)
 from .modular import cubic_theta_ratio, phi_theta, q3_from_beta
-from .numkernel import gamma_real, zeta_int
+from .numkernel import gamma_real, root_of_unity, zeta_int
 from .series import (TermCounter, as_ratio, count_terms, note, ratio_series,
                      richardson_sum, sum_geometric)
 from .symbolic.hyperterm import term_shift_ratio
@@ -158,13 +158,14 @@ def n_lattice(alpha, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
             raise ArithmeticError(
                 f"3 x(q)^(1/3) misses alpha = {mp.nstr(alpha, 12)} by "
                 f"{mp.nstr(gap, 3)}")
-        lat = lattice_dilog_sum(mpc(-1, sqrt(mpf(3))) / 2, q, ctx)
+        lat = lattice_dilog_sum(root_of_unity(Fraction(1, 3)), q, ctx)
         return +(9 * lat / (2 * pi))
 
 
 def _nome_dilog_sum(curve: EllipticCurve, ctx: PrecisionCtx) -> mpf:
     """sum_n D(i q^n) at the nome q of ``curve``: D^E at u = omega/4"""
-    return lattice_dilog_sum(mpc(0, 1), periods(curve, ctx).q, ctx)
+    return lattice_dilog_sum(root_of_unity(Fraction(1, 4)),
+                             periods(curve, ctx).q, ctx)
 
 
 class OverPi(Fraction):
@@ -223,6 +224,11 @@ def _q(ctx, q) -> mpf:
     return to_mpf(q)
 
 
+def _unit_point(a: Fraction) -> Callable:
+    """The side argument e^(2 pi i a), formed when the side runs"""
+    return lambda *_: root_of_unity(a)
+
+
 def _alpha_phi(ctx, q) -> mpf:
     """alpha = 4 phi(q)^2/phi(-q)^2, where m(alpha) = (4/pi) L(i, q)"""
     q = to_mpf(q)
@@ -253,9 +259,9 @@ def _zeta3_sum(a, b, base, scale, tol):
 
 
 def _gamma_quotient(x, ctx):
-    """pi G(x)G(x+1)/G(x+1/2)^2"""
+    """pi G(x)G(x+1)/G(x+1/2)^2 = pi x (G(x)/G(x+1/2))^2"""
     x = to_mpf(x)
-    return pi * gamma_real(x, ctx) * gamma_real(x + 1, ctx) / gamma_real(x + mpf("0.5"), ctx) ** 2
+    return pi * x * (gamma_real(x, ctx) / gamma_real(x + mpf("0.5"), ctx)) ** 2
 
 
 def _zeta2_lhs(ctx, _):
@@ -414,20 +420,20 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
                             "r < 1 samples converge geometrically"),
         IdentityRecord("qseries-m-series",
                        "m(4 phi^2(q)/phi^2(-q)) = (4/pi) sum D(i q^n), series route",
-                       KIND_NUMERIC, Side.of((OverPi(4), L, mpc(0, 1), _q)),
+                       KIND_NUMERIC, Side.of((OverPi(4), L, _unit_point(Fraction(1, 4)), _q)),
                        Side.of((1, M, _alpha_phi)), t[6], params=q_samples),
         IdentityRecord("qseries-m-quad",
                        "m(4 phi^2(q)/phi^2(-q)) = (4/pi) sum D(i q^n), quadrature route",
-                       KIND_NUMERIC, Side.of((OverPi(4), L, mpc(0, 1), _q)),
+                       KIND_NUMERIC, Side.of((OverPi(4), L, _unit_point(Fraction(1, 4)), _q)),
                        Side.of((1, M_QUAD, _alpha_phi)), t[6], params=q_samples),
         IdentityRecord("qseries-n", "n(3 x(q)^(1/3)) = (9/2pi) sum D(e^(2pi i/3) q^n)",
                        KIND_NUMERIC,
-                       Side.of((OverPi(9, 2), L, lambda *_: mpc(-1, sqrt(mpf(3))) / 2, _q)),
+                       Side.of((OverPi(9, 2), L, _unit_point(Fraction(1, 3)), _q)),
                        Side.of((1, N, _alpha_x)), t[6], params=q_samples),
         IdentityRecord("qseries-n2",
                        "(9/pi) sum D(e^(pi i/3) q^n) = 2 n(3 x(q)^(1/3)) + n(3 x(q^2)^(1/3))",
                        KIND_NUMERIC,
-                       Side.of((OverPi(9), L, lambda *_: mpc(1, sqrt(mpf(3))) / 2, _q)),
+                       Side.of((OverPi(9), L, _unit_point(Fraction(1, 6)), _q)),
                        Side.of((2, N, _alpha_x),
                                (1, N, lambda ctx, q: _alpha_x(ctx, to_mpf(q) ** 2))),
                        t[6], params=q_samples),
@@ -492,8 +498,10 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
                        KIND_NUMERIC,
                        lambda ctx, q: s_ratio(phi_theta(-to_mpf(q), ctx) ** 2
                                               / phi_theta(to_mpf(q), ctx) ** 2, ctx),
-                       lambda ctx, q: (lattice_dilog_sum(mpc(0, 1), to_mpf(q), ctx)
-                                       / lattice_dilog_sum(mpc(0, 1), -to_mpf(q), ctx)),
+                       lambda ctx, q: (lattice_dilog_sum(root_of_unity(Fraction(1, 4)),
+                                                         to_mpf(q), ctx)
+                                       / lattice_dilog_sum(root_of_unity(Fraction(1, 4)),
+                                                           -to_mpf(q), ctx)),
                        t[15], params=(Fraction(1, 10), Fraction(1, 4))),
         IdentityRecord("torsion-orders", "orders of P1..P4 and Bertin's P by the exact group law",
                        KIND_EXACT, _torsion_lhs, lambda *_: (4, 4, 4, 4, 6), None),

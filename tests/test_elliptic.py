@@ -99,13 +99,21 @@ def test_lemniscatic_tau():
             assert per.roots[0] == 1 and abs(per.roots[2] + 1) < TOL
 
 
-@pytest.mark.parametrize("bits", [256, 512])
+# three curves beside the registry's: three irrational roots; a nearly
+# double root (disc/g2^3 = 2 10^-30 - 10^-60, the pair 1.6e-15 apart); and
+# g3 = 0, roots 0 and +-sqrt(5)/2
+IRRATIONAL = EllipticCurve(7, 1)
+NEAR_DOUBLE = EllipticCurve(3, 1 - Fraction(1, 10 ** 30))
+G3_ZERO = EllipticCurve(5, 0)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512, 1024])
 def test_periods_recover_rational_roots(bits):
-    # each registry curve's rational 2-division roots, from the closed form
-    # to within 2^-(bits+48) max|e_i|
+    # each registry curve's rational 2-division roots, and the root 0 of
+    # g3 = 0, from the integer roots to within 2^-(bits+48) max|e_i|
     ctx = PrecisionCtx(bits=bits)
     for e, rational in [(E1, (-93, 42, 51)), (E4, (-21, 6, 15)), (E2, (186,)),
-                        (E3, (42,)), (BERTIN, (3,))]:
+                        (E3, (42,)), (BERTIN, (3,)), (G3_ZERO, (0,))]:
         assert all(e.rhs(r) == 0 for r in rational)
         roots = periods(e, ctx).roots
         with workprec(bits + 64):
@@ -114,26 +122,40 @@ def test_periods_recover_rational_roots(bits):
                 assert min(abs(x - r) for x in roots) < tol
 
 
-@pytest.mark.parametrize("bits", [256, 512])
+@pytest.mark.parametrize("bits", [64, 256, 512, 1024])
 def test_periods_roots_against_polyroots(bits):
-    # seeded random curves of positive discriminant against mpmath's
-    # polyroots at bits + 96, to within 2^-(bits+48) max|e_i|
+    # the three curves above and seeded random curves of positive
+    # discriminant against mpmath's polyroots at bits + 96, to within
+    # 2^-(bits+48) max|e_i|
     rng = random.Random(bits)
     ctx = PrecisionCtx(bits=bits)
-    checked = 0
-    while checked < 12:
+    curves = [IRRATIONAL, NEAR_DOUBLE, G3_ZERO]
+    while len(curves) < 15:
         e = EllipticCurve(Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 50)),
                           Fraction(rng.randint(-10 ** 8, 10 ** 8), rng.randint(1, 50)))
-        if e.discriminant <= 0:
-            continue
+        if e.discriminant > 0:
+            curves.append(e)
+    for e in curves:
         roots = periods(e, ctx).roots
         with workprec(bits + 96):
             ref = sorted((x.real for x in polyroots(
                 [4, 0, -to_mpf(e.g2), -to_mpf(e.g3)], maxsteps=200,
                 extraprec=bits)), reverse=True)
             tol = mpf(2) ** -(bits + 48) * max(abs(x) for x in ref)
-            assert all(abs(x - y) < tol for x, y in zip(roots, ref))
-        checked += 1
+            assert all(abs(x - y) < tol for x, y in zip(roots, ref)), e
+
+
+def test_periods_uncertified_root_raises(monkeypatch):
+    # a root whose floor fails the sign-change test raises ArithmeticError
+    # and is not memoised: Newton's result moved by 5 units
+    newton = elliptic_module._outer_root
+    ctx = PrecisionCtx(bits=96)
+    monkeypatch.setattr(elliptic_module, "_outer_root",
+                        lambda poly, slope, x: newton(poly, slope, x) + 5)
+    with pytest.raises(ArithmeticError, match="not certified"):
+        periods(IRRATIONAL, ctx)
+    monkeypatch.undo()
+    assert periods(IRRATIONAL, ctx).roots[0] > 1
 
 
 def test_periods_structure():
@@ -379,9 +401,9 @@ def test_half_sums_against_the_reciprocal_form(monkeypatch, bits):
         lattice_dilog_sum(z0, q, ctx)
     assert len(calls) == len(points)
     w = bits + 64
-    for z, q, k_up, k_down, prec in calls:
+    for z, q, k_up, k_down, prec, log_q in calls:
         with workprec(2 * prec):
-            new, old = kernel(z, q, k_up, k_down, prec), \
+            new, old = kernel(z, q, k_up, k_down, prec, log_q), \
                 _reciprocal_form(z, q, k_up, k_down, prec)
             assert abs(new - old) < mpf(2) ** (1 - w), (z, q, bits)
 
@@ -429,9 +451,9 @@ def test_lattice_sum_float_decisions_match_mpf(monkeypatch):
     seen = []
     half = elliptic_module._half_sum_difference
 
-    def spy(z, q, k_up, k_down, prec):
+    def spy(z, q, k_up, k_down, prec, log_q):
         seen.append((z, k_up, k_down, prec))
-        return half(z, q, k_up, k_down, prec)
+        return half(z, q, k_up, k_down, prec, log_q)
 
     monkeypatch.setattr(elliptic_module, "_half_sum_difference", spy)
     cases = []

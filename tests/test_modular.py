@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import (cbrt, exp, gamma, hyp2f1, log, mp, mpf, pi, sqrt,
+from mpmath import (cbrt, exp, gamma, hyp2f1, jtheta, log, mp, mpf, pi, sqrt,
                     workprec)
 
 import wzmahler.modular as modular_module
@@ -30,6 +30,21 @@ def test_phi_basic():
             q = exp(-pi)
             oracle = 1 + 2 * sum(q ** (n * n) for n in range(1, 40))
         assert abs(val - oracle) < TOL
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512, 1024])
+def test_phi_theta_against_jtheta(bits):
+    # phi(q) against mpmath's jtheta(3, 0, q) at bits + 64, to within the
+    # docstring's 2^-(bits+16), on q = 0, +-0.9 and ten seeded q in
+    # (-0.9, 0.9); at q = -0.9 phi is about 1e-5, so the bound is absolute
+    rng = random.Random(bits)
+    ctx = PrecisionCtx(bits=bits)
+    qs = [mpf(0), mpf("0.9"), mpf("-0.9")] \
+        + [mpf(rng.uniform(-0.9, 0.9)) for _ in range(10)]
+    for q in qs:
+        with workprec(bits + 64):
+            assert abs(phi_theta(q, ctx) - jtheta(3, 0, q)) \
+                < mpf(2) ** -(bits + 16), q
 
 
 def test_phi_product_inequality():

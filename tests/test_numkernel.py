@@ -9,17 +9,18 @@ from math import factorial
 
 import pytest
 from mpmath import (arg, asin, bernfrac, catalan, cbrt, clsin, ellipk, exp,
-                    gamma, hyp2f1, hyper, im, log, mp, mpc, mpf, pi, polylog,
-                    quad, re, sin, sqrt, workprec)
+                    expjpi, gamma, hyp2f1, hyper, im, log, mp, mpc, mpf, pi,
+                    polylog, quad, re, sin, sqrt, workprec)
 
 from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
                       PoleError, PrecisionCtx, agm, bloch_wigner, gamma_real,
                       zeta_int)
 from wzmahler.context import to_mpf
 from wzmahler.numkernel import (_KERNEL, _TIE, GUARD_D, LAMBDA_SWITCH,
-                                _connection_integral, _float_ceil, _log2,
-                                _log_near_one, _stop_index, _tangent_numbers,
-                                agm3, lambda_series)
+                                _connection_integral, _float_ceil, _icbrt,
+                                _log2, _log_near_one, _stop_index,
+                                _tangent_numbers, agm3, lambda_series,
+                                root_of_unity)
 from wzmahler.series import TermCounter, count_terms
 
 CTX = PrecisionCtx(bits=256)
@@ -393,6 +394,62 @@ def test_agm3_is_the_cubic_hypergeometric_function():
         for x in (mpf("0.01"), mpf("0.5"), mpf("0.99")):
             ref = hyp2f1(mpf(1) / 3, mpf(2) / 3, 1, x)
             assert abs(1 / agm3(1, cbrt(1 - x), CTX) / ref - 1) < TOL
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512, 1024])
+def test_agm3_relative_error_against_hyp2f1(bits):
+    # agm3(1, b) = 1/2F1(1/3, 2/3; 1; 1 - b^3) on 12 seeded b from 10^-13
+    # to 10^13, so 1 - x from 10^-40 to 10^40, and on 4 with 0 < x < 0.7,
+    # against mpmath's hyp2f1 at bits + 192 + 3.33 log10(1/y), y = 1 - x,
+    # where the rounding of x costs under 2^-(bits+180) relative, to
+    # relative 2^-(bits+24); agm3(b, b) = b.  Above 256 bits b stays at or
+    # above 1: near x = 1 (c = a + b, its degenerate case) mpmath's hyp2f1
+    # takes seconds on its first call at 512 bits and more
+    rng = random.Random(bits)
+    ctx = PrecisionCtx(bits=bits)
+    exponents = [rng.uniform(-40, 40 if bits <= 256 else 0) for _ in range(12)] \
+        + [-log(rng.uniform(0.3, 1), 10) for _ in range(4)]
+    for k in exponents:
+        with ctx.workprec():
+            b = cbrt(mpf(10) ** -k)
+        with workprec(bits + 192 + int(3.33 * max(k, 0))):
+            ref = 1 / hyp2f1(mpf(1) / 3, mpf(2) / 3, 1, 1 - b ** 3)
+            val = agm3(1, b, ctx)
+            assert abs(val / ref - 1) < mpf(2) ** -(bits + 24), k
+        assert agm3(b, b, ctx) == b
+
+
+def test_icbrt_is_the_floor_cube_root():
+    # seeded integers of 1 to 3400 bits, perfect cubes and their neighbours
+    rng = random.Random(27)
+    values = [rng.getrandbits(n) | 1 << (n - 1)
+              for n in list(range(1, 400)) + [950, 3400] for _ in range(4)]
+    values += [c for n in (1, 40, 101, 1100) for x in (1 << n, 3 ** n)
+               for c in (x ** 3 - 1, x ** 3, x ** 3 + 1)]
+    for n in values:
+        x = _icbrt(n)
+        assert x ** 3 <= n < (x + 1) ** 3, n
+
+
+def test_root_of_unity_twelfths_exact():
+    # e^(2 pi i k/12) has its rational parts exact and sqrt(3)/2 rounded
+    # once; it and any other a lie within a few ulps of mpmath's
+    # expjpi(2a), whose argument 2a is rounded.  i, e^(i pi/3) and
+    # e^(2 pi i/3) are the values the lattice sums have always taken
+    with workprec(200):
+        half_root3 = sqrt(3) / 2
+        assert root_of_unity(Fraction(1, 4)) == mpc(0, 1)
+        assert root_of_unity(Fraction(1, 6)) == mpc(1, sqrt(3)) / 2
+        assert root_of_unity(Fraction(1, 3)) == mpc(-1, sqrt(3)) / 2
+        assert root_of_unity(Fraction(-5, 12)) == mpc(-half_root3, -0.5)
+        for k in range(-12, 25):
+            z = root_of_unity(Fraction(k, 12))
+            assert abs(z - expjpi(mpf(k) / 6)) < mpf(2) ** -196, k
+            assert all(abs(v) in (0, 0.5, 1, half_root3)
+                       for v in (z.real, z.imag))
+        for a in (Fraction(1, 5), Fraction(-3, 7)):
+            assert abs(root_of_unity(a) - expjpi(2 * to_mpf(a))) \
+                < mpf(2) ** -196
 
 
 def test_zeta_values_and_oracle():

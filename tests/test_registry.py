@@ -367,12 +367,14 @@ def test_sides_call_the_library_through_the_module(monkeypatch):
 
 
 def test_each_special_value_once_per_pass(monkeypatch):
-    """From cold memos, one run_all at 256 bits computes D(i) and
-    D(e^(i pi/3)) once each, and every D at the pass's own precision: the
-    anchors Lambda_{1/2}(1) and Lambda_{1/3}(1) of the m(alpha) and
-    n(alpha) series read the memo entries that the n = 0 terms of the
-    lattice sums at z0 = i and at z0 = e^(i pi/3) fill.  No alpha that a
-    side takes through m_series is computed at two tolerances."""
+    """From cold memos, one run_all at 256 bits computes D(i),
+    D(e^(i pi/3)) and D(e^(2 pi i/3)) once each, and every D at the pass's
+    own precision: the anchors Lambda_{1/2}(1) and Lambda_{1/3}(1) of the
+    m(alpha) and n(alpha) series read the memo entries that the n = 0 terms
+    of the lattice sums at z0 = i and at z0 = e^(i pi/3) fill, and the
+    e^(2 pi i/3) of bertin-exotic's elliptic dilogarithm is the z0 of
+    qseries-n's lattice sums (``numkernel.root_of_unity``).  No alpha that
+    a side takes through m_series is computed at two tolerances."""
     computed, m_calls = [], {}
     raw = numkernel.bloch_wigner.__wrapped__
 
@@ -396,10 +398,11 @@ def test_each_special_value_once_per_pass(monkeypatch):
     reports, code = run_all(ctx=CTX)
     assert code == 0
     assert [z for z, _ in computed].count(mpc(0, 1)) == 1
-    # e^(i pi/3) formed two ways rounds to two memo keys: count near hits
+    # a point formed two ways would round to two memo keys: count near hits
     with workprec(300):
-        sixth = mpc(1, sqrt(3)) / 2
-        assert sum(abs(z - sixth) < mpf(10) ** -60 for z, _ in computed) == 1
+        for point in (mpc(1, sqrt(3)) / 2, mpc(-1, sqrt(3)) / 2):
+            assert sum(abs(z - point) < mpf(10) ** -60
+                       for z, _ in computed) == 1, point
     assert {bits for _, bits in computed} == {256}
     assert len(m_calls) >= 6
     assert {alpha: tols for alpha, tols in m_calls.items() if len(tols) > 1} == {}
