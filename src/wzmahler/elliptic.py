@@ -200,9 +200,10 @@ def periods(curve: EllipticCurve, ctx: PrecisionCtx = DEFAULT_CTX) -> Periods:
     bits, and the nome is the one real q = exp(-2 pi t).
 
     The log of q that the lattice sums take at this nome (``_nome_log``)
-    comes from t, not from q: q is exp(l) rounded to w bits, l = -2 pi t
-    at ``_log_bits``, so log q = l + log(1 + d) with d = q/exp(l) - 1,
-    |d| < 2^-w, and l + d drops under 2^-(2w + 1)."""
+    comes from t, not from q: l = -2 pi t and its one exponential are
+    taken at ``_log_bits``, sized from the float log of q, and q is exp(l)
+    rounded to w bits, so log q = l + log(1 + d) with d = q/exp(l) - 1,
+    |d| <= 2^-w, and l + d drops under 2^-(2w + 1)."""
     if curve.discriminant < 0:
         raise ComplexRootsUnsupportedError(
             "negative discriminant: one real root; not supported")
@@ -215,11 +216,13 @@ def periods(curve: EllipticCurve, ctx: PrecisionCtx = DEFAULT_CTX) -> Periods:
         mean = math.isqrt((f1 - f3) << shift)
         m1, m2 = (_agm_fixed(mean, math.isqrt(d << shift), ctx.bits)
                   for d in (d12, d23))
-        t = mpf(m1) / m2
-        q = exp(-2 * pi * t)
-        with workprec(_log_bits(q, ctx)):
+        t, w = mpf(m1) / m2, mp.prec
+        lq = -2 * math.pi * (m1 / m2)  # log q, as a float
+        with workprec(_log_bits(lq / _LN2, math.log2(-math.expm1(lq)), ctx)):
             log_t = -2 * pi * t
-            _NOME_LOGS[(q, ctx)] = log_t + (q / exp(log_t) - 1)
+            exp_t = exp(log_t)
+            q = mpf(exp_t, prec=w)
+            _NOME_LOGS[(q, ctx)] = log_t + (q / exp_t - 1)
         period = ldexp(pi, v)
         return Periods(period / m1, mpc(0, period / m2), mpc(0, t), q,
                        tuple(mpf((f, -p)) for f in (f1, f2, f3)))
@@ -337,14 +340,14 @@ def wp(curve: EllipticCurve, u, ctx: PrecisionCtx = DEFAULT_CTX) -> mpc:
 _NOME_LOGS = {}
 
 
-def _log_bits(aq: mpf, ctx: PrecisionCtx) -> int:
+def _log_bits(lq: float, lc: float, ctx: PrecisionCtx) -> int:
     """The precision of log|q| at ``ctx``: w + 6 + 3 l + the bit length of
     ceil(|log2 |q||), w = bits + 64 the lattice sums' working precision
-    and l = ceil(log2(1/(1-|q|))), both from float logs (``_log2``).  The
-    log is then within 2^-(w + 5) (1-|q|)^3 of its value, to which a
-    curve's nome (``periods``) adds under 2^-(2w + 1)."""
-    return ctx.bits + 70 + 3 * math.ceil(-_log2(1 - aq)) \
-        + math.ceil(-_log2(aq)).bit_length()
+    and l = ceil(log2(1/(1-|q|))), from the float logs lq = log2 |q| and
+    lc = log2(1 - |q|).  The log is then within 2^-(w + 5) (1-|q|)^3 of
+    its value, to which a curve's nome (``periods``) adds under
+    2^-(2w + 1)."""
+    return ctx.bits + 70 + 3 * math.ceil(-lc) + math.ceil(-lq).bit_length()
 
 
 def _nome_log(aq: mpf, ctx: PrecisionCtx) -> mpf:
@@ -352,7 +355,7 @@ def _nome_log(aq: mpf, ctx: PrecisionCtx) -> mpf:
     (|q|, ctx) and kept in ``_NOME_LOGS``."""
     key = (aq, ctx)
     if key not in _NOME_LOGS:
-        with workprec(_log_bits(aq, ctx)):
+        with workprec(_log_bits(_log2(aq), _log2(1 - aq), ctx)):
             _NOME_LOGS[key] = log(aq)
     return _NOME_LOGS[key]
 

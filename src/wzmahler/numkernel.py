@@ -50,7 +50,7 @@ from mpmath import zeta as _mp_zeta
 from .context import (DEFAULT_CTX, ConvergenceError, DivergentSeriesError,
                       DomainError, PoleError, PrecisionCtx, to_mpf, to_tol)
 from .series import (as_ratio, count_terms, ratio_series, shared,
-                     sum_geometric, to_fixed)
+                     sum_geometric, to_fixed, tol_bits)
 
 GUARD_D = 24  # extra bits sought from D and the lattice sums beyond ctx.bits
 
@@ -515,8 +515,11 @@ def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
     along the real axis past the branch point 1, for 1 < z < 2; to within
     tol (default ctx.default_tol).
 
-    The sum runs 32 bits above the callers' ``ctx.workprec(32)``, so that
-    its rounding stays well below an ulp of their results.  Below
+    The value is rounded 32 bits above the callers' ``ctx.workprec(32)``;
+    the integers beneath it are as wide as tol needs (``series.tol_bits``:
+    2^-t <= tol/2 and GUARD bits more, capped by the working precision), so
+    their rounding stays far below tol, and a tol of 1e-42 steps 205-bit
+    integers at 256 bits or at 1024.  Below
     ``LAMBDA_SWITCH`` the series is summed directly on integers: the
     rational ratio of c_n steps as a narrow integer pair, and z enters as
     one fixed-point factor of the ratio (``series.ratio_series``' x), so
@@ -551,10 +554,14 @@ def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
     into at most 0.7 g^2 + g + (1 + |log|w||)/pi in all and
     (1.4 + |log|w||/3) g a term, and each term's two floors add 2.  After
     M <= max_terms terms the error is thus below (M + 1)(20 + |log|w||) g^2
-    units.  At the working precision W, 2^-W <= |w| < 1 gives
-    |log|w|| < W, so P = W + the bit length of
-    (max_terms + 1)(20 + W) G^2, G = min(floor(1/(1 - |w|)) + 1,
-    max_terms + 1) >= g, keeps it below 2^-W; G = 2 for |w| <= 1/2.
+    units.  At the width W, 2^-W <= |w| < 1 gives |log|w|| < W (a
+    smaller |w| puts ceil(-log2 |w|) > |log|w|| in W's place), so
+    P = W + the bit length of (max_terms + 1)(20 + W) G^2,
+    G = min(floor(1/(1 - |w|)) + 1, max_terms + 1) >= g, keeps it below
+    2^-W; G = 2 for |w| <= 1/2.  W is sized by tol as the direct sum's
+    width is: W = min(mp.prec, t + GUARD) with 2^-t <= tol/2
+    (``series.tol_bits``), so the rounding stays below 2^-(GUARD+1) tol,
+    or below 2^-mp.prec where tol is finer than that.
     """
     with ctx.workprec(64):
         s = _kernel_s(s)
@@ -578,7 +585,9 @@ def lambda_series(s, z, ctx: PrecisionCtx = DEFAULT_CTX, tol=None) -> mpf:
 def _connection_integral(s, w, tol, max_terms):
     pn, pd = as_ratio(_KERNEL[s][0])
     g = min(int(1 / (1 - abs(w))) + 1, max_terms + 1)
-    prec = mp.prec + ((max_terms + 1) * (20 + mp.prec) * g * g).bit_length()
+    width = min(mp.prec, tol_bits(tol))
+    loglen = max(width, math.ceil(-_log2(abs(w))))  # > |log|w||
+    prec = width + ((max_terms + 1) * (20 + loglen) * g * g).bit_length()
     with workprec(prec):
         kappa, logw, h = (to_fixed(x, prec) for x in (
             sin(pi * to_mpf(s)) / pi, log(abs(w)), log(_KERNEL[s][1])))

@@ -41,7 +41,7 @@ from .mahler import (M_DIGITS, m_quadrature, m_series, n_quadrature, n_series,
 from .modular import cubic_theta_ratio, phi_theta, q3_from_beta
 from .numkernel import gamma_real, root_of_unity, zeta_int
 from .series import (TermCounter, as_ratio, count_terms, note, ratio_series,
-                     richardson_sum, sum_geometric)
+                     richardson_sum, sum_geometric, to_fixed)
 from .symbolic.hyperterm import term_shift_ratio
 from .symbolic.multipoly import RatFunc
 from .symbolic.pairs import builtin_pairs
@@ -311,15 +311,32 @@ def _finite_rhs(ctx, m):
 
 
 def _log4r_rhs(ctx, r):
-    """rs + sum_{n>=1} (2(1+rs)n+1)/((2n)(2n+1)) C(2n,n)^2 (r/4)^(2n)"""
+    """rs + sum_{n>=1} (2(1+rs)n+1)/((2n)(2n+1)) C(2n,n)^2 (r/4)^(2n).
+
+    The weight splits as (1+rs)/(2n+1) + 1/((2n)(2n+1)), two narrow
+    weights over one step: u = floor(c_n/(2n+1)) serves both, as
+    floor(u/(2n)) is floor(c_n/((2n)(2n+1))), and 1 + rs enters as one
+    fixed-point factor, floored once, so no term takes a product with its
+    wide dyadic pair.  A term is within 4 + rs units of its exact fixed
+    point, and the geometric or Richardson finisher stops on the same
+    terms as for the unsplit weight."""
     rv = to_mpf(r)
     rs = rv * s_ratio(rv, ctx)
     a, b = as_ratio(r)
-    k, e = as_ratio(1 + rs)  # 1 + rs = k/e, e a power of two
-    return HyperSum(lambda n: ((2 * n - 1) ** 2 * a * a, 4 * n * n * b * b),
-                    lambda n: (2 * k * n + e, e * (2 * n) * (2 * n + 1)),
-                    ratio=rv * rv, tol=11 if rv == 1 else 32, head=rs,
-                    start=1)(ctx, r)
+    scaled = ratio_series(lambda n: ((2 * n - 1) ** 2 * a * a, 4 * n * n * b * b),
+                          lambda n: (1, 2 * n + 1), start=1)
+
+    def terms(bits):
+        k = to_fixed(1 + rs, bits)
+        for n, u in enumerate(scaled(bits), 1):
+            yield (u * k >> bits) + u // (2 * n)
+
+    if rv < 1:
+        s = sum_geometric(terms, mpf(10) ** -32, ratio=rv * rv,
+                          max_terms=ctx.max_terms)
+    else:  # a 1/n^2 tail
+        s = richardson_sum(terms, mpf(10) ** -11, max_terms=ctx.max_terms)
+    return rs + s
 
 
 def _torsion_lhs(ctx, _):

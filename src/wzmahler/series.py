@@ -9,19 +9,21 @@ n -> (p, q) of integer pairs, and a constant factor x of the ratio.  An
 argument that is not rational (z in Lambda_s(z), r^2 = (alpha/4)^2 in
 m(alpha) below 4) enters as x, floored once to the fixed point, so the
 pairs stay as narrow as the integers of the rational part and a step costs
-what a rational series' step does.  The one irrational coefficient that is
-not a constant factor of the ratio, 1 + rs in the weight of log(4/r)
-(``registry._log4r_rhs``), stays the dyadic rational its mpf value is
-(``as_ratio``).  The finishers choose ``bits`` from the working precision,
-sum the integers and round once to an mpf:
+what a rational series' step does.  The finishers size ``bits`` from the
+tolerance, sum the integers and round once to an mpf:
 
-* ``sum_geometric`` sums at mp.prec + GUARD bits until the geometric tail
+* ``tol_bits(tol)`` is the shared width, min(mp.prec, t) + GUARD with
+  t = 1 - floor(log2 tol), so 2^-t <= tol/2: a sum at 1e-42 (t = 141) is
+  stepped at 205 bits at 256 bits of working precision or at 1024, and a
+  tol finer than the working precision resolves at mp.prec + GUARD, the
+  widest any sum is stepped.
+* ``sum_geometric`` sums at ``tol_bits(tol)`` until the geometric tail
   bound |t| ratio/(1 - ratio) stays below tol for two consecutive terms.
 * ``richardson_sum`` extrapolates the partial sums at depths 48, 72,
   108, ... with mpmath.richardson's N-term weights, evaluated as one exact
   integer dot product (``richardson_estimate``).  The weights of depth d
   sum to about 2^(1.53 d) (2^104.5 at 72, 2^556 at 364), so the terms are
-  stepped at mp.prec + GUARD + ceil(1.8 d) bits for the deepest depth d
+  stepped at ``tol_bits(tol)`` + ceil(1.8 d) bits for the deepest depth d
   of a generation: depths 48 to 108 first, and only a sum that has not
   settled by then is stepped again at the width of 364.  That is what
   makes the 1/n^2-tail sums (central-binomial squared over 16^n and friends)
@@ -52,7 +54,7 @@ from .context import ConvergenceError
 # terms(bits) -> the terms as integers at ``bits`` fractional bits
 Series = Callable[[int], Iterator[int]]
 
-GUARD = 64  # fractional bits the finishers carry beyond the working precision
+GUARD = 64  # fractional bits the finishers carry beyond their tolerance
 _DEPTHS = (48, 72, 108, 162, 243, 364)  # Richardson's partial-sum counts
 _FIRST = 3  # the depths that the first generation of terms serves
 
@@ -175,20 +177,40 @@ def ratio_series(step: Callable, weight: Callable, *, start: int = 0,
     return terms
 
 
+def tol_bits(tol) -> int:
+    """The fixed-point width that resolves tol: min(mp.prec, t) + GUARD
+    fractional bits, with 2^-t <= |tol|/2.  For an mpf, t = 1 -
+    floor(log2 |tol|), read off its exponent; any other tol = p/q
+    (``as_ratio``) takes t = 2 + bitlen(q) - bitlen(p), at most one more.
+    The cap keeps every width at or below mp.prec + GUARD."""
+    if isinstance(tol, mpf):
+        _, _, exp, bc = tol._mpf_
+        t = 2 - exp - bc
+    else:
+        p, q = as_ratio(tol)
+        t = 2 + q.bit_length() - abs(p).bit_length()
+    return min(mp.prec, t) + GUARD
+
+
 def sum_geometric(terms: Series, tol, *, ratio=0.5, head: int = 0,
                   max_terms: int = 500_000) -> mpf:
     """Sum a series whose term ratio is bounded by ``ratio`` < 1 from term
-    ``head`` on, at mp.prec + GUARD fractional bits.
+    ``head`` on, at B = ``tol_bits(tol)`` fractional bits.
 
     Stops once the geometric tail bound |t|*ratio/(1-ratio) stays below tol
     for two consecutive terms past the head (guards parity-structured
-    series).  A tol below 2^-(mp.prec + GUARD) can never be met, and raises
-    ConvergenceError before any term is summed.
+    series).  Each of the n terms summed carries the few units of 2^-B of
+    its own floors (``ratio_series``).  Where t <= mp.prec, B = t + GUARD
+    puts a unit at 2^-(GUARD+1) tol or below, so the rounding stays far
+    below tol; a finer tol (t > mp.prec) is summed at the cap,
+    B = mp.prec + GUARD, with a few units of 2^-B a term.  A tol below
+    2^-(mp.prec + GUARD) can never be met, and raises ConvergenceError
+    before any term is summed.
     """
     rp, rq = as_ratio(ratio)
     if not rp < rq:
         raise ValueError("ratio bound must be < 1")
-    bits = mp.prec + GUARD
+    bits = tol_bits(tol)
     limit = to_fixed(tol, bits) * (rq - rp)  # |t| rp < limit: below tol
     if limit == 0:
         raise ConvergenceError(
@@ -246,7 +268,9 @@ def richardson_sum(terms: Series, tol, *, max_terms: int = 500_000) -> mpf:
     The weights of depth d, over N!, sum to about 2^(1.53 d) (2^104.5 at
     72, 2^160 at 108, 2^556 at 364) and scale the rounding of the partial
     sums by as much, so a generation of terms is stepped at
-    mp.prec + GUARD + ceil(1.8 d) bits for its deepest depth d.  The first
+    ``tol_bits(tol)`` + ceil(1.8 d) bits for its deepest depth d, and the
+    rounding that reaches an estimate stays below 2^-(GUARD+1) tol per
+    unit of the partial sums, as in ``sum_geometric``.  The first
     generation serves the depths up to 108.  If none of them settles, the
     terms are stepped again from the first one, at the width of the
     deepest depth; the last depth tried is extrapolated again, as the one
@@ -258,7 +282,7 @@ def richardson_sum(terms: Series, tol, *, max_terms: int = 500_000) -> mpf:
     for last in (min(_FIRST, len(depths)), len(depths)):
         if last == tried:
             continue
-        bits = mp.prec + GUARD + ceil(1.8 * depths[last - 1])
+        bits = tol_bits(tol) + ceil(1.8 * depths[last - 1])
         gate = to_fixed(tol, bits)  # 4 |est - other| < gate: within tol/4
         gen = terms(bits)
         partials, s, prev = [], 0, None

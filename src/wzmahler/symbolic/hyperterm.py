@@ -43,9 +43,6 @@ class LinForm(NamedTuple):
         return self.c0 + self.cn * Fraction(n) + self.ck * Fraction(k)
 
 
-_DROPPABLE_CONSTANTS = {Fraction(1), Fraction(2)}  # Gamma(1) = Gamma(2) = 1
-
-
 class HyperTerm(NamedTuple):
     """gammas: ((LinForm, exponent), ...);  geom: base**(g_cn*n + g_ck*k)."""
 
@@ -59,19 +56,22 @@ class HyperTerm(NamedTuple):
 
     @classmethod
     def build(cls, gammas, base=1, g_cn=0, g_ck=0, pre=None) -> "HyperTerm":
-        merged: dict[LinForm, int] = {}
-        for lf, e in gammas:
-            if not isinstance(lf, LinForm):
-                lf = LinForm(*map(Fraction, lf))
-            merged[lf] = merged.get(lf, 0) + int(e)
-        clean = []
-        for lf, e in merged.items():
-            if e == 0:
-                continue
-            if lf.cn == 0 and lf.ck == 0 and lf.c0 in _DROPPABLE_CONSTANTS:
-                continue
-            clean.append((lf, e))
-        clean.sort(key=lambda t: (t[0], t[1]))
+        """The canonical term: rows (c0, cn, ck) of rationals with equal
+        arguments merged, zero exponents and Gamma(1) = Gamma(2) = 1
+        dropped, and the rest in ascending order.  The rows are merged and
+        sorted as integer triples over the lcm d of their denominators,
+        which orders them as the LinForms they stand for."""
+        rows = [(lf, int(e)) for lf, e in gammas]
+        d = lcm(*(c.denominator for lf, _ in rows for c in lf))
+        merged: dict[tuple[int, int, int], int] = {}
+        for lf, e in rows:
+            key = tuple(c.numerator * (d // c.denominator) for c in lf)
+            merged[key] = merged.get(key, 0) + e
+        clean = sorted((key, e) for key, e in merged.items()
+                       if e and not (key[1] == key[2] == 0 and key[0] in (d, 2 * d)))
+        # one Fraction per distinct coefficient: a build's few recur
+        coef = {c: Fraction(c, d) for c in {c for key, _ in clean for c in key}}
+        gammas = tuple((LinForm(*map(coef.__getitem__, key)), e) for key, e in clean)
         base = Fraction(base)
         g_cn, g_ck = int(g_cn), int(g_ck)
         if base == 0:
@@ -84,7 +84,7 @@ class HyperTerm(NamedTuple):
             base, g_cn, g_ck = 1 / base, -g_cn, -g_ck
         if not isinstance(pre, RatFunc):
             pre = RatFunc(1 if pre is None else pre)
-        return cls(tuple(clean), base, g_cn, g_ck, pre)
+        return cls(gammas, base, g_cn, g_ck, pre)
 
 
 def term_cross_ratio(a: HyperTerm, b: HyperTerm, dn: int = 0, dk: int = 0) -> RatFunc:

@@ -657,8 +657,10 @@ def test_ratio_factor_against_pair_stepping(bits):
     # m(alpha) below 4 takes r^2 and Lambda_s(z) takes z as one fixed-point
     # factor of the term ratio; stepping the same series with alpha or z
     # inside wide integer pairs takes the same number of terms and lands
-    # within 2^-(bits + 32).  1.778... is rs-param's 4r at q = 1/10.
-    ctx, tol = PrecisionCtx(bits=bits), mpf(10) ** -42
+    # within 2^-(bits + 32), the tol both are asked for, so that both are
+    # stepped at the working precision's width.  1.778... is rs-param's 4r
+    # at q = 1/10.
+    ctx, tol = PrecisionCtx(bits=bits), mpf(2) ** -(bits + 32)
     with ctx.workprec(32):
         q = mpf(1) / 10
         alphas = [to_mpf(Fraction(8, 3)),

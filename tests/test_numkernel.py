@@ -21,7 +21,7 @@ from wzmahler.numkernel import (_KERNEL, _TIE, GUARD_D, LAMBDA_SWITCH,
                                 _log2, _log_near_one, _stop_index,
                                 _tangent_numbers, agm3, lambda_series,
                                 root_of_unity)
-from wzmahler.series import TermCounter, count_terms
+from wzmahler.series import GUARD, TermCounter, count_terms, tol_bits
 
 CTX = PrecisionCtx(bits=256)
 TOL = mpf(2) ** -200
@@ -639,15 +639,17 @@ def _connection_integral_mpf(s, w, tol):
 def test_connection_expansion_matches_mpf_loop():
     # the integer loop against the mpf loop run 64 bits higher (at equal
     # precision the mpf loop's own rounding reaches 1.7 units of 2^-prec):
-    # within one unit of 2^-prec, after the same number of terms; negative
-    # w, z = 1 - w past 1, alternates the powers and keeps log|w|
+    # within one unit of 2^-prec, after the same number of terms, at tols
+    # of 2^-(bits + 32) and below, at which the loop keeps the working
+    # precision's width; negative w, z = 1 - w past 1, alternates the
+    # powers and keeps log|w|
     for bits in (64, 256, 512):
         ctx = PrecisionCtx(bits=bits)
         for s in KERNEL_S:
             for w in (mpf("0.35"), mpf("0.2"), mpf("0.05"), mpf("1e-3"),
                       mpf(2) ** -40, -mpf(2) ** -40, mpf("-0.35"),
                       mpf("-0.9")):
-                for tol in (mpf(10) ** -42, mpf(2) ** -(bits + 8)):
+                for tol in (mpf(2) ** -(bits + 32), mpf(2) ** -(bits + 64)):
                     with ctx.workprec(64):
                         with TermCounter() as got:
                             val = _connection_integral(s, w, tol, ctx.max_terms)
@@ -656,3 +658,28 @@ def test_connection_expansion_matches_mpf_loop():
                             ref = _connection_integral_mpf(s, w, tol)
                         assert abs(val - ref) <= mpf(2) ** -prec, (bits, s, w)
                     assert got.count == want.count > 0, (bits, s, w)
+
+
+def test_connection_expansion_width_follows_tol():
+    # at tol 1e-42 the loop is W = tol_bits(tol) = 205 bits wide, under the
+    # working precision from 256 bits up: its value is the same integer at
+    # 256, 512 and 1024 bits (w dyadic, so equal at each), and within 2^-W,
+    # under tol/2^64, of the mpf loop run at W + 64 bits
+    tol = mpf(10) ** -42
+    for s in KERNEL_S:
+        for w in (Fraction(3, 8), Fraction(13, 64), Fraction(1, 2 ** 40),
+                  Fraction(-1, 2 ** 40), Fraction(-3, 8), Fraction(-7, 8)):
+            vals = set()
+            for bits in (256, 512, 1024):
+                ctx = PrecisionCtx(bits=bits)
+                with ctx.workprec(64):
+                    width = tol_bits(tol)
+                    assert width == 141 + GUARD < mp.prec
+                    with TermCounter() as got:
+                        vals.add(_connection_integral(s, to_mpf(w), tol,
+                                                      ctx.max_terms))
+            assert len(vals) == 1, (s, w)
+            with workprec(width + 64), TermCounter() as want:
+                ref = _connection_integral_mpf(s, to_mpf(w), tol)
+                assert abs(vals.pop() - ref) <= mpf(2) ** -width, (s, w)
+            assert got.count == want.count > 0, (s, w)

@@ -14,12 +14,12 @@ from mpmath import cbrt, log, mp, mpc, mpf, sqrt, workprec
 from wzmahler import (DomainError, PrecisionCtx, UnknownIdentityError,
                       elliptic, mahler, numkernel, registry)
 from wzmahler import series as series_module
-from wzmahler.context import DEFAULT_CTX
-from wzmahler.mahler import n_quadrature
+from wzmahler.context import DEFAULT_CTX, to_mpf
+from wzmahler.mahler import n_quadrature, s_ratio
 from wzmahler.registry import (exit_code, lookup, n_lattice, registry_entries,
                                reports_from_json, reports_to_json, run_all,
                                run_check)
-from wzmahler.series import shared
+from wzmahler.series import as_ratio, shared
 from wzmahler.symbolic import pfq as pfq_module
 from wzmahler.symbolic.hyperterm import HyperTerm
 from wzmahler.symbolic.pairs import builtin_pairs
@@ -431,9 +431,8 @@ def test_one_m_series_per_alpha_per_pass(monkeypatch):
 def test_series_pairs_stay_narrow_at_512_bits(monkeypatch):
     """A 512-bit pass of the entries without n(alpha) quadrature steps no
     integer pair wider than 64 bits: an irrational series argument enters
-    ratio_series as its fixed-point factor x, not inside the pairs.  The
-    weight of log4r-identity, which carries the dyadic 1 + rs, is the one
-    exemption."""
+    ratio_series as its fixed-point factor x, not inside the pairs, and
+    log4r-identity's 1 + rs multiplies its terms in fixed point."""
     widths, entry = [], [None]  # (entry, "step" or "weight", bits)
     real = series_module.ratio_series
 
@@ -460,11 +459,32 @@ def test_series_pairs_stay_narrow_at_512_bits(monkeypatch):
         assert run_check(ident, ctx).status.endswith("PASS"), ident
     assert {i for i, kind, _ in widths if kind == "step"} >= {
         "lalin-m1-m16", "qseries-m-series", "rs-param", "log4r-identity"}
-    wide = {(i, kind, w) for i, kind, w in widths
-            if w > 64 and (i, kind) != ("log4r-identity", "weight")}
-    assert wide == set()
-    assert max(w for i, kind, w in widths
-               if (i, kind) == ("log4r-identity", "weight")) > 64
+    assert {(i, kind, w) for i, kind, w in widths if w > 64} == set()
+
+
+def test_log4r_split_weight_against_the_dyadic_weight():
+    """log4r-identity's weight, split as (1+rs)/(2n+1) + 1/((2n)(2n+1))
+    with 1 + rs a fixed-point factor, sums the terms that the one weight
+    (2(1+rs)n+1)/((2n)(2n+1)) over 1 + rs's dyadic pair summed, stops at
+    the same term and lands within 2^-40 of the sum's tol of it."""
+    for bits in (256, 512):
+        ctx = PrecisionCtx(bits=bits)
+        for r in lookup("log4r-identity").params:
+            with ctx.workprec(32):
+                with series_module.TermCounter() as split:
+                    got = registry._log4r_rhs(ctx, r)
+                rv = to_mpf(r)
+                with series_module.TermCounter() as ratio:  # the memo's charge
+                    rs = rv * s_ratio(rv, ctx)
+                (a, b), (k, e) = as_ratio(r), as_ratio(1 + rs)
+                digits = 11 if r == 1 else 32
+                with series_module.TermCounter() as whole:
+                    ref = registry.HyperSum(
+                        lambda n: ((2 * n - 1) ** 2 * a * a, 4 * n * n * b * b),
+                        lambda n: (2 * k * n + e, e * (2 * n) * (2 * n + 1)),
+                        ratio=rv * rv, tol=digits, head=rs, start=1)(ctx, r)
+                assert split.count == ratio.count + whole.count, (bits, r)
+                assert abs(got - ref) < mpf(10) ** -digits * 2 ** -40, (bits, r)
 
 
 def test_monotone_precision():

@@ -11,7 +11,7 @@ from mpmath import ldexp, mpf, pi, richardson, workprec
 from wzmahler.context import ConvergenceError
 from wzmahler.series import (GUARD, TermCounter, as_ratio, count_terms, note,
                              ratio_series, richardson_estimate, richardson_sum,
-                             shared, sum_geometric, to_fixed)
+                             shared, sum_geometric, to_fixed, tol_bits)
 
 # 1 + 1/2 + 1/4 + ...
 _halving = ratio_series(lambda n: (1, 2), lambda n: (1, 1))
@@ -193,15 +193,17 @@ def test_richardson_sum_inverse_squares():
         s = richardson_sum(terms, mpf(10) ** -30)
         assert abs(s - pi ** 2 / 6) < mpf(10) ** -30
     # the terms are computed once, at the width of the first generation's
-    # deepest depth (108), and the depth reached (72) is what counts
+    # deepest depth (108) over the tol's own width (t = 101 for 1e-30, not
+    # the working precision), and the depth reached (72) is what counts
     assert counter.count == 72
-    assert calls == [256 + GUARD + ceil(1.8 * 108)]
+    assert calls == [101 + GUARD + ceil(1.8 * 108)]
 
 
 def test_richardson_sum_regenerates_at_the_width_of_its_depth():
     # 1e-60 does not settle by depth 108: the terms are stepped again, from
     # the first, at the width of the deepest depth (364), the sum settles at
-    # depth 162, and the terms of both generations count
+    # depth 162, and the terms of both generations count; every width is
+    # the tol's (t = 201 for 1e-60, 101 for 1e-30) plus the depth's
     calls = []
 
     def terms(bits):
@@ -211,14 +213,59 @@ def test_richardson_sum_regenerates_at_the_width_of_its_depth():
     with workprec(256), TermCounter() as counter:
         s = richardson_sum(terms, mpf(10) ** -60)
         assert abs(s - pi ** 2 / 6) < mpf(10) ** -60
-    assert calls == [256 + GUARD + ceil(1.8 * d) for d in (108, 364)]
+    assert calls == [201 + GUARD + ceil(1.8 * d) for d in (108, 364)]
     assert counter.count == 108 + 162
     # a budget below 108 sizes the only generation for its own deepest depth
     calls.clear()
     with workprec(256), TermCounter() as counter:
         s = richardson_sum(terms, mpf(10) ** -30, max_terms=80)
         assert abs(s - pi ** 2 / 6) < mpf(10) ** -30
-    assert calls == [256 + GUARD + ceil(1.8 * 72)] and counter.count == 72
+    assert calls == [101 + GUARD + ceil(1.8 * 72)] and counter.count == 72
+
+
+def test_width_comes_from_tol_not_the_working_precision():
+    # seeded tols from 1e-15 to 1e-90: both finishers step the same integers
+    # under workprec(400) and workprec(700), at tol_bits(tol) (+ the depth's
+    # bits for Richardson), and return the same value (the 700-bit one
+    # rounded to 400 bits), within tol of the closed form: geometric
+    # sum_n x^n = 1/(1-x) and sum_n (n+1) x^n = 1/(1-x)^2 for x <= 2/5,
+    # and 1/n^2 tails sum_n 1/(n+1)^2 = pi^2/6 and
+    # sum_n 2/((n+1)(n+2)) = 2
+    rng = random.Random(40)
+    for _ in range(6):
+        digits = rng.randint(15, 90)
+        tol = mpf(10) ** -digits
+        a, b = rng.randint(1, 40), rng.randint(100, 1000)
+        x = Fraction(a, b)
+        cases = [
+            (sum_geometric, ratio_series(lambda n: (1, 1), lambda n: (1, 1), x=x),
+             {"ratio": x}, lambda: 1 / (1 - mpf(a) / b)),
+            (sum_geometric, ratio_series(lambda n: (1, 1), lambda n: (n + 1, 1), x=x),
+             {"ratio": 2 * x}, lambda: 1 / (1 - mpf(a) / b) ** 2),
+            (richardson_sum, _inverse_squares, {}, lambda: pi ** 2 / 6),
+            (richardson_sum, ratio_series(lambda n: (n, n + 2), lambda n: (1, 1)),
+             {}, lambda: mpf(2))]
+        for finisher, series, kwargs, exact in cases:
+            seen = {}
+            for prec in (400, 700):
+                calls = []
+
+                def terms(bits):
+                    calls.append(bits)
+                    return series(bits)
+
+                with workprec(prec):
+                    width = tol_bits(tol)
+                    seen[prec] = (finisher(terms, tol, **kwargs), calls)
+            (lo, lo_calls), (hi, hi_calls) = seen[400], seen[700]
+            # the least t with 2^-t <= tol/2, and GUARD bits more
+            t = width - GUARD
+            assert mpf(2) ** -t <= tol / 2 < mpf(2) ** (1 - t)
+            depth = 0 if finisher is sum_geometric else ceil(1.8 * 108)
+            assert lo_calls == hi_calls and lo_calls[0] == width + depth
+            with workprec(400):
+                assert +hi == lo
+                assert abs(lo - exact()) < tol, (finisher.__name__, digits)
 
 
 def test_richardson_sum_failures():
