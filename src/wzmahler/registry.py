@@ -26,7 +26,7 @@ import time
 from fractions import Fraction
 from functools import cache
 from itertools import count, islice
-from math import comb, log10
+from math import comb, lcm, log10
 from typing import Callable, NamedTuple
 
 from mpmath import atan, ldexp, log, mp, mpf, pi, sqrt, workprec
@@ -296,17 +296,22 @@ def _zeta2_laurent_rhs(ctx, _):
     return 2 * richardson_sum(_zeta2_terms, mpf(10) ** -11, max_terms=ctx.max_terms)
 
 
+# The finite sums below are each taken over the lcm L of their denominators,
+# as one Fraction: every (2n)(2n+1), n < m, divides lcm(2, ..., 2m - 1).
+
 def _finite_lhs(ctx, m):
-    return to_mpf(sum((Fraction(30 * n + 11, (2 * n) * (2 * n + 1)) * comb(2 * n, n) ** 2
-                       for n in range(1, m)), Fraction(0)))
+    """sum_{n<m} (30n+11)/((2n)(2n+1)) C(2n,n)^2"""
+    big_l = lcm(*range(2, 2 * m))
+    return to_mpf(Fraction(sum((30 * n + 11) * comb(2 * n, n) ** 2 * (big_l // (2 * n * (2 * n + 1)))
+                               for n in range(1, m)), big_l))
 
 
 def _finite_rhs(ctx, m):
-    head = Fraction(-4) + sum(Fraction(6 * comb(2 * n, n), n) for n in range(1, m))
+    """-4 + sum_{n<m} 6 C(2n,n)/n + C(2m,m)^2/(2m) 4F3(1,1,2m,2m; m+1,m+1,2m+1; 1)"""
+    big_l = lcm(*range(1, m))
+    head = Fraction(sum(6 * comb(2 * n, n) * (big_l // n) for n in range(1, m)) - 4 * big_l, big_l)
     pref = Fraction(comb(2 * m, m) ** 2, 2 * m)
-    sub_tol = mpf(10) ** -9 / (8 * to_mpf(pref))
-    f43 = pfq_eval([1, 1, 2 * m, 2 * m], [m + 1, m + 1, 2 * m + 1],
-                   mpf(1), ctx, tol=sub_tol)
+    f43 = pfq_eval([1, 1, 2 * m, 2 * m], [m + 1, m + 1, 2 * m + 1], 1, ctx)
     return to_mpf(head) + to_mpf(pref) * f43
 
 
@@ -417,7 +422,7 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
                        KIND_NUMERIC, zeta3, _zeta3_sum(30, 19, 1, Fraction(1, 16), 32), t[10]),
         IdentityRecord("finite-4f3", "finite binomial sums against a unit-argument 4F3",
                        KIND_FINITE, _finite_lhs, _finite_rhs, t[8], params=tuple(range(1, 9)),
-                       note="4F3(1,1,2m,2m; m+1,m+1,2m+1; 1), 1/n^2 tail, accelerated"),
+                       note="4F3(1,1,2m,2m; m+1,m+1,2m+1; 1), exact by Gosper's algorithm"),
         IdentityRecord("lalin-m1-m16", "11 m(1) = m(16)", KIND_NUMERIC,
                        Side.of((11, M, 1)), Side.of((1, M, 16)), t[40]),
         IdentityRecord("m2-m8", "4 m(2) = m(8)", KIND_NUMERIC,

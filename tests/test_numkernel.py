@@ -586,7 +586,10 @@ def test_lambda_series_past_one_against_integral():
     # Lambda_s(1) + int_1^z (Re F_s(t) - 1)/t dt: Lambda_s(1) by mpmath's
     # catalan and clsin, the integral by its tanh-sinh quadrature of
     # mpmath's Re F_s, hyp2f1 for s = 1/3 and 2 K(t)/pi by ellipk for
-    # s = 1/2, where hyp2f1 takes a slow route for its equal parameters
+    # s = 1/2, where hyp2f1 takes a slow route for its equal parameters.
+    # Termwise, Lambda_s(z) = s(1-s) z 4F3(s+1, 2-s, 1, 1; 2, 2, 2; z), and
+    # mpmath's hyper continues that past 1 itself, in a tenth of the
+    # quadrature's time: it is the oracle for s = 1/3 from z = 1.2 on
     with workprec(200):
         third = mpf(1) / 3
         oracles = {
@@ -597,7 +600,11 @@ def test_lambda_series_past_one_against_integral():
         for s, (at_one, f) in oracles.items():
             for z in ("1.01", "1.2", "1.35", "1.6", "1.9"):
                 z = mpf(z)
-                ref = at_one + quad(lambda t: (f(t) - 1) / t, [1, z])
+                if s == Fraction(1, 3) and z > mpf("1.01"):
+                    ref = re(third * (1 - third) * z
+                             * hyper([1 + third, 2 - third, 1, 1], [2, 2, 2], z))
+                else:
+                    ref = at_one + quad(lambda t: (f(t) - 1) / t, [1, z])
                 got = lambda_series(s, z, CTX, tol=mpf(10) ** -50)
                 assert abs(got - ref) < mpf(10) ** -49, (s, z)
 
