@@ -4,10 +4,11 @@ Weierstrass function P by its q-series, and the two-sided elliptic
 dilogarithm lattice sums.
 
 Curves in scope have positive discriminant, so the 2-division cubic has
-three real roots e1 > e2 > e3.  The outer two come from Newton's iteration
-on Python integers, on the cubic scaled to integer coefficients, from
-float seeds, and e2 from their sum; each is certified by a sign change
-across its last unit.  The full periods are
+three real roots e1 > e2 > e3.  The outer two are the certified integer
+floors of ``fixedpoint.floor_root``, on the cubic scaled to integer
+coefficients and on its reflection, from one start above every root,
+and e2 comes from their sum; each is certified by a sign change across
+its last unit.  The full periods are
 
     omega  = pi / agm(sqrt(e1-e3), sqrt(e1-e2))          (real)
     omega' = i pi / agm(sqrt(e1-e3), sqrt(e2-e3))        (imaginary)
@@ -28,7 +29,7 @@ with Im((zq)^k) exactly 0 is skipped, and |z|^(-2k) = 1 on the unit
 circle is not multiplied in, so a lattice sum costs under a millisecond at
 256 bits.  The n = 0 term is one Bloch-Wigner call.  The
 AGMs of the periods run on Python integers too, from the integer square
-roots of the root differences (``numkernel._agm_fixed``), and log|q| is
+roots of the root differences (``fixedpoint.agm_fixed``), and log|q| is
 taken once per nome.  The periods, D and the lattice sums are memoised
 for the process on their exact arguments (``series.shared``), since the
 registry checks each identity in two forms that meet the same sums.
@@ -43,14 +44,13 @@ from typing import NamedTuple
 
 from mpmath import (ceil, exp, floor, im, ldexp, log, mp, mpc, mpf, nint, pi,
                     re, workprec)
-from mpmath.libmp import to_fixed
 
 from .context import (DEFAULT_CTX, ComplexRootsUnsupportedError,
                       ConvergenceError, DomainError, LatticePoleError,
                       PrecisionCtx, SingularCurveError, to_mpf)
-from .numkernel import (_LN2, GUARD_D, _agm_fixed, _float_ceil, _log2,
-                        _log_near_one, _stop_index, bloch_wigner,
-                        root_of_unity)
+from .fixedpoint import (LN2, agm_fixed, float_ceil, floor_root, log2,
+                         log_near_one, stop_index, to_fixed)
+from .numkernel import GUARD_D, bloch_wigner, root_of_unity
 from .series import count_terms, shared
 
 
@@ -193,7 +193,7 @@ def periods(curve: EllipticCurve, ctx: PrecisionCtx = DEFAULT_CTX) -> Periods:
     units (w + 23 or so unless two roots nearly meet).  Their integer
     square roots, at the unit that gives the smaller one 2^(W + 15) units
     with W = bits + 32 as ``numkernel.agm`` does, feed the two means
-    through agm's integer core (``numkernel._agm_fixed``):
+    through agm's integer core (``fixedpoint.agm_fixed``):
     M1 = agm(sqrt(e1-e3), sqrt(e1-e2)) and M2 = agm(sqrt(e1-e3),
     sqrt(e2-e3)), each within 2^-(W + 9) + 2^-b relative.  omega = pi/M1,
     omega' = i pi/M2 and tau = i t, t = M1/M2, are each rounded once to w
@@ -214,11 +214,11 @@ def periods(curve: EllipticCurve, ctx: PrecisionCtx = DEFAULT_CTX) -> Periods:
         shift += (shift + p) % 2
         v = (shift + p) // 2  # the means' fixed-point unit is 2^-v
         mean = math.isqrt((f1 - f3) << shift)
-        m1, m2 = (_agm_fixed(mean, math.isqrt(d << shift), ctx.bits)
+        m1, m2 = (agm_fixed(mean, math.isqrt(d << shift), ctx.bits)
                   for d in (d12, d23))
         t, w = mpf(m1) / m2, mp.prec
         lq = -2 * math.pi * (m1 / m2)  # log q, as a float
-        with workprec(_log_bits(lq / _LN2, math.log2(-math.expm1(lq)), ctx)):
+        with workprec(_log_bits(lq / LN2, math.log2(-math.expm1(lq)), ctx)):
             log_t = -2 * pi * t
             exp_t = exp(log_t)
             q = mpf(exp_t, prec=w)
@@ -234,19 +234,17 @@ def _root_floors(curve: EllipticCurve, bits: int) -> tuple[int, int, int, int]:
     unit 2^-p that gives m = sqrt(g2/3) > |e_i| ``bits`` bits (p >= 0).
 
     f times the common denominator D of g2 and g3, at x = X 2^-p and
-    scaled by 2^(3p), is the integer cubic
-    P(X) = 4D X^3 - D g2 4^p X - D g3 8^p.  On x > sqrt(g2/12) > 0, f
-    increases and is convex, so Newton's iteration from a point above e1
-    stays above it; on x < -sqrt(g2/12) < 0 it increases and is concave,
-    and from a point below e3 it stays below.  Each outer root starts from
-    Viete's trigonometric form in floats, m cos(theta) and
-    m cos(theta + 2 pi/3) with cos(3 theta) = 3 g3/(g2 m), moved outward
-    in steps from 2^-40 of m's binade, each twice the last, until the
-    signs of x, P and P' place it beyond the root, and Newton's steps are
-    truncated toward the start (``_outer_root``).  e2 =
-    -(e1 + e3) then lies in (Y - 2, Y], Y = -(F1 + F3), where P falls
-    through 0, so the signs of P at Y and Y - 1 pick its floor.  Each
-    floor F is certified by P(F) = 0 or a sign change of P from F to
+    scaled by 2^(3p), is the integer cubic P(X) = c4 X^3 - c2 X - c3 =
+    4D X^3 - D g2 4^p X - D g3 8^p.  Past its turning point
+    sqrt(c2/(3 c4)), m/2 in units of 2^-p, P increases and is convex, and
+    so does the reflected cubic -P(-X) = c4 X^3 - c2 X + c3; the only root
+    of either past it is its largest, E1 and -E3.  Both start from
+    S = isqrt(4 c2/(3 c4)) + 1 > m 2^p > |E_i|, and
+    ``fixedpoint.floor_root`` gives F1 from P and the floor G of -E3 from
+    the reflected cubic, so F3 = -G, or -G - 1 where E3 is not the integer
+    -G.  e2 = -(e1 + e3) then lies in (Y - 2, Y], Y = -(F1 + F3), where P
+    falls through 0, so the signs of P at Y and Y - 1 pick its floor.
+    Each floor F is certified by P(F) = 0 or a sign change of P from F to
     F + 1, and F3 < F2 < F1, so the three are the floors of the three
     roots; ArithmeticError otherwise."""
     den = math.lcm(Fraction(curve.g2).denominator,
@@ -260,23 +258,9 @@ def _root_floors(curve: EllipticCurve, bits: int) -> tuple[int, int, int, int]:
     def poly(x):
         return c4 * x * x * x - c2 * x - c3
 
-    def slope(x):
-        return 3 * c4 * x * x - c2
-
-    cos3 = math.sqrt(Fraction(27 * g3 * g3 * den, g2 ** 3))
-    theta = math.acos(math.copysign(cos3, g3)) / 3
-    floors = []
-    for side, angle in ((1, theta), (-1, theta + 2 * math.pi / 3)):
-        # side * x is above e1 (below e3) once P and P' say so
-        x = int(math.ldexp(m * math.cos(angle), 53 - e)) << e + p - 53
-        gap = 1 << e + p - 40
-        while not (side * x > 0 and side * poly(x) >= 0 and slope(x) > 0):
-            x, gap = x + side * gap, 2 * gap
-        x = _outer_root(poly, slope, x)
-        # a truncated step stops up to a unit short of an exact root
-        floors.append(x - (poly(x) > 0) if side > 0
-                      else x + (poly(x + 1) <= 0))
-    f1, f3 = floors
+    start = math.isqrt(4 * c2 // (3 * c4)) + 1
+    f1, g = (floor_root((c4, 0, -c2, -side * c3), start) for side in (1, -1))
+    f3 = -g - (poly(-g) > 0)
     y = -(f1 + f3)
     f2 = y - (poly(y) < 0) - (poly(y - 1) < 0)
     if not (f3 < f2 < f1 and all(poly(f) == 0 or poly(f) * poly(f + 1) < 0
@@ -285,19 +269,6 @@ def _root_floors(curve: EllipticCurve, bits: int) -> tuple[int, int, int, int]:
             f"2-division roots of g2={curve.g2}, g3={curve.g3} not "
             f"certified at 2^-{p}")
     return f1, f2, f3, p
-
-
-def _outer_root(poly, slope, x: int) -> int:
-    """Newton's iteration x -> x - P(x)/P'(x) on integers from an x beyond
-    an outer root of ``_root_floors``' cubic, on the side where Newton's
-    steps do not cross it, each step truncated toward x; it stops when a
-    step truncates to 0, with the root within a few units of x."""
-    while True:
-        num, den = poly(x), slope(x)
-        step = abs(num) // den
-        if not step:
-            return x
-        x += -step if num > 0 else step
 
 
 def _reduce_to_cell(u, per: Periods) -> mpc:
@@ -355,7 +326,7 @@ def _nome_log(aq: mpf, ctx: PrecisionCtx) -> mpf:
     (|q|, ctx) and kept in ``_NOME_LOGS``."""
     key = (aq, ctx)
     if key not in _NOME_LOGS:
-        with workprec(_log_bits(_log2(aq), _log2(1 - aq), ctx)):
+        with workprec(_log_bits(log2(aq), log2(1 - aq), ctx)):
             _NOME_LOGS[key] = log(aq)
     return _NOME_LOGS[key]
 
@@ -375,7 +346,7 @@ def _half_sum_difference(z: mpc, q: mpf, k_up: int, k_down: int,
     and that of |u|^2 add under 2 units a step, and the floors of u move
     Im(u^k) by under 3 k |u|^(k-1) units, so every y_k is within
     5/(1-|u|)^2 units of 2^-prec of Im(u^k).  log|w| is taken from |z|^2
-    by ``numkernel._log_near_one`` where |z|^2 lies within 2^-(prec/3) of
+    by ``fixedpoint.log_near_one`` where |z|^2 lies within 2^-(prec/3) of
     1 (a z0 on the unit circle), within 2 units of 2^-prec against the one
     of mpmath's log of the rounded |z|; the slack of P absorbs the unit.
 
@@ -396,9 +367,9 @@ def _half_sum_difference(z: mpc, q: mpf, k_up: int, k_down: int,
         else:
             u, g, sign = z * q, 1 / n, 1
         ur, ui, gf, qf, lq = (
-            to_fixed(x._mpf_, prec) for x in (u.real, u.imag, g, q, log_q))
-        lw = _log_near_one(n, prec)  # log |z|^2, for |z| that rounds to 1
-        lw = (to_fixed((sign * log(abs(z)))._mpf_, prec) if lw is None
+            to_fixed(x, prec) for x in (u.real, u.imag, g, q, log_q))
+        lw = log_near_one(n, prec)  # log |z|^2, for |z| that rounds to 1
+        lw = (to_fixed(sign * log(abs(z)), prec) if lw is None
               else sign * (lw >> 1))  # log |w|
     one = 1 << prec
     tr, n2 = 2 * ur, (ur * ur + ui * ui) >> prec  # 2 Re u, |u|^2
@@ -475,8 +446,8 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     is one Bloch-Wigner call.
 
     m, k_up, k_down and P are decided from float logs
-    (``numkernel._log2``), C among them; a decision whose float margin is
-    within ``numkernel._TIE`` falls back to the mpf expression at the
+    (``fixedpoint.log2``), C among them; a decision whose float margin is
+    within ``fixedpoint._TIE`` falls back to the mpf expression at the
     working precision, so each is the integer that expression gives.  One
     stop index serves both halves when r_up = r_down.
 
@@ -497,29 +468,29 @@ def lattice_dilog_sum(z0, q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
             count_terms(1)
             return mpf(0)
         aq = abs(q)
-        lq = _log2(aq)
-        z = z0 * q ** _float_ceil(
-            _log2(abs(z0)) / -lq - 0.5,
+        lq = log2(aq)
+        z = z0 * q ** float_ceil(
+            log2(abs(z0)) / -lq - 0.5,
             lambda: int(nint(log(abs(z0)) / -log(aq))))
         eps = mpf(2) ** (-(ctx.bits + GUARD_D))
-        az, l1q = abs(z), _log2(1 - aq)
+        az, l1q = abs(z), log2(1 - aq)
         # log2 C in floats, and C in mpf for a tie; |log|q||/(1-|q|) tends
         # to 1 where 1 - |q| underflows a float
         t = 2.0 ** l1q
-        lc = math.log2(1 + _LN2 * abs(_log2(az))
-                       + (-lq * _LN2 / t if t else 1)) - l1q
+        lc = math.log2(1 + LN2 * abs(log2(az))
+                       + (-lq * LN2 / t if t else 1)) - l1q
         exact_c = cache(lambda: (1 + abs(log(az)) + abs(log(aq)) / (1 - aq))
                         / (1 - aq))
         r_up, r_down = az * aq, aq / az
         budget = "lattice dilogarithm sum budget exhausted"
-        k_up = _stop_index(r_up, exact_c, eps, ctx.max_terms, budget,
-                           log2c=lc)
-        k_down = k_up if r_down == r_up else _stop_index(
+        k_up = stop_index(r_up, exact_c, eps, ctx.max_terms, budget,
+                          log2c=lc)
+        k_down = k_up if r_down == r_up else stop_index(
             r_down, exact_c, eps, ctx.max_terms, budget, log2c=lc)
         big_k, r = max(k_up, k_down), max(r_up, r_down)
-        lb = math.log2(64 * big_k) + lc - _log2(1 - r) - 3 * l1q  # log2 bound
-        prec = mp.prec + _float_ceil(  # the bit length of ceil(bound)
-            lb + math.log1p(2.0 ** -lb) / _LN2,
+        lb = math.log2(64 * big_k) + lc - log2(1 - r) - 3 * l1q  # log2 bound
+        prec = mp.prec + float_ceil(  # the bit length of ceil(bound)
+            lb + math.log1p(2.0 ** -lb) / LN2,
             lambda: int(ceil(64 * big_k * exact_c()
                              / ((1 - r) * (1 - aq) ** 3))).bit_length())
         half = _half_sum_difference(z, q, k_up, k_down, prec,

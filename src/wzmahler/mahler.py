@@ -97,13 +97,13 @@ from mpmath import acosh, extraprec, log, mp, mpf, workprec
 # mahler.polyroots layers.
 from mpmath import polyroots, quad
 from mpmath.libmp import (from_man_exp, from_rational, mpf_cos_sin_pi,
-                          mpf_log, mpf_shift, round_nearest, to_fixed)
+                          mpf_log, mpf_shift, round_nearest)
 
 from .context import (DEFAULT_CTX, DivergentSeriesError, DomainError,
                       PrecisionCtx, QuadratureBudgetError, to_mpf, to_tol)
+from .fixedpoint import as_ratio, to_fixed
 from .numkernel import LAMBDA_SWITCH, lambda_series
-from .series import (as_ratio, count_terms, ratio_series, shared,
-                     sum_geometric)
+from .series import count_terms, ratio_series, shared, sum_geometric
 
 # The periodic rule's node budget per period: the doubling stops there, and
 # a predicted node count N* at or above it is refused before any node is
@@ -236,7 +236,7 @@ def _periodic_trapezoid(f, period, gate, floor):
         def root(n):  # e^(2 pi i period/n), floored at bits
             x = from_rational(2 * period.numerator, n * period.denominator,
                               bits + 8, round_nearest)
-            return tuple(to_fixed(v, bits)
+            return tuple(to_fixed(mp.make_mpf(v), bits)
                          for v in mpf_cos_sin_pi(x, bits, round_nearest))
 
         def times(u, v):  # u v, floored to bits + 8 bits
@@ -281,7 +281,7 @@ def _m_node(alpha, y):
     whatever y."""
     count_terms(1)
     bits = mp.prec + 32
-    w = to_fixed(alpha._mpf_, bits - 1) + y[0]
+    w = to_fixed(alpha, bits - 1) + y[0]
     return w + isqrt(w * w - (1 << 2 * bits)), -bits
 
 
@@ -419,7 +419,7 @@ def _n_node(alpha, y):
     bits, gate = mp.prec + 32, mp.prec // 2
     one = 1 << bits
     y3 = _cmul(_cmul(y, y, bits), y, bits)
-    a = to_fixed(alpha._mpf_, bits)
+    a = to_fixed(alpha, bits)
     ay, q = (a * y[0], a * y[1]), (one + y3[0], y3[1])
     at = complex(y[0] / one, y[1] / one)
     x, (vr, vi) = _certified_root(ay, q, bits, _disk_seed(

@@ -10,7 +10,9 @@ from the classical one.  phi(q) and a(q)/b(q) share one theta loop
 (``_theta3_and_s``), which runs on Python integers in fixed point over q,
 q^3 and q^9 at once; both are memoised for the process on their exact
 arguments (``series.shared``).  The cube roots of the nome's arguments are
-integer ones (``numkernel._cbrt``), as in the cubic AGM's own steps.
+integer ones (``numkernel.cbrt``), as in the cubic AGM's own steps, and the
+loop's stop and width integers come from float logs (``fixedpoint.log2``,
+``fixedpoint.float_ceil``).
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ import math
 from fractions import Fraction
 
 from mpmath import ceil, exp, log, mp, mpf, pi, sqrt
-from mpmath.libmp import from_int, mpf_div, round_nearest
+from mpmath.libmp import from_rational, round_nearest
 
 from .context import (DEFAULT_CTX, ConvergenceError, DomainError,
                       PrecisionCtx, to_mpf)
-from .numkernel import _cbrt, _float_ceil, _log2, agm3
+from .fixedpoint import float_ceil, log2
+from .numkernel import agm3, cbrt
 from .series import shared
 
 _LOST = math.log2(math.pi ** 2 / (2 * math.log(2)))  # log2 of pi^2/(2 log 2)
@@ -55,17 +58,17 @@ def _theta3_and_s(q: mpf, powers: tuple[int, ...], stop: int,
     tails after a theta3 term t = x^(n^2) are below 2|t|/(1-|x|), so a
     base stops after the first t with 2|t| < 2^-stop (1 - |x|).  That
     takes at most N steps, the least n with 2|q|^(n^2) < 2^-stop (1-|q|)
-    from float logs (``_log2``) plus 2 for their error and the floors;
-    ConvergenceError rather than a step past it.  A floored product of two
-    values of modulus at most 1 is within the sum of their errors and one
-    unit, so x^n is within 2n - 1 units, x^(n^2) within 2n^2 and
-    x^(n(n+1)) within 2n(n+1): after N steps both sums are within
+    from float logs (``fixedpoint.log2``) plus 2 for their error and the
+    floors; ConvergenceError rather than a step past it.  A floored
+    product of two values of modulus at most 1 is within the sum of their
+    errors and one unit, so x^n is within 2n - 1 units, x^(n^2) within
+    2n^2 and x^(n(n+1)) within 2n(n+1): after N steps both sums are within
     E = 2(N + 1)^3 units of their truncations, and the guard bits are the
     bit length of E.
     """
     aq = abs(q)
     n_max = 1 if aq == 0 else math.isqrt(
-        int((stop + 1 - _log2(1 - aq)) / -_log2(aq))) + 3
+        int((stop + 1 - log2(1 - aq)) / -log2(aq))) + 3
     prec = mp.prec + extra + (2 * (n_max + 1) ** 3).bit_length()
     one, sign, man, exp = 1 << prec, *q._mpf_[:3]
     out = []
@@ -104,8 +107,8 @@ def cubic_theta_ratio(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     (1-q^(3n)) is small as |q| -> 1, log(1/|b|) <= pi^2 |q|/(2(1-|q|)), and
     the subtraction that forms it loses about that many bits; the fixed
     point and the stop test 2^-(bits+24) carry them as extra bits.  That
-    count is the ceiling of a float estimate (``numkernel._float_ceil``),
-    left to mpf only within ``numkernel._TIE`` of an integer.
+    count is the ceiling of a float estimate (``fixedpoint.float_ceil``),
+    left to mpf only within ``fixedpoint._TIE`` of an integer.
 
     The three theta pairs at q, q^3 and q^9 come from one
     ``_theta3_and_s`` call, each within E = 2(N + 1)^3 units.  Both
@@ -121,16 +124,16 @@ def cubic_theta_ratio(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         if not abs(q) < 1:
             raise DomainError("cubic_theta_ratio requires |q| < 1")
         aq = abs(q)
-        lost = 0 if aq == 0 else _float_ceil(
-            2 ** (_LOST + _log2(aq) - _log2(1 - aq)),
+        lost = 0 if aq == 0 else float_ceil(
+            2 ** (_LOST + log2(aq) - log2(1 - aq)),
             lambda: int(ceil(pi ** 2 * aq / (2 * (1 - aq) * log(2)))))
         prec, ((x1, t1, s1), (x3, t3, s3), (_, t9, s9)) = _theta3_and_s(
             q, (1, 3, 9), ctx.bits + 24 + lost,
-            lost + 9 + 2 * int(-_log2(1 - aq)))
+            lost + 9 + 2 * int(-log2(1 - aq)))
         a = (t1 * t3 >> prec) + (4 * x1 * (s1 * s3 >> prec) >> prec)
         a3 = (t3 * t9 >> prec) + (4 * x3 * (s3 * s9 >> prec) >> prec)
-        return mp.make_mpf(mpf_div(from_int(2 * a), from_int(3 * a3 - a),
-                                   mp.prec, round_nearest))
+        return mp.make_mpf(from_rational(2 * a, 3 * a3 - a, mp.prec,
+                                         round_nearest))
 
 
 def xq_product(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
@@ -150,7 +153,7 @@ def q3_from_beta(beta, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         beta = to_mpf(beta)
         if not 0 < beta < 1:
             raise DomainError("beta must lie in (0, 1)")
-        ratio = agm3(1, _cbrt(1 - beta), ctx) / agm3(1, _cbrt(beta), ctx)
+        ratio = agm3(1, cbrt(1 - beta), ctx) / agm3(1, cbrt(beta), ctx)
         return +exp(-2 * pi / sqrt(3) * ratio)
 
 

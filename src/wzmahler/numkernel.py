@@ -10,7 +10,7 @@ their branch and termination behaviour is what the identity checks lean
 on.  Each has one route: Gamma Stirling's series after a shift (and
 reflection below 1/2), D one Bernoulli series after its symmetries, the
 classical AGM and the cubic AGM their iterations on Python integers, the
-cubic one with integer cube roots by Newton's iteration (``_icbrt``).
+cubic one with the integer cube roots of ``fixedpoint.floor_root``.
 
 Stirling's series, D's series, both AGMs and the connection
 expansion of F_s run on Python integers in fixed point, as the lattice
@@ -24,14 +24,12 @@ their exact arguments (``series.shared``).  Lambda_s(1) takes its D(z0)
 in the caller's context, raised only where the caller's tolerance needs
 more bits, so the D(i) of Lambda_{1/2}(1) is the memo entry that the
 n = 0 term of a lattice sum at z0 = i fills in the same pass.  A log of a
-squared modulus that rounds to 1 is summed on integers (``_log_near_one``)
-rather than by mpmath's log, which doubles its precision there.
-
-The integers that steer these loops and the lattice sums (a series' stop
-index, a fixed-point width, an index shift) are decided from float logs of
-the mpf operands (``_log2``); only a margin within ``_TIE`` bits of its
-threshold is left to the mpf expression, so each is the integer that
-expression gives.
+squared modulus that rounds to 1 is summed on integers
+(``fixedpoint.log_near_one``) rather than by mpmath's log, which doubles
+its precision there.  The integers that steer these loops (D's stop index,
+Lambda_s(1)'s anchor precision) are decided from float logs of the mpf
+operands (``fixedpoint.log2``, ``fixedpoint.stop_index``), as those of the
+lattice sums and the theta loop are.
 """
 
 from __future__ import annotations
@@ -42,15 +40,15 @@ from functools import cache
 from math import factorial
 from threading import Lock
 
-from mpmath import (arg, ceil, cospi, exp, isint, ldexp, log, mp, mpc,
-                    mpf, pi, sin, sinpi, sqrt, workprec)
-from mpmath import libmp
+from mpmath import (arg, cospi, exp, isint, ldexp, log, mp, mpc, mpf, pi,
+                    sin, sinpi, sqrt, workprec)
 from mpmath import zeta as _mp_zeta
 
 from .context import (DEFAULT_CTX, ConvergenceError, DivergentSeriesError,
                       DomainError, PoleError, PrecisionCtx, to_mpf, to_tol)
-from .series import (as_ratio, count_terms, ratio_series, shared,
-                     sum_geometric, to_fixed, tol_bits)
+from .fixedpoint import (agm_fixed, as_ratio, floor_root, log2, log_near_one,
+                         stop_index, to_fixed)
+from .series import count_terms, ratio_series, shared, sum_geometric, tol_bits
 
 GUARD_D = 24  # extra bits sought from D and the lattice sums beyond ctx.bits
 
@@ -147,14 +145,31 @@ def zeta_int(s: int, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         return +_mp_zeta(int(s))
 
 
+def _mean(name: str, a, b, ctx: PrecisionCtx, *step) -> mpf:
+    """The mean ``fixedpoint.agm_fixed`` of positive reals a, b with the
+    step functions ``step`` (the classical AGM's, symmetric, with a >= b,
+    if none), in units of 2^-(W + 16) of the smaller argument's binade,
+    W = bits + 32 the working precision, rounded to W bits; DomainError
+    unless a, b > 0."""
+    with ctx.workprec():
+        a, b = to_mpf(a), to_mpf(b)
+        if a <= 0 or b <= 0:
+            raise DomainError(f"{name} requires positive arguments")
+        if not step and a < b:
+            a, b = b, a
+        unit = mp.mag(min(a, b)) - mp.prec - 16
+        return mpf((agm_fixed(to_fixed(a, -unit), to_fixed(b, -unit),
+                              ctx.bits, *step), unit))
+
+
 def agm(a, b, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """Arithmetic-geometric mean of positive reals, quadratic convergence.
 
-    The mean is symmetric, so b is taken as the smaller argument.  The
-    iteration (a, b) -> ((a + b)/2, sqrt(a b)) runs on Python integers in
-    units of 2^-(W + 16) of b's binade, W = bits + 32 the working
-    precision, so B >= 2^(W + 15) units (``_agm_fixed``).  It returns
-    that loop's floor((A + B)/2) rounded to W bits.
+    The iteration (a, b) -> ((a + b)/2, sqrt(a b)) runs on Python integers
+    in units of 2^-(W + 16) of the smaller argument's binade, W = bits + 32
+    the working precision, so B >= 2^(W + 15) units (``_mean``).  The mean
+    is symmetric, so a is taken as the larger argument, and A >= B
+    throughout.  It returns the loop's floor((A + B)/2) rounded to W bits.
 
     Since a M_a + b M_b = M with M_a, M_b > 0, a unit moves the mean of a
     pair by under 2^-(W + 15) relative, so the two input floors and the N
@@ -164,25 +179,7 @@ def agm(a, b, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     N <= 30 (N = 14 at 1024 bits and b/a = 10^-40, 23 at b/a = 2^-65536),
     against about N ulps at W bits for the same loop in mpf.
     """
-    with ctx.workprec():
-        a, b = to_mpf(a), to_mpf(b)
-        if a <= 0 or b <= 0:
-            raise DomainError("agm requires positive arguments")
-        if a < b:
-            a, b = b, a
-        unit = b._mpf_[2] + b._mpf_[3] - mp.prec - 16
-        big_a, big_b = (libmp.to_fixed(x._mpf_, -unit) for x in (a, b))
-        return mpf((_agm_fixed(big_a, big_b, ctx.bits), unit))
-
-
-def _agm_fixed(big_a: int, big_b: int, bits: int) -> int:
-    """The classical AGM of integers A >= B > 0 in one fixed-point unit:
-    each step floors both means (``math.isqrt`` for the geometric one), so
-    A >= B >= the first B throughout, and the loop stops by the rule
-    |A - B| <= 2^-(bits + 16) A.  Returns floor((A + B)/2)."""
-    while (big_a - big_b) << (bits + 16) > big_a:
-        big_a, big_b = (big_a + big_b) >> 1, math.isqrt(big_a * big_b)
-    return (big_a + big_b) >> 1
+    return _mean("agm", a, b, ctx)
 
 
 def agm3(a, b, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
@@ -192,12 +189,12 @@ def agm3(a, b, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     (Borwein and Borwein, Trans. AMS 323, 1991).
 
     The iteration runs on Python integers in units of 2^-(W + 16) of the
-    binade of the smaller argument, W = bits + 32 the working precision,
-    so that argument is at least 2^(W + 15) units, and so is every later
-    mean: (a + 2b)/3 lies between a and b, and the cube of the second mean
-    lies between the cubes of a and b.  A step floors (A + 2B)/3 and
-    B (A^2 + AB + B^2)/3 and takes the floor of the latter's cube root
-    (``_icbrt``).  The loop stops by ``agm``'s rule
+    binade of the smaller argument, W = bits + 32 the working precision
+    (``_mean``), so that argument is at least 2^(W + 15) units, and so is
+    every later mean: (a + 2b)/3 lies between a and b, and the cube of the
+    second mean lies between the cubes of a and b.  A step floors
+    (A + 2B)/3 and B (A^2 + AB + B^2)/3 and takes the floor of the latter's
+    cube root (``_cube_root``).  The loop stops by ``agm``'s rule
     |A - B| <= 2^-(bits + 16) A and returns floor((A + 2B)/3) rounded to W
     bits.
 
@@ -213,45 +210,34 @@ def agm3(a, b, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     result is thus within 2^-(W + 9) relative for N <= 30 (N = 6 at 1024
     bits for b/a = 10^-40).
     """
-    with ctx.workprec():
-        a, b = to_mpf(a), to_mpf(b)
-        if a <= 0 or b <= 0:
-            raise DomainError("agm3 requires positive arguments")
-        low = min(a, b)
-        unit = low._mpf_[2] + low._mpf_[3] - mp.prec - 16
-        big_a, big_b = (libmp.to_fixed(x._mpf_, -unit) for x in (a, b))
-        while abs(big_a - big_b) << (ctx.bits + 16) > big_a:
-            big_a, big_b = ((big_a + 2 * big_b) // 3, _icbrt(
-                big_b * (big_a * big_a + big_a * big_b + big_b * big_b) // 3))
-        return mpf(((big_a + 2 * big_b) // 3, unit))
+    return _mean("agm3", a, b, ctx, lambda a, b: (a + 2 * b) // 3,
+                 lambda a, b: _cube_root(b * (a * a + a * b + b * b) // 3))
 
 
-def _icbrt(n: int) -> int:
-    """floor(n^(1/3)) for an integer n >= 1: Newton's iteration
-    x -> floor((2x + floor(n/x^2))/3) on integers from a seed above the
-    root.  With s a third of n's bit length beyond 96 bits, m = n >> 3s
-    has at most 98 bits, and the seed (floor(f) + 2) 2^s, f the float cube
-    root of m, within 2^-50 relative, and below 2^33, is above the root,
-    as n < (m + 1) 2^(3s).  Past 96 bits it is within 2^-30 relative of
-    the root, and each step about doubles its correct bits.  By the AM-GM
-    inequality every iterate stays at or above floor(n^(1/3)), and the
-    iterates fall strictly until they reach it."""
-    shift = max(0, n.bit_length() - 96) // 3
-    x = int((n >> 3 * shift) ** (1 / 3) + 2) << shift
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
+def _cube_root(n: int) -> int:
+    """floor(n^(1/3)) for an integer n >= 1: ``floor_root`` of X^3 - n,
+    increasing and convex for X > 0, from the seed floor(f) 2^s, with s a
+    third of n's bit length beyond 150 bits and f the float cube root of
+    m = n >> 3s, which has at most 152 bits.  f is within about 2^-48
+    relative of m^(1/3): the float 1/3 errs by under 2^-55, times
+    ln m < 106.  m^(1/3) 2^s is within 2^-150 relative of the root, as
+    m 2^(3s) <= n < (m + 1) 2^(3s).  So the seed is at least 1 and within
+    2^-47 relative of the root; each Newton step about doubles its correct
+    bits, and a seed below the root costs no more than the step that
+    lands above it."""
+    shift = max(0, n.bit_length() - 150) // 3
+    return floor_root((1, 0, 0, -n),
+                      int((n >> 3 * shift) ** (1 / 3)) << shift)
 
 
-def _cbrt(x: mpf) -> mpf:
+def cbrt(x: mpf) -> mpf:
     """x^(1/3) for an mpf x > 0 at the working precision: in units 2^v,
-    v = floor((exp + bc)/3) - prec - 3 for x's exponent and bit count, the
-    root exceeds 2^(prec + 2) units, and ``_icbrt`` of x's floor in units
-    2^(3v) is within one of it; one rounding to prec bits follows."""
-    unit = (x._mpf_[2] + x._mpf_[3]) // 3 - mp.prec - 3
-    return mpf((_icbrt(libmp.to_fixed(x._mpf_, -3 * unit)), unit))
+    v = floor(mag(x)/3) - prec - 3 for x's binary magnitude
+    mag(x) = exp + bc, the root exceeds 2^(prec + 2) units, and
+    ``_cube_root`` of x's floor in units 2^(3v) is within one of it; one
+    rounding to prec bits follows."""
+    unit = mp.mag(x) // 3 - mp.prec - 3
+    return mpf((_cube_root(to_fixed(x, -3 * unit)), unit))
 
 
 def root_of_unity(a) -> mpc:
@@ -294,95 +280,6 @@ def _tangent_numbers(n: int) -> list[int]:
     return _TANGENT
 
 
-# A float margin closer than this many bits to a threshold is left to mpf.
-# The float logs below err by under 2^-30 bits at every precision in use,
-# and the mpf products they stand in for by a few ulps: both far inside it.
-_TIE = 1e-6
-_LN2 = math.log(2)
-
-
-def _log2(x: mpf) -> float:
-    """log2 x for a positive mpf x, as a float from its exponent and leading
-    bits, so that nothing underflows at any precision.  Within about 2^-50
-    relative, near x = 1 too, where it is log1p of x - 1 formed exactly."""
-    _, man, exp, bc = x._mpf_
-    if exp + bc not in (0, 1):
-        return math.log2(man) + exp
-    d = man - (1 << -exp)  # (x - 1) 2^-exp, for 1/2 <= x < 2
-    s = max(0, d.bit_length() - 53)
-    return math.log1p((d >> s) * 2.0 ** (exp + s)) / _LN2
-
-
-def _log_near_one(n: mpf, prec: int) -> int | None:
-    """log n in fixed point at prec fractional bits, within 2 units, for an
-    n within 2^-(prec//3) of 1 (a squared modulus that rounds to 1), and
-    None for any other n.
-
-    mpmath's log raises its working precision for an argument next to 1;
-    here x = n - 1 is formed exactly at prec + 4 bits and
-    log(1 + x) = sum_k (-1)^(k-1) x^k/k is summed on Python integers,
-    four terms or so, as |x|^k falls by 2^-(prec//3) a term.  Each term
-    and power is floored once, under 2 units of 2^-(prec + 4) a term, and
-    the final shift floors once more."""
-    _, _, exp, bc = n._mpf_
-    if exp + bc not in (0, 1):  # n outside [1/2, 2)
-        return None
-    bits = prec + 4
-    x = libmp.to_fixed(n._mpf_, bits) - (1 << bits)  # exact: n has <= prec bits
-    a = abs(x)
-    if a.bit_length() > bits - prec // 3:
-        return None
-    total, power, k = 0, a, 1
-    while power:
-        # log(1 - a) = -sum a^k/k; log(1 + a) alternates
-        total += power // k if x > 0 and k % 2 else -(power // k)
-        power, k = power * a >> bits, k + 1
-    return total >> 4
-
-
-def _float_ceil(x: float, exact) -> int:
-    """ceil of a quantity whose float estimate x is within 2^-40 relative:
-    ceil(x), unless x lies within _TIE (times |x| beyond 1) of an integer,
-    where ``exact()`` decides in mpf."""
-    if abs(x) < 2.0 ** 40 and abs(x - round(x)) > _TIE * max(1.0, abs(x)):
-        return math.ceil(x)
-    return exact()
-
-
-def _stop_index(r, c, eps, max_terms: int, budget: str, first: int = 1,
-                log2c: float | None = None) -> int:
-    """Least k >= first with tail bound c r^(k+1)/(1-r) < eps, for 0 < r < 1
-    and positive mpf r, c, eps; ConvergenceError with the message ``budget``
-    past ``max_terms``.
-
-    k is found from floats: with t = log2 of c r/((1-r) eps), by
-    ``_log2``, it is the least k >= first with t + k log2 r < 0.  Only when
-    that margin at k or at k - 1 is within _TIE bits, or r is within
-    2^-900 of 1, do the mpf comparisons c r/(1-r) r^k < eps at the working
-    precision decide, so k is the integer they give either way.  A caller
-    that has log2 c already passes it as ``log2c``, with c a function that
-    returns the mpf c; it is called only on a tie."""
-    lr = _log2(r)
-    excess = (_log2(c) if log2c is None else log2c) + lr - _log2(1 - r) \
-        - _log2(eps)
-    k = max(first, math.floor(excess / -lr) + 1) if lr < -2.0 ** -900 \
-        else None
-    if k is None or excess + k * lr > -_TIE \
-            or k > first and excess + (k - 1) * lr < _TIE:
-        if log2c is not None:
-            c = c()
-        tail = c * r / (1 - r)
-        if k is None:
-            k = max(first, int(ceil(log(eps / tail) / log(r))))
-        while tail * r ** k >= eps:
-            k += 1
-        while k > first and tail * r ** (k - 1) < eps:
-            k -= 1
-    if k > max_terms:
-        raise ConvergenceError(budget)
-    return k
-
-
 @shared
 def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     """Bloch-Wigner dilogarithm D(z) = Im Li2(z) + arg(1-z) log|z|.
@@ -394,13 +291,13 @@ def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
     function", 2007).  |B_2k| <= 2.3 (2k)!/(2 pi)^(2k) bounds the B_2k
     term by 2.3 |w| r^k, r = (|w|/2 pi)^2 < 0.041, so the series stops
     after the K terms B_2 .. B_2K, K the least with 2.3 |w| r^(K+1)/(1-r)
-    below 2^-(bits + GUARD_D), found by ``_stop_index`` from floats (K = 0
-    when even 2.3 |w| r/(1-r) is below it); ConvergenceError if
-    K > ``ctx.max_terms``.
+    below 2^-(bits + GUARD_D), found by ``fixedpoint.stop_index`` from
+    floats (K = 0 when even 2.3 |w| r/(1-r) is below it); ConvergenceError
+    if K > ``ctx.max_terms``.
 
     Where |1 - z|^2 or |z|^2 lies within 2^-(W/3) of 1, W the working
     precision, log|1 - z| (the real part of -w) or log|z| is taken from it
-    by ``_log_near_one``, within 2 units of 2^-W.
+    by ``fixedpoint.log_near_one``, within 2 units of 2^-W.
 
     The K terms are summed on Python integers at P fractional bits: w
     enters floored, w^2 and w^(2k+1) are carried as fixed-point values, and
@@ -424,11 +321,11 @@ def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         eps = mpf(2) ** (-(ctx.bits + GUARD_D))
         v = 1 - z
         arg_v = arg(v)
-        lv = _log_near_one(v.real ** 2 + v.imag ** 2, mp.prec)  # log |v|^2
+        lv = log_near_one(v.real ** 2 + v.imag ** 2, mp.prec)  # log |v|^2
         w = -log(v) if lv is None else mpc(ldexp(-lv, -mp.prec - 1), -arg_v)
         r, c = (abs(w) / (2 * pi)) ** 2, 2.3 * abs(w)
-        big_k = _stop_index(r, c, eps, ctx.max_terms,
-                            "Bloch-Wigner series budget exhausted", first=0)
+        big_k = stop_index(r, c, eps, ctx.max_terms,
+                           "Bloch-Wigner series budget exhausted", first=0)
         prec = mp.prec + (big_k + 5).bit_length()
         wr, wi = to_fixed(w.real, prec), to_fixed(w.imag, prec)
         sr, si = (wr * wr - wi * wi) >> prec, (2 * wr * wi) >> prec  # w^2
@@ -443,7 +340,7 @@ def bloch_wigner(z, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
             den = fact * (2 * k + 1) * ((1 << 2 * k) - 1)
             t = (wi * tangents[k - 1] // den) >> 2 * k
             total += t if k % 2 else -t
-        lz = _log_near_one(z.real ** 2 + z.imag ** 2, mp.prec)  # log |z|^2
+        lz = log_near_one(z.real ** 2 + z.imag ** 2, mp.prec)  # log |z|^2
         lz = log(abs(z)) if lz is None else ldexp(lz, -mp.prec - 1)
         return +(sign * (mpf((total, -prec)) + arg_v * lz))
 
@@ -504,7 +401,7 @@ def _anchor_ctx(s: Fraction, ctx: PrecisionCtx, tol) -> PrecisionCtx:
     """The context whose D(z0) holds the error of Lambda_s(1),
     (w/pi) 2^-(b + GUARD_D) at b bits, to tol/8: ctx itself where it does
     (121 bits or more for tol 1e-42), else ctx at the least such b."""
-    need = math.ceil(math.log2(8 * _KERNEL[s][2] / math.pi) - _log2(tol)) \
+    need = math.ceil(math.log2(8 * _KERNEL[s][2] / math.pi) - log2(tol)) \
         - GUARD_D
     return ctx if need <= ctx.bits else PrecisionCtx(need, ctx.max_terms)
 
@@ -586,7 +483,7 @@ def _connection_integral(s, w, tol, max_terms):
     pn, pd = as_ratio(_KERNEL[s][0])
     g = min(int(1 / (1 - abs(w))) + 1, max_terms + 1)
     width = min(mp.prec, tol_bits(tol))
-    loglen = max(width, math.ceil(-_log2(abs(w))))  # > |log|w||
+    loglen = max(width, math.ceil(-log2(abs(w))))  # > |log|w||
     prec = width + ((max_terms + 1) * (20 + loglen) * g * g).bit_length()
     with workprec(prec):
         kappa, logw, h = (to_fixed(x, prec) for x in (

@@ -36,12 +36,13 @@ from .context import (DEFAULT_CTX, DomainError, PrecisionCtx,
 from .elliptic import (CurvePoint, EllipticCurve, curve_from_family,
                        elliptic_dilog, is_on_curve, lattice_dilog_sum,
                        periods, point_order)
+from .fixedpoint import as_ratio, to_fixed
 from .mahler import (M_DIGITS, m_quadrature, m_series, n_quadrature, n_series,
                      rv_series, s_ratio)
 from .modular import cubic_theta_ratio, phi_theta, q3_from_beta
 from .numkernel import gamma_real, root_of_unity, zeta_int
-from .series import (TermCounter, as_ratio, count_terms, note, ratio_series,
-                     richardson_sum, sum_geometric, to_fixed)
+from .series import (TermCounter, count_terms, note, ratio_series,
+                     richardson_sum, sum_geometric)
 from .symbolic.hyperterm import term_shift_ratio
 from .symbolic.multipoly import RatFunc
 from .symbolic.pairs import builtin_pairs

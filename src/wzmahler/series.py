@@ -39,7 +39,6 @@ and notes to every caller.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from fractions import Fraction
 from functools import cache, wraps
 from itertools import count, islice
 from math import ceil, comb, factorial, inf
@@ -47,9 +46,9 @@ from operator import mul
 from typing import Callable, Iterator
 
 from mpmath import ldexp, mp, mpf
-from mpmath.libmp import to_rational
 
 from .context import ConvergenceError
+from .fixedpoint import as_ratio, to_fixed
 
 # terms(bits) -> the terms as integers at ``bits`` fractional bits
 Series = Callable[[int], Iterator[int]]
@@ -126,25 +125,6 @@ def shared(fn: Callable) -> Callable:
     return call
 
 
-def as_ratio(x) -> tuple[int, int]:
-    """x as an exact integer pair (p, q), q > 0: an int, a Fraction, or the
-    dyadic rational an mpf stands for (at its own precision, not rounded to
-    the working one); anything else is read by mpf() first."""
-    if isinstance(x, int):
-        return x, 1
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    if not isinstance(x, mpf):
-        x = mpf(x)
-    return to_rational(x._mpf_)
-
-
-def to_fixed(x, bits: int) -> int:
-    """floor(x * 2^bits), exactly."""
-    p, q = as_ratio(x)
-    return (p << bits) // q
-
-
 def ratio_series(step: Callable, weight: Callable, *, start: int = 0,
                  x=None) -> Series:
     """The series sum_{n>=start} weight(n) c_n with c_0 = 1 and
@@ -184,8 +164,7 @@ def tol_bits(tol) -> int:
     (``as_ratio``) takes t = 2 + bitlen(q) - bitlen(p), at most one more.
     The cap keeps every width at or below mp.prec + GUARD."""
     if isinstance(tol, mpf):
-        _, _, exp, bc = tol._mpf_
-        t = 2 - exp - bc
+        t = 2 - mp.mag(tol)
     else:
         p, q = as_ratio(tol)
         t = 2 + q.bit_length() - abs(p).bit_length()
@@ -264,6 +243,8 @@ def richardson_sum(terms: Series, tol, *, max_terms: int = 500_000) -> mpf:
     extrapolated at each depth N <= max_terms in turn.  Convergence is
     declared when two consecutive depths agree to tol/4 and each depth
     agrees to tol/4 with the extrapolation of its first three quarters.
+    A max_terms below the first depth, 48, raises ConvergenceError naming
+    the term budget before any term is stepped.
 
     The weights of depth d, over N!, sum to about 2^(1.53 d) (2^104.5 at
     72, 2^160 at 108, 2^556 at 364) and scale the rounding of the partial
@@ -278,6 +259,10 @@ def richardson_sum(terms: Series, tol, *, max_terms: int = 500_000) -> mpf:
     both generations.
     """
     depths = [d for d in _DEPTHS if d <= max_terms]
+    if not depths:
+        raise ConvergenceError(
+            f"Richardson extrapolation budget exhausted: its first depth "
+            f"takes {_DEPTHS[0]} terms, max_terms={max_terms}")
     stepped = tried = 0  # terms stepped and depths tried, earlier generations
     for last in (min(_FIRST, len(depths)), len(depths)):
         if last == tried:

@@ -61,8 +61,9 @@ def _linear_product(forms, const: int) -> Poly:
 def gosper_sum(tops, bottoms, excess: Fraction,
                max_unknowns: int) -> tuple[Fraction, int] | None:
     """(sum, deg x) of pFq(tops; bottoms; 1), parameters as integer pairs
-    (p, q) in lowest terms and ``excess`` = sum(bottoms) - sum(tops) > 0,
-    when it has a Gosper certificate that vanishes at infinity; None
+    (p, q) in lowest terms and ``excess`` = sum(bottoms) - sum(tops),
+    positive and read only where there is one top more than bottoms, when
+    it has a Gosper certificate that vanishes at infinity; None
     otherwise, and when x would have more than ``max_unknowns``
     coefficients.  The coefficients solved for are counted as terms."""
     tops, bottoms = list(tops), [(1, 1), *bottoms]

@@ -1,15 +1,25 @@
 """Generalized hypergeometric series pFq evaluated by term recurrence.
 
 The parameters and z enter the term ratio as exact integer pairs, and the
-terms are stepped on integers by ``series.ratio_series``.  Inside the unit
-disk the tail is bounded geometrically.  At z = 1 the series converges only
-when the parameter excess s = sum(bottoms) - sum(tops) is positive, with
-terms decaying like n**(-1-s).  Such a sum is first tried by Gosper's
-algorithm (``gosper``): when its partial sums are hypergeometric and their
+terms are stepped on integers by ``series.ratio_series``.  Whether the
+series converges is decided from p and q before any term is summed:
+
+* p > q + 1: it diverges at every z != 0, unless a top parameter is a
+  non-positive integer and the series terminates;
+* p = q + 1: it converges for |z| < 1, and on |z| = 1 only when the
+  parameter excess s = sum(bottoms) - sum(tops) is positive, with terms
+  decaying like n**(-1-s);
+* p <= q: it converges for every z, its term ratio falling like 1/n; it
+  is summed for |z| <= 1, and DomainError refuses a larger |z|, where
+  the terms could outgrow the guard bits.
+
+Inside the unit disk, and for p <= q on its boundary too, the tail is
+bounded geometrically.  A sum at z = 1 is first tried by Gosper's algorithm
+(``gosper``): when its partial sums are hypergeometric and their
 antidifference vanishes at infinity, the sum is an exact rational, rounded
-once.  Any other goes through the Richardson engine.  Either route leaves a
-note, "pFq by Gosper certificate, degree d" or "pFq by Richardson
-extrapolation".
+once.  Any other with p = q + 1 goes through the Richardson engine.  Either
+route leaves a note, "pFq by Gosper certificate, degree d" or "pFq by
+Richardson extrapolation".
 """
 
 from __future__ import annotations
@@ -22,8 +32,8 @@ from mpmath.libmp import from_rational, round_nearest
 
 from ..context import (DEFAULT_CTX, DivergentSeriesError, DomainError,
                        PrecisionCtx, to_mpf, to_tol)
-from ..series import (as_ratio, note, ratio_series, richardson_sum,
-                      sum_geometric)
+from ..fixedpoint import as_ratio
+from ..series import note, ratio_series, richardson_sum, sum_geometric
 from .gosper import gosper_sum
 
 
@@ -40,18 +50,22 @@ def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx = DEFAULT_CTX,
         zn, zd = as_ratio(z)
         if tol is not None:
             tol = to_tol(tol)
-        if any(q == 1 and p <= 0 for p, q in bottoms_q):
+        if any(d == 1 and a <= 0 for a, d in bottoms_q):
             raise DomainError("bottom parameter is a non-positive integer")
-        if abs(zn) > zd:
-            raise DivergentSeriesError(f"|z| = {mp.nstr(abs(z), 8)} > 1")
-        name = f"{len(tops_q)}F{len(bottoms_q)}"
+        p, q = len(tops_q), len(bottoms_q)
+        name = f"{p}F{q}"
+        if p > q + 1 and zn and not any(d == 1 and a <= 0 for a, d in tops_q):
+            raise DivergentSeriesError(f"{name} diverges at every z != 0")
+        if abs(zn) > zd:  # a p <= q series converges, but is not summed
+            raise (DivergentSeriesError if p > q else DomainError)(
+                f"{name} at |z| = {mp.nstr(abs(z), 8)} > 1")
         scale_n = prod(d for _, d in bottoms_q)
         scale_d = prod(d for _, d in tops_q)
         if abs(zn) == zd:
             scale = scale_n * scale_d
-            excess = Fraction(sum(p * scale // q for p, q in bottoms_q)
-                              - sum(p * scale // q for p, q in tops_q), scale)
-            if excess <= 0:
+            excess = Fraction(sum(a * scale // d for a, d in bottoms_q)
+                              - sum(a * scale // d for a, d in tops_q), scale)
+            if p > q and excess <= 0:
                 raise DivergentSeriesError(
                     f"parameter excess {mp.nstr(to_mpf(excess), 8)} <= 0 at |z| = 1")
             # z = -1 with positive excess: alternating, summed directly below
@@ -72,11 +86,17 @@ def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx = DEFAULT_CTX,
         terms = ratio_series(step, lambda n: (1, 1))
         if tol is None:
             tol = ctx.default_tol
+        n0 = max((abs(a) // d for a, d in tops_q + bottoms_q), default=1) + 2
+        if p <= q:
+            # past n - 1 >= 2 (n0 - 1), above every |parameter| twice, each
+            # top over its bottom is at most 3 and each bottom left over at
+            # most 1: the ratio is at most |z| 3^p/n <= 1/2 from n >= 2 3^p
+            return +sum_geometric(terms, tol, head=2 * n0 + 2 * 3 ** p,
+                                  max_terms=ctx.max_terms)
         if z == 1:
             note(f"{name} by Richardson extrapolation")
             return +richardson_sum(terms, tol, max_terms=ctx.max_terms)
         # term ratio tends to |z|; past n0 it is within (1+|z|)/2
-        n0 = max((abs(p) // q for p, q in tops_q + bottoms_q), default=1) + 2
         bound = (1 + abs(z)) / 2 if abs(z) < 1 else mpf("0.999")
         return +sum_geometric(terms, tol, ratio=bound, head=n0,
                               max_terms=ctx.max_terms)

@@ -147,11 +147,11 @@ def test_periods_roots_against_polyroots(bits):
 
 def test_periods_uncertified_root_raises(monkeypatch):
     # a root whose floor fails the sign-change test raises ArithmeticError
-    # and is not memoised: Newton's result moved by 5 units
-    newton = elliptic_module._outer_root
+    # and is not memoised: floor_root's floors moved by 5 units
+    floor_root = elliptic_module.floor_root
     ctx = PrecisionCtx(bits=96)
-    monkeypatch.setattr(elliptic_module, "_outer_root",
-                        lambda poly, slope, x: newton(poly, slope, x) + 5)
+    monkeypatch.setattr(elliptic_module, "floor_root",
+                        lambda coeffs, x: floor_root(coeffs, x) + 5)
     with pytest.raises(ArithmeticError, match="not certified"):
         periods(IRRATIONAL, ctx)
     monkeypatch.undo()
@@ -476,9 +476,9 @@ def test_lattice_sum_float_decisions_match_mpf(monkeypatch):
                 values.append(lattice_dilog_sum(z0, q, ctx))
             counts.append(counter.count)
         runs.append((list(seen), counts, values))
-        monkeypatch.setattr(elliptic_module, "_float_ceil",
+        monkeypatch.setattr(elliptic_module, "float_ceil",
                             lambda x, exact: exact())
-        monkeypatch.setattr(elliptic_module, "_stop_index", _mpf_stop_index)
+        monkeypatch.setattr(elliptic_module, "stop_index", _mpf_stop_index)
     assert runs[0] == runs[1]
     assert len(runs[0][0]) == len(cases)
 
@@ -486,13 +486,13 @@ def test_lattice_sum_float_decisions_match_mpf(monkeypatch):
 def test_lattice_sum_stop_index_once_on_the_unit_circle(monkeypatch):
     # |z| = 1 gives r_up = r_down: one stop index serves both half-sums
     calls = []
-    stop = elliptic_module._stop_index
+    stop = elliptic_module.stop_index
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return stop(*args, **kwargs)
 
-    monkeypatch.setattr(elliptic_module, "_stop_index", counted)
+    monkeypatch.setattr(elliptic_module, "stop_index", counted)
     lattice_dilog_sum.cache_clear()
     lattice_dilog_sum(mpc(0, 1), mpf(1) / 4, CTX)
     assert len(calls) == 1

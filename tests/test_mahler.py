@@ -13,11 +13,12 @@ from wzmahler import (DivergentSeriesError, DomainError, PrecisionCtx,
                       QuadratureBudgetError)
 from wzmahler import mahler
 from wzmahler.context import to_mpf
+from wzmahler.fixedpoint import as_ratio
 from wzmahler.mahler import (m_quadrature, m_series, n_quadrature, n_series,
                              rv_series, s_ratio)
 from wzmahler.modular import phi_theta
 from wzmahler.numkernel import LAMBDA_SWITCH, lambda_series
-from wzmahler.series import TermCounter, as_ratio, ratio_series, sum_geometric
+from wzmahler.series import TermCounter, ratio_series, sum_geometric
 from wzmahler.symbolic.pfq import pfq_eval
 
 CTX = PrecisionCtx(bits=256)

@@ -16,11 +16,11 @@ from wzmahler import (ConvergenceError, DivergentSeriesError, DomainError,
                       PoleError, PrecisionCtx, agm, bloch_wigner, gamma_real,
                       zeta_int)
 from wzmahler.context import to_mpf
-from wzmahler.numkernel import (_KERNEL, _TIE, GUARD_D, LAMBDA_SWITCH,
-                                _connection_integral, _float_ceil, _icbrt,
-                                _log2, _log_near_one, _stop_index,
-                                _tangent_numbers, agm3, lambda_series,
-                                root_of_unity)
+from wzmahler.fixedpoint import (_TIE, float_ceil, log2, log_near_one,
+                                 stop_index)
+from wzmahler.numkernel import (_KERNEL, GUARD_D, LAMBDA_SWITCH,
+                                _connection_integral, _tangent_numbers, agm3,
+                                lambda_series, root_of_unity)
 from wzmahler.series import GUARD, TermCounter, count_terms, tol_bits
 
 CTX = PrecisionCtx(bits=256)
@@ -199,7 +199,7 @@ def test_bloch_wigner_stop_index_matches_stepped_tail():
                 w = abs(log(1 - z))
                 r, c = (w / (2 * pi)) ** 2, 2.3 * w
                 want = _stepped_terms(r, c, eps)
-                got = 0 if c * r / (1 - r) < eps else _stop_index(
+                got = 0 if c * r / (1 - r) < eps else stop_index(
                     r, c, eps, ctx.max_terms, "D")
             assert got == want, (bits, z)
             seen.add(min(want, 2))
@@ -236,46 +236,46 @@ def test_stop_index_matches_stepped_tail_at_every_precision():
                             / r ** (k + 1)
                     c = +c
                     want = k + (side > 0)
-                    margin = _log2(c) + (k + 1) * _log2(r) - _log2(1 - r) \
-                        - _log2(eps)
+                    margin = log2(c) + (k + 1) * log2(r) - log2(1 - r) \
+                        - log2(eps)
                     assert abs(margin) < _TIE
                     ties += 1
                 stepped = _stepped_terms(r, c, eps)
                 assert want is None or stepped == want, (bits, i)
-                assert _stop_index(r, c, eps, ctx.max_terms, "x", first=0) \
+                assert stop_index(r, c, eps, ctx.max_terms, "x", first=0) \
                     == stepped, (bits, i)
-                assert _stop_index(r, c, eps, ctx.max_terms, "x") \
+                assert stop_index(r, c, eps, ctx.max_terms, "x") \
                     == max(1, stepped), (bits, i)
                 if stepped >= 2:
                     with pytest.raises(ConvergenceError, match="budget"):
-                        _stop_index(r, c, eps, stepped - 1, "budget")
+                        stop_index(r, c, eps, stepped - 1, "budget")
     assert ties == 200
     # r within 2^-900 of 1, where log2 r is no float: mpf decides alone
     with workprec(1100):
         r = 1 - mpf(2) ** -1000
-        assert _stop_index(r, mpf(2) ** -3000, mpf(2) ** -1000, 10, "x",
+        assert stop_index(r, mpf(2) ** -3000, mpf(2) ** -1000, 10, "x",
                            first=0) == 0
         with pytest.raises(ConvergenceError, match="budget"):
-            _stop_index(r, mpf(1), mpf(2) ** -1000, 10 ** 9, "budget")
+            stop_index(r, mpf(1), mpf(2) ** -1000, 10 ** 9, "budget")
 
 
 def test_float_log2_and_ceil():
-    # _log2 from the exponent and leading bits: no underflow at huge
+    # log2 from the exponent and leading bits: no underflow at huge
     # exponents, full relative accuracy next to 1 (via log1p of x - 1)
     with workprec(2000):
         for x, want in ((mpf(2) ** -5000, -5000.0), (mpf(2) ** 7000, 7000.0),
                         (mpf(3) * mpf(2) ** -3000, -3000 + 1.584962500721156),
                         (mpf(3) ** 1200, 1200 * 1.584962500721156)):
-            assert abs(_log2(x) - want) <= 1e-12 * abs(want)
+            assert abs(log2(x) - want) <= 1e-12 * abs(want)
         for d in (mpf(2) ** -1000, -mpf(2) ** -900, mpf(10) ** -20,
                   mpf("0.3"), -mpf("0.45")):
             ref = log(1 + d, 2)
-            assert abs(_log2(1 + d) / ref - 1) < 2 ** -48, d
-        assert _log2(mpf(1)) == 0
-    # _float_ceil: the float's ceiling away from integers, exact() near them
-    assert _float_ceil(2.5, None) == 3 and _float_ceil(-2.5, None) == -2
+            assert abs(log2(1 + d) / ref - 1) < 2 ** -48, d
+        assert log2(mpf(1)) == 0
+    # float_ceil: the float's ceiling away from integers, exact() near them
+    assert float_ceil(2.5, None) == 3 and float_ceil(-2.5, None) == -2
     for x in (3.0, 3 + 1e-8, 3 - 1e-8, 2.0 ** 41):
-        assert _float_ceil(x, lambda: "mpf") == "mpf"
+        assert float_ceil(x, lambda: "mpf") == "mpf"
 
 
 def _is_bernoulli(k, t):
@@ -419,18 +419,6 @@ def test_agm3_relative_error_against_hyp2f1(bits):
         assert agm3(b, b, ctx) == b
 
 
-def test_icbrt_is_the_floor_cube_root():
-    # seeded integers of 1 to 3400 bits, perfect cubes and their neighbours
-    rng = random.Random(27)
-    values = [rng.getrandbits(n) | 1 << (n - 1)
-              for n in list(range(1, 400)) + [950, 3400] for _ in range(4)]
-    values += [c for n in (1, 40, 101, 1100) for x in (1 << n, 3 ** n)
-               for c in (x ** 3 - 1, x ** 3, x ** 3 + 1)]
-    for n in values:
-        x = _icbrt(n)
-        assert x ** 3 <= n < (x + 1) ** 3, n
-
-
 def test_root_of_unity_twelfths_exact():
     # e^(2 pi i k/12) has its rational parts exact and sqrt(3)/2 rounded
     # once; it and any other a lie within a few ulps of mpmath's
@@ -561,10 +549,10 @@ def test_log_near_one_against_mpmath():
             for n in points:
                 with workprec(3 * prec):
                     ref = log(n) * mpf(2) ** prec
-                assert abs(_log_near_one(n, prec) - ref) < 2
+                assert abs(log_near_one(n, prec) - ref) < 2
             for n in (1 + mpf(2) ** -(prec // 3 - 1), 1 - mpf(2) ** -(prec // 3 - 1),
                       mpf(2), mpf("0.25")):
-                assert _log_near_one(n, prec) is None
+                assert log_near_one(n, prec) is None
 
 
 def test_lambda_series_small_z_and_domain():

@@ -43,6 +43,40 @@ def test_divergence_detection():
         pfq_eval([1, 1], [2], mpf("1.5"), CTX)  # |z| > 1
 
 
+def test_convergence_decided_by_p_against_q():
+    # p > q + 1 diverges at every z != 0, and is refused before a term is
+    # summed; a terminating top keeps it a polynomial; p = q + 1 keeps the
+    # parameter excess test at |z| = 1; p <= q converges for every z and is
+    # summed for |z| <= 1
+    for z in (1, mpf("0.5"), mpf(10) ** -30, -1):
+        with TermCounter() as counter, pytest.raises(
+                DivergentSeriesError, match="3F1 diverges at every z != 0"):
+            pfq_eval([1, 1, 1], [5], z, CTX)
+        assert counter.count == 0
+    assert pfq_eval([1, 1, 1], [5], 0, CTX) == 1
+    with workprec(260):
+        got = pfq_eval([-3, 1, 2], [], mpf("0.5"), CTX)
+        assert abs(got - hyper([-3, 1, 2], [], mpf("0.5"))) < mpf(10) ** -50
+    with pytest.raises(DivergentSeriesError, match="parameter excess"):
+        pfq_eval([5, 1], [2], 1, CTX)
+    with pytest.raises(DomainError, match="1F2 at |z| = 2.0 > 1"):
+        pfq_eval([5], [1, 1], 2, CTX)
+
+
+@pytest.mark.parametrize("tops, bottoms", [
+    ([5], [1, 1]), ([], [1]), ([], []), ([2, 3], [4, 5]),
+    ([mpf(1) / 3], [mpf(7) / 2, 2]), ([mpf(-9) / 2], [mpf(-11) / 4, 3]),
+    ([7, 7, 7], [mpf(1) / 2, mpf(3) / 2, 4])])
+def test_p_at_most_q_on_the_unit_circle_matches_mpmath(tops, bottoms):
+    # 1F2(5; 1, 1; 1) raised "parameter excess -3 <= 0" although it
+    # converges; at z = +-1 each sum now meets mpmath's hyper
+    tol = mpf(10) ** -45
+    with workprec(260):
+        for z in (1, -1):
+            got = pfq_eval(tops, bottoms, z, CTX, tol=tol)
+            assert abs(got - hyper(tops, bottoms, z)) < tol, z
+
+
 def test_bottom_pole_rejected():
     with pytest.raises(DomainError):
         pfq_eval([1, 1], [-2], mpf(1) / 2, CTX)
@@ -131,7 +165,8 @@ def test_gosper_route_keeps_the_term_budget():
     with TermCounter() as counter:
         pfq_eval(tops, bottoms, 1, PrecisionCtx(bits=192, max_terms=15))
     assert counter.count == 15
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="budget exhausted: its first "
+                       "depth takes 48 terms, max_terms=14"):
         pfq_eval(tops, bottoms, 1, PrecisionCtx(bits=192, max_terms=14))
 
 

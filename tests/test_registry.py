@@ -15,11 +15,12 @@ from wzmahler import (DomainError, PrecisionCtx, UnknownIdentityError,
                       elliptic, mahler, numkernel, registry)
 from wzmahler import series as series_module
 from wzmahler.context import DEFAULT_CTX, to_mpf
+from wzmahler.fixedpoint import as_ratio
 from wzmahler.mahler import n_quadrature, s_ratio
 from wzmahler.registry import (exit_code, lookup, n_lattice, registry_entries,
                                reports_from_json, reports_to_json, run_all,
                                run_check)
-from wzmahler.series import as_ratio, shared
+from wzmahler.series import shared
 from wzmahler.symbolic import pfq as pfq_module
 from wzmahler.symbolic.hyperterm import HyperTerm
 from wzmahler.symbolic.pairs import builtin_pairs

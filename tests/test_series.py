@@ -9,9 +9,10 @@ import pytest
 from mpmath import ldexp, mpf, pi, richardson, workprec
 
 from wzmahler.context import ConvergenceError
-from wzmahler.series import (GUARD, TermCounter, as_ratio, count_terms, note,
+from wzmahler.fixedpoint import as_ratio, to_fixed
+from wzmahler.series import (GUARD, TermCounter, count_terms, note,
                              ratio_series, richardson_estimate, richardson_sum,
-                             shared, sum_geometric, to_fixed, tol_bits)
+                             shared, sum_geometric, tol_bits)
 
 # 1 + 1/2 + 1/4 + ...
 _halving = ratio_series(lambda n: (1, 2), lambda n: (1, 1))
@@ -25,6 +26,21 @@ def test_sum_geometric_rejects_ratio_and_budget():
             sum_geometric(_halving, mpf(10) ** -30, ratio=ratio)
     with pytest.raises(ConvergenceError):
         sum_geometric(_halving, mpf(10) ** -30, ratio=0.5, max_terms=20)
+
+
+def test_richardson_names_a_budget_below_its_first_depth():
+    # max_terms below the first depth, 48, can serve no depth: the error
+    # names the budget, not a failure to stabilize, and no term is stepped
+    stepped = []
+
+    def terms(bits):
+        stepped.append(bits)
+        return _inverse_squares(bits)
+
+    for budget in (0, 14, 47):
+        with pytest.raises(ConvergenceError, match=f"max_terms={budget}"):
+            richardson_sum(terms, mpf(10) ** -30, max_terms=budget)
+    assert stepped == []
 
 
 def test_sum_geometric_refuses_tol_below_resolution():

@@ -1,8 +1,9 @@
 """Source hygiene: the package is Python modules only, every top-level
-import of a ``wzmahler`` module is used, every module-level ``_private``
-function, class or constant is referenced, no frozen record is patched
-after it is built, every error class of ``context`` is raised by some other
-module, and every name the benchmark's tracer rebinds exists."""
+import of a ``wzmahler`` module is used, no module imports another's
+``_private`` name, every module-level ``_private`` function, class or
+constant is referenced, no frozen record is patched after it is built,
+every error class of ``context`` is raised by some other module, and every
+name the benchmark's tracer rebinds exists."""
 
 import ast
 import builtins
@@ -71,6 +72,35 @@ def test_no_unused_imports_in_package(monkeypatch):
                  if (module, name) not in traced]
         if path.name != "__init__.py" and names:
             found[str(path.relative_to(PACKAGE))] = names
+    assert found == {}
+
+
+def private_imports(source: str) -> list[str]:
+    """The ``_private`` names that ``source`` imports from a package module:
+    by a relative import, or by one from ``wzmahler``."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "wzmahler")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+def test_private_imports_detected():
+    # _a and _c come from package modules, relative and absolute; _b is
+    # read as an attribute, _d comes from another package, __version__ is
+    # a dunder
+    mod = ("from .numkernel import _a, agm\nfrom . import numkernel\n"
+           "numkernel._b\nfrom wzmahler.series import _c\n"
+           "from mpmath import zeta as _d\nfrom .. import __version__\n")
+    assert private_imports(mod) == ["_a", "_c"]
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a name one module shares with another is public: the fixed-point
+    # helpers live in ``fixedpoint`` under public names for that reason
+    found = {str(path.relative_to(PACKAGE)): names
+             for path in sorted(PACKAGE.rglob("*.py"))
+             if (names := private_imports(path.read_text()))}
     assert found == {}
 
 
