@@ -1,9 +1,13 @@
 """Fixed-point helpers on Python integers, shared by the series engines, the
 special functions, the lattice sums, the theta loop and the quadratures.
+It is the one module that reads mpmath's number format (``mpmath.libmp``,
+an mpf's ``_mpf_``); the others go through it.
 
 * Exact conversion: ``as_ratio`` reads an int, Fraction or mpf as an
-  integer pair, and ``to_fixed`` floors a value at a number of fractional
-  bits.
+  integer pair, ``to_fixed`` floors a value at a number of fractional
+  bits, and ``exact_mpf`` is the mpf m 2^e.
+* Rounded once: ``rounded_quotient`` (p/q) and ``cos_sin_2pi`` (cos and
+  sin of 2 pi a, floored in fixed point).
 * Integers decided from floats: ``float_ceil`` and ``stop_index``, on
   float logs such as ``log2`` of an mpf.  Each takes the float route only
   where its margin lies more than ``_TIE`` bits from a threshold, and
@@ -50,6 +54,29 @@ def to_fixed(x, bits: int) -> int:
         return libmp.to_fixed(x._mpf_, bits)
     p, q = as_ratio(x)
     return (p << bits) // q
+
+
+def exact_mpf(man: int, exp: int) -> mpf:
+    """The mpf man 2^exp, not rounded."""
+    return mp.make_mpf(libmp.from_man_exp(man, exp))
+
+
+def rounded_quotient(p: int, q: int) -> mpf:
+    """p/q, rounded once to nearest at the working precision."""
+    return mp.make_mpf(libmp.from_rational(p, q, mp.prec, libmp.round_nearest))
+
+
+def cos_sin_2pi(a: Fraction, bits: int) -> tuple[int, int]:
+    """floor(2^bits cos 2 pi a) and floor(2^bits sin 2 pi a) for rational a,
+    by one ``mpf_cos_sin_pi`` of 2a mod 2 at W = bits + 64 bits: floored at
+    W fractional bits, each is within pi + 2 units of 2^-W.  Adding 8 units
+    before the shift to bits floors exactly the values on the grid (0,
+    +-1/2 and +-1, the only rational ones by Niven's theorem); any other
+    floors one unit high only within 2^-60 units below a grid line."""
+    (p, q), wp, nearest = as_ratio(a), bits + 64, libmp.round_nearest
+    x = libmp.from_rational(2 * (p % q), q, wp, nearest)
+    return tuple(libmp.to_fixed(v, wp) + 8 >> 64
+                 for v in libmp.mpf_cos_sin_pi(x, wp, nearest))
 
 
 def log2(x: mpf) -> float:

@@ -40,14 +40,11 @@ QuadratureBudgetError before any node is evaluated, naming the series
 route: N* grows without bound as alpha falls to the branch point.  tol sets
 the working precision, max(140, -log2(tol) + 80) bits; the value comes out
 at about that precision, far below tol.  The rule's nodes
-y = e^(2 pi i t) are the exact t = k P/N up to a few units of
-2^-(prec + 64): they come from a table of roots of unity on integers, one
-exponential per level and one complex integer product per node, and the
-integrands take y itself.  Each node returns a positive integer value whose
-log is the integrand, and the rule takes one logarithm per level, of the
-product of the values.  alpha is taken at the 32 guard bits of the periodic
-sums, the periodic sum is returned unrounded, and every integrand call
-counts as one term.
+y = e^(2 pi i t) come from a table of roots of unity on integers, each
+node returns a positive integer whose log is the integrand, and the rule
+takes one logarithm per level (``_periodic_trapezoid``).  alpha is taken
+at the 32 guard bits of the periodic sums, the periodic sum is returned
+unrounded, and every integrand call counts as one term.
 
 For m(alpha), alpha > 4, the integrand arccosh((alpha + 2 cos 2 pi t)/2) is
 even, 1-periodic and analytic; its nearest singularity is where
@@ -67,15 +64,15 @@ cubic in x is monic, so Jensen gives the sum of log+ of its root
 magnitudes.  The polynomial is invariant under (x, y) -> (w^2 x, w y),
 w = e^(2 pi i/3), and under complex conjugation, so that integrand has
 period 1/3 in t (y = e^(2 pi i t)) and is even.  Near alpha = 3 the curve
-is close to three lines meeting the torus at t = 0, 1/3, 2/3.  The rule
-runs on Python integers at 32 bits above the working precision, and its
-node values and sums keep those bits.
+is close to three lines meeting the torus at t = 0, 1/3, 2/3.
 
 For alpha > 3 the polynomial has no zero on the torus, since there
 |x^3 + y^3 + 1| <= 3 < alpha = |alpha x y|.  By Rouche's theorem exactly
 one root x_3 lies inside the unit disk, so by Vieta the integrand is
 log |x_1 x_2| = log |alpha y - x_3^2|, and the rule's node solves for x_3
-alone (``_n_node``).  The integrand is analytic; its nearest
+alone (``_n_node``): Newton's iteration on integers at the node's width
+from a float seed, certified by its residual and by Rouche's test.  The
+integrand is analytic; its nearest
 singularities are the branch points of the roots, where the discriminant
 4 alpha^3 y^3 - 27 (1 + y^3)^2 vanishes, at y^3 = Y+ and 1/Y+ with Y+ the
 larger root of
@@ -89,19 +86,17 @@ reaches the budget for alpha < 3.00014 at 140 bits.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, ldexp
+from math import isqrt
 
-from mpmath import acosh, extraprec, log, mp, mpf, workprec
+from mpmath import acosh, extraprec, ldexp, ln, log, mp, mpf, workprec
 # Bound only for the benchmark's tracer, which looks both names up here; no
 # code calls them.  They go when the benchmark drops its mahler.quad and
 # mahler.polyroots layers.
 from mpmath import polyroots, quad
-from mpmath.libmp import (from_man_exp, from_rational, mpf_cos_sin_pi,
-                          mpf_log, mpf_shift, round_nearest)
 
 from .context import (DEFAULT_CTX, DivergentSeriesError, DomainError,
                       PrecisionCtx, QuadratureBudgetError, to_mpf, to_tol)
-from .fixedpoint import as_ratio, to_fixed
+from .fixedpoint import as_ratio, cos_sin_2pi, exact_mpf, to_fixed
 from .numkernel import LAMBDA_SWITCH, lambda_series
 from .series import count_terms, ratio_series, shared, sum_geometric
 
@@ -217,16 +212,17 @@ def _periodic_trapezoid(f, period, gate, floor):
     pair at F = prec + 64 fractional bits and returns a value m 2^e > 0 as
     the integer pair (m, e).  The values go into two running products, of
     the ends and of the inner nodes, floored to F + 8 bits after each
-    product, and a level takes one ``mpf_log``, at F bits, of the ends times
+    product, and a level takes one ``ln``, at F bits, of the ends times
     the inner product squared; the at most 4,100 floors of a run move the
     mean by less than 2^(2 - F).  The nodes come from a table of roots of
-    unity: one ``mpf_cos_sin_pi`` per level gives w = e^(2 pi i period/N),
-    floored at F bits; the first level's nodes are 1, w, w^2, w^3 = w^2 w
-    and w^4 = w^2 w^2, and each later level's new nodes are the old ones
-    times w, one complex integer product each.  With w within 3/2 units of
-    2^-F in each part and every product floored once, a node of level N
-    lies within (log2(N) + 1) 2.13 + log2(N) 1.42 < 4 log2(N) + 1 units of
-    2^-F of e^(2 pi i k period/N), to first order: 49 units at N = 4,096.
+    unity: one ``fixedpoint.cos_sin_2pi`` per level gives
+    w = e^(2 pi i period/N), floored at F bits; the first level's nodes are
+    1, w, w^2, w^3 = w^2 w and w^4 = w^2 w^2, and each later level's new
+    nodes are the old ones times w, one complex integer product each.  With
+    w and every product floored once, each part within one unit of 2^-F, a
+    node of level N lies within (2 log2(N) + 1) 1.42 < 4 log2(N) + 1 units
+    of 2^-F of e^(2 pi i k period/N), to first order: 36 units at
+    N = 4,096.
     """
     prec = mp.prec
     enough = floor * (prec - 8) / prec
@@ -234,10 +230,7 @@ def _periodic_trapezoid(f, period, gate, floor):
         bits = mp.prec + 32
 
         def root(n):  # e^(2 pi i period/n), floored at bits
-            x = from_rational(2 * period.numerator, n * period.denominator,
-                              bits + 8, round_nearest)
-            return tuple(to_fixed(mp.make_mpf(v), bits)
-                         for v in mpf_cos_sin_pi(x, bits, round_nearest))
+            return cos_sin_2pi(Fraction(period, n), bits)
 
         def times(u, v):  # u v, floored to bits + 8 bits
             m, e = u[0] * v[0], u[1] + v[1]
@@ -245,9 +238,8 @@ def _periodic_trapezoid(f, period, gate, floor):
             return (m >> cut, e + cut) if cut > 0 else (m, e)
 
         def mean(n):  # (2/n) (log f(t_0)/2 + ... + log f(t_{n/2})/2)
-            m, e = times(times(ends, inner), inner)
-            return mp.make_mpf(mpf_log(from_man_exp(m, e), bits,
-                                       round_nearest)) / n
+            return ln(exact_mpf(*times(times(ends, inner), inner)),
+                      prec=bits) / n
 
         n = 8
         w = root(n)
@@ -318,31 +310,25 @@ def m_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
                                        mpf(2) ** (-(prec // 2)), nodes)
 
 
-# Newton steps allowed to _disk_root: from its float seed's ~50 bits it
-# reaches ~50,000 bits
+# Newton steps allowed to _disk_root: its seed's ~50 bits reach ~50,000
 _ROOT_STEPS = 12
 _UNITY = (1, complex(-0.5, 0.75 ** 0.5), complex(-0.5, -0.75 ** 0.5))
 
 
-def _float_roots(ay: complex, q: complex) -> list:
-    """The roots of x^3 - ay x + q, ay and q not both 0, by Cardano's
-    formula in floats, smallest first: c w^k - p/(3 c w^k), w = e^(2 pi i/3),
-    p = -ay, c^3 the larger of -q/2 +- sqrt(q^2/4 + (p/3)^3)."""
-    p3, h = -ay / 3, q / 2
-    d = (h * h + p3 ** 3) ** 0.5
-    c = (-h - d if abs(h + d) > abs(h - d) else d - h) ** (1 / 3)
-    return sorted((c * w - p3 / (c * w) for w in _UNITY), key=abs)
-
-
 def _disk_seed(alpha: float, y: complex, q: complex) -> complex:
     """A float seed for the root of x^3 - alpha y x + q inside the unit
-    disk, alpha > 3: -q/(x_1 x_2) for the two larger of ``_float_roots``
-    (Vieta), which keeps its relative accuracy where the inner root is
-    small; from alpha = 2^30 on, where (alpha/3)^3 nears the float range,
-    q/(alpha y), within 4/alpha^3 of the root relatively."""
+    disk, alpha > 3: -q/(x_1 x_2) (Vieta) for the two larger roots
+    c w^k - p/(3 c w^k) of Cardano's formula, w = e^(2 pi i/3), p = -alpha y,
+    c^3 the larger of -q/2 +- sqrt(q^2/4 + (p/3)^3), which keeps its
+    relative accuracy where the inner root is small; from alpha = 2^30 on,
+    where (alpha/3)^3 nears the float range, q/(alpha y), within 4/alpha^3
+    of the root relatively."""
     if alpha >= 2 ** 30:
         return q / (alpha * y)
-    x = _float_roots(alpha * y, q)
+    p3, h = -alpha * y / 3, q / 2
+    d = (h * h + p3 ** 3) ** 0.5
+    c = (-h - d if abs(h + d) > abs(h - d) else d - h) ** (1 / 3)
+    x = sorted((c * w - p3 / (c * w) for w in _UNITY), key=abs)
     return -q / (x[1] * x[2])
 
 
@@ -360,61 +346,38 @@ def _cubic_at(x, ay, q, bits):
 
 def _disk_root(ay, q, bits, seed):
     """The root of f(x) = x^3 - alpha y x + q near the complex float
-    ``seed`` at F = ``bits`` fractional bits, for alpha y at 2F and q at F
-    bits, by Newton's step x <- x - f(x)/f'(x) from 64 bits up: a step at P
-    bits takes ``_cubic_at`` on alpha y and q floored to 2P and P bits and
-    floors f/f'.  A step that moves x by about 2^-k leaves it within about
-    2^-(2k - 8) of the root (8 bits for the curvature |f''/f'| near
-    alpha = 3), so the next runs at
-    min(F, 2 min(P, 2k - 8)) bits; at F the iteration stops once 2k - 8
-    reaches F, and past _ROOT_STEPS steps it raises ArithmeticError."""
-    p = 64
-    xr, xi = int(ldexp(seed.real, p)), int(ldexp(seed.imag, p))
+    ``seed``, at F = ``bits`` fractional bits for alpha y at 2F and q at F
+    bits: the seed taken at 64 bits and shifted to F, then Newton's step
+    x <- x - f(x)/f'(x), f/f' floored, at F bits.  A step that moves x by
+    about 2^-k leaves it within about 2^-(2k - 8) of the root (8 bits for
+    the curvature |f''/f'| near alpha = 3), so it stops once 2k - 8 >= F;
+    past _ROOT_STEPS steps it raises ArithmeticError."""
+    xr, xi = (int(v * 2.0 ** 64) << bits - 64 for v in (seed.real, seed.imag))
     for _ in range(_ROOT_STEPS):
-        cut = bits - p
-        _, (dr, di), (fr, fi) = _cubic_at(
-            (xr, xi), (ay[0] >> 2 * cut, ay[1] >> 2 * cut),
-            (q[0] >> cut, q[1] >> cut), p)
+        _, (dr, di), (fr, fi) = _cubic_at((xr, xi), ay, q, bits)
         n = dr * dr + di * di
         er, ei = (fr * dr + fi * di) // n, (fi * dr - fr * di) // n
         xr, xi = xr - er, xi - ei
-        good = 2 * (p - max(abs(er), abs(ei)).bit_length()) - 8
-        if p == bits and good >= bits:
+        if 2 * (bits - max(abs(er), abs(ei)).bit_length()) - 8 >= bits:
             return xr, xi
-        step = min(bits, 2 * min(p, good)) - p
-        if step > 0:
-            xr, xi, p = xr << step, xi << step, p + step
     raise ArithmeticError(f"root still moving after {_ROOT_STEPS} Newton "
                           f"steps")
-
-
-def _certified_root(ay, q, bits, seed, at):
-    """``_disk_root``'s root x of f(x) = x^3 - alpha y x + q and
-    alpha y - x^2 at 2F bits, F = ``bits``, once x passes
-    |f(x)/f'(x)| <= 2^-g, g = mp.prec // 2, exact from ``_cubic_at``; as
-    f'/f = sum_i 1/(x - x_i), a root then lies within 3 |f/f'| of x.  A
-    failure raises ArithmeticError naming the node y = ``at``."""
-    x = _disk_root(ay, q, bits, seed)
-    v, (dr, di), (fr, fi) = _cubic_at(x, ay, q, bits)
-    gate = mp.prec // 2
-    if (fr * fr + fi * fi) << 2 * gate > (dr * dr + di * di) << 2 * bits:
-        raise ArithmeticError(f"root at node y = {at}: residual over |f'| "
-                              f"above 2^-{gate}")
-    return x, v
 
 
 def _n_node(alpha, y):
     """The periodic rule's n(alpha) node value |alpha y - x^2|^2 as the pair
     (m, -4F), exact, for alpha > 3, y a table node at F = mp.prec + 32 bits
-    with y^3 from two integer products, and x the root of
-    f(x) = x^3 - alpha y x + 1 + y^3 inside the unit disk: half its log is
-    sum_i log+ |x_i| (module docstring).  Each call counts as one term.
+    (y^3 from two integer products) and x the root of
+    f(x) = x^3 - alpha y x + 1 + y^3 inside the unit disk (``_disk_root``):
+    half its log is sum_i log+ |x_i| (module docstring).  Each call counts
+    as one term.
 
-    x (``_certified_root``) lies within 3 |f/f'| <= 3 2^-g, g = mp.prec // 2,
-    of a root, and |x| + 3 2^-g < 1 puts that root inside the unit disk,
-    which by Rouche holds only one; a failure raises ArithmeticError.  As
+    x must pass |f(x)/f'(x)| <= 2^-g, g = mp.prec // 2, exact; as
+    f'/f = sum_i 1/(x - x_i), a root lies within 3 |f/f'| of x, and
+    |x| + 3 2^-g < 1 puts it inside the unit disk, which by Rouche holds
+    only one.  Either test raises ArithmeticError naming the node.  As
     |d log|alpha y - x^2|/dx| <= 2/(alpha - 1) in the disk, half the log is
-    then within 6 |f/f'|/(alpha - 1) of the exact root's."""
+    within 6 |f/f'|/(alpha - 1) of the exact root's."""
     count_terms(1)
     bits, gate = mp.prec + 32, mp.prec // 2
     one = 1 << bits
@@ -422,8 +385,12 @@ def _n_node(alpha, y):
     a = to_fixed(alpha, bits)
     ay, q = (a * y[0], a * y[1]), (one + y3[0], y3[1])
     at = complex(y[0] / one, y[1] / one)
-    x, (vr, vi) = _certified_root(ay, q, bits, _disk_seed(
-        float(alpha), at, complex(q[0] / one, q[1] / one)), at)
+    x = _disk_root(ay, q, bits, _disk_seed(
+        float(alpha), at, complex(q[0] / one, q[1] / one)))
+    (vr, vi), (dr, di), (fr, fi) = _cubic_at(x, ay, q, bits)
+    if (fr * fr + fi * fi) << 2 * gate > (dr * dr + di * di) << 2 * bits:
+        raise ArithmeticError(f"root at node y = {at}: residual over |f'| "
+                              f"above 2^-{gate}")
     if x[0] * x[0] + x[1] * x[1] >= (one - (3 << bits - gate)) ** 2:
         raise ArithmeticError(f"root at node y = {at} not certified inside "
                               f"the unit disk (Rouche)")
@@ -437,7 +404,7 @@ def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
     the one root inside the unit disk.
 
     The rule, its node budget and the role of tol are the module
-    docstring's.  Each Newton root passes ``_certified_root``'s gate or
+    docstring's.  Each Newton root passes ``_n_node``'s gate or
     ArithmeticError is raised: its correction |f/f'| must be at most
     2^(-P/2), P = prec + 32 the precision at the rule's nodes.  At or below
     3 it raises DomainError: n_series serves the same domain.
@@ -452,6 +419,6 @@ def n_quadrature(alpha, ctx: PrecisionCtx = DEFAULT_CTX, tol=mpf("1e-8")) -> mpf
                               "integrand is analytic, the domain of n_series")
         nodes = _node_count(prec, acosh(2 * alpha ** 3 / 27 - 1), "n_series")
         # the mean of 2 sum log+ |x_i|
-        return mp.make_mpf(mpf_shift(_periodic_trapezoid(
+        return ldexp(_periodic_trapezoid(
             lambda y: _n_node(alpha, y), _THIRD,
-            mpf(2) ** (1 - prec // 2), nodes)._mpf_, -1))
+            mpf(2) ** (1 - prec // 2), nodes), -1)

@@ -10,9 +10,10 @@ from the classical one.  phi(q) and a(q)/b(q) share one theta loop
 (``_theta3_and_s``), which runs on Python integers in fixed point over q,
 q^3 and q^9 at once; both are memoised for the process on their exact
 arguments (``series.shared``).  The cube roots of the nome's arguments are
-integer ones (``numkernel.cbrt``), as in the cubic AGM's own steps, and the
-loop's stop and width integers come from float logs (``fixedpoint.log2``,
-``fixedpoint.float_ceil``).
+integer ones (``numkernel.cbrt``), as in the cubic AGM's own steps.  The
+loop floors q^j from q's exact pair (``fixedpoint.as_ratio``), its stop
+and width integers come from float logs (``fixedpoint.log2``,
+``fixedpoint.float_ceil``), and a/b is one ``fixedpoint.rounded_quotient``.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ import math
 from fractions import Fraction
 
 from mpmath import ceil, exp, log, mp, mpf, pi, sqrt
-from mpmath.libmp import from_rational, round_nearest
 
 from .context import (DEFAULT_CTX, ConvergenceError, DomainError,
                       PrecisionCtx, to_mpf)
-from .fixedpoint import float_ceil, log2
+from .fixedpoint import as_ratio, float_ceil, log2, rounded_quotient
 from .numkernel import agm3, cbrt
 from .series import shared
 
@@ -70,12 +70,10 @@ def _theta3_and_s(q: mpf, powers: tuple[int, ...], stop: int,
     n_max = 1 if aq == 0 else math.isqrt(
         int((stop + 1 - log2(1 - aq)) / -log2(aq))) + 3
     prec = mp.prec + extra + (2 * (n_max + 1) ** 3).bit_length()
-    one, sign, man, exp = 1 << prec, *q._mpf_[:3]
+    one, (num, den) = 1 << prec, as_ratio(q)
     out = []
     for j in powers:
-        shift = prec + j * exp
-        power = (-man if sign else man) ** j
-        x = power << shift if shift >= 0 else power >> -shift
+        x = (num ** j << prec) // den ** j
         limit = (one - abs(x)) >> stop + 1
         theta = s = tri = one  # tri = x^(n(n+1))
         xn = x  # x^(n+1)
@@ -132,8 +130,7 @@ def cubic_theta_ratio(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
             lost + 9 + 2 * int(-log2(1 - aq)))
         a = (t1 * t3 >> prec) + (4 * x1 * (s1 * s3 >> prec) >> prec)
         a3 = (t3 * t9 >> prec) + (4 * x3 * (s3 * s9 >> prec) >> prec)
-        return mp.make_mpf(from_rational(2 * a, 3 * a3 - a, mp.prec,
-                                         round_nearest))
+        return rounded_quotient(2 * a, 3 * a3 - a)
 
 
 def xq_product(q, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:

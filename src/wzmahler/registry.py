@@ -35,7 +35,7 @@ from .context import (DEFAULT_CTX, DomainError, PrecisionCtx,
                       UnknownIdentityError, to_mpf)
 from .elliptic import (CurvePoint, EllipticCurve, curve_from_family,
                        elliptic_dilog, is_on_curve, lattice_dilog_sum,
-                       periods, point_order)
+                       point_order)
 from .fixedpoint import as_ratio, to_fixed
 from .mahler import (M_DIGITS, m_quadrature, m_series, n_quadrature, n_series,
                      rv_series, s_ratio)
@@ -163,12 +163,6 @@ def n_lattice(alpha, ctx: PrecisionCtx = DEFAULT_CTX) -> mpf:
         return +(9 * lat / (2 * pi))
 
 
-def _nome_dilog_sum(curve: EllipticCurve, ctx: PrecisionCtx) -> mpf:
-    """sum_n D(i q^n) at the nome q of ``curve``: D^E at u = omega/4"""
-    return lattice_dilog_sum(root_of_unity(Fraction(1, 4)),
-                             periods(curve, ctx).q, ctx)
-
-
 class OverPi(Fraction):
     """A rational coefficient c of a ``Side`` term that stands for c/pi."""
     __slots__ = ()
@@ -207,7 +201,7 @@ class Side(NamedTuple):
         return total
 
 
-# the nine quantities that the Mahler-measure and elliptic-dilogarithm sides
+# the eight quantities that the Mahler-measure and elliptic-dilogarithm sides
 # add up; each m(alpha) of a side is one series at 1e-42, shared by every
 # side that takes it and by s_ratio
 M = Quantity(m_series, M_DIGITS)    # m(alpha) by its series
@@ -217,7 +211,6 @@ N_LAT = Quantity(n_lattice)
 N_QUAD = Quantity(n_quadrature, 8)
 RV = Quantity(rv_series, 42)        # the Rodriguez-Villegas series
 L = Quantity(lattice_dilog_sum)     # L(z0, q) = sum_n D(z0 q^n)
-L_NOME = Quantity(_nome_dilog_sum)  # L(i, q) at a curve's nome q
 D_E = Quantity(elliptic_dilog)      # D^E at u = a omega + b omega'
 
 
@@ -371,6 +364,7 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
     q_samples = (Fraction(1, 10), Fraction(1, 5))
 
     e1, e2, e3, e4, bertin = (e for e, _ in CURVES.values())
+    quarter = (Fraction(1, 4), Fraction(0))  # u = omega/4: z0 = i
 
     def zeta3(ctx, _):
         return zeta_int(3, ctx)
@@ -461,22 +455,22 @@ def registry_entries() -> tuple[IdentityRecord, ...]:
                                (1, N, lambda ctx, q: _alpha_x(ctx, to_mpf(q) ** 2))),
                        t[6], params=q_samples),
         IdentityRecord("dilog-equiv-1", "11 D^E1(P1) = 6 D^E2(P2)", KIND_NUMERIC,
-                       Side.of((11, L_NOME, e1)), Side.of((6, L_NOME, e2)), t[20],
+                       Side.of((11, D_E, e1, quarter)), Side.of((6, D_E, e2, quarter)), t[20],
                        note="P1, P2 at u = omega/4 (z0 = i) on E(5,2), E(16,1/2)"),
         IdentityRecord("dilog-equiv-2", "5 D^E3(P3) = 8 D^E4(P4)", KIND_NUMERIC,
-                       Side.of((5, L_NOME, e3)), Side.of((8, L_NOME, e4)), t[20],
+                       Side.of((5, D_E, e3, quarter)), Side.of((8, D_E, e4, quarter)), t[20],
                        note="P3, P4 at u = omega/4 on E(8,1/2), E(3sqrt2,1); the "
                             "(1/4, 0) location is adopted for all four curves"),
         # m(k) = (4/pi) L(i, q) at the nome q of the curve E(k, l)
         IdentityRecord("m5-dilog", "m(5) = (4/pi) D^E(5,2)(P1)", KIND_NUMERIC,
-                       Side.of((1, M, 5)), Side.of((OverPi(4), L_NOME, e1)), t[15]),
+                       Side.of((1, M, 5)), Side.of((OverPi(4), D_E, e1, quarter)), t[15]),
         IdentityRecord("m8-dilog", "m(8) = (4/pi) D^E(8,1/2)(P3)", KIND_NUMERIC,
-                       Side.of((1, M, 8)), Side.of((OverPi(4), L_NOME, e3)), t[15]),
+                       Side.of((1, M, 8)), Side.of((OverPi(4), D_E, e3, quarter)), t[15]),
         IdentityRecord("m16-dilog", "m(16) = (4/pi) D^E(16,1/2)(P2)", KIND_NUMERIC,
-                       Side.of((1, M, 16)), Side.of((OverPi(4), L_NOME, e2)), t[15]),
+                       Side.of((1, M, 16)), Side.of((OverPi(4), D_E, e2, quarter)), t[15]),
         IdentityRecord("m3sqrt2-dilog", "m(3 sqrt 2) = (4/pi) D^E(3sqrt2,1)(P4)", KIND_NUMERIC,
                        Side.of((1, M, lambda *_: sqrt(mpf(2)) * 3)),
-                       Side.of((OverPi(4), L_NOME, e4)), t[15]),
+                       Side.of((OverPi(4), D_E, e4, quarter)), t[15]),
         IdentityRecord("bertin-exotic", "16 D^E(P) = 11 D^E(2P) on y^2 = 4x^3 - 432x + 1188",
                        KIND_NUMERIC,
                        Side.of((16, D_E, bertin, (Fraction(1, 6), Fraction(-1, 2)))),

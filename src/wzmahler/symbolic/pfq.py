@@ -1,11 +1,13 @@
 """Generalized hypergeometric series pFq evaluated by term recurrence.
 
-The parameters and z enter the term ratio as exact integer pairs, and the
-terms are stepped on integers by ``series.ratio_series``.  Whether the
-series converges is decided from p and q before any term is summed:
+The parameters and z enter the term ratio as exact integer pairs.  A
+series with a non-positive integer top parameter -N is a polynomial, its
+terms past t_N exactly 0: its N + 1 terms are summed in exact rationals at
+any z and rounded once (``fixedpoint.rounded_quotient``).  Any other series
+has its terms stepped on integers by ``series.ratio_series``, and whether
+it converges is decided from p and q before any term is summed:
 
-* p > q + 1: it diverges at every z != 0, unless a top parameter is a
-  non-positive integer and the series terminates;
+* p > q + 1: it diverges at every z != 0;
 * p = q + 1: it converges for |z| < 1, and on |z| = 1 only when the
   parameter excess s = sum(bottoms) - sum(tops) is positive, with terms
   decaying like n**(-1-s);
@@ -28,19 +30,20 @@ from fractions import Fraction
 from math import prod
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
 
-from ..context import (DEFAULT_CTX, DivergentSeriesError, DomainError,
-                       PrecisionCtx, to_mpf, to_tol)
-from ..fixedpoint import as_ratio
-from ..series import note, ratio_series, richardson_sum, sum_geometric
+from ..context import (DEFAULT_CTX, ConvergenceError, DivergentSeriesError,
+                       DomainError, PrecisionCtx, to_mpf, to_tol)
+from ..fixedpoint import as_ratio, rounded_quotient
+from ..series import (count_terms, note, ratio_series, richardson_sum,
+                      sum_geometric)
 from .gosper import gosper_sum
 
 
 def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx = DEFAULT_CTX,
              tol=None) -> mpf:
     """Sum pFq(tops; bottoms; z) to tolerance (default: ctx.default_tol),
-    at z = 1 exactly when it has a Gosper certificate."""
+    exactly when it terminates, and at z = 1 exactly when it has a Gosper
+    certificate."""
     with ctx.workprec(64):
         # each parameter, and z below, as an exact integer pair for the
         # term ratio
@@ -54,13 +57,30 @@ def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx = DEFAULT_CTX,
             raise DomainError("bottom parameter is a non-positive integer")
         p, q = len(tops_q), len(bottoms_q)
         name = f"{p}F{q}"
-        if p > q + 1 and zn and not any(d == 1 and a <= 0 for a, d in tops_q):
+        scale_n = prod(d for _, d in bottoms_q)
+        scale_d = prod(d for _, d in tops_q)
+
+        # t_n = t_{n-1} z prod(a + n-1) / (n prod(b + n-1))
+        def step(n):
+            num = zn * scale_n * prod(a + (n - 1) * d for a, d in tops_q)
+            den = zd * scale_d * n * prod(b + (n - 1) * d for b, d in bottoms_q)
+            return num, den
+
+        last = min((-a for a, d in tops_q if d == 1 and a <= 0), default=None)
+        if last is not None:  # a polynomial of degree last in z
+            if last >= ctx.max_terms:
+                raise ConvergenceError(f"{name} terminates after {last + 1} "
+                                       f"terms, past max_terms={ctx.max_terms}")
+            count_terms(last + 1)
+            total = Fraction(1)  # 1 + r_1 (1 + r_2 (...)), r_n = t_n/t_{n-1}
+            for n in range(last, 0, -1):
+                total = 1 + total * Fraction(*step(n))
+            return rounded_quotient(total.numerator, total.denominator)
+        if p > q + 1 and zn:
             raise DivergentSeriesError(f"{name} diverges at every z != 0")
         if abs(zn) > zd:  # a p <= q series converges, but is not summed
             raise (DivergentSeriesError if p > q else DomainError)(
                 f"{name} at |z| = {mp.nstr(abs(z), 8)} > 1")
-        scale_n = prod(d for _, d in bottoms_q)
-        scale_d = prod(d for _, d in tops_q)
         if abs(zn) == zd:
             scale = scale_n * scale_d
             excess = Fraction(sum(a * scale // d for a, d in bottoms_q)
@@ -74,14 +94,7 @@ def pfq_eval(tops, bottoms, z, ctx: PrecisionCtx = DEFAULT_CTX,
                 if exact is not None:
                     value, degree = exact
                     note(f"{name} by Gosper certificate, degree {degree}")
-                    return mp.make_mpf(from_rational(value.numerator, value.denominator,
-                                                     mp.prec, round_nearest))
-
-        # t_n = t_{n-1} z prod(a + n-1) / (n prod(b + n-1))
-        def step(n):
-            num = zn * scale_n * prod(a + (n - 1) * d for a, d in tops_q)
-            den = zd * scale_d * n * prod(b + (n - 1) * d for b, d in bottoms_q)
-            return num, den
+                    return rounded_quotient(value.numerator, value.denominator)
 
         terms = ratio_series(step, lambda n: (1, 1))
         if tol is None:

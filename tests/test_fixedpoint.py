@@ -1,15 +1,17 @@
-"""Fixed-point helpers: the certified root floor against exact floors, and
-the exact conversions."""
+"""Fixed-point helpers: the certified root floor against exact floors, the
+exact conversions, and the correctly rounded quotient and floored roots of
+unity against mpmath."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf, polyroots, workprec
+from mpmath import fdiv, floor, ldexp, mp, mpf, polyroots, workprec
 from mpmath.libmp import to_fixed as libmp_to_fixed
 
-from wzmahler.fixedpoint import as_ratio, floor_root, to_fixed
-from wzmahler.numkernel import _cube_root
+from wzmahler.fixedpoint import (as_ratio, cos_sin_2pi, exact_mpf, floor_root,
+                                 rounded_quotient, to_fixed)
+from wzmahler.numkernel import _cube_root, root_of_unity
 
 
 def _expand(factors):
@@ -137,3 +139,59 @@ def test_to_fixed_shifts_an_mpf_as_its_pair_does():
             assert to_fixed(x, bits) == want.__floor__() \
                 == libmp_to_fixed(x._mpf_, bits)
     assert to_fixed(mpf(0), 10) == 0 and to_fixed(Fraction(-1, 3), 10) == -342
+
+
+def test_exact_mpf_is_not_rounded():
+    # mantissas two to three times as wide as the working precision, odd
+    # and even, of both signs: the mpf is m 2^e exactly, and zero is zero
+    rng = random.Random(11)
+    for prec in (53, 120, 300):
+        with workprec(prec):
+            for _ in range(50):
+                m = rng.getrandbits(rng.randint(2 * prec, 3 * prec)) \
+                    * rng.choice((1, -1)) << rng.randint(0, 3)
+                e = rng.randint(-2000, 2000)
+                want = Fraction(m) * Fraction(2) ** e
+                assert Fraction(*as_ratio(exact_mpf(m, e))) == want
+            assert exact_mpf(0, 17) == 0
+
+
+def test_rounded_quotient_is_mpmaths_correctly_rounded_division():
+    # p/q of integers wider and narrower than the working precision, with
+    # every sign and p = 0, against mpmath's fdiv of the exact integers
+    # (mpf_div rounds correctly) to nearest at the same precision
+    rng = random.Random(13)
+    for prec in (30, 53, 113, 256, 1000):
+        pairs = [(rng.getrandbits(rng.randint(1, 3 * prec)) * sp,
+                  (rng.getrandbits(rng.randint(1, 3 * prec)) + 1) * sq)
+                 for _ in range(40) for sp in (1, -1) for sq in (1, -1)]
+        pairs += [(0, 7), (0, -3), (2, 7), (-2, 7), (1, 3 << 2000)]
+        for p, q in pairs:
+            with workprec(3 * prec + 8000):
+                exact_p, exact_q = mpf(p), mpf(q)
+            with workprec(prec):
+                got = rounded_quotient(p, q)
+                assert got == fdiv(exact_p, exact_q, prec=prec,
+                                   rounding="n"), (prec, p, q)
+                assert mp.prec == prec
+
+
+def test_cos_sin_2pi_is_the_floor():
+    # (cos, sin) of 2 pi a, at several widths, is the floor of
+    # 2^bits e^(2 pi i a) taken 64 bits above from root_of_unity (mpmath's
+    # cospi and sinpi, or its exact table where 12 a is an integer):
+    # rational a with 12 a an integer, where 0, +-1/2 and +-1 lie on the
+    # grid and sqrt(3)/2 does not, and a with 12 a not an integer, the
+    # periodic rule's table roots among them
+    exact = [Fraction(k, 12) for k in range(-13, 26)]
+    others = [Fraction(1, 5), Fraction(2, 7), Fraction(-3, 10), Fraction(7, 3),
+              Fraction(1, 24), Fraction(5, 8), Fraction(1, 3 * 4096),
+              Fraction(1, 4096), Fraction(-17, 9), Fraction(1, 10 ** 6)]
+    for bits in (16, 53, 100, 236, 512):
+        for a in exact + others:
+            with workprec(bits + 64):
+                w = root_of_unity(a)
+                want = tuple(int(floor(ldexp(v, bits))) for v in (w.real, w.imag))
+            assert cos_sin_2pi(a, bits) == want, (bits, a)
+    assert cos_sin_2pi(Fraction(1, 6), 10) == (512, 886)
+    assert cos_sin_2pi(Fraction(1, 2), 10) == (-1024, 0)

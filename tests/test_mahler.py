@@ -476,19 +476,19 @@ def test_n_quadrature_periodic_route_needs_no_cube_root_or_node_exponential(
     # at alpha3 = 32^(1/3) the periodic rule takes its nodes from the table
     # and solves for one root per node by Newton's iteration: no mpc_cbrt
     # and no polyroots call, and exactly one
-    # mpf_cos_sin_pi and one mpf_log per level.  m_quadrature's periodic
-    # rule at alpha = 5 makes the same one of each per level
+    # cos_sin_2pi (one mpf_cos_sin_pi) and one ln per level.  m_quadrature's
+    # periodic rule at alpha = 5 makes the same one of each per level
     from mpmath.libmp import libmpc
     import mpmath.libmp
 
     def refuse(*args, **kwargs):
         raise AssertionError("root solver")
 
-    calls = {"mpf_cos_sin_pi": [], "mpf_log": []}
+    calls = {"cos_sin_2pi": [], "ln": []}
 
     def counted(name):
         fn = getattr(mahler, name)
-        return lambda *args: calls[name].append(args) or fn(*args)
+        return lambda *args, **kw: calls[name].append(args) or fn(*args, **kw)
 
     assert not hasattr(mahler, "mpc_cbrt")
     monkeypatch.setattr(libmpc, "mpc_cbrt", refuse)

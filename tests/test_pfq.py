@@ -77,6 +77,29 @@ def test_p_at_most_q_on_the_unit_circle_matches_mpmath(tops, bottoms):
             assert abs(got - hyper(tops, bottoms, z)) < tol, z
 
 
+def test_terminating_series_summed_at_any_z():
+    # a non-positive integer top makes pFq a polynomial: at |z| > 1 these
+    # raised DivergentSeriesError (p > q) or DomainError (p <= q), though
+    # mpmath's hyper gives 13, -2/7, -1/4 and 2713; each is summed exactly
+    # over its N + 1 terms and rounded once, and a non-terminating series
+    # there still raises, as does a polynomial longer than max_terms
+    cases = (([-2, 1, 1], [], 2, 13), ([-3, 2], [5], 3, Fraction(-2, 7)),
+             ([-2], [3], 5, Fraction(-1, 4)), ([-4, 1], [], -3, 2713))
+    with CTX.workprec(64):  # pfq_eval's own precision
+        for tops, bottoms, z, want in cases:
+            with TermCounter() as counter:
+                got = pfq_eval(tops, bottoms, z, CTX)
+            assert got == mpf(want.numerator) / want.denominator
+            assert abs(got - hyper(tops, bottoms, z)) < mpf(10) ** -70
+            assert counter.count == 1 - max(a for a in tops if a <= 0)
+    with pytest.raises(DivergentSeriesError, match="3F0 diverges"):
+        pfq_eval([2, 1, 1], [], 2, CTX)
+    with pytest.raises(DomainError, match="1F1 at"):
+        pfq_eval([2], [3], 5, CTX)
+    with pytest.raises(ConvergenceError, match="terminates after 21 terms"):
+        pfq_eval([-20], [3], 5, PrecisionCtx(max_terms=20))
+
+
 def test_bottom_pole_rejected():
     with pytest.raises(DomainError):
         pfq_eval([1, 1], [-2], mpf(1) / 2, CTX)

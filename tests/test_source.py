@@ -1,7 +1,7 @@
 """Source hygiene: the package is Python modules only, every top-level
 import of a ``wzmahler`` module is used, no module imports another's
-``_private`` name, every module-level ``_private`` function, class or
-constant is referenced, no frozen record is patched after it is built,
+``_private`` name, only ``fixedpoint`` reaches into mpmath's number format,
+every module-level ``_private`` function, class or constant is referenced, no frozen record is patched after it is built,
 every error class of ``context`` is raised by some other module, and every
 name the benchmark's tracer rebinds exists."""
 
@@ -102,6 +102,49 @@ def test_no_module_imports_another_modules_private_name():
              for path in sorted(PACKAGE.rglob("*.py"))
              if (names := private_imports(path.read_text()))}
     assert found == {}
+
+
+def number_format_uses(source: str) -> list[str]:
+    """Where ``source`` reaches into mpmath's internal number format: an
+    import of or from ``mpmath.libmp``, a read of an mpf's ``_mpf_`` tuple,
+    or a ``make_mpf`` call."""
+    found, tree = [], ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"import {a.name}" for a in node.names
+                      if a.name.startswith("mpmath.libmp")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            found += [f"from {module} import {a.name}" for a in node.names
+                      if module.startswith("mpmath.libmp")
+                      or module == "mpmath" and a.name == "libmp"]
+        elif isinstance(node, ast.Attribute) and node.attr == "_mpf_":
+            found.append("._mpf_")
+    return found + [f"{name}()" for name in _called(tree) if name == "make_mpf"]
+
+
+def test_number_format_uses_detected():
+    # each import form of libmp, an _mpf_ read and make_mpf calls as an
+    # attribute and as a name; mpf, a docstring naming libmp and an mpf_
+    # attribute are not the format
+    mod = ("'uses libmp'\nimport mpmath.libmp\nfrom mpmath import libmp, mpf\n"
+           "from mpmath.libmp.libmpf import from_int\nx = mpf(1)._mpf_\n"
+           "y = mp.make_mpf(x)\nmake_mpf(x)\nz = x.mpf_\n")
+    assert number_format_uses(mod) == [
+        "import mpmath.libmp", "from mpmath import libmp",
+        "from mpmath.libmp.libmpf import from_int", "._mpf_",
+        "make_mpf()", "make_mpf()"]
+
+
+def test_only_fixedpoint_reaches_into_mpmaths_number_format():
+    # the package reads and builds mpmath's numbers through fixedpoint's
+    # helpers (as_ratio, to_fixed, exact_mpf, rounded_quotient,
+    # cos_sin_2pi), so one module follows mpmath's internals
+    found = {name: uses for path in sorted(PACKAGE.rglob("*.py"))
+             if (name := str(path.relative_to(PACKAGE))) != "fixedpoint.py"
+             and (uses := number_format_uses(path.read_text()))}
+    assert found == {}
+    assert number_format_uses((PACKAGE / "fixedpoint.py").read_text())
 
 
 def _named(node) -> list[str]:
